@@ -1256,7 +1256,7 @@ RUNNER_COMMANDS: tuple[RunnerCommand, ...] = (
             CliOption(("--sample",), "sample", dict(
                 default=None, metavar="1/N",
                 help="trace every Nth stream end-to-end (sampled tracing "
-                "keeps the vectorized fast path engaged)")),
+                "bounds trace volume at any stream count)")),
             CliOption(("--cache-profile",), "cache_profile", dict(
                 choices=["legacy", "adaptive"], default="legacy",
                 help="MDS buffer-cache profile: legacy flat LRU or the "

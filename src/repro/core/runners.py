@@ -80,20 +80,6 @@ def _scaled(value: int, scale: float, floor: int = 1) -> int:
     return max(floor, int(value * scale))
 
 
-def _resolve_execution(execution: str, legacy_io: bool | None) -> str:
-    """Fold the deprecated ``legacy_io`` runner kwarg into ``execution``."""
-    if legacy_io is None:
-        return execution
-    import warnings
-
-    warnings.warn(
-        "legacy_io= is deprecated; pass execution='legacy' (or 'batched') instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return "legacy" if legacy_io else "batched"
-
-
 class _Context:
     """Metrics bag + tracer + phase/capture helpers.
 
@@ -115,7 +101,7 @@ class _Context:
 
     def mds(self, cfg: FSConfig) -> MetadataServer:
         mds = MetadataServer(cfg, self.metrics, self.tracer)
-        self.tracer.bind_clock(lambda: mds.elapsed_s, override=True)
+        self.tracer.bind_clock(mds.now, override=True)
         return mds
 
     def filesystem(self, cfg: FSConfig) -> RedbudFileSystem:
@@ -409,16 +395,13 @@ def macro_benchmarks(
     ndisks: int = 8,
     jobs: int | None = None,
     execution: str = "batched",
-    legacy_io: bool | None = None,
 ) -> RunResult:
     """Fig. 7: IOR2 and BTIO under reservation vs on-demand, with and
     without collective I/O (paper: 16 nodes × 4 cores, 8 disks).
 
     ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.  ``legacy_io`` is
-    a deprecated alias for ``execution="legacy"``.
+    result, so neither participates in the fingerprint.
     """
-    execution = _resolve_execution(execution, legacy_io)
     run = _Run(
         "fig7", trace, scale=scale, seed=seed, policies=policies,
         collectives=collectives, ndisks=ndisks,
@@ -600,16 +583,13 @@ def metarates_suite(
     dir_sizes: tuple[int, ...] = (1000, 5000, 10000),
     jobs: int | None = None,
     execution: str = "batched",
-    legacy_io: bool | None = None,
 ) -> RunResult:
     """Fig. 8: utime/create (a), delete (b) and readdir-stat (c) throughput
     and disk-access counts, plus the dir-size sweep for readdir-stat.
 
     ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.  ``legacy_io`` is
-    a deprecated alias for ``execution="legacy"``.
+    result, so neither participates in the fingerprint.
     """
-    execution = _resolve_execution(execution, legacy_io)
     run = _Run(
         "fig8", trace, scale=scale, seed=seed,
         profiles=None if profiles is None else tuple(p.name for p in profiles),
@@ -1139,8 +1119,8 @@ class ServiceCell:
     active_streams: int
     stations: dict[str, StationReport] = field(default_factory=dict)
     #: Which disk-array submit path serviced the cell's batches — the
-    #: introspection that proves sampled tracing left the vectorized fast
-    #: path engaged (see :attr:`repro.disk.array.DiskArray.io_profile`).
+    #: introspection that proves a traced run took the untraced run's
+    #: path (see :attr:`repro.disk.array.DiskArray.io_profile`).
     io_profile: dict[str, int] = field(default_factory=dict)
     #: Per-window telemetry frames (``--telemetry``); None when disabled.
     telemetry: TimeSeriesSnapshot | None = None
@@ -1415,7 +1395,6 @@ def service_mode(
     config: FSConfig | None = None,
     jobs: int | None = None,
     execution: str = "batched",
-    legacy_io: bool | None = None,
     telemetry: bool | float = False,
     slo: bool | str | SLObjective | tuple[str | SLObjective, ...] | None = None,
     sample: int | str | None = None,
@@ -1447,7 +1426,7 @@ def service_mode(
       or a tuple).  Implies telemetry.
     - ``sample`` — sampled per-op tracing: ``"1/N"`` (or N) traces every
       N-th stream end-to-end via a :class:`~repro.obs.trace.
-      SamplingTracer` without disengaging the vectorized fast paths.
+      SamplingTracer`, bounding trace volume at any stream count.
       Ignored when an explicit ``trace=`` tracer is passed.
 
     ``cache_profile`` selects the MDS buffer-cache profile ("legacy" or
@@ -1470,7 +1449,6 @@ def service_mode(
     Scrubbing repairs live state, so it enters the fingerprint when
     enabled; the default stays fingerprint-identical.
     """
-    execution = _resolve_execution(execution, legacy_io)
     rate_points = tuple(resolve_rate(r) for r in (rates if rates is not None else (rate,)))
     duration_s = resolve_duration(duration) * scale
     cfg = config if config is not None else redbud_mif_profile()
@@ -1647,16 +1625,13 @@ def listio_benchmarks(
     ndisks: int = 5,
     jobs: int | None = None,
     execution: str = "batched",
-    legacy_io: bool | None = None,
 ) -> RunResult:
     """List I/O: ROMIO-style strided and tile access, scalar loop vs one
     scatter-gather request per region list (readv/writev; docs/LISTIO.md).
 
     ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.  ``legacy_io`` is
-    a deprecated alias for ``execution="legacy"``.
+    result, so neither participates in the fingerprint.
     """
-    execution = _resolve_execution(execution, legacy_io)
     run = _Run(
         "fig_listio", trace, scale=scale, seed=seed, patterns=patterns,
         modes=modes, ndisks=ndisks,
@@ -1802,7 +1777,6 @@ def cache_pressure_suite(
     scenarios: tuple[str, ...] = ("pressure", "streams"),
     jobs: int | None = None,
     execution: str = "batched",
-    legacy_io: bool | None = None,
 ) -> RunResult:
     """Cache-pressure sweep: the adaptive tiered cache (per-stream
     readahead + SLRU tiers + embedded-directory prefetch, docs/CACHE.md)
@@ -1810,10 +1784,8 @@ def cache_pressure_suite(
     interleaved-sequential-streams microbenchmark.
 
     ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.  ``legacy_io`` is
-    a deprecated alias for ``execution="legacy"``.
+    result, so neither participates in the fingerprint.
     """
-    execution = _resolve_execution(execution, legacy_io)
     run = _Run(
         "fig_cache", trace, scale=scale, seed=seed,
         profiles=tuple(profiles), scenarios=tuple(scenarios),

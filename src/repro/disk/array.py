@@ -55,8 +55,8 @@ class DiskArray:
         self.blocks_per_disk = disk_params.capacity_blocks
         # The array-path submit needs the vectorized disk model plus a
         # scheduler that can arrange parallel arrays; both are fixed at
-        # construction.  Tracing and fault injection are re-checked per
-        # batch (they can toggle mid-run).
+        # construction.  Fault injection is re-checked per batch (it can
+        # toggle mid-run).
         self._arrays_capable = vectorized and hasattr(
             self.disks[0].scheduler, "arrange_arrays"
         )
@@ -64,8 +64,8 @@ class DiskArray:
         # batch.  Kept off the Metrics bag on purpose — the scalar and
         # vectorized paths must report *identical* metrics (the perf
         # harness pins that), while these counters exist to tell the
-        # paths apart (e.g. to assert sampled tracing left the fast path
-        # engaged).
+        # paths apart (e.g. to assert a traced run took the same path as
+        # an untraced one).
         self.io_profile: dict[str, int] = {
             "batches_vectorized": 0,
             "batches_scalar": 0,
@@ -98,7 +98,6 @@ class DiskArray:
         if (
             len(requests) > 1
             and self._arrays_capable
-            and not self.tracer.enabled
             and all(d.injector is None for d in self.disks)
         ):
             self.io_profile["batches_vectorized"] += 1
@@ -126,7 +125,9 @@ class DiskArray:
         :meth:`~repro.disk.disk.SimulatedDisk.submit_arrays` — no per-request
         ``locate`` calls and no local :class:`BlockRequest` copies.  Bounds
         and span checks match the object path and fire before any disk
-        services work.
+        services work, and disks are visited in the order the batch first
+        touches them, as the object path's per-disk split does, so both
+        paths emit trace events in the same order.
         """
         n = len(requests)
         starts = np.fromiter((r.start for r in requests), dtype=np.int64, count=n)
@@ -147,7 +148,7 @@ class DiskArray:
             )
         total = 0.0
         disks = self.disks
-        for d in np.unique(disk_idx).tolist():
+        for d in dict.fromkeys(disk_idx.tolist()):
             mask = disk_idx == d
             t = disks[d].submit_arrays(local[mask], nblocks[mask], writes[mask])
             if t > total:

@@ -588,14 +588,14 @@ class BufferCache:
         batched metadata path's determinism contract, docs/PERF.md).  A
         read that is fully resident and does not push past a readahead
         frontier takes a fast path without per-block accounting; anything
-        else — a miss, a frontier crossing, a read past capacity, tracing,
-        or a disabled cache — falls back to the scalar :meth:`read` for
+        else — a miss, a frontier crossing, a read past capacity, or a
+        disabled cache — falls back to the scalar :meth:`read` for
         that element, *before* any state was touched, so the sequence of
         cache and context mutations is identical to the scalar loop.  The
         adaptive profile always takes the scalar loop (tier promotion is
         order-sensitive on every touch, so there is no deferrable work).
         """
-        if self.tracer.enabled or not self.params.enabled or self._adaptive:
+        if not self.params.enabled or self._adaptive:
             read = self.read
             total = 0.0
             for start, nblocks in reads:
@@ -605,6 +605,7 @@ class BufferCache:
         keys = lru.keys()
         pend = self._pending_moves.append
         ra = self._ra
+        tracer = self.tracer
         slack = 2 * self.params.readahead_max_blocks
         capacity = self.disk.capacity_blocks
         total = 0.0
@@ -629,6 +630,8 @@ class BufferCache:
                             ra.move_to_end(ctx_key)
                         pend((start, end))
                         hits += nblocks
+                        if tracer.enabled:
+                            tracer.emit("cache", "hit", start=start, nblocks=nblocks)
                         continue
             total += self.read(start, nblocks)
         if hits:

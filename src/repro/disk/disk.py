@@ -122,9 +122,8 @@ class SimulatedDisk:
                 )
         total = 0.0
         header = self._charge_header()
-        tracer = self.tracer
         try:
-            total = self._service(self.scheduler.arrange(requests), tracer)
+            total = self._service(self.scheduler.arrange(requests))
         finally:
             # A mid-batch fault still pays for the requests serviced before
             # it fired; _service returns via its partial-total attribute.
@@ -132,11 +131,17 @@ class SimulatedDisk:
             self._partial_s = 0.0
         return total + header
 
-    def _service(self, arranged, tracer: Tracer | NullTracer) -> float:
-        if self.vectorized and self.injector is None and len(arranged) > 1:
-            return self._service_vectorized(arranged, tracer)
-        total = 0.0
+    def _service(self, arranged) -> float:
         self._partial_s = 0.0
+        if self.vectorized and self.injector is None and len(arranged) > 1:
+            n = len(arranged)
+            return self._service_arrays(
+                np.fromiter((r.start for r in arranged), dtype=np.int64, count=n),
+                np.fromiter((r.nblocks for r in arranged), dtype=np.int64, count=n),
+                np.fromiter((r.is_write for r in arranged), dtype=bool, count=n),
+            )
+        tracer = self.tracer
+        total = 0.0
         for req in arranged:
             if self.injector is not None:
                 req = self.injector.filter(req)
@@ -173,86 +178,39 @@ class SimulatedDisk:
                 self.metrics.incr("disk.read_blocks", req.nblocks)
         return total
 
-    def _service_vectorized(self, arranged, tracer: Tracer | NullTracer) -> float:
-        """Batch path: per-request times come from the numpy model, and the
-        pure counters are committed once per batch.  ``busy_s`` is folded in
-        request order (``np.add.accumulate`` is the same left-to-right IEEE
-        fold as the scalar loop), so phase timings match bit for bit; only
-        the unrendered positioning/transfer accumulators and histogram sums
-        pick up last-ulp pairwise-summation drift.
-
-        An enabled tracer needs one event per request anyway, so that case
-        keeps a per-request loop over the batch times.
-        """
-        self._partial_s = 0.0
-        n = len(arranged)
-        if not tracer.enabled:
-            starts = np.fromiter((r.start for r in arranged), dtype=np.int64, count=n)
-            nblocks = np.fromiter((r.nblocks for r in arranged), dtype=np.int64, count=n)
-            is_write = np.fromiter((r.is_write for r in arranged), dtype=bool, count=n)
-            return self._service_arrays(starts, nblocks, is_write)
-        positioning, transfer = self.model.time_batch(self._head, arranged)
-        pos = positioning.tolist()
-        tr = transfer.tolist()
-        metrics = self.metrics
-        total = 0.0
-        nblocks_total = 0
-        writes = 0
-        write_blocks = 0
-        positionings = 0
-        for i, req in enumerate(arranged):
-            dur = pos[i] + tr[i]
-            if tracer.enabled:
-                tracer.emit(
-                    "disk",
-                    "write" if req.is_write else "read",
-                    t=self._busy_s + total,
-                    dur=dur,
-                    disk=self.name,
-                    start=req.start,
-                    nblocks=req.nblocks,
-                    seek_s=pos[i],
-                    transfer_s=tr[i],
-                )
-            total += dur
-            self._partial_s = total
-            metrics.observe("disk.request_latency_s", dur)
-            metrics.observe("disk.request_blocks", req.nblocks)
-            metrics.add("disk.positioning_s", pos[i])
-            metrics.add("disk.transfer_s", tr[i])
-            if pos[i] > 0.0:
-                positionings += 1
-            nblocks_total += req.nblocks
-            if req.is_write:
-                writes += 1
-                write_blocks += req.nblocks
-        self._head = arranged[-1].end
-        n = len(arranged)
-        metrics.incr("disk.requests", n)
-        metrics.incr("disk.blocks", nblocks_total)
-        if positionings:
-            metrics.incr("disk.positionings", positionings)
-        if writes:
-            metrics.incr("disk.write_requests", writes)
-            metrics.incr("disk.write_blocks", write_blocks)
-        if writes < n:
-            metrics.incr("disk.read_requests", n - writes)
-            metrics.incr("disk.read_blocks", nblocks_total - write_blocks)
-        return total
-
     def _service_arrays(
         self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray
     ) -> float:
         """Service an *arranged* batch given as parallel arrays.
 
-        The array core shared by the untraced :meth:`_service_vectorized`
-        branch and :meth:`submit_arrays`.  Sets ``_partial_s`` and the head;
-        the caller folds ``_partial_s`` into ``busy_s``.
+        The array core shared by :meth:`submit_batch` (multi-request
+        batches) and :meth:`submit_arrays`: per-request times come from
+        the numpy model and the pure counters are committed once per
+        batch.  ``busy_s`` is folded in request order (``np.add.accumulate``
+        is the same left-to-right IEEE fold as the scalar loop), so phase
+        timings match bit for bit; only the unrendered positioning/transfer
+        accumulators and histogram sums pick up last-ulp pairwise-summation
+        drift.  Sets ``_partial_s`` and the head; the caller folds
+        ``_partial_s`` into ``busy_s``.  A tracer gets one bulk append:
+        request ``i`` starts where the fold stood before it.
         """
         n = starts.shape[0]
         positioning, transfer = self.model.time_batch_arrays(self._head, starts, nblocks)
         dur = positioning + transfer
-        total = float(np.add.accumulate(dur)[-1])
+        ends = np.add.accumulate(dur)
+        total = float(ends[-1])
+        if self.tracer.enabled:
+            self.tracer.emit_batch(
+                "disk",
+                ["write" if w else "read" for w in is_write.tolist()],
+                self._busy_s + np.concatenate(([0.0], ends[:-1])),
+                dur,
+                disk=self.name,
+                start=starts,
+                nblocks=nblocks,
+                seek_s=positioning,
+                transfer_s=transfer,
+            )
         self._partial_s = total
         self._head = int(starts[-1] + nblocks[-1])
         metrics = self.metrics
@@ -286,8 +244,8 @@ class SimulatedDisk:
         ``(starts, nblocks, is_write)`` arrays in arrival order and no
         :class:`BlockRequest` objects exist at any point.  Caller contract
         (enforced by :class:`~repro.disk.array.DiskArray`): requests are
-        pre-checked against capacity, the tracer is disabled, no fault
-        injector is attached, and the scheduler supports ``arrange_arrays``.
+        pre-checked against capacity, no fault injector is attached, and
+        the scheduler supports ``arrange_arrays``.
         """
         if starts.shape[0] == 0:
             return 0.0
@@ -315,11 +273,11 @@ class SimulatedDisk:
         a request object or arranging a one-element batch (a one-request
         batch is a fixed point of every scheduler: nothing to sort, nothing
         to merge).  Caller contract: ``nblocks > 0`` and ``start >= 0``,
-        as :class:`BlockRequest` validation would enforce.  A tracer or
-        fault injector routes back through the object path, which emits
-        trace events and applies fault filters per request.
+        as :class:`BlockRequest` validation would enforce.  A fault
+        injector routes back through the object path, which applies fault
+        filters per request.
         """
-        if self.tracer.enabled or self.injector is not None:
+        if self.injector is not None:
             return self.submit(BlockRequest(start, nblocks, is_write=is_write))
         end = start + nblocks
         if end > self.params.capacity_blocks:
@@ -335,6 +293,20 @@ class SimulatedDisk:
         positioning = self.model.positioning_time(self._head, start)
         transfer = self.model.transfer_time(nblocks)
         total = positioning + transfer
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit("sched", "arrange", requests_in=1, requests_out=1)
+            tracer.emit(
+                "disk",
+                "write" if is_write else "read",
+                t=self._busy_s,
+                dur=total,
+                disk=self.name,
+                start=start,
+                nblocks=nblocks,
+                seek_s=positioning,
+                transfer_s=transfer,
+            )
         self._head = end
         self._busy_s += total
         self._h_latency.observe(total)

@@ -62,6 +62,10 @@ class FifoScheduler:
             starts, nblocks, writes, self.params.merge_gap_blocks
         )
         self.metrics.incr("scheduler.requests_out", int(s.shape[0]))
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "sched", "arrange", requests_in=n, requests_out=int(s.shape[0])
+            )
         return s, b, w
 
 
@@ -112,8 +116,7 @@ class ElevatorScheduler:
         decisions are identical to :meth:`arrange`: windows split in arrival
         order, each stable-sorted by ``(start, nblocks)``, runs merged when
         the inter-request gap is within ``merge_gap_blocks`` and the kind
-        matches.  Callers handle tracing themselves (the object path stays
-        in use whenever the tracer is enabled).
+        matches.
         """
         n = starts.shape[0]
         self.metrics.incr("scheduler.batches")
@@ -141,6 +144,10 @@ class ElevatorScheduler:
             m_n = np.concatenate(out_n)
             m_w = np.concatenate(out_w)
         self.metrics.incr("scheduler.requests_out", int(m_s.shape[0]))
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "sched", "arrange", requests_in=n, requests_out=int(m_s.shape[0])
+            )
         return m_s, m_n, m_w
 
 

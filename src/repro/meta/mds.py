@@ -43,7 +43,7 @@ class MetadataServer:
         self.config = config
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.tracer.bind_clock(lambda: self.elapsed_s)
+        self.tracer.bind_clock(self.now)
         self.disk = SimulatedDisk(
             config.mds_disk, config.scheduler, self.metrics, name="mds",
             tracer=self.tracer, vectorized=config.execution == "batched",
@@ -68,8 +68,7 @@ class MetadataServer:
         self.ops = 0
         #: Batched execution strategy (FSConfig.execution == "batched"):
         #: same plans, same simulated results, fewer interpreted steps.
-        #: Engages per call only while tracing is off and no fault injector
-        #: is armed.
+        #: Engages per call only while no fault injector is armed.
         self._meta_batching = config.execution == "batched"
         #: Embedded-directory metadata prefetch (docs/CACHE.md): under the
         #: adaptive cache profile, readdir/readdirplus against an embedded
@@ -87,10 +86,12 @@ class MetadataServer:
         self._op_keys: dict[str, str] = {}
 
     # -- timing --------------------------------------------------------------
-    @property
-    def elapsed_s(self) -> float:
-        """Serialized MDS time: disk + CPU + protocol overhead."""
+    def now(self) -> float:
+        """Serialized MDS time: disk + CPU + protocol overhead.  Also the
+        tracer's clock, hence a plain method beside the property."""
         return self.disk.busy_s + self._cpu_s + self._overhead_s
+
+    elapsed_s = property(now)
 
     @property
     def cpu_s(self) -> float:
@@ -109,12 +110,12 @@ class MetadataServer:
 
     # -- operations ---------------------------------------------------------
     def mkdir(self, parent, name: str):
-        d, plan = self.layout.create_dir(parent, name, self._now())
+        d, plan = self.layout.create_dir(parent, name, self.now())
         self._execute(plan, "mkdir")
         return d
 
     def create(self, parent, name: str) -> Inode:
-        inode, plan = self.layout.create_file(parent, name, self._now())
+        inode, plan = self.layout.create_file(parent, name, self.now())
         self._execute(plan, "create")
         return inode
 
@@ -123,7 +124,7 @@ class MetadataServer:
         self._execute(plan, "delete")
 
     def utime(self, parent, name: str) -> None:
-        plan = self.layout.utime(parent, name, self._now())
+        plan = self.layout.utime(parent, name, self.now())
         self._execute(plan, "utime")
 
     def stat(self, parent, name: str) -> Inode:
@@ -168,7 +169,7 @@ class MetadataServer:
         self._execute(plan, "set_extent_records")
 
     def rename(self, src_dir, src_name: str, dst_dir, dst_name: str) -> None:
-        plan = self.layout.rename(src_dir, src_name, dst_dir, dst_name, self._now())
+        plan = self.layout.rename(src_dir, src_name, dst_dir, dst_name, self.now())
         self._execute(plan, "rename")
 
     # -- maintenance -----------------------------------------------------------
@@ -185,7 +186,6 @@ class MetadataServer:
             and len(blocks) > 1
             and disk.vectorized
             and disk.injector is None
-            and not self.tracer.enabled
             and hasattr(disk.scheduler, "arrange_arrays")
             and 0 <= blocks[0]
             and blocks[-1] < disk.capacity_blocks
@@ -246,12 +246,7 @@ class MetadataServer:
         # block, cheap) re-establishes the dirty home blocks.  Uncommitted
         # (torn / crashed) records are discarded — their operations never
         # became durable.
-        if (
-            records
-            and self._meta_batching
-            and self.disk.injector is None
-            and not self.tracer.enabled
-        ):
+        if records and self._meta_batching and self.disk.injector is None:
             self.cache.read_batch([(rec.block, 1) for rec in records])
             for rec in records:
                 self._dirty.update(rec.dirties)
@@ -279,16 +274,9 @@ class MetadataServer:
         self._overhead_s = 0.0
 
     # -- internals -----------------------------------------------------------
-    def _now(self) -> float:
-        return self.elapsed_s
-
     def _execute(self, plan: AccessPlan, op_name: str, requests: int = 1) -> None:
         plan = plan.coalesce()
-        if (
-            self._meta_batching
-            and self.disk.injector is None
-            and not self.tracer.enabled
-        ):
+        if self._meta_batching and self.disk.injector is None:
             self._execute_batched(plan, op_name, requests)
             return
         t0 = self.elapsed_s
@@ -335,12 +323,12 @@ class MetadataServer:
         Same simulated effects in the same order — plan reads through
         :meth:`BufferCache.read_batch`, the journal commit through
         :meth:`Journal.log_batch` — with per-op bookkeeping hoisted out of
-        the interpreter's way.  Only reached with no fault injector armed
-        and tracing off, so the commit write cannot tear (the scalar
-        path's torn-record branch is unreachable) and no per-op trace
-        events are owed.
+        the interpreter's way, trace events emitted at the same points.
+        Only reached with no fault injector armed, so the commit write
+        cannot tear (the scalar path's torn-record branch is unreachable).
         """
         disk = self.disk
+        tracer = self.tracer
         t0 = disk.busy_s + self._cpu_s + self._overhead_s
         if plan.reads:
             self.cache.read_batch(plan.reads)
@@ -353,6 +341,8 @@ class MetadataServer:
                 disk.submit_one(req.start, req.nblocks, req.is_write)
             self._counters["mds.journal_writes"] += journal_records
             self.journal.commit(records[0])
+            if tracer.enabled:
+                tracer.emit("meta", "journal_commit", records=journal_records)
         if plan.dirties:
             self._dirty.update(plan.dirties)
         self._cpu_s += plan.cpu_s
@@ -366,6 +356,7 @@ class MetadataServer:
             self._ops_since_ckpt += 1
             if self._ops_since_ckpt >= self._ckpt_interval:
                 self.checkpoint()
-        self._op_latency.observe(
-            disk.busy_s + self._cpu_s + self._overhead_s - t0
-        )
+        elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
+        self._op_latency.observe(elapsed)
+        if tracer.enabled:
+            tracer.emit("meta", op_name, t=t0, dur=elapsed)

@@ -1,15 +1,22 @@
 """Structured tracing: bounded ring buffer of simulated-time events.
 
-Instrumented layers emit :class:`TraceEvent` records — *what happened,
-where, at which simulated time, for how long* — into a :class:`Tracer`.
-The buffer is a ring (``collections.deque`` with ``maxlen``), so a long run
+Instrumented layers emit events — *what happened, where, at which
+simulated time, for how long* — into a :class:`Tracer`.  The buffer is a
+ring (``collections.deque`` with ``maxlen``) of raw rows, so a long run
 keeps the most recent ``capacity`` events and merely counts the rest as
-dropped; tracing never grows without bound.
+dropped; tracing never grows without bound.  A row is one flat tuple
+``(t, dur, stream, schema, *attr values)`` whose ``schema`` —
+``(layer, op, *attr names)`` — is shared by every event of the same
+shape; :class:`TraceEvent` objects exist only once :meth:`Tracer.events`
+is called.  Array code paths append a whole batch of rows from numpy
+columns with one :meth:`Tracer.emit_batch` call.
 
-Hot paths guard every emission with ``if tracer.enabled:`` and default to
-the shared :data:`NULL_TRACER`, whose ``enabled`` is ``False`` and whose
-methods are no-ops — with tracing off the per-operation cost is one
-attribute load and a branch.
+Tracing is a property of the buffer, never of the code path: hot paths
+guard every *emission* with ``if tracer.enabled:`` (sparing the argument
+packing) but run the same code either way, and default to the shared
+:data:`NULL_TRACER`, whose ``enabled`` is ``False`` and whose methods are
+no-ops — with tracing off the per-operation cost is one attribute load
+and a branch.
 
 Timestamps are *simulated* seconds.  A component that owns a timeline (a
 disk, the MDS) passes ``t=`` explicitly; everything else falls back to the
@@ -21,9 +28,12 @@ monotone event sequence number when no clock is bound.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,9 +104,9 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Bounded ring buffer of :class:`TraceEvent` records."""
+    """Bounded ring buffer of trace rows, read back as :class:`TraceEvent`."""
 
-    __slots__ = ("enabled", "capacity", "clock", "_events", "_emitted")
+    __slots__ = ("enabled", "capacity", "clock", "_rows", "_schemas", "_emitted")
 
     #: True only on :class:`SamplingTracer`: the tracer is *dormant* between
     #: sampled operations (``enabled`` is False at rest) but still collects
@@ -115,7 +125,9 @@ class Tracer:
         self.enabled = enabled
         self.capacity = capacity
         self.clock = clock
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
+        self._rows: deque[tuple] = deque(maxlen=capacity)
+        #: Interned ``(layer, op, *attr names)`` tuples, one per event shape.
+        self._schemas: dict[tuple, tuple] = {}
         self._emitted = 0
 
     # -- clock -------------------------------------------------------------
@@ -146,9 +158,48 @@ class Tracer:
         if not self.enabled:
             return
         if t is None:
-            t = self.now()
+            clock = self.clock
+            t = clock() if clock is not None else float(self._emitted)
         self._emitted += 1
-        self._events.append(TraceEvent(t, layer, op, dur, stream, attrs))
+        key = (layer, op, *attrs)
+        self._rows.append(
+            (t, dur, stream, self._schemas.setdefault(key, key), *attrs.values())
+        )
+
+    def emit_batch(
+        self,
+        layer: str,
+        ops: Sequence[str],
+        t: np.ndarray,
+        dur: np.ndarray,
+        stream: int | None = None,
+        **columns: Any,
+    ) -> None:
+        """Record ``len(ops)`` events with one ring append.
+
+        ``ops`` names each event's operation; ``t``, ``dur`` and every
+        array in ``columns`` hold one element per event, and any other
+        column value is shared by all of them.  Arrays are converted with
+        ``.tolist()``, so the rows — and every export — hold Python ints
+        and floats, exactly what per-event :meth:`emit` calls would store.
+        """
+        if not self.enabled:
+            return
+        n = len(ops)
+        names = tuple(columns)
+        schemas = {}
+        for op in set(ops):
+            key = (layer, op, *names)
+            schemas[op] = self._schemas.setdefault(key, key)
+        self._emitted += n
+        self._rows.extend(zip(
+            t.tolist(), dur.tolist(), repeat(stream, n),
+            map(schemas.__getitem__, ops),
+            *(
+                v.tolist() if isinstance(v, np.ndarray) else repeat(v, n)
+                for v in columns.values()
+            ),
+        ))
 
     def span(
         self, layer: str, op: str, stream: int | None = None, **attrs: Any
@@ -161,10 +212,13 @@ class Tracer:
     # -- inspection --------------------------------------------------------
     def events(self) -> list[TraceEvent]:
         """The retained events, oldest first."""
-        return list(self._events)
+        return [
+            TraceEvent(t, schema[0], schema[1], dur, stream, dict(zip(schema[2:], values)))
+            for t, dur, stream, schema, *values in self._rows
+        ]
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     @property
     def emitted(self) -> int:
@@ -174,17 +228,17 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Events evicted by the ring buffer."""
-        return max(0, self._emitted - len(self._events))
+        return max(0, self._emitted - len(self._rows))
 
     def clear(self) -> None:
         """Drop all retained events and reset the lifetime counters."""
-        self._events.clear()
+        self._rows.clear()
         self._emitted = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Tracer(enabled={self.enabled}, capacity={self.capacity}, "
-            f"events={len(self._events)}, dropped={self.dropped})"
+            f"events={len(self._rows)}, dropped={self.dropped})"
         )
 
 
@@ -210,13 +264,13 @@ class _ArmedOp:
 class SamplingTracer(Tracer):
     """Trace 1-in-N deterministically chosen streams end-to-end.
 
-    The all-or-nothing :class:`Tracer` gate has a structural cost: hot
-    paths check ``tracer.enabled`` to pick between the vectorized and the
-    per-request code paths, so a whole-run tracer forces *every* operation
-    off the fast path.  A ``SamplingTracer`` is **dormant at rest** —
+    A whole-run :class:`Tracer` records every event of every operation;
+    with a million streams that is far more than any ring holds, so the
+    interesting operations are evicted long before the run ends.  A
+    ``SamplingTracer`` bounds the *volume*: it is **dormant at rest** —
     ``enabled`` is False, so unsampled operations (the overwhelming
-    majority) take the vectorized paths untouched — and is *armed* only
-    for the duration of a sampled operation:
+    majority) emit nothing — and is *armed* only for the duration of a
+    sampled operation:
 
     >>> tracer = SamplingTracer(every=1000)
     >>> if tracer.sampled(stream):                      # doctest: +SKIP
@@ -225,9 +279,9 @@ class SamplingTracer(Tracer):
 
     Inside the ``with`` block every instrumented layer the operation
     touches (MDS queue, journal, allocator, disk) sees an enabled tracer
-    and emits through the ordinary per-request paths, which are
-    bit-identical in results to the vectorized ones (the perf-equivalence
-    harness pins that), so sampling observes without perturbing.
+    and emits.  Armed or dormant, the operation runs the same code path —
+    ``enabled`` guards emissions, never a choice of path — so sampling
+    observes without perturbing.
 
     Stream selection is deterministic — ``stream % every == offset`` —
     so repeated runs with the same seed trace the same streams.  Events
@@ -277,10 +331,23 @@ class SamplingTracer(Tracer):
             stream = self.active_stream
         super().emit(layer, op, t=t, dur=dur, stream=stream, **attrs)
 
+    def emit_batch(
+        self,
+        layer: str,
+        ops: Sequence[str],
+        t: np.ndarray,
+        dur: np.ndarray,
+        stream: int | None = None,
+        **columns: Any,
+    ) -> None:
+        if stream is None:
+            stream = self.active_stream
+        super().emit_batch(layer, ops, t, dur, stream=stream, **columns)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SamplingTracer(every={self.every}, offset={self.offset}, "
-            f"events={len(self._events)}, dropped={self.dropped})"
+            f"events={len(self._rows)}, dropped={self.dropped})"
         )
 
 
@@ -328,6 +395,9 @@ class NullTracer:
         return 0.0
 
     def emit(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def emit_batch(self, *args: Any, **kwargs: Any) -> None:
         pass
 
     def span(self, *args: Any, **kwargs: Any) -> _NullSpan:

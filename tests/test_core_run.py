@@ -113,15 +113,6 @@ class TestUnifiedInvocation:
         assert serial.payload == fanned.payload
         assert serial.phases == fanned.phases
 
-    def test_legacy_io_alias_warns_and_matches(self):
-        new = run("fig7", scale=SCALE, ndisks=2, policies=("ondemand",),
-                  collectives=(False,), execution="legacy")
-        with pytest.warns(DeprecationWarning, match="legacy_io"):
-            old = run("fig7", scale=SCALE, ndisks=2, policies=("ondemand",),
-                      collectives=(False,), legacy_io=True)
-        assert old.fingerprint == new.fingerprint
-        assert old.payload == new.payload
-
 
 class TestTraceCLI:
     def test_trace_chrome_output(self, tmp_path, capsys):

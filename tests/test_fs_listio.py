@@ -302,21 +302,15 @@ class TestRequestHeader:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: deprecated execution-flag aliases
+# Satellite: the request path is deprecation-warning free
 # ---------------------------------------------------------------------------
 
 class TestDeprecationSweep:
-    def test_boolean_views_warn(self):
-        cfg = small_config()
-        for name in ("io_batching", "vectorized_disks", "meta_batching"):
-            with pytest.warns(DeprecationWarning, match=name):
-                getattr(cfg, name)
-
     @pytest.mark.filterwarnings("error::DeprecationWarning")
     @pytest.mark.parametrize("execution", ["batched", "legacy"])
     def test_request_path_is_warning_free(self, execution):
-        """No internal layer consults the deprecated aliases: the whole
-        request path runs with DeprecationWarning promoted to an error."""
+        """The whole request path runs with DeprecationWarning promoted to
+        an error (the execution aliases that used to warn are gone)."""
         fs = RedbudFileSystem(small_config(execution=execution))
         fs.create("/w")
         regions = [(0, BS), (8 * BS, 2 * BS)]

@@ -38,7 +38,7 @@ def snapshot(mds: MetadataServer) -> dict:
     The only tolerance: the unrendered ``disk.positioning_s`` /
     ``disk.transfer_s`` accumulators, whose vectorized sums carry last-ulp
     pairwise-summation drift against the scalar fold (see
-    ``SimulatedDisk._service_vectorized``); they are rounded, everything
+    ``SimulatedDisk._service_arrays``); they are rounded, everything
     else — including elapsed time and busy time — compares bit for bit.
     """
     mds.cache._flush_moves()

@@ -1,0 +1,239 @@
+"""One execution path under observation.
+
+A traced run takes the code path the untraced run takes, and that path
+emits what the scalar (``execution="legacy"``) path emits: the same events,
+at the same simulated times, in the same order.  Three pins:
+
+- golden digests of the JSONL trace export, recorded at the commit *before*
+  the tracer gates were deleted (when a full ``Tracer`` still steered every
+  batch onto the scalar metadata path and the object disk path);
+- a hypothesis property over random metadata programs: batched+traced emits
+  the legacy+traced event list, and leaves the MDS in the state the
+  untraced batched run leaves it in;
+- same-path assertions on ``DiskArray.io_profile`` and the disk visiting
+  order of the array submit path.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import DiskParams
+from repro.core import run
+from repro.disk.array import DiskArray
+from repro.disk.model import BlockRequest
+from repro.fs.dataplane import DataPlane
+from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
+from repro.meta.mds import MetadataServer
+from repro.obs.export import to_jsonl
+from repro.obs.trace import Tracer
+from repro.units import KiB, MiB
+from repro.workloads.ior import IORBenchmark
+
+from tests.conftest import small_config
+
+# ---------------------------------------------------------------------------
+# Golden trace digests
+# ---------------------------------------------------------------------------
+
+#: runner, kwargs -> (sha256 of to_jsonl(trace.events()), emitted, dropped),
+#: recorded at commit becf4b6 with PYTHONHASHSEED=0 (the export does not
+#: depend on it).  fig8 uses the host-time ledger's ``meta_rates_traced``
+#: kwargs; its default 65536-row ring wraps, so the digest also pins which
+#: events survive.
+GOLDEN = [
+    ("fig8", dict(scale=0.04, dir_sizes=(200,), seed=0),
+     "8b9372f903fd4d9942d195f4fcfbd66307b752637ca9d3f58f893e8df00f07ca", 104521, 38985),
+    ("fig8", dict(scale=0.04, dir_sizes=(200,), seed=1),
+     "8b9372f903fd4d9942d195f4fcfbd66307b752637ca9d3f58f893e8df00f07ca", 104521, 38985),
+    ("table1", dict(scale=0.05, seed=0),
+     "dd55871b36f14e63f16b30af79b1e13c6a5e2150aaddca68e35dc6c736fb548c", 7600, 0),
+    ("fig7", dict(scale=0.05, seed=0, ndisks=4),
+     "01fa97380ecf809e8dc0303cb784609184484d6bd3f7f2bbac102790b684ef94", 8011, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "runner,kwargs,sha256,emitted,dropped", GOLDEN,
+    ids=[f"{g[0]}-seed{g[1]['seed']}" for g in GOLDEN],
+)
+def test_trace_export_matches_pre_refactor_golden(runner, kwargs, sha256, emitted, dropped):
+    result = run(runner, trace=True, jobs=1, **kwargs)
+    buf = io.StringIO()
+    to_jsonl(result.trace.events(), buf)
+    assert (result.trace.emitted, result.trace.dropped) == (emitted, dropped)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
+
+
+# ---------------------------------------------------------------------------
+# Property: batched+traced == legacy+traced (events) == batched untraced (state)
+# ---------------------------------------------------------------------------
+
+NDIRS = 2
+NAMES = 12
+
+_dir = st.integers(min_value=0, max_value=NDIRS - 1)
+_name = st.integers(min_value=0, max_value=NAMES - 1)
+programs = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["touch", "stat", "delete"]), _dir, _name),
+        st.tuples(st.just("rename"), _dir, _name, _dir, _name),
+        st.tuples(st.just("readdir_stat"), _dir),
+        st.tuples(st.sampled_from(["checkpoint", "crash_recover"])),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def drive(mds: MetadataServer, program) -> None:
+    """Interpret ``program`` against a live-name model so every op is valid:
+    ``touch`` creates a missing file and utimes an existing one; ops on
+    missing files are skipped."""
+    dirs = [mds.mkdir(mds.root, f"d{i}") for i in range(NDIRS)]
+    live: list[set[str]] = [set() for _ in dirs]
+    for op, *args in program:
+        if op in ("checkpoint", "crash_recover"):
+            getattr(mds, op)()
+        elif op == "readdir_stat":
+            mds.readdir_stat(dirs[args[0]])
+        elif op == "rename":
+            d, n, d2, n2 = args
+            src, dst = f"f{n}", f"f{n2}"
+            if src in live[d] and dst not in live[d2]:
+                mds.rename(dirs[d], src, dirs[d2], dst)
+                live[d].remove(src)
+                live[d2].add(dst)
+        else:
+            d, n = args
+            name = f"f{n}"
+            if op == "touch" and name not in live[d]:
+                mds.create(dirs[d], name)
+                live[d].add(name)
+            elif name in live[d]:
+                {"touch": mds.utime, "stat": mds.stat, "delete": mds.delete}[op](
+                    dirs[d], name
+                )
+                if op == "delete":
+                    live[d].remove(name)
+
+
+def end_state(mds: MetadataServer) -> dict:
+    """Elapsed time, every metric and the cache/journal end state, exact."""
+    cache = mds.cache
+    cache._flush_moves()
+    m = mds.metrics
+    return {
+        "elapsed": mds.elapsed_s,
+        "ops": mds.ops,
+        "head": mds.disk.head,
+        "metrics": m.as_dict(),
+        "hists": {name: m.histogram(name) for name in m.histogram_names()},
+        "cache": (
+            list(cache._lru), list(cache._ra.items()), list(cache._t1),
+            list(cache._t2), list(cache._streams.items()), sorted(cache._prefetched),
+        ),
+        "dirty": sorted(mds._dirty),
+        "journal": (
+            mds.journal.head_block, mds.journal.records_written,
+            [(r.seq, r.block, r.dirties) for r in mds.journal.replay()],
+        ),
+    }
+
+
+@pytest.mark.parametrize("cache_profile", ["legacy", "adaptive"])
+@pytest.mark.parametrize("layout", ["embedded", "normal"])
+@given(program=programs)
+@settings(max_examples=60, deadline=None)
+def test_traced_batched_is_traced_legacy_and_untraced_batched(layout, cache_profile, program):
+    # A cache smaller than the working set, so misses, evictions and
+    # readahead frontier crossings all occur.
+    cfg = small_config(layout=layout, cache_blocks=24).with_cache_profile(cache_profile)
+    batched = MetadataServer(cfg, tracer=Tracer())
+    legacy = MetadataServer(replace(cfg, execution="legacy"), tracer=Tracer())
+    bare = MetadataServer(cfg)
+    for mds in (batched, legacy, bare):
+        drive(mds, program)
+    assert batched.tracer.events() == legacy.tracer.events()
+    assert end_state(batched) == end_state(bare)
+
+
+# ---------------------------------------------------------------------------
+# Same path: io_profile and disk visiting order
+# ---------------------------------------------------------------------------
+
+def _ior_plane(tracer) -> DataPlane:
+    """fig7's IOR cell (4 disks, non-collective) on a bare data plane."""
+    cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=4), "ondemand")
+    plane = DataPlane(cfg, tracer=tracer)
+    ior = IORBenchmark(nprocs=16, file_bytes=16 * MiB, request_bytes=64 * KiB)
+    f = ior.create_file(plane)
+    ior.write_phase(plane, f)
+    plane.close_file(f)
+    ior.read_phase(plane, f)
+    return plane
+
+
+def test_fig7_traced_and_untraced_take_the_same_path():
+    tracer = Tracer(capacity=1 << 20)
+    traced, bare = _ior_plane(tracer), _ior_plane(None)
+    assert traced.array.io_profile == bare.array.io_profile
+    assert bare.array.io_profile["batches_vectorized"] > 0
+    assert traced.metrics.as_dict() == bare.metrics.as_dict()
+    assert traced.array.elapsed_s == bare.array.elapsed_s
+    assert tracer.emitted > 0 and tracer.dropped == 0
+
+
+def test_submit_arrays_visits_disks_in_first_appearance_order():
+    """The first request lands on the highest-numbered disk: the array path
+    must service (and trace) that disk first, as the object path's per-disk
+    split does."""
+    params = DiskParams(capacity_blocks=1024)
+    batch = [
+        BlockRequest(2 * 1024 + 8, 4), BlockRequest(16, 4),
+        BlockRequest(1024 + 32, 4), BlockRequest(2 * 1024 + 64, 4, is_write=True),
+        BlockRequest(400, 2),
+    ]
+
+    def disk_order(execution):
+        tracer = Tracer()
+        array = DiskArray(3, params, tracer=tracer, vectorized=execution == "batched")
+        array.submit_batch(batch)
+        return tracer.events(), array.io_profile
+
+    arrays, prof_arrays = disk_order("batched")
+    objects, prof_objects = disk_order("legacy")
+    assert prof_arrays == {"batches_vectorized": 1, "batches_scalar": 0}
+    assert prof_objects == {"batches_vectorized": 0, "batches_scalar": 1}
+    assert arrays == objects
+    disks = [e.attrs["disk"] for e in arrays if e.layer == "disk"]
+    assert disks == ["disk2", "disk2", "disk0", "disk0", "disk1"]
+
+
+# ---------------------------------------------------------------------------
+# The bulk append
+# ---------------------------------------------------------------------------
+
+def test_emit_batch_is_a_loop_of_emits():
+    t = np.array([0.5, 1.5, 4.0])
+    dur = np.array([1.0, 2.5, 0.25])
+    start = np.array([7, 9, 11], dtype=np.int64)
+    ops = ["write", "read", "write"]
+    bulk, loop = Tracer(capacity=2), Tracer(capacity=2)
+    bulk.emit("sched", "arrange", t=0.0, requests_in=3, requests_out=3)
+    loop.emit("sched", "arrange", t=0.0, requests_in=3, requests_out=3)
+    bulk.emit_batch("disk", ops, t, dur, disk="d0", start=start)
+    for i, op in enumerate(ops):
+        loop.emit("disk", op, t=float(t[i]), dur=float(dur[i]), disk="d0", start=int(start[i]))
+    assert bulk.events() == loop.events()
+    assert (bulk.emitted, bulk.dropped, len(bulk)) == (4, 2, 2)
+    last = bulk.events()[-1]
+    assert type(last.t) is float and type(last.attrs["start"]) is int
+    assert list(last.attrs) == ["disk", "start"]
