@@ -8,9 +8,8 @@ Runner-backed subcommands are **registry-driven**: each is one declarative
 :class:`RunnerCommand` entry (name, help, default scale, extra options,
 printer) and the parser wires them up in a loop.  Shared options follow
 the runner's actual signature — every entry gets ``--scale``/``--seed``,
-and ``--jobs`` / ``--exec`` appear automatically when the registered
-runner accepts ``jobs`` / ``execution``.  ``--list`` walks the same
-runner registry.
+and ``--jobs`` appears automatically when the registered runner accepts
+``jobs``.  ``--list`` walks the same runner registry.
 """
 
 from __future__ import annotations
@@ -150,8 +149,6 @@ def _runner_command(spec: RunnerCommand):
     def cmd(args: argparse.Namespace) -> int:
         kwargs = dict(spec.run_kwargs)
         kwargs["jobs"] = getattr(args, "jobs", None)
-        if getattr(args, "execution", None):
-            kwargs["execution"] = args.execution
         for opt in spec.options:
             if opt.forward is not None:
                 kwargs[opt.forward] = getattr(args, opt.forward)
@@ -170,13 +167,6 @@ def _register_runner_commands(sub) -> None:
         p.add_argument("--seed", type=int, default=0)
         if "jobs" in params:
             _add_jobs(p)
-        if "execution" in params:
-            p.add_argument(
-                "--exec", dest="execution", choices=("batched", "legacy"),
-                default=None,
-                help="execution profile (wall-clock only; results are "
-                "identical — see docs/PERF.md)",
-            )
         for opt in spec.options:
             p.add_argument(*opt.flags, **opt.kwargs)
         p.set_defaults(func=_runner_command(spec))
@@ -272,35 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=bench_baseline.PINNED_SEED)
     _add_jobs(b)
     b.set_defaults(func=cmd_bench_compare)
-
-    p = sub.add_parser(
-        "perf",
-        help="wall-clock the fig7 sweep: legacy vs batched vs parallel "
-        "execution (results must be identical; exit 1 if not)",
-    )
-    p.add_argument("--scale", type=_scale, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    _add_jobs(p)
-    p.add_argument(
-        "--meta", action="store_true",
-        help="measure the metadata path instead: the fig8 metarates sweep "
-        "plus an mdtest tree run, scalar vs batched execution",
-    )
-    p.add_argument(
-        "--cache", action="store_true",
-        help="measure the cache-pressure sweep instead: legacy LRU vs the "
-        "adaptive tiered cache profile, wall clock + hit-rate delta "
-        "(exit 1 unless a scenario clears the acceptance thresholds)",
-    )
-    p.add_argument(
-        "--fsck", action="store_true",
-        help="measure the consistency checker instead: serial vs sharded "
-        "check+repair of a corrupted image (exit 1 unless the reports "
-        "are byte-identical)",
-    )
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the timing report as JSON to PATH")
-    p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser(
         "microbench", help="one-off shared-file run with a layout map"
@@ -663,105 +624,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    from repro.bench.perf import (
-        measure,
-        measure_cache,
-        measure_fsck,
-        measure_meta,
-        save_report,
-    )
-
-    if args.fsck:
-        report = measure_fsck(scale=args.scale, seed=args.seed, jobs=args.jobs)
-        table = Table(
-            f"Fsck strategies — crashed image at scale {report.image_scale:g} "
-            f"({report.extents} extents, {report.inodes} inodes, "
-            f"jobs={report.jobs})",
-            ["phase", "serial (s)", f"{report.jobs} workers (s)", "speedup"],
-        )
-        table.add_row([
-            "check", f"{report.serial_check_s:.3f}",
-            f"{report.parallel_check_s:.3f}", f"{report.check_speedup:.2f}x",
-        ])
-        table.add_row([
-            "repair", f"{report.serial_repair_s:.3f}",
-            f"{report.parallel_repair_s:.3f}", f"{report.repair_speedup:.2f}x",
-        ])
-        table.print()
-        print()
-        print(f"findings: {report.findings}, repair actions: {report.actions}, "
-              f"converged: {report.converged}")
-        if report.identical:
-            print(f"serial and sharded runs rendered identical documents "
-                  f"(fingerprint {report.fingerprint})")
-        else:
-            print("MISMATCH: serial and sharded fsck rendered different documents")
-        if args.out:
-            save_report(report, args.out)
-            print(f"wrote timing report to {args.out}")
-        return 0 if report.identical else 1
-    if args.cache:
-        report = measure_cache(scale=args.scale, seed=args.seed, jobs=args.jobs)
-        table = Table(
-            f"Cache profiles — {report.runner} sweep "
-            f"(scale={report.scale}, jobs={report.jobs})",
-            ["scenario", "legacy sim (s)", "adaptive sim (s)", "sim speedup",
-             "hit rate Δ (pts)", "prefetch acc"],
-        )
-        for s in sorted(report.legacy_elapsed_s):
-            table.add_row([
-                s,
-                f"{report.legacy_elapsed_s[s]:.4f}",
-                f"{report.adaptive_elapsed_s[s]:.4f}",
-                f"{report.sim_speedup(s):.2f}x",
-                f"{report.hit_rate_gain(s):+.1f}",
-                f"{report.prefetch_accuracy[s]:.2f}",
-            ])
-        table.print()
-        print()
-        print(f"wall clock: legacy {report.legacy_wall_s:.2f}s, adaptive "
-              f"{report.adaptive_wall_s:.2f}s ({report.wall_speedup:.2f}x)")
-        if report.passed:
-            print("PASS: adaptive profile clears the acceptance thresholds "
-                  "(>=1.3x sim speedup or >=20-point hit-rate gain per scenario)")
-        else:
-            print("FAIL: adaptive profile below the acceptance thresholds")
-        if args.out:
-            save_report(report, args.out)
-            print(f"wrote timing report to {args.out}")
-        return 0 if report.passed else 1
-    if args.meta:
-        report = measure_meta(scale=args.scale, seed=args.seed, jobs=args.jobs)
-    else:
-        report = measure(scale=args.scale, seed=args.seed, jobs=args.jobs)
-    table = Table(
-        f"Execution strategies — {report.runner} sweep "
-        f"(scale={report.scale}, jobs={report.jobs})",
-        ["mode", "wall-clock (s)", "speedup vs legacy"],
-    )
-    table.add_row(["legacy (no batching, scalar disks)", f"{report.legacy_s:.2f}", "1.00x"])
-    table.add_row(["batched + vectorized, serial", f"{report.batched_s:.2f}",
-                   f"{report.batched_speedup:.2f}x"])
-    table.add_row([f"batched + vectorized, {report.jobs} workers",
-                   f"{report.parallel_s:.2f}", f"{report.parallel_speedup:.2f}x"])
-    if args.meta:
-        table.add_row(["mdtest, legacy", f"{report.mdtest_legacy_s:.2f}", "1.00x"])
-        table.add_row(["mdtest, batched", f"{report.mdtest_batched_s:.2f}",
-                       f"{report.mdtest_speedup:.2f}x"])
-    table.print()
-    print()
-    if report.identical:
-        print(f"all three modes rendered identical documents "
-              f"(fingerprint {report.fingerprint})")
-    else:
-        print("MISMATCH: execution modes rendered different documents")
-    if args.out:
-        save_report(report, args.out)
-        print(f"wrote timing report to {args.out}")
-    return 0 if report.identical else 1
-
-
 def cmd_microbench(args) -> int:
     cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=5), args.policy)
     plane = DataPlane(cfg)
@@ -978,7 +840,7 @@ def print_fig_fsck(run_result, args) -> int:
     print(
         "check times are deterministic modeled costs (per-shard setup + "
         "per-item check, LPT makespan over workers; docs/FSCK.md) — "
-        "wall-clock speedups come from `repro perf --fsck`"
+        "host wall clock is what benchmarks/ledger measures (docs/PERF.md)"
     )
     return 0 if result.converged else 1
 
@@ -1175,8 +1037,8 @@ def print_fig_cache(run_result, args) -> int:
 
 
 #: Every runner-backed subcommand, declaratively.  ``build_parser`` wires
-#: these in a loop; ``--jobs`` / ``--exec`` attach themselves by inspecting
-#: the registered runner's signature.
+#: these in a loop; ``--jobs`` attaches itself by inspecting the registered
+#: runner's signature.
 RUNNER_COMMANDS: tuple[RunnerCommand, ...] = (
     RunnerCommand(
         "fig6a", "Fig 6(a): throughput vs stream count", print_fig6a,

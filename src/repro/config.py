@@ -291,7 +291,7 @@ class FsckParams:
 
     The ``fig_fsck`` benchmark reports *simulated* check/repair times so the
     rendered document is byte-identical at any ``--jobs`` (real wall clock
-    lives in ``repro perf --fsck``).  A shard's modeled check time is
+    is the ledger's ``fsck_image`` row).  A shard's modeled check time is
     ``shard_setup_s`` plus ``check_extent_s`` (or ``check_inode_s``) per item
     it scans; shards are assigned to ``jobs`` workers longest-processing-time
     first and the modeled parallel elapsed is the worker makespan.  Repair
@@ -340,8 +340,9 @@ class FSConfig:
     #:   ``BufferCache.read_batch`` / ``Journal.log_batch`` / the array
     #:   submit path.
     #: - ``"legacy"`` — the per-segment, per-request, per-read scalar paths
-    #:   (same results, slower); kept for the perf runner's baseline
-    #:   comparison.
+    #:   (same results, slower); the straight-line reference the tests
+    #:   compare the batched paths against.  This field is the only way to
+    #:   select it.
     execution: str = "batched"
 
     def __post_init__(self) -> None:

@@ -336,20 +336,12 @@ class Fig7Result:
 
 
 def _fig7_cell(spec, tracer=None) -> CellResult:
-    """One (collective, policy, app) macro-benchmark run of Fig. 7.
-
-    A trailing spec element carries the execution profile;
-    ``execution="legacy"`` selects the scalar paths (no request batching,
-    scalar disk model) — same results, used only by the perf harness as
-    its wall-clock baseline.
-    """
-    scale, seed, ndisks, collective, policy, app, *rest = spec
+    """One (collective, policy, app) macro-benchmark run of Fig. 7."""
+    scale, seed, ndisks, collective, policy, app = spec
     del seed  # the macro benchmarks are deterministic; kept in the spec shape
     cell = _Cell(tracer)
     tag = f"{policy}:{'coll' if collective else 'indep'}"
     cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=ndisks), policy)
-    if rest and rest[0]:
-        cfg = replace(cfg, execution=rest[0])
     plane = cell.plane(cfg)
     snap = cell.metrics.snapshot()
     if app == "IOR":
@@ -394,13 +386,12 @@ def macro_benchmarks(
     collectives: tuple[bool, ...] = (False, True),
     ndisks: int = 8,
     jobs: int | None = None,
-    execution: str = "batched",
 ) -> RunResult:
     """Fig. 7: IOR2 and BTIO under reservation vs on-demand, with and
     without collective I/O (paper: 16 nodes × 4 cores, 8 disks).
 
-    ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.
+    ``jobs`` changes only how the cells are scheduled, never the result,
+    so it does not participate in the fingerprint.
     """
     run = _Run(
         "fig7", trace, scale=scale, seed=seed, policies=policies,
@@ -408,7 +399,7 @@ def macro_benchmarks(
     )
     payload = Fig7Result()
     specs = [
-        (scale, seed, ndisks, collective, policy, app, execution)
+        (scale, seed, ndisks, collective, policy, app)
         for collective in collectives
         for policy in policies
         for app in ("IOR", "BTIO")
@@ -521,16 +512,8 @@ class Fig8Result:
 
 
 def _fig8_profile_cell(spec, tracer=None) -> CellResult:
-    """All four metarates workloads against one profile's MDS.
-
-    A trailing spec element carries the execution profile;
-    ``execution="legacy"`` selects the scalar metadata path (scalar plan
-    execution, scalar disk model) — same results, used only by the perf
-    harness as its wall-clock baseline.
-    """
-    scale, cfg, *rest = spec
-    if rest and rest[0]:
-        cfg = replace(cfg, execution=rest[0])
+    """All four metarates workloads against one profile's MDS."""
+    scale, cfg = spec
     cell = _Cell(tracer)
     files_per_dir = _scaled(5000, scale, floor=200)
     wl = MetaratesWorkload(nclients=10, files_per_dir=files_per_dir)
@@ -553,14 +536,11 @@ def _fig8_profile_cell(spec, tracer=None) -> CellResult:
     return cell.result(runs)
 
 
-def _fig8_dirsize_cell(spec, tracer=None) -> CellResult:
+def _fig8_dirsize_cell(size, tracer=None) -> CellResult:
     """readdir-stat disk-request proportion for one directory size."""
-    size, *rest = spec
     cell = _Cell(tracer)
     counts: dict[str, int] = {}
     for cfg in (redbud_vanilla_profile(), redbud_mif_profile()):
-        if rest and rest[0]:
-            cfg = replace(cfg, execution=rest[0])
         mds = cell.mds(cfg)
         wl = MetaratesWorkload(nclients=2, files_per_dir=size)
         dirs = wl.setup_dirs(mds)
@@ -582,13 +562,12 @@ def metarates_suite(
     profiles: tuple[FSConfig, ...] | None = None,
     dir_sizes: tuple[int, ...] = (1000, 5000, 10000),
     jobs: int | None = None,
-    execution: str = "batched",
 ) -> RunResult:
     """Fig. 8: utime/create (a), delete (b) and readdir-stat (c) throughput
     and disk-access counts, plus the dir-size sweep for readdir-stat.
 
-    ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.
+    ``jobs`` changes only how the cells are scheduled, never the result,
+    so it does not participate in the fingerprint.
     """
     run = _Run(
         "fig8", trace, scale=scale, seed=seed,
@@ -598,7 +577,7 @@ def metarates_suite(
     if profiles is None:
         profiles = (redbud_vanilla_profile(), lustre_profile(), redbud_mif_profile())
     payload = Fig8Result()
-    profile_specs = [(scale, cfg, execution) for cfg in profiles]
+    profile_specs = [(scale, cfg) for cfg in profiles]
     for cell in run_cells(
         profile_specs, _fig8_profile_cell, jobs=jobs, tracer=run.tracer
     ):
@@ -607,10 +586,9 @@ def metarates_suite(
     # readdir-stat proportion vs directory size (§V.D.1's prefetch effect).
     # Absolute directory sizes on purpose: the effect *is* the size trend,
     # so rescaling it away would leave quantization noise.
-    size_specs = [(size, execution) for size in dir_sizes]
-    for (size, _), cell in zip(
-        size_specs,
-        run_cells(size_specs, _fig8_dirsize_cell, jobs=jobs, tracer=run.tracer),
+    for size, cell in zip(
+        dir_sizes,
+        run_cells(dir_sizes, _fig8_dirsize_cell, jobs=jobs, tracer=run.tracer),
     ):
         run.absorb(cell)
         payload.rdstat_proportion_by_size[size] = cell.payload
@@ -1187,9 +1165,7 @@ def _station_report(st, duration_s: float, drops_by_kind: dict[str, int]) -> Sta
 
 def _service_cell(spec, tracer=None) -> CellResult:
     """One open-loop operating point: build, arrive, drain, report."""
-    svc, cfg, execution, telemetry_window, objectives, scrub = spec
-    if execution:
-        cfg = replace(cfg, execution=execution)
+    svc, cfg, telemetry_window, objectives, scrub = spec
     cell = _Cell(tracer)
     plane = cell.plane(cfg)
     mds = cell.mds(cfg)
@@ -1394,7 +1370,6 @@ def service_mode(
     request_bytes: int = 64 * KiB,
     config: FSConfig | None = None,
     jobs: int | None = None,
-    execution: str = "batched",
     telemetry: bool | float = False,
     slo: bool | str | SLObjective | tuple[str | SLObjective, ...] | None = None,
     sample: int | str | None = None,
@@ -1503,7 +1478,6 @@ def service_mode(
                 seed=seed,
             ),
             cfg,
-            execution,
             telemetry_window,
             objectives,
             scrub_spec,
@@ -1569,14 +1543,10 @@ def _fig_listio_cell(spec, tracer=None) -> CellResult:
     the same closed-loop runner; only the request grammar differs — one
     Write/ReadOp per region versus one Writev/ReadvOp per region list.
     """
-    scale, seed, ndisks, pattern, mode, execution = spec
+    scale, seed, ndisks, pattern, mode = spec
     cell = _Cell(tracer)
     cfg = redbud_mif_profile(ndisks=ndisks)
-    cfg = replace(
-        cfg,
-        execution=execution,
-        disk=replace(cfg.disk, request_header_s=LISTIO_HEADER_S),
-    )
+    cfg = replace(cfg, disk=replace(cfg.disk, request_header_s=LISTIO_HEADER_S))
     plane = cell.plane(cfg)
     snap = cell.metrics.snapshot()
     if pattern == "strided":
@@ -1624,13 +1594,12 @@ def listio_benchmarks(
     modes: tuple[str, ...] = ("scalar", "listio"),
     ndisks: int = 5,
     jobs: int | None = None,
-    execution: str = "batched",
 ) -> RunResult:
     """List I/O: ROMIO-style strided and tile access, scalar loop vs one
     scatter-gather request per region list (readv/writev; docs/LISTIO.md).
 
-    ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.
+    ``jobs`` changes only how the cells are scheduled, never the result,
+    so it does not participate in the fingerprint.
     """
     run = _Run(
         "fig_listio", trace, scale=scale, seed=seed, patterns=patterns,
@@ -1638,7 +1607,7 @@ def listio_benchmarks(
     )
     payload = ListIOResult()
     specs = [
-        (scale, seed, ndisks, pattern, mode, execution)
+        (scale, seed, ndisks, pattern, mode)
         for pattern in patterns
         for mode in modes
     ]
@@ -1736,13 +1705,12 @@ def _fig_cache_cell(spec, tracer=None) -> CellResult:
     BufferCache directly with interleaved sequential readers, isolating
     readahead-context behaviour from the metadata path.
     """
-    scale, seed, scenario, profile, execution = spec
+    scale, seed, scenario, profile = spec
     cell = _Cell(tracer)
     if scenario == "pressure":
         cfg = redbud_mif_profile().with_cache_profile(
             profile, capacity_blocks=CACHE_PRESSURE_CAPACITY
         )
-        cfg = replace(cfg, execution=execution)
         wl = CachePressureWorkload(rounds=_scaled(10, scale, floor=2))
         mds = cell.mds(cfg)
         hot, cold = wl.setup(mds)
@@ -1754,7 +1722,7 @@ def _fig_cache_cell(spec, tracer=None) -> CellResult:
         cfg = redbud_mif_profile().with_cache_profile(profile)
         disk = SimulatedDisk(
             cfg.mds_disk, cfg.scheduler, cell.metrics, name="mds",
-            tracer=cell.tracer, vectorized=execution == "batched",
+            tracer=cell.tracer,
         )
         cache = BufferCache(cfg.cache, disk, cell.metrics, cell.tracer)
         cell.tracer.bind_clock(lambda: disk.busy_s, override=True)
@@ -1776,15 +1744,14 @@ def cache_pressure_suite(
     profiles: tuple[str, ...] = ("legacy", "adaptive"),
     scenarios: tuple[str, ...] = ("pressure", "streams"),
     jobs: int | None = None,
-    execution: str = "batched",
 ) -> RunResult:
     """Cache-pressure sweep: the adaptive tiered cache (per-stream
     readahead + SLRU tiers + embedded-directory prefetch, docs/CACHE.md)
     against the legacy flat LRU, on a scan-pressure metadata mix and an
     interleaved-sequential-streams microbenchmark.
 
-    ``execution`` and ``jobs`` change only execution strategy, never the
-    result, so neither participates in the fingerprint.
+    ``jobs`` changes only how the cells are scheduled, never the result,
+    so it does not participate in the fingerprint.
     """
     run = _Run(
         "fig_cache", trace, scale=scale, seed=seed,
@@ -1792,7 +1759,7 @@ def cache_pressure_suite(
     )
     payload = FigCacheResult()
     specs = [
-        (scale, seed, scenario, profile, execution)
+        (scale, seed, scenario, profile)
         for scenario in scenarios
         for profile in profiles
     ]
@@ -1825,7 +1792,7 @@ class FsckRun:
     ``check_s`` maps a worker count to the *modeled* parallel check time
     (shard costs from :class:`~repro.config.FsckParams` scheduled LPT-first)
     so the rendered document is byte-identical at any ``--jobs``; real
-    wall-clock speedups are measured by ``repro perf --fsck`` instead.
+    wall clock is measured by the host-time ledger (docs/PERF.md) instead.
     """
 
     layout: str

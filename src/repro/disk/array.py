@@ -53,19 +53,16 @@ class DiskArray:
             for d in range(ndisks)
         ]
         self.blocks_per_disk = disk_params.capacity_blocks
-        # The array-path submit needs the vectorized disk model plus a
-        # scheduler that can arrange parallel arrays; both are fixed at
-        # construction.  Fault injection is re-checked per batch (it can
-        # toggle mid-run).
-        self._arrays_capable = vectorized and hasattr(
-            self.disks[0].scheduler, "arrange_arrays"
-        )
+        # The array-path submit needs the vectorized disk model, fixed at
+        # construction (every scheduler can arrange parallel arrays).
+        # Fault injection is re-checked per batch (it can toggle mid-run).
+        self._arrays_capable = vectorized
         # Execution-profile introspection: which submit path serviced each
         # batch.  Kept off the Metrics bag on purpose — the scalar and
-        # vectorized paths must report *identical* metrics (the perf
-        # harness pins that), while these counters exist to tell the
-        # paths apart (e.g. to assert a traced run took the same path as
-        # an untraced one).
+        # vectorized paths must report *identical* metrics (the
+        # legacy-vs-batched identity tests pin that), while these counters
+        # exist to tell the paths apart (e.g. to assert a traced run took
+        # the same path as an untraced one).
         self.io_profile: dict[str, int] = {
             "batches_vectorized": 0,
             "batches_scalar": 0,

@@ -35,8 +35,9 @@ class SimulatedDisk:
         self.params = params
         self.name = name
         #: Use the numpy batch path of :class:`ServiceTimeModel` for
-        #: multi-request batches.  Bit-identical to the scalar loop; the
-        #: flag exists so the perf runner can time both paths.
+        #: multi-request batches.  Bit-identical to the scalar loop; off
+        #: under ``FSConfig.execution="legacy"``, the reference path tests
+        #: compare against.
         self.vectorized = vectorized
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER

@@ -9,22 +9,38 @@ fingerprint gate.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.baseline import render
 from repro.block.bitmap import BlockBitmap
 from repro.block.extent import Extent, ExtentFlags, ExtentMap
 from repro.block.freelist import FreeExtentSet
 from repro.config import DiskParams, SchedulerParams
 from repro.core.parallel import resolve_jobs, run_cells
+from repro.core.run import run
+from repro.core.runners import LISTIO_HEADER_S
 from repro.disk.array import DiskArray
 from repro.disk.model import BlockRequest, ServiceTimeModel
 from repro.disk.scheduler import ElevatorScheduler
 from repro.errors import NoSpaceError
 from repro.fs.dataplane import DataPlane
+from repro.fs.profiles import (
+    lustre_profile,
+    redbud_mif_profile,
+    redbud_vanilla_profile,
+    with_alloc_policy,
+)
 from repro.sim.metrics import Metrics
+from repro.units import KiB, MiB
+from repro.workloads.btio import BTIOBenchmark
+from repro.workloads.ior import IORBenchmark
+from repro.workloads.listio import StridedAccessBenchmark
 
 from tests.conftest import small_config
 
@@ -335,7 +351,7 @@ class TestRunCellsDeterminism:
 
     def test_fig7_cells_identical_across_jobs(self):
         """End-to-end: the real sweep renders the same document serial and
-        parallel (the property CI's perf-smoke job enforces at scale)."""
+        parallel."""
         from repro.bench.baseline import collect
 
         assert collect("fig7", scale=0.05, seed=0) == collect(
@@ -352,3 +368,117 @@ class TestRunCellsDeterminism:
         assert collect(runner, scale=0.05, seed=0, jobs=1) == collect(
             runner, scale=0.05, seed=0, jobs=4
         )
+
+
+# ---------------------------------------------------------------------------
+# Whole-workload identity: execution="legacy" is the straight-line reference
+# ---------------------------------------------------------------------------
+
+
+def _run_document(name: str, scale: float, **kwargs) -> dict:
+    return render(run(name, scale=scale, seed=0, **kwargs), scale=scale, seed=0)
+
+
+def _macro(bench, policy: str):
+    """A fig7 cell: the bench on the plane ``_fig7_cell`` builds."""
+    cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=8), policy)
+    return cfg, bench, bench.write_phase, bench.read_phase
+
+
+def _strided(mode: str):
+    """A fig_listio cell: the bench on the plane ``_fig_listio_cell`` builds."""
+    cfg = redbud_mif_profile(ndisks=5)
+    cfg = replace(cfg, disk=replace(cfg.disk, request_header_s=LISTIO_HEADER_S))
+    bench = StridedAccessBenchmark(
+        nstreams=8, records_per_stream=32, record_bytes=16 * KiB, list_len=32, seed=0,
+    )
+    return (
+        cfg, bench,
+        partial(bench.phase_write, mode=mode), partial(bench.phase_read, mode=mode),
+    )
+
+
+_IOR = dict(nprocs=64, file_bytes=64 * MiB, request_bytes=64 * KiB)
+_BTIO = dict(nprocs=64, step_bytes_per_proc=256 * KiB, steps=4)
+
+#: (config, bench, write phase, read phase) at the sizes fig7 and
+#: fig_listio run at the pinned smoke scale.
+DATA_WORKLOADS = {
+    "ior-reservation": _macro(IORBenchmark(**_IOR), "reservation"),
+    "ior-ondemand-collective": _macro(
+        IORBenchmark(collective=True, **_IOR), "ondemand"
+    ),
+    "btio-reservation": _macro(BTIOBenchmark(**_BTIO), "reservation"),
+    "btio-ondemand": _macro(BTIOBenchmark(**_BTIO), "ondemand"),
+    "strided-scalar": _strided("scalar"),
+    "strided-listio": _strided("listio"),
+}
+
+
+#: Counters that say *where* adjacent requests merge, not what the run
+#: produced: the batched path coalesces in ``DataPlane._emit`` before
+#: submission, the legacy path hands every request to the scheduler and
+#: lets it merge them (same ``scheduler.requests_out``, same disk work).
+PATH_COUNTERS = ("fs.coalesced_requests", "scheduler.requests_in")
+
+
+def _plane_state(plane: DataPlane, phases) -> dict:
+    """Everything the data path leaves behind, exact bits.  The only
+    tolerance is the one ``tests/test_meta_batched.py`` documents: the
+    unrendered float sums whose vectorized fold carries last-ulp drift
+    (the ``disk.positioning_s`` / ``disk.transfer_s`` accumulators and
+    each histogram's ``total``) are rounded to 12 places."""
+    snap = plane.metrics.snapshot()
+    return {
+        "phases": phases,
+        "extents": {f.name: [m.extents() for m in f.maps] for f in plane.files()},
+        "counters": {
+            k: v for k, v in snap.counters.items() if k not in PATH_COUNTERS
+        },
+        "accumulators": {
+            k: round(v, 12) if k in ("disk.positioning_s", "disk.transfer_s") else v
+            for k, v in snap.accumulators.items()
+        },
+        "histograms": {
+            k: replace(h, total=round(h.total, 12))
+            for k, h in snap.histograms.items()
+        },
+    }
+
+
+class TestLegacyEqualsBatched:
+    """The batched paths against the ``FSConfig.execution="legacy"``
+    reference, on whole workloads rather than single layers."""
+
+    def test_fig8_document(self):
+        profiles = (redbud_vanilla_profile(), lustre_profile(), redbud_mif_profile())
+        legacy = tuple(replace(p, execution="legacy") for p in profiles)
+        # No dir-size cells: they build their own (batched) profiles.
+        kw = dict(dir_sizes=())
+        assert _run_document("fig8", 0.04, profiles=legacy, **kw) == _run_document(
+            "fig8", 0.04, profiles=profiles, **kw
+        )
+
+    def test_service_document(self):
+        kw = dict(streams=150, rate="small", duration="short")
+        cfg = redbud_mif_profile()
+        assert _run_document(
+            "service", 1.0, config=replace(cfg, execution="legacy"), **kw
+        ) == _run_document("service", 1.0, config=cfg, **kw)
+
+    @pytest.mark.parametrize("workload", sorted(DATA_WORKLOADS))
+    def test_data_path_state(self, workload):
+        cfg, bench, write, read = DATA_WORKLOADS[workload]
+
+        def drive(cfg):
+            plane = DataPlane(cfg)
+            f = bench.create_file(plane)
+            w = write(plane, f)
+            plane.close_file(f)
+            return plane, _plane_state(plane, (w, read(plane, f)))
+
+        batched, batched_state = drive(cfg)
+        legacy, legacy_state = drive(replace(cfg, execution="legacy"))
+        assert batched_state == legacy_state
+        assert batched.array.io_profile["batches_vectorized"] > 0
+        assert legacy.array.io_profile["batches_vectorized"] == 0

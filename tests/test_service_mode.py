@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from repro.cli import main
 from repro.core.run import run
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
+from repro.fs.profiles import redbud_mif_profile
 from repro.meta.mds import MetadataServer
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop, Station
@@ -299,10 +301,19 @@ class TestServiceRunner:
 
     def test_execution_profile_does_not_change_results(self):
         kw = dict(streams=150, rate="small", duration="short", seed=2)
-        batched = run("service", **kw)
-        legacy = run("service", execution="legacy", **kw)
+        # 8-block stripes split each 64 KiB op over two disks, so every
+        # data batch has the two requests the array path needs.
+        cfg = replace(redbud_mif_profile(), stripe_blocks=8)
+        batched = run("service", config=cfg, **kw)
+        legacy = run("service", config=replace(cfg, execution="legacy"), **kw)
         assert batched.fingerprint == legacy.fingerprint
-        assert batched.payload == legacy.payload
+        # The config's execution profile carries through to the cell: the
+        # legacy run never takes the array path, the default run does.
+        (b_cell,), (l_cell,) = batched.payload.cells, legacy.payload.cells
+        assert b_cell.io_profile["batches_vectorized"] > 0
+        assert l_cell.io_profile["batches_vectorized"] == 0
+        assert l_cell.io_profile["batches_scalar"] > 0
+        assert replace(b_cell, io_profile={}) == replace(l_cell, io_profile={})
 
     def test_reports_depth_and_drops_by_kind(self):
         r = run("service", streams=300, rate="large", duration="short",
