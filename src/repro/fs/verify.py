@@ -15,15 +15,19 @@ The checker follows pFSCK's shape (see PAPERS.md):
 - **Vectorized kernel** — instead of walking every mapped block into a
   per-block ownership ``dict`` (O(blocks)), each shard lexsorts its extent
   ``(start, end)`` interval arrays and sweeps them with numpy searchsorted /
-  cumulative-max passes, so a shard costs O(extents log extents).
+  cumulative-max passes, so a shard costs O(extents log extents).  The
+  metadata side is columnar the same way: a directory is a set of numpy
+  columns (one row per entry), every per-entry test is a mask over them,
+  and Python visits only the rows a mask flagged.
 - **Sharded parallelism** — data-plane work splits into one shard per PAG
   (allocation group) and metadata work into per-directory shards, executed
   through :func:`repro.core.parallel.run_cells` under its ordered-merge
   determinism contract.  Shard reports are plain picklable dataclasses.
 - **Deterministic merge** — every shard finding carries a sort key derived
   from the *serial* emission position, so the merged :class:`FsckReport`
-  is byte-identical (findings, order, counters) to the single-threaded
-  reference checkers at any ``jobs`` value.  Cross-shard invariants
+  is byte-identical (findings, order, counters) to a single-threaded
+  block-by-block, entry-by-entry walk at any ``jobs`` value (the tests
+  keep that walk as their oracle).  Cross-shard invariants
   (double-owned blocks across PAG boundaries, content-run overlap across
   directories) are resolved in the merge step, replaying the serial
   claim order over only the extents that shards flagged as overlapping.
@@ -39,14 +43,14 @@ Tests and long-running experiments call :func:`check_dataplane` /
 :func:`check_mds` after churn to catch leaks and double allocations early.
 :func:`repair_dataplane` / :func:`repair_mds` consume the same finding
 codes and fix them, re-running the checker until it converges.
-:func:`check_dataplane_reference` / :func:`check_mds_reference` keep the
-original dict-based serial walks as the equivalence oracle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, is_not, ne
 
 import numpy as np
 
@@ -54,9 +58,11 @@ from repro.core.parallel import run_cells, stream_cells
 from repro.errors import MetadataError
 from repro.fs.dataplane import DataPlane
 from repro.meta.embedded_layout import EmbeddedDir, EmbeddedLayout
-from repro.meta.inumber import decode_ino
+from repro.meta.inode import Inode
+from repro.meta.inumber import decode_inos
 from repro.meta.mds import MetadataServer
-from repro.meta.normal_layout import NormalLayout
+from repro.meta.mfs import ItableGeometry
+from repro.meta.normal_layout import NormalDir, NormalLayout
 
 #: Directories per metadata check shard.  Small enough to load-balance a
 #: deep tree across workers, large enough that spec pickling stays cheap.
@@ -551,8 +557,8 @@ def check_dataplane(
 
     Work shards per PAG and runs through :func:`run_cells`; ``jobs`` (or
     ``REPRO_JOBS``) > 1 checks shards in worker processes.  The merged
-    report is byte-identical to :func:`check_dataplane_reference` at any
-    worker count.
+    report is byte-identical to a serial block-by-block walk at any worker
+    count.
     """
     scan = _scan_dataplane(plane)
     specs = _plane_shard_specs(scan, plane)
@@ -560,72 +566,8 @@ def check_dataplane(
     return _merge_dataplane(scan, reports, plane, strict_accounting)
 
 
-def check_dataplane_reference(
-    plane: DataPlane, strict_accounting: bool = True
-) -> FsckReport:
-    """Single-threaded dict-based data-plane checker (equivalence oracle)."""
-    report = FsckReport()
-    owner: dict[int, str] = {}
-    mapped_blocks = 0
-    for f in plane.files():
-        for slot, smap in enumerate(f.maps):
-            try:
-                smap.validate()
-            except Exception as exc:  # structural corruption
-                report.error(f"{f.name} slot {slot}: invalid extent map: {exc}", code="extent-map-invalid")
-                continue
-            for ext in smap:
-                report.checked_extents += 1
-                mapped_blocks += ext.length
-                try:
-                    group = plane.fsm.group_of(ext.physical)
-                except Exception:
-                    report.error(
-                        f"{f.name} slot {slot}: extent {ext} outside the array",
-                        code="extent-outside-array",
-                    )
-                    continue
-                if ext.physical_end > group.end:
-                    report.error(
-                        f"{f.name} slot {slot}: extent {ext} crosses its PAG",
-                        code="extent-crosses-pag",
-                    )
-                if group.index != f.layout[slot]:
-                    report.error(
-                        f"{f.name} slot {slot}: extent {ext} in PAG {group.index}, "
-                        f"layout says {f.layout[slot]}",
-                        code="extent-wrong-pag",
-                    )
-                for b in range(ext.physical, ext.physical_end):
-                    prior = owner.get(b)
-                    if prior is not None:
-                        report.error(
-                            f"block {b} owned by both {prior} and {f.name}#{slot}",
-                            code="double-owned-block",
-                        )
-                        break
-                    owner[b] = f"{f.name}#{slot}"
-                if any(
-                    group.free.is_free(b, 1)
-                    for b in range(ext.physical, ext.physical_end)
-                ):
-                    report.error(
-                        f"{f.name} slot {slot}: extent {ext} maps free blocks",
-                        code="extent-maps-free",
-                    )
-    if strict_accounting:
-        held = plane.fsm.used_blocks - mapped_blocks
-        if held < 0:
-            report.error(
-                f"accounting: mapped {mapped_blocks} blocks exceed used "
-                f"{plane.fsm.used_blocks}",
-                code="accounting-overmapped",
-            )
-    return report
-
-
 # ---------------------------------------------------------------------------
-# Metadata plane: per-directory specs -> chunked shards -> ordered merge
+# Metadata plane: per-directory columns -> chunked shards -> ordered merge
 # ---------------------------------------------------------------------------
 
 # Metadata finding keys are 5-tuples (phase, dir seq, section, item, rank);
@@ -633,31 +575,52 @@ def check_dataplane_reference(
 # each directory (content overlaps, table membership, entries), phase 1 is
 # the trailing table-resolution sweep over all directories.
 
+#: Stands in for an inode the table has lost, so one bulk attribute gather
+#: covers every entry of a directory; ``exists`` masks its values out.
+_LOST = Inode(
+    ino=0, is_dir=False, name="", parent_dir_id=0, home_block=0, home_slot=0
+)
+#: Below every block number: the content end "covering" blocks that lie
+#: before a directory's first run.
+_NOWHERE = np.iinfo(np.int64).min
+
 
 @dataclass(frozen=True)
 class _EmbeddedDirSpec:
-    """Picklable snapshot of one embedded directory for shard checking."""
+    """Picklable snapshot of one embedded directory, one row per entry in
+    directory order: numpy columns for what every row is tested on, tuples
+    for what only a flagged row's finding message reads."""
 
     seq: int
     dir_id: int
     runs: tuple
     in_gdt: bool
-    # (name, ino, exists, is_dir, home_block, inode name) per entry.
-    rows: tuple
+    exists: np.ndarray
+    is_dir: np.ndarray
+    home_block: np.ndarray
+    names: tuple
+    inos: tuple
+    inode_names: tuple
 
 
 @dataclass(frozen=True)
 class _NormalDirSpec:
-    """Picklable snapshot of one normal-layout directory."""
+    """Picklable snapshot of one normal-layout directory (rows as in
+    :class:`_EmbeddedDirSpec`); ``geometry`` lets the shard place the whole
+    ``inos`` column in the inode tables without the MFS."""
 
     seq: int
     ino: int
     nblocks: int
     fill: tuple
     dentry_blocks: tuple
-    # (name, ino, exists, home_block, home_slot, itable block, itable slot,
-    #  entry block) per entry.
-    rows: tuple
+    geometry: ItableGeometry
+    exists: np.ndarray
+    inos: np.ndarray
+    home_block: np.ndarray
+    home_slot: np.ndarray
+    names: tuple
+    entry_blocks: tuple
 
 
 @dataclass(frozen=True)
@@ -678,26 +641,54 @@ def _chunked(specs: list, size: int) -> list[tuple]:
     return [tuple(specs[i:i + size]) for i in range(0, len(specs), size)]
 
 
+def _entry_inodes(d, table: dict) -> tuple[tuple, tuple, list, np.ndarray]:
+    """Entry names, inode numbers, inodes (``_LOST`` where ``table`` has
+    none) and the ``exists`` column of directory ``d``."""
+    names = tuple(d.entries)
+    inos = tuple(d.entries.values())
+    inodes = list(map(table.get, inos, repeat(_LOST)))
+    exists = np.fromiter(
+        map(is_not, inodes, repeat(_LOST)), dtype=bool, count=len(inodes)
+    )
+    return names, inos, inodes, exists
+
+
+def _column(field_name: str, inodes: list, dtype) -> np.ndarray:
+    return np.fromiter(
+        map(attrgetter(field_name), inodes), dtype=dtype, count=len(inodes)
+    )
+
+
+def _embedded_dir_spec(
+    layout: EmbeddedLayout, seq: int, d: EmbeddedDir
+) -> _EmbeddedDirSpec:
+    names, inos, inodes, exists = _entry_inodes(d, layout._inodes)
+    return _EmbeddedDirSpec(
+        seq=seq,
+        dir_id=d.dir_id,
+        runs=tuple(d.content_runs),
+        in_gdt=d.dir_id in layout.gdt,
+        exists=exists,
+        is_dir=_column("is_dir", inodes, bool),
+        home_block=_column("home_block", inodes, np.int64),
+        names=names,
+        inos=inos,
+        inode_names=tuple(map(attrgetter("name"), inodes)),
+    )
+
+
 def _scan_embedded(layout: EmbeddedLayout) -> list[_EmbeddedDirSpec]:
-    specs: list[_EmbeddedDirSpec] = []
-    for seq, d in enumerate(layout._dirs.values()):
-        rows = []
-        for name, ino in d.entries.items():
-            inode = layout._inodes.get(ino)
-            if inode is None:
-                rows.append((name, ino, False, False, 0, ""))
-            else:
-                rows.append((
-                    name, ino, True, inode.is_dir, inode.home_block, inode.name,
-                ))
-        specs.append(_EmbeddedDirSpec(
-            seq=seq,
-            dir_id=d.dir_id,
-            runs=tuple(d.content_runs),
-            in_gdt=d.dir_id in layout.gdt,
-            rows=tuple(rows),
-        ))
-    return specs
+    return [
+        _embedded_dir_spec(layout, seq, d)
+        for seq, d in enumerate(layout._dirs.values())
+    ]
+
+
+def _renamed(spec: _EmbeddedDirSpec) -> np.ndarray:
+    """Rows whose live inode carries another name than its entry."""
+    return spec.exists & np.fromiter(
+        map(ne, spec.inode_names, spec.names), dtype=bool, count=len(spec.names)
+    )
 
 
 def _embedded_shard_check(
@@ -705,23 +696,16 @@ def _embedded_shard_check(
 ) -> _MetaShardReport:
     """Check a chunk of embedded directories against shard-local state.
 
-    Home blocks are tested against the directory's *own* content runs with
-    a vectorized sorted-starts / cumulative-max-ends membership probe; a
-    miss is only a *candidate* orphan (another directory's runs may still
-    cover it), so misses are deferred to the merge step.
+    The whole home-block column is tested against the directory's *own*
+    content runs with one sorted-starts / cumulative-max-ends probe; a miss
+    is only a *candidate* orphan (another directory's runs may still cover
+    it), so misses are deferred to the merge step.  Python touches only the
+    rows some mask flagged.
     """
     findings: list[tuple] = []
     deferred: list[tuple] = []
     checked = 0
     for spec in chunk:
-        runs = sorted(spec.runs)
-        if runs:
-            rstarts = np.asarray([s for s, _ in runs], dtype=np.int64)
-            rends_cm = np.maximum.accumulate(
-                np.asarray([s + c for s, c in runs], dtype=np.int64)
-            )
-        else:
-            rstarts = rends_cm = None
         if not spec.in_gdt:
             findings.append((
                 (0, spec.seq, 1, 0, 0), "dir-missing-from-gdt",
@@ -733,25 +717,32 @@ def _embedded_shard_check(
                 (1, spec.seq, 0, 0, 0), "gdt-unresolvable",
                 f"directory table cannot resolve dir {spec.dir_id}",
             ))
-        for idx, (name, ino, exists, is_dir, home, iname) in enumerate(spec.rows):
-            checked += 1
-            if not exists:
+        checked += len(spec.names)
+        runs = np.array(sorted(spec.runs), dtype=np.int64).reshape(-1, 2)
+        starts = runs[:, 0]
+        # cover[k]: the furthest content end among the first k runs.
+        cover = np.concatenate(
+            ([_NOWHERE], np.maximum.accumulate(starts + runs[:, 1]))
+        )
+        home = spec.home_block
+        own = home < cover[np.searchsorted(starts, home, side="right")]
+        stray = spec.exists & ~spec.is_dir & ~own
+        renamed = _renamed(spec)
+        for idx in np.nonzero(~spec.exists | stray | renamed)[0].tolist():
+            name, ino = spec.names[idx], spec.inos[idx]
+            if not spec.exists[idx]:
                 findings.append((
                     (0, spec.seq, 2, idx, 0), "dangling-inode",
                     f"dir {spec.dir_id}: entry {name!r} -> dangling inode {ino}",
                 ))
                 continue
-            if not is_dir:
-                own = False
-                if rstarts is not None:
-                    i = int(np.searchsorted(rstarts, home, side="right")) - 1
-                    own = i >= 0 and home < int(rends_cm[i])
-                if not own:
-                    deferred.append((spec.seq, idx, ino, name, home))
-            if iname != name:
+            if stray[idx]:
+                deferred.append((spec.seq, idx, ino, name, int(home[idx])))
+            if renamed[idx]:
                 findings.append((
                     (0, spec.seq, 2, idx, 1), "inode-name-mismatch",
-                    f"inode {ino}: name {iname!r} != entry name {name!r}",
+                    f"inode {ino}: name {spec.inode_names[idx]!r} != "
+                    f"entry name {name!r}",
                 ))
     return _MetaShardReport(
         findings=tuple(findings), deferred=tuple(deferred), checked_inodes=checked
@@ -769,12 +760,9 @@ def _merge_embedded(
     orphan candidates are settled against the union of all content runs
     registered so far — exactly the serial checker's prefix semantics.
     """
-    findings: list[tuple] = []
-    checked = 0
+    findings = [f for rep in reports for f in rep.findings]
     deferred_by_seq: dict[int, list[tuple]] = {}
     for rep in reports:
-        findings.extend(rep.findings)
-        checked += rep.checked_inodes
         for item in rep.deferred:
             deferred_by_seq.setdefault(item[0], []).append(item)
     owners = _IntervalOwners()
@@ -795,37 +783,56 @@ def _merge_embedded(
                     f"inode {ino} ({name!r}) home block {home} "
                     f"outside any directory content",
                 ))
-    findings.sort(key=lambda t: t[0])
-    report = FsckReport(checked_inodes=checked)
-    for _key, code, message in findings:
-        report.error(message, code=code)
-    return report
+    return _ordered_report(findings, reports)
+
+
+def _normal_dir_spec(
+    layout: NormalLayout, geometry: ItableGeometry, seq: int, d: NormalDir
+) -> _NormalDirSpec:
+    names, inos, inodes, exists = _entry_inodes(d, layout._inodes)
+    return _NormalDirSpec(
+        seq=seq,
+        ino=d.ino,
+        nblocks=len(d.dentry_blocks),
+        fill=tuple(d.fill),
+        dentry_blocks=tuple(d.dentry_blocks),
+        geometry=geometry,
+        exists=exists,
+        inos=np.fromiter(inos, dtype=np.int64, count=len(inos)),
+        home_block=_column("home_block", inodes, np.int64),
+        home_slot=_column("home_slot", inodes, np.int64),
+        names=names,
+        entry_blocks=tuple(map(d.entry_block.get, names)),
+    )
 
 
 def _scan_normal(layout: NormalLayout) -> list[_NormalDirSpec]:
-    mfs = layout.mfs
-    specs: list[_NormalDirSpec] = []
-    for seq, d in enumerate(layout._dirs.values()):
-        rows = []
-        for name, ino in d.entries.items():
-            inode = layout._inodes.get(ino)
-            if inode is None:
-                rows.append((name, ino, False, 0, 0, 0, 0, d.entry_block.get(name)))
-            else:
-                eb, es = mfs.itable_block_of(ino)
-                rows.append((
-                    name, ino, True, inode.home_block, inode.home_slot,
-                    eb, es, d.entry_block.get(name),
-                ))
-        specs.append(_NormalDirSpec(
-            seq=seq,
-            ino=d.ino,
-            nblocks=len(d.dentry_blocks),
-            fill=tuple(d.fill),
-            dentry_blocks=tuple(d.dentry_blocks),
-            rows=tuple(rows),
-        ))
-    return specs
+    geometry = layout.mfs.itable_geometry()
+    return [
+        _normal_dir_spec(layout, geometry, seq, d)
+        for seq, d in enumerate(layout._dirs.values())
+    ]
+
+
+def _normal_row_faults(
+    spec: _NormalDirSpec,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row verdicts of one normal-layout directory: the itable
+    ``(block, slot)`` each inode belongs in, which live rows are homed
+    elsewhere, and which point at a dentry block the directory lacks."""
+    want_block, want_slot = spec.geometry.blocks_of(spec.inos, spec.exists)
+    moved = spec.exists & (
+        (spec.home_block != want_block) | (spec.home_slot != want_slot)
+    )
+    known = set(spec.dentry_blocks)
+    if known.issuperset(spec.entry_blocks):
+        unknown = np.zeros(len(spec.names), dtype=bool)
+    else:
+        unknown = spec.exists & ~np.fromiter(
+            map(known.__contains__, spec.entry_blocks),
+            dtype=bool, count=len(spec.names),
+        )
+    return want_block, want_slot, moved, unknown
 
 
 def _normal_shard_check(
@@ -841,27 +848,32 @@ def _normal_shard_check(
                 f"dir {spec.ino}: dentry-block/fill length mismatch",
             ))
         occupancy = sum(spec.fill)
-        if occupancy != len(spec.rows):
+        if occupancy != len(spec.names):
             findings.append((
                 (0, spec.seq, 1, 0, 0), "entry-count-mismatch",
                 f"dir {spec.ino}: fill says {occupancy} entries, "
-                f"map has {len(spec.rows)}",
+                f"map has {len(spec.names)}",
             ))
-        known = set(spec.dentry_blocks)
-        for idx, (name, ino, exists, hb, hs, eb, es, entry_blk) in enumerate(spec.rows):
-            checked += 1
-            if not exists:
+        checked += len(spec.names)
+        want_block, want_slot, moved, unknown = _normal_row_faults(spec)
+        for idx in np.nonzero(~spec.exists | moved | unknown)[0].tolist():
+            name, ino = spec.names[idx], int(spec.inos[idx])
+            if not spec.exists[idx]:
                 findings.append((
                     (0, spec.seq, 2, idx, 0), "dangling-inode",
                     f"dir {spec.ino}: entry {name!r} -> dangling inode {ino}",
                 ))
                 continue
-            if (hb, hs) != (eb, es):
+            if moved[idx]:
+                hb, hs, eb, es = (
+                    int(column[idx]) for column in
+                    (spec.home_block, spec.home_slot, want_block, want_slot)
+                )
                 findings.append((
                     (0, spec.seq, 2, idx, 0), "inode-home-mismatch",
                     f"inode {ino}: home {hb}/{hs} != itable {eb}/{es}",
                 ))
-            if entry_blk not in known:
+            if unknown[idx]:
                 findings.append((
                     (0, spec.seq, 2, idx, 1), "entry-unknown-dentry-block",
                     f"dir {spec.ino}: entry {name!r} in unknown dentry block",
@@ -871,14 +883,12 @@ def _normal_shard_check(
     )
 
 
-def _merge_meta(reports: list[_MetaShardReport]) -> FsckReport:
-    findings: list[tuple] = []
-    checked = 0
-    for rep in reports:
-        findings.extend(rep.findings)
-        checked += rep.checked_inodes
+def _ordered_report(
+    findings: list[tuple], reports: list[_MetaShardReport]
+) -> FsckReport:
+    """Keyed findings back in serial emission order, counters summed."""
     findings.sort(key=lambda t: t[0])
-    report = FsckReport(checked_inodes=checked)
+    report = FsckReport(checked_inodes=sum(rep.checked_inodes for rep in reports))
     for _key, code, message in findings:
         report.error(message, code=code)
     return report
@@ -888,8 +898,8 @@ def check_mds(mds: MetadataServer, jobs: int | None = None) -> FsckReport:
     """Verify metadata-plane invariants; returns the report.
 
     Directories shard into chunks of :data:`META_SHARD_DIRS` and run
-    through :func:`run_cells`; the merged report is byte-identical to
-    :func:`check_mds_reference` at any worker count.
+    through :func:`run_cells`; the merged report is byte-identical to a
+    serial entry-by-entry walk at any worker count.
     """
     layout = mds.layout
     if isinstance(layout, EmbeddedLayout):
@@ -903,100 +913,10 @@ def check_mds(mds: MetadataServer, jobs: int | None = None) -> FsckReport:
         reports = run_cells(
             _chunked(nspecs, META_SHARD_DIRS), _normal_shard_check, jobs=jobs
         )
-        return _merge_meta(reports)
+        return _ordered_report(
+            [f for rep in reports for f in rep.findings], reports
+        )
     return FsckReport()
-
-
-def check_mds_reference(mds: MetadataServer) -> FsckReport:
-    """Single-threaded dict-based metadata checker (equivalence oracle)."""
-    report = FsckReport()
-    layout = mds.layout
-    if isinstance(layout, EmbeddedLayout):
-        _check_embedded(layout, report)
-    elif isinstance(layout, NormalLayout):
-        _check_normal(layout, report)
-    return report
-
-
-def _check_embedded(layout: EmbeddedLayout, report: FsckReport) -> None:
-    content_owner: dict[int, int] = {}
-    for d in layout._dirs.values():
-        for start, count in d.content_runs:
-            for b in range(start, start + count):
-                prior = content_owner.get(b)
-                if prior is not None:
-                    report.error(
-                        f"content block {b} owned by dirs {prior} and {d.dir_id}",
-                        code="content-block-overlap",
-                    )
-                content_owner[b] = d.dir_id
-        if d.dir_id not in layout.gdt:
-            report.error(f"directory {d.dir_id} missing from the directory table",
-                code="dir-missing-from-gdt",
-            )
-        for name, ino in d.entries.items():
-            report.checked_inodes += 1
-            try:
-                inode = layout.inode_by_number(ino)
-            except Exception:
-                report.error(f"dir {d.dir_id}: entry {name!r} -> dangling inode {ino}",
-                    code="dangling-inode",
-                )
-                continue
-            if not inode.is_dir and inode.home_block not in content_owner:
-                report.error(
-                    f"inode {ino} ({name!r}) home block {inode.home_block} "
-                    f"outside any directory content",
-                    code="orphan-home-block",
-                )
-            if inode.name != name:
-                report.error(
-                    f"inode {ino}: name {inode.name!r} != entry name {name!r}",
-                    code="inode-name-mismatch",
-                )
-    # Every live directory id must resolve through the table.
-    for d in layout._dirs.values():
-        try:
-            layout.gdt.dir_ino_of(d.dir_id)
-        except Exception:
-            report.error(f"directory table cannot resolve dir {d.dir_id}",
-                code="gdt-unresolvable",
-            )
-
-
-def _check_normal(layout: NormalLayout, report: FsckReport) -> None:
-    mfs = layout.mfs
-    for d in layout._dirs.values():
-        if len(d.dentry_blocks) != len(d.fill):
-            report.error(f"dir {d.ino}: dentry-block/fill length mismatch",
-                code="dentry-fill-mismatch",
-            )
-        occupancy = sum(d.fill)
-        if occupancy != len(d.entries):
-            report.error(
-                f"dir {d.ino}: fill says {occupancy} entries, map has {len(d.entries)}",
-                code="entry-count-mismatch",
-            )
-        for name, ino in d.entries.items():
-            report.checked_inodes += 1
-            try:
-                inode = layout.inode_by_number(ino)
-            except Exception:
-                report.error(f"dir {d.ino}: entry {name!r} -> dangling inode {ino}",
-                    code="dangling-inode",
-                )
-                continue
-            expected_block, expected_slot = mfs.itable_block_of(ino)
-            if (inode.home_block, inode.home_slot) != (expected_block, expected_slot):
-                report.error(
-                    f"inode {ino}: home {inode.home_block}/{inode.home_slot} != "
-                    f"itable {expected_block}/{expected_slot}",
-                    code="inode-home-mismatch",
-                )
-            if d.entry_block.get(name) not in d.dentry_blocks:
-                report.error(f"dir {d.ino}: entry {name!r} in unknown dentry block",
-                    code="entry-unknown-dentry-block",
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -1181,11 +1101,31 @@ def _repair_embedded_pass(layout: EmbeddedLayout, actions: list[RepairAction]) -
             content_owner.update(range(start, start + count))
             kept.append((start, count))
         d.content_runs = kept
-    # 3. Per-entry inode state.
+    # 3. Per-entry inode state.  Each directory's columns are gathered when
+    #    it is reached, so they see what earlier directories' fixes left, and
+    #    a flagged row re-tests the live inode, so an inode two entries share
+    #    is fixed once.
     for d in dirs:
-        for name, ino in list(d.entries.items()):
-            inode = layout._inodes.get(ino)
-            if inode is None:
+        spec = _embedded_dir_spec(layout, 0, d)
+        dir_ids, offsets = decode_inos(
+            np.fromiter(spec.inos, dtype=np.uint64, count=len(spec.inos))
+        )
+        # Renamed-away ids: home authority lies elsewhere.
+        native = spec.exists & (dir_ids == d.dir_id)
+        # _block_of_offset over the column (content_runs are in slot order;
+        # upto[k] content blocks precede run k).  A slot beyond the content
+        # is a lost extension: _embedded_home_of grows the directory for it.
+        runs = np.array(d.content_runs, dtype=np.int64).reshape(-1, 2)
+        upto = np.concatenate(([0], np.cumsum(runs[:, 1])))
+        block_no = (offsets // layout.slots_per_block).astype(np.int64)
+        run = np.searchsorted(upto[1:], block_no, side="right")
+        beyond = run == len(runs)
+        expected = np.append(runs[:, 0], 0)[run] + block_no - upto[run]
+        misplaced = native & (beyond | (spec.home_block != expected))
+        flagged = ~spec.exists | _renamed(spec) | misplaced
+        for idx in np.nonzero(flagged)[0].tolist():
+            name, ino = spec.names[idx], spec.inos[idx]
+            if not spec.exists[idx]:
                 del d.entries[name]
                 d.file_count = max(0, d.file_count - 1)
                 actions.append(RepairAction(
@@ -1194,6 +1134,7 @@ def _repair_embedded_pass(layout: EmbeddedLayout, actions: list[RepairAction]) -
                 ))
                 changed = True
                 continue
+            inode = layout._inodes[ino]
             if inode.name != name:
                 actions.append(RepairAction(
                     "inode-name-mismatch",
@@ -1201,16 +1142,19 @@ def _repair_embedded_pass(layout: EmbeddedLayout, actions: list[RepairAction]) -
                 ))
                 inode.name = name
                 changed = True
-            dir_id, offset = decode_ino(ino)
-            if dir_id != d.dir_id:
-                continue  # renamed-away id: home authority lies elsewhere
-            expected = _embedded_home_of(layout, d, offset)
-            if inode.home_block != expected:
+            if not misplaced[idx]:
+                continue
+            offset = int(offsets[idx])
+            home = (
+                _embedded_home_of(layout, d, offset)
+                if beyond[idx] else int(expected[idx])
+            )
+            if inode.home_block != home:
                 actions.append(RepairAction(
                     "orphan-home-block",
-                    f"inode {ino}: re-homed {inode.home_block} -> {expected}",
+                    f"inode {ino}: re-homed {inode.home_block} -> {home}",
                 ))
-                inode.home_block = expected
+                inode.home_block = home
                 inode.home_slot = offset % layout.slots_per_block
                 changed = True
     return changed
@@ -1218,11 +1162,15 @@ def _repair_embedded_pass(layout: EmbeddedLayout, actions: list[RepairAction]) -
 
 def _repair_normal_pass(layout: NormalLayout, actions: list[RepairAction]) -> bool:
     changed = False
-    mfs = layout.mfs
+    geometry = layout.mfs.itable_geometry()
     for d in layout._dirs.values():
-        for name, ino in list(d.entries.items()):
-            inode = layout._inodes.get(ino)
-            if inode is None:
+        # Gathered per directory and re-tested live per flagged row, as in
+        # the embedded pass.
+        spec = _normal_dir_spec(layout, geometry, 0, d)
+        want_block, want_slot, moved, unknown = _normal_row_faults(spec)
+        for idx in np.nonzero(~spec.exists | moved | unknown)[0].tolist():
+            name, ino = spec.names[idx], int(spec.inos[idx])
+            if not spec.exists[idx]:
                 d.entry_block.pop(name, None)
                 del d.entries[name]
                 actions.append(RepairAction(
@@ -1231,7 +1179,8 @@ def _repair_normal_pass(layout: NormalLayout, actions: list[RepairAction]) -> bo
                 ))
                 changed = True
                 continue
-            expected = mfs.itable_block_of(ino)
+            inode = layout._inodes[ino]
+            expected = (int(want_block[idx]), int(want_slot[idx]))
             if (inode.home_block, inode.home_slot) != expected:
                 actions.append(RepairAction(
                     "inode-home-mismatch",
@@ -1285,14 +1234,9 @@ def shard_work(
     data = [int(len(spec.pos)) for spec in _plane_shard_specs(scan, plane)]
     meta: list[int] = []
     if mds is not None:
-        layout = mds.layout
-        if isinstance(layout, EmbeddedLayout):
-            specs = _scan_embedded(layout)
-        else:
-            specs = _scan_normal(layout)
-        for chunk in _chunked(specs, META_SHARD_DIRS):
-            # one row per entry plus one per-directory structural pass
-            meta.append(sum(len(d.rows) + 1 for d in chunk))
+        # one row per entry plus one per-directory structural pass
+        rows = [len(d.entries) + 1 for d in mds.layout._dirs.values()]
+        meta = [sum(chunk) for chunk in _chunked(rows, META_SHARD_DIRS)]
     return data, meta
 
 
@@ -1371,12 +1315,9 @@ class Scrubber:
         return ScrubStep(shard=f"pag-{g}", findings=nfind, repaired=len(actions))
 
     def _scrub_mds(self) -> ScrubStep:
-        report = check_mds(self.mds)
-        nfind = len(report.findings)
-        repaired = 0
-        if not report.clean:
-            result = repair_mds(self.mds, max_passes=2)
-            repaired = len(result.actions)
+        result = repair_mds(self.mds, max_passes=2)
+        nfind = len(result.before.findings)
+        repaired = len(result.actions)
         self.findings_found += nfind
         self.repairs_applied += repaired
         return ScrubStep(shard="mds", findings=nfind, repaired=repaired)

@@ -17,6 +17,8 @@ regains it with:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import InodeError
 
 _OFFSET_BITS = 32
@@ -48,6 +50,12 @@ def decode_ino(ino: int) -> tuple[int, int]:
     if ino < 0 or ino > ((MAX_DIR_ID << _OFFSET_BITS) | MAX_OFFSET):
         raise InodeError(f"inode number out of range: {ino}")
     return (ino >> _OFFSET_BITS, ino & _OFFSET_MASK)
+
+
+def decode_inos(inos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decode_ino` over a ``uint64`` column (whose every value is a
+    well-formed inode number)."""
+    return (inos >> np.uint64(_OFFSET_BITS), inos & np.uint64(_OFFSET_MASK))
 
 
 class GlobalDirectoryTable:

@@ -12,9 +12,43 @@ given operation touches is the directory layout's business
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import numpy as np
+
 from repro.block.bitmap import BlockBitmap
 from repro.config import DiskParams, MetaParams
 from repro.errors import MetadataError, NoSpaceError
+
+
+class ItableGeometry(NamedTuple):
+    """The scalars that place a table inode, detached from the MFS (and its
+    bitmaps) so a checker shard can place a whole column of inodes."""
+
+    inodes_per_group: int
+    inodes_per_block: int
+    first_group_block: int
+    blocks_per_group: int
+    block_groups: int
+
+    def blocks_of(
+        self, inos: np.ndarray, live: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`MetadataFS.itable_block_of` over a column of inode numbers.
+
+        Rows outside ``live`` are placed too but never range-checked; a live
+        row past the last inode table raises as the scalar form does.
+        """
+        group, local = np.divmod(inos, self.inodes_per_group)
+        stray = live & ((group < 0) | (group >= self.block_groups))
+        if stray.any():
+            raise MetadataError(f"group out of range: {int(group[stray.argmax()])}")
+        block, slot = np.divmod(local, self.inodes_per_block)
+        # Each group opens with its block bitmap and inode bitmap.
+        return (
+            self.first_group_block + group * self.blocks_per_group + 2 + block,
+            slot,
+        )
 
 
 class MetadataFS:
@@ -91,6 +125,15 @@ class MetadataFS:
         return (
             self.itable_base(group) + local // self.inodes_per_block,
             local % self.inodes_per_block,
+        )
+
+    def itable_geometry(self) -> ItableGeometry:
+        return ItableGeometry(
+            inodes_per_group=self.params.inodes_per_group,
+            inodes_per_block=self.inodes_per_block,
+            first_group_block=self.first_group_block,
+            blocks_per_group=self.params.blocks_per_group,
+            block_groups=self.params.block_groups,
         )
 
     # -- inode-table allocation (normal layout) -------------------------------

@@ -9,6 +9,7 @@ scrubber drains live corruption while the service workload runs.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
@@ -18,15 +19,18 @@ from hypothesis import strategies as st
 from repro.bench import baseline
 from repro.config import ConfigError, FsckParams
 from repro.core.run import run
+from repro.errors import MetadataError
 from repro.fault import Corruptor, build_crashed_image
 from repro.fs.dataplane import DataPlane
+from repro.fs import verify
 from repro.fs.stream import make_stream_id
 from repro.fs.verify import (
+    META_SHARD_DIRS,
     FsckReport,
+    Scrubber,
+    ScrubStep,
     check_dataplane,
-    check_dataplane_reference,
     check_mds,
-    check_mds_reference,
     repair_dataplane,
     repair_mds,
     shard_work,
@@ -36,6 +40,7 @@ from repro.units import KiB
 from repro.workloads.service import ScrubSpec
 
 from tests.conftest import small_config
+from tests.fsck_reference import check_dataplane_reference, check_mds_reference
 
 
 def populated_plane() -> DataPlane:
@@ -58,6 +63,31 @@ def populated_mds(layout: str) -> MetadataServer:
         mds.create(sub, f"g{i:03d}")
     mds.flush()
     return mds
+
+
+def wide_mds(layout: str) -> MetadataServer:
+    """More directories than one metadata shard holds, so chunking, the
+    per-shard sort keys and the cross-shard merge are all in play."""
+    mds = MetadataServer(small_config(layout=layout))
+    for i in range(META_SHARD_DIRS + 6):
+        d = mds.mkdir(mds.root, f"d{i:03d}")
+        for j in range(3):
+            mds.create(d, f"f{j}")
+    mds.flush()
+    return mds
+
+
+def dirs_of(mds: MetadataServer) -> list:
+    """Directory objects in checker (sequence) order."""
+    return list(mds.layout._dirs.values())
+
+
+def file_inode(mds: MetadataServer, d, name: str):
+    return mds.layout._inodes[d.entries[name]]
+
+
+def action_key(result) -> list[tuple]:
+    return [(a.code, a.message) for a in result.actions]
 
 
 def report_key(report: FsckReport) -> tuple:
@@ -165,6 +195,158 @@ class TestShardedEqualsReference:
         assert report_key(sharded) == report_key(oracle)
 
 
+class TestAcrossShardBoundary:
+    """The sharded == oracle property where it has something to prove: a
+    tree wider than ``META_SHARD_DIRS``, so findings come from more than one
+    shard and merge across the chunk boundary."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), nfaults=st.integers(1, 8))
+    @pytest.mark.parametrize("layout", ["embedded", "normal"])
+    def test_sharded_equals_oracle(self, layout, seed, nfaults):
+        mds = wide_mds(layout)
+        assert len(dirs_of(mds)) > META_SHARD_DIRS
+        Corruptor(seed).corrupt_mds(mds, nfaults=nfaults)
+        assert report_key(check_mds(mds)) == report_key(check_mds_reference(mds))
+
+    @pytest.mark.parametrize("layout", ["embedded", "normal"])
+    def test_worker_processes_equal_serial(self, layout):
+        serial, workers = wide_mds(layout), wide_mds(layout)
+        for mds in (serial, workers):
+            Corruptor(17).corrupt_mds(mds, nfaults=8)
+            # One fault planted by hand in the last (second) shard.
+            name, ino = next(iter(dirs_of(mds)[-1].entries.items()))
+            del mds.layout._inodes[ino]
+        oracle = check_mds_reference(serial)
+        assert not oracle.clean
+        assert report_key(check_mds(workers, jobs=2)) == report_key(oracle)
+        fix_1 = repair_mds(serial, jobs=1)
+        fix_2 = repair_mds(workers, jobs=2)
+        assert fix_1.converged and fix_2.converged
+        assert action_key(fix_1) == action_key(fix_2)
+        assert report_key(fix_1.before) == report_key(fix_2.before)
+
+
+class TestHandBuiltMetadataDamage:
+    """Damage the ``Corruptor`` cannot produce, each state checked against
+    the oracle and against the finding it must (or must not) raise."""
+
+    def assert_matches_oracle(self, mds) -> FsckReport:
+        report = check_mds(mds)
+        assert report_key(report) == report_key(check_mds_reference(mds))
+        return report
+
+    def test_cross_directory_content_overlap(self):
+        mds = populated_mds("embedded")
+        _root, work, sub = dirs_of(mds)
+        start, count = work.content_runs[0]
+        sub.content_runs.append((start + count - 1, 2))  # shares one block
+        report = self.assert_matches_oracle(mds)
+        assert [f.code for f in report.findings] == ["content-block-overlap"]
+        assert f"block {start + count - 1} owned by dirs {work.dir_id} and {sub.dir_id}" in (
+            report.findings[0].message
+        )
+
+    def test_home_in_later_directory_is_orphan_in_earlier_is_not(self):
+        mds = populated_mds("embedded")
+        _root, work, sub = dirs_of(mds)
+        # work precedes sub: when work's entries are judged, sub's content
+        # is not registered yet (prefix semantics), so the home is orphaned.
+        early = file_inode(mds, work, "f003")
+        early.home_block = sub.content_runs[0][0]
+        # The mirror image is covered: work's content is already known.
+        late = file_inode(mds, sub, "g003")
+        late.home_block = work.content_runs[0][0]
+        report = self.assert_matches_oracle(mds)
+        assert [f.code for f in report.findings] == ["orphan-home-block"]
+        assert f"inode {early.ino} " in report.findings[0].message
+
+    def test_empty_directory_and_directory_without_content_runs(self):
+        mds = populated_mds("embedded")
+        mds.mkdir(mds.root, "hollow")
+        assert self.assert_matches_oracle(mds).clean
+        _root, work, sub, _hollow = dirs_of(mds)
+        sub.content_runs = []  # every home in sub loses its cover
+        report = self.assert_matches_oracle(mds)
+        assert [f.code for f in report.findings] == ["orphan-home-block"] * len(sub.entries)
+        assert report.checked_inodes == sum(len(d.entries) for d in dirs_of(mds))
+
+    def test_dangling_entry_suppresses_its_other_findings(self):
+        mds = populated_mds("normal")
+        d = dirs_of(mds)[1]
+        name = "f004"
+        del mds.layout._inodes[d.entries[name]]
+        d.entry_block[name] = 10**9
+        report = self.assert_matches_oracle(mds)
+        assert [f.code for f in report.findings] == ["dangling-inode"]
+
+    @pytest.mark.parametrize("layout", ["embedded", "normal"])
+    def test_faults_either_side_of_a_healthy_row_keep_entry_order(self, layout):
+        mds = populated_mds(layout)
+        d = dirs_of(mds)[1]
+        if layout == "embedded":
+            file_inode(mds, d, "f010").name = "later"
+            file_inode(mds, d, "f002").home_block = 0
+            file_inode(mds, d, "f002").name = "earlier"
+            want = ["orphan-home-block", "inode-name-mismatch", "inode-name-mismatch"]
+        else:
+            d.entry_block["f010"] = 10**9
+            file_inode(mds, d, "f002").home_slot += 1
+            d.entry_block["f002"] = 10**9
+            want = [
+                "inode-home-mismatch", "entry-unknown-dentry-block",
+                "entry-unknown-dentry-block",
+            ]
+        report = self.assert_matches_oracle(mds)
+        assert [f.code for f in report.findings] == want
+        # Both f002 findings precede f010's, the healthy rows between skipped.
+        assert "f002" in report.findings[1].message
+        assert "f010" in report.findings[2].message
+        fix = repair_mds(mds)
+        assert fix.converged
+        assert ["f010" in a.message or "later" in a.message for a in fix.actions] == [
+            False, False, True
+        ]
+
+    def test_inode_past_the_last_inode_table_still_raises(self):
+        mds = populated_mds("normal")
+        layout = mds.layout
+        d = dirs_of(mds)[1]
+        beyond = layout.mfs.group_count * layout.mfs.params.inodes_per_group + 5
+        layout._inodes[beyond] = layout._inodes.pop(d.entries["f007"])
+        d.entries["f007"] = beyond
+        with pytest.raises(MetadataError, match=f"group out of range: {layout.mfs.group_count}"):
+            check_mds(mds)
+        with pytest.raises(MetadataError, match="group out of range"):
+            check_mds_reference(mds)
+
+
+#: (layout, seed) -> sha256 of (before findings, actions, passes, after
+#: findings) of repairing ``build_crashed_image(scale=2)``, recorded at commit
+#: d75c676 — the last one whose metadata checker and repair passes walked
+#: directory entries one Python tuple at a time.
+GOLDEN_REPAIR = {
+    ("embedded", 0): "42d113a081c61ad799f89a63c02a8d34027671776c6b07eef224acab9cbd75f0",
+    ("embedded", 1): "ff10274060bbe8bf4f68bb1b2c018ee88d0c8bb22ac474bcf86bd7e9cbe8bad7",
+    ("normal", 0): "f2467240898ca424d3b674f1bb2667a878df856f90872978e05ea6404c924bd1",
+    ("normal", 1): "b4a5ae6cf376bb2e0bdce646ad07ba0d22818ee1a536f37fcb849c6ef7f0bc9a",
+}
+
+
+@pytest.mark.parametrize("layout,seed", sorted(GOLDEN_REPAIR))
+def test_repair_matches_pre_columnar_golden(layout, seed):
+    img = build_crashed_image(scale=2, seed=seed, layout=layout)
+    fix = repair_dataplane(img.plane).merge(repair_mds(img.mds))
+    doc = repr((
+        [(f.code, f.message) for f in fix.before.findings],
+        action_key(fix),
+        fix.passes,
+        [(f.code, f.message) for f in fix.after.findings],
+    ))
+    assert fix.converged and fix.actions
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_REPAIR[layout, seed]
+
+
 class TestWorkerProcesses:
     """jobs=2 really runs shards in worker processes and still merges to
     the identical report."""
@@ -211,6 +393,13 @@ class TestCrashedImage:
         assert 0 < len(data) <= len(img.plane.fsm.groups)
         assert sum(data) == img.extents
         assert len(meta) >= 1 and sum(meta) > 0
+
+    @pytest.mark.parametrize("layout", ["embedded", "normal"])
+    def test_shard_work_meta_volumes_follow_the_chunking(self, layout):
+        mds = wide_mds(layout)
+        _data, meta = shard_work(DataPlane(small_config()), mds)
+        rows = [len(d.entries) + 1 for d in dirs_of(mds)]
+        assert meta == [sum(rows[:META_SHARD_DIRS]), sum(rows[META_SHARD_DIRS:])]
 
 
 class TestFigFsckRunner:
@@ -291,6 +480,54 @@ class TestOnlineScrub:
             if any(k.startswith("scrub.") for k in fr.counters)
         ]
         assert windows, "scrub findings never reached telemetry"
+        # Pinned at commit d75c676, before the scrubber stopped checking a
+        # dirty MDS twice: the step/finding/repair books must not move.
+        assert (scrub.steps, scrub.findings, scrub.repairs, scrub.cycles,
+                scrub.drain_cycles, len(scrub.injected)) == (70, 25, 18, 3, 1, 19)
+        books = [
+            (i, sorted((k, v) for k, v in fr.counters.items() if k.startswith("scrub.")))
+            for i, fr in enumerate(cell.telemetry.frames)
+        ]
+        books = [b for b in books if b[1]]
+        assert hashlib.sha256(repr(books).encode()).hexdigest() == (
+            "1a3d90872bb879df172c0a6bf47cc3cea60a4a353724febd76362af6cc4abcff"
+        )
+
+    @pytest.mark.parametrize("layout", ["embedded", "normal"])
+    def test_mds_step_scans_once_when_clean_twice_when_dirty(self, layout, monkeypatch):
+        scans = []
+        real_check = verify.check_mds
+
+        def counting_check(mds, jobs=None):
+            scans.append(1)
+            return real_check(mds, jobs=jobs)
+
+        monkeypatch.setattr(verify, "check_mds", counting_check)
+        mds = populated_mds(layout)
+        plane = DataPlane(small_config())
+        scrubber = Scrubber(plane, mds)
+        mds_turn = len(plane.fsm.groups)
+
+        def mds_step():
+            scrubber._next = mds_turn
+            del scans[:]
+            return scrubber.step()
+
+        assert mds_step() == ScrubStep(shard="mds", findings=0, repaired=0)
+        assert len(scans) == 1
+        twin = populated_mds(layout)
+        for damaged in (mds, twin):
+            Corruptor(3).corrupt_mds(damaged, nfaults=4)
+        expected = repair_mds(twin, max_passes=2)
+        step = mds_step()
+        # One scan to find the damage, one to confirm the repair took.
+        assert len(scans) == 2
+        assert step.findings == len(expected.before.findings) > 0
+        assert step.repaired == len(expected.actions) > 0
+        assert (scrubber.findings_found, scrubber.repairs_applied) == (
+            step.findings, step.repaired
+        )
+        assert mds_step().findings == 0
 
     def test_scrub_off_leaves_cell_untouched(self):
         result = run("service", scale=0.2, seed=0, streams=200)
