@@ -1189,12 +1189,9 @@ def _service_cell(spec, tracer=None) -> CellResult:
     drops = {"data": {"write": 0, "read": 0}, "meta": {"meta": 0}}
 
     def arrive(station, kind, op_bytes, kind_drops):
-        pending = wl.pending_stream
-
         def on_event(now, op):
-            if sampler is not None and sampler.sampled(pending[kind]):
-                stream = pending[kind]
-                with sampler.op(stream):
+            if sampler is not None and sampler.sampled(op.stream):
+                with sampler.op(op.stream):
                     sampler.emit(
                         "service", f"{kind}.arrive", t=now, station=station.name,
                     )
@@ -1247,15 +1244,15 @@ def _service_cell(spec, tracer=None) -> CellResult:
                 hit = []
             result = scrubber.step()
             if telem is not None:
-                counters = telem.series.frame(now).counters
-                counters["scrub.steps"] = counters.get("scrub.steps", 0) + 1
+                series = telem.series
+                series.incr(now, "scrub.steps")
                 for key, value in (
                     ("scrub.findings", result.findings),
                     ("scrub.repairs", result.repaired),
                     ("scrub.injected", len(hit)),
                 ):
                     if value:
-                        counters[key] = counters.get(key, 0) + value
+                        series.incr(now, key, value)
 
         loop.add_source(scrub_events(), on_scrub)
 

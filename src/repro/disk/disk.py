@@ -189,11 +189,12 @@ class SimulatedDisk:
         the numpy model and the pure counters are committed once per
         batch.  ``busy_s`` is folded in request order (``np.add.accumulate``
         is the same left-to-right IEEE fold as the scalar loop), so phase
-        timings match bit for bit; only the unrendered positioning/transfer
-        accumulators and histogram sums pick up last-ulp pairwise-summation
-        drift.  Sets ``_partial_s`` and the head; the caller folds
-        ``_partial_s`` into ``busy_s``.  A tracer gets one bulk append:
-        request ``i`` starts where the fold stood before it.
+        timings match bit for bit, and the histograms take the whole batch
+        through the exact ``observe_array``; only the unrendered
+        positioning/transfer accumulators pick up last-ulp
+        pairwise-summation drift.  Sets ``_partial_s`` and the head; the
+        caller folds ``_partial_s`` into ``busy_s``.  A tracer gets one bulk
+        append: request ``i`` starts where the fold stood before it.
         """
         n = starts.shape[0]
         positioning, transfer = self.model.time_batch_arrays(self._head, starts, nblocks)

@@ -31,22 +31,31 @@ Two pieces:
     saturation and goodput reporting.
 
 The loop is time-ordered and deterministic: ties in arrival time break by
-registration order, sources draw from :func:`repro.rng.derive_rng`
-sub-streams, and nothing here consults wall-clock time.
+scheduling order (registration order for first arrivals), sources draw
+from :func:`repro.rng.derive_rng` sub-streams, and nothing here consults
+wall-clock time.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from array import array
 from collections import deque
 from collections.abc import Callable, Iterator
 from typing import Any
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.histogram import Histogram
 from repro.sim.clock import SimClock
 
 __all__ = ["EventLoop", "Station"]
+
+#: A station folds its logged queue-depth / sojourn samples into the two
+#: histograms every this many arrivals, which bounds the logs at 64 KiB.
+SAMPLE_CHUNK = 4096
 
 
 class EventLoop:
@@ -69,19 +78,18 @@ class EventLoop:
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        # Heap entries are (when, seq, source_id); the op itself lives in
-        # self._pending so heapq never compares ops.  seq is a global
-        # monotone counter: deterministic tie-break, and no two entries
-        # ever compare beyond it.
-        self._heap: list[tuple[float, int, int]] = []
-        self._pending: dict[int, Any] = {}
-        self._sources: dict[int, tuple[Iterator[tuple[float, Any]], Callable[[float, Any], None]]] = {}
-        self._seq = 0
+        # One heap entry per live source, carrying everything dispatch
+        # needs: (when, seq, op, events, on_event, source_id).  seq comes
+        # from a global monotone counter: deterministic tie-break, and no
+        # two entries ever compare beyond it (ops are never compared).
+        self._heap: list[tuple] = []
+        self._seq = itertools.count()
+        self._sources = 0
         self.processed = 0
         #: Optional telemetry hook ``probe(now, op)``, called for every
         #: dispatched event before its handler.  Observe-only: must not
         #: touch the op or the simulation.  None (the default) costs one
-        #: attribute load per event.
+        #: comparison per event.
         self.probe: Callable[[float, Any], None] | None = None
 
     def __len__(self) -> int:
@@ -98,24 +106,21 @@ class EventLoop:
         is invoked for each at its absolute arrival time.  Only the next
         pending event is held in memory; the iterator is advanced one
         event at a time as the loop drains.  An exhausted iterator simply
-        retires its source.
+        retires its source.  A handler may register further sources while
+        the loop runs.
         """
-        sid = len(self._sources)
-        self._sources[sid] = (events, on_event)
-        self._schedule_next(sid, self.clock.now)
-
-    def _schedule_next(self, sid: int, after: float) -> None:
-        events, _ = self._sources[sid]
+        sid = self._sources
+        self._sources += 1
         try:
             dt, op = next(events)
         except StopIteration:
-            del self._sources[sid]
             return
         if dt < 0.0:
             raise ConfigError(f"negative inter-arrival time from source {sid}: {dt}")
-        self._pending[sid] = op
-        heapq.heappush(self._heap, (after + dt, self._seq, sid))
-        self._seq += 1
+        heapq.heappush(
+            self._heap,
+            (self.clock.now + dt, next(self._seq), op, events, on_event, sid),
+        )
 
     def run(self, until: float | None = None) -> int:
         """Drain events in time order; returns how many were processed.
@@ -125,25 +130,42 @@ class EventLoop:
         ``until``).  Without it, runs until every source is exhausted —
         only sensible for finite sources.
         """
-        processed = 0
         heap = self._heap
         probe = self.probe
-        while heap:
-            when, _, sid = heap[0]
-            if until is not None and when > until:
-                break
-            heapq.heappop(heap)
-            op = self._pending.pop(sid)
-            self.clock.advance_to(when)
-            if probe is not None:
-                probe(when, op)
-            _, on_event = self._sources[sid]
-            on_event(when, op)
-            self._schedule_next(sid, when)
-            processed += 1
+        advance_to = self.clock.advance_to
+        next_seq = self._seq.__next__
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
+        horizon = float("inf") if until is None else until
+        processed = 0
+        try:
+            while heap:
+                when, _, op, events, on_event, sid = heap[0]
+                if when > horizon:
+                    break
+                advance_to(when)
+                if probe is not None:
+                    probe(when, op)
+                on_event(when, op)
+                processed += 1
+                # The dispatched entry is still heap[0]: anything the
+                # handler registered arrives at or after ``when`` with a
+                # later seq.  So the source's next arrival replaces it in
+                # one sift instead of a pop and a push.
+                try:
+                    dt, op = next(events)
+                except StopIteration:
+                    heappop(heap)
+                    continue
+                if dt < 0.0:
+                    heappop(heap)
+                    raise ConfigError(
+                        f"negative inter-arrival time from source {sid}: {dt}"
+                    )
+                heapreplace(heap, (when + dt, next_seq(), op, events, on_event, sid))
+        finally:
+            self.processed += processed
         if until is not None:
-            self.clock.advance_to(until)
-        self.processed += processed
+            advance_to(until)
         return processed
 
 
@@ -169,7 +191,8 @@ class Station:
     """
 
     __slots__ = (
-        "name", "depth", "_execute", "latency", "queue_depth",
+        "name", "depth", "_execute", "_latency", "_queue_depth",
+        "_latency_log", "_queue_log",
         "offered", "started", "dropped", "completed", "busy_s", "free_at",
         "_inflight", "probe",
     )
@@ -180,10 +203,12 @@ class Station:
         self.name = name
         self.depth = depth
         self._execute = execute
-        #: Sojourn time (queueing + service) of every completed-or-started op.
-        self.latency = Histogram()
-        #: Queue length each arrival found ahead of it (drops included).
-        self.queue_depth = Histogram()
+        self._latency = Histogram()
+        self._queue_depth = Histogram()
+        # An arrival only logs its two samples; the histograms are brought
+        # up to date a chunk at a time (and whenever someone reads them).
+        self._latency_log = array("d")
+        self._queue_log = array("d")
         self.offered = 0
         self.started = 0
         self.dropped = 0
@@ -195,7 +220,8 @@ class Station:
         #: called once per arrival after its fate is decided: ``done`` is
         #: the completion time (``None`` when the bounded queue dropped it)
         #: and ``service`` the charged service time (0.0 on drops).
-        #: Observe-only; None (the default) costs one branch per arrival.
+        #: Observe-only; None (the default) costs one comparison per
+        #: arrival.
         self.probe: Callable[[float, Any, int, float | None, float], None] | None = None
 
     def offer(self, now: float, op: Any) -> float | None:
@@ -207,7 +233,10 @@ class Station:
             self.completed += 1
         self.offered += 1
         q = len(inflight)
-        self.queue_depth.observe(float(q))
+        queue_log = self._queue_log
+        queue_log.append(q)
+        if len(queue_log) >= SAMPLE_CHUNK:
+            self._fold_logs()
         if q >= self.depth:
             self.dropped += 1
             if self.probe is not None:
@@ -221,11 +250,37 @@ class Station:
         self.free_at = done
         self.busy_s += service
         inflight.append(done)
-        self.latency.observe(done - now)
+        self._latency_log.append(done - now)
         self.started += 1
         if self.probe is not None:
             self.probe(now, op, q, done, service)
         return done
+
+    def _fold_logs(self) -> None:
+        """Bring both histograms up to date with the logged samples.
+
+        :meth:`~repro.obs.histogram.Histogram.observe_array` equals a loop
+        of ``observe`` bit for bit, so when this runs is unobservable.
+        """
+        for log, hist in (
+            (self._queue_log, self._queue_depth),
+            (self._latency_log, self._latency),
+        ):
+            if log:
+                hist.observe_array(np.array(log))
+                del log[:]
+
+    @property
+    def latency(self) -> Histogram:
+        """Sojourn time (queueing + service) of every started op."""
+        self._fold_logs()
+        return self._latency
+
+    @property
+    def queue_depth(self) -> Histogram:
+        """Queue length each arrival found ahead of it (drops included)."""
+        self._fold_logs()
+        return self._queue_depth
 
     def drain(self) -> float:
         """Retire everything still in flight; returns the last completion

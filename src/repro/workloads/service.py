@@ -24,13 +24,18 @@ standard reductions:
   is overwrite-heavy (no unbounded allocation over long runs).
 
 Events carry the ordinary protocol ops (:class:`~repro.workloads.base.
-WriteOp` / ``ReadOp`` / ``MetaOp``); the workload also provides the two
-station executors that price an op via the device models — disk-array
-batch wall time for data, MDS timeline delta for metadata.
+WriteOp` / ``ReadOp`` / ``MetaOp``) tagged with the stream that issued them
+(:class:`ServiceWrite` / ``ServiceRead`` / ``ServiceMeta``); the workload
+also provides the two station executors that price an op via the device
+models — disk-array batch wall time for data, MDS timeline delta for
+metadata.  :class:`ServiceTelemetry` turns the stations' probes into
+per-window time series by logging one row per arrival and reducing the log
+a chunk at a time.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -39,6 +44,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.meta.mds import MetadataServer
+from repro.obs.histogram import fold_left
 from repro.obs.timeseries import TimeSeries, TimeSeriesSnapshot
 from repro.rng import derive_rng
 from repro.units import KiB
@@ -48,10 +54,12 @@ __all__ = [
     "DURATIONS",
     "RATES",
     "ScrubSpec",
+    "ServiceMeta",
+    "ServiceRead",
     "ServiceSpec",
     "ServiceTelemetry",
     "ServiceWorkload",
-    "op_kind",
+    "ServiceWrite",
     "resolve_duration",
     "resolve_rate",
 ]
@@ -73,6 +81,13 @@ MAX_DIRS = 256
 
 #: Files pre-created per pool directory.
 FILES_PER_DIR = 4
+
+#: Arrivals an event source draws ahead per block (docs/SERVICE.md).
+ARRIVAL_BLOCK = 1024
+
+#: Rows a :class:`ServiceTelemetry` probe logs before they are reduced into
+#: window frames; bounds each row log at ``6 * 8 * TELEMETRY_CHUNK`` bytes.
+TELEMETRY_CHUNK = 4096
 
 
 def resolve_rate(rate: str | float) -> float:
@@ -175,6 +190,28 @@ class ServiceSpec:
         return self.streams * self.rate * fraction
 
 
+@dataclass(frozen=True, slots=True)
+class ServiceWrite(WriteOp):
+    """A :class:`WriteOp` tagged with the client stream that issued it."""
+
+    stream: int
+
+
+@dataclass(frozen=True, slots=True)
+class ServiceRead(ReadOp):
+    """A :class:`ReadOp` tagged with the client stream that issued it."""
+
+    stream: int
+
+
+@dataclass(frozen=True, slots=True)
+class ServiceMeta(MetaOp):
+    """A :class:`MetaOp` tagged with the client stream that issued it
+    (defaulted only because it follows ``MetaOp.args``, which is)."""
+
+    stream: int = -1
+
+
 class ServiceWorkload:
     """Lazy event sources plus station executors over one plane + MDS."""
 
@@ -187,19 +224,12 @@ class ServiceWorkload:
         self.regions = min(spec.streams, REGIONS)
         self.region_bytes = REGION_SLOTS * spec.request_bytes
         #: Write cursor per region (slot index, wraps at REGION_SLOTS).
-        self._cursors = np.zeros(self.regions, dtype=np.int64)
+        self._cursors = [0] * self.regions
         #: Operations attributed to each *real* stream — the only O(streams)
         #: state; 8 bytes per stream.
         self.ops_per_stream = np.zeros(spec.streams, dtype=np.int64)
         self.file = None
         self._pool: list[tuple[object, str]] = []  # (dir handle, file name)
-        #: Stream id of each kind's *pending* event.  The loop holds exactly
-        #: one pending event per source and generates a source's next event
-        #: only after dispatching its previous one, so during dispatch this
-        #: still names the stream of the op being dispatched — how sampled
-        #: tracing recovers stream identity without widening the event
-        #: protocol.
-        self.pending_stream: dict[str, int] = {}
 
     # -- setup (untimed; runs before the arrival window opens) -------------
     def setup(self) -> None:
@@ -220,42 +250,63 @@ class ServiceWorkload:
 
         Yields ``(arrival_dt, op)`` with exponential inter-arrivals at the
         kind's aggregate rate; each arrival is attributed to a uniform
-        stream.  O(1) memory — nothing per event is retained beyond the
+        stream, which rides in the op (``op.stream``).
+
+        Arrivals are drawn :data:`ARRIVAL_BLOCK` at a time in one tight
+        loop and handed out through a C-level ``zip``, so a consumer's
+        ``next()`` does not resume Python code per event.  The draws are
+        the per-event scalar ones in the per-event order — ``exponential``,
+        ``integers``, then the kind's own draw — so the stream of events
+        is the same at any block size, and a block ends at the first
+        arrival past ``spec.duration_s`` (sources start at t = 0): a run
+        of the arrival window makes exactly the draws a per-event
+        generator would, the one pending past the window included.  Memory
+        is O(block): nothing per event outlives its block beyond the
         region cursors and the per-stream op counter.
         """
         lam = self.spec.kind_rate(kind)
         if lam <= 0.0:
             return
         rng = derive_rng(self.spec.seed, "service", kind)
+        exponential, integers = rng.exponential, rng.integers
         scale = 1.0 / lam
         build = {"write": self._write_op, "read": self._read_op, "meta": self._meta_op}[kind]
-        streams = self.spec.streams
-        counts = self.ops_per_stream
-        pending = self.pending_stream
+        nstreams = self.spec.streams
+        horizon = self.spec.duration_s
+        t = 0.0
         while True:
-            dt = float(rng.exponential(scale))
-            s = int(rng.integers(streams))
-            counts[s] += 1
-            pending[kind] = s
-            yield dt, build(s, rng)
+            gaps: list[float] = []
+            streams: list[int] = []
+            ops: list[Op | MetaOp] = []
+            for _ in range(ARRIVAL_BLOCK):
+                dt = exponential(scale)
+                s = int(integers(nstreams))
+                gaps.append(dt)
+                streams.append(s)
+                ops.append(build(s, rng))
+                t += dt
+                if t > horizon:
+                    break
+            np.add.at(self.ops_per_stream, streams, 1)
+            yield from zip(gaps, ops)
 
     def _write_op(self, s: int, rng) -> Op:
         region = s % self.regions
-        slot = int(self._cursors[region])
+        slot = self._cursors[region]
         self._cursors[region] = (slot + 1) % REGION_SLOTS
         offset = region * self.region_bytes + slot * self.spec.request_bytes
-        return WriteOp(self.file, offset, self.spec.request_bytes)
+        return ServiceWrite(self.file, offset, self.spec.request_bytes, s)
 
     def _read_op(self, s: int, rng) -> Op:
         region = s % self.regions
         slot = int(rng.integers(REGION_SLOTS))
         offset = region * self.region_bytes + slot * self.spec.request_bytes
-        return ReadOp(self.file, offset, self.spec.request_bytes)
+        return ServiceRead(self.file, offset, self.spec.request_bytes, s)
 
     def _meta_op(self, s: int, rng) -> MetaOp:
         dirh, name = self._pool[s % len(self._pool)]
         method = "stat" if rng.random() < 0.5 else "utime"
-        return MetaOp(method, (dirh, name))
+        return ServiceMeta(method, (dirh, name), s)
 
     # -- station executors (op → service time, simulated seconds) ----------
     def data_service(self, op: Op) -> float:
@@ -288,11 +339,13 @@ class ServiceWorkload:
         return int(np.count_nonzero(self.ops_per_stream))
 
 
-def op_kind(op: Op | MetaOp) -> str:
-    """Classify a protocol op into the service mix kinds."""
-    if isinstance(op, MetaOp):
-        return "meta"
-    return "write" if isinstance(op, WriteOp) else "read"
+#: Kind codes in a telemetry row (index into :attr:`ServiceWorkload.KINDS`).
+_WRITE, _READ, _META = range(3)
+
+#: Doubles per logged station arrival: ``now, kind, queued, done, service,
+#: nbytes`` — ``done`` is nan for a drop, ``nbytes`` is nan for a metadata
+#: op (which moves no data, so it never creates a ``bytes`` series).
+_ROW = 6
 
 
 class ServiceTelemetry:
@@ -303,6 +356,20 @@ class ServiceTelemetry:
     accumulate into :attr:`series` with no other coupling — the stations
     never learn what is observing them, and with no telemetry attached
     their per-arrival cost is a single ``None`` check.
+
+    **Record, then reduce.**  A station probe does no statistics: it
+    appends one flat row per arrival to an ``array('d')`` log.  Every
+    :data:`TELEMETRY_CHUNK` rows — and at :meth:`finish` /
+    :meth:`snapshot` — the log is reduced into the window frames with
+    numpy, one contiguous run of rows per window (arrival times and each
+    station's completion times are non-decreasing).  The reduction is
+    exact: counters are integer counts, histograms take each run through
+    :meth:`~repro.obs.histogram.Histogram.observe_array`, and float sums
+    are folded left to right from the running value, so every frame is
+    bit-equal to what per-arrival ``incr``/``add``/``observe`` calls would
+    have built, at any chunk size (docs/TELEMETRY.md).  The loop probe has
+    a single number to record, so it keeps a run-length count and bills it
+    when the window changes.
 
     Series emitted per station (and per ``station.kind`` for the mix
     breakdown): ``arrivals``/``drops``/``completions`` counters, a
@@ -335,9 +402,15 @@ class ServiceTelemetry:
 
     def __init__(self, window_s: float) -> None:
         self.series = TimeSeries(window_s)
+        self._window_s = self.series.window_s
+        #: Index of the window the loop is in, and the arrivals it has seen
+        #: there that are not yet billed to the frame.
+        self._window = 0
+        self._arrivals = 0
+        #: One ``reduce()`` per station probe handed out.
+        self._reducers: list = []
         self._cache_counters = None
         self._cache_last: dict[str, int] = {}
-        self._cache_window = -1
 
     def track_cache(self, metrics) -> None:
         """Start rolling the cache counters of ``metrics`` into windows."""
@@ -345,12 +418,13 @@ class ServiceTelemetry:
         self._cache_last = {
             s: self._cache_counters.get(s, 0) for s in self.CACHE_SERIES
         }
-        self._cache_window = 0
 
-    def _flush_cache(self, t: float) -> None:
-        """Attribute counter deltas since the last flush to window ``t``."""
+    def _flush_cache(self) -> None:
+        """Attribute counter deltas since the last flush to the open
+        window — by index: ``frame(idx * window_s)`` is the wrong frame
+        for many ``idx``."""
         live = self._cache_counters
-        frame = self.series.frame(t)
+        frame = self.series.frame_at(self._window)
         counters = frame.counters
         last = self._cache_last
         hits = misses = used = issued = 0
@@ -376,28 +450,50 @@ class ServiceTelemetry:
             frame.sums["cache.prefetch_accuracy"] = min(1.0, used / issued) if issued else 1.0
 
     def loop_probe(self, now: float, op: Op | MetaOp) -> None:
-        series = self.series
-        series.incr(now, "arrivals")
-        if self._cache_counters is not None:
-            window = int(now / series.window_s)
-            if window != self._cache_window:
-                # Crossing into a new window: bill the deltas accumulated
-                # so far to the window just left.
-                self._flush_cache(self._cache_window * series.window_s)
-                self._cache_window = window
+        """The ``EventLoop.probe`` callback: counts loop-level arrivals.
+
+        Arrival times never decrease, so the count is a run length: one
+        integer compare per arrival, one frame update per window.
+        """
+        window = int(now / self._window_s)
+        if window != self._window:
+            # Crossing into a new window: bill what accumulated to the
+            # window just left.
+            self._bill_arrivals()
+            if self._cache_counters is not None:
+                self._flush_cache()
+            self._window = window
+        self._arrivals += 1
+
+    def _bill_arrivals(self) -> None:
+        if self._arrivals:
+            counters = self.series.frame_at(self._window).counters
+            counters["arrivals"] = counters.get("arrivals", 0) + self._arrivals
+            self._arrivals = 0
+
+    def _reduce(self) -> None:
+        """Fold everything recorded so far into the window frames."""
+        self._bill_arrivals()
+        for reduce in self._reducers:
+            reduce()
 
     def finish(self, t: float) -> None:
-        """Flush any open cache-counter window at end of run."""
+        """End of run: reduce what is still logged and flush the open
+        cache-counter window."""
+        self._reduce()
         if self._cache_counters is not None:
-            self._flush_cache(self._cache_window * self.series.window_s)
-            self._cache_window = int(t / self.series.window_s)
+            self._flush_cache()
+        self._window = int(t / self._window_s)
 
     def station_probe(self, name: str):
-        """The ``Station.probe`` callback for station ``name``."""
+        """The ``Station.probe`` callback for station ``name``.
+
+        The callback appends one row per arrival; its ``reduce`` (run
+        every :data:`TELEMETRY_CHUNK` rows, and by :meth:`finish` and
+        :meth:`snapshot`) does the statistics.
+        """
         series = self.series
-        # Series names are interned up front: the probe runs once per
-        # arrival, and at a million streams per-event string formatting
-        # is the difference between ~10% and ~30% telemetry overhead.
+        kinds = ServiceWorkload.KINDS
         arrivals = f"{name}.arrivals"
         queue_depth = f"{name}.queue_depth"
         drops = f"{name}.drops"
@@ -405,9 +501,12 @@ class ServiceTelemetry:
         completions = f"{name}.completions"
         busy = f"{name}.busy_s"
         nbytes = f"{name}.bytes"
-        kind_arrivals = {k: f"{name}.{k}.arrivals" for k in ServiceWorkload.KINDS}
-        kind_drops = {k: f"{name}.{k}.drops" for k in ServiceWorkload.KINDS}
-        kind_latency = {k: f"{name}.{k}.latency_s" for k in ServiceWorkload.KINDS}
+        kind_arrivals = [f"{name}.{k}.arrivals" for k in kinds]
+        kind_drops = [f"{name}.{k}.drops" for k in kinds]
+        kind_latency = [f"{name}.{k}.latency_s" for k in kinds]
+        rows = array("d")
+        limit = TELEMETRY_CHUNK * _ROW
+        nan = float("nan")
 
         def probe(
             now: float,
@@ -416,30 +515,65 @@ class ServiceTelemetry:
             done: float | None,
             service: float,
         ) -> None:
-            kind = op_kind(op)
-            frame = series.frame(now)
-            counters = frame.counters
-            counters[arrivals] = counters.get(arrivals, 0) + 1
-            ka = kind_arrivals[kind]
-            counters[ka] = counters.get(ka, 0) + 1
-            frame.hist(queue_depth).observe(float(queued))
             if done is None:
-                counters[drops] = counters.get(drops, 0) + 1
-                kd = kind_drops[kind]
-                counters[kd] = counters.get(kd, 0) + 1
-                return
-            sojourn = done - now
-            frame.hist(latency).observe(sojourn)
-            frame.hist(kind_latency[kind]).observe(sojourn)
-            at_done = series.frame(done)
-            dc = at_done.counters
-            dc[completions] = dc.get(completions, 0) + 1
-            sums = at_done.sums
-            sums[busy] = sums.get(busy, 0.0) + service
-            if not isinstance(op, MetaOp):
-                sums[nbytes] = sums.get(nbytes, 0.0) + float(op.nbytes)
+                done = nan
+            if isinstance(op, MetaOp):
+                rows.extend((now, _META, queued, done, service, nan))
+            else:
+                kind = _WRITE if isinstance(op, WriteOp) else _READ
+                rows.extend((now, kind, queued, done, service, op.nbytes))
+            if len(rows) >= limit:
+                reduce()
 
+        def bump(counters: dict[str, int], names: list[str], codes: np.ndarray) -> None:
+            for code, n in enumerate(np.bincount(codes, minlength=len(kinds)).tolist()):
+                if n:
+                    counters[names[code]] = counters.get(names[code], 0) + n
+
+        def reduce() -> None:
+            if not rows:
+                return
+            now, kind, queued, done, service, moved = np.array(rows).reshape(-1, _ROW).T
+            del rows[:]
+            kind = kind.astype(np.intp)
+            started = ~np.isnan(done)
+            sojourn = done - now
+            # Arrival side: counters and both histograms land in the window
+            # the operation arrived in.
+            for frame, lo, hi in series.runs(now):
+                counters = frame.counters
+                counters[arrivals] = counters.get(arrivals, 0) + (hi - lo)
+                bump(counters, kind_arrivals, kind[lo:hi])
+                frame.hist(queue_depth).observe_array(queued[lo:hi])
+                ok = started[lo:hi]
+                ndrops = (hi - lo) - int(np.count_nonzero(ok))
+                if ndrops:
+                    counters[drops] = counters.get(drops, 0) + ndrops
+                    bump(counters, kind_drops, kind[lo:hi][~ok])
+                if ndrops < hi - lo:
+                    run_sojourn = sojourn[lo:hi][ok]
+                    run_kind = kind[lo:hi][ok]
+                    frame.hist(latency).observe_array(run_sojourn)
+                    for code in np.flatnonzero(np.bincount(run_kind)).tolist():
+                        frame.hist(kind_latency[code]).observe_array(
+                            run_sojourn[run_kind == code]
+                        )
+            # Completion side: busy seconds and moved bytes land in the
+            # window the operation completes in.
+            done, service, moved = done[started], service[started], moved[started]
+            for frame, lo, hi in series.runs(done):
+                counters = frame.counters
+                counters[completions] = counters.get(completions, 0) + (hi - lo)
+                sums = frame.sums
+                sums[busy] = fold_left(sums.get(busy, 0.0), service[lo:hi])
+                data_bytes = moved[lo:hi]
+                data_bytes = data_bytes[~np.isnan(data_bytes)]
+                if data_bytes.shape[0]:
+                    sums[nbytes] = fold_left(sums.get(nbytes, 0.0), data_bytes)
+
+        self._reducers.append(reduce)
         return probe
 
     def snapshot(self) -> TimeSeriesSnapshot:
+        self._reduce()
         return self.series.snapshot()

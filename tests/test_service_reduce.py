@@ -1,0 +1,335 @@
+"""Record → reduce equals per-arrival statistics, bit for bit.
+
+The service path logs one flat row per arrival and computes windows,
+counters and histograms from columns once per chunk (docs/TELEMETRY.md).
+These tests hold that to the per-arrival oracle vendored in
+``tests/service_reference.py`` with ``==`` — float ``sums`` and histogram
+``total``s included — at chunk sizes 1, 7 and larger than the script, and
+cover the event-loop and station behaviour the tightened loop must keep.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.sim.events as events_mod
+import repro.workloads.service as service_mod
+from repro.core.run import run
+from repro.errors import ConfigError
+from repro.fs.dataplane import DataPlane
+from repro.fs.profiles import redbud_mif_profile
+from repro.meta.mds import MetadataServer
+from repro.obs.export import read_timeseries_jsonl, timeseries_to_jsonl
+from repro.obs.histogram import Histogram
+from repro.obs.timeseries import TimeSeries
+from repro.sim.clock import SimClock
+from repro.sim.events import EventLoop, Station
+from repro.workloads.base import MetaOp, ReadOp, WriteOp
+from repro.workloads.service import ServiceSpec, ServiceTelemetry, ServiceWorkload
+
+from .service_reference import ReferenceStation, ReferenceTelemetry
+
+# ---------------------------------------------------------------------------
+# Histogram.observe_array == a loop of observe
+# ---------------------------------------------------------------------------
+
+#: Magnitudes far enough apart that the order of float additions shows.
+awkward = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-9, max_value=1e4, allow_nan=False),
+    st.sampled_from([0.1, 0.2, 0.3, 1e-7, 3.3e3, 1.0, 2.0**-20]),
+)
+
+
+@given(st.lists(awkward, max_size=40), st.lists(awkward, min_size=1, max_size=200))
+def test_observe_array_equals_observe_loop(before, values):
+    scalar, bulk = Histogram(), Histogram()
+    for v in before:  # a running sum to be seeded from
+        scalar.observe(v)
+        bulk.observe(v)
+    for v in values:
+        scalar.observe(v)
+    bulk.observe_array(np.array(values))
+    assert bulk.snapshot() == scalar.snapshot()
+    assert bulk.total == scalar.total  # same bits, not approximately
+
+
+def test_observe_array_rejects_negative_and_ignores_empty():
+    h = Histogram()
+    h.observe_array(np.array([]))
+    assert h.count == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        h.observe_array(np.array([1.0, -0.5]))
+
+
+# ---------------------------------------------------------------------------
+# Reduced telemetry frames and station histograms == the per-arrival oracle
+# ---------------------------------------------------------------------------
+
+KIND_OPS = {
+    "write": lambda n: WriteOp(None, 0, n),
+    "read": lambda n: ReadOp(None, 0, n),
+    "meta": lambda n: MetaOp("stat"),
+}
+
+arrival = st.tuples(
+    # Inter-arrival gap: mostly within a window, sometimes many windows.
+    st.one_of(
+        st.floats(min_value=0.0, max_value=0.05),
+        st.floats(min_value=0.5, max_value=3.0),
+    ),
+    st.sampled_from(sorted(KIND_OPS)),
+    # Service time: completions land in the arrival window or several later.
+    st.one_of(st.just(0.0), awkward.map(lambda v: v % 0.7)),
+    st.integers(min_value=1, max_value=1 << 20),
+)
+
+
+def _drive(telemetry, station_cls, script, depth):
+    """Play one script through a data and a meta station; returns them."""
+    service = {}
+    stations = {
+        name: station_cls(name, lambda op: service[id(op)], depth)
+        for name in ("data", "meta")
+    }
+    for st_ in stations.values():
+        st_.probe = telemetry.station_probe(st_.name)
+    now = 0.0
+    for i, (dt, kind, service_s, nbytes) in enumerate(script):
+        now += dt
+        op = KIND_OPS[kind](nbytes)
+        service[id(op)] = service_s
+        telemetry.loop_probe(now, op)
+        stations["meta" if kind == "meta" else "data"].offer(now, op)
+        if i % 5 == 0:
+            # A low-rate scalar caller (the scrub handler) shares the frames.
+            telemetry.series.incr(now, "scrub.steps")
+            telemetry.series.add(now, "side.sum", service_s)
+            telemetry.series.observe(now, "side.hist", service_s)
+    return stations
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    script=st.lists(arrival, min_size=1, max_size=120),
+    depth=st.integers(min_value=1, max_value=6),
+    window_s=st.sampled_from([0.04, 0.1, 1.0 / 3.0]),
+    chunk=st.sampled_from([1, 7, 10_000]),
+)
+def test_reduced_frames_equal_per_arrival_frames(script, depth, window_s, chunk):
+    old = (service_mod.TELEMETRY_CHUNK, events_mod.SAMPLE_CHUNK)
+    service_mod.TELEMETRY_CHUNK = events_mod.SAMPLE_CHUNK = chunk
+    try:
+        telemetry = ServiceTelemetry(window_s)
+        stations = _drive(telemetry, Station, script, depth)
+    finally:
+        service_mod.TELEMETRY_CHUNK, events_mod.SAMPLE_CHUNK = old
+    reference = ReferenceTelemetry(window_s)
+    ref_stations = _drive(reference, ReferenceStation, script, depth)
+
+    # Station histograms are readable mid-run (before drain) ...
+    for name, st_ in stations.items():
+        ref = ref_stations[name]
+        assert st_.latency.snapshot() == ref.latency.snapshot()
+        assert st_.queue_depth.snapshot() == ref.queue_depth.snapshot()
+        # ... and unchanged by it.
+        assert st_.drain() == ref.drain()
+        assert st_.latency.snapshot() == ref.latency.snapshot()
+        assert st_.queue_depth.snapshot() == ref.queue_depth.snapshot()
+        assert (st_.offered, st_.started, st_.dropped, st_.completed, st_.busy_s) == (
+            ref.offered, ref.started, ref.dropped, ref.completed, ref.busy_s)
+
+    got, want = telemetry.snapshot(), reference.snapshot()
+    assert got == want  # counters, float sums, buckets, extrema, totals
+    for frame in got.frames:
+        # Metadata ops move no data: the meta station never grows a bytes key.
+        assert "meta.bytes" not in frame.sums
+        # Snapshots are name-sorted whatever order the signals arrived in.
+        for d in (frame.counters, frame.sums, frame.hists):
+            assert list(d) == sorted(d)
+
+
+def test_snapshot_mid_run_does_not_disturb_what_follows():
+    def play(telemetry, station, peek):
+        station.probe = telemetry.station_probe("data")
+        for i in range(60):
+            now = i * 0.013
+            op = (WriteOp if i % 3 else ReadOp)(None, 0, 4096 + i)
+            telemetry.loop_probe(now, op)
+            station.offer(now, op)
+            if peek and i == 29:
+                assert len(telemetry.snapshot().frames) > 1
+        return telemetry.snapshot()
+
+    got = play(ServiceTelemetry(0.1), Station("data", lambda op: 0.031, 2), peek=True)
+    want = play(ReferenceTelemetry(0.1), ReferenceStation("data", lambda op: 0.031, 2), peek=False)
+    assert got == want
+
+
+def test_telemetry_memory_is_bounded_by_the_chunk(monkeypatch):
+    monkeypatch.setattr(service_mod, "TELEMETRY_CHUNK", 8)
+    monkeypatch.setattr(events_mod, "SAMPLE_CHUNK", 8)
+    telemetry = ServiceTelemetry(0.1)
+    station = Station("data", lambda op: 0.001, depth=4)
+    station.probe = telemetry.station_probe("data")
+    op = WriteOp(None, 0, 4096)
+    for i in range(100):
+        telemetry.loop_probe(i * 0.01, op)
+        station.offer(i * 0.01, op)
+        # Never more than a chunk of rows waiting to be reduced.
+        reduced = sum(
+            f.counters.get("data.arrivals", 0)
+            for f in telemetry.series._frames.values()
+        )
+        assert i + 1 - reduced < 8
+        assert len(station._queue_log) < 8 and len(station._latency_log) <= 8
+    assert sum(telemetry.snapshot().counter_values("data.arrivals")) == 100
+
+
+# ---------------------------------------------------------------------------
+# Cache-counter windows are addressed by index (the latent mis-billing)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cache_deltas_are_billed_to_their_own_window(seed):
+    """``int((29 * 0.04) / 0.04) == 28``: addressing the cache window by a
+    reconstructed timestamp billed window 29's hits to window 28 at the CI
+    smoke size.  Per-window deltas must partition the MDS counter delta and
+    window 29 must hold its own."""
+    assert int((29 * 0.04) / 0.04) == 28
+    kw = dict(streams=2000, rate="small", duration="short", seed=seed)
+    ts = run("service", telemetry=True, slo=True, **kw).payload.cells[0].telemetry
+    assert ts.window_s == 0.04
+    hits = ts.counter_values("cache.hits")
+    assert hits[29] > 0 and "cache.hit_rate" in ts.frames[29].sums
+    # The hits counted while the arrival window was open: the whole run's,
+    # less the ones the (untimed) setup made before tracking began.
+    cfg = redbud_mif_profile()
+    mds = MetadataServer(cfg)
+    ServiceWorkload(
+        ServiceSpec(streams=2000, rate=0.5, duration_s=2.0, seed=seed),
+        DataPlane(cfg), mds,
+    ).setup()
+    setup_hits = mds.metrics.count("cache.hits")
+    total = run("service", **kw).metrics.count("cache.hits")
+    assert sum(hits) == total - setup_hits
+
+
+def test_frame_at_addresses_by_index():
+    ts = TimeSeries(0.04)
+    ts.frame_at(29).counters["x"] = 1
+    assert ts.frame(29 * 0.04) is ts.frame_at(28)  # the float round trip
+    assert [f.index for f in ts.snapshot().frames if not f.empty] == [29]
+
+
+# ---------------------------------------------------------------------------
+# Canonical frame key order in exports
+# ---------------------------------------------------------------------------
+
+def test_export_bytes_do_not_depend_on_signal_order():
+    def build(order):
+        ts = TimeSeries(1.0)
+        for name in order:
+            ts.incr(0.5, f"c.{name}")
+            ts.add(0.5, f"s.{name}", 1.5)
+            ts.observe(0.5, f"h.{name}", 0.25)
+        buf = io.StringIO()
+        timeseries_to_jsonl(ts.snapshot(), buf)
+        return buf.getvalue()
+
+    forward, backward = build("abc"), build("cba")
+    assert forward == backward
+    frame = json.loads(forward.splitlines()[1])
+    assert list(frame["counters"]) == ["c.a", "c.b", "c.c"]
+    assert list(frame["hists"]) == ["h.a", "h.b", "h.c"]
+    snap = read_timeseries_jsonl(io.StringIO(forward))
+    again = io.StringIO()
+    timeseries_to_jsonl(snap, again)
+    assert again.getvalue() == forward  # round trip keeps the bytes
+
+
+# ---------------------------------------------------------------------------
+# EventLoop: what the tightened run() must keep
+# ---------------------------------------------------------------------------
+
+class TestEventLoopContract:
+    def test_equal_time_ties_dispatch_in_scheduling_order(self):
+        seen = []
+        loop = EventLoop(SimClock())
+        # a's second event and b's first both land at t=1.0; b's was
+        # scheduled first (at registration), a's only after a1 dispatched.
+        loop.add_source(iter([(0.5, "a1"), (0.5, "a2")]), lambda t, op: seen.append(op))
+        loop.add_source(iter([(1.0, "b1"), (0.0, "b2")]), lambda t, op: seen.append(op))
+        assert loop.run() == 4
+        assert seen == ["a1", "b1", "a2", "b2"]
+
+    def test_source_exhausted_mid_run_retires(self):
+        seen = []
+        loop = EventLoop(SimClock())
+        loop.add_source(iter([(0.1, "short")]), lambda t, op: seen.append(op))
+        loop.add_source(iter([(0.2, "x"), (0.2, "y")]), lambda t, op: seen.append(op))
+        assert loop.run(until=0.3) == 2
+        assert len(loop) == 1  # only the longer source is still pending
+        assert loop.run() == 1
+        assert seen == ["short", "x", "y"] and len(loop) == 0
+        loop.add_source(iter(()), lambda t, op: None)  # empty: never pending
+        assert len(loop) == 0
+
+    def test_handler_may_add_a_source_during_dispatch(self):
+        """run() swaps the dispatched entry for the source's next arrival
+        in place (heapreplace); a source the handler registers meanwhile
+        must neither be lost nor displace it, even on a tie."""
+        seen = []
+        loop = EventLoop(SimClock())
+
+        def spawn(now, op):
+            seen.append((now, op))
+            if op == "p1":
+                # First child event ties with the parent's dispatch time,
+                # the second with the parent's next arrival.
+                loop.add_source(
+                    iter([(0.0, "c1"), (1.0, "c2")]),
+                    lambda t, o: seen.append((t, o)),
+                )
+
+        loop.add_source(iter([(1.0, "p1"), (1.0, "p2"), (1.0, "p3")]), spawn)
+        assert loop.run() == 5
+        # c2 was scheduled (after c1 dispatched) later than p2 (after p1).
+        assert seen == [(1.0, "p1"), (1.0, "c1"), (2.0, "p2"), (2.0, "c2"), (3.0, "p3")]
+        assert len(loop) == 0 and loop.processed == 5
+
+    def test_negative_dt_mid_run_raises_and_stays_consistent(self):
+        seen = []
+        loop = EventLoop(SimClock())
+        loop.add_source(iter([(0.1, "ok"), (-1.0, "bad")]), lambda t, op: seen.append(op))
+        loop.add_source(iter([(0.5, "other")]), lambda t, op: seen.append(op))
+        with pytest.raises(ConfigError, match="negative inter-arrival"):
+            loop.run()
+        # "ok" was dispatched and counted; its source is retired, the other
+        # one untouched and still runnable.
+        assert seen == ["ok"] and loop.processed == 1 and len(loop) == 1
+        assert loop.run() == 1
+        assert seen == ["ok", "other"] and loop.processed == 2 and len(loop) == 0
+
+    def test_run_until_parks_the_clock(self):
+        loop = EventLoop(SimClock())
+        loop.add_source(iter([(1.0, "x"), (5.0, "y")]), lambda t, op: None)
+        assert loop.run(until=3.0) == 1
+        assert loop.clock.now == 3.0 and len(loop) == 1
+        assert loop.run(until=4.0) == 0
+        assert loop.clock.now == 4.0
+        assert loop.run() == 1 and loop.clock.now == 6.0  # no until: no parking
+
+    def test_probe_sees_every_event_before_its_handler(self):
+        order = []
+        loop = EventLoop(SimClock())
+        loop.probe = lambda t, op: order.append(("probe", op))
+        loop.add_source(iter([(0.1, "a"), (0.1, "b")]), lambda t, op: order.append(("run", op)))
+        loop.run()
+        assert order == [("probe", "a"), ("run", "a"), ("probe", "b"), ("run", "b")]
