@@ -19,6 +19,57 @@ from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
+#: ``submit_one`` has the bag reduce its request log at this many rows.
+REQUEST_CHUNK = 1024
+
+
+def _count_rows(metrics: Metrics, rows) -> None:
+    """Book serviced requests, one ``(nblocks, is_write, positioning,
+    transfer)`` row each: what per-request updates in row order produce —
+    histogram samples and the two float accumulators are taken strictly in
+    that order, the counters are order-free.  A plain loop rather than
+    numpy columns: the logs this sees hold a few to a few dozen rows,
+    where a handful of array calls costs several times the loop."""
+    n = len(rows)
+    if n == 0:
+        return
+    latency = metrics.histogram_ref("disk.request_latency_s").observe
+    size = metrics.histogram_ref("disk.request_blocks").observe
+    blocks = positionings = writes = write_blocks = 0
+    for nblocks, is_write, positioning, transfer in rows:
+        latency(positioning + transfer)
+        size(nblocks)
+        blocks += nblocks
+        if positioning > 0.0:
+            positionings += 1
+        if is_write:
+            writes += 1
+            write_blocks += nblocks
+    _, _, positioning_s, transfer_s = zip(*rows)
+    metrics.add_each("disk.positioning_s", positioning_s)
+    metrics.add_each("disk.transfer_s", transfer_s)
+    metrics.incr("disk.requests", n)
+    metrics.incr("disk.blocks", blocks)
+    if positionings:
+        metrics.incr("disk.positionings", positionings)
+    if writes:
+        metrics.incr("disk.write_requests", writes)
+        metrics.incr("disk.write_blocks", write_blocks)
+    if writes < n:
+        metrics.incr("disk.read_requests", n - writes)
+        metrics.incr("disk.read_blocks", blocks - write_blocks)
+
+
+def reduce_request_rows(metrics: Metrics, rows: list) -> None:
+    """Reducer of the request log ``SimulatedDisk.submit_one`` appends to.
+
+    ``rows`` are in submission order, from every disk sharing the bag, and
+    each stands for one scheduler batch of one request in and out."""
+    n = len(rows)
+    for name in ("scheduler.batches", "scheduler.requests_in", "scheduler.requests_out"):
+        metrics.incr(name, n)
+    _count_rows(metrics, rows)
+
 
 class SimulatedDisk:
     """One disk: head position, busy-time accounting, attached scheduler."""
@@ -50,13 +101,10 @@ class SimulatedDisk:
         self._head = 0
         self._busy_s = 0.0
         self._partial_s = 0.0
-        # Hoisted metric handles for submit_one (one journal commit write
-        # per metadata op makes the per-call lookup cost visible).  The
-        # counter mapping survives Metrics.reset(); the histogram refs
-        # follow histogram_ref's contract (no mid-run resets).
         self._counters = self.metrics.raw_counters()
-        self._h_latency = self.metrics.histogram_ref("disk.request_latency_s")
-        self._h_blocks = self.metrics.histogram_ref("disk.request_blocks")
+        # The bag's request log, shared with every disk on the same bag:
+        # submit_one appends one row per request instead of doing statistics.
+        self._rows = self.metrics.deferred(reduce_request_rows)
         #: Optional fault injector (see :mod:`repro.fault`); None when the
         #: disk runs clean.
         self.injector = None
@@ -143,40 +191,34 @@ class SimulatedDisk:
             )
         tracer = self.tracer
         total = 0.0
-        for req in arranged:
-            if self.injector is not None:
-                req = self.injector.filter(req)
-            positioning = self.model.positioning_time(self._head, req.start)
-            transfer = self.model.transfer_time(req.nblocks)
-            if tracer.enabled:
-                tracer.emit(
-                    "disk",
-                    "write" if req.is_write else "read",
-                    t=self._busy_s + total,
-                    dur=positioning + transfer,
-                    disk=self.name,
-                    start=req.start,
-                    nblocks=req.nblocks,
-                    seek_s=positioning,
-                    transfer_s=transfer,
-                )
-            total += positioning + transfer
-            self._partial_s = total
-            self._head = req.end
-            self.metrics.observe("disk.request_latency_s", positioning + transfer)
-            self.metrics.observe("disk.request_blocks", req.nblocks)
-            self.metrics.incr("disk.requests")
-            self.metrics.incr("disk.blocks", req.nblocks)
-            if positioning > 0.0:
-                self.metrics.incr("disk.positionings")
-            self.metrics.add("disk.positioning_s", positioning)
-            self.metrics.add("disk.transfer_s", transfer)
-            if req.is_write:
-                self.metrics.incr("disk.write_requests")
-                self.metrics.incr("disk.write_blocks", req.nblocks)
-            else:
-                self.metrics.incr("disk.read_requests")
-                self.metrics.incr("disk.read_blocks", req.nblocks)
+        rows = []
+        try:
+            for req in arranged:
+                if self.injector is not None:
+                    req = self.injector.filter(req)
+                positioning = self.model.positioning_time(self._head, req.start)
+                transfer = self.model.transfer_time(req.nblocks)
+                if tracer.enabled:
+                    tracer.emit(
+                        "disk",
+                        "write" if req.is_write else "read",
+                        t=self._busy_s + total,
+                        dur=positioning + transfer,
+                        disk=self.name,
+                        start=req.start,
+                        nblocks=req.nblocks,
+                        seek_s=positioning,
+                        transfer_s=transfer,
+                    )
+                total += positioning + transfer
+                self._partial_s = total
+                self._head = req.end
+                rows.append((req.nblocks, req.is_write, positioning, transfer))
+        finally:
+            # A mid-batch fault still books the requests serviced before it
+            # fired — after the submit_one rows logged before this batch.
+            self.metrics.flush()
+            _count_rows(self.metrics, rows)
         return total
 
     def _service_arrays(
@@ -216,6 +258,7 @@ class SimulatedDisk:
         self._partial_s = total
         self._head = int(starts[-1] + nblocks[-1])
         metrics = self.metrics
+        metrics.flush()  # logged submit_one rows come first
         metrics.observe_array("disk.request_latency_s", dur)
         metrics.observe_array("disk.request_blocks", nblocks)
         metrics.add("disk.positioning_s", float(positioning.sum()))
@@ -274,10 +317,14 @@ class SimulatedDisk:
         metrics, head movement and busy-time accounting — without building
         a request object or arranging a one-element batch (a one-request
         batch is a fixed point of every scheduler: nothing to sort, nothing
-        to merge).  Caller contract: ``nblocks > 0`` and ``start >= 0``,
-        as :class:`BlockRequest` validation would enforce.  A fault
-        injector routes back through the object path, which applies fault
-        filters per request.
+        to merge).  Only the state the next request depends on (head, busy
+        time) and the trace events are produced here; the statistics are
+        one row in the bag's request log, reduced by
+        :func:`reduce_request_rows` before anything reads them.  Caller
+        contract: ``nblocks > 0`` and ``start >= 0``, as
+        :class:`BlockRequest` validation would enforce.  A fault injector
+        routes back through the object path, which applies fault filters
+        per request.
         """
         if self.injector is not None:
             return self.submit(BlockRequest(start, nblocks, is_write=is_write))
@@ -288,10 +335,6 @@ class SimulatedDisk:
                 f"{self.params.capacity_blocks}"
             )
         header = self._charge_header()
-        counters = self._counters
-        counters["scheduler.batches"] += 1
-        counters["scheduler.requests_in"] += 1
-        counters["scheduler.requests_out"] += 1
         positioning = self.model.positioning_time(self._head, start)
         transfer = self.model.transfer_time(nblocks)
         total = positioning + transfer
@@ -311,20 +354,10 @@ class SimulatedDisk:
             )
         self._head = end
         self._busy_s += total
-        self._h_latency.observe(total)
-        self._h_blocks.observe(nblocks)
-        counters["disk.requests"] += 1
-        counters["disk.blocks"] += nblocks
-        if positioning > 0.0:
-            counters["disk.positionings"] += 1
-        self.metrics.add("disk.positioning_s", positioning)
-        self.metrics.add("disk.transfer_s", transfer)
-        if is_write:
-            counters["disk.write_requests"] += 1
-            counters["disk.write_blocks"] += nblocks
-        else:
-            counters["disk.read_requests"] += 1
-            counters["disk.read_blocks"] += nblocks
+        rows = self._rows
+        rows.append((nblocks, is_write, positioning, transfer))
+        if len(rows) >= REQUEST_CHUNK:
+            self.metrics.flush()
         return total + header
 
     def reset_timeline(self) -> None:

@@ -10,13 +10,10 @@ blocks accumulate separately and are flushed by periodic checkpoints (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.disk.model import BlockRequest
 from repro.errors import MetadataError
 
 
-@dataclass
 class JournalRecord:
     """One write-ahead record: which home blocks an operation dirties.
 
@@ -24,12 +21,36 @@ class JournalRecord:
     record only becomes ``committed`` once its journal write reached the
     platter intact; torn or crashed commit writes leave it uncommitted and
     replay discards it (the operation never happened, durably).
+
+    A plain slots class rather than a dataclass, like
+    :class:`~repro.disk.model.BlockRequest` and for the same reason: every
+    mutating metadata operation builds one.  ``==`` and ``repr`` are the
+    dataclass's; like a mutable dataclass it is unhashable.
     """
 
-    seq: int
-    block: int
-    dirties: tuple[int, ...]
-    committed: bool = False
+    __slots__ = ("seq", "block", "dirties", "committed")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self, seq: int, block: int, dirties: tuple[int, ...], committed: bool = False
+    ) -> None:
+        self.seq = seq
+        self.block = block
+        self.dirties = dirties
+        self.committed = committed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not JournalRecord:
+            return NotImplemented
+        return (self.seq, self.block, self.dirties, self.committed) == (
+            other.seq, other.block, other.dirties, other.committed
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"JournalRecord(seq={self.seq!r}, block={self.block!r}, "
+            f"dirties={self.dirties!r}, committed={self.committed!r})"
+        )
 
 
 class Journal:
@@ -89,9 +110,7 @@ class Journal:
         requests; the caller submits the writes and, if they all reached
         the disk intact, acknowledges with :meth:`commit`.
         """
-        record = JournalRecord(
-            seq=self._seq, block=self.head_block, dirties=tuple(dirties)
-        )
+        record = JournalRecord(self._seq, self.head_block, tuple(dirties))
         self._seq += 1
         self._records.append(record)
         return (record, self.append(nblocks))
@@ -118,6 +137,18 @@ class Journal:
         """
         if len(entries) == 1:
             dirties, nblocks = entries[0]
+            head = self._head
+            if 0 < nblocks <= self.nblocks - head:
+                # One record that does not wrap — every synchronous commit
+                # but one per lap of the region: :meth:`log` and
+                # :meth:`append` in one straight line.
+                block = self.base_block + head
+                record = JournalRecord(self._seq, block, tuple(dirties))
+                self._seq += 1
+                self._records.append(record)
+                self._head = (head + nblocks) % self.nblocks
+                self.records_written += nblocks
+                return ([record], [BlockRequest(block, nblocks, True)], [(0, 1)])
             record, reqs = self.log(dirties, nblocks)
             return ([record], reqs, [(0, len(reqs))])
         records: list[JournalRecord] = []

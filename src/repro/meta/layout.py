@@ -66,8 +66,10 @@ class AccessPlan:
           dropped;
         - a span starting exactly where the preceding span ends extends it.
 
-        Reads are never reordered.  Returns ``self`` unchanged when the
-        plan has nothing to collapse.
+        Reads are never reordered.  The plan is rewritten **in place** and
+        returned: its one caller, ``MetadataServer._execute``, owns the
+        plan the layout just built for it, so no second plan is made per
+        operation.
         """
         reads = self.reads
         if len(reads) <= 1:
@@ -79,17 +81,10 @@ class AccessPlan:
             (s0, c0), (s1, c1) = reads
             e0 = s0 + c0
             if s0 <= s1 and s1 + c1 <= e0:
-                merged = [reads[0]]
+                self.reads = [reads[0]]
             elif s1 == e0 and c1 > 0:
-                merged = [(s0, c0 + c1)]
-            else:
-                return self
-            return AccessPlan(
-                reads=merged,
-                dirties=self.dirties,
-                cpu_s=self.cpu_s,
-                journal_records=self.journal_records,
-            )
+                self.reads = [(s0, c0 + c1)]
+            return self
         n = len(reads)
         if n >= 64:
             starts = np.fromiter((s for s, _ in reads), dtype=np.int64, count=n)
@@ -106,17 +101,12 @@ class AccessPlan:
                 brk = np.flatnonzero(np.diff(dedup) != 1)
                 run_lo = np.concatenate(([0], brk + 1))
                 run_hi = np.concatenate((brk + 1, [dedup.size]))
-                if run_lo.size == n:
-                    return self
-                return AccessPlan(
-                    reads=[
+                if run_lo.size != n:
+                    self.reads = [
                         (int(dedup[a]), int(b - a))
                         for a, b in zip(run_lo, run_hi)
-                    ],
-                    dirties=self.dirties,
-                    cpu_s=self.cpu_s,
-                    journal_records=self.journal_records,
-                )
+                    ]
+                return self
         out: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         prev_start = prev_end = -1
@@ -133,14 +123,8 @@ class AccessPlan:
                 continue
             out.append(span)
             prev_start, prev_end = start, start + count
-        if len(out) == len(reads):
-            return self
-        return AccessPlan(
-            reads=out,
-            dirties=self.dirties,
-            cpu_s=self.cpu_s,
-            journal_records=self.journal_records,
-        )
+        self.reads = out
+        return self
 
 
 class DirectoryLayout(abc.ABC):

@@ -55,10 +55,31 @@ def fold_left(start: float, values) -> float:
     return float(np.add.accumulate(acc)[-1])
 
 
-class Histogram:
-    """Mutable log2 histogram of non-negative samples."""
+#: A histogram reduces its sample log when it holds this many samples (and
+#: before every read).  A list costs 32 bytes per pending float sample, so
+#: this bounds the log at 32 KiB.
+LOG_CHUNK = 1024
+#: ``observe_array`` reduces an array of at least this many samples on the
+#: spot; a shorter one, where numpy's fixed cost per call is the larger
+#: part of reducing it, joins the sample log.
+DIRECT_FROM = 64
 
-    __slots__ = ("_buckets", "_zeros", "_count", "_sum", "_min", "_max")
+
+class Histogram:
+    """Mutable log2 histogram of non-negative samples.
+
+    Record, then reduce: recording appends to a sample log; the log is
+    folded into the bucket state ``LOG_CHUNK`` samples at a time and before
+    every read, through one exact bulk reduction (:meth:`_reduce`).  Bucket
+    counts, zeros and extrema are order-free and ``total`` is folded left
+    to right in sample order (:func:`fold_left`), so *when* the log is
+    reduced is unobservable: every read equals what a per-sample update
+    would have produced, bit for bit.  Only the *insertion order* of the
+    bucket dict is unspecified; nothing reads it — snapshots compare as
+    dicts and every renderer sorts.
+    """
+
+    __slots__ = ("_buckets", "_zeros", "_count", "_sum", "_min", "_max", "_log")
 
     def __init__(self) -> None:
         self._buckets: dict[int, int] = {}
@@ -67,33 +88,27 @@ class Histogram:
         self._sum = 0.0
         self._min: float | None = None
         self._max: float | None = None
+        # Validated samples not yet reduced, in arrival order.  A list, not
+        # an ``array('d')``: an all-int histogram reports int extrema.
+        self._log: list[float] = []
 
     # -- recording ---------------------------------------------------------
     def observe(self, value: float) -> None:
         """Record one sample (must be >= 0)."""
         if value < 0:
             raise ValueError(f"histogram values must be non-negative: {value}")
-        self._count += 1
-        self._sum += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-        if value == 0:
-            self._zeros += 1
-            return
-        e = math.frexp(value)[1]
-        self._buckets[e] = self._buckets.get(e, 0) + 1
+        log = self._log
+        log.append(value)
+        if len(log) >= LOG_CHUNK:
+            self._fold()
 
     def observe_array(self, values) -> None:
         """Record a whole numpy array of samples at once.
 
-        Equal to a loop of :meth:`observe` over ``values`` bit for bit:
-        bucket counts, zeros and extrema are order-free, and ``total`` is
-        folded left to right from the running sum (:func:`fold_left`).
-        Only the *insertion order* of the bucket dict can differ
-        (ascending exponent here, first-seen in the loop); nothing reads
-        it — snapshots compare as dicts and every renderer sorts.
+        Equal to a loop of :meth:`observe` over ``values`` by construction:
+        a short array joins the sample log, one of ``DIRECT_FROM`` samples
+        or more is reduced on the spot, after whatever the log already
+        holds.
         """
         n = int(values.shape[0])
         if n == 0:
@@ -101,7 +116,27 @@ class Histogram:
         mn = values.min().item()
         if mn < 0:
             raise ValueError(f"histogram values must be non-negative: {mn}")
-        mx = values.max().item()
+        if n < DIRECT_FROM:
+            log = self._log
+            log.extend(values.tolist())
+            if len(log) >= LOG_CHUNK:
+                self._fold()
+        else:
+            self._fold()
+            self._reduce(values, mn, values.max().item())
+
+    def _fold(self) -> None:
+        """Reduce the sample log into the bucket state and empty it."""
+        log = self._log
+        if log:
+            # ``min``/``max`` keep the first extremal sample, as a
+            # per-sample strict comparison would (its type included).
+            self._reduce(np.array(log), min(log), max(log))
+            del log[:]
+
+    def _reduce(self, values, mn, mx) -> None:
+        """Fold ``values`` (extrema ``mn``/``mx``) into the bucket state."""
+        n = int(values.shape[0])
         self._count += n
         self._sum = fold_left(self._sum, values)
         if self._min is None or mn < self._min:
@@ -129,6 +164,7 @@ class Histogram:
         """
         if snap.count == 0:
             return
+        self._fold()
         self._count += snap.count
         self._sum += snap.total
         self._zeros += snap.zeros
@@ -142,14 +178,17 @@ class Histogram:
     # -- queries -----------------------------------------------------------
     @property
     def count(self) -> int:
+        self._fold()
         return self._count
 
     @property
     def total(self) -> float:
+        self._fold()
         return self._sum
 
     def snapshot(self) -> "HistogramSnapshot":
         """Immutable copy for later diffing."""
+        self._fold()
         return HistogramSnapshot(
             count=self._count,
             total=self._sum,
@@ -160,6 +199,8 @@ class Histogram:
         )
 
     def reset(self) -> None:
+        """Forget every sample, logged or reduced; the object stays usable."""
+        del self._log[:]
         self._buckets.clear()
         self._zeros = 0
         self._count = 0
@@ -168,7 +209,7 @@ class Histogram:
         self._max = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram(count={self._count}, sum={self._sum:.6g})"
+        return f"Histogram(count={self.count}, sum={self.total:.6g})"
 
 
 @dataclass(frozen=True)

@@ -40,23 +40,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from array import array
 from collections import deque
 from collections.abc import Callable, Iterator
 from typing import Any
-
-import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.histogram import Histogram
 from repro.sim.clock import SimClock
 
 __all__ = ["EventLoop", "Station"]
-
-#: A station folds its logged queue-depth / sojourn samples into the two
-#: histograms every this many arrivals, which bounds the logs at 64 KiB.
-SAMPLE_CHUNK = 4096
-
 
 class EventLoop:
     """Merge lazy ``(arrival_dt, op)`` sources in simulated-time order.
@@ -191,8 +183,7 @@ class Station:
     """
 
     __slots__ = (
-        "name", "depth", "_execute", "_latency", "_queue_depth",
-        "_latency_log", "_queue_log",
+        "name", "depth", "_execute", "latency", "queue_depth",
         "offered", "started", "dropped", "completed", "busy_s", "free_at",
         "_inflight", "probe",
     )
@@ -203,12 +194,10 @@ class Station:
         self.name = name
         self.depth = depth
         self._execute = execute
-        self._latency = Histogram()
-        self._queue_depth = Histogram()
-        # An arrival only logs its two samples; the histograms are brought
-        # up to date a chunk at a time (and whenever someone reads them).
-        self._latency_log = array("d")
-        self._queue_log = array("d")
+        #: Sojourn time (queueing + service) of every started op.
+        self.latency = Histogram()
+        #: Queue length each arrival found ahead of it (drops included).
+        self.queue_depth = Histogram()
         self.offered = 0
         self.started = 0
         self.dropped = 0
@@ -233,10 +222,7 @@ class Station:
             self.completed += 1
         self.offered += 1
         q = len(inflight)
-        queue_log = self._queue_log
-        queue_log.append(q)
-        if len(queue_log) >= SAMPLE_CHUNK:
-            self._fold_logs()
+        self.queue_depth.observe(float(q))
         if q >= self.depth:
             self.dropped += 1
             if self.probe is not None:
@@ -250,37 +236,11 @@ class Station:
         self.free_at = done
         self.busy_s += service
         inflight.append(done)
-        self._latency_log.append(done - now)
+        self.latency.observe(done - now)
         self.started += 1
         if self.probe is not None:
             self.probe(now, op, q, done, service)
         return done
-
-    def _fold_logs(self) -> None:
-        """Bring both histograms up to date with the logged samples.
-
-        :meth:`~repro.obs.histogram.Histogram.observe_array` equals a loop
-        of ``observe`` bit for bit, so when this runs is unobservable.
-        """
-        for log, hist in (
-            (self._queue_log, self._queue_depth),
-            (self._latency_log, self._latency),
-        ):
-            if log:
-                hist.observe_array(np.array(log))
-                del log[:]
-
-    @property
-    def latency(self) -> Histogram:
-        """Sojourn time (queueing + service) of every started op."""
-        self._fold_logs()
-        return self._latency
-
-    @property
-    def queue_depth(self) -> Histogram:
-        """Queue length each arrival found ahead of it (drops included)."""
-        self._fold_logs()
-        return self._queue_depth
 
     def drain(self) -> float:
         """Retire everything still in flight; returns the last completion

@@ -13,6 +13,7 @@ stale distribution leaks across benchmark phases.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.obs.histogram import Histogram, HistogramSnapshot
@@ -21,12 +22,42 @@ _EMPTY_HISTOGRAM = HistogramSnapshot()
 
 
 class Metrics:
-    """Named counters (integers), accumulators (floats) and histograms."""
+    """Named counters (integers), accumulators (floats) and histograms.
+
+    A bag also owns *deferred row logs* (:meth:`deferred`): a hot path that
+    would otherwise bump a handful of counters per operation appends one
+    row instead, and the bag has the log's reducer turn the rows into
+    counter, accumulator and histogram updates before anything is read.
+    """
 
     def __init__(self) -> None:
         self._counters: Counter[str] = Counter()
         self._accumulators: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._deferred: dict[Callable[["Metrics", list], None], list] = {}
+
+    # -- deferred rows ------------------------------------------------------
+    def deferred(self, reducer: Callable[["Metrics", list], None]) -> list:
+        """The bag's row log for ``reducer`` (get-or-create).
+
+        One log per reducer *per bag*, shared by every component that
+        records through it, so rows reduce in the order they were appended
+        whichever component appended them — which is what keeps float
+        accumulators folding in program order.  Callers append rows and
+        call :meth:`flush` once the log holds a chunk; ``reducer(bag,
+        rows)`` must be a module-level function (bags are pickled).
+        """
+        return self._deferred.setdefault(reducer, [])
+
+    def flush(self) -> None:
+        """Reduce every deferred row log.  Every read below does this
+        first; a writer whose updates must land *after* the logged rows
+        (same accumulator, same histogram) calls it before its own."""
+        for reducer, rows in self._deferred.items():
+            if rows:
+                pending = rows[:]
+                del rows[:]
+                reducer(self, pending)
 
     # -- counters ---------------------------------------------------------
     def incr(self, name: str, amount: int = 1) -> None:
@@ -35,6 +66,7 @@ class Metrics:
 
     def count(self, name: str) -> int:
         """Current value of counter ``name`` (zero if never touched)."""
+        self.flush()
         return self._counters.get(name, 0)
 
     def raw_counters(self) -> Counter[str]:
@@ -42,7 +74,11 @@ class Metrics:
         per operation and cannot afford a method call each time.
 
         The returned object stays valid across :meth:`reset` (which clears
-        it in place); treat it as increment-only.
+        it in place); treat it as increment-only.  Counters committed by a
+        deferred reducer (``disk.*`` and ``scheduler.*``) lag the mapping
+        until the next :meth:`flush`, so *read* those through
+        :meth:`count` / :meth:`snapshot` only; counters bumped eagerly
+        (``cache.*``, ``mds.*``, ``fs.*``) may be read here.
         """
         return self._counters
 
@@ -51,8 +87,16 @@ class Metrics:
         """Add ``amount`` to float accumulator ``name``."""
         self._accumulators[name] = self._accumulators.get(name, 0.0) + amount
 
+    def add_each(self, name: str, amounts) -> None:
+        """:meth:`add` each of ``amounts`` in turn (one lookup, same sum)."""
+        total = self._accumulators.get(name, 0.0)
+        for amount in amounts:
+            total += amount
+        self._accumulators[name] = total
+
     def total(self, name: str) -> float:
         """Current value of accumulator ``name`` (zero if never touched)."""
+        self.flush()
         return self._accumulators.get(name, 0.0)
 
     # -- histograms -------------------------------------------------------
@@ -73,9 +117,8 @@ class Metrics:
     def histogram_ref(self, name: str) -> Histogram:
         """The live (get-or-create) histogram ``name``, for hot paths that
         record one sample per operation and cannot afford the per-call name
-        lookup.  Unlike :meth:`raw_counters`, the reference goes stale after
-        :meth:`reset` (which drops histogram objects); nothing in the
-        simulator resets metrics mid-run.
+        lookup.  Like :meth:`raw_counters`, the reference stays valid
+        across :meth:`reset` (which empties histograms in place).
         """
         h = self._histograms.get(name)
         if h is None:
@@ -84,23 +127,34 @@ class Metrics:
 
     def histogram(self, name: str) -> HistogramSnapshot:
         """Snapshot of histogram ``name`` (empty if never observed)."""
+        self.flush()
         h = self._histograms.get(name)
         return h.snapshot() if h is not None else _EMPTY_HISTOGRAM
 
     def histogram_names(self) -> list[str]:
-        return sorted(self._histograms)
+        """Sorted names of the histograms that hold samples."""
+        self.flush()
+        return sorted(self._sampled())
+
+    def _sampled(self) -> dict[str, HistogramSnapshot]:
+        """Snapshots of the histograms that hold samples.  One that holds
+        none — created by a handle but never observed, or emptied by
+        :meth:`reset` — reads exactly like one that does not exist."""
+        return {
+            k: s for k, h in self._histograms.items() if (s := h.snapshot()).count
+        }
 
     # -- snapshots --------------------------------------------------------
     def snapshot(self) -> "MetricsSnapshot":
         """Capture current values for later diffing."""
+        self.flush()
         return MetricsSnapshot(
-            dict(self._counters),
-            dict(self._accumulators),
-            {k: h.snapshot() for k, h in self._histograms.items()},
+            dict(self._counters), dict(self._accumulators), self._sampled()
         )
 
     def since(self, snap: "MetricsSnapshot") -> "MetricsSnapshot":
         """Delta of all counters/accumulators/histograms since ``snap``."""
+        self.flush()
         counters = {
             k: v - snap.counters.get(k, 0)
             for k, v in self._counters.items()
@@ -112,8 +166,8 @@ class Metrics:
             if v - snap.accumulators.get(k, 0.0) != 0.0
         }
         hists: dict[str, HistogramSnapshot] = {}
-        for k, h in self._histograms.items():
-            delta = h.snapshot().since(snap.histograms.get(k))
+        for k, h in self._sampled().items():
+            delta = h.since(snap.histograms.get(k))
             if delta.count != 0:
                 hists[k] = delta
         return MetricsSnapshot(counters, accs, hists)
@@ -126,6 +180,7 @@ class Metrics:
         reproduces the books of a single shared bag; float accumulators add
         per-cell subtotals (equal to the shared-bag fold up to the last ulp).
         """
+        self.flush()
         for k, v in snap.counters.items():
             self._counters[k] += v
         for k, v in snap.accumulators.items():
@@ -137,13 +192,20 @@ class Metrics:
             h.absorb(hs)
 
     def reset(self) -> None:
-        """Zero every counter, accumulator and histogram."""
+        """Zero every counter, accumulator and histogram, in place: rows
+        and samples still waiting to be reduced are discarded with them,
+        and every handle (:meth:`raw_counters`, :meth:`histogram_ref`,
+        :meth:`deferred`) stays live."""
+        for rows in self._deferred.values():
+            del rows[:]
         self._counters.clear()
         self._accumulators.clear()
-        self._histograms.clear()
+        for h in self._histograms.values():
+            h.reset()
 
     def as_dict(self) -> dict[str, float]:
         """Flatten to a plain dict (counters first, accumulators second)."""
+        self.flush()
         out: dict[str, float] = dict(self._counters)
         out.update(self._accumulators)
         return out

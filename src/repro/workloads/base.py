@@ -143,11 +143,12 @@ def drive(
     call order of the hand-rolled loops this protocol replaced.  The
     generator's ``return`` value (op count, handles, ...) is returned.
     """
+    send = gen.send
     try:
         item = next(gen)
         while True:
-            _, op = as_event(item)
-            item = gen.send(execute(op))
+            # as_event inlined: this loop turns once per metadata op.
+            item = send(execute(item[1] if type(item) is tuple else item))
     except StopIteration as stop:
         return stop.value
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.events as events_mod
+import repro.obs.histogram as histogram_mod
 import repro.workloads.service as service_mod
 from repro.core.run import run
 from repro.errors import ConfigError
@@ -123,13 +123,13 @@ def _drive(telemetry, station_cls, script, depth):
     chunk=st.sampled_from([1, 7, 10_000]),
 )
 def test_reduced_frames_equal_per_arrival_frames(script, depth, window_s, chunk):
-    old = (service_mod.TELEMETRY_CHUNK, events_mod.SAMPLE_CHUNK)
-    service_mod.TELEMETRY_CHUNK = events_mod.SAMPLE_CHUNK = chunk
+    old = (service_mod.TELEMETRY_CHUNK, histogram_mod.LOG_CHUNK)
+    service_mod.TELEMETRY_CHUNK = histogram_mod.LOG_CHUNK = chunk
     try:
         telemetry = ServiceTelemetry(window_s)
         stations = _drive(telemetry, Station, script, depth)
     finally:
-        service_mod.TELEMETRY_CHUNK, events_mod.SAMPLE_CHUNK = old
+        service_mod.TELEMETRY_CHUNK, histogram_mod.LOG_CHUNK = old
     reference = ReferenceTelemetry(window_s)
     ref_stations = _drive(reference, ReferenceStation, script, depth)
 
@@ -174,7 +174,7 @@ def test_snapshot_mid_run_does_not_disturb_what_follows():
 
 def test_telemetry_memory_is_bounded_by_the_chunk(monkeypatch):
     monkeypatch.setattr(service_mod, "TELEMETRY_CHUNK", 8)
-    monkeypatch.setattr(events_mod, "SAMPLE_CHUNK", 8)
+    monkeypatch.setattr(histogram_mod, "LOG_CHUNK", 8)
     telemetry = ServiceTelemetry(0.1)
     station = Station("data", lambda op: 0.001, depth=4)
     station.probe = telemetry.station_probe("data")
@@ -188,7 +188,7 @@ def test_telemetry_memory_is_bounded_by_the_chunk(monkeypatch):
             for f in telemetry.series._frames.values()
         )
         assert i + 1 - reduced < 8
-        assert len(station._queue_log) < 8 and len(station._latency_log) <= 8
+        assert len(station.queue_depth._log) < 8 and len(station.latency._log) < 8
     assert sum(telemetry.snapshot().counter_values("data.arrivals")) == 100
 
 
