@@ -11,8 +11,16 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
+from operator import attrgetter
+
+import numpy as np
 
 from repro.errors import ExtentError
+
+
+_LENGTH = attrgetter("length")
+_PHYSICAL = attrgetter("physical")
+_FLAGS = attrgetter("flags")
 
 
 class ExtentFlags(enum.IntFlag):
@@ -230,6 +238,42 @@ class ExtentMap:
             if lo < hi:
                 out.append((ext.physical + (lo - el), hi - lo))
         return out
+
+    def physical_runs_many(
+        self, los: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`physical_runs` of many ranges ``[los[i], los[i]+counts[i])``
+        against this one map: ``(bounds, physical, length)`` int64 columns,
+        range ``i`` owning rows ``bounds[i]:bounds[i+1]`` in logical order.
+
+        The extents are gathered into columns once per call (O(extents)),
+        so this pays only for many ranges at a time; callers with a few
+        loop the scalar form.
+        """
+        if (counts <= 0).any():
+            raise ExtentError(f"range count must be positive: {int(counts.min())}")
+        n = los.shape[0]
+        extents = self._extents
+        m = len(extents)
+        starts = np.array(self._starts, dtype=np.int64)
+        ends = starts + np.fromiter(map(_LENGTH, extents), np.int64, m)
+        his = los + counts
+        # Extents overlapping range i: from the first one ending past lo
+        # up to the first one starting at or past hi.
+        first = np.searchsorted(ends, los, side="right")
+        hits = np.maximum(np.searchsorted(starts, his, side="left") - first, 0)
+        rows = np.repeat(np.arange(n), hits)
+        total = rows.shape[0]
+        ext = np.arange(total) + np.repeat(first - (np.cumsum(hits) - hits), hits)
+        written = np.fromiter(map(_FLAGS, extents), np.int64, m)[ext] & 1 == 0
+        rows = rows[written]
+        ext = ext[written]
+        el = starts[ext]
+        lo = np.maximum(el, los[rows])
+        physical = np.fromiter(map(_PHYSICAL, extents), np.int64, m)[ext] + (lo - el)
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=bounds[1:])
+        return bounds, physical, np.minimum(ends[ext], his[rows]) - lo
 
     def scan_write_range(
         self, logical: int, count: int

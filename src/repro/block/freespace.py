@@ -61,6 +61,10 @@ class FreeSpaceManager:
         # Incremental free total, delta-updated on every allocate/free so the
         # hot utilization checks never walk all groups.
         self._free_total = ndisks * blocks_per_disk
+        # Per-allocation bumps go inline on the live counter mapping and a
+        # lazily bound histogram (an idle manager leaves none behind).
+        self._counters = self.metrics.raw_counters()
+        self._run_hist = None
 
     # -- queries ------------------------------------------------------------
     @property
@@ -106,31 +110,57 @@ class FreeSpaceManager:
         Falls back to sibling groups (same disk first, then others) when the
         preferred group cannot satisfy even ``minimum`` blocks.
         """
-        order = self._fallback_order(group_index)
-        last_error: NoSpaceError | None = None
-        for gi in order:
-            group = self.groups[gi]
-            use_hint = hint if gi == group_index else None
+        if not (0 <= group_index < len(self.groups)):
+            raise AllocationError(f"group index out of range: {group_index}")
+        try:
+            start, got = self.groups[group_index].allocate(
+                count, hint=hint, minimum=minimum
+            )
+        except NoSpaceError as exc:
+            start, got = self._allocate_fallback(group_index, count, minimum, exc)
+        self._free_total -= got
+        counters = self._counters
+        counters["fsm.allocations"] += 1
+        counters["fsm.blocks_allocated"] += got
+        hist = self._run_hist
+        if hist is None:
+            hist = self._run_hist = self.metrics.histogram_ref("fsm.alloc_run_blocks")
+        hist.observe(got)
+        return (start, got)
+
+    def _allocate_fallback(
+        self,
+        group_index: int,
+        count: int,
+        minimum: int | None,
+        last_error: NoSpaceError,
+    ) -> tuple[int, int]:
+        """The preferred group is full: try its siblings, unhinted, same
+        disk first, then the other disks."""
+        preferred = self.groups[group_index]
+        same_disk = [
+            g
+            for g in self.groups
+            if g.disk_index == preferred.disk_index and g.index != group_index
+        ]
+        others = [g for g in self.groups if g.disk_index != preferred.disk_index]
+        for group in (*same_disk, *others):
             try:
-                start, got = group.allocate(count, hint=use_hint, minimum=minimum)
-                self._free_total -= got
-                self.metrics.incr("fsm.allocations")
-                self.metrics.incr("fsm.blocks_allocated", got)
-                self.metrics.observe("fsm.alloc_run_blocks", got)
-                if gi != group_index:
-                    self.metrics.incr("fsm.group_fallbacks")
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            "fsm",
-                            "group_fallback",
-                            wanted_group=group_index,
-                            used_group=gi,
-                            count=count,
-                            got=got,
-                        )
-                return (start, got)
+                start, got = group.allocate(count, hint=None, minimum=minimum)
             except NoSpaceError as exc:
                 last_error = exc
+                continue
+            self._counters["fsm.group_fallbacks"] += 1
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    "fsm",
+                    "group_fallback",
+                    wanted_group=group_index,
+                    used_group=group.index,
+                    count=count,
+                    got=got,
+                )
+            return (start, got)
         raise NoSpaceError(f"array full: {last_error}")
 
     def allocate_near(
@@ -182,15 +212,3 @@ class FreeSpaceManager:
                 count=count,
                 groups=last - first + 1,
             )
-
-    def _fallback_order(self, group_index: int) -> list[int]:
-        if not (0 <= group_index < len(self.groups)):
-            raise AllocationError(f"group index out of range: {group_index}")
-        preferred = self.groups[group_index]
-        same_disk = [
-            g.index
-            for g in self.groups
-            if g.disk_index == preferred.disk_index and g.index != group_index
-        ]
-        others = [g.index for g in self.groups if g.disk_index != preferred.disk_index]
-        return [group_index, *same_disk, *others]

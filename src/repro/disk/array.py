@@ -88,17 +88,32 @@ class DiskArray:
 
         Requests are split per disk and each disk services its share on its
         own timeline.  Returns the batch's wall time: the maximum per-disk
-        batch time (disks run in parallel).
+        batch time (disks run in parallel).  A batch for the array path is
+        converted to columns once and handed to :meth:`submit_columns`.
         """
-        if not requests:
-            return 0.0
-        if (
-            len(requests) > 1
+        if not self._takes_arrays(len(requests)):
+            return self._submit_objects(requests)
+        n = len(requests)
+        return self.submit_columns(
+            np.fromiter((r.start for r in requests), dtype=np.int64, count=n),
+            np.fromiter((r.nblocks for r in requests), dtype=np.int64, count=n),
+            np.fromiter((r.is_write for r in requests), dtype=bool, count=n),
+        )
+
+    def _takes_arrays(self, n: int) -> bool:
+        """Whether a batch of ``n`` requests is serviced by the array core:
+        one-request batches, scalar disks and armed fault injectors keep
+        the per-request object path."""
+        return (
+            n > 1
             and self._arrays_capable
             and all(d.injector is None for d in self.disks)
-        ):
-            self.io_profile["batches_vectorized"] += 1
-            return self._submit_arrays(requests)
+        )
+
+    def _submit_objects(self, requests: Sequence[BlockRequest]) -> float:
+        """Object path of a submit: one local request object per request."""
+        if not requests:
+            return 0.0
         self.io_profile["batches_scalar"] += 1
         per_disk: dict[int, list[BlockRequest]] = {}
         for req in requests:
@@ -114,30 +129,44 @@ class DiskArray:
             self.disks[idx].submit_batch(batch) for idx, batch in per_disk.items()
         )
 
-    def _submit_arrays(self, requests: Sequence[BlockRequest]) -> float:
-        """Array path of :meth:`submit_batch` for the batched I/O pipeline.
+    def submit_columns(
+        self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray | bool
+    ) -> float:
+        """:meth:`submit_batch` for a batch held as columns: int64 global
+        ``starts`` and ``nblocks`` in arrival order, ``is_write`` a bool
+        column or one bool for the whole batch.
 
-        The batch is converted once into parallel numpy arrays, split per
-        disk with integer arithmetic, and handed to each disk's
+        The one submit core.  The batch is split per disk with integer
+        arithmetic and handed to each disk's
         :meth:`~repro.disk.disk.SimulatedDisk.submit_arrays` — no per-request
-        ``locate`` calls and no local :class:`BlockRequest` copies.  Bounds
-        and span checks match the object path and fire before any disk
+        ``locate`` calls and no :class:`BlockRequest` objects.  Bounds, span
+        and length checks match the object path and fire before any disk
         services work, and disks are visited in the order the batch first
         touches them, as the object path's per-disk split does, so both
-        paths emit trace events in the same order.
+        paths emit trace events in the same order.  Batches the array core
+        does not take (see :meth:`submit_batch`) become request objects.
         """
-        n = len(requests)
-        starts = np.fromiter((r.start for r in requests), dtype=np.int64, count=n)
-        nblocks = np.fromiter((r.nblocks for r in requests), dtype=np.int64, count=n)
-        writes = np.fromiter((r.is_write for r in requests), dtype=bool, count=n)
+        n = starts.shape[0]
+        if isinstance(is_write, bool):
+            is_write = np.full(n, is_write)
+        if not self._takes_arrays(n):
+            return self._submit_objects(
+                [
+                    BlockRequest(*row)
+                    for row in zip(starts.tolist(), nblocks.tolist(), is_write.tolist())
+                ]
+            )
+        self.io_profile["batches_vectorized"] += 1
         bpd = self.blocks_per_disk
         disk_idx = starts // bpd
         local = starts - disk_idx * bpd
         out_of_range = (starts < 0) | (disk_idx >= len(self.disks))
         spans = local + nblocks > bpd
-        bad = out_of_range | spans
+        bad = out_of_range | spans | (nblocks <= 0)
         if bad.any():
             i = int(np.argmax(bad))
+            # BlockRequest's own construction checks, then the array's.
+            BlockRequest(int(starts[i]), int(nblocks[i]))
             if out_of_range[i]:
                 raise SimulationError(f"global block out of range: {int(starts[i])}")
             raise SimulationError(
@@ -147,7 +176,7 @@ class DiskArray:
         disks = self.disks
         for d in dict.fromkeys(disk_idx.tolist()):
             mask = disk_idx == d
-            t = disks[d].submit_arrays(local[mask], nblocks[mask], writes[mask])
+            t = disks[d].submit_arrays(local[mask], nblocks[mask], is_write[mask])
             if t > total:
                 total = t
         return total

@@ -10,6 +10,11 @@ requests the way an I/O scheduler would see them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+from itertools import repeat
+
+import numpy as np
+
 from repro.alloc.base import AllocTarget, PhysicalRun
 from repro.alloc.registry import make_policy
 from repro.block.extent import Extent, ExtentFlags
@@ -22,7 +27,12 @@ from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
-from repro.units import bytes_to_blocks
+from repro.units import block_span, bytes_to_blocks
+
+#: :meth:`DataPlane.read_many` maps a run of at least this many reads by
+#: column; a shorter run loops the scalar mapping (gathering an extent
+#: map's columns costs O(extents) per run, whatever the run's length).
+READ_MANY_FROM = 32
 
 
 class DataPlane:
@@ -56,6 +66,9 @@ class DataPlane:
         )
         self.policy = make_policy(config.alloc, self.fsm, self.metrics, self.tracer)
         self._files: dict[int, RedbudFile] = {}
+        # AllocTargets by (stripe_blocks, *layout): files share a handful
+        # of rotations, so they share their per-slot targets.
+        self._targets: dict[tuple[int, ...], list[AllocTarget]] = {}
         self._next_file_id = 1
         # Per-op counter bumps inline on this mapping (see
         # Metrics.raw_counters); it survives Metrics.reset().
@@ -116,7 +129,7 @@ class DataPlane:
             dlocal_blocks = self._slot_share(f, total_blocks, slot)
             if dlocal_blocks == 0:
                 continue
-            runs = self.policy.prepare(f.file_id, self._target(f, slot), dlocal_blocks)
+            runs = self.policy.prepare(f.file_id, self._targets_of(f)[slot], dlocal_blocks)
             for run in runs:
                 f.maps[slot].insert(
                     Extent(run.dlocal, run.physical, run.length, ExtentFlags.UNWRITTEN)
@@ -154,12 +167,6 @@ class DataPlane:
         if offset < 0:
             raise ReproError(f"negative {op} range: offset={offset} length={nbytes}")
 
-    def _span(self, offset: int, nbytes: int) -> tuple[int, int]:
-        """``(first logical block, block count)`` of a validated range."""
-        bs = self.block_size
-        lb = offset // bs
-        return lb, (offset + nbytes - 1) // bs - lb + 1
-
     def write(
         self, f: RedbudFile, stream: StreamId, offset: int, nbytes: int
     ) -> list[BlockRequest]:
@@ -168,23 +175,34 @@ class DataPlane:
         Under delayed allocation an extending write may return no requests
         (data buffered); :meth:`fsync` materializes it.
         """
-        self._check_live(f)
-        self._check_range(offset, nbytes, "write")
-        lb, nb = self._span(offset, nbytes)
-        if self._batched:
-            runs_out: list[tuple[int, int]] = []
-            self._map_write(f, stream, lb, nb, runs_out)
-            requests = self._emit(runs_out, True)
-        else:
-            requests = []
-            self._map_write_legacy(f, stream, lb, nb, requests)
-        end = offset + nbytes
-        if end > f.size_bytes:
-            f.size_bytes = end
-        counters = self._counters
-        counters["fs.writes"] += 1
-        counters["fs.bytes_written"] += nbytes
-        return requests
+        starts: list[int] = []
+        nblocks: list[int] = []
+        self._write_ops((f,), (stream,), (offset,), (nbytes,), starts, nblocks, "write")
+        return [BlockRequest(s, n, True) for s, n in zip(starts, nblocks)]
+
+    def write_many(
+        self,
+        files: Sequence[RedbudFile],
+        streams: Sequence[StreamId],
+        offsets: np.ndarray,
+        nbytes: np.ndarray,
+        out_starts: list[int],
+        out_nblocks: list[int],
+    ) -> None:
+        """The in-order loop of :meth:`write` over a run of operations held
+        as columns (one file, stream, offset and byte count per op).
+
+        Same extents, allocation decisions and metrics as that loop; each
+        op's coalesced physical requests append onto ``out_starts`` /
+        ``out_nblocks`` as plain ints (no :class:`BlockRequest` exists),
+        and the per-op counters and file sizes are booked once per run.  A
+        bad range or :class:`~repro.errors.NoSpaceError` at op ``k``
+        surfaces after the ops before it took effect and were booked.
+        """
+        self._write_ops(
+            files, streams, offsets.tolist(), nbytes.tolist(),
+            out_starts, out_nblocks, "write",
+        )
 
     def writev(
         self,
@@ -196,40 +214,25 @@ class DataPlane:
 
         Equivalent to the in-order loop of scalar :meth:`write` calls —
         same extents, same allocation decisions, same per-byte metrics —
-        but the whole region list feeds one :meth:`_emit` pass, so
-        physically adjacent runs coalesce *across* non-adjacent logical
-        regions and the caller submits a single batch.
+        but the whole region list feeds one coalescing pass, so physically
+        adjacent runs coalesce *across* non-adjacent logical regions and
+        the caller submits a single batch.
         """
         self._check_live(f)
         if not regions:
             raise ReproError("writev of an empty region list")
         for offset, nbytes in regions:
             self._check_range(offset, nbytes, "writev")
-        if self._batched:
-            runs_out: list[tuple[int, int]] = []
-            for offset, nbytes in regions:
-                lb, nb = self._span(offset, nbytes)
-                self._map_write(f, stream, lb, nb, runs_out)
-            requests = self._emit(runs_out, True)
-        else:
-            requests = []
-            for offset, nbytes in regions:
-                lb, nb = self._span(offset, nbytes)
-                self._map_write_legacy(f, stream, lb, nb, requests)
-        total = 0
-        end_max = f.size_bytes
-        for offset, nbytes in regions:
-            total += nbytes
-            end = offset + nbytes
-            if end > end_max:
-                end_max = end
-        f.size_bytes = end_max
+        starts: list[int] = []
+        nblocks: list[int] = []
+        n = len(regions)
+        self._write_ops(
+            repeat(f, n), repeat(stream, n), *zip(*regions), starts, nblocks, "writev"
+        )
         counters = self._counters
-        counters["fs.writes"] += len(regions)
-        counters["fs.bytes_written"] += total
         counters["fs.listio_writes"] += 1
-        counters["fs.listio_regions"] += len(regions)
-        return requests
+        counters["fs.listio_regions"] += n
+        return [BlockRequest(s, n, True) for s, n in zip(starts, nblocks)]
 
     def _map_write_legacy(
         self,
@@ -253,7 +256,7 @@ class DataPlane:
             buffered = False
             for h_start, h_count in holes:
                 runs = self.policy.allocate(
-                    f.file_id, stream, self._target(f, slot), h_start, h_count
+                    f.file_id, stream, self._targets_of(f)[slot], h_start, h_count
                 )
                 if not runs:
                     buffered = True  # delayed allocation
@@ -265,84 +268,280 @@ class DataPlane:
             if buffered:
                 self.metrics.incr("fs.buffered_writes")
 
-    def _map_write(
+    def _write_ops(
         self,
-        f: RedbudFile,
-        stream: StreamId,
-        lb: int,
-        nb: int,
-        runs_out: list[tuple[int, int]],
+        files: Iterable[RedbudFile],
+        streams: Iterable[StreamId],
+        offsets: Iterable[int],
+        nbytes: Iterable[int],
+        out_starts: list[int],
+        out_nblocks: list[int],
+        op: str,
     ) -> None:
-        """Batched-pipeline write mapping: same extents, metrics and
-        coalesced requests as the legacy per-segment path, with the common
-        case short-circuited.
+        """The write mapping core behind :meth:`write`, :meth:`write_many`
+        and :meth:`writev`: maps the ops in order and appends their
+        coalesced ``(start, nblocks)`` requests as plain ints.
 
+        Batched pipeline: same extents, metrics and coalesced requests as
+        the legacy per-segment path, with the common cases short-circuited.
         A segment appended past its slot's EOF is one whole hole, so the
         hole scan, the unwritten conversion and the post-allocation range
-        lookup are all skipped — the policy's runs *are* the written blocks.
-        ``(physical, length)`` runs append onto ``runs_out`` for the caller
-        to coalesce in one :meth:`_emit` pass (:meth:`writev` passes the
-        accumulated runs of a whole region list).
+        lookup are all skipped — the policy's written runs *are* the
+        written blocks; so they are when the scan finds one whole hole and
+        the policy backs it with one run.  ``op="writev"`` coalesces the
+        ops' runs in one pass (one list request), anything else per op.
+        Counters and file sizes are booked once, for the ops that took
+        effect, also when one of them raises.
         """
+        batched = self._batched
+        gather = op == "writev"
+        bs = self.block_size
         policy = self.policy
         cow = policy.cow
         allocate = policy.allocate
         insert_runs = self._insert_runs
-        target = self._target
-        maps = f.maps
-        file_id = f.file_id
-        nbuffered = 0
-        for slot, dstart, dcount in self._segments(f, lb, nb):
-            smap = maps[slot]
-            if not cow and dstart >= smap.size_blocks:
-                runs = allocate(file_id, stream, target(f, slot), dstart, dcount)
-                if not runs:
-                    nbuffered += 1  # delayed allocation
-                    continue
-                insert_runs(smap, runs)
-                for run in runs:
-                    runs_out.append((run.physical, run.length))
-                continue
-            if cow:
-                for ext in smap.remove_range(dstart, dcount):
-                    self.fsm.free(ext.physical, ext.length)
-                    self.metrics.incr("fs.cow_relocated_blocks", ext.length)
-            holes, has_unwritten, written = smap.scan_write_range(dstart, dcount)
-            if has_unwritten:
-                smap.mark_written(dstart, dcount)
-            buffered = False
-            for h_start, h_count in holes:
-                runs = allocate(file_id, stream, target(f, slot), h_start, h_count)
-                if not runs:
-                    buffered = True
-                    continue
-                insert_runs(smap, runs)
-            if written is None:
-                written = smap.physical_runs(dstart, dcount)
-            runs_out.extend(written)
-            if buffered:
-                nbuffered += 1
-        if nbuffered:
-            self.metrics.incr("fs.buffered_writes", nbuffered)
+        emit = self._emit_rows
+        f = None
+        runs: list[tuple[int, int]] = []
+        done = total = nbuffered = end_max = 0
+        try:
+            for g, stream, offset, n in zip(files, streams, offsets, nbytes):
+                if g is not f:
+                    self._check_live(g)
+                    if f is not None and end_max > f.size_bytes:
+                        f.size_bytes = end_max
+                    f = g
+                    end_max = 0
+                    maps = f.maps
+                    file_id = f.file_id
+                    sb = f.stripe_blocks
+                    width = f.width
+                    targets = self._targets_of(f)
+                if n <= 0 or offset < 0:
+                    self._check_range(offset, n, op)
+                lb = offset // bs
+                nb = (offset + n - 1) // bs - lb + 1
+                if not batched:
+                    requests: list[BlockRequest] = []
+                    self._map_write_legacy(f, stream, lb, nb, requests)
+                    out_starts.extend(r.start for r in requests)
+                    out_nblocks.extend(r.nblocks for r in requests)
+                else:
+                    stripe, off = divmod(lb, sb)
+                    if off + nb <= sb:  # inside one stripe unit, the common case
+                        segments = ((stripe % width, (stripe // width) * sb + off, nb),)
+                    else:
+                        segments = self._segments(f, lb, nb)
+                    buffered = 0
+                    for slot, dstart, dcount in segments:
+                        smap = maps[slot]
+                        if not cow and dstart >= smap.size_blocks:
+                            new = allocate(file_id, stream, targets[slot], dstart, dcount)
+                            if not new:
+                                buffered += 1  # delayed allocation
+                                continue
+                            insert_runs(smap, new)
+                            for run in new:
+                                if not run.unwritten:
+                                    runs.append((run.physical, run.length))
+                            continue
+                        if cow:
+                            for ext in smap.remove_range(dstart, dcount):
+                                self.fsm.free(ext.physical, ext.length)
+                                self.metrics.incr("fs.cow_relocated_blocks", ext.length)
+                        holes, has_unwritten, written = smap.scan_write_range(dstart, dcount)
+                        if has_unwritten:
+                            smap.mark_written(dstart, dcount)
+                        missed = False
+                        for h_start, h_count in holes:
+                            new = allocate(file_id, stream, targets[slot], h_start, h_count)
+                            if not new:
+                                missed = True
+                                continue
+                            insert_runs(smap, new)
+                        if written is None:
+                            if (
+                                holes
+                                and holes[0][1] == dcount
+                                and len(new) == 1
+                                and new[0].length == dcount
+                                and not new[0].unwritten
+                            ):
+                                # One whole hole backed by one run.
+                                written = ((new[0].physical, dcount),)
+                            else:
+                                written = smap.physical_runs(dstart, dcount)
+                        runs.extend(written)
+                        if missed:
+                            buffered += 1
+                    nbuffered += buffered
+                    if not gather:
+                        emit(runs, out_starts, out_nblocks)
+                        runs = []
+                done += 1
+                total += n
+                if offset + n > end_max:
+                    end_max = offset + n
+            if gather:
+                emit(runs, out_starts, out_nblocks)
+        finally:
+            if f is not None and end_max > f.size_bytes:
+                f.size_bytes = end_max
+            counters = self._counters
+            if nbuffered:
+                counters["fs.buffered_writes"] += nbuffered
+            if done:
+                counters["fs.writes"] += done
+                counters["fs.bytes_written"] += total
 
     def read(self, f: RedbudFile, offset: int, nbytes: int) -> list[BlockRequest]:
         """Map a read and return its physical requests (holes read as zeros
         and cost nothing)."""
+        starts: list[int] = []
+        nblocks: list[int] = []
+        self._read_ops(f, (offset,), (nbytes,), starts, nblocks, "read")
+        return [BlockRequest(s, n, False) for s, n in zip(starts, nblocks)]
+
+    def _read_ops(
+        self,
+        f: RedbudFile,
+        offsets: Sequence[int],
+        nbytes: Sequence[int],
+        out_starts: list[int],
+        out_nblocks: list[int],
+        op: str,
+        bounds: list[int] | None = None,
+    ) -> None:
+        """The scalar read mapping core behind :meth:`read`, :meth:`readv`
+        and short :meth:`read_many` runs: validates every range, then maps
+        the reads of ``f`` in order, appending their coalesced ``(start,
+        nblocks)`` requests as plain ints (and, per read, the row count so
+        far onto ``bounds``).  ``op="readv"`` coalesces all the reads' runs
+        in one pass (one list request), anything else per read.
+        """
         self._check_live(f)
-        self._check_range(offset, nbytes, "read")
-        lb, nb = self._span(offset, nbytes)
-        if self._batched:
-            runs_out: list[tuple[int, int]] = []
-            for slot, dstart, dcount in self._segments(f, lb, nb):
-                runs_out.extend(f.maps[slot].physical_runs(dstart, dcount))
-            requests = self._emit(runs_out, False)
+        for offset, n in zip(offsets, nbytes):
+            self._check_range(offset, n, op)
+        runs: list[tuple[int, int]] = []
+        for offset, n in zip(offsets, nbytes):
+            lb, nb = block_span(offset, n, self.block_size)
+            if self._batched:
+                for slot, dstart, dcount in self._segments(f, lb, nb):
+                    runs.extend(f.maps[slot].physical_runs(dstart, dcount))
+                if op != "readv":
+                    self._emit_rows(runs, out_starts, out_nblocks)
+                    runs = []
+            else:
+                requests: list[BlockRequest] = []
+                self._map_read_legacy(f, lb, nb, requests)
+                out_starts.extend(r.start for r in requests)
+                out_nblocks.extend(r.nblocks for r in requests)
+            if bounds is not None:
+                bounds.append(len(out_starts))
+        self._emit_rows(runs, out_starts, out_nblocks)
+        if offsets:
+            counters = self._counters
+            counters["fs.reads"] += len(offsets)
+            counters["fs.bytes_read"] += sum(nbytes)
+
+    def read_many(
+        self, f: RedbudFile, offsets: np.ndarray, nbytes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The in-order loop of :meth:`read` over a run of reads of ``f``
+        held as int64 columns: ``(bounds, starts, nblocks)``, op ``i``
+        owning request rows ``bounds[i]:bounds[i+1]``.
+
+        Nothing mutates between the ops of a read run, so all of them map
+        against the same extent maps: stripe/slot/dlocal are array
+        arithmetic (one row per op and stripe unit), each slot's map is
+        consulted once (:meth:`ExtentMap.physical_runs_many`) and
+        :meth:`_emit`'s coalescing is a boundary mask.  Runs shorter than
+        :data:`READ_MANY_FROM`, and legacy planes, loop the scalar mapping.
+        A bad range at op ``k`` surfaces after the ops before it were booked.
+        """
+        bad = (nbytes <= 0) | (offsets < 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            self.read_many(f, offsets[:k], nbytes[:k])
+            self._check_range(int(offsets[k]), int(nbytes[k]), "read")
+        n = offsets.shape[0]
+        if n >= READ_MANY_FROM and self._batched:
+            self._check_live(f)
+            counters = self._counters
+            counters["fs.reads"] += n
+            counters["fs.bytes_read"] += int(nbytes.sum())
+            return self._map_read_columns(f, offsets, nbytes)
+        starts: list[int] = []
+        nblocks: list[int] = []
+        bounds = [0]
+        self._read_ops(f, offsets.tolist(), nbytes.tolist(), starts, nblocks, "read", bounds)
+        return (
+            np.array(bounds, dtype=np.int64),
+            np.array(starts, dtype=np.int64),
+            np.array(nblocks, dtype=np.int64),
+        )
+
+    def _map_read_columns(
+        self, f: RedbudFile, offsets: np.ndarray, nbytes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Column form of a loop of :meth:`_map_read` (batched planes)."""
+        n = offsets.shape[0]
+        bs = self.block_size
+        sb = f.stripe_blocks
+        width = f.width
+        lb = offsets // bs
+        end = (offsets + nbytes - 1) // bs + 1
+        if width == 1:
+            # _segments groups a width-1 file's stripe units: dlocal == logical.
+            op = np.arange(n)
+            slot = None
+            dstart, dcount = lb, end - lb
         else:
-            requests = []
-            self._map_read_legacy(f, lb, nb, requests)
-        counters = self._counters
-        counters["fs.reads"] += 1
-        counters["fs.bytes_read"] += nbytes
-        return requests
+            # One row per op and stripe unit it touches.
+            first = lb // sb
+            units = (end - 1) // sb - first + 1
+            op = np.repeat(np.arange(n), units)
+            stripe = np.arange(op.shape[0]) + np.repeat(
+                first - (np.cumsum(units) - units), units
+            )
+            lo = np.maximum(lb[op], stripe * sb)
+            dcount = np.minimum(end[op], (stripe + 1) * sb) - lo
+            slot = stripe % width
+            dstart = (stripe // width) * sb + (lo - stripe * sb)
+        # Each slot's map answers its rows at once; a stable sort by row
+        # puts the per-slot answers back in (op, stripe unit) order.
+        rows, phys, length = [], [], []
+        for s in range(width):
+            idx = np.arange(n) if slot is None else np.flatnonzero(slot == s)
+            if idx.shape[0] == 0:
+                continue
+            bounds, p, ln = f.maps[s].physical_runs_many(dstart[idx], dcount[idx])
+            rows.append(np.repeat(idx, np.diff(bounds)))
+            phys.append(p)
+            length.append(ln)
+        row = np.concatenate(rows)
+        order = np.argsort(row, kind="stable")
+        owner = op[row[order]]
+        phys = np.concatenate(phys)[order]
+        length = np.concatenate(length)[order]
+        total = phys.shape[0]
+        if total == 0:
+            return np.zeros(n + 1, dtype=np.int64), phys, length
+        # _emit as a mask: a run opens a request unless it continues the
+        # previous run of the same op on the same disk.
+        bpd = self.config.disk.capacity_blocks
+        opens = np.ones(total, dtype=bool)
+        opens[1:] = (
+            (owner[1:] != owner[:-1])
+            | (phys[1:] != phys[:-1] + length[:-1])
+            | ((phys[1:] + length[1:] - 1) // bpd != phys[:-1] // bpd)
+        )
+        heads = np.flatnonzero(opens)
+        if heads.shape[0] < total:
+            self._counters["fs.coalesced_requests"] += total - heads.shape[0]
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[heads], minlength=n), out=bounds[1:])
+        return bounds, phys[heads], np.add.reduceat(length, heads)
 
     def readv(
         self, f: RedbudFile, regions: list[tuple[int, int]]
@@ -358,29 +557,13 @@ class DataPlane:
         self._check_live(f)
         if not regions:
             raise ReproError("readv of an empty region list")
-        for offset, nbytes in regions:
-            self._check_range(offset, nbytes, "readv")
-        total = 0
-        if self._batched:
-            runs_out: list[tuple[int, int]] = []
-            for offset, nbytes in regions:
-                lb, nb = self._span(offset, nbytes)
-                for slot, dstart, dcount in self._segments(f, lb, nb):
-                    runs_out.extend(f.maps[slot].physical_runs(dstart, dcount))
-                total += nbytes
-            requests = self._emit(runs_out, False)
-        else:
-            requests = []
-            for offset, nbytes in regions:
-                lb, nb = self._span(offset, nbytes)
-                self._map_read_legacy(f, lb, nb, requests)
-                total += nbytes
+        starts: list[int] = []
+        nblocks: list[int] = []
+        self._read_ops(f, *zip(*regions), starts, nblocks, "readv")
         counters = self._counters
-        counters["fs.reads"] += len(regions)
-        counters["fs.bytes_read"] += total
         counters["fs.listio_reads"] += 1
         counters["fs.listio_regions"] += len(regions)
-        return requests
+        return [BlockRequest(s, n, False) for s, n in zip(starts, nblocks)]
 
     def _map_read_legacy(
         self, f: RedbudFile, lb: int, nb: int, requests: list[BlockRequest]
@@ -396,8 +579,7 @@ class DataPlane:
         self._check_live(f)
         requests: list[BlockRequest] = []
         for target, runs in self.policy.flush(f.file_id):
-            slot = self._slot_of_target(f, target)
-            self._insert_runs(f.maps[slot], runs)
+            self._insert_runs(f.maps[target.slot], runs)
             for run in runs:
                 requests.append(BlockRequest(run.physical, run.length, is_write=True))
         if requests:
@@ -453,16 +635,21 @@ class DataPlane:
         return self.fsm.utilization
 
     # -- internals ----------------------------------------------------------
-    def _target(self, f: RedbudFile, slot: int) -> AllocTarget:
-        return AllocTarget(
-            group_index=f.layout[slot],
-            slot=slot,
-            width=f.width,
-            stripe_blocks=f.stripe_blocks,
-        )
-
-    def _slot_of_target(self, f: RedbudFile, target: AllocTarget) -> int:
-        return target.slot
+    def _targets_of(self, f: RedbudFile) -> list[AllocTarget]:
+        """``f``'s allocation targets, one per slot, built once per layout."""
+        key = (f.stripe_blocks, *f.layout)
+        targets = self._targets.get(key)
+        if targets is None:
+            targets = self._targets[key] = [
+                AllocTarget(
+                    group_index=group,
+                    slot=slot,
+                    width=f.width,
+                    stripe_blocks=f.stripe_blocks,
+                )
+                for slot, group in enumerate(f.layout)
+            ]
+        return targets
 
     def _segments(
         self, f: RedbudFile, lb: int, nb: int
@@ -523,35 +710,48 @@ class DataPlane:
         return out
 
     def _emit(self, runs: list[tuple[int, int]], is_write: bool) -> list[BlockRequest]:
-        """Turn ``(physical, length)`` runs into coalesced requests.
+        """Turn ``(physical, length)`` runs into coalesced requests."""
+        starts: list[int] = []
+        nblocks: list[int] = []
+        self._emit_rows(runs, starts, nblocks)
+        return [BlockRequest(s, n, is_write) for s, n in zip(starts, nblocks)]
+
+    def _emit_rows(
+        self,
+        runs: Sequence[tuple[int, int]],
+        out_starts: list[int],
+        out_nblocks: list[int],
+    ) -> None:
+        """Append ``(physical, length)`` runs as coalesced ``(start,
+        nblocks)`` rows.
 
         The inline (single-direction) variant of :meth:`_coalesce`: adjacent
-        same-disk runs merge before any :class:`BlockRequest` exists, so the
-        batched paths construct exactly one object per final request.
+        same-disk runs merge before any request exists, so the batched
+        paths hold exactly one row per final request.
         """
         if not runs:
-            return []
+            return
         bpd = self.config.disk.capacity_blocks
-        out: list[BlockRequest] = []
-        append = out.append
         cur_start, length = runs[0]
         cur_end = cur_start + length
-        # First block beyond the current run's disk: one division per output
-        # request instead of two per candidate merge.
-        disk_end = (cur_start // bpd + 1) * bpd
-        merged = 0
-        for phys, length in runs[1:]:
-            if phys == cur_end and phys + length <= disk_end:
-                cur_end += length
-                merged += 1
-            else:
-                append(BlockRequest(cur_start, cur_end - cur_start, is_write))
-                cur_start, cur_end = phys, phys + length
-                disk_end = (cur_start // bpd + 1) * bpd
-        append(BlockRequest(cur_start, cur_end - cur_start, is_write))
-        if merged:
-            self._counters["fs.coalesced_requests"] += merged
-        return out
+        if len(runs) > 1:
+            # First block beyond the current run's disk: one division per
+            # output request instead of two per candidate merge.
+            disk_end = (cur_start // bpd + 1) * bpd
+            merged = 0
+            for phys, length in runs[1:]:
+                if phys == cur_end and phys + length <= disk_end:
+                    cur_end += length
+                    merged += 1
+                else:
+                    out_starts.append(cur_start)
+                    out_nblocks.append(cur_end - cur_start)
+                    cur_start, cur_end = phys, phys + length
+                    disk_end = (cur_start // bpd + 1) * bpd
+            if merged:
+                self._counters["fs.coalesced_requests"] += merged
+        out_starts.append(cur_start)
+        out_nblocks.append(cur_end - cur_start)
 
     def _insert_runs(self, smap, runs: list[PhysicalRun]) -> None:
         hist = self._extent_hist

@@ -5,20 +5,23 @@ yielding ``(arrival_dt, op)`` events, where ``arrival_dt`` is the think
 time since the stream's previous operation (0.0 for the closed-loop
 benchmarks, which issue back-to-back) and ``op`` is a data-plane
 :data:`Op` or a metadata :class:`MetaOp`.  Generators may also yield bare
-ops — :func:`as_event` normalizes either shape.  Nothing is materialized
-up front: a :class:`StreamProgram` built from a factory re-derives its
-operations on every iteration, so a million-stream program costs no more
-memory than its generator state.
+ops — :func:`as_event` normalizes either shape.  A :class:`StreamProgram`
+built from a factory re-derives its operations on every iteration and one
+built from columns holds one int64 row per op; the open-loop path
+materializes nothing (a million-stream service workload costs no more
+memory than its generator state).
 
 Two consumers share the protocol:
 
 - the **closed-loop** runner below (:func:`run_data_phase`), which drops
   the arrival gaps and executes lock-step rounds: client threads are
   *synchronous* — each has one request outstanding — and every round
-  gathers the next operation of each still-active stream (the "order of
-  arrival time" interleaving of Figure 1(a)), maps them through the data
-  plane, and submits the union of their physical requests to the disk
-  array as one concurrent batch for the elevator to arrange;
+  takes the next operation of each still-active stream (the "order of
+  arrival time" interleaving of Figure 1(a)).  It decodes a phase's
+  programs to columns, draws the whole arrival order once, and hands the
+  data plane runs of operations rather than one op at a time; the union
+  of a round's physical requests reaches the disk array as one concurrent
+  batch for the elevator to arrange;
 - the **open-loop** service runner (:mod:`repro.sim.events`), which
   honours the arrival gaps and enqueues ops without waiting for
   completion.
@@ -31,14 +34,12 @@ protocol: the executor sends each call's result back into the generator.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterable, Iterator
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.disk.model import BlockRequest
-from repro.fs.dataplane import DataPlane
+from repro.fs.dataplane import READ_MANY_FROM, DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
 from repro.rng import derive_rng
@@ -116,13 +117,22 @@ class MetaOp:
 
 Op = WriteOp | ReadOp | FsyncOp | WritevOp | ReadvOp
 
+#: Op kinds of a column program (:meth:`StreamProgram.from_columns`).
+WRITE, READ = 0, 1
+#: Decoded kind of everything else (list I/O, fsync): run one op at a time.
+_SOLO = 2
+
+#: A run of reads is mapped ahead at most this many ops at a time, which
+#: bounds the mapping's temporaries whatever the run's length.
+READ_RUN_OPS = 4096
+
+#: :func:`schedule_arrivals` draws at most about this many (round, stream)
+#: cells at a time, bounding the draw block whatever the phase's size.
+SCHEDULE_CELLS = 1 << 16
+
 #: An event is an operation plus the think-time gap (seconds) since the
 #: stream's previous operation.
 Event = tuple[float, "Op | MetaOp"]
-
-#: Writeback sort key (C-level attrgetter; same ordering as the old
-#: ``lambda r: r.start``, and equally stable).
-_request_start = attrgetter("start")
 
 
 def as_event(item: Event | Op | MetaOp) -> Event:
@@ -166,9 +176,9 @@ class _LazySource:
     """Re-iterable view over an event-stream factory, yielding bare ops.
 
     Wraps a zero-arg callable returning a fresh event iterator; every
-    ``iter()`` re-derives the sequence, so nothing is materialized and the
-    program can be consumed any number of times (write phase, read-back,
-    equivalence tests).
+    ``iter()`` re-derives the sequence, so the source itself holds nothing
+    and the program can be consumed any number of times (write phase,
+    read-back, equivalence tests).
     """
 
     __slots__ = ("factory",)
@@ -189,19 +199,44 @@ class _LazySource:
 class StreamProgram:
     """One client stream: a stream id plus its operation source.
 
-    ``ops`` is either a concrete iterable of ops (legacy, still supported
-    for hand-built programs in tests) or a zero-arg callable returning a
-    fresh event iterator — the lazy protocol every bundled workload now
-    uses.  Iterating the program always yields bare ops; :meth:`events`
-    yields ``(arrival_dt, op)`` pairs for arrival-aware consumers.
+    ``ops`` is a concrete iterable of ops (hand-built programs) or a
+    zero-arg callable returning a fresh event iterator (the lazy protocol).
+    The bundled closed-loop workloads build theirs :meth:`from_columns`: the
+    columns are then the one description of the program — the closed-loop
+    runner reads them directly, iteration derives the op objects from them.
+    Iterating the program always yields bare ops; :meth:`events` yields
+    ``(arrival_dt, op)`` pairs for arrival-aware consumers.
     """
 
     stream: StreamId
     ops: Iterable[Op] | Callable[[], Iterator[Event | Op]]
+    #: ``(file, kinds, offsets, nbytes)`` of a :meth:`from_columns` program.
+    columns: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if callable(self.ops):
             self.ops = _LazySource(self.ops)
+
+    @classmethod
+    def from_columns(
+        cls, stream: StreamId, file: RedbudFile, kinds, offsets, nbytes
+    ) -> "StreamProgram":
+        """A program of writes and reads of ``file`` given as columns:
+        ``offsets`` and ``nbytes`` one int64 row per op, ``kinds`` a column
+        of :data:`WRITE` / :data:`READ` or one kind for every op."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        if offsets.ndim != 1 or offsets.shape != nbytes.shape:
+            raise ValueError("offsets and nbytes must be 1-d columns of one length")
+        kinds = np.broadcast_to(np.asarray(kinds, dtype=np.int64), offsets.shape)
+        if ((kinds != WRITE) & (kinds != READ)).any():
+            raise ValueError("column op kinds must be WRITE or READ")
+
+        def ops() -> Iterator[Op]:
+            for kind, offset, n in zip(kinds.tolist(), offsets.tolist(), nbytes.tolist()):
+                yield ReadOp(file, offset, n) if kind else WriteOp(file, offset, n)
+
+        return cls(stream, ops, (file, kinds, offsets, nbytes))
 
     def __iter__(self) -> Iterator[Op]:
         return iter(self.ops)
@@ -211,6 +246,80 @@ class StreamProgram:
         if isinstance(self.ops, _LazySource):
             return self.ops.events()
         return ((0.0, op) for op in self.ops)
+
+
+def _decode(
+    program: StreamProgram, files: dict[int, RedbudFile], others: list[Op]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``program`` as ``(kinds, file ids, offsets, nbytes)`` columns.
+
+    A column program is read as is; anything else is iterated once.  Files
+    are named by ``id()`` and collected in ``files``.  An op that is not a
+    plain write or read gets kind :data:`_SOLO`, its byte count, and in the
+    offset column its index in ``others``.
+    """
+    if program.columns is not None:
+        f, kinds, offsets, nbytes = program.columns
+        files[id(f)] = f
+        return kinds, np.full(offsets.shape, id(f), dtype=np.int64), offsets, nbytes
+    rows = []
+    for op in program:
+        files[id(op.file)] = op.file
+        if type(op) is WriteOp or type(op) is ReadOp:
+            rows.append((type(op) is ReadOp, id(op.file), op.offset, op.nbytes))
+        else:
+            rows.append((_SOLO, id(op.file), len(others), getattr(op, "nbytes", 0)))
+            others.append(op)
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return columns[:, 0], columns[:, 1], columns[:, 2], columns[:, 3]
+
+
+def schedule_arrivals(
+    lengths: np.ndarray,
+    skip_probability: float,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw a closed-loop phase's whole arrival order.
+
+    Streams ``0..len(lengths)-1`` hold ``lengths[i]`` ops each and run in
+    lock-step rounds: every round each live stream independently stalls
+    with ``skip_probability`` (one ``rng.random(live streams)`` per round;
+    ``rng=None`` means no jitter), otherwise issues its next op; a stream
+    stays live — and keeps consuming a draw — until an unskipped round
+    finds it empty, and leaves at the end of that round.  Returns
+    ``(stream, op, round_ends)``: per arrival the stream index and that
+    stream's op index, and per round the arrival count at its end.
+
+    Rounds are drawn in blocks: no stream can be found empty before it had
+    one more unskipped round than it has ops left, so that many rounds
+    need exactly ``rounds * live`` draws.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    left = lengths.copy()
+    live = np.arange(lengths.shape[0])
+    empty = np.zeros(0, dtype=np.int64)
+    streams, ops, ends = [empty], [empty], [empty]
+    arrived = 0
+    while live.shape[0]:
+        n = live.shape[0]
+        budget = left[live]
+        rounds = min(int(budget.min()) + 1, SCHEDULE_CELLS // n + 1)
+        if rng is None:
+            awake = np.ones((rounds, n), dtype=bool)
+        else:
+            awake = rng.random((rounds, n)) >= skip_probability
+        turn = np.cumsum(awake, axis=0)  # 1-based: a stream's k-th unskipped round
+        row, col = np.nonzero(awake)  # round-major, streams in live order
+        nth = turn[row, col] - 1
+        issued = nth < budget[col]
+        who = live[col[issued]]
+        streams.append(who)
+        ops.append(lengths[who] - left[who] + nth[issued])
+        ends.append(arrived + np.cumsum(np.bincount(row[issued], minlength=rounds)))
+        arrived = int(ends[-1][-1])
+        left[live] -= np.minimum(turn[-1], budget)
+        live = np.delete(live, col[~issued])
+    return np.concatenate(streams), np.concatenate(ops), np.concatenate(ends)
 
 
 def run_data_phase(
@@ -247,6 +356,16 @@ def run_data_phase(
 
     Elapsed time is the busiest disk's busy time over the phase (disks work
     in parallel); bytes moved counts both reads and writes.
+
+    The phase is decoded to columns, scheduled (:func:`schedule_arrivals`)
+    and then executed by run: the arrival order is cut into runs of one
+    kind.  A run of writes (cut at round ends) is mapped in the round it
+    arrives in and flushed at that round's end, never ahead — allocator
+    trace events are stamped with the array's clock, which moves at a
+    submit.  A run of reads may span rounds: nothing mutates between its
+    ops and read mapping emits nothing, so the whole run is mapped ahead
+    and only its windows are submitted round by round.  Everything else
+    (list I/O, fsync, ops the plane will reject) runs one op at a time.
     """
     if read_buffer_blocks <= 0 or write_buffer_blocks <= 0:
         raise ValueError("read/write buffer sizes must be positive")
@@ -258,91 +377,151 @@ def run_data_phase(
     if reset_timelines:
         plane.array.reset_timelines()
     start_elapsed = plane.array.elapsed_s
-    iters: list[tuple[StreamId, Iterator[Op]] | None] = [
-        (p.stream, iter(p)) for p in programs
-    ]
-    bytes_moved = 0
-    ops_done = 0
-    dirty: list[BlockRequest] = []
+    submit = plane.array.submit_columns
+
+    # Decode, then schedule: every column below is in arrival order.
+    files: dict[int, RedbudFile] = {}
+    others: list[Op] = []
+    decoded = [_decode(p, files, others) for p in programs]
+    lengths = np.array([d[0].shape[0] for d in decoded], dtype=np.int64)
+    who, what, round_ends = schedule_arrivals(lengths, skip_probability, rng)
+    n = who.shape[0]
+    if n == 0:
+        return ThroughputResult(bytes_moved=0, elapsed=0.0, ops=0)
+    arrival = (np.cumsum(lengths) - lengths)[who] + what
+    kinds, fids, offsets, nbytes = (np.concatenate(c)[arrival] for c in zip(*decoded))
+    streams = [programs[i].stream for i in who.tolist()]
+    op_files = [files[i] for i in fids.tolist()]
+    # A read the plane will reject runs on its own, so that it raises after
+    # everything that arrived before it took effect (as a write run does).
+    live = {id(f) for f in plane.files()}
+    doomed = (nbytes <= 0) | (offsets < 0) | np.isin(fids, [i for i in files if i not in live])
+    code = np.where((kinds == READ) & doomed, _SOLO, kinds)
+    at_round_end = np.zeros(n + 1, dtype=bool)
+    at_round_end[round_ends] = True
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = (
+        (code[1:] != code[:-1])
+        | (code[1:] == _SOLO)
+        | ((code[1:] == WRITE) & at_round_end[1:n])
+    )
+    heads = np.flatnonzero(opens)
+    at_round_end = at_round_end.tolist()
+
+    dirty_starts: list[int] = []
+    dirty_nblocks: list[int] = []
     dirty_blocks = 0
-    pending_reads: dict[StreamId, list[BlockRequest]] = {}
-    pending_read_blocks: dict[StreamId, int] = {}
-    # Hot-loop locals: the round loop below runs once per op across every
-    # stream, so attribute lookups are hoisted out of it.
-    plane_write = plane.write
-    plane_read = plane.read
-    plane_fsync = plane.fsync
-    plane_writev = plane.writev
-    plane_readv = plane.readv
-    submit = plane.array.submit_batch
-    start_key = _request_start
-    while iters:
-        ready_reads: list[BlockRequest] = []
-        finished = False
-        skips = (
-            (rng.random(len(iters)) < skip_probability).tolist()
-            if rng is not None
-            else None
-        )
-        for i, pair in enumerate(iters):
-            if skips is not None and skips[i]:
-                continue  # stalled this round
-            stream, it = pair
-            op = next(it, None)
-            if op is None:
-                # Streams finish rarely; mark in place and compact the list
-                # once at round end instead of rebuilding it every round.
-                iters[i] = None
-                finished = True
-                continue
-            kind = type(op)
-            if kind is WriteOp or kind is FsyncOp or kind is WritevOp:
-                if kind is WriteOp:
-                    requests = plane_write(op.file, stream, op.offset, op.nbytes)
-                    bytes_moved += op.nbytes
-                elif kind is WritevOp:
-                    requests = plane_writev(op.file, stream, list(op.regions))
-                    bytes_moved += op.nbytes
-                else:
-                    requests = plane_fsync(op.file)
-                dirty.extend(requests)
-                for r in requests:
-                    dirty_blocks += r.nblocks
-            elif kind is ReadOp or kind is ReadvOp:
-                if kind is ReadOp:
-                    requests = plane_read(op.file, op.offset, op.nbytes)
-                else:
-                    requests = plane_readv(op.file, list(op.regions))
-                bytes_moved += op.nbytes
-                pending = pending_reads.setdefault(stream, [])
-                pending.extend(requests)
-                nblocks = pending_read_blocks.get(stream, 0)
-                for r in requests:
-                    nblocks += r.nblocks
-                if nblocks >= read_buffer_blocks:
-                    ready_reads.extend(pending)
-                    pending_reads[stream] = []
-                    pending_read_blocks[stream] = 0
-                else:
-                    pending_read_blocks[stream] = nblocks
-            else:  # pragma: no cover - exhaustive over Op
-                raise TypeError(f"unknown op: {op!r}")
-            ops_done += 1
-        if finished:
-            iters = [pair for pair in iters if pair is not None]
-        if ready_reads:
-            submit(ready_reads)
+    # Readahead windows by stream id (two programs with one id share one),
+    # each [request starts, request lengths, blocks held].
+    windows: dict[StreamId, list] = {}
+    ready_starts: list[int] = []
+    ready_nblocks: list[int] = []
+
+    def read_ahead(stream: StreamId, starts: list[int], nblocks: list[int]) -> None:
+        window = windows.get(stream)
+        if window is None:
+            window = windows[stream] = [[], [], 0]
+        window[0].extend(starts)
+        window[1].extend(nblocks)
+        window[2] += sum(nblocks)
+        if window[2] >= read_buffer_blocks:
+            ready_starts.extend(window[0])
+            ready_nblocks.extend(window[1])
+            window[:] = [], [], 0
+
+    def write_back() -> None:
+        nonlocal dirty_blocks
+        starts = np.array(dirty_starts, dtype=np.int64)
+        order = np.argsort(starts, kind="stable")
+        submit(starts[order], np.array(dirty_nblocks, dtype=np.int64)[order], True)
+        dirty_starts.clear()
+        dirty_nblocks.clear()
+        dirty_blocks = 0
+
+    def end_round() -> None:
+        if ready_starts:
+            submit(
+                np.array(ready_starts, dtype=np.int64),
+                np.array(ready_nblocks, dtype=np.int64),
+                False,
+            )
+            ready_starts.clear()
+            ready_nblocks.clear()
         if dirty_blocks >= write_buffer_blocks:
-            dirty.sort(key=start_key)
-            submit(dirty)
-            dirty = []
-            dirty_blocks = 0
-    # Phase end: remaining readahead windows, then the final writeback.
-    tail_reads = [req for pending in pending_reads.values() for req in pending]
-    if tail_reads:
-        submit(tail_reads)
-    if dirty:
-        dirty.sort(key=start_key)
-        submit(dirty)
-    elapsed = plane.array.elapsed_s - start_elapsed
-    return ThroughputResult(bytes_moved=bytes_moved, elapsed=elapsed, ops=ops_done)
+            write_back()
+
+    for a, b, kind in zip(
+        heads.tolist(), np.append(heads[1:], n).tolist(), code[heads].tolist()
+    ):
+        if kind == WRITE:
+            mapped = len(dirty_nblocks)
+            plane.write_many(
+                op_files[a:b], streams[a:b], offsets[a:b], nbytes[a:b],
+                dirty_starts, dirty_nblocks,
+            )
+            dirty_blocks += sum(dirty_nblocks[mapped:])
+            if at_round_end[b]:
+                end_round()
+        elif kind == READ and b - a >= READ_MANY_FROM:
+            # Map the run ahead (READ_RUN_OPS at a time, file by file), fill
+            # windows in arrival order, submit the full ones round by round.
+            for at in range(a, b, READ_RUN_OPS):
+                upto = min(at + READ_RUN_OPS, b)
+                run_files = fids[at:upto]
+                first = np.empty(upto - at, dtype=np.int64)
+                last = np.empty(upto - at, dtype=np.int64)
+                starts: list[int] = []
+                nblocks: list[int] = []
+                for j in np.unique(run_files).tolist():
+                    pick = np.flatnonzero(run_files == j)
+                    bounds, s, nb = plane.read_many(
+                        files[j], offsets[at:upto][pick], nbytes[at:upto][pick]
+                    )
+                    first[pick] = bounds[:-1] + len(starts)
+                    last[pick] = bounds[1:] + len(starts)
+                    starts.extend(s.tolist())
+                    nblocks.extend(nb.tolist())
+                for i, stream, lo, hi in zip(
+                    range(at + 1, upto + 1), streams[at:upto], first.tolist(), last.tolist()
+                ):
+                    read_ahead(stream, starts[lo:hi], nblocks[lo:hi])
+                    if at_round_end[i]:
+                        end_round()
+        else:
+            # One op at a time through the plane's object API.
+            for i in range(a, b):
+                f, stream = op_files[i], streams[i]
+                op = others[offsets[i]] if kinds[i] == _SOLO else None
+                if op is None or type(op) is ReadvOp:
+                    if op is None:
+                        requests = plane.read(f, int(offsets[i]), int(nbytes[i]))
+                    else:
+                        requests = plane.readv(f, list(op.regions))
+                    read_ahead(
+                        stream, [r.start for r in requests], [r.nblocks for r in requests]
+                    )
+                else:
+                    if type(op) is WritevOp:
+                        requests = plane.writev(f, stream, list(op.regions))
+                    elif type(op) is FsyncOp:
+                        requests = plane.fsync(f)
+                    else:  # pragma: no cover - exhaustive over Op
+                        raise TypeError(f"unknown op: {op!r}")
+                    dirty_starts.extend(r.start for r in requests)
+                    dirty_nblocks.extend(r.nblocks for r in requests)
+                    dirty_blocks += sum(r.nblocks for r in requests)
+                if at_round_end[i + 1]:
+                    end_round()
+    # Phase end: remaining readahead windows (in first-read order), then
+    # the final writeback.
+    for window in windows.values():
+        ready_starts.extend(window[0])
+        ready_nblocks.extend(window[1])
+    end_round()
+    if dirty_starts:
+        write_back()
+    return ThroughputResult(
+        bytes_moved=int(nbytes.sum()),
+        elapsed=plane.array.elapsed_s - start_elapsed,
+        ops=n,
+    )

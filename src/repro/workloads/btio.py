@@ -19,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import make_stream_id
 from repro.sim.metrics import ThroughputResult
-from repro.workloads.base import ReadOp, StreamProgram, WriteOp, run_data_phase
+from repro.workloads.base import READ, WRITE, StreamProgram, run_data_phase
 
 
 @dataclass(frozen=True)
@@ -66,22 +68,18 @@ class BTIOBenchmark:
     def create_file(self, plane: DataPlane, name: str = "/btio.out") -> RedbudFile:
         return plane.create_file(name, expected_bytes=self.file_bytes)
 
-    def _programs(self, f: RedbudFile, op_cls) -> list[StreamProgram]:
+    def _programs(self, f: RedbudFile, kind: int) -> list[StreamProgram]:
         step_total = self.nprocs * self.step_bytes_per_proc
+        step_base = np.arange(self.steps, dtype=np.int64) * step_total
         if self.collective:
             # Each step's wave is re-aggregated into contiguous slabs.
             nstreams = self.aggregators
             slab = step_total // nstreams
-
-            def make_collective(a):
-                def events():
-                    for step in range(self.steps):
-                        yield (0.0, op_cls(f, step * step_total + a * slab, slab))
-
-                return events
-
             return [
-                StreamProgram(stream=make_stream_id(a, 0), ops=make_collective(a))
+                StreamProgram.from_columns(
+                    make_stream_id(a, 0), f, kind,
+                    step_base + a * slab, np.full(self.steps, slab),
+                )
                 for a in range(nstreams)
             ]
         # Non-collective: each process writes its cell rows as contiguous
@@ -92,26 +90,26 @@ class BTIOBenchmark:
         chunks_per_row = self.subrun_bytes // self.chunk_bytes
         ncells = int(round(math.sqrt(self.nprocs)))
         assert ncells * ncells == self.nprocs
+        row = np.arange(rows_per_step, dtype=np.int64)
+        chunk = np.arange(chunks_per_row, dtype=np.int64) * self.chunk_bytes
+        nbytes = np.full(self.steps * rows_per_step * chunks_per_row, self.chunk_bytes)
 
-        def make_events(p):
-            def events():
-                for step in range(self.steps):
-                    base = step * step_total
-                    for r in range(rows_per_step):
-                        slot = (p + r) % self.nprocs
-                        row_base = base + (r * self.nprocs + slot) * self.subrun_bytes
-                        for c in range(chunks_per_row):
-                            yield (0.0, op_cls(f, row_base + c * self.chunk_bytes, self.chunk_bytes))
-
-            return events
+        def offsets(p):
+            # (step, row, chunk) in the order the process issues them.
+            row_base = (row * self.nprocs + (p + row) % self.nprocs) * self.subrun_bytes
+            return (
+                step_base[:, None, None] + row_base[None, :, None] + chunk[None, None, :]
+            ).ravel()
 
         return [
-            StreamProgram(stream=make_stream_id(p // 4, p % 4), ops=make_events(p))
+            StreamProgram.from_columns(
+                make_stream_id(p // 4, p % 4), f, kind, offsets(p), nbytes
+            )
             for p in range(self.nprocs)
         ]
 
     def _write_programs(self, f: RedbudFile) -> list[StreamProgram]:
-        return self._programs(f, WriteOp)
+        return self._programs(f, WRITE)
 
     def write_phase(self, plane: DataPlane, f: RedbudFile) -> ThroughputResult:
         return run_data_phase(plane, self._write_programs(f))
@@ -119,7 +117,7 @@ class BTIOBenchmark:
     def read_phase(self, plane: DataPlane, f: RedbudFile) -> ThroughputResult:
         """Solution verification: each process reads back its *own* cells
         with the same decomposition it wrote them with (BTIO's -rcheck)."""
-        return run_data_phase(plane, self._programs(f, ReadOp))
+        return run_data_phase(plane, self._programs(f, READ))
 
     def run(self, plane: DataPlane, name: str = "/btio.out") -> ThroughputResult:
         f = self.create_file(plane, name)

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import make_stream_id
 from repro.sim.metrics import ThroughputResult
-from repro.workloads.base import ReadOp, StreamProgram, WriteOp, run_data_phase
+from repro.workloads.base import READ, WRITE, StreamProgram, run_data_phase
 
 
 @dataclass(frozen=True)
@@ -51,36 +53,28 @@ class FilePerProcessBench:
             for p in range(self.nstreams)
         ]
 
-    def _sequential_events(self, f: RedbudFile, op_cls, request_bytes: int):
-        """Lazy factory: cover ``f`` sequentially in ``request_bytes`` ops."""
-
-        def events():
-            for off in range(0, self.file_bytes, request_bytes):
-                yield (0.0, op_cls(f, off, min(request_bytes, self.file_bytes - off)))
-
-        return events
+    def _sequential_programs(
+        self, files: list[RedbudFile], kind: int, request_bytes: int, first_client: int
+    ) -> list[StreamProgram]:
+        """One program per file, covering it in ``request_bytes`` ops."""
+        offsets = np.arange(0, self.file_bytes, request_bytes, dtype=np.int64)
+        nbytes = np.minimum(request_bytes, self.file_bytes - offsets)
+        return [
+            StreamProgram.from_columns(
+                make_stream_id(first_client + p // 4, p % 4), f, kind, offsets, nbytes
+            )
+            for p, f in enumerate(files)
+        ]
 
     def phase1_write(self, plane: DataPlane, files: list[RedbudFile]) -> ThroughputResult:
         """Each process appends its own file; arrivals still interleave at
         the allocator (the processes run concurrently)."""
-        programs = [
-            StreamProgram(
-                stream=make_stream_id(p // 4, p % 4),
-                ops=self._sequential_events(f, WriteOp, self.write_request_bytes),
-            )
-            for p, f in enumerate(files)
-        ]
+        programs = self._sequential_programs(files, WRITE, self.write_request_bytes, 0)
         return run_data_phase(plane, programs, seed=self.seed)
 
     def phase2_read(self, plane: DataPlane, files: list[RedbudFile]) -> ThroughputResult:
         """Read everything back, each process its own file sequentially."""
-        programs = [
-            StreamProgram(
-                stream=make_stream_id(1000 + p // 4, p % 4),
-                ops=self._sequential_events(f, ReadOp, self.read_request_bytes),
-            )
-            for p, f in enumerate(files)
-        ]
+        programs = self._sequential_programs(files, READ, self.read_request_bytes, 1000)
         return run_data_phase(plane, programs, seed=self.seed)
 
     def run(self, plane: DataPlane) -> tuple[ThroughputResult, ThroughputResult]:

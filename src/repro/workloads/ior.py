@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import make_stream_id
 from repro.sim.metrics import ThroughputResult
-from repro.workloads.base import ReadOp, StreamProgram, WriteOp, run_data_phase
+from repro.workloads.base import READ, WRITE, StreamProgram, run_data_phase
 
 
 @dataclass(frozen=True)
@@ -61,21 +63,16 @@ class IORBenchmark:
             nstreams = self.nprocs
             share = self.share_bytes
             request = self.request_bytes
-        op_cls = WriteOp if write else ReadOp
-
-        def make_events(p):
-            def events():
-                base = p * share
-                cursor = 0
-                while cursor < share:
-                    chunk = min(request, share - cursor)
-                    yield (0.0, op_cls(f, base + cursor, chunk))
-                    cursor += chunk
-
-            return events
-
+        cursor = np.arange(0, share, request, dtype=np.int64)
+        nbytes = np.minimum(request, share - cursor)
         return [
-            StreamProgram(stream=make_stream_id(p // 4, p % 4), ops=make_events(p))
+            StreamProgram.from_columns(
+                make_stream_id(p // 4, p % 4),
+                f,
+                WRITE if write else READ,
+                p * share + cursor,
+                nbytes,
+            )
             for p in range(nstreams)
         ]
 

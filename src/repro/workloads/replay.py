@@ -19,7 +19,7 @@ from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import make_stream_id
 from repro.sim.metrics import ThroughputResult
-from repro.workloads.base import ReadOp, StreamProgram, WriteOp, run_data_phase
+from repro.workloads.base import READ, WRITE, StreamProgram, run_data_phase
 from repro.workloads.traces import TraceRecord, trace_streams
 
 HEADER = "# repro trace v1: seq,proc,op,offset,nbytes"
@@ -86,20 +86,16 @@ def replay(
     """
     if threads_per_client <= 0:
         raise ConfigError(f"threads_per_client must be positive: {threads_per_client}")
-    programs = []
-    for proc, recs in sorted(trace_streams(records).items()):
-        ops = [
-            WriteOp(f, r.offset, r.nbytes)
-            if r.op == "write"
-            else ReadOp(f, r.offset, r.nbytes)
-            for r in recs
-        ]
-        programs.append(
-            StreamProgram(
-                stream=make_stream_id(proc // threads_per_client, proc % threads_per_client),
-                ops=ops,
-            )
+    programs = [
+        StreamProgram.from_columns(
+            make_stream_id(proc // threads_per_client, proc % threads_per_client),
+            f,
+            [WRITE if r.op == "write" else READ for r in recs],
+            [r.offset for r in recs],
+            [r.nbytes for r in recs],
         )
+        for proc, recs in sorted(trace_streams(records).items())
+    ]
     return run_data_phase(
         plane, programs, skip_probability=skip_probability, seed=seed
     )

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import make_stream_id
 from repro.sim.metrics import ThroughputResult
-from repro.workloads.base import ReadOp, StreamProgram, WriteOp, run_data_phase
+from repro.workloads.base import READ, WRITE, StreamProgram, run_data_phase
 from repro.workloads.traces import synth_checkpoint_trace, trace_streams
 
 
@@ -62,11 +64,10 @@ class SharedFileMicrobench:
         return plane.create_file(name, expected_bytes=self.file_bytes)
 
     def write_programs(self, f: RedbudFile) -> list[StreamProgram]:
-        """Lazy per-stream write programs driven by the synthetic trace.
+        """Per-stream write programs driven by the synthetic trace.
 
         The trace itself is derived once (it defines the arrival-order
-        interleaving); each program lazily re-yields its stream's records
-        as ``(arrival_dt, WriteOp)`` events.
+        interleaving); each program holds its stream's records as columns.
         """
         records = synth_checkpoint_trace(
             self.nstreams,
@@ -76,15 +77,14 @@ class SharedFileMicrobench:
             seed=self.seed,
         )
 
-        def make_events(recs):
-            def events():
-                for rec in recs:
-                    yield (0.0, WriteOp(f, rec.offset, rec.nbytes))
-
-            return events
-
         return [
-            StreamProgram(stream=make_stream_id(proc // 4, proc % 4), ops=make_events(recs))
+            StreamProgram.from_columns(
+                make_stream_id(proc // 4, proc % 4),
+                f,
+                WRITE,
+                [rec.offset for rec in recs],
+                [rec.nbytes for rec in recs],
+            )
             for proc, recs in sorted(trace_streams(records).items())
         ]
 
@@ -93,7 +93,7 @@ class SharedFileMicrobench:
         return run_data_phase(plane, self.write_programs(f))
 
     def read_programs(self, f: RedbudFile) -> list[StreamProgram]:
-        """Lazy per-reader programs: segments dealt round-robin, each read
+        """Per-reader programs: segments dealt round-robin, each read
         sequentially in ``read_request_bytes`` chunks."""
         readers = self.readers if self.readers is not None else self.nstreams
         if readers <= 0:
@@ -102,22 +102,20 @@ class SharedFileMicrobench:
         if seg_bytes == 0:
             raise ConfigError("more segments than bytes")
 
-        def make_events(reader):
-            def events():
-                for seg in range(reader, self.segments, readers):
-                    base = seg * seg_bytes
-                    cursor = 0
-                    while cursor < seg_bytes:
-                        chunk = min(self.read_request_bytes, seg_bytes - cursor)
-                        yield (0.0, ReadOp(f, base + cursor, chunk))
-                        cursor += chunk
+        cursor = np.arange(0, seg_bytes, self.read_request_bytes, dtype=np.int64)
+        chunk = np.minimum(self.read_request_bytes, seg_bytes - cursor)
 
-            return events
+        def program(reader):
+            base = np.arange(reader, self.segments, readers, dtype=np.int64) * seg_bytes
+            return StreamProgram.from_columns(
+                make_stream_id(1000 + reader // 4, reader % 4),
+                f,
+                READ,
+                (base[:, None] + cursor[None, :]).ravel(),
+                np.tile(chunk, base.shape[0]),
+            )
 
-        return [
-            StreamProgram(stream=make_stream_id(1000 + i // 4, i % 4), ops=make_events(i))
-            for i in range(readers)
-        ]
+        return [program(i) for i in range(readers)]
 
     def phase2_read(self, plane: DataPlane, f: RedbudFile) -> ThroughputResult:
         """Segmented sequential read-back (the measured phase)."""
