@@ -337,7 +337,7 @@ class FSConfig:
     #:   into one policy call, coalesce physically adjacent requests before
     #:   submission (PVFS list-I/O style), use the numpy batch service-time
     #:   model inside each disk, and execute metadata access plans through
-    #:   ``BufferCache.read_batch`` / ``Journal.log_batch`` / the array
+    #:   ``BufferCache.read_batch`` / ``Journal.log_one`` / the array
     #:   submit path.
     #: - ``"legacy"`` — the per-segment, per-request, per-read scalar paths
     #:   (same results, slower); the straight-line reference the tests

@@ -39,6 +39,11 @@ from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
+#: ``read_batch`` refreshes a resident hit of at most this many blocks on
+#: the spot, as the scalar ``read`` does; deferring to ``_flush_moves`` only
+#: pays for longer sweeps (docs/CACHE.md).
+REFRESH_NOW_BLOCKS = 8
+
 
 class BufferCache:
     """LRU block cache in front of one simulated disk."""
@@ -603,7 +608,8 @@ class BufferCache:
             return total
         lru = self._lru
         keys = lru.keys()
-        pend = self._pending_moves.append
+        move = lru.move_to_end
+        pending = self._pending_moves
         ra = self._ra
         tracer = self.tracer
         slack = 2 * self.params.readahead_max_blocks
@@ -628,7 +634,13 @@ class BufferCache:
                     if resident:
                         if ctx_key is not None:
                             ra.move_to_end(ctx_key)
-                        pend((start, end))
+                        if nblocks <= REFRESH_NOW_BLOCKS and not pending:
+                            for b in range(start, end):
+                                move(b)
+                        else:
+                            # A direct move behind a pending sweep would
+                            # reorder the LRU: queue behind it instead.
+                            pending.append((start, end))
                         hits += nblocks
                         if tracer.enabled:
                             tracer.emit("cache", "hit", start=start, nblocks=nblocks)

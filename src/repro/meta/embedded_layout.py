@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import FileExists, FileNotFound, IsADirectory, MetadataError
+from repro.errors import (
+    FileExists, FileNotFound, IsADirectory, MetadataError, NoSpaceError,
+)
 from repro.meta.inode import Inode
 from repro.meta.inumber import GlobalDirectoryTable, decode_ino, encode_ino
 from repro.meta.layout import AccessPlan, DirectoryLayout
@@ -92,7 +94,8 @@ class EmbeddedLayout(DirectoryLayout):
 
     def create_dir(self, parent: EmbeddedDir, name: str, now: float) -> tuple[EmbeddedDir, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=None)
-        inode, sub = self._new_inode(parent, name, now, is_dir=True, plan=plan)
+        slot = self._take_slot(parent, plan.dirties)
+        inode = self._new_inode(parent, name, now, True, slot, plan.dirties)
         dir_id = self.gdt.new_dir_id(inode.ino)
         # §V.A: the subdirectory's *inode* sits in the parent's content, but
         # its *content* is distributed between groups by rlov.
@@ -106,21 +109,38 @@ class EmbeddedLayout(DirectoryLayout):
 
     def create_file(self, parent: EmbeddedDir, name: str, now: float) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=None)
-        inode, _ = self._new_inode(parent, name, now, is_dir=False, plan=plan)
-        # §IV.A: in a fragmented directory, preallocate an extra mapping
-        # block next to the inode at file-creation time.
+        dirties = plan.dirties
         if parent.fragmentation_degree > self.params.frag_degree_threshold:
-            block, _, bitmap_dirty = self.mfs.alloc_data(parent.group, 1)
+            # §IV.A: in a fragmented directory, preallocate an extra mapping
+            # block next to the inode at file-creation time.
+            reused, nruns = bool(parent.free_offsets), len(parent.content_runs)
+            slot = self._take_slot(parent, dirties)
+            try:
+                block, _, bitmap_dirty = self.mfs.alloc_data(parent.group, 1)
+            except NoSpaceError:
+                # No mapping block to be had: give the slot back untaken.
+                if reused:
+                    parent.free_offsets.append(slot[0])
+                else:
+                    parent.next_offset -= 1
+                    if len(parent.content_runs) > nruns:
+                        self.mfs.free_data(*parent.content_runs.pop())
+                raise
+            inode = self._new_inode(parent, name, now, False, slot, dirties)
             inode.spill_blocks.append(block)
-            plan.dirties += bitmap_dirty + [block]
+            dirties += bitmap_dirty
+            dirties.append(block)
             self._note_spill(inode, block, at="create")
+        else:
+            slot = self._take_slot(parent, dirties)
+            inode = self._new_inode(parent, name, now, False, slot, dirties)
         parent.file_count += 1
         return (inode, plan)
 
     # -- mutation -----------------------------------------------------------------
     def delete_file(self, parent: EmbeddedDir, name: str) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
+        ino = parent.entries[name]
         inode = self._inodes[ino]
         if inode.is_dir:
             raise IsADirectory(name)
@@ -144,8 +164,7 @@ class EmbeddedLayout(DirectoryLayout):
 
     def utime(self, parent: EmbeddedDir, name: str, now: float) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
-        inode = self._inodes[ino]
+        inode = self._inodes[parent.entries[name]]
         inode.touch(now)
         plan.reads.append((inode.home_block, 1))
         plan.dirties.append(inode.home_block)
@@ -153,8 +172,7 @@ class EmbeddedLayout(DirectoryLayout):
 
     def set_extent_records(self, parent: EmbeddedDir, name: str, count: int) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
-        inode = self._inodes[ino]
+        inode = self._inodes[parent.entries[name]]
         if count < 0:
             raise MetadataError(f"negative extent record count: {count}")
         parent.record_sum += count - inode.extent_records
@@ -180,8 +198,7 @@ class EmbeddedLayout(DirectoryLayout):
         number, and records the old↔new correlation."""
         plan = self._lookup_plan(src_dir, src_name, expect=True)
         plan = plan.merge(self._lookup_plan(dst_dir, dst_name, expect=None))
-        old_ino = self._require_present(src_dir.entries, src_name)
-        self._require_absent(dst_dir.entries, dst_name)
+        old_ino = src_dir.entries[src_name]
         inode = self._inodes.pop(old_ino)
         # Free the source slot (lazily) and dirty its block.
         plan.dirties.append(inode.home_block)
@@ -192,8 +209,7 @@ class EmbeddedLayout(DirectoryLayout):
             src_dir.file_count -= 1
             src_dir.record_sum -= inode.extent_records
         # Allocate a destination slot and re-number the inode.
-        offset, home_block, home_slot, extend_plan = self._take_slot(dst_dir)
-        plan = plan.merge(extend_plan)
+        offset, home_block, home_slot = self._take_slot(dst_dir, plan.dirties)
         new_ino = encode_ino(dst_dir.dir_id, offset)
         inode.ino = new_ino
         inode.name = dst_name
@@ -224,8 +240,7 @@ class EmbeddedLayout(DirectoryLayout):
     # -- queries -------------------------------------------------------------------
     def stat(self, parent: EmbeddedDir, name: str) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
-        inode = self._inodes[ino]
+        inode = self._inodes[parent.entries[name]]
         plan.reads.append((inode.home_block, 1))
         plan.journal_records = 0
         return (inode, plan)
@@ -265,8 +280,7 @@ class EmbeddedLayout(DirectoryLayout):
 
     def getlayout(self, parent: EmbeddedDir, name: str) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
-        inode = self._inodes[ino]
+        inode = self._inodes[parent.entries[name]]
         plan.reads.append((inode.home_block, 1))
         for blk in inode.spill_blocks:
             plan.reads.append((blk, 1))
@@ -291,13 +305,12 @@ class EmbeddedLayout(DirectoryLayout):
 
     # -- internals -------------------------------------------------------------------
     def _new_inode(
-        self, parent: EmbeddedDir, name: str, now: float, is_dir: bool, plan: AccessPlan
-    ) -> tuple[Inode, None]:
-        self._require_absent(parent.entries, name)
-        offset, home_block, home_slot, extend_plan = self._take_slot(parent)
-        for r in extend_plan.reads:
-            plan.reads.append(r)
-        plan.dirties += extend_plan.dirties
+        self, parent: EmbeddedDir, name: str, now: float, is_dir: bool,
+        slot: tuple[int, int, int], dirties: list[int],
+    ) -> Inode:
+        """Enter ``name`` in ``parent`` with its inode in the taken ``slot``,
+        appending what that dirties to ``dirties``."""
+        offset, home_block, home_slot = slot
         ino = encode_ino(parent.dir_id, offset)
         inode = Inode(
             ino=ino, is_dir=is_dir, name=name, parent_dir_id=parent.ino,
@@ -305,15 +318,15 @@ class EmbeddedLayout(DirectoryLayout):
         )
         self._inodes[ino] = inode
         parent.entries[name] = ino
-        plan.dirties.append(home_block)
+        dirties.append(home_block)
         parent_inode = self._inodes[parent.ino]
         parent_inode.touch(now)
-        plan.dirties.append(parent_inode.home_block)
-        return (inode, None)
+        dirties.append(parent_inode.home_block)
+        return inode
 
-    def _take_slot(self, d: EmbeddedDir) -> tuple[int, int, int, AccessPlan]:
-        """Claim a content slot, extending the content if needed."""
-        plan = AccessPlan(journal_records=0)
+    def _take_slot(self, d: EmbeddedDir, dirties: list[int]) -> tuple[int, int, int]:
+        """Claim a content slot — (offset, home block, home slot) — extending
+        the content if needed and appending what that dirties to ``dirties``."""
         if d.free_offsets:
             offset = d.free_offsets.pop()
         else:
@@ -328,11 +341,11 @@ class EmbeddedLayout(DirectoryLayout):
                     d.group, grow, minimum=1
                 )
                 d.content_runs.append((start, got))
-                plan.dirties += bitmap_dirty
+                dirties += bitmap_dirty
             offset = d.next_offset
             d.next_offset += 1
         block = self._block_of_offset(d, offset)
-        return (offset, block, offset % self.slots_per_block, plan)
+        return (offset, block, offset % self.slots_per_block)
 
     def _block_of_offset(self, d: EmbeddedDir, offset: int) -> int:
         idx = offset // self.slots_per_block
@@ -364,10 +377,11 @@ class EmbeddedLayout(DirectoryLayout):
         """Ceph-style whole-directory prefetch: a cold lookup reads the full
         content (one sequential sweep); warm lookups hit the cache.  The
         in-memory name index (§IV.C) makes the CPU cost hash-constant."""
-        if expect is True and name not in d.entries:
+        if name in d.entries:
+            if expect is None:
+                raise FileExists(name)
+        elif expect is True:
             raise FileNotFound(name)
-        if expect is None and name in d.entries:
-            raise FileExists(name)
         return AccessPlan(
             reads=self._content_reads(d),
             cpu_s=self.params.htree_lookup_cpu_s,

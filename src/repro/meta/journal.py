@@ -115,6 +115,26 @@ class Journal:
         self._records.append(record)
         return (record, self.append(nblocks))
 
+    def log_one(
+        self, dirties: list[int] | tuple[int, ...], nblocks: int
+    ) -> JournalRecord | None:
+        """:meth:`log` for a record that does not wrap — every synchronous
+        commit but one per lap of the region — in one straight line.
+
+        The record's one commit write is ``(record.block, nblocks)``.
+        Answers ``None``, with nothing changed, when ``nblocks`` wraps or
+        is not a valid size: the caller falls back to :meth:`log`.
+        """
+        head = self._head
+        if not 0 < nblocks <= self.nblocks - head:
+            return None
+        record = JournalRecord(self._seq, self.base_block + head, tuple(dirties))
+        self._seq += 1
+        self._records.append(record)
+        self._head = (head + nblocks) % self.nblocks
+        self.records_written += nblocks
+        return record
+
     def log_batch(
         self, entries
     ) -> tuple[list[JournalRecord], list[BlockRequest], list[tuple[int, int]]]:
@@ -135,27 +155,15 @@ class Journal:
         the platter intact, so replay/truncate behavior is identical to
         the per-record path at every crash point.
         """
-        if len(entries) == 1:
-            dirties, nblocks = entries[0]
-            head = self._head
-            if 0 < nblocks <= self.nblocks - head:
-                # One record that does not wrap — every synchronous commit
-                # but one per lap of the region: :meth:`log` and
-                # :meth:`append` in one straight line.
-                block = self.base_block + head
-                record = JournalRecord(self._seq, block, tuple(dirties))
-                self._seq += 1
-                self._records.append(record)
-                self._head = (head + nblocks) % self.nblocks
-                self.records_written += nblocks
-                return ([record], [BlockRequest(block, nblocks, True)], [(0, 1)])
-            record, reqs = self.log(dirties, nblocks)
-            return ([record], reqs, [(0, len(reqs))])
         records: list[JournalRecord] = []
         requests: list[BlockRequest] = []
         spans: list[tuple[int, int]] = []
         for dirties, nblocks in entries:
-            record, reqs = self.log(dirties, nblocks)
+            record = self.log_one(dirties, nblocks)
+            if record is not None:
+                reqs = [BlockRequest(record.block, nblocks, True)]
+            else:
+                record, reqs = self.log(dirties, nblocks)
             records.append(record)
             lo = len(requests)
             requests.extend(reqs)

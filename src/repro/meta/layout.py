@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from repro.config import MetaParams
-from repro.errors import FileExists, FileNotFound
+from repro.errors import FileNotFound
 from repro.meta.inode import Inode
 from repro.meta.mfs import MetadataFS
 from repro.obs.trace import NULL_TRACER
@@ -69,7 +69,8 @@ class AccessPlan:
         Reads are never reordered.  The plan is rewritten **in place** and
         returned: its one caller, ``MetadataServer._execute``, owns the
         plan the layout just built for it, so no second plan is made per
-        operation.
+        operation (and skips the call for a plan of one read, which has
+        nothing to combine).
         """
         reads = self.reads
         if len(reads) <= 1:
@@ -207,16 +208,6 @@ class DirectoryLayout(abc.ABC):
     def lookup_inode(self, ino: int) -> Inode | None:
         """Inode by number, or ``None`` — non-raising observability lookup."""
         return self._inodes.get(ino)
-
-    def _require_absent(self, entries: dict[str, int], name: str) -> None:
-        if name in entries:
-            raise FileExists(name)
-
-    def _require_present(self, entries: dict[str, int], name: str) -> int:
-        try:
-            return entries[name]
-        except KeyError:
-            raise FileNotFound(name) from None
 
     def _lookup_cpu(self, entries_scanned: int) -> float:
         """CPU cost of a directory search: Htree hash lookup (ext4/Lustre)

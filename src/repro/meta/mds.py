@@ -275,10 +275,67 @@ class MetadataServer:
 
     # -- internals -----------------------------------------------------------
     def _execute(self, plan: AccessPlan, op_name: str, requests: int = 1) -> None:
-        plan = plan.coalesce()
-        if self._meta_batching and self.disk.injector is None:
-            self._execute_batched(plan, op_name, requests)
+        """Run one operation's plan: reads through the cache, one synchronous
+        journal commit, dirty-set / CPU / overhead bookkeeping, checkpoint
+        when due.
+
+        This is the batched body (:meth:`BufferCache.read_batch`,
+        :meth:`Journal.log_one`, :meth:`SimulatedDisk.submit_one`), with
+        per-op bookkeeping hoisted out of the interpreter's way; it has the
+        simulated effects of :meth:`_execute_scalar` in the same order, trace
+        events at the same points.  Only reached with no fault injector
+        armed, so the commit write cannot tear (the scalar body's
+        torn-record branch is unreachable).
+        """
+        disk = self.disk
+        if not (self._meta_batching and disk.injector is None):
+            self._execute_scalar(plan, op_name, requests)
             return
+        tracer = self.tracer
+        t0 = disk.busy_s + self._cpu_s + self._overhead_s
+        reads = plan.reads
+        if reads:
+            if len(reads) > 1:
+                reads = plan.coalesce().reads
+            self.cache.read_batch(reads)
+        dirties = plan.dirties
+        journal_records = plan.journal_records
+        if journal_records > 0 and self._sync_writes:
+            journal = self.journal
+            record = journal.log_one(dirties, journal_records)
+            if record is not None:
+                disk.submit_one(record.block, journal_records, True)
+            else:  # the record wraps the region, or its size is invalid
+                record, reqs = journal.log(dirties, journal_records)
+                for req in reqs:
+                    disk.submit_one(req.start, req.nblocks, req.is_write)
+            self._counters["mds.journal_writes"] += journal_records
+            journal.commit(record)
+            if tracer.enabled:
+                tracer.emit("meta", "journal_commit", records=journal_records)
+        if dirties:
+            self._dirty.update(dirties)
+        self._cpu_s += plan.cpu_s
+        self._overhead_s += requests * self._req_overhead_s
+        self.ops += 1
+        key = self._op_keys.get(op_name)
+        if key is None:
+            key = self._op_keys[op_name] = f"mds.op.{op_name}"
+        self._counters[key] += 1
+        if journal_records > 0:
+            self._ops_since_ckpt += 1
+            if self._ops_since_ckpt >= self._ckpt_interval:
+                self.checkpoint()
+        elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
+        self._op_latency.observe(elapsed)
+        if tracer.enabled:
+            tracer.emit("meta", op_name, t=t0, dur=elapsed)
+
+    def _execute_scalar(self, plan: AccessPlan, op_name: str, requests: int) -> None:
+        """The straight-line body: one :meth:`BufferCache.read` per span and
+        per-request journal writes whose tearing is checked — what runs under
+        an armed fault injector or ``execution="legacy"``."""
+        plan = plan.coalesce()
         t0 = self.elapsed_s
         for block, count in plan.reads:
             self.cache.read(block, count)
@@ -316,47 +373,3 @@ class MetadataServer:
         self.metrics.observe("mds.op_latency_s", elapsed)
         if self.tracer.enabled:
             self.tracer.emit("meta", op_name, t=t0, dur=elapsed)
-
-    def _execute_batched(self, plan: AccessPlan, op_name: str, requests: int) -> None:
-        """Batched replay of the scalar :meth:`_execute` body.
-
-        Same simulated effects in the same order — plan reads through
-        :meth:`BufferCache.read_batch`, the journal commit through
-        :meth:`Journal.log_batch` — with per-op bookkeeping hoisted out of
-        the interpreter's way, trace events emitted at the same points.
-        Only reached with no fault injector armed, so the commit write
-        cannot tear (the scalar path's torn-record branch is unreachable).
-        """
-        disk = self.disk
-        tracer = self.tracer
-        t0 = disk.busy_s + self._cpu_s + self._overhead_s
-        if plan.reads:
-            self.cache.read_batch(plan.reads)
-        journal_records = plan.journal_records
-        if journal_records > 0 and self._sync_writes:
-            records, reqs, _ = self.journal.log_batch(
-                ((plan.dirties, journal_records),)
-            )
-            for req in reqs:
-                disk.submit_one(req.start, req.nblocks, req.is_write)
-            self._counters["mds.journal_writes"] += journal_records
-            self.journal.commit(records[0])
-            if tracer.enabled:
-                tracer.emit("meta", "journal_commit", records=journal_records)
-        if plan.dirties:
-            self._dirty.update(plan.dirties)
-        self._cpu_s += plan.cpu_s
-        self._overhead_s += requests * self._req_overhead_s
-        self.ops += 1
-        key = self._op_keys.get(op_name)
-        if key is None:
-            key = self._op_keys[op_name] = f"mds.op.{op_name}"
-        self._counters[key] += 1
-        if journal_records > 0:
-            self._ops_since_ckpt += 1
-            if self._ops_since_ckpt >= self._ckpt_interval:
-                self.checkpoint()
-        elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
-        self._op_latency.observe(elapsed)
-        if tracer.enabled:
-            tracer.emit("meta", op_name, t=t0, dur=elapsed)

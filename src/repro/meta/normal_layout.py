@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import FileExists, FileNotFound, IsADirectory, MetadataError
+from repro.errors import (
+    FileExists, FileNotFound, IsADirectory, MetadataError, NoSpaceError,
+)
 from repro.meta.inode import Inode
 from repro.meta.layout import AccessPlan, DirectoryLayout
 
@@ -63,70 +65,84 @@ class NormalLayout(DirectoryLayout):
 
     def create_dir(self, parent: NormalDir, name: str, now: float) -> tuple[NormalDir, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=None)
-        self._require_absent(parent.entries, name)
-        group = self.mfs.next_dir_group()  # rlov spreads directories
-        ino_index, bitmap_dirty = self.mfs.alloc_inode(group)
-        home_block, home_slot = self.mfs.itable_block_of(ino_index)
-        inode = Inode(
+        mfs = self.mfs
+        group = mfs.next_dir_group()  # rlov spreads directories
+        ino_index, bitmap_dirty = mfs.alloc_inode(group)
+        home_block, home_slot = mfs.itable_block_of(ino_index)
+        d = NormalDir(ino=ino_index, group=group)
+        dirties = plan.dirties
+        dirties += bitmap_dirty
+        dirties.append(home_block)
+        nblocks = len(parent.dentry_blocks)
+        try:
+            self._append_entry(parent, name, ino_index, dirties)
+            dirties += self._add_dentry_block(d)
+        except NoSpaceError:
+            # Out of dentry blocks part-way: take back the entry, the block
+            # the parent grew by for it, the inode and rlov's turn.
+            if name in parent.entries:
+                self._drop_entry(parent, name)
+                if len(parent.dentry_blocks) > nblocks:
+                    parent.fill.pop()
+                    mfs.free_data(parent.dentry_blocks.pop(), 1)
+            mfs.free_inode(ino_index)
+            mfs._dir_rotor = group
+            raise
+        self._inodes[ino_index] = Inode(
             ino=ino_index, is_dir=True, name=name, parent_dir_id=parent.ino,
             home_block=home_block, home_slot=home_slot, mtime=now, ctime=now,
         )
-        self._inodes[ino_index] = inode
-        d = NormalDir(ino=ino_index, group=group)
         self._dirs[ino_index] = d
-        plan.dirties += bitmap_dirty + [home_block]
-        plan = plan.merge(self._append_entry(parent, name, ino_index))
-        plan.dirties += self._add_dentry_block(d)
         parent_inode = self._inodes[parent.ino]
         parent_inode.touch(now)
-        plan.dirties.append(parent_inode.home_block)
+        dirties.append(parent_inode.home_block)
         return (d, plan)
 
     def create_file(self, parent: NormalDir, name: str, now: float) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=None)
-        self._require_absent(parent.entries, name)
+        mfs = self.mfs
         # ext3 places file inodes in the parent directory's group.
-        ino_index, bitmap_dirty = self.mfs.alloc_inode(parent.group)
-        home_block, home_slot = self.mfs.itable_block_of(ino_index)
-        inode = Inode(
+        ino_index, bitmap_dirty = mfs.alloc_inode(parent.group)
+        home_block, home_slot = mfs.itable_block_of(ino_index)
+        dirties = plan.dirties
+        dirties += bitmap_dirty
+        dirties.append(home_block)
+        try:
+            self._append_entry(parent, name, ino_index, dirties)
+        except NoSpaceError:
+            mfs.free_inode(ino_index)  # no dentry block to be had: no inode either
+            raise
+        inode = self._inodes[ino_index] = Inode(
             ino=ino_index, is_dir=False, name=name, parent_dir_id=parent.ino,
             home_block=home_block, home_slot=home_slot, mtime=now, ctime=now,
         )
-        self._inodes[ino_index] = inode
-        plan.dirties += bitmap_dirty + [home_block]
-        plan = plan.merge(self._append_entry(parent, name, ino_index))
         parent_inode = self._inodes[parent.ino]
         parent_inode.touch(now)
-        plan.dirties.append(parent_inode.home_block)
+        dirties.append(parent_inode.home_block)
         return (inode, plan)
 
     # -- mutation ---------------------------------------------------------------
     def delete_file(self, parent: NormalDir, name: str) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
+        ino = parent.entries[name]
         inode = self._inodes[ino]
         if inode.is_dir:
             raise IsADirectory(name)
         # Entry block, inode table block and inode bitmap all get dirtied;
         # mapping blocks (if any) are freed, dirtying the block bitmap too.
-        plan.dirties.append(parent.entry_block[name])
-        plan.dirties.append(inode.home_block)
-        plan.dirties += self.mfs.free_inode(ino)
+        dirties = plan.dirties
+        dirties.append(self._drop_entry(parent, name))
+        dirties.append(inode.home_block)
+        dirties += self.mfs.free_inode(ino)
         for blk in inode.spill_blocks:
-            plan.dirties += self.mfs.free_data(blk, 1)
-        block = parent.entry_block.pop(name)
-        idx = parent.dentry_blocks.index(block)
-        parent.fill[idx] -= 1
-        del parent.entries[name]
+            dirties += self.mfs.free_data(blk, 1)
         del self._inodes[ino]
-        parent_inode = self._inodes[parent.ino]
-        plan.dirties.append(parent_inode.home_block)
+        dirties.append(self._inodes[parent.ino].home_block)
         return plan
 
     def utime(self, parent: NormalDir, name: str, now: float) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
-        inode = self._inodes[ino]
+        inode = self._inodes[parent.entries[name]]
         inode.touch(now)
         plan.reads.append((inode.home_block, 1))
         plan.dirties.append(inode.home_block)
@@ -134,8 +150,7 @@ class NormalLayout(DirectoryLayout):
 
     def set_extent_records(self, parent: NormalDir, name: str, count: int) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
-        inode = self._inodes[ino]
+        inode = self._inodes[parent.entries[name]]
         if count < 0:
             raise MetadataError(f"negative extent record count: {count}")
         inode.extent_records = count
@@ -156,17 +171,12 @@ class NormalLayout(DirectoryLayout):
     ) -> AccessPlan:
         plan = self._lookup_plan(src_dir, src_name, expect=True)
         plan = plan.merge(self._lookup_plan(dst_dir, dst_name, expect=None))
-        ino = self._require_present(src_dir.entries, src_name)
-        self._require_absent(dst_dir.entries, dst_name)
+        ino = src_dir.entries[src_name]
         inode = self._inodes[ino]
         # Inode number is stable in the traditional layout: only the two
         # entry blocks and the inode's backpointer change.
-        plan.dirties.append(src_dir.entry_block[src_name])
-        block = src_dir.entry_block.pop(src_name)
-        idx = src_dir.dentry_blocks.index(block)
-        src_dir.fill[idx] -= 1
-        del src_dir.entries[src_name]
-        plan = plan.merge(self._append_entry(dst_dir, dst_name, ino))
+        plan.dirties.append(self._drop_entry(src_dir, src_name))
+        self._append_entry(dst_dir, dst_name, ino, plan.dirties)
         inode.name = dst_name
         inode.parent_dir_id = dst_dir.ino
         inode.touch(now)
@@ -180,8 +190,7 @@ class NormalLayout(DirectoryLayout):
     # -- queries ----------------------------------------------------------------
     def stat(self, parent: NormalDir, name: str) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
-        inode = self._inodes[ino]
+        inode = self._inodes[parent.entries[name]]
         plan.reads.append((inode.home_block, 1))
         plan.journal_records = 0
         return (inode, plan)
@@ -218,8 +227,7 @@ class NormalLayout(DirectoryLayout):
 
     def getlayout(self, parent: NormalDir, name: str) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=True)
-        ino = self._require_present(parent.entries, name)
-        inode = self._inodes[ino]
+        inode = self._inodes[parent.entries[name]]
         plan.reads.append((inode.home_block, 1))
         for blk in inode.spill_blocks:
             plan.reads.append((blk, 1))
@@ -239,41 +247,46 @@ class NormalLayout(DirectoryLayout):
         ``expect`` asserts presence (True) or absence (None allows either);
         consistency errors raise before any state changes.
         """
-        if expect is True and name not in d.entries:
-            raise FileNotFound(name)
-        if expect is None and name in d.entries:
-            raise FileExists(name)
-        if name in d.entries:
-            target = d.entry_block[name]
-            idx = d.dentry_blocks.index(target)
-            scanned_blocks = d.dentry_blocks[: idx + 1]
-            scanned_entries = sum(d.fill[: idx + 1])
-        else:
-            scanned_blocks = list(d.dentry_blocks)
+        target = d.entry_block.get(name)
+        if target is None:
+            if expect is True:
+                raise FileNotFound(name)
+            reads = [(b, 1) for b in d.dentry_blocks]
             scanned_entries = len(d.entries)
-        if self.params.htree_index and name in d.entries:
+        elif expect is None:
+            raise FileExists(name)
+        elif self.params.htree_index:
             # Htree reads only the hashed bucket's block.
-            scanned_blocks = [d.entry_block[name]]
-        return AccessPlan(
-            reads=[(b, 1) for b in scanned_blocks],
-            cpu_s=self._lookup_cpu(scanned_entries),
-        )
+            reads = [(target, 1)]
+            scanned_entries = 0  # unused: the lookup is hash-constant
+        else:
+            upto = d.dentry_blocks.index(target) + 1
+            reads = [(b, 1) for b in d.dentry_blocks[:upto]]
+            scanned_entries = sum(d.fill[:upto])
+        return AccessPlan(reads=reads, cpu_s=self._lookup_cpu(scanned_entries))
 
-    def _append_entry(self, d: NormalDir, name: str, ino: int) -> AccessPlan:
-        plan = AccessPlan(journal_records=0)
+    def _append_entry(self, d: NormalDir, name: str, ino: int, dirties: list[int]) -> None:
+        """Enter ``name`` in ``d``, appending what that dirties to ``dirties``."""
         # First block with room; holes left by deletes are reused.
-        slot = next(
-            (i for i, f in enumerate(d.fill) if f < self.dentries_per_block), None
-        )
-        if slot is None:
-            plan.dirties += self._add_dentry_block(d)
+        per_block = self.dentries_per_block
+        for slot, fill in enumerate(d.fill):
+            if fill < per_block:
+                break
+        else:
+            dirties += self._add_dentry_block(d)
             slot = len(d.dentry_blocks) - 1
         d.fill[slot] += 1
         block = d.dentry_blocks[slot]
         d.entries[name] = ino
         d.entry_block[name] = block
-        plan.dirties.append(block)
-        return plan
+        dirties.append(block)
+
+    def _drop_entry(self, d: NormalDir, name: str) -> int:
+        """Remove ``name`` from ``d``; returns the entry block it lived in."""
+        block = d.entry_block.pop(name)
+        d.fill[d.dentry_blocks.index(block)] -= 1
+        del d.entries[name]
+        return block
 
     def _add_dentry_block(self, d: NormalDir) -> list[int]:
         hint = d.group

@@ -3,6 +3,7 @@
 from repro.workloads.base import (
     FsyncOp,
     MetaOp,
+    MetaOpRun,
     ReadOp,
     ReadvOp,
     StreamProgram,
@@ -32,6 +33,7 @@ __all__ = [
     "ReadvOp",
     "FsyncOp",
     "MetaOp",
+    "MetaOpRun",
     "StreamProgram",
     "drive",
     "run_data_phase",

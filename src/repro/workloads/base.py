@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -115,6 +116,21 @@ class MetaOp:
     args: tuple = ()
 
 
+@dataclass(frozen=True, slots=True)
+class MetaOpRun:
+    """A run of calls to one method whose results nobody reads: a bulk
+    phase described once instead of one :class:`MetaOp` per call.
+
+    ``argsets[i]`` is the i-th call's argument tuple.  The executor makes
+    the calls in order in a plain loop — nothing is validated ahead, so a
+    call that raises does so with every earlier call applied — and
+    answers (sends back) the number of calls made.
+    """
+
+    method: str
+    argsets: list[tuple]
+
+
 Op = WriteOp | ReadOp | FsyncOp | WritevOp | ReadvOp
 
 #: Op kinds of a column program (:meth:`StreamProgram.from_columns`).
@@ -126,16 +142,20 @@ _SOLO = 2
 #: bounds the mapping's temporaries whatever the run's length.
 READ_RUN_OPS = 4096
 
+#: :func:`meta_runs` holds at most this many argument tuples at a time,
+#: whatever the phase's size.
+META_RUN_OPS = 4096
+
 #: :func:`schedule_arrivals` draws at most about this many (round, stream)
 #: cells at a time, bounding the draw block whatever the phase's size.
 SCHEDULE_CELLS = 1 << 16
 
 #: An event is an operation plus the think-time gap (seconds) since the
 #: stream's previous operation.
-Event = tuple[float, "Op | MetaOp"]
+Event = tuple[float, "Op | MetaOp | MetaOpRun"]
 
 
-def as_event(item: Event | Op | MetaOp) -> Event:
+def as_event(item: Event | Op | MetaOp | MetaOpRun) -> Event:
     """Normalize a yielded item to ``(arrival_dt, op)`` (bare op → dt 0)."""
     if type(item) is tuple:
         return item
@@ -144,7 +164,7 @@ def as_event(item: Event | Op | MetaOp) -> Event:
 
 def drive(
     gen: Generator[Any, Any, Any],
-    execute: Callable[[MetaOp], Any],
+    execute: Callable[[MetaOp | MetaOpRun], Any],
 ) -> Any:
     """Run a send-based meta program to completion; returns its value.
 
@@ -163,13 +183,30 @@ def drive(
         return stop.value
 
 
-def mds_executor(mds: Any) -> Callable[[MetaOp], Any]:
-    """Executor resolving :class:`MetaOp` methods against ``mds``/``fs``."""
+def mds_executor(mds: Any) -> Callable[[MetaOp | MetaOpRun], Any]:
+    """Executor resolving :class:`MetaOp` / :class:`MetaOpRun` methods
+    against ``mds``/``fs``."""
 
-    def execute(op: MetaOp) -> Any:
+    def execute(op: MetaOp | MetaOpRun) -> Any:
+        if type(op) is MetaOpRun:
+            call = getattr(mds, op.method)
+            for args in op.argsets:
+                call(*args)
+            return len(op.argsets)
         return getattr(mds, op.method)(*op.args)
 
     return execute
+
+
+def meta_runs(method: str, argsets: Iterable[tuple]) -> Generator[Event, int, int]:
+    """Send-based program calling ``method`` once per tuple of ``argsets``,
+    in order, as :class:`MetaOpRun` events of at most :data:`META_RUN_OPS`
+    calls; returns the number of calls made."""
+    argsets = iter(argsets)
+    count = 0
+    while run := list(islice(argsets, META_RUN_OPS)):
+        count += yield (0.0, MetaOpRun(method, run))
+    return count
 
 
 class _LazySource:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.meta.mds import MetadataServer
 from repro.sim.metrics import ThroughputResult
-from repro.workloads.base import MetaOp, drive, mds_executor
+from repro.workloads.base import MetaOp, drive, mds_executor, meta_runs
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,15 @@ class MdtestWorkload:
 
     def item_program(self, trees: list[list], method: str):
         """Per-item event stream (phases 2-4): ``method`` on every item of
-        every directory, tasks interleaved one op at a time."""
+        every directory, tasks interleaved one op at a time; results are
+        unread, so the stream is :class:`~repro.workloads.base.MetaOpRun`s."""
         cfg = self.config
-        for i in range(cfg.items_per_dir):
-            for t in range(cfg.ntasks):
-                for di, d in enumerate(trees[t]):
-                    yield (0.0, MetaOp(method, (d, f"file.{di}.{i}")))
+        return meta_runs(method, (
+            (d, f"file.{di}.{i}")
+            for i in range(cfg.items_per_dir)
+            for t in range(cfg.ntasks)
+            for di, d in enumerate(trees[t])
+        ))
 
     def run(self, mds: MetadataServer, cold_stat: bool = True) -> MdtestResult:
         cfg = self.config

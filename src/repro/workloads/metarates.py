@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.meta.mds import MetadataServer
 from repro.sim.metrics import ThroughputResult
-from repro.workloads.base import MetaOp, drive, mds_executor
+from repro.workloads.base import MetaOp, drive, mds_executor, meta_runs
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,14 @@ class MetaratesWorkload:
     def per_file_program(self, dirs: list, method: str):
         """Round-robin ``method`` over every (file, client) pair: clients
         take turns one op at a time, exactly the MDS-side interleaving of
-        Metarates' MPI coordination.  Yields ``(arrival_dt, MetaOp)``
+        Metarates' MPI coordination.  Nobody reads the results, so the
+        phase is yielded as :class:`~repro.workloads.base.MetaOpRun`
         events; returns the op count."""
-        count = 0
-        for i in range(self.files_per_dir):
-            for c, d in enumerate(dirs):
-                yield (0.0, MetaOp(method, (d, self._filename(c, i))))
-                count += 1
-        return count
+        return meta_runs(method, (
+            (d, self._filename(c, i))
+            for i in range(self.files_per_dir)
+            for c, d in enumerate(dirs)
+        ))
 
     def readdir_stat_program(self, dirs: list, repeats: int = 1):
         """Aggregated readdirplus; counts the readdir plus each returned
