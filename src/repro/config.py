@@ -331,19 +331,6 @@ class FSConfig:
     #: CPU time the MDS spends per extent handled (merging/indexing); the
     #: source of Table I's CPU-utilization column.
     mds_cpu_s_per_extent: float = 0.00002
-    #: Execution profile for both the data and metadata paths:
-    #:
-    #: - ``"batched"`` (default) — group dlocal-contiguous same-PAG segments
-    #:   into one policy call, coalesce physically adjacent requests before
-    #:   submission (PVFS list-I/O style), use the numpy batch service-time
-    #:   model inside each disk, and execute metadata access plans through
-    #:   ``BufferCache.read_batch`` / ``Journal.log_one`` / the array
-    #:   submit path.
-    #: - ``"legacy"`` — the per-segment, per-request, per-read scalar paths
-    #:   (same results, slower); the straight-line reference the tests
-    #:   compare the batched paths against.  This field is the only way to
-    #:   select it.
-    execution: str = "batched"
 
     def __post_init__(self) -> None:
         if self.ndisks <= 0:
@@ -354,8 +341,6 @@ class FSConfig:
             raise ConfigError(f"pags_per_disk must be positive: {self.pags_per_disk}")
         if self.mds_request_overhead_s < 0 or self.mds_cpu_s_per_extent < 0:
             raise ConfigError("MDS cost parameters must be >= 0")
-        if self.execution not in ("batched", "legacy"):
-            raise ConfigError(f"unknown execution profile: {self.execution!r}")
 
     def with_policy(self, policy: str, **overrides: object) -> "FSConfig":
         """Copy of this config with a different allocation policy."""

@@ -15,9 +15,9 @@ and ``trace`` — and all return a :class:`RunResult`:
 - ``trace`` holds the :class:`~repro.obs.trace.Tracer` when tracing was
   requested, ready for :func:`repro.obs.to_chrome` / ``to_jsonl`` export.
 
-Execution strategy — ``jobs`` (parallel sweep cells) and the
-``FSConfig.execution`` profile — never changes a result, only how fast it
-is produced, so neither participates in fingerprints.
+Execution strategy — ``jobs`` (parallel sweep cells) — never changes a
+result, only how fast it is produced, so it does not participate in
+fingerprints.
 """
 
 from __future__ import annotations

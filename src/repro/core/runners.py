@@ -1096,9 +1096,9 @@ class ServiceCell:
     arrivals: int
     active_streams: int
     stations: dict[str, StationReport] = field(default_factory=dict)
-    #: Which disk-array submit path serviced the cell's batches — the
-    #: introspection that proves a traced run took the untraced run's
-    #: path (see :attr:`repro.disk.array.DiskArray.io_profile`).
+    #: How many of the cell's disk-array batches held one request and how
+    #: many held more — the introspection that proves a traced run saw the
+    #: untraced run's batches (:attr:`repro.disk.array.DiskArray.io_profile`).
     io_profile: dict[str, int] = field(default_factory=dict)
     #: Per-window telemetry frames (``--telemetry``); None when disabled.
     telemetry: TimeSeriesSnapshot | None = None

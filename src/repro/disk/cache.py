@@ -32,9 +32,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import OrderedDict
 
+import numpy as np
+
 from repro.config import CacheParams
 from repro.disk.disk import SimulatedDisk
-from repro.disk.model import BlockRequest
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
@@ -367,7 +368,7 @@ class BufferCache:
         # Collect the miss runs within [start, start+nblocks+prefetch).
         want = nblocks + prefetch
         req_end = start + nblocks
-        misses: list[BlockRequest] = []
+        misses: list[tuple[int, int]] = []
         requested_miss = False
         run_start = -1
         for b in range(start, start + want):
@@ -381,7 +382,7 @@ class BufferCache:
                     self.metrics.incr("cache.ra_cached")
                     self._tier_insert(b)  # refresh within its tier
                 if run_start >= 0:
-                    misses.append(BlockRequest(run_start, b - run_start, is_write=False))
+                    misses.append((run_start, b - run_start))
                     run_start = -1
             else:
                 if b < req_end:
@@ -391,16 +392,16 @@ class BufferCache:
                     run_start = b
         if run_start >= 0:
             end = min(start + want, capacity)
-            misses.append(BlockRequest(run_start, end - run_start, is_write=False))
+            misses.append((run_start, end - run_start))
 
         if not misses:
             if self.tracer.enabled:
                 self.tracer.emit("cache", "hit", start=start, nblocks=nblocks)
             return 0.0
-        elapsed = self.disk.submit_batch(misses)
+        elapsed = self._fetch(misses)
         issued = 0
-        for req in misses:
-            for b in range(req.start, req.start + req.nblocks):
+        for run_start, run_blocks in misses:
+            for b in range(run_start, run_start + run_blocks):
                 ahead = b >= req_end
                 self._tier_insert(b, prefetched=ahead)
                 if ahead:
@@ -440,32 +441,30 @@ class BufferCache:
         if not self.params.enabled or self.params.capacity_blocks == 0:
             return 0.0
         capacity = self.disk.capacity_blocks
-        misses: list[BlockRequest] = []
+        misses: list[tuple[int, int]] = []
         for start, nblocks in reads:
             run_start = -1
             end = min(start + nblocks, capacity)
             for b in range(start, end):
                 if b in self:
                     if run_start >= 0:
-                        misses.append(
-                            BlockRequest(run_start, b - run_start, is_write=False)
-                        )
+                        misses.append((run_start, b - run_start))
                         run_start = -1
                 elif run_start < 0:
                     run_start = b
             if run_start >= 0:
-                misses.append(BlockRequest(run_start, end - run_start, is_write=False))
+                misses.append((run_start, end - run_start))
         if not misses:
             return 0.0
-        elapsed = self.disk.submit_batch(misses)
+        elapsed = self._fetch(misses)
         issued = 0
-        for req in misses:
+        for run_start, run_blocks in misses:
             if self._adaptive:
-                for b in range(req.start, req.start + req.nblocks):
+                for b in range(run_start, run_start + run_blocks):
                     self._tier_insert(b, prefetched=True)
             else:
-                self._insert(req.start, req.nblocks)
-            issued += req.nblocks
+                self._insert(run_start, run_blocks)
+            issued += run_blocks
         self.metrics.incr("cache.dir_prefetches")
         self.metrics.incr("cache.prefetch_issued_blocks", issued)
         self.metrics.add("cache.unbilled_prefetch_s", elapsed)
@@ -477,12 +476,17 @@ class BufferCache:
         return 0.0
 
     # -- I/O ------------------------------------------------------------------
+    def _fetch(self, misses: list[tuple[int, int]]) -> float:
+        """Read the ``(start, nblocks)`` miss runs as one disk batch."""
+        runs = np.array(misses, dtype=np.int64)
+        return self.disk.submit_arrays(runs[:, 0], runs[:, 1], False)
+
     def read(self, start: int, nblocks: int) -> float:
         """Read a block run through the cache; returns disk seconds spent."""
         if nblocks <= 0:
             raise SimulationError(f"read of {nblocks} blocks")
         if not self.params.enabled:
-            return self.disk.submit(BlockRequest(start, nblocks, is_write=False))
+            return self.disk.submit_one(start, nblocks, False)
         if self._adaptive:
             return self._read_adaptive(start, nblocks)
         if self._pending_moves:
@@ -527,7 +531,7 @@ class BufferCache:
 
         # Collect the miss runs within [start, start+nblocks+prefetch).
         want = nblocks + prefetch
-        misses: list[BlockRequest] = []
+        misses: list[tuple[int, int]] = []
         requested_miss = False
         run_start = -1
         for b in range(start, start + want):
@@ -537,7 +541,7 @@ class BufferCache:
                 self.metrics.incr("cache.hits" if b < start + nblocks else "cache.ra_cached")
                 self._lru.move_to_end(b)
                 if run_start >= 0:
-                    misses.append(BlockRequest(run_start, b - run_start, is_write=False))
+                    misses.append((run_start, b - run_start))
                     run_start = -1
             else:
                 if b < start + nblocks:
@@ -547,15 +551,15 @@ class BufferCache:
                     run_start = b
         if run_start >= 0:
             end = min(start + want, self.disk.capacity_blocks)
-            misses.append(BlockRequest(run_start, end - run_start, is_write=False))
+            misses.append((run_start, end - run_start))
 
         if not misses:
             if self.tracer.enabled:
                 self.tracer.emit("cache", "hit", start=start, nblocks=nblocks)
             return 0.0
-        elapsed = self.disk.submit_batch(misses)
-        for req in misses:
-            self._insert(req.start, req.nblocks)
+        elapsed = self._fetch(misses)
+        for run_start, run_blocks in misses:
+            self._insert(run_start, run_blocks)
         if not requested_miss:
             # Every requested block was resident; the batch only serviced
             # readahead beyond the request.  Prefetch is opportunistic — its
@@ -590,15 +594,17 @@ class BufferCache:
 
         Equivalent to summing :meth:`read` over ``reads`` — the same disk
         request stream, metric totals and cache/readahead end state (the
-        batched metadata path's determinism contract, docs/PERF.md).  A
-        read that is fully resident and does not push past a readahead
-        frontier takes a fast path without per-block accounting; anything
-        else — a miss, a frontier crossing, a read past capacity, or a
-        disabled cache — falls back to the scalar :meth:`read` for
-        that element, *before* any state was touched, so the sequence of
-        cache and context mutations is identical to the scalar loop.  The
-        adaptive profile always takes the scalar loop (tier promotion is
-        order-sensitive on every touch, so there is no deferrable work).
+        metadata path's determinism contract, docs/PERF.md), also when a
+        read raises part-way (a faulted disk): the reads before it keep
+        their hits and their cache effects.  A read that is fully resident
+        and does not push past a readahead frontier takes a fast path
+        without per-block accounting; anything else — a miss, a frontier
+        crossing, a read past capacity, or a disabled cache — falls back to
+        the scalar :meth:`read` for that element, *before* any state was
+        touched, so the sequence of cache and context mutations is
+        identical to the scalar loop.  The adaptive profile always takes
+        the scalar loop (tier promotion is order-sensitive on every touch,
+        so there is no deferrable work).
         """
         if not self.params.enabled or self._adaptive:
             read = self.read
@@ -616,38 +622,43 @@ class BufferCache:
         capacity = self.disk.capacity_blocks
         total = 0.0
         hits = 0
-        for start, nblocks in reads:
-            end = start + nblocks
-            if 0 < nblocks and end <= capacity:
-                ctx_key = None
-                for k in ra:
-                    if k - slack <= start <= k:
-                        ctx_key = k
-                        break
-                if ctx_key is None or end <= ctx_key:
-                    # No frontier crossing possible: the read either matches
-                    # no stream or stays inside its prefetched region.
-                    if nblocks == 1:
-                        resident = start in lru
-                    else:
-                        resident = keys >= set(range(start, end))
-                    if resident:
-                        if ctx_key is not None:
-                            ra.move_to_end(ctx_key)
-                        if nblocks <= REFRESH_NOW_BLOCKS and not pending:
-                            for b in range(start, end):
-                                move(b)
+        try:
+            for start, nblocks in reads:
+                end = start + nblocks
+                if 0 < nblocks and end <= capacity:
+                    ctx_key = None
+                    for k in ra:
+                        if k - slack <= start <= k:
+                            ctx_key = k
+                            break
+                    if ctx_key is None or end <= ctx_key:
+                        # No frontier crossing possible: the read either
+                        # matches no stream or stays inside its prefetched
+                        # region.
+                        if nblocks == 1:
+                            resident = start in lru
                         else:
-                            # A direct move behind a pending sweep would
-                            # reorder the LRU: queue behind it instead.
-                            pending.append((start, end))
-                        hits += nblocks
-                        if tracer.enabled:
-                            tracer.emit("cache", "hit", start=start, nblocks=nblocks)
-                        continue
-            total += self.read(start, nblocks)
-        if hits:
-            self.metrics.incr("cache.hits", hits)
+                            resident = keys >= set(range(start, end))
+                        if resident:
+                            if ctx_key is not None:
+                                ra.move_to_end(ctx_key)
+                            if nblocks <= REFRESH_NOW_BLOCKS and not pending:
+                                for b in range(start, end):
+                                    move(b)
+                            else:
+                                # A direct move behind a pending sweep would
+                                # reorder the LRU: queue behind it instead.
+                                pending.append((start, end))
+                            hits += nblocks
+                            if tracer.enabled:
+                                tracer.emit("cache", "hit", start=start, nblocks=nblocks)
+                            continue
+                total += self.read(start, nblocks)
+        finally:
+            # A read that raises (a faulted disk) keeps the hits of the
+            # reads before it, as the scalar loop booked them per block.
+            if hits:
+                self.metrics.incr("cache.hits", hits)
         return total
 
     def insert_blocks(self, blocks) -> None:
@@ -687,6 +698,6 @@ class BufferCache:
             raise SimulationError(f"write of {nblocks} blocks")
         self._insert(start, nblocks)
         if sync:
-            return self.disk.submit(BlockRequest(start, nblocks, is_write=True))
+            return self.disk.submit_one(start, nblocks, True)
         self.metrics.incr("cache.delayed_writes")
         return 0.0

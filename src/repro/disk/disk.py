@@ -13,7 +13,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.config import DiskParams, SchedulerParams
-from repro.disk.model import BlockRequest, ServiceTimeModel
+from repro.disk.model import BlockRequest, ServiceTimeModel, request_columns
 from repro.disk.scheduler import make_scheduler
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -23,16 +23,20 @@ from repro.sim.metrics import Metrics
 REQUEST_CHUNK = 1024
 
 
-def _count_rows(metrics: Metrics, rows) -> None:
-    """Book serviced requests, one ``(nblocks, is_write, positioning,
-    transfer)`` row each: what per-request updates in row order produce —
-    histogram samples and the two float accumulators are taken strictly in
-    that order, the counters are order-free.  A plain loop rather than
-    numpy columns: the logs this sees hold a few to a few dozen rows,
-    where a handful of array calls costs several times the loop."""
+def reduce_request_rows(metrics: Metrics, rows: list) -> None:
+    """Reducer of the request log ``SimulatedDisk.submit_one`` appends to.
+
+    ``rows`` are ``(nblocks, is_write, positioning, transfer)`` in
+    submission order, from every disk sharing the bag, and each stands for
+    one scheduler batch of one request in and out.  Books what per-request
+    updates in row order produce — histogram samples and the two float
+    accumulators are taken strictly in that order, the counters are
+    order-free.  A plain loop rather than numpy columns: the logs this sees
+    hold a few to a few dozen rows, where a handful of array calls costs
+    several times the loop."""
     n = len(rows)
-    if n == 0:
-        return
+    for name in ("scheduler.batches", "scheduler.requests_in", "scheduler.requests_out"):
+        metrics.incr(name, n)
     latency = metrics.histogram_ref("disk.request_latency_s").observe
     size = metrics.histogram_ref("disk.request_blocks").observe
     blocks = positionings = writes = write_blocks = 0
@@ -60,19 +64,15 @@ def _count_rows(metrics: Metrics, rows) -> None:
         metrics.incr("disk.read_blocks", blocks - write_blocks)
 
 
-def reduce_request_rows(metrics: Metrics, rows: list) -> None:
-    """Reducer of the request log ``SimulatedDisk.submit_one`` appends to.
-
-    ``rows`` are in submission order, from every disk sharing the bag, and
-    each stands for one scheduler batch of one request in and out."""
-    n = len(rows)
-    for name in ("scheduler.batches", "scheduler.requests_in", "scheduler.requests_out"):
-        metrics.incr(name, n)
-    _count_rows(metrics, rows)
-
-
 class SimulatedDisk:
-    """One disk: head position, busy-time accounting, attached scheduler."""
+    """One disk: head position, busy-time accounting, attached scheduler.
+
+    One request path.  A batch is columns from the submit call down
+    (:meth:`submit_arrays`; :meth:`submit_batch` turns request objects into
+    columns) and a batch of one takes :meth:`submit_one`'s scalar body.  An
+    attached fault injector sees every arranged batch as columns on that
+    same path (docs/FAULTS.md).
+    """
 
     def __init__(
         self,
@@ -81,15 +81,9 @@ class SimulatedDisk:
         metrics: Metrics | None = None,
         name: str = "disk",
         tracer: Tracer | NullTracer | None = None,
-        vectorized: bool = True,
     ) -> None:
         self.params = params
         self.name = name
-        #: Use the numpy batch path of :class:`ServiceTimeModel` for
-        #: multi-request batches.  Bit-identical to the scalar loop; off
-        #: under ``FSConfig.execution="legacy"``, the reference path tests
-        #: compare against.
-        self.vectorized = vectorized
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.model = ServiceTimeModel(params)
@@ -146,8 +140,8 @@ class SimulatedDisk:
 
     def attach_injector(self, injector) -> None:
         """Install a :class:`~repro.fault.injector.FaultInjector` beneath
-        the request loop, wired into this disk's metrics and tracer."""
-        injector.bind(self.metrics, self.tracer, self.name)
+        the request path, counting into this disk's metrics."""
+        injector.bind(self.metrics, self.name)
         self.injector = injector
 
     def detach_injector(self) -> None:
@@ -159,180 +153,173 @@ class SimulatedDisk:
 
         Returns the seconds spent on the whole batch.  Requests are arranged
         by the scheduler first, so a batch of adjacent runs costs a single
-        positioning operation.
+        positioning operation.  The object form of :meth:`submit_arrays`.
         """
-        if not requests:
+        return self.submit_arrays(*request_columns(requests))
+
+    def submit_arrays(
+        self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray | bool
+    ) -> float:
+        """Service a batch held as columns: int64 ``starts`` and ``nblocks``
+        in arrival order, ``is_write`` a bool column or one bool for the
+        whole batch.  No :class:`BlockRequest` exists at any point.
+
+        A batch of one is :meth:`submit_one`; anything longer is checked
+        against capacity, arranged by the scheduler and serviced by the
+        array core.  Caller contract, as for :meth:`submit_one`:
+        ``nblocks > 0`` and ``starts >= 0``.
+        """
+        n = starts.shape[0]
+        if n == 0:
             return 0.0
-        for req in requests:
-            if req.end > self.params.capacity_blocks:
-                raise SimulationError(
-                    f"{self.name}: request [{req.start}, {req.end}) beyond capacity "
-                    f"{self.params.capacity_blocks}"
-                )
+        one_kind = isinstance(is_write, bool)
+        if n == 1:
+            return self.submit_one(
+                int(starts[0]), int(nblocks[0]),
+                is_write if one_kind else bool(is_write[0]),
+            )
+        if one_kind:
+            is_write = np.full(n, is_write)
+        over = starts + nblocks > self.params.capacity_blocks
+        if over.any():
+            i = int(np.argmax(over))
+            self._reject(int(starts[i]), int(starts[i] + nblocks[i]))
+        return self._submit_checked(starts, nblocks, is_write)
+
+    def _reject(self, start: int, end: int) -> None:
+        raise SimulationError(
+            f"{self.name}: request [{start}, {end}) beyond capacity "
+            f"{self.params.capacity_blocks}"
+        )
+
+    def _submit_checked(
+        self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray
+    ) -> float:
+        """Header, scheduler, array core — for a batch already checked
+        against capacity."""
         total = 0.0
         header = self._charge_header()
+        self._partial_s = 0.0
         try:
-            total = self._service(self.scheduler.arrange(requests))
+            total = self._service_arrays(
+                *self.scheduler.arrange_arrays(starts, nblocks, is_write)
+            )
         finally:
             # A mid-batch fault still pays for the requests serviced before
-            # it fired; _service returns via its partial-total attribute.
+            # it fired; _service_arrays leaves their time in _partial_s.
             self._busy_s += self._partial_s
             self._partial_s = 0.0
         return total + header
-
-    def _service(self, arranged) -> float:
-        self._partial_s = 0.0
-        if self.vectorized and self.injector is None and len(arranged) > 1:
-            n = len(arranged)
-            return self._service_arrays(
-                np.fromiter((r.start for r in arranged), dtype=np.int64, count=n),
-                np.fromiter((r.nblocks for r in arranged), dtype=np.int64, count=n),
-                np.fromiter((r.is_write for r in arranged), dtype=bool, count=n),
-            )
-        tracer = self.tracer
-        total = 0.0
-        rows = []
-        try:
-            for req in arranged:
-                if self.injector is not None:
-                    req = self.injector.filter(req)
-                positioning = self.model.positioning_time(self._head, req.start)
-                transfer = self.model.transfer_time(req.nblocks)
-                if tracer.enabled:
-                    tracer.emit(
-                        "disk",
-                        "write" if req.is_write else "read",
-                        t=self._busy_s + total,
-                        dur=positioning + transfer,
-                        disk=self.name,
-                        start=req.start,
-                        nblocks=req.nblocks,
-                        seek_s=positioning,
-                        transfer_s=transfer,
-                    )
-                total += positioning + transfer
-                self._partial_s = total
-                self._head = req.end
-                rows.append((req.nblocks, req.is_write, positioning, transfer))
-        finally:
-            # A mid-batch fault still books the requests serviced before it
-            # fired — after the submit_one rows logged before this batch.
-            self.metrics.flush()
-            _count_rows(self.metrics, rows)
-        return total
 
     def _service_arrays(
         self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray
     ) -> float:
         """Service an *arranged* batch given as parallel arrays.
 
-        The array core shared by :meth:`submit_batch` (multi-request
-        batches) and :meth:`submit_arrays`: per-request times come from
-        the numpy model and the pure counters are committed once per
-        batch.  ``busy_s`` is folded in request order (``np.add.accumulate``
-        is the same left-to-right IEEE fold as the scalar loop), so phase
-        timings match bit for bit, and the histograms take the whole batch
-        through the exact ``observe_array``; only the unrendered
-        positioning/transfer accumulators pick up last-ulp
-        pairwise-summation drift.  Sets ``_partial_s`` and the head; the
-        caller folds ``_partial_s`` into ``busy_s``.  A tracer gets one bulk
-        append: request ``i`` starts where the fold stood before it.
+        Per-request times come from the numpy model and the pure counters
+        are committed once per batch.  ``busy_s`` is folded in request
+        order (``np.add.accumulate`` is the same left-to-right IEEE fold as
+        a scalar loop), so phase timings match bit for bit, and the
+        histograms take the whole batch through the exact ``observe_array``;
+        only the unrendered positioning/transfer accumulators pick up
+        last-ulp pairwise-summation drift.  Sets ``_partial_s`` and the
+        head; the caller folds ``_partial_s`` into ``busy_s``.  A tracer
+        gets one bulk append: request ``i`` starts where the fold stood
+        before it.
+
+        An attached injector filters the columns first: the prefix it lets
+        through (possibly empty, torn writes shortened) is serviced, booked
+        and traced exactly like a whole batch, its ``fault`` rows go in
+        front of the requests they belong to, and its fault is raised last.
         """
+        fault, marks = None, ()
+        if self.injector is not None:
+            serviced, nblocks, fault, marks = self.injector.filter_arrays(
+                starts, nblocks, is_write
+            )
+            if fault is not None:
+                starts, nblocks, is_write = (
+                    starts[:serviced], nblocks[:serviced], is_write[:serviced]
+                )
         n = starts.shape[0]
         positioning, transfer = self.model.time_batch_arrays(self._head, starts, nblocks)
         dur = positioning + transfer
         ends = np.add.accumulate(dur)
-        total = float(ends[-1])
-        if self.tracer.enabled:
-            self.tracer.emit_batch(
-                "disk",
-                ["write" if w else "read" for w in is_write.tolist()],
-                self._busy_s + np.concatenate(([0.0], ends[:-1])),
-                dur,
-                disk=self.name,
-                start=starts,
-                nblocks=nblocks,
-                seek_s=positioning,
-                transfer_s=transfer,
-            )
-        self._partial_s = total
-        self._head = int(starts[-1] + nblocks[-1])
-        metrics = self.metrics
-        metrics.flush()  # logged submit_one rows come first
-        metrics.observe_array("disk.request_latency_s", dur)
-        metrics.observe_array("disk.request_blocks", nblocks)
-        metrics.add("disk.positioning_s", float(positioning.sum()))
-        metrics.add("disk.transfer_s", float(transfer.sum()))
-        blocks_total = int(nblocks.sum())
-        metrics.incr("disk.requests", n)
-        metrics.incr("disk.blocks", blocks_total)
-        positionings = int(np.count_nonzero(positioning))
-        if positionings:
-            metrics.incr("disk.positionings", positionings)
-        writes = int(np.count_nonzero(is_write))
-        if writes:
-            write_blocks = int(nblocks[is_write].sum())
-            metrics.incr("disk.write_requests", writes)
-            metrics.incr("disk.write_blocks", write_blocks)
-        if writes < n:
-            read_blocks = blocks_total - (write_blocks if writes else 0)
-            metrics.incr("disk.read_requests", n - writes)
-            metrics.incr("disk.read_blocks", read_blocks)
-        return total
-
-    def submit_arrays(
-        self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray
-    ) -> float:
-        """Array-path submit for the batched I/O pipeline.
-
-        Like :meth:`submit_batch` but the batch arrives as parallel
-        ``(starts, nblocks, is_write)`` arrays in arrival order and no
-        :class:`BlockRequest` objects exist at any point.  Caller contract
-        (enforced by :class:`~repro.disk.array.DiskArray`): requests are
-        pre-checked against capacity, no fault injector is attached, and
-        the scheduler supports ``arrange_arrays``.
-        """
-        if starts.shape[0] == 0:
-            return 0.0
+        tracer = self.tracer
+        if tracer.enabled:
+            ops = ["write" if w else "read" for w in is_write.tolist()]
+            t = self._busy_s + np.concatenate(([0.0], ends[:-1]))
+            lo = 0
+            for hi, op, attrs in [*marks, (n, None, None)]:
+                if hi > lo:
+                    tracer.emit_batch(
+                        "disk",
+                        ops[lo:hi],
+                        t[lo:hi],
+                        dur[lo:hi],
+                        disk=self.name,
+                        start=starts[lo:hi],
+                        nblocks=nblocks[lo:hi],
+                        seek_s=positioning[lo:hi],
+                        transfer_s=transfer[lo:hi],
+                    )
+                    lo = hi
+                if op is not None:
+                    tracer.emit("fault", op, **attrs)
         total = 0.0
-        header = self._charge_header()
-        self._partial_s = 0.0
-        try:
-            a_starts, a_nblocks, a_writes = self.scheduler.arrange_arrays(
-                starts, nblocks, is_write
-            )
-            total = self._service_arrays(a_starts, a_nblocks, a_writes)
-        finally:
-            self._busy_s += self._partial_s
-            self._partial_s = 0.0
-        return total + header
+        if n:  # an empty prefix books nothing, not zeros
+            total = float(ends[-1])
+            self._partial_s = total
+            self._head = int(starts[-1] + nblocks[-1])
+            metrics = self.metrics
+            metrics.flush()  # logged submit_one rows come first
+            metrics.observe_array("disk.request_latency_s", dur)
+            metrics.observe_array("disk.request_blocks", nblocks)
+            metrics.add("disk.positioning_s", float(positioning.sum()))
+            metrics.add("disk.transfer_s", float(transfer.sum()))
+            blocks_total = int(nblocks.sum())
+            metrics.incr("disk.requests", n)
+            metrics.incr("disk.blocks", blocks_total)
+            positionings = int(np.count_nonzero(positioning))
+            if positionings:
+                metrics.incr("disk.positionings", positionings)
+            writes = int(np.count_nonzero(is_write))
+            if writes:
+                write_blocks = int(nblocks[is_write].sum())
+                metrics.incr("disk.write_requests", writes)
+                metrics.incr("disk.write_blocks", write_blocks)
+            if writes < n:
+                read_blocks = blocks_total - (write_blocks if writes else 0)
+                metrics.incr("disk.read_requests", n - writes)
+                metrics.incr("disk.read_blocks", read_blocks)
+        if fault is not None:
+            raise fault
+        return total
 
     def submit(self, request: BlockRequest) -> float:
         """Service a single request (degenerate batch)."""
-        return self.submit_batch([request])
+        return self.submit_one(request.start, request.nblocks, request.is_write)
 
     def submit_one(self, start: int, nblocks: int, is_write: bool) -> float:
-        """Single-request fast path: identical effects to :meth:`submit` of
-        one :class:`BlockRequest` — the scheduler's batch counters, the disk
-        metrics, head movement and busy-time accounting — without building
-        a request object or arranging a one-element batch (a one-request
-        batch is a fixed point of every scheduler: nothing to sort, nothing
-        to merge).  Only the state the next request depends on (head, busy
-        time) and the trace events are produced here; the statistics are
-        one row in the bag's request log, reduced by
+        """A batch of one: the scheduler's batch counters, the disk metrics,
+        head movement and busy-time accounting of a one-request
+        :meth:`submit_arrays`, without arranging a one-element batch (a
+        fixed point of every scheduler: nothing to sort, nothing to merge)
+        or building arrays.  Only the state the next request depends on
+        (head, busy time) and the trace events are produced here; the
+        statistics are one row in the bag's request log, reduced by
         :func:`reduce_request_rows` before anything reads them.  Caller
         contract: ``nblocks > 0`` and ``start >= 0``, as
-        :class:`BlockRequest` validation would enforce.  A fault injector
-        routes back through the object path, which applies fault filters
-        per request.
+        :class:`BlockRequest` validation would enforce.  Under an armed
+        fault injector the request goes down as a one-row batch, so the
+        injector sees it as columns like every other.
         """
-        if self.injector is not None:
-            return self.submit(BlockRequest(start, nblocks, is_write=is_write))
         end = start + nblocks
         if end > self.params.capacity_blocks:
-            raise SimulationError(
-                f"{self.name}: request [{start}, {end}) beyond capacity "
-                f"{self.params.capacity_blocks}"
+            self._reject(start, end)
+        if self.injector is not None and self.injector.armed:
+            return self._submit_checked(
+                np.array([start]), np.array([nblocks]), np.array([is_write])
             )
         header = self._charge_header()
         positioning = self.model.positioning_time(self._head, start)

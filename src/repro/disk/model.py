@@ -67,6 +67,19 @@ class BlockRequest:
         )
 
 
+def request_columns(
+    requests: Sequence[BlockRequest],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``requests`` as ``(starts, nblocks, is_write)`` columns: the one
+    place request objects turn into what the disks service."""
+    n = len(requests)
+    return (
+        np.fromiter((r.start for r in requests), dtype=np.int64, count=n),
+        np.fromiter((r.nblocks for r in requests), dtype=np.int64, count=n),
+        np.fromiter((r.is_write for r in requests), dtype=bool, count=n),
+    )
+
+
 class ServiceTimeModel:
     """Computes positioning + transfer time for block requests.
 
@@ -128,12 +141,7 @@ class ServiceTimeModel:
         path: the same IEEE-754 operations are applied in the same order,
         just across the whole batch at once.
         """
-        n = len(requests)
-        if n == 0:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
-        starts = np.fromiter((r.start for r in requests), dtype=np.int64, count=n)
-        nblocks = np.fromiter((r.nblocks for r in requests), dtype=np.int64, count=n)
+        starts, nblocks, _ = request_columns(requests)
         return self.time_batch_arrays(head, starts, nblocks)
 
     def time_batch_arrays(

@@ -1,8 +1,8 @@
 """The per-disk fault injector.
 
 Attached to a :class:`~repro.disk.disk.SimulatedDisk`, the injector sees
-every scheduler-arranged request just before it is serviced and applies the
-plan:
+every scheduler-arranged batch just before it is serviced and applies the
+plan request by request:
 
 - **Crash points** fire once ``crash_after_requests`` requests have been
   serviced; the injector disarms itself so recovery code can run against
@@ -16,10 +16,10 @@ plan:
 
 from __future__ import annotations
 
-from repro.disk.model import BlockRequest
-from repro.errors import CrashError, LatentSectorError
+import numpy as np
+
+from repro.errors import CrashError, FaultError, LatentSectorError
 from repro.fault.plan import FaultPlan
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
 
@@ -40,14 +40,13 @@ class FaultInjector:
         #: :meth:`develop_lse`.
         self.written: set[int] = set()
         self.metrics: Metrics | None = None
-        self.tracer: Tracer | NullTracer = NULL_TRACER
         self.disk_name = "disk"
 
-    def bind(self, metrics: Metrics, tracer: Tracer | NullTracer, name: str) -> None:
-        """Wire the injector into a disk's observability (done by
-        :meth:`SimulatedDisk.attach_injector`)."""
+    def bind(self, metrics: Metrics, name: str) -> None:
+        """Count into a disk's metrics under its name (done by
+        :meth:`SimulatedDisk.attach_injector`; the disk emits the trace
+        rows, see :meth:`filter_arrays`)."""
         self.metrics = metrics
-        self.tracer = tracer
         self.disk_name = name
 
     def disarm(self) -> None:
@@ -79,61 +78,74 @@ class FaultInjector:
             self.metrics.incr(name, amount)
 
     # -- the hook ----------------------------------------------------------
-    def filter(self, req: BlockRequest) -> BlockRequest:
-        """Inspect one arranged request; returns the (possibly torn)
-        request to service, or raises the injected fault."""
+    def filter_arrays(
+        self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray
+    ) -> tuple[int, np.ndarray, FaultError | None, list[tuple[int, str, dict]]]:
+        """Inspect one *arranged* batch held as columns, in service order.
+
+        Returns ``(serviced, nblocks, fault, marks)``: the disk services
+        requests ``[0, serviced)`` with the returned ``nblocks`` (a torn
+        write's entry is the prefix that persisted), then raises ``fault``
+        unless it is ``None``.  ``marks`` are the ``fault`` trace rows the
+        walk produced, as ``(index, op, attrs)``: each goes in front of
+        request ``index``'s own row (docs/FAULTS.md).  A plain in-order
+        walk: heals, tears and the crash point depend on every request
+        before them in the batch.
+        """
+        n = starts.shape[0]
+        marks: list[tuple[int, str, dict]] = []
         if not self.armed:
-            return req
+            return n, nblocks, None, marks
         crash_after = self.plan.crash_after_requests
-        if crash_after is not None and self.requests_seen >= crash_after:
-            self.crashes += 1
-            self.disarm()
-            self._incr("fault.crashes")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "fault", "crash", disk=self.disk_name, after=self.requests_seen
+        torn_every = self.plan.torn_every
+        bad = self._bad_blocks
+        name = self.disk_name
+        first = self.requests_seen
+        serviced, fault = n, None
+        torn: dict[int, int] = {}
+        rows = zip(starts.tolist(), nblocks.tolist(), is_write.tolist())
+        for i, (start, count, write) in enumerate(rows):
+            if crash_after is not None and self.requests_seen >= crash_after:
+                self.crashes += 1
+                self.disarm()
+                self._incr("fault.crashes")
+                marks.append((i, "crash", {"disk": name, "after": self.requests_seen}))
+                serviced, fault = i, CrashError(
+                    f"{name}: injected crash after {self.requests_seen} requests"
                 )
-            raise CrashError(
-                f"{self.disk_name}: injected crash after {self.requests_seen} requests"
-            )
-        self.requests_seen += 1
-        self._incr("fault.requests")
-
-        if not req.is_write:
-            bad = [b for b in range(req.start, req.end) if b in self._bad_blocks]
-            if bad:
-                self.lse_errors += 1
-                self._incr("fault.lse_errors")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "fault", "lse", disk=self.disk_name, block=bad[0]
+                break
+            self.requests_seen += 1
+            if not write:
+                hit = next((b for b in range(start, start + count) if b in bad), None)
+                if hit is not None:
+                    self.lse_errors += 1
+                    self._incr("fault.lse_errors")
+                    marks.append((i, "lse", {"disk": name, "block": hit}))
+                    serviced, fault = i, LatentSectorError(
+                        f"{name}: latent sector error at block {hit}"
                     )
-                raise LatentSectorError(
-                    f"{self.disk_name}: latent sector error at block {bad[0]}"
-                )
-            return req
-
-        # Writes heal any bad sectors they overwrite (drive remap).
-        healed = self._bad_blocks.intersection(range(req.start, req.end))
-        if healed:
-            self._bad_blocks -= healed
-            self._incr("fault.lse_healed", len(healed))
-        if self.plan.torn_every > 0 and req.nblocks >= 2:
-            self._writes_seen += 1
-            if self._writes_seen % self.plan.torn_every == 0:
-                keep = max(1, req.nblocks // 2)
-                self.torn_writes += 1
-                self._incr("fault.torn_writes")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "fault",
-                        "torn_write",
-                        disk=self.disk_name,
-                        start=req.start,
-                        nblocks=req.nblocks,
-                        kept=keep,
-                    )
-                self.written.update(range(req.start, req.start + keep))
-                return BlockRequest(req.start, keep, is_write=True)
-        self.written.update(range(req.start, req.end))
-        return req
+                    break
+                continue
+            # Writes heal any bad sectors they overwrite (drive remap).
+            healed = bad.intersection(range(start, start + count))
+            if healed:
+                bad -= healed
+                self._incr("fault.lse_healed", len(healed))
+            if torn_every > 0 and count >= 2:
+                self._writes_seen += 1
+                if self._writes_seen % torn_every == 0:
+                    keep = max(1, count // 2)
+                    self.torn_writes += 1
+                    self._incr("fault.torn_writes")
+                    marks.append((
+                        i, "torn_write",
+                        {"disk": name, "start": start, "nblocks": count, "kept": keep},
+                    ))
+                    torn[i] = count = keep
+            self.written.update(range(start, start + count))
+        if self.requests_seen > first:
+            self._incr("fault.requests", self.requests_seen - first)
+        if torn:
+            nblocks = nblocks.copy()
+            nblocks[list(torn)] = list(torn.values())
+        return serviced, nblocks, fault, marks

@@ -47,15 +47,11 @@ class DataPlane:
         self.config = config
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Execution profile, resolved once: the request path must never
-        # read the deprecated FSConfig boolean views (they warn).
-        self._batched = config.execution == "batched"
         # Untimed layers (allocator, free space) stamp events with the
         # array's elapsed time; an already-bound clock wins.
         self.tracer.bind_clock(lambda: self.array.elapsed_s)
         self.array = DiskArray(
-            config.ndisks, config.disk, config.scheduler, self.metrics, self.tracer,
-            vectorized=self._batched,
+            config.ndisks, config.disk, config.scheduler, self.metrics, self.tracer
         )
         self.fsm = FreeSpaceManager(
             config.ndisks,
@@ -234,40 +230,6 @@ class DataPlane:
         counters["fs.listio_regions"] += n
         return [BlockRequest(s, n, True) for s, n in zip(starts, nblocks)]
 
-    def _map_write_legacy(
-        self,
-        f: RedbudFile,
-        stream: StreamId,
-        lb: int,
-        nb: int,
-        requests: list[BlockRequest],
-    ) -> None:
-        """Legacy per-segment write mapping; appends onto ``requests``."""
-        for slot, dstart, dcount in self._segments(f, lb, nb):
-            smap = f.maps[slot]
-            if self.policy.cow:
-                # Copy-on-write: overwrites are relocated — unmap and free
-                # any written blocks in range so they reallocate below.
-                for ext in smap.remove_range(dstart, dcount):
-                    self.fsm.free(ext.physical, ext.length)
-                    self.metrics.incr("fs.cow_relocated_blocks", ext.length)
-            holes = smap.holes_in_range(dstart, dcount)
-            smap.mark_written(dstart, dcount)
-            buffered = False
-            for h_start, h_count in holes:
-                runs = self.policy.allocate(
-                    f.file_id, stream, self._targets_of(f)[slot], h_start, h_count
-                )
-                if not runs:
-                    buffered = True  # delayed allocation
-                    continue
-                self._insert_runs(smap, runs)
-            for ext in smap.lookup_range(dstart, dcount):
-                if not ext.unwritten:
-                    requests.append(BlockRequest(ext.physical, ext.length, is_write=True))
-            if buffered:
-                self.metrics.incr("fs.buffered_writes")
-
     def _write_ops(
         self,
         files: Iterable[RedbudFile],
@@ -282,18 +244,16 @@ class DataPlane:
         and :meth:`writev`: maps the ops in order and appends their
         coalesced ``(start, nblocks)`` requests as plain ints.
 
-        Batched pipeline: same extents, metrics and coalesced requests as
-        the legacy per-segment path, with the common cases short-circuited.
-        A segment appended past its slot's EOF is one whole hole, so the
-        hole scan, the unwritten conversion and the post-allocation range
-        lookup are all skipped — the policy's written runs *are* the
-        written blocks; so they are when the scan finds one whole hole and
-        the policy backs it with one run.  ``op="writev"`` coalesces the
-        ops' runs in one pass (one list request), anything else per op.
+        The common cases are short-circuited.  A segment appended past
+        its slot's EOF is one whole hole, so the hole scan, the unwritten
+        conversion and the post-allocation range lookup are all skipped —
+        the policy's written runs *are* the written blocks; so they are
+        when the scan finds one whole hole and the policy backs it with one
+        run.  ``op="writev"`` coalesces the ops' runs in one pass (one list
+        request), anything else per op.
         Counters and file sizes are booked once, for the ops that took
         effect, also when one of them raises.
         """
-        batched = self._batched
         gather = op == "writev"
         bs = self.block_size
         policy = self.policy
@@ -321,63 +281,57 @@ class DataPlane:
                     self._check_range(offset, n, op)
                 lb = offset // bs
                 nb = (offset + n - 1) // bs - lb + 1
-                if not batched:
-                    requests: list[BlockRequest] = []
-                    self._map_write_legacy(f, stream, lb, nb, requests)
-                    out_starts.extend(r.start for r in requests)
-                    out_nblocks.extend(r.nblocks for r in requests)
+                stripe, off = divmod(lb, sb)
+                if off + nb <= sb:  # inside one stripe unit, the common case
+                    segments = ((stripe % width, (stripe // width) * sb + off, nb),)
                 else:
-                    stripe, off = divmod(lb, sb)
-                    if off + nb <= sb:  # inside one stripe unit, the common case
-                        segments = ((stripe % width, (stripe // width) * sb + off, nb),)
-                    else:
-                        segments = self._segments(f, lb, nb)
-                    buffered = 0
-                    for slot, dstart, dcount in segments:
-                        smap = maps[slot]
-                        if not cow and dstart >= smap.size_blocks:
-                            new = allocate(file_id, stream, targets[slot], dstart, dcount)
-                            if not new:
-                                buffered += 1  # delayed allocation
-                                continue
-                            insert_runs(smap, new)
-                            for run in new:
-                                if not run.unwritten:
-                                    runs.append((run.physical, run.length))
+                    segments = self._segments(f, lb, nb)
+                buffered = 0
+                for slot, dstart, dcount in segments:
+                    smap = maps[slot]
+                    if not cow and dstart >= smap.size_blocks:
+                        new = allocate(file_id, stream, targets[slot], dstart, dcount)
+                        if not new:
+                            buffered += 1  # delayed allocation
                             continue
-                        if cow:
-                            for ext in smap.remove_range(dstart, dcount):
-                                self.fsm.free(ext.physical, ext.length)
-                                self.metrics.incr("fs.cow_relocated_blocks", ext.length)
-                        holes, has_unwritten, written = smap.scan_write_range(dstart, dcount)
-                        if has_unwritten:
-                            smap.mark_written(dstart, dcount)
-                        missed = False
-                        for h_start, h_count in holes:
-                            new = allocate(file_id, stream, targets[slot], h_start, h_count)
-                            if not new:
-                                missed = True
-                                continue
-                            insert_runs(smap, new)
-                        if written is None:
-                            if (
-                                holes
-                                and holes[0][1] == dcount
-                                and len(new) == 1
-                                and new[0].length == dcount
-                                and not new[0].unwritten
-                            ):
-                                # One whole hole backed by one run.
-                                written = ((new[0].physical, dcount),)
-                            else:
-                                written = smap.physical_runs(dstart, dcount)
-                        runs.extend(written)
-                        if missed:
-                            buffered += 1
-                    nbuffered += buffered
-                    if not gather:
-                        emit(runs, out_starts, out_nblocks)
-                        runs = []
+                        insert_runs(smap, new)
+                        for run in new:
+                            if not run.unwritten:
+                                runs.append((run.physical, run.length))
+                        continue
+                    if cow:
+                        for ext in smap.remove_range(dstart, dcount):
+                            self.fsm.free(ext.physical, ext.length)
+                            self.metrics.incr("fs.cow_relocated_blocks", ext.length)
+                    holes, has_unwritten, written = smap.scan_write_range(dstart, dcount)
+                    if has_unwritten:
+                        smap.mark_written(dstart, dcount)
+                    missed = False
+                    for h_start, h_count in holes:
+                        new = allocate(file_id, stream, targets[slot], h_start, h_count)
+                        if not new:
+                            missed = True
+                            continue
+                        insert_runs(smap, new)
+                    if written is None:
+                        if (
+                            holes
+                            and holes[0][1] == dcount
+                            and len(new) == 1
+                            and new[0].length == dcount
+                            and not new[0].unwritten
+                        ):
+                            # One whole hole backed by one run.
+                            written = ((new[0].physical, dcount),)
+                        else:
+                            written = smap.physical_runs(dstart, dcount)
+                    runs.extend(written)
+                    if missed:
+                        buffered += 1
+                nbuffered += buffered
+                if not gather:
+                    emit(runs, out_starts, out_nblocks)
+                    runs = []
                 done += 1
                 total += n
                 if offset + n > end_max:
@@ -425,17 +379,11 @@ class DataPlane:
         runs: list[tuple[int, int]] = []
         for offset, n in zip(offsets, nbytes):
             lb, nb = block_span(offset, n, self.block_size)
-            if self._batched:
-                for slot, dstart, dcount in self._segments(f, lb, nb):
-                    runs.extend(f.maps[slot].physical_runs(dstart, dcount))
-                if op != "readv":
-                    self._emit_rows(runs, out_starts, out_nblocks)
-                    runs = []
-            else:
-                requests: list[BlockRequest] = []
-                self._map_read_legacy(f, lb, nb, requests)
-                out_starts.extend(r.start for r in requests)
-                out_nblocks.extend(r.nblocks for r in requests)
+            for slot, dstart, dcount in self._segments(f, lb, nb):
+                runs.extend(f.maps[slot].physical_runs(dstart, dcount))
+            if op != "readv":
+                self._emit_rows(runs, out_starts, out_nblocks)
+                runs = []
             if bounds is not None:
                 bounds.append(len(out_starts))
         self._emit_rows(runs, out_starts, out_nblocks)
@@ -455,8 +403,8 @@ class DataPlane:
         against the same extent maps: stripe/slot/dlocal are array
         arithmetic (one row per op and stripe unit), each slot's map is
         consulted once (:meth:`ExtentMap.physical_runs_many`) and
-        :meth:`_emit`'s coalescing is a boundary mask.  Runs shorter than
-        :data:`READ_MANY_FROM`, and legacy planes, loop the scalar mapping.
+        :meth:`_emit_rows`' coalescing is a boundary mask.  Runs shorter
+        than :data:`READ_MANY_FROM` loop the scalar mapping.
         A bad range at op ``k`` surfaces after the ops before it were booked.
         """
         bad = (nbytes <= 0) | (offsets < 0)
@@ -465,7 +413,7 @@ class DataPlane:
             self.read_many(f, offsets[:k], nbytes[:k])
             self._check_range(int(offsets[k]), int(nbytes[k]), "read")
         n = offsets.shape[0]
-        if n >= READ_MANY_FROM and self._batched:
+        if n >= READ_MANY_FROM:
             self._check_live(f)
             counters = self._counters
             counters["fs.reads"] += n
@@ -484,7 +432,7 @@ class DataPlane:
     def _map_read_columns(
         self, f: RedbudFile, offsets: np.ndarray, nbytes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column form of a loop of :meth:`_map_read` (batched planes)."""
+        """Column form of :meth:`_read_ops`' mapping loop."""
         n = offsets.shape[0]
         bs = self.block_size
         sb = f.stripe_blocks
@@ -527,7 +475,7 @@ class DataPlane:
         total = phys.shape[0]
         if total == 0:
             return np.zeros(n + 1, dtype=np.int64), phys, length
-        # _emit as a mask: a run opens a request unless it continues the
+        # _emit_rows as a mask: a run opens a request unless it continues the
         # previous run of the same op on the same disk.
         bpd = self.config.disk.capacity_blocks
         opens = np.ones(total, dtype=bool)
@@ -549,7 +497,7 @@ class DataPlane:
         """Map one scatter-gather read over ``(offset, nbytes)`` regions.
 
         Equivalent to the in-order loop of scalar :meth:`read` calls, but
-        the whole region list's physical runs feed one :meth:`_emit` pass —
+        the whole region list's physical runs feed one :meth:`_emit_rows` pass —
         runs left physically adjacent by the allocator coalesce even when
         their logical regions are far apart, and the caller submits the
         list as a single batch (PVFS list I/O).
@@ -564,15 +512,6 @@ class DataPlane:
         counters["fs.listio_reads"] += 1
         counters["fs.listio_regions"] += len(regions)
         return [BlockRequest(s, n, False) for s, n in zip(starts, nblocks)]
-
-    def _map_read_legacy(
-        self, f: RedbudFile, lb: int, nb: int, requests: list[BlockRequest]
-    ) -> None:
-        """Legacy per-extent read mapping; appends onto ``requests``."""
-        for slot, dstart, dcount in self._segments(f, lb, nb):
-            for ext in f.maps[slot].lookup_range(dstart, dcount):
-                if not ext.unwritten:
-                    requests.append(BlockRequest(ext.physical, ext.length, is_write=False))
 
     def fsync(self, f: RedbudFile) -> list[BlockRequest]:
         """Materialize delayed-allocation buffers; returns their writes."""
@@ -654,17 +593,14 @@ class DataPlane:
     def _segments(
         self, f: RedbudFile, lb: int, nb: int
     ) -> list[tuple[int, int, int]]:
-        """Stripe-unit segments of [lb, lb+nb), grouped when batching.
+        """Stripe-unit segments of [lb, lb+nb), grouped per slot.
 
-        Under the batched execution profile, consecutive stripe units
-        landing on the same slot (writes wider than one rotation) are
-        dlocal-contiguous and are merged into one segment, so the
-        allocation policy sees one large request per PAG instead of one per
-        stripe unit — PVFS list I/O's "describe many pieces in one
-        request".
+        Consecutive stripe units landing on the same slot (writes wider
+        than one rotation) are dlocal-contiguous and are merged into one
+        segment, so the allocation policy sees one large request per PAG
+        instead of one per stripe unit — PVFS list I/O's "describe many
+        pieces in one request".
         """
-        if not self._batched:
-            return list(f.segments(lb, nb))
         sb = f.stripe_blocks
         stripe, off = divmod(lb, sb)
         if off + nb <= sb:  # inside one stripe unit: one segment, no loop
@@ -679,43 +615,6 @@ class DataPlane:
             grouped.append((slot, dstart, dcount))
         return grouped
 
-    def _coalesce(self, requests: list[BlockRequest]) -> list[BlockRequest]:
-        """Merge physically adjacent same-direction requests on one disk.
-
-        Mapping emits one request per extent; an allocator that extended a
-        run leaves neighbours physically adjacent, and those merge here
-        before submission.  Never merges across a disk boundary or a
-        read/write boundary; total blocks are preserved.
-        """
-        if len(requests) < 2:
-            return requests
-        bpd = self.config.disk.capacity_blocks
-        out: list[BlockRequest] = []
-        prev = requests[0]
-        merged = 0
-        for req in requests[1:]:
-            if (
-                req.is_write == prev.is_write
-                and prev.end == req.start
-                and prev.start // bpd == (req.end - 1) // bpd
-            ):
-                prev = BlockRequest(prev.start, prev.nblocks + req.nblocks, prev.is_write)
-                merged += 1
-            else:
-                out.append(prev)
-                prev = req
-        out.append(prev)
-        if merged:
-            self.metrics.incr("fs.coalesced_requests", merged)
-        return out
-
-    def _emit(self, runs: list[tuple[int, int]], is_write: bool) -> list[BlockRequest]:
-        """Turn ``(physical, length)`` runs into coalesced requests."""
-        starts: list[int] = []
-        nblocks: list[int] = []
-        self._emit_rows(runs, starts, nblocks)
-        return [BlockRequest(s, n, is_write) for s, n in zip(starts, nblocks)]
-
     def _emit_rows(
         self,
         runs: Sequence[tuple[int, int]],
@@ -725,9 +624,9 @@ class DataPlane:
         """Append ``(physical, length)`` runs as coalesced ``(start,
         nblocks)`` rows.
 
-        The inline (single-direction) variant of :meth:`_coalesce`: adjacent
-        same-disk runs merge before any request exists, so the batched
-        paths hold exactly one row per final request.
+        Adjacent same-disk runs merge before any request exists, so the
+        callers hold exactly one row per final request; a merge never
+        crosses a disk boundary and total blocks are preserved.
         """
         if not runs:
             return

@@ -19,7 +19,6 @@ import numpy as np
 from repro.config import FSConfig
 from repro.disk.cache import BufferCache
 from repro.disk.disk import SimulatedDisk
-from repro.disk.model import BlockRequest
 from repro.errors import ConfigError
 from repro.meta.embedded_layout import EmbeddedLayout
 from repro.meta.inode import Inode
@@ -46,7 +45,7 @@ class MetadataServer:
         self.tracer.bind_clock(self.now)
         self.disk = SimulatedDisk(
             config.mds_disk, config.scheduler, self.metrics, name="mds",
-            tracer=self.tracer, vectorized=config.execution == "batched",
+            tracer=self.tracer,
         )
         self.cache = BufferCache(config.cache, self.disk, self.metrics, self.tracer)
         self.mfs = MetadataFS(config.meta, config.mds_disk)
@@ -66,10 +65,6 @@ class MetadataServer:
         self._dirty: set[int] = set()
         self._ops_since_ckpt = 0
         self.ops = 0
-        #: Batched execution strategy (FSConfig.execution == "batched"):
-        #: same plans, same simulated results, fewer interpreted steps.
-        #: Engages per call only while no fault injector is armed.
-        self._meta_batching = config.execution == "batched"
         #: Embedded-directory metadata prefetch (docs/CACHE.md): under the
         #: adaptive cache profile, readdir/readdirplus against an embedded
         #: directory first pulls the whole contiguous inode+extent region
@@ -179,36 +174,17 @@ class MetadataServer:
             self._ops_since_ckpt = 0
             self.journal.truncate()  # nothing dirty: no record needs replay
             return 0
+        # The sorted dirty set goes down as one column batch; the scheduler
+        # coalesces adjacent blocks into runs.  Completion bulk-inserts into
+        # the cache.
         blocks = sorted(self._dirty)
-        disk = self.disk
-        if (
-            self._meta_batching
-            and len(blocks) > 1
-            and disk.vectorized
-            and disk.injector is None
-            and hasattr(disk.scheduler, "arrange_arrays")
-            and 0 <= blocks[0]
-            and blocks[-1] < disk.capacity_blocks
-        ):
-            # Vectorized checkpoint: the sorted dirty set goes down as
-            # parallel arrays — no BlockRequest objects — and the scheduler
-            # coalesces adjacent blocks into runs exactly as it arranges
-            # the scalar path's per-block requests, so the serviced request
-            # stream is identical.  Completion bulk-inserts into the cache.
-            n = len(blocks)
-            starts = np.fromiter(blocks, dtype=np.int64, count=n)
-            disk.submit_arrays(
-                starts,
-                np.ones(n, dtype=np.int64),
-                np.ones(n, dtype=bool),
-            )
-            self.cache.insert_blocks(blocks)
-        else:
-            requests = [BlockRequest(b, 1, is_write=True) for b in blocks]
-            disk.submit_batch(requests)
-            for b in blocks:
-                self.cache._insert(b, 1)
         flushed = len(blocks)
+        self.disk.submit_arrays(
+            np.fromiter(blocks, dtype=np.int64, count=flushed),
+            np.ones(flushed, dtype=np.int64),
+            True,
+        )
+        self.cache.insert_blocks(blocks)
         self._dirty.clear()
         self._ops_since_ckpt = 0
         self.journal.truncate()  # checkpointed state needs no replay
@@ -246,14 +222,9 @@ class MetadataServer:
         # block, cheap) re-establishes the dirty home blocks.  Uncommitted
         # (torn / crashed) records are discarded — their operations never
         # became durable.
-        if records and self._meta_batching and self.disk.injector is None:
-            self.cache.read_batch([(rec.block, 1) for rec in records])
-            for rec in records:
-                self._dirty.update(rec.dirties)
-        else:
-            for rec in records:
-                self.cache.read(rec.block, 1)
-                self._dirty.update(rec.dirties)
+        self.cache.read_batch([(rec.block, 1) for rec in records])
+        for rec in records:
+            self._dirty.update(rec.dirties)
         self.checkpoint()  # truncates the journal, discarding torn records
         self.metrics.incr("mds.crash_recoveries")
         self.metrics.incr("mds.replayed_records", replayed)
@@ -279,18 +250,14 @@ class MetadataServer:
         journal commit, dirty-set / CPU / overhead bookkeeping, checkpoint
         when due.
 
-        This is the batched body (:meth:`BufferCache.read_batch`,
-        :meth:`Journal.log_one`, :meth:`SimulatedDisk.submit_one`), with
-        per-op bookkeeping hoisted out of the interpreter's way; it has the
-        simulated effects of :meth:`_execute_scalar` in the same order, trace
-        events at the same points.  Only reached with no fault injector
-        armed, so the commit write cannot tear (the scalar body's
-        torn-record branch is unreachable).
+        The one body: :meth:`BufferCache.read_batch`,
+        :meth:`Journal.log_one`, :meth:`SimulatedDisk.submit_one`, with
+        per-op bookkeeping hoisted out of the interpreter's way.  A commit
+        record that hit the platter torn (``disk.torn_writes`` moved during
+        the write) never committed: it is counted and traced, not
+        acknowledged, and :meth:`crash_recover` discards it.
         """
         disk = self.disk
-        if not (self._meta_batching and disk.injector is None):
-            self._execute_scalar(plan, op_name, requests)
-            return
         tracer = self.tracer
         t0 = disk.busy_s + self._cpu_s + self._overhead_s
         reads = plan.reads
@@ -302,6 +269,7 @@ class MetadataServer:
         journal_records = plan.journal_records
         if journal_records > 0 and self._sync_writes:
             journal = self.journal
+            torn_before = disk.torn_writes
             record = journal.log_one(dirties, journal_records)
             if record is not None:
                 disk.submit_one(record.block, journal_records, True)
@@ -310,9 +278,16 @@ class MetadataServer:
                 for req in reqs:
                     disk.submit_one(req.start, req.nblocks, req.is_write)
             self._counters["mds.journal_writes"] += journal_records
-            journal.commit(record)
-            if tracer.enabled:
-                tracer.emit("meta", "journal_commit", records=journal_records)
+            if disk.torn_writes > torn_before:
+                # Write-ahead rules: a torn commit record never committed,
+                # so replay skips it.
+                self._counters["mds.torn_journal_records"] += 1
+                if tracer.enabled:
+                    tracer.emit("meta", "journal_torn", seq=record.seq)
+            else:
+                journal.commit(record)
+                if tracer.enabled:
+                    tracer.emit("meta", "journal_commit", records=journal_records)
         if dirties:
             self._dirty.update(dirties)
         self._cpu_s += plan.cpu_s
@@ -330,46 +305,3 @@ class MetadataServer:
         self._op_latency.observe(elapsed)
         if tracer.enabled:
             tracer.emit("meta", op_name, t=t0, dur=elapsed)
-
-    def _execute_scalar(self, plan: AccessPlan, op_name: str, requests: int) -> None:
-        """The straight-line body: one :meth:`BufferCache.read` per span and
-        per-request journal writes whose tearing is checked — what runs under
-        an armed fault injector or ``execution="legacy"``."""
-        plan = plan.coalesce()
-        t0 = self.elapsed_s
-        for block, count in plan.reads:
-            self.cache.read(block, count)
-        if plan.journal_records > 0 and self.config.meta.sync_writes:
-            record, requests_j = self.journal.log(
-                plan.dirties, plan.journal_records
-            )
-            torn_before = self.disk.torn_writes
-            for req in requests_j:
-                self.disk.submit(req)
-            self.metrics.incr("mds.journal_writes", plan.journal_records)
-            if self.disk.torn_writes > torn_before:
-                # The commit record hit the platter torn: write-ahead rules
-                # say the operation never committed, so replay skips it.
-                self.metrics.incr("mds.torn_journal_records")
-                if self.tracer.enabled:
-                    self.tracer.emit("meta", "journal_torn", seq=record.seq)
-            else:
-                self.journal.commit(record)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "meta", "journal_commit", records=plan.journal_records
-                    )
-        if plan.dirties:
-            self._dirty.update(plan.dirties)
-        self._cpu_s += plan.cpu_s
-        self._overhead_s += requests * self.config.mds_request_overhead_s
-        self.ops += 1
-        self.metrics.incr(f"mds.op.{op_name}")
-        if plan.journal_records > 0:
-            self._ops_since_ckpt += 1
-            if self._ops_since_ckpt >= self.config.meta.journal_interval_ops:
-                self.checkpoint()
-        elapsed = self.elapsed_s - t0
-        self.metrics.observe("mds.op_latency_s", elapsed)
-        if self.tracer.enabled:
-            self.tracer.emit("meta", op_name, t=t0, dur=elapsed)

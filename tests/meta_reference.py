@@ -20,6 +20,13 @@ records, metrics, cache order and trace.
 The parent's failed creates leave partial state behind (the bug this
 commit's satellite fixes), so the oracle is only asked about sequences
 that do not run out of space.
+
+``ScalarMetadataServer`` is older still: the scalar body that
+``_execute_batched`` replays, which ``src/`` kept as
+``MetadataServer._execute_scalar`` (``FSConfig.execution="legacy"``, or any
+attached fault injector) until commit f3214f3.  It is the oracle of the
+one-body server for whole-state and trace identity
+(``tests/test_meta_batched.py``, ``tests/test_trace_identity.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ from repro.meta.mds import MetadataServer
 from repro.meta.mfs import MetadataFS
 from repro.meta.normal_layout import NormalDir
 from repro.workloads.base import MetaOp
+
+from tests.metrics_reference import ReferenceDisk, ReferenceMetrics
 
 def reference_per_file_program(self, dirs: list, method: str):
     """Round-robin ``method`` over every (file, client) pair: clients
@@ -787,7 +796,7 @@ class ReferenceBufferCache(BufferCache):
 
 class ReferenceMetadataServer(MetadataServer):
     """``MetadataServer`` over the reference layout, journal and cache,
-    executing plans through the parent's ``_execute`` / ``_execute_batched``."""
+    executing plans through ``_execute_batched``."""
 
     def __init__(self, config, metrics=None, tracer=None) -> None:
         super().__init__(config, metrics, tracer)
@@ -804,10 +813,83 @@ class ReferenceMetadataServer(MetadataServer):
         self.layout.tracer = self.tracer
 
     def _execute(self, plan: AccessPlan, op_name: str, requests: int = 1) -> None:
+        self._execute_batched(plan.coalesce(), op_name, requests)
+
+    def _execute_batched(self, plan: AccessPlan, op_name: str, requests: int) -> None:
+        """Batched replay of the scalar body (:class:`ScalarMetadataServer`).
+
+        Same simulated effects in the same order — plan reads through
+        :meth:`BufferCache.read_batch`, the journal commit through
+        :meth:`Journal.log_batch` — with per-op bookkeeping hoisted out of
+        the interpreter's way, trace events emitted at the same points.
+        At b45a510 it was only reached with no fault injector attached, so
+        it has no torn-record branch.
+        """
+        disk = self.disk
+        tracer = self.tracer
+        t0 = disk.busy_s + self._cpu_s + self._overhead_s
+        if plan.reads:
+            self.cache.read_batch(plan.reads)
+        journal_records = plan.journal_records
+        if journal_records > 0 and self._sync_writes:
+            records, reqs, _ = self.journal.log_batch(
+                ((plan.dirties, journal_records),)
+            )
+            for req in reqs:
+                disk.submit_one(req.start, req.nblocks, req.is_write)
+            self._counters["mds.journal_writes"] += journal_records
+            self.journal.commit(records[0])
+            if tracer.enabled:
+                tracer.emit("meta", "journal_commit", records=journal_records)
+        if plan.dirties:
+            self._dirty.update(plan.dirties)
+        self._cpu_s += plan.cpu_s
+        self._overhead_s += requests * self._req_overhead_s
+        self.ops += 1
+        key = self._op_keys.get(op_name)
+        if key is None:
+            key = self._op_keys[op_name] = f"mds.op.{op_name}"
+        self._counters[key] += 1
+        if journal_records > 0:
+            self._ops_since_ckpt += 1
+            if self._ops_since_ckpt >= self._ckpt_interval:
+                self.checkpoint()
+        elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
+        self._op_latency.observe(elapsed)
+        if tracer.enabled:
+            tracer.emit("meta", op_name, t=t0, dur=elapsed)
+
+
+class ScalarBufferCache(BufferCache):
+    """``BufferCache`` whose plan reads are one :meth:`read` per span."""
+
+    def read_batch(self, reads: list[tuple[int, int]]) -> float:
+        total = 0.0
+        for start, nblocks in reads:
+            total += self.read(start, nblocks)
+        return total
+
+
+class ScalarMetadataServer(MetadataServer):
+    """``MetadataServer`` as ``FSConfig.execution="legacy"`` ran it until
+    f3214f3 — the straight-line reference of the one-body server: the
+    scalar ``_execute`` (one ``BufferCache.read`` per span, per-request
+    journal writes whose tearing is checked) over a disk that services
+    every batch with the per-request object loop
+    (``tests/metrics_reference.py``)."""
+
+    def __init__(self, config, metrics=None, tracer=None) -> None:
+        super().__init__(
+            config, metrics if metrics is not None else ReferenceMetrics(), tracer
+        )
+        self.disk = ReferenceDisk(
+            config.mds_disk, config.scheduler, self.metrics, vectorized=False,
+            name="mds", tracer=self.tracer,
+        )
+        self.cache = ScalarBufferCache(config.cache, self.disk, self.metrics, self.tracer)
+
+    def _execute(self, plan: AccessPlan, op_name: str, requests: int = 1) -> None:
         plan = plan.coalesce()
-        if self._meta_batching and self.disk.injector is None:
-            self._execute_batched(plan, op_name, requests)
-            return
         t0 = self.elapsed_s
         for block, count in plan.reads:
             self.cache.read(block, count)
@@ -845,47 +927,3 @@ class ReferenceMetadataServer(MetadataServer):
         self.metrics.observe("mds.op_latency_s", elapsed)
         if self.tracer.enabled:
             self.tracer.emit("meta", op_name, t=t0, dur=elapsed)
-
-    def _execute_batched(self, plan: AccessPlan, op_name: str, requests: int) -> None:
-        """Batched replay of the scalar :meth:`_execute` body.
-
-        Same simulated effects in the same order — plan reads through
-        :meth:`BufferCache.read_batch`, the journal commit through
-        :meth:`Journal.log_batch` — with per-op bookkeeping hoisted out of
-        the interpreter's way, trace events emitted at the same points.
-        Only reached with no fault injector armed, so the commit write
-        cannot tear (the scalar path's torn-record branch is unreachable).
-        """
-        disk = self.disk
-        tracer = self.tracer
-        t0 = disk.busy_s + self._cpu_s + self._overhead_s
-        if plan.reads:
-            self.cache.read_batch(plan.reads)
-        journal_records = plan.journal_records
-        if journal_records > 0 and self._sync_writes:
-            records, reqs, _ = self.journal.log_batch(
-                ((plan.dirties, journal_records),)
-            )
-            for req in reqs:
-                disk.submit_one(req.start, req.nblocks, req.is_write)
-            self._counters["mds.journal_writes"] += journal_records
-            self.journal.commit(records[0])
-            if tracer.enabled:
-                tracer.emit("meta", "journal_commit", records=journal_records)
-        if plan.dirties:
-            self._dirty.update(plan.dirties)
-        self._cpu_s += plan.cpu_s
-        self._overhead_s += requests * self._req_overhead_s
-        self.ops += 1
-        key = self._op_keys.get(op_name)
-        if key is None:
-            key = self._op_keys[op_name] = f"mds.op.{op_name}"
-        self._counters[key] += 1
-        if journal_records > 0:
-            self._ops_since_ckpt += 1
-            if self._ops_since_ckpt >= self._ckpt_interval:
-                self.checkpoint()
-        elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
-        self._op_latency.observe(elapsed)
-        if tracer.enabled:
-            tracer.emit("meta", op_name, t=t0, dur=elapsed)

@@ -1,5 +1,5 @@
-"""Eager, per-sample reference for histograms and single-request disk
-accounting.
+"""Eager, per-sample reference for histograms and disk accounting, and the
+per-request object loop of the disk.
 
 The bodies below are the ones ``src/`` ran at commit c306524, before
 ``Histogram`` became record → reduce and ``SimulatedDisk.submit_one``
@@ -12,17 +12,28 @@ once per request.  They are kept verbatim as the oracle the
 reduced paths are held to, bit for bit — float accumulators, histogram
 ``total``s and the *types* of the extrema included
 (``tests/test_metrics_reduce.py``).
+
+Since commit f3214f3 ``src/`` has no object loop at all: a batch is columns
+from the submit call down and a fault injector filters those columns
+(docs/FAULTS.md).  What the loop leaned on in ``src/`` came here with it —
+``submit_batch``'s arrange-then-service body and the per-request
+``FaultInjector.filter`` (:func:`reference_filter`) — so ``ReferenceDisk``
+with ``vectorized=False`` is the self-contained oracle of the column path,
+armed or not (``tests/test_phase_columns.py``, ``tests/test_meta_batched.py``,
+``tests/test_trace_identity.py``, ``tests/test_perf_pipeline.py``).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from repro.disk.array import DiskArray
 from repro.disk.disk import SimulatedDisk
-from repro.disk.model import BlockRequest
-from repro.errors import SimulationError
+from repro.disk.model import BlockRequest, request_columns
+from repro.errors import CrashError, LatentSectorError, SimulationError
 from repro.obs.histogram import HistogramSnapshot, fold_left
 from repro.sim.metrics import Metrics
 
@@ -137,30 +148,131 @@ class ReferenceMetrics(Metrics):
         return []  # never registered: the eager reference logs nothing
 
 
+def reference_filter(disk: SimulatedDisk, req: BlockRequest) -> BlockRequest:
+    """``FaultInjector.filter(req)`` as it stood at f3214f3 (with
+    ``disk.injector`` for ``self`` and the trace rows going to the disk's
+    tracer): inspect one arranged request; returns the (possibly torn)
+    request to service, or raises the injected fault."""
+    inj = disk.injector
+    tracer = disk.tracer
+    if not inj.armed:
+        return req
+    crash_after = inj.plan.crash_after_requests
+    if crash_after is not None and inj.requests_seen >= crash_after:
+        inj.crashes += 1
+        inj.disarm()
+        inj._incr("fault.crashes")
+        if tracer.enabled:
+            tracer.emit("fault", "crash", disk=inj.disk_name, after=inj.requests_seen)
+        raise CrashError(
+            f"{inj.disk_name}: injected crash after {inj.requests_seen} requests"
+        )
+    inj.requests_seen += 1
+    inj._incr("fault.requests")
+
+    if not req.is_write:
+        bad = [b for b in range(req.start, req.end) if b in inj._bad_blocks]
+        if bad:
+            inj.lse_errors += 1
+            inj._incr("fault.lse_errors")
+            if tracer.enabled:
+                tracer.emit("fault", "lse", disk=inj.disk_name, block=bad[0])
+            raise LatentSectorError(
+                f"{inj.disk_name}: latent sector error at block {bad[0]}"
+            )
+        return req
+
+    # Writes heal any bad sectors they overwrite (drive remap).
+    healed = inj._bad_blocks.intersection(range(req.start, req.end))
+    if healed:
+        inj._bad_blocks -= healed
+        inj._incr("fault.lse_healed", len(healed))
+    if inj.plan.torn_every > 0 and req.nblocks >= 2:
+        inj._writes_seen += 1
+        if inj._writes_seen % inj.plan.torn_every == 0:
+            keep = max(1, req.nblocks // 2)
+            inj.torn_writes += 1
+            inj._incr("fault.torn_writes")
+            if tracer.enabled:
+                tracer.emit(
+                    "fault",
+                    "torn_write",
+                    disk=inj.disk_name,
+                    start=req.start,
+                    nblocks=req.nblocks,
+                    kept=keep,
+                )
+            inj.written.update(range(req.start, req.start + keep))
+            return BlockRequest(req.start, keep, is_write=True)
+    inj.written.update(range(req.start, req.end))
+    return req
+
+
 class ReferenceDisk(SimulatedDisk):
     """``SimulatedDisk`` whose ``submit_one`` and object loop account per
-    request, on a :class:`ReferenceMetrics` bag."""
+    request, on a :class:`ReferenceMetrics` bag.
 
-    def __init__(self, params, scheduler_params=None, metrics=None, **kwargs) -> None:
+    ``vectorized=True`` (what ``SimulatedDisk`` defaulted to) services a
+    batch of several requests with the array core it inherits, so only the
+    single-request statistics differ from ``src/`` — the oracle for the
+    deferred request log.  ``vectorized=False`` (what
+    ``FSConfig.execution="legacy"`` selected) services *every* batch,
+    however it was submitted, with the per-request object loop and the
+    per-request fault filter — the oracle for the column path.
+    """
+
+    def __init__(
+        self, params, scheduler_params=None, metrics=None, vectorized=True, **kwargs
+    ) -> None:
         assert isinstance(metrics, ReferenceMetrics)
         super().__init__(params, scheduler_params, metrics, **kwargs)
+        self.vectorized = vectorized
         self._h_latency = self.metrics.histogram_ref("disk.request_latency_s")
         self._h_blocks = self.metrics.histogram_ref("disk.request_blocks")
 
+    def submit_batch(self, requests) -> float:
+        if not requests:
+            return 0.0
+        for req in requests:
+            if req.end > self.params.capacity_blocks:
+                raise SimulationError(
+                    f"{self.name}: request [{req.start}, {req.end}) beyond capacity "
+                    f"{self.params.capacity_blocks}"
+                )
+        total = 0.0
+        header = self._charge_header()
+        try:
+            total = self._service(self.scheduler.arrange(requests))
+        finally:
+            # A mid-batch fault still pays for the requests serviced before
+            # it fired; _service returns via its partial-total attribute.
+            self._busy_s += self._partial_s
+            self._partial_s = 0.0
+        return total + header
+
+    def submit(self, request: BlockRequest) -> float:
+        return self.submit_batch([request])
+
+    def submit_arrays(self, starts, nblocks, is_write) -> float:
+        if self.vectorized:
+            return super().submit_arrays(starts, nblocks, is_write)
+        n = starts.shape[0]
+        if isinstance(is_write, bool):
+            is_write = np.full(n, is_write)
+        return self.submit_batch([
+            BlockRequest(*row)
+            for row in zip(starts.tolist(), nblocks.tolist(), is_write.tolist())
+        ])
+
     def _service(self, arranged) -> float:
         self._partial_s = 0.0
-        if self.vectorized and self.injector is None and len(arranged) > 1:
-            n = len(arranged)
-            return self._service_arrays(
-                np.fromiter((r.start for r in arranged), dtype=np.int64, count=n),
-                np.fromiter((r.nblocks for r in arranged), dtype=np.int64, count=n),
-                np.fromiter((r.is_write for r in arranged), dtype=bool, count=n),
-            )
+        if self.vectorized and len(arranged) > 1:
+            return self._service_arrays(*request_columns(arranged))
         tracer = self.tracer
         total = 0.0
         for req in arranged:
             if self.injector is not None:
-                req = self.injector.filter(req)
+                req = reference_filter(self, req)
             positioning = self.model.positioning_time(self._head, req.start)
             transfer = self.model.transfer_time(req.nblocks)
             if tracer.enabled:
@@ -242,3 +354,33 @@ class ReferenceDisk(SimulatedDisk):
             counters["disk.read_requests"] += 1
             counters["disk.read_blocks"] += nblocks
         return total + header
+
+
+def rounded(snap) -> tuple[dict, dict, dict]:
+    """A ``MetricsSnapshot`` up to the one tolerance the array core documents
+    (``SimulatedDisk._service_arrays``): the unrendered float sums whose
+    array fold carries last-ulp drift against a per-request fold — the
+    ``disk.positioning_s`` / ``disk.transfer_s`` accumulators and each
+    histogram's ``total`` — are rounded to 12 places; counters, every other
+    accumulator, buckets and extrema stay exact."""
+    return (
+        snap.counters,
+        {
+            k: round(v, 12) if k in ("disk.positioning_s", "disk.transfer_s") else v
+            for k, v in snap.accumulators.items()
+        },
+        {k: replace(h, total=round(h.total, 12)) for k, h in snap.histograms.items()},
+    )
+
+
+def object_loop_disks(array: DiskArray) -> DiskArray:
+    """Swap ``array``'s disks for :class:`ReferenceDisk`s that service every
+    batch with the per-request object loop."""
+    array.disks = [
+        ReferenceDisk(
+            array.disk_params, d.scheduler.params, array.metrics, vectorized=False,
+            name=d.name, tracer=array.tracer,
+        )
+        for d in array.disks
+    ]
+    return array

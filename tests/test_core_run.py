@@ -89,7 +89,7 @@ class TestRunResultShape:
 
 class TestUnifiedInvocation:
     """``run(name, scale=..., jobs=..., seed=...)`` works for every runner
-    and execution strategy never changes the result."""
+    and the worker count never changes the result."""
 
     def test_jobs_kwarg_accepted_everywhere(self):
         # Every registered runner must accept the unified surface, even

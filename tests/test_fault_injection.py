@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import DiskParams, SchedulerParams
+from repro.config import CacheParams, DiskParams, SchedulerParams
+from repro.disk.cache import BufferCache
 from repro.disk.disk import SimulatedDisk
 from repro.disk.model import BlockRequest
 from repro.errors import ConfigError, CrashError, LatentSectorError
@@ -145,3 +146,30 @@ class TestCrashPoints:
         disk.submit(BlockRequest(5, 1))
         assert inj.requests_seen == 0
         assert inj.torn_writes == 0
+
+
+class TestFaultedCacheReads:
+    def test_read_batch_keeps_hits_booked_before_a_faulted_read(self):
+        """A plan whose first read is resident and whose second hits a
+        developed LSE: the hits counted before the fault stay counted, and
+        the cache is where two scalar reads would leave it."""
+
+        def drive(batch: bool):
+            disk = make_disk()
+            injector = FaultInjector(FaultPlan(seed=0))
+            disk.attach_injector(injector)
+            cache = BufferCache(CacheParams(capacity_blocks=64), disk)
+            cache.read(10, 2)
+            injector.develop_lse({500})
+            with pytest.raises(LatentSectorError):
+                if batch:
+                    cache.read_batch([(10, 2), (500, 1)])
+                else:
+                    cache.read(10, 2)
+                    cache.read(500, 1)
+            cache._flush_moves()
+            return disk.metrics.snapshot(), list(cache._lru), list(cache._ra.items())
+
+        batched, scalar = drive(True), drive(False)
+        assert batched == scalar
+        assert batched[0].count("cache.hits") == 2

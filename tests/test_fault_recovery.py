@@ -16,6 +16,8 @@ from repro.fault import FaultInjector, FaultPlan
 from repro.fs.verify import check_mds, repair_mds
 from repro.meta.layout import AccessPlan
 from repro.meta.mds import MetadataServer
+from repro.obs.trace import Tracer
+from repro.workloads.base import MetaOpRun, mds_executor
 
 from tests.conftest import small_config
 
@@ -104,6 +106,39 @@ class TestTornJournal:
             mds.create(d, f"f{i}")
         # Ordinary ops journal one block at a time: nothing tears.
         assert mds.metrics.count("mds.torn_journal_records") == 0
+
+
+    def test_bulk_phase_discards_exactly_its_torn_commits(self):
+        """A run of creates executed as one ``MetaOpRun`` under
+        ``torn_every=2``, each committing a two-block record: every second
+        commit tears, none of those is acknowledged, and recovery replays
+        the others and discards exactly the torn ones."""
+        mds = MetadataServer(small_config(), tracer=Tracer())
+        d = mds.mkdir(mds.root, "work")
+        create_file = mds.layout.create_file
+
+        def two_block_commit(parent, name, now):
+            inode, plan = create_file(parent, name, now)
+            plan.journal_records = 2
+            return inode, plan
+
+        mds.layout.create_file = two_block_commit
+        injector = FaultInjector(FaultPlan(seed=0, torn_every=2))
+        mds.disk.attach_injector(injector)
+        committed_before = len(mds.journal.replay())
+        # Fewer ops than the checkpoint interval: nothing truncates the
+        # journal before the crash.
+        done = mds_executor(mds)(MetaOpRun("create", [(d, f"f{i}") for i in range(10)]))
+        assert done == 10
+        assert injector.torn_writes == 5
+        assert mds.metrics.count("mds.torn_journal_records") == 5
+        torn = [e.attrs["seq"] for e in mds.tracer.events() if e.op == "journal_torn"]
+        assert torn == [r.seq for r in mds.journal.pending_records()]
+        assert len(mds.journal.replay()) == committed_before + 5
+        injector.disarm()
+        assert mds.crash_recover() == committed_before + 5
+        assert mds.metrics.count("mds.discarded_records") == 5
+        assert mds.journal.pending_records() == []
 
 
 class TestJournalWal:

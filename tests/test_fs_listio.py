@@ -26,8 +26,15 @@ from repro.fs.redbud import RedbudFileSystem
 from repro.units import KiB
 
 from tests.conftest import small_config
+from tests.dataplane_reference import ReferenceDataPlane
+from tests.meta_reference import ScalarMetadataServer
 
 BS = 4 * KiB
+
+#: The list-I/O contract holds on the plane and on its per-segment,
+#: per-extent reference alike.  The ids are the names of the execution
+#: profiles that used to select between the two mappings inside ``src/``.
+PLANES = {"batched": DataPlane, "legacy": ReferenceDataPlane}
 
 
 def _extent_tuples(f):
@@ -55,7 +62,7 @@ class TestUnifiedValidation:
 
     @pytest.fixture(params=["batched", "legacy"])
     def plane(self, request):
-        return DataPlane(small_config(execution=request.param))
+        return PLANES[request.param](small_config())
 
     def test_zero_and_negative_lengths(self, plane):
         f = plane.create_file("/v")
@@ -107,15 +114,15 @@ class TestUnifiedValidation:
 
 class TestDataPlaneListIO:
     @pytest.fixture(params=["batched", "legacy"])
-    def execution(self, request):
-        return request.param
+    def plane_cls(self, request):
+        return PLANES[request.param]
 
-    def test_writev_equals_scalar_loop(self, execution):
+    def test_writev_equals_scalar_loop(self, plane_cls):
         """One writev maps exactly like the in-order loop of writes: same
         extents, same size, same per-byte counters."""
         regions = [(0, BS), (8 * BS, 2 * BS), (3 * BS, BS), (16 * BS, 3 * BS)]
-        pa = DataPlane(small_config(execution=execution))
-        pb = DataPlane(small_config(execution=execution))
+        pa = plane_cls(small_config())
+        pb = plane_cls(small_config())
         fa = pa.create_file("/a")
         fb = pb.create_file("/b")
         for off, n in regions:
@@ -132,9 +139,9 @@ class TestDataPlaneListIO:
         assert pb.metrics.count("fs.listio_writes") == 1
         assert pb.metrics.count("fs.listio_regions") == len(regions)
 
-    def test_readv_equals_scalar_loop(self, execution):
+    def test_readv_equals_scalar_loop(self, plane_cls):
         regions = [(0, 2 * BS), (10 * BS, BS), (4 * BS, 2 * BS)]
-        plane = DataPlane(small_config(execution=execution))
+        plane = plane_cls(small_config())
         f = plane.create_file("/r")
         for off, n in regions:
             plane.write(f, 0, off, n)
@@ -147,8 +154,8 @@ class TestDataPlaneListIO:
         assert plane.metrics.count("fs.reads") == 2 * len(regions)
         assert plane.metrics.count("fs.listio_reads") == 1
 
-    def test_readv_skips_holes(self, execution):
-        plane = DataPlane(small_config(execution=execution))
+    def test_readv_skips_holes(self, plane_cls):
+        plane = plane_cls(small_config())
         f = plane.create_file("/h")
         plane.write(f, 0, 0, BS)
         reqs = plane.readv(f, [(0, BS), (100 * BS, 4 * BS)])
@@ -158,7 +165,7 @@ class TestDataPlaneListIO:
         """Physically adjacent runs merge across non-adjacent logical
         regions: the win PVFS list I/O gets from one request carrying the
         whole list."""
-        plane = DataPlane(small_config(execution="batched"))
+        plane = DataPlane(small_config())
         f = plane.create_file("/c", width=1)
         # Descending logical order: the stream's allocations chain
         # physically (each miss allocates right after the previous run), so
@@ -174,8 +181,8 @@ class TestDataPlaneListIO:
         assert len(scalar) == 2
         assert plane.metrics.count("fs.coalesced_requests") >= 2
 
-    def test_listio_on_deleted_file(self, execution):
-        plane = DataPlane(small_config(execution=execution))
+    def test_listio_on_deleted_file(self, plane_cls):
+        plane = plane_cls(small_config())
         f = plane.create_file("/d")
         plane.write(f, 0, 0, BS)
         plane.close_file(f)
@@ -310,8 +317,12 @@ class TestDeprecationSweep:
     @pytest.mark.parametrize("execution", ["batched", "legacy"])
     def test_request_path_is_warning_free(self, execution):
         """The whole request path runs with DeprecationWarning promoted to
-        an error (the execution aliases that used to warn are gone)."""
-        fs = RedbudFileSystem(small_config(execution=execution))
+        an error (the execution aliases that used to warn are gone), on the
+        file system and on its reference stack."""
+        cfg = small_config()
+        fs = RedbudFileSystem(cfg)
+        if execution == "legacy":
+            fs.data, fs.mds = ReferenceDataPlane(cfg), ScalarMetadataServer(cfg)
         fs.create("/w")
         regions = [(0, BS), (8 * BS, 2 * BS)]
         fs.write("/w", 0, 4 * BS)
@@ -360,7 +371,6 @@ class TestFifoArrangeArrays:
 
         cfg = replace(small_config(), scheduler=SchedulerParams(kind="fifo"))
         plane = DataPlane(cfg)
-        assert plane.array._arrays_capable
         # A 2-request batch on one disk (too far apart to merge) drives the
         # fifo scheduler's new arrange_arrays fast path.
         plane.array.submit_batch(

@@ -1,16 +1,15 @@
-"""Batched metadata execution path: exact equivalence to the scalar path.
+"""The one metadata execution path: exact equivalence to the scalar path.
 
-``FSConfig.execution`` selects an execution strategy, not a model: the
-plan-level ``read_batch``, the journal group commit and the vectorized
-checkpoint must leave the MDS in exactly the state the per-read/per-block
-scalar path does — same elapsed time bits, counters, histograms, cache LRU
-and readahead order, and disk head.  These tests drive identical workloads
-through both strategies and diff the complete observable state.
+The plan-level ``read_batch``, the one-record journal commit and the column
+checkpoint are an execution strategy, not a model: they must leave the MDS
+in exactly the state the per-read/per-block scalar server over an
+object-loop disk does (``tests/meta_reference.py::ScalarMetadataServer``) —
+same elapsed time bits, counters, histograms, cache LRU and readahead
+order, and disk head.  These tests drive identical workloads through both
+and diff the complete observable state.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -24,6 +23,8 @@ from repro.fs.profiles import (
 )
 from repro.meta.layout import AccessPlan
 from repro.meta.mds import MetadataServer
+
+from tests.meta_reference import ScalarMetadataServer
 
 PROFILES = {
     "lustre": lustre_profile,
@@ -96,7 +97,7 @@ def drive(mds: MetadataServer, crash: bool = False) -> None:
 def test_batched_path_matches_scalar(profile):
     make = PROFILES[profile]
     batched = MetadataServer(make())
-    scalar = MetadataServer(replace(make(), execution="legacy"))
+    scalar = ScalarMetadataServer(make())
     drive(batched)
     drive(scalar)
     assert batched.metrics.count("mds.checkpoints") > 0  # both limbs exercised
@@ -107,7 +108,7 @@ def test_batched_path_matches_scalar(profile):
 def test_crash_recovery_matches_scalar(profile):
     make = PROFILES[profile]
     batched = MetadataServer(make())
-    scalar = MetadataServer(replace(make(), execution="legacy"))
+    scalar = ScalarMetadataServer(make())
     drive(batched, crash=True)
     drive(scalar, crash=True)
     assert batched.metrics.count("mds.crash_recoveries") == 1
@@ -115,11 +116,11 @@ def test_crash_recovery_matches_scalar(profile):
 
 
 def test_vectorized_checkpoint_matches_scalar_checkpoint():
-    """The array-submit checkpoint and the per-block loop must produce the
+    """The column checkpoint and the per-block object loop must produce the
     same request stream, cache population and busy time."""
     cfg = redbud_mif_profile()
     batched = MetadataServer(cfg)
-    scalar = MetadataServer(replace(cfg, execution="legacy"))
+    scalar = ScalarMetadataServer(cfg)
     for mds in (batched, scalar):
         d = mds.mkdir(mds.root, "dir")
         for j in range(30):  # dirties a scattered set of home blocks
@@ -151,7 +152,7 @@ def cache_state(cache, disk):
     return {
         "lru": list(cache._lru),
         "ra": list(cache._ra.items()),
-        "counters": dict(disk.metrics.raw_counters()),
+        "counters": disk.metrics.snapshot().counters,
         "head": disk.head,
         "busy": disk.busy_s,
     }

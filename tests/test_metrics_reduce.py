@@ -201,8 +201,6 @@ def _play(disks, metrics, steps):
                 [BlockRequest(s, n, is_write=w) for s, n, w in arg]
             ))
         elif op == "arrays":
-            if disks[which].injector is not None:
-                continue  # submit_arrays' contract: no injector attached
             starts, nblocks, writes = zip(*arg)
             seen.append(disks[which].submit_arrays(
                 np.array(starts, dtype=np.int64),
@@ -221,8 +219,8 @@ def _play(disks, metrics, steps):
         elif op == "since":
             seen.append(metrics.since(mark))
         else:
-            # No faults planned: the injector only steers requests onto
-            # the per-request object path.
+            # No faults planned: an armed injector sends single requests
+            # down as one-row batches instead of logging them.
             disks[which].attach_injector(FaultInjector(FaultPlan(seed=0)))
         seen.append([(d.head, repr(d.busy_s)) for d in disks])
     seen.append(metrics.snapshot())
@@ -280,7 +278,7 @@ def test_injector_attached_mid_sequence_flushes_the_log_first():
     disk.submit_one(12, 2, True)
     assert len(disk._rows) == 2
     disk.attach_injector(FaultInjector(FaultPlan(seed=0)))
-    disk.submit_one(100, 1, False)  # object path, per-request fault filter
+    disk.submit_one(100, 1, False)  # a one-row batch through the fault filter
     assert disk._rows == []
     assert disk.metrics.count("fault.requests") == 1
     assert disk.metrics.histogram("disk.request_blocks").count == 3

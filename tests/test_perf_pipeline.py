@@ -17,13 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.baseline import render
 from repro.block.bitmap import BlockBitmap
 from repro.block.extent import Extent, ExtentFlags, ExtentMap
 from repro.block.freelist import FreeExtentSet
 from repro.config import DiskParams, SchedulerParams
 from repro.core.parallel import resolve_jobs, run_cells
-from repro.core.run import run
 from repro.core.runners import LISTIO_HEADER_S
 from repro.disk.array import DiskArray
 from repro.disk.model import BlockRequest, ServiceTimeModel
@@ -31,7 +29,6 @@ from repro.disk.scheduler import ElevatorScheduler
 from repro.errors import NoSpaceError
 from repro.fs.dataplane import DataPlane
 from repro.fs.profiles import (
-    lustre_profile,
     redbud_mif_profile,
     redbud_vanilla_profile,
     with_alloc_policy,
@@ -43,9 +40,11 @@ from repro.workloads.ior import IORBenchmark
 from repro.workloads.listio import StridedAccessBenchmark
 
 from tests.conftest import small_config
+from tests.dataplane_reference import ReferenceDataPlane, reference_coalesce
+from tests.metrics_reference import ReferenceMetrics, object_loop_disks, rounded
 
 # ---------------------------------------------------------------------------
-# Coalescing invariants (DataPlane._emit / _coalesce)
+# Coalescing invariants (DataPlane._emit_rows / the object-form oracle)
 # ---------------------------------------------------------------------------
 
 BPD = 16384  # capacity_blocks of the small test config's disks
@@ -53,6 +52,14 @@ BPD = 16384  # capacity_blocks of the small test config's disks
 
 def make_plane() -> DataPlane:
     return DataPlane(small_config())
+
+
+def emit(plane: DataPlane, runs, is_write: bool) -> list[BlockRequest]:
+    """``_emit_rows``' coalesced rows as requests."""
+    starts: list[int] = []
+    nblocks: list[int] = []
+    plane._emit_rows(runs, starts, nblocks)
+    return [BlockRequest(s, n, is_write) for s, n in zip(starts, nblocks)]
 
 
 #: (physical, length) runs, each confined to one disk of a 2-disk array.
@@ -70,7 +77,7 @@ class TestEmitInvariants:
     def test_blocks_preserved_and_no_cross_disk_merge(self, runs, is_write):
         plane = make_plane()
         before = plane.metrics.count("fs.coalesced_requests")
-        out = plane._emit(list(runs), is_write)
+        out = emit(plane, list(runs), is_write)
         assert sum(r.nblocks for r in out) == sum(length for _, length in runs)
         for r in out:
             assert r.is_write is is_write
@@ -82,19 +89,20 @@ class TestEmitInvariants:
 
     @given(runs=run_lists)
     def test_emit_matches_coalesce_oracle(self, runs):
-        """_emit is the inline form of _coalesce over single-direction runs."""
+        """_emit_rows is the inline form of the object-form coalescing over
+        single-direction runs."""
         plane = make_plane()
         raw = [BlockRequest(p, n, is_write=True) for p, n in runs]
-        assert plane._emit(list(runs), True) == plane._coalesce(raw)
+        assert emit(plane, list(runs), True) == reference_coalesce(raw, BPD, Metrics())
 
     def test_adjacent_same_disk_runs_merge(self):
         plane = make_plane()
-        out = plane._emit([(0, 4), (4, 4)], True)
+        out = emit(plane, [(0, 4), (4, 4)], True)
         assert [(r.start, r.nblocks) for r in out] == [(0, 8)]
 
     def test_runs_meeting_at_disk_boundary_stay_split(self):
         plane = make_plane()
-        out = plane._emit([(BPD - 4, 4), (BPD, 4)], True)
+        out = emit(plane, [(BPD - 4, 4), (BPD, 4)], True)
         assert len(out) == 2
 
 
@@ -107,11 +115,10 @@ class TestCoalesceInvariants:
         )
     )
     def test_blocks_and_direction_boundaries_preserved(self, batch):
-        plane = make_plane()
         reqs = [BlockRequest(s, n, w) for s, n, w in batch if s + n <= 2 * BPD]
         if not reqs:
             return
-        out = plane._coalesce(list(reqs))
+        out = reference_coalesce(list(reqs), BPD, Metrics())
         assert sum(r.nblocks for r in out) == sum(r.nblocks for r in reqs)
         # Merges only happen between same-direction neighbours, so per-
         # direction block totals are preserved too.
@@ -121,8 +128,9 @@ class TestCoalesceInvariants:
             )
 
     def test_read_write_boundary_never_merges(self):
-        plane = make_plane()
-        out = plane._coalesce([BlockRequest(0, 4, True), BlockRequest(4, 4, False)])
+        out = reference_coalesce(
+            [BlockRequest(0, 4, True), BlockRequest(4, 4, False)], BPD, Metrics()
+        )
         assert len(out) == 2
 
 
@@ -203,19 +211,19 @@ class TestSubmitArraysEquivalence:
         params = DiskParams(capacity_blocks=BPD)
 
         fast = DiskArray(2, params, metrics=Metrics())
-        assert fast._arrays_capable
         t_fast = fast.submit_batch(list(reqs))
 
-        slow = DiskArray(2, params, metrics=Metrics())
-        slow._arrays_capable = False  # force the per-request object path
+        # The per-request object loop (tests/metrics_reference.py).
+        slow = object_loop_disks(DiskArray(2, params, metrics=ReferenceMetrics()))
         t_slow = slow.submit_batch(list(reqs))
 
         # Same IEEE-754 operations in the same order: exact equality, not
         # approx — the BENCH fingerprint gate depends on it.
         assert t_fast == t_slow
-        assert fast.metrics.as_dict() == slow.metrics.as_dict()
-        for name in fast.metrics.histogram_names():
-            assert fast.metrics.histogram(name) == slow.metrics.histogram(name)
+        assert [(d.head, d.busy_s) for d in fast.disks] == [
+            (d.head, d.busy_s) for d in slow.disks
+        ]
+        assert rounded(fast.metrics.snapshot()) == rounded(slow.metrics.snapshot())
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +379,8 @@ class TestRunCellsDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Whole-workload identity: execution="legacy" is the straight-line reference
+# Whole-workload identity against the per-segment, per-extent reference plane
 # ---------------------------------------------------------------------------
-
-
-def _run_document(name: str, scale: float, **kwargs) -> dict:
-    return render(run(name, scale=scale, seed=0, **kwargs), scale=scale, seed=0)
 
 
 def _macro(bench, policy: str):
@@ -416,69 +420,40 @@ DATA_WORKLOADS = {
 
 
 #: Counters that say *where* adjacent requests merge, not what the run
-#: produced: the batched path coalesces in ``DataPlane._emit`` before
-#: submission, the legacy path hands every request to the scheduler and
+#: produced: the plane coalesces in ``DataPlane._emit_rows`` before
+#: submission, the reference plane hands every extent to the scheduler and
 #: lets it merge them (same ``scheduler.requests_out``, same disk work).
 PATH_COUNTERS = ("fs.coalesced_requests", "scheduler.requests_in")
 
 
 def _plane_state(plane: DataPlane, phases) -> dict:
-    """Everything the data path leaves behind, exact bits.  The only
-    tolerance is the one ``tests/test_meta_batched.py`` documents: the
-    unrendered float sums whose vectorized fold carries last-ulp drift
-    (the ``disk.positioning_s`` / ``disk.transfer_s`` accumulators and
-    each histogram's ``total``) are rounded to 12 places."""
-    snap = plane.metrics.snapshot()
+    """Everything the data path leaves behind, exact bits but for the
+    documented tolerance (:func:`rounded`)."""
+    counters, accumulators, histograms = rounded(plane.metrics.snapshot())
     return {
         "phases": phases,
         "extents": {f.name: [m.extents() for m in f.maps] for f in plane.files()},
-        "counters": {
-            k: v for k, v in snap.counters.items() if k not in PATH_COUNTERS
-        },
-        "accumulators": {
-            k: round(v, 12) if k in ("disk.positioning_s", "disk.transfer_s") else v
-            for k, v in snap.accumulators.items()
-        },
-        "histograms": {
-            k: replace(h, total=round(h.total, 12))
-            for k, h in snap.histograms.items()
-        },
+        "counters": {k: v for k, v in counters.items() if k not in PATH_COUNTERS},
+        "accumulators": accumulators,
+        "histograms": histograms,
+        "disks": [(d.head, d.busy_s) for d in plane.array.disks],
     }
 
 
 class TestLegacyEqualsBatched:
-    """The batched paths against the ``FSConfig.execution="legacy"``
-    reference, on whole workloads rather than single layers."""
-
-    def test_fig8_document(self):
-        profiles = (redbud_vanilla_profile(), lustre_profile(), redbud_mif_profile())
-        legacy = tuple(replace(p, execution="legacy") for p in profiles)
-        # No dir-size cells: they build their own (batched) profiles.
-        kw = dict(dir_sizes=())
-        assert _run_document("fig8", 0.04, profiles=legacy, **kw) == _run_document(
-            "fig8", 0.04, profiles=profiles, **kw
-        )
-
-    def test_service_document(self):
-        kw = dict(streams=150, rate="small", duration="short")
-        cfg = redbud_mif_profile()
-        assert _run_document(
-            "service", 1.0, config=replace(cfg, execution="legacy"), **kw
-        ) == _run_document("service", 1.0, config=cfg, **kw)
+    """The one data path against :class:`ReferenceDataPlane`, on whole
+    workloads rather than single layers."""
 
     @pytest.mark.parametrize("workload", sorted(DATA_WORKLOADS))
     def test_data_path_state(self, workload):
         cfg, bench, write, read = DATA_WORKLOADS[workload]
 
-        def drive(cfg):
-            plane = DataPlane(cfg)
+        def drive(plane):
             f = bench.create_file(plane)
             w = write(plane, f)
             plane.close_file(f)
-            return plane, _plane_state(plane, (w, read(plane, f)))
+            return _plane_state(plane, (w, read(plane, f)))
 
-        batched, batched_state = drive(cfg)
-        legacy, legacy_state = drive(replace(cfg, execution="legacy"))
-        assert batched_state == legacy_state
-        assert batched.array.io_profile["batches_vectorized"] > 0
-        assert legacy.array.io_profile["batches_vectorized"] == 0
+        plane = DataPlane(cfg)
+        assert drive(plane) == drive(ReferenceDataPlane(cfg))
+        assert plane.array.io_profile["batches_vectorized"] > 0

@@ -7,8 +7,10 @@ Every layer of the column path is held to the per-op code it replaced:
 - a whole ``run_data_phase`` over random mixed programs leaves the plane,
   the disks, the metrics and the trace exactly as that loop does, errors
   included;
-- ``read_many`` / ``write_many`` / ``physical_runs_many`` /
-  ``submit_columns`` equal loops of their scalar forms;
+- ``read_many`` / ``write_many`` / ``physical_runs_many`` equal loops of
+  their scalar forms, and every disk submit entry — ``submit_batch``,
+  ``submit_columns``, ``submit_one``, fault injector armed or not — equals
+  the per-request object loop (``tests/metrics_reference.py``);
 - the bundled workloads' column programs iterate to the op sequences of
   their old generator closures.
 """
@@ -30,10 +32,10 @@ import tests.phase_reference as ref
 from repro.alloc.base import AllocationPolicy, PhysicalRun
 from repro.alloc.registry import POLICY_NAMES
 from repro.block.extent import Extent, ExtentMap
-from repro.config import DiskParams
+from repro.config import DiskParams, SchedulerParams
 from repro.disk.array import DiskArray
 from repro.disk.model import BlockRequest
-from repro.errors import ExtentError, NoSpaceError, ReproError, SimulationError
+from repro.errors import ExtentError, FaultError, NoSpaceError, ReproError, SimulationError
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
 from repro.fs.dataplane import READ_MANY_FROM, DataPlane
@@ -61,6 +63,8 @@ from repro.workloads.streams import SharedFileMicrobench
 from repro.workloads.traces import TraceRecord
 
 from tests.conftest import small_config
+from tests.dataplane_reference import ReferenceDataPlane
+from tests.metrics_reference import ReferenceMetrics, object_loop_disks, rounded
 
 BS = 4 * KiB
 
@@ -154,9 +158,9 @@ def test_schedule_draws_in_bounded_blocks(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _tiny_config(policy: str, execution: str = "batched", disk_blocks: int = 192):
+def _tiny_config(policy: str, disk_blocks: int = 192):
     """Two disks of well under 1 MiB: a few dozen ops fill them."""
-    cfg = small_config(policy=policy, stripe_blocks=4, execution=execution)
+    cfg = small_config(policy=policy, stripe_blocks=4)
     return replace(cfg, disk=DiskParams(capacity_blocks=disk_blocks))
 
 
@@ -245,7 +249,6 @@ def _drive(runner, config, widths, specs, per_stream_files, phase_kw, bad_op):
 
 @given(
     policy=st.sampled_from(POLICY_NAMES),
-    execution=st.sampled_from(["batched", "batched", "legacy"]),
     widths=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3),
     specs=st.lists(_PROGRAM, min_size=0, max_size=8),
     per_stream_files=st.booleans(),
@@ -258,7 +261,7 @@ def _drive(runner, config, widths, specs, per_stream_files, phase_kw, bad_op):
 )
 @settings(max_examples=250, deadline=None)
 def test_phase_matches_round_loop(
-    policy, execution, widths, specs, per_stream_files, skip, seed, buffers, bad,
+    policy, widths, specs, per_stream_files, skip, seed, buffers, bad,
     disk_blocks, cutoffs,
 ):
     bad_op = {
@@ -270,7 +273,7 @@ def test_phase_matches_round_loop(
         read_buffer_blocks=buffers[0], write_buffer_blocks=buffers[1],
         skip_probability=skip, seed=seed,
     )
-    config = _tiny_config(policy, execution, disk_blocks)
+    config = _tiny_config(policy, disk_blocks)
     args = (config, widths, specs, per_stream_files, phase_kw, bad_op)
     # Small cutoffs send these short programs' read runs down the column
     # path, in more than one mapped piece.
@@ -360,12 +363,12 @@ def test_physical_runs_many_rejects_empty_ranges():
         ExtentMap().physical_runs_many(np.array([0, 4]), np.array([2, 0]))
 
 
-def _written_plane(data, execution="batched"):
+def _written_plane(data):
     """A plane with one file of width ``w`` holding scattered writes from
     several streams (fragmented), an fallocated unwritten tail, and holes."""
     policy = data.draw(st.sampled_from(["vanilla", "reservation", "ondemand", "static"]))
     width = data.draw(st.sampled_from([1, 2]))
-    plane = DataPlane(small_config(policy=policy, stripe_blocks=4, execution=execution))
+    plane = DataPlane(small_config(policy=policy, stripe_blocks=4))
     f = plane.create_file("/f", width=width, expected_bytes=96 * BS)
     for stream, block, nblocks in data.draw(
         st.lists(
@@ -377,13 +380,13 @@ def _written_plane(data, execution="batched"):
     return plane, f
 
 
-@given(data=st.data(), execution=st.sampled_from(["batched", "legacy"]))
+@given(data=st.data())
 @settings(max_examples=120, deadline=None)
-def test_read_many_is_a_loop_of_read(data, execution):
+def test_read_many_is_a_loop_of_read(data):
     """Rows, order and ``fs.coalesced_requests``, over holes, unwritten
     extents, ranges past EOF and multi-stripe ops, at run lengths either
     side of the scalar cutoff."""
-    plane, f = _written_plane(data, execution)
+    plane, f = _written_plane(data)
     n = data.draw(st.sampled_from([0, 1, READ_MANY_FROM - 1, READ_MANY_FROM, READ_MANY_FROM + 9]))
     reads = data.draw(
         st.lists(
@@ -421,9 +424,9 @@ def test_read_many_bad_range_surfaces_after_the_ops_before_it(n):
     assert plane.metrics.count("fs.bytes_read") == (n - 2) * BS
 
 
-@given(data=st.data(), execution=st.sampled_from(["batched", "legacy"]))
+@given(data=st.data())
 @settings(max_examples=120, deadline=None)
-def test_write_many_is_a_loop_of_write(data, execution):
+def test_write_many_is_a_loop_of_write(data):
     policy = data.draw(st.sampled_from(POLICY_NAMES))
     widths = data.draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2))
     ops = data.draw(
@@ -437,7 +440,7 @@ def test_write_many_is_a_loop_of_write(data, execution):
     )
 
     def drive(many: bool):
-        plane = DataPlane(_tiny_config(policy, execution))
+        plane = DataPlane(_tiny_config(policy))
         files = [plane.create_file(f"/f{i}", width=w) for i, w in enumerate(widths)]
         targets = [files[fi % len(files)] for fi, _, _, _ in ops]
         starts: list[int] = []
@@ -502,32 +505,48 @@ class _OverAllocatingPolicy(AllocationPolicy):
 
 
 def test_append_shortcut_does_not_write_unwritten_preallocation():
-    def drive(execution):
-        plane = DataPlane(small_config(execution=execution))
+    def drive(plane_cls):
+        plane = plane_cls(small_config())
         plane.policy = _OverAllocatingPolicy(
             plane.config.alloc, plane.fsm, plane.metrics, plane.tracer
         )
         f = plane.create_file("/f", width=1)
         return plane.write(f, 0, 0, 4 * BS), f.maps[0].extents()
 
-    batched, batched_extents = drive("batched")
-    legacy, legacy_extents = drive("legacy")
-    assert batched == legacy
-    assert sum(r.nblocks for r in batched) == 4
-    assert batched_extents == legacy_extents
-    assert [(e.logical, e.length, e.unwritten) for e in batched_extents] == [
+    written, extents = drive(DataPlane)
+    per_extent, per_extent_extents = drive(ReferenceDataPlane)
+    assert written == per_extent
+    assert sum(r.nblocks for r in written) == 4
+    assert extents == per_extent_extents
+    assert [(e.logical, e.length, e.unwritten) for e in extents] == [
         (0, 4, False), (4, 2, True),
     ]
 
 
 # ---------------------------------------------------------------------------
-# submit_columns against submit_batch
+# Every submit entry, armed or not, against the per-request object loop
 # ---------------------------------------------------------------------------
 
-_BATCH = st.lists(
-    st.tuples(st.integers(0, 3 * 1024 - 9), st.integers(1, 8), st.booleans()),
-    min_size=0, max_size=30,
-).map(lambda rows: [r for r in rows if r[0] % 1024 + r[1] <= 1024])
+#: (global start, nblocks, is_write) rows on a 3 x 1024-block array; most
+#: starts crowd the first 24 blocks of a disk, where the LSE ranges sit, so
+#: reads hit bad blocks and writes heal them inside one batch.
+_ROW = st.tuples(
+    st.integers(0, 2),
+    st.one_of(st.integers(0, 23), st.integers(0, 23), st.integers(0, 1015)),
+    st.integers(1, 8),
+    st.booleans(),
+).map(lambda r: (r[0] * 1024 + r[1], r[2], r[3]))
+_BATCH = st.lists(_ROW, min_size=0, max_size=30)
+_PLAN = st.builds(
+    FaultPlan,
+    seed=st.just(0),
+    lse_ranges=st.lists(
+        st.tuples(st.integers(0, 28), st.integers(1, 3)), max_size=4
+    ).map(tuple),
+    torn_every=st.integers(0, 3),
+    # 0 is the empty prefix; 40 is past any one batch.
+    crash_after_requests=st.one_of(st.none(), st.integers(0, 12), st.integers(0, 40)),
+)
 
 
 def _columns(rows):
@@ -538,33 +557,75 @@ def _columns(rows):
     )
 
 
-def _array_state(array, tracer):
-    return (
-        [(d.head, d.busy_s) for d in array.disks], array.io_profile,
-        array.metrics.snapshot(), tracer.events(),
-    )
-
-
-@given(rows=_BATCH, vectorized=st.booleans(), armed=st.booleans())
-@settings(max_examples=120, deadline=None)
-def test_submit_columns_is_submit_batch(rows, vectorized, armed):
+@given(
+    batches=st.lists(
+        st.tuples(st.sampled_from(["batch", "columns", "one"]), _BATCH),
+        min_size=1, max_size=3,
+    ),
+    kind=st.sampled_from(["elevator", "fifo"]),
+    plans=st.tuples(*[st.one_of(st.none(), _PLAN, _PLAN)] * 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_submit_columns_is_submit_batch(batches, kind, plans):
+    """Whatever the entry point, scheduler and fault plan, the column path
+    returns (or raises) what ``ReferenceDisk``'s object loop with the
+    per-request fault filter does, and leaves the same disks, metrics,
+    trace rows (order included) and injector state behind."""
     params = DiskParams(capacity_blocks=1024)
+    scheduler = SchedulerParams(kind=kind)
 
-    def drive(columns: bool):
+    def drive(reference: bool):
         tracer = Tracer()
-        array = DiskArray(3, params, tracer=tracer, vectorized=vectorized)
-        if armed:  # an armed injector keeps every batch on the object path
-            array.disks[1].attach_injector(FaultInjector(FaultPlan(seed=0, torn_every=2)))
-        if columns:
-            t = array.submit_columns(*_columns(rows))
+        if reference:
+            array = object_loop_disks(
+                DiskArray(3, params, scheduler, ReferenceMetrics(), tracer)
+            )
         else:
-            t = array.submit_batch([BlockRequest(*row) for row in rows])
-        return t, _array_state(array, tracer)
+            array = DiskArray(3, params, scheduler, tracer=tracer)
+        injectors = [
+            None if plan is None else FaultInjector(plan) for plan in plans
+        ]
+        for disk, injector in zip(array.disks, injectors):
+            if injector is not None:
+                disk.attach_injector(injector)
+        outcomes = []
+        for entry, rows in batches:
+            try:
+                if entry == "columns":
+                    outcomes.append(array.submit_columns(*_columns(rows)))
+                elif entry == "batch":
+                    outcomes.append(
+                        array.submit_batch([BlockRequest(*row) for row in rows])
+                    )
+                else:
+                    outcomes.append([
+                        array.disks[s // 1024].submit_one(s % 1024, n, w)
+                        for s, n, w in rows
+                    ])
+            except FaultError as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+        return (
+            outcomes,
+            [(d.head, d.busy_s) for d in array.disks],
+            array.io_profile,
+            rounded(array.metrics.snapshot()),
+            tracer.events(),
+            [
+                None if i is None else (
+                    i.armed, i.requests_seen, i.torn_writes, i.lse_errors,
+                    i.crashes, i.written, i.bad_blocks,
+                )
+                for i in injectors
+            ],
+        )
 
-    by_columns, by_batch = drive(True), drive(False)
-    assert by_columns == by_batch
-    took_arrays = vectorized and not armed and len(rows) > 1
-    assert by_columns[1][1]["batches_vectorized"] == (1 if took_arrays else 0)
+    columns, objects = drive(False), drive(True)
+    assert columns == objects
+    submitted = [len(rows) for entry, rows in batches if entry != "one"]
+    assert columns[2] == {
+        "batches_scalar": submitted.count(1),
+        "batches_vectorized": sum(n > 1 for n in submitted),
+    }
 
 
 def test_submit_columns_takes_one_direction_for_the_whole_batch():

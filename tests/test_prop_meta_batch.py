@@ -64,7 +64,7 @@ def test_read_batch_is_the_scalar_read_loop(reads):
     assert t1 == t2
     assert list(c1._lru) == list(c2._lru)
     assert list(c1._ra.items()) == list(c2._ra.items())
-    assert dict(d1.metrics.raw_counters()) == dict(d2.metrics.raw_counters())
+    assert d1.metrics.snapshot().counters == d2.metrics.snapshot().counters
     assert d1.head == d2.head
     assert d1.busy_s == d2.busy_s
 

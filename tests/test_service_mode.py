@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,6 @@ from repro.cli import main
 from repro.core.run import run
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
-from repro.fs.profiles import redbud_mif_profile
 from repro.meta.mds import MetadataServer
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop, Station
@@ -299,22 +297,6 @@ class TestServiceRunner:
         assert high.dropped > low.dropped
         assert high.p99_s >= low.p99_s
 
-    def test_execution_profile_does_not_change_results(self):
-        kw = dict(streams=150, rate="small", duration="short", seed=2)
-        # 8-block stripes split each 64 KiB op over two disks, so every
-        # data batch has the two requests the array path needs.
-        cfg = replace(redbud_mif_profile(), stripe_blocks=8)
-        batched = run("service", config=cfg, **kw)
-        legacy = run("service", config=replace(cfg, execution="legacy"), **kw)
-        assert batched.fingerprint == legacy.fingerprint
-        # The config's execution profile carries through to the cell: the
-        # legacy run never takes the array path, the default run does.
-        (b_cell,), (l_cell,) = batched.payload.cells, legacy.payload.cells
-        assert b_cell.io_profile["batches_vectorized"] > 0
-        assert l_cell.io_profile["batches_vectorized"] == 0
-        assert l_cell.io_profile["batches_scalar"] > 0
-        assert replace(b_cell, io_profile={}) == replace(l_cell, io_profile={})
-
     def test_reports_depth_and_drops_by_kind(self):
         r = run("service", streams=300, rate="large", duration="short",
                 seed=1, queue_depth=4)
@@ -432,8 +414,8 @@ class TestServiceTelemetry:
 
 class TestSampledTracing:
     #: Large requests make every service op a multi-request batch, which is
-    #: what engages the vectorized array path (single-request batches take
-    #: the scalar path in any configuration).
+    #: what the array core services (a one-request batch takes each disk's
+    #: scalar ``submit_one`` body).
     KW = dict(streams=200, rate="small", duration="short", seed=0,
               request_bytes=4 * MiB)
 

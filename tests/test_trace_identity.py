@@ -1,25 +1,24 @@
 """One execution path under observation.
 
 A traced run takes the code path the untraced run takes, and that path
-emits what the scalar (``execution="legacy"``) path emits: the same events,
-at the same simulated times, in the same order.  Three pins:
+emits what the scalar server over an object-loop disk emits
+(``tests/meta_reference.py::ScalarMetadataServer``): the same events, at
+the same simulated times, in the same order.  Three pins:
 
 - golden digests of the JSONL trace export, recorded at the commit *before*
   the tracer gates were deleted (when a full ``Tracer`` still steered every
   batch onto the scalar metadata path and the object disk path);
-- a hypothesis property over random metadata programs: batched+traced emits
-  the legacy+traced event list, and leaves the MDS in the state the
-  untraced batched run leaves it in;
-- same-path assertions on ``DiskArray.io_profile`` and the disk visiting
-  order of the array submit path.
+- a hypothesis property over random metadata programs: the traced server
+  emits the scalar server's event list, and leaves the MDS in the state
+  the untraced run leaves it in;
+- same-batches assertions on ``DiskArray.io_profile`` and the disk visiting
+  order of the column submit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +37,8 @@ from repro.units import KiB, MiB
 from repro.workloads.ior import IORBenchmark
 
 from tests.conftest import small_config
+from tests.meta_reference import ScalarMetadataServer
+from tests.metrics_reference import ReferenceMetrics, object_loop_disks
 
 # ---------------------------------------------------------------------------
 # Golden trace digests
@@ -73,7 +74,7 @@ def test_trace_export_matches_pre_refactor_golden(runner, kwargs, sha256, emitte
 
 
 # ---------------------------------------------------------------------------
-# Property: batched+traced == legacy+traced (events) == batched untraced (state)
+# Property: traced == scalar server traced (events) == untraced (state)
 # ---------------------------------------------------------------------------
 
 NDIRS = 2
@@ -157,7 +158,7 @@ def test_traced_batched_is_traced_legacy_and_untraced_batched(layout, cache_prof
     # readahead frontier crossings all occur.
     cfg = small_config(layout=layout, cache_blocks=24).with_cache_profile(cache_profile)
     batched = MetadataServer(cfg, tracer=Tracer())
-    legacy = MetadataServer(replace(cfg, execution="legacy"), tracer=Tracer())
+    legacy = ScalarMetadataServer(cfg, tracer=Tracer())
     bare = MetadataServer(cfg)
     for mds in (batched, legacy, bare):
         drive(mds, program)
@@ -192,9 +193,9 @@ def test_fig7_traced_and_untraced_take_the_same_path():
 
 
 def test_submit_arrays_visits_disks_in_first_appearance_order():
-    """The first request lands on the highest-numbered disk: the array path
-    must service (and trace) that disk first, as the object path's per-disk
-    split does."""
+    """The first request lands on the highest-numbered disk: the column
+    submit must service (and trace) that disk first, and every disk's rows
+    are the object loop's."""
     params = DiskParams(capacity_blocks=1024)
     batch = [
         BlockRequest(2 * 1024 + 8, 4), BlockRequest(16, 4),
@@ -202,16 +203,20 @@ def test_submit_arrays_visits_disks_in_first_appearance_order():
         BlockRequest(400, 2),
     ]
 
-    def disk_order(execution):
+    def disk_order(reference: bool):
         tracer = Tracer()
-        array = DiskArray(3, params, tracer=tracer, vectorized=execution == "batched")
+        if reference:
+            array = object_loop_disks(
+                DiskArray(3, params, metrics=ReferenceMetrics(), tracer=tracer)
+            )
+        else:
+            array = DiskArray(3, params, tracer=tracer)
         array.submit_batch(batch)
         return tracer.events(), array.io_profile
 
-    arrays, prof_arrays = disk_order("batched")
-    objects, prof_objects = disk_order("legacy")
+    arrays, prof_arrays = disk_order(False)
+    objects, _ = disk_order(True)
     assert prof_arrays == {"batches_vectorized": 1, "batches_scalar": 0}
-    assert prof_objects == {"batches_vectorized": 0, "batches_scalar": 1}
     assert arrays == objects
     disks = [e.attrs["disk"] for e in arrays if e.layer == "disk"]
     assert disks == ["disk2", "disk2", "disk0", "disk0", "disk1"]
