@@ -118,7 +118,7 @@ def collect(
     """Run ``name`` at the pinned configuration and render its document.
 
     ``jobs`` selects the worker count for runners that support parallel
-    sweeps (see :mod:`repro.core.parallel`); it never changes the document.
+    sweeps (see :mod:`repro.core.sweep`); it never changes the document.
     """
     kwargs: dict[str, Any] = {}
     if jobs is not None:

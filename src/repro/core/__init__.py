@@ -3,7 +3,7 @@ and the per-figure payload dataclasses.
 
 Invoke experiments as ``run(name, scale=..., jobs=..., config=...,
 seed=...)``; the registered runner functions and their payload types live
-in :mod:`repro.core.runners`.
+in :mod:`repro.core.runners`, one module per experiment family.
 """
 
 from repro.core.api import (

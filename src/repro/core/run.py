@@ -18,10 +18,14 @@ and ``trace`` — and all return a :class:`RunResult`:
 Execution strategy — ``jobs`` (parallel sweep cells) — never changes a
 result, only how fast it is produced, so it does not participate in
 fingerprints.
+
+A runner's CLI subcommand is declared beside it as a :class:`RunnerCommand`
+row; ``repro.cli`` wires ``repro.core.runners.RUNNER_COMMANDS`` in a loop.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -68,9 +72,6 @@ class RunResult:
                 f"phases: {sorted(self.phases)}"
             ) from None
 
-    def phase_names(self) -> list[str]:
-        return sorted(self.phases)
-
     def layout(self, tag: str) -> LayoutReport:
         try:
             return self.layouts[tag]
@@ -96,8 +97,7 @@ def register(name: str) -> Callable[[Callable[..., RunResult]], Callable[..., Ru
 
 
 def runner_names() -> list[str]:
-    """All registered runner names (loads the runner module on demand)."""
-    _load()
+    """All registered runner names."""
     return sorted(RUNNERS)
 
 
@@ -123,7 +123,6 @@ def run(
     as ``result.trace``); passing a Tracer records into it; ``None``/
     ``False`` runs with the zero-overhead null tracer.
     """
-    _load()
     try:
         fn = RUNNERS[name]
     except KeyError:
@@ -137,7 +136,37 @@ def run(
     return fn(scale=scale, seed=seed, trace=trace, **kwargs)
 
 
-def _load() -> None:
-    # Runner bodies import heavy workload modules; defer until first use.
-    if not RUNNERS:
-        import repro.core.runners  # noqa: F401
+# -- declarative runner-backed CLI subcommands --------------------------------
+
+def positive_int(text: str) -> int:
+    """``argparse`` type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
+@dataclass(frozen=True)
+class CliOption:
+    """One extra ``add_argument`` for a runner command.
+
+    ``forward`` names the runner kwarg the parsed value is passed to
+    (``None`` = printer-only option, e.g. an output path).
+    """
+
+    flags: tuple[str, ...]
+    forward: str | None = None
+    kwargs: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class RunnerCommand:
+    """Declarative spec for one runner-backed CLI subcommand."""
+
+    name: str
+    help: str
+    printer: Callable[[RunResult, argparse.Namespace], int]
+    default_scale: float = 1.0
+    #: Fixed kwargs the CLI always passes to the runner.
+    run_kwargs: dict = field(default_factory=dict)
+    options: tuple[CliOption, ...] = ()

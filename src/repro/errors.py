@@ -41,16 +41,8 @@ class FileExists(MetadataError):
     """Path already exists (EEXIST)."""
 
 
-class NotADirectory(MetadataError):
-    """Path component is not a directory (ENOTDIR)."""
-
-
 class IsADirectory(MetadataError):
     """Operation requires a regular file but found a directory (EISDIR)."""
-
-
-class DirectoryNotEmpty(MetadataError):
-    """rmdir of a non-empty directory (ENOTEMPTY)."""
 
 
 class InodeError(MetadataError):

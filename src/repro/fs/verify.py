@@ -21,7 +21,7 @@ The checker follows pFSCK's shape (see PAPERS.md):
   and Python visits only the rows a mask flagged.
 - **Sharded parallelism** — data-plane work splits into one shard per PAG
   (allocation group) and metadata work into per-directory shards, executed
-  through :func:`repro.core.parallel.run_cells` under its ordered-merge
+  through :func:`repro.core.sweep.run_cells` under its ordered-merge
   determinism contract.  Shard reports are plain picklable dataclasses.
 - **Deterministic merge** — every shard finding carries a sort key derived
   from the *serial* emission position, so the merged :class:`FsckReport`
@@ -32,7 +32,7 @@ The checker follows pFSCK's shape (see PAPERS.md):
   directories) are resolved in the merge step, replaying the serial
   claim order over only the extents that shards flagged as overlapping.
 - **Pipelined repair** — :func:`repair_dataplane` consumes shard reports
-  through :func:`repro.core.parallel.stream_cells`, applying fixes for
+  through :func:`repro.core.sweep.stream_cells`, applying fixes for
   shard *i* while shards *i+1..n* are still checking, and iterates
   check→repair until convergence.
 - **Online scrub** — :class:`Scrubber` walks the same shards one step at a
@@ -54,7 +54,7 @@ from operator import attrgetter, is_not, ne
 
 import numpy as np
 
-from repro.core.parallel import run_cells, stream_cells
+from repro.core.sweep import run_cells, stream_cells
 from repro.errors import MetadataError
 from repro.fs.dataplane import DataPlane
 from repro.meta.embedded_layout import EmbeddedDir, EmbeddedLayout

@@ -23,6 +23,10 @@ disk, the MDS) passes ``t=`` explicitly; everything else falls back to the
 tracer's bound clock (the data plane binds the disk array's elapsed time,
 the MDS binds its serialized elapsed time — first bind wins), or to a
 monotone event sequence number when no clock is bound.
+
+A sweep never shares a ring: each cell records into a :meth:`Tracer.spawn`
+of the run's tracer and the run :meth:`Tracer.absorb` takes its
+:meth:`Tracer.rows` in submission order (:mod:`repro.core.sweep`).
 """
 
 from __future__ import annotations
@@ -108,12 +112,6 @@ class Tracer:
 
     __slots__ = ("enabled", "capacity", "clock", "_rows", "_schemas", "_emitted")
 
-    #: True only on :class:`SamplingTracer`: the tracer is *dormant* between
-    #: sampled operations (``enabled`` is False at rest) but still collects
-    #: events, so schedulers that must keep trace buffers in-process (see
-    #: :func:`repro.core.parallel.run_cells`) check this flag too.
-    sampling = False
-
     def __init__(
         self,
         capacity: int = 65536,
@@ -139,7 +137,9 @@ class Tracer:
             self.clock = clock
 
     def now(self) -> float:
-        """Current simulated time: bound clock, else the event sequence."""
+        """Current simulated time: bound clock, else the event sequence —
+        this ring's own ``emitted`` count, so an unclocked sweep cell stamps
+        0.0, 1.0, ... whichever cells ran before it, in whichever process."""
         if self.clock is not None:
             return self.clock()
         return float(self._emitted)
@@ -235,6 +235,23 @@ class Tracer:
         self._rows.clear()
         self._emitted = 0
 
+    # -- one ring per sweep cell -------------------------------------------
+    def spawn(self) -> "Tracer":
+        """A fresh ring of this tracer's kind for one sweep cell: same
+        class, ``capacity`` and ``enabled``; empty, and with no clock."""
+        return Tracer(capacity=self.capacity, enabled=self.enabled)
+
+    def rows(self) -> list[tuple]:
+        """The retained raw rows, oldest first — plain picklable tuples."""
+        return list(self._rows)
+
+    def absorb(self, rows: Sequence[tuple], emitted: int) -> None:
+        """Append another ring's ``rows()`` / ``emitted`` behind this one's:
+        the ring keeps the last ``capacity`` rows of the concatenation, as
+        if the events had been emitted here, and the counts add up."""
+        self._rows.extend(rows)
+        self._emitted += emitted
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Tracer(enabled={self.enabled}, capacity={self.capacity}, "
@@ -291,8 +308,6 @@ class SamplingTracer(Tracer):
 
     __slots__ = ("every", "offset", "active_stream")
 
-    sampling = True
-
     def __init__(
         self,
         every: int = 1000,
@@ -305,11 +320,14 @@ class SamplingTracer(Tracer):
         super().__init__(capacity=capacity, clock=clock, enabled=False)
         self.every = every
         self.offset = offset % every
-        #: Stream id of the operation currently being traced, or None.
+        #: Stream id of the operation the tracer is armed for, or None.
         self.active_stream: int | None = None
 
+    def spawn(self) -> "SamplingTracer":
+        return SamplingTracer(self.every, self.offset, self.capacity)
+
     def sampled(self, stream: int) -> bool:
-        """Whether ``stream`` is one of the 1-in-N traced streams."""
+        """Whether ``stream`` is one of the 1-in-N sampled streams."""
         return stream % self.every == self.offset
 
     def op(self, stream: int) -> _ArmedOp:
@@ -382,7 +400,6 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
-    sampling = False
     capacity = 0
     clock = None
     emitted = 0
@@ -410,6 +427,15 @@ class NullTracer:
         return 0
 
     def clear(self) -> None:
+        pass
+
+    def spawn(self) -> "NullTracer":
+        return self
+
+    def rows(self) -> list[tuple]:
+        return []
+
+    def absorb(self, rows: Sequence[tuple], emitted: int) -> None:
         pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

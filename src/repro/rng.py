@@ -13,14 +13,6 @@ import zlib
 
 import numpy as np
 
-#: Seed used by benchmarks and examples unless overridden.
-DEFAULT_SEED: int = 20110913  # ICPP 2011 conference dates
-
-
-def make_rng(seed: int | None = None) -> np.random.Generator:
-    """Create a root generator from an integer seed (or the default)."""
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-
 
 def derive_rng(seed: int, *keys: str | int) -> np.random.Generator:
     """Create an independent generator for a named sub-stream.

@@ -115,11 +115,11 @@ class TestForcedAllocatorRegression:
     def test_vanilla_swap_fails_the_gate(self, doc, monkeypatch):
         """The acceptance scenario: silently swapping the allocator to the
         vanilla policy must trip the committed-baseline comparison."""
-        import repro.core.runners as runners
+        from repro.core.runners import fig6
 
-        real = runners.with_alloc_policy
+        real = fig6.with_alloc_policy
         monkeypatch.setattr(
-            runners, "with_alloc_policy", lambda cfg, policy: real(cfg, "vanilla")
+            fig6, "with_alloc_policy", lambda cfg, policy: real(cfg, "vanilla")
         )
         regressed = _collect_small()
         regs = bb.compare(doc, regressed)

@@ -96,9 +96,8 @@ class TestUnifiedInvocation:
         # single-cell ones like "faults".
         import inspect
 
-        from repro.core.run import RUNNERS, _load
+        from repro.core.run import RUNNERS
 
-        _load()
         for name, fn in RUNNERS.items():
             params = inspect.signature(fn).parameters
             for expected in ("scale", "seed", "trace", "jobs"):

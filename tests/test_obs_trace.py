@@ -113,18 +113,11 @@ class TestDisabledMode:
 class TestSamplingTracer:
     def test_dormant_at_rest(self):
         tr = SamplingTracer(every=10)
-        assert tr.enabled is False and tr.sampling is True
+        assert tr.enabled is False
         tr.emit("disk", "read", t=1.0)  # unsampled path: swallowed
         with tr.span("fs", "write"):
             pass
         assert tr.events() == [] and tr.emitted == 0
-
-    def test_sampling_flags_distinguish_tracer_kinds(self):
-        # run_cells keys its serial fallback on enabled-or-sampling; a
-        # plain tracer and the null tracer must not look like samplers.
-        assert Tracer().sampling is False
-        assert NullTracer().sampling is False
-        assert SamplingTracer().sampling is True
 
     def test_deterministic_stream_selection(self):
         tr = SamplingTracer(every=10, offset=3)

@@ -21,7 +21,7 @@ from repro.block.bitmap import BlockBitmap
 from repro.block.extent import Extent, ExtentFlags, ExtentMap
 from repro.block.freelist import FreeExtentSet
 from repro.config import DiskParams, SchedulerParams
-from repro.core.parallel import resolve_jobs, run_cells
+from repro.core.sweep import resolve_jobs, run_cells
 from repro.core.runners import LISTIO_HEADER_S
 from repro.disk.array import DiskArray
 from repro.disk.model import BlockRequest, ServiceTimeModel
