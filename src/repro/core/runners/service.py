@@ -24,6 +24,7 @@ from repro.sim.metrics import ThroughputResult
 from repro.sim.report import Table
 from repro.units import KiB
 from repro.workloads.service import (
+    ROW_STREAM,
     ScrubSpec,
     ServiceSpec,
     ServiceTelemetry,
@@ -174,40 +175,40 @@ def _service_cell(spec, tracer=None) -> CellResult:
             st.probe = telem.station_probe(st.name)
         telem.track_cache(mds.metrics)
     sampler = tracer if isinstance(tracer, SamplingTracer) else None
-    moved = {"bytes": 0}
     drops = {"data": {"write": 0, "read": 0}, "meta": {"meta": 0}}
 
-    def arrive(station, kind, op_bytes, kind_drops):
-        def on_event(now, op):
-            if sampler is not None and sampler.sampled(op.stream):
-                with sampler.op(op.stream):
-                    sampler.emit(
-                        "service", f"{kind}.arrive", t=now, station=station.name,
-                    )
-                    done = station.offer(now, op)
-                    if done is None:
-                        sampler.emit(
-                            "service", f"{kind}.drop", t=now, station=station.name,
-                        )
-                    else:
-                        sampler.emit(
-                            "service", f"{kind}.sojourn", t=now, dur=done - now,
-                            station=station.name,
-                        )
-            else:
-                done = station.offer(now, op)
-            if done is None:
+    def arrive(station, kind, kind_drops):
+        offer = station.offer
+
+        def on_event(now, row):
+            if offer(now, row) is None:
                 kind_drops[kind] += 1
-            else:
-                moved["bytes"] += op_bytes(op)
-        return on_event
+
+        def on_sampled_event(now, row):
+            stream = row[ROW_STREAM]
+            if not sampler.sampled(stream):
+                return on_event(now, row)
+            with sampler.op(stream):
+                sampler.emit(
+                    "service", f"{kind}.arrive", t=now, station=station.name,
+                )
+                done = offer(now, row)
+                if done is None:
+                    kind_drops[kind] += 1
+                    sampler.emit(
+                        "service", f"{kind}.drop", t=now, station=station.name,
+                    )
+                else:
+                    sampler.emit(
+                        "service", f"{kind}.sojourn", t=now, dur=done - now,
+                        station=station.name,
+                    )
+
+        return on_event if sampler is None else on_sampled_event
 
     for kind in ServiceWorkload.KINDS:
         name = "meta" if kind == "meta" else "data"
-        loop.add_source(
-            wl.events(kind),
-            arrive(stations[name], kind, wl.bytes_for, drops[name]),
-        )
+        loop.add_blocks(wl.events(kind), arrive(stations[name], kind, drops[name]))
 
     scrubber = None
     injected: list[str] = []
@@ -218,14 +219,7 @@ def _service_cell(spec, tracer=None) -> CellResult:
         scrubber = Scrubber(plane, mds, strict_accounting=False)
         corruptor = Corruptor(svc.seed + 7919)
 
-        def scrub_events():
-            step = 0
-            while True:
-                yield (scrub.interval_s, ("scrub", step))
-                step += 1
-
-        def on_scrub(now, op):
-            _, step = op
+        def on_scrub(now, step):
             if scrub.corrupt_every and step % scrub.corrupt_every == 0:
                 hit = corruptor.corrupt_dataplane(plane, nfaults=scrub.nfaults)
                 injected.extend(hit)
@@ -243,7 +237,7 @@ def _service_cell(spec, tracer=None) -> CellResult:
                     if value:
                         series.incr(now, key, value)
 
-        loop.add_source(scrub_events(), on_scrub)
+        loop.add_blocks(scrub.ticks(), on_scrub)
 
     loop.run(until=svc.duration_s)
     for st in stations.values():
@@ -278,7 +272,7 @@ def _service_cell(spec, tracer=None) -> CellResult:
     cell.phase(
         label,
         ThroughputResult(
-            bytes_moved=moved["bytes"],
+            bytes_moved=stations["data"].started * svc.request_bytes,
             elapsed=svc.duration_s,
             ops=sum(st.started for st in stations.values()),
         ),
@@ -302,7 +296,8 @@ def _service_cell(spec, tracer=None) -> CellResult:
         streams=svc.streams,
         duration_s=svc.duration_s,
         queue_depth=svc.queue_depth,
-        arrivals=loop.processed,
+        # Client arrivals only: the loop also dispatched the scrub ticks.
+        arrivals=sum(st.offered for st in stations.values()),
         active_streams=wl.active_streams,
         stations={
             name: _station_report(st, svc.duration_s, drops[name])

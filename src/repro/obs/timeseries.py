@@ -143,10 +143,18 @@ class TimeSeries:
 
         The bulk counterpart of :meth:`frame`: a recorder that logged one
         row per event folds ``rows[lo:hi]`` into ``frame`` with a handful
-        of numpy calls.  Window indices are ``int(t / window_s)`` exactly
-        as the scalar path computes them.  Runs come in row order, so any
-        left-to-right fold over them equals the per-event loop; with
-        non-decreasing timestamps each touched window is one run.
+        of numpy calls.
+        """
+        for idx, lo, hi in self.window_runs(times):
+            yield self.frame_at(idx), lo, hi
+
+    def window_runs(self, times: np.ndarray) -> Iterator[tuple[int, int, int]]:
+        """:meth:`runs` by window index, creating no frame.
+
+        Window indices are ``int(t / window_s)`` exactly as the scalar
+        path computes them.  Runs come in row order, so any left-to-right
+        fold over them equals the per-event loop; with non-decreasing
+        timestamps each touched window is one run.
         """
         if times.shape[0] == 0:
             return
@@ -157,7 +165,7 @@ class TimeSeries:
         cuts = (np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist()
         lo = 0
         for hi in (*cuts, idx.shape[0]):
-            yield self.frame_at(int(idx[lo])), lo, hi
+            yield int(idx[lo]), lo, hi
             lo = hi
 
     # -- recording ---------------------------------------------------------

@@ -11,14 +11,17 @@ observable at all.
 Two pieces:
 
 :class:`EventLoop`
-    A heap-scheduled merge of lazily-generated arrival streams over a
-    :class:`~repro.sim.clock.SimClock`.  Each source is an iterator of
-    ``(arrival_dt, op)`` events — the same lazy event-stream protocol the
-    workload generators speak (:mod:`repro.workloads.base`) — and the loop
-    holds exactly **one** pending arrival per source, so memory is
-    O(sources) no matter how many events a run processes.  A million
-    client streams are superposed *inside* a source generator (a merged
-    Poisson process is itself Poisson), not registered individually.
+    A time-ordered merge of lazily-generated arrival streams over a
+    :class:`~repro.sim.clock.SimClock`.  A source hands the loop its
+    arrivals a *block* at a time — a column of inter-arrival gaps and a
+    column of ops — and the loop holds exactly **one** block per source, so
+    memory is O(sources × block) no matter how many events a run
+    processes.  In an open loop no arrival depends on what the system did
+    with an earlier one, so the loop *schedules, then executes*: it merges
+    the blocks' time columns with one stable sort up to the earliest block
+    end, then dispatches the merged rows in a plain loop.  A million client
+    streams are superposed *inside* a source (a merged Poisson process is
+    itself Poisson), not registered individually.
 
 :class:`Station`
     A single-server bounded-queue service center wrapping one simulator
@@ -38,11 +41,13 @@ wall-clock time.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.histogram import Histogram
@@ -50,8 +55,25 @@ from repro.sim.clock import SimClock
 
 __all__ = ["EventLoop", "Station"]
 
+
+@dataclass(slots=True, eq=False)
+class _Source:
+    """One registered source and the block of it the loop is holding."""
+
+    sid: int
+    blocks: Iterator
+    handler: Callable
+    #: When the pending arrival ``rows[pos]`` was scheduled, on the loop's
+    #: global counter — the tie-break among equal times.
+    seq: int
+    #: Absolute arrival times and ops of the current block.
+    times: np.ndarray | None = None
+    rows: Sequence = ()
+    pos: int = 0
+
+
 class EventLoop:
-    """Merge lazy ``(arrival_dt, op)`` sources in simulated-time order.
+    """Merge lazy arrival sources in simulated-time order.
 
     >>> from repro.sim.clock import SimClock
     >>> seen = []
@@ -66,53 +88,92 @@ class EventLoop:
 
     ``arrival_dt`` is relative to the *previous* event of the same source
     (an inter-arrival gap), so independent sources interleave naturally.
+
+    **The order, defined one event at a time:** the next event is the
+    pending arrival with the smallest ``(time, scheduling seq)``, where a
+    source's next arrival is scheduled — takes the next number of a global
+    counter — right after its previous one was handled (its first, at
+    registration).  :meth:`run` computes that order a chunk at a time and
+    falls back to the definition only for an exact cross-source tie.
     """
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        # One heap entry per live source, carrying everything dispatch
-        # needs: (when, seq, op, events, on_event, source_id).  seq comes
-        # from a global monotone counter: deterministic tie-break, and no
-        # two entries ever compare beyond it (ops are never compared).
-        self._heap: list[tuple] = []
-        self._seq = itertools.count()
+        #: Sources with a pending arrival, in registration order.
+        self._live: list[_Source] = []
+        self._seq = 0
         self._sources = 0
         self.processed = 0
-        #: Optional telemetry hook ``probe(now, op)``, called for every
-        #: dispatched event before its handler.  Observe-only: must not
-        #: touch the op or the simulation.  None (the default) costs one
-        #: comparison per event.
-        self.probe: Callable[[float, Any], None] | None = None
+        #: Optional telemetry hook ``probe(times)``, called once per merged
+        #: chunk with the sorted time column of the rows about to be
+        #: dispatched.  It returns ``(lo, hi)`` runs that partition the
+        #: column in order, and the loop dispatches a run between taking it
+        #: and asking for the next: a generator's code between two
+        #: ``yield``s executes between the handlers of two runs.
+        #: Observe-only.  A chunk cut short (a handler registered a source,
+        #: or raised) is scheduled again from its first undispatched row,
+        #: which the probe then sees a second time.
+        self.probe: Callable[[np.ndarray], Iterable[tuple[int, int]]] | None = None
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._live)
 
     def add_source(
         self,
         events: Iterator[tuple[float, Any]],
         on_event: Callable[[float, Any], None],
     ) -> None:
-        """Register one lazy event source.
+        """Register one lazy per-event source.
 
         ``events`` yields ``(arrival_dt, op)`` pairs; ``on_event(now, op)``
         is invoked for each at its absolute arrival time.  Only the next
         pending event is held in memory; the iterator is advanced one
-        event at a time as the loop drains.  An exhausted iterator simply
-        retires its source.  A handler may register further sources while
-        the loop runs.
+        event at a time as the loop drains (each event enters the loop as a
+        one-row block).  An exhausted iterator simply retires its source.
+        A handler may register further sources while the loop runs.
         """
-        sid = self._sources
+        self.add_blocks((((dt,), (op,)) for dt, op in events), on_event)
+
+    def add_blocks(
+        self,
+        blocks: Iterator[tuple[Sequence[float], Sequence]],
+        on_event: Callable[[float, Any], None],
+    ) -> None:
+        """Register one lazy source that draws its arrivals a block ahead.
+
+        ``blocks`` yields non-empty ``(gaps, ops)`` column pairs: the
+        ``(arrival_dt, op)`` protocol of :meth:`add_source`, a block at a
+        time.  The loop turns the gaps into absolute times with the
+        left-to-right float sum ``when + dt`` a per-event walk makes, holds
+        one block per source, and asks for the next only once the block's
+        last arrival has been handled — exactly when a per-event source
+        would be advanced.
+        """
+        src = _Source(self._sources, blocks, on_event, self._seq)
         self._sources += 1
+        self._seq += 1
+        self._live.append(src)
+        self._pull(src, self.clock.now)
+
+    def _pull(self, src: _Source, origin: float) -> None:
+        """Fetch ``src``'s next block, its gaps counted from ``origin``;
+        an exhausted (or invalid) source leaves the live set."""
         try:
-            dt, op = next(events)
+            gaps, rows = next(src.blocks)
         except StopIteration:
+            self._live.remove(src)
             return
-        if dt < 0.0:
-            raise ConfigError(f"negative inter-arrival time from source {sid}: {dt}")
-        heapq.heappush(
-            self._heap,
-            (self.clock.now + dt, next(self._seq), op, events, on_event, sid),
-        )
+        gaps = np.asarray(gaps, dtype=np.float64)
+        if gaps.min() < 0.0:
+            self._live.remove(src)
+            raise ConfigError(
+                f"negative inter-arrival time from source {src.sid}: "
+                f"{gaps[gaps < 0.0][0]}"
+            )
+        # accumulate is out[i] = out[i-1] + in[i]: the per-event sum.
+        src.times = np.add.accumulate(np.concatenate(((origin,), gaps)))[1:]
+        src.rows = rows
+        src.pos = 0
 
     def run(self, until: float | None = None) -> int:
         """Drain events in time order; returns how many were processed.
@@ -121,44 +182,95 @@ class EventLoop:
         that time (the event stays pending, and the clock parks at
         ``until``).  Without it, runs until every source is exhausted —
         only sensible for finite sources.
+
+        Each round schedules every pending arrival up to the earliest end
+        of a held block (or ``until``) — no source can owe an arrival
+        before that time — and dispatches the merged rows; the source
+        whose block ended is advanced and the next round begins.
         """
-        heap = self._heap
+        live = self._live
         probe = self.probe
         advance_to = self.clock.advance_to
-        next_seq = self._seq.__next__
-        heappop, heapreplace = heapq.heappop, heapq.heapreplace
         horizon = float("inf") if until is None else until
         processed = 0
         try:
-            while heap:
-                when, _, op, events, on_event, sid = heap[0]
-                if when > horizon:
-                    break
-                advance_to(when)
-                if probe is not None:
-                    probe(when, op)
-                on_event(when, op)
-                processed += 1
-                # The dispatched entry is still heap[0]: anything the
-                # handler registered arrives at or after ``when`` with a
-                # later seq.  So the source's next arrival replaces it in
-                # one sift instead of a pop and a push.
+            while live:
+                bound = min(horizon, min(float(s.times[-1]) for s in live))
+                members, slices = [], []
+                for s in live:
+                    hi = int(s.times.searchsorted(bound, "right"))
+                    if hi > s.pos:
+                        members.append(s)
+                        slices.append(slice(s.pos, hi))
+                if not members:
+                    break  # every pending arrival is past the horizon
+                when = np.concatenate([s.times[cut] for s, cut in zip(members, slices)])
+                owner = np.repeat(
+                    np.arange(len(members)), [cut.stop - cut.start for cut in slices]
+                )
+                order = when.argsort(kind="stable")
+                when, owner = when[order], owner[order]
+                # The stable sort is the defined order unless two sources
+                # meet at one instant: stop the chunk before the first such
+                # tie, or — when it is at the head — dispatch the one
+                # arrival the definition picks.
+                tied = np.flatnonzero((np.diff(when) == 0.0) & (np.diff(owner) != 0))
+                if tied.shape[0]:
+                    lo, hi = 0, int(when.searchsorted(when[tied[0]], "left"))
+                    if not hi:
+                        pick = min(members, key=lambda s: (s.times[s.pos], s.seq))
+                        lo = int(np.argmax(owner == members.index(pick)))
+                        hi = lo + 1
+                    order, when, owner = order[lo:hi], when[lo:hi], owner[lo:hi]
+                n = order.shape[0]
+                pool = list(chain.from_iterable(s.rows[cut] for s, cut in zip(members, slices)))
+                rows = [pool[i] for i in order.tolist()]
+                times = when.tolist()
+                handlers = [members[i].handler for i in owner.tolist()]
+                # Successors of this chunk's rows take seqs from a range
+                # reserved now, below any source a handler registers.
+                base = self._seq
+                self._seq = base + n
+                nlive = len(live)
+                done = 0
                 try:
-                    dt, op = next(events)
-                except StopIteration:
-                    heappop(heap)
-                    continue
-                if dt < 0.0:
-                    heappop(heap)
-                    raise ConfigError(
-                        f"negative inter-arrival time from source {sid}: {dt}"
-                    )
-                heapreplace(heap, (when + dt, next_seq(), op, events, on_event, sid))
+                    for lo, hi in probe(when) if probe is not None else ((0, n),):
+                        for now, handler, row in zip(times[lo:hi], handlers[lo:hi], rows[lo:hi]):
+                            advance_to(now)
+                            handler(now, row)
+                            done += 1
+                            if len(live) != nlive:
+                                break  # a new source may owe an earlier arrival
+                        else:
+                            continue
+                        break
+                finally:
+                    processed += done
+                    self._advance(members, owner[:done], base)
         finally:
             self.processed += processed
         if until is not None:
             advance_to(until)
         return processed
+
+    def _advance(self, members: list[_Source], owner: np.ndarray, base: int) -> None:
+        """Book the dispatched prefix of a chunk: ``owner[j]`` is the
+        member whose pending row was handled ``j``-th."""
+        if not owner.shape[0]:
+            return
+        for i, src in enumerate(members):
+            mine = np.flatnonzero(owner == i)
+            if mine.shape[0]:
+                src.pos += mine.shape[0]
+                src.seq = base + int(mine[-1])
+        # The last handler may have registered sources: its own successor
+        # is scheduled after them.
+        src = members[owner[-1]]
+        src.seq = self._seq
+        self._seq += 1
+        for src in members:
+            if src.pos == len(src.rows):
+                self._pull(src, float(src.times[-1]))
 
 
 class Station:
@@ -170,7 +282,7 @@ class Station:
 
     - completions are reaped lazily — any in-flight operation whose
       completion time is ``<= now`` finishes before the new arrival is
-      examined (no completion events needed in the loop's heap);
+      examined (no completion events needed in the loop);
     - the queue depth observed by the arrival is recorded, and if it is
       already at ``depth`` the operation is **dropped** (counted, never
       executed — its service cost is not charged);

@@ -23,12 +23,13 @@ standard reductions:
   the stream count, while cursors wrap within each region so steady state
   is overwrite-heavy (no unbounded allocation over long runs).
 
-Events carry the ordinary protocol ops (:class:`~repro.workloads.base.
-WriteOp` / ``ReadOp`` / ``MetaOp``) tagged with the stream that issued them
-(:class:`ServiceWrite` / ``ServiceRead`` / ``ServiceMeta``); the workload
-also provides the two station executors that price an op via the device
-models — disk-array batch wall time for data, MDS timeline delta for
-metadata.  :class:`ServiceTelemetry` turns the stations' probes into
+An arrival is a plain row, not an object — ``(kind, stream, nbytes,
+offset)`` for a data op, ``(kind, stream, 0, method, target)`` for a
+metadata op, read through the ``ROW_*`` indices — and a source hands the
+loop its arrivals a block of rows at a time (:meth:`ServiceWorkload.events`).
+The workload also provides the two station executors that price a row via
+the device models — disk-array batch wall time for data, MDS timeline delta
+for metadata.  :class:`ServiceTelemetry` turns the stations' probes into
 per-window time series by logging one row per arrival and reducing the log
 a chunk at a time.
 """
@@ -38,6 +39,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, repeat
 
 import numpy as np
 
@@ -48,18 +50,20 @@ from repro.obs.histogram import fold_left
 from repro.obs.timeseries import TimeSeries, TimeSeriesSnapshot
 from repro.rng import derive_rng
 from repro.units import KiB
-from repro.workloads.base import Event, MetaOp, Op, ReadOp, WriteOp
 
 __all__ = [
     "DURATIONS",
     "RATES",
+    "ROW_KIND",
+    "ROW_METHOD",
+    "ROW_NBYTES",
+    "ROW_OFFSET",
+    "ROW_STREAM",
+    "ROW_TARGET",
     "ScrubSpec",
-    "ServiceMeta",
-    "ServiceRead",
     "ServiceSpec",
     "ServiceTelemetry",
     "ServiceWorkload",
-    "ServiceWrite",
     "resolve_duration",
     "resolve_rate",
 ]
@@ -84,6 +88,16 @@ FILES_PER_DIR = 4
 
 #: Arrivals an event source draws ahead per block (docs/SERVICE.md).
 ARRIVAL_BLOCK = 1024
+
+#: Fields of an arrival row.  Every row starts ``kind, stream, nbytes``
+#: (``kind`` indexes :attr:`ServiceWorkload.KINDS`; a metadata op moves 0
+#: bytes); a data row ends with its file ``offset``, a metadata row with
+#: the MDS ``method`` name and its ``target`` argument tuple.
+ROW_KIND, ROW_STREAM, ROW_NBYTES, ROW_OFFSET = range(4)
+ROW_METHOD, ROW_TARGET = 3, 4
+
+#: Kind codes (index into :attr:`ServiceWorkload.KINDS`).
+_WRITE, _READ, _META = range(3)
 
 #: Rows a :class:`ServiceTelemetry` probe logs before they are reduced into
 #: window frames; bounds each row log at ``6 * 8 * TELEMETRY_CHUNK`` bytes.
@@ -143,6 +157,12 @@ class ScrubSpec:
         if self.nfaults < 1:
             raise ConfigError(f"nfaults must be >= 1: {self.nfaults}")
 
+    def ticks(self) -> Iterator[tuple[list[float], range]]:
+        """The scrub schedule as a block source: ``(gaps, steps)`` with
+        every gap ``interval_s`` and the steps numbered from 0."""
+        for first in count(0, ARRIVAL_BLOCK):
+            yield [self.interval_s] * ARRIVAL_BLOCK, range(first, first + ARRIVAL_BLOCK)
+
 
 @dataclass(frozen=True)
 class ServiceSpec:
@@ -190,28 +210,6 @@ class ServiceSpec:
         return self.streams * self.rate * fraction
 
 
-@dataclass(frozen=True, slots=True)
-class ServiceWrite(WriteOp):
-    """A :class:`WriteOp` tagged with the client stream that issued it."""
-
-    stream: int
-
-
-@dataclass(frozen=True, slots=True)
-class ServiceRead(ReadOp):
-    """A :class:`ReadOp` tagged with the client stream that issued it."""
-
-    stream: int
-
-
-@dataclass(frozen=True, slots=True)
-class ServiceMeta(MetaOp):
-    """A :class:`MetaOp` tagged with the client stream that issued it
-    (defaulted only because it follows ``MetaOp.args``, which is)."""
-
-    stream: int = -1
-
-
 class ServiceWorkload:
     """Lazy event sources plus station executors over one plane + MDS."""
 
@@ -245,23 +243,23 @@ class ServiceWorkload:
                 self._pool.append((dirh, name))
 
     # -- lazy event sources -------------------------------------------------
-    def events(self, kind: str) -> Iterator[Event]:
-        """Infinite superposed-Poisson event stream for one op kind.
+    def events(self, kind: str) -> Iterator[tuple[list[float], list[tuple]]]:
+        """Infinite superposed-Poisson arrival stream for one op kind, as
+        blocks for :meth:`~repro.sim.events.EventLoop.add_blocks`.
 
-        Yields ``(arrival_dt, op)`` with exponential inter-arrivals at the
-        kind's aggregate rate; each arrival is attributed to a uniform
-        stream, which rides in the op (``op.stream``).
+        Yields ``(gaps, rows)``: exponential inter-arrival gaps at the
+        kind's aggregate rate and one row per arrival (see ``ROW_*``), each
+        attributed to a uniform stream.
 
         Arrivals are drawn :data:`ARRIVAL_BLOCK` at a time in one tight
-        loop and handed out through a C-level ``zip``, so a consumer's
-        ``next()`` does not resume Python code per event.  The draws are
+        loop and the rows assembled by a C-level ``zip``.  The draws are
         the per-event scalar ones in the per-event order — ``exponential``,
-        ``integers``, then the kind's own draw — so the stream of events
+        ``integers``, then the kind's own draw — so the stream of arrivals
         is the same at any block size, and a block ends at the first
         arrival past ``spec.duration_s`` (sources start at t = 0): a run
         of the arrival window makes exactly the draws a per-event
         generator would, the one pending past the window included.  Memory
-        is O(block): nothing per event outlives its block beyond the
+        is O(block): nothing per arrival outlives its block beyond the
         region cursors and the per-stream op counter.
         """
         lam = self.spec.kind_rate(kind)
@@ -270,68 +268,71 @@ class ServiceWorkload:
         rng = derive_rng(self.spec.seed, "service", kind)
         exponential, integers = rng.exponential, rng.integers
         scale = 1.0 / lam
-        build = {"write": self._write_op, "read": self._read_op, "meta": self._meta_op}[kind]
         nstreams = self.spec.streams
         horizon = self.spec.duration_s
+        nbytes = self.spec.request_bytes
+        regions, region_bytes = self.regions, self.region_bytes
+        cursors, pool = self._cursors, self._pool
+
+        def write_offset(s: int) -> int:
+            region = s % regions
+            slot = cursors[region]
+            cursors[region] = (slot + 1) % REGION_SLOTS
+            return region * region_bytes + slot * nbytes
+
+        def read_offset(s: int) -> int:
+            return s % regions * region_bytes + int(integers(REGION_SLOTS)) * nbytes
+
+        def meta_method(s: int) -> str:
+            return "stat" if rng.random() < 0.5 else "utime"
+
+        detail = {"write": write_offset, "read": read_offset, "meta": meta_method}[kind]
+        code = self.KINDS.index(kind)
         t = 0.0
         while True:
             gaps: list[float] = []
             streams: list[int] = []
-            ops: list[Op | MetaOp] = []
+            details: list = []
             for _ in range(ARRIVAL_BLOCK):
                 dt = exponential(scale)
                 s = int(integers(nstreams))
                 gaps.append(dt)
                 streams.append(s)
-                ops.append(build(s, rng))
+                details.append(detail(s))
                 t += dt
                 if t > horizon:
                     break
             np.add.at(self.ops_per_stream, streams, 1)
-            yield from zip(gaps, ops)
+            if code == _META:
+                targets = [pool[s % len(pool)] for s in streams]
+                rows = zip(repeat(code), streams, repeat(0), details, targets)
+            else:
+                rows = zip(repeat(code), streams, repeat(nbytes), details)
+            yield gaps, list(rows)
 
-    def _write_op(self, s: int, rng) -> Op:
-        region = s % self.regions
-        slot = self._cursors[region]
-        self._cursors[region] = (slot + 1) % REGION_SLOTS
-        offset = region * self.region_bytes + slot * self.spec.request_bytes
-        return ServiceWrite(self.file, offset, self.spec.request_bytes, s)
-
-    def _read_op(self, s: int, rng) -> Op:
-        region = s % self.regions
-        slot = int(rng.integers(REGION_SLOTS))
-        offset = region * self.region_bytes + slot * self.spec.request_bytes
-        return ServiceRead(self.file, offset, self.spec.request_bytes, s)
-
-    def _meta_op(self, s: int, rng) -> MetaOp:
-        dirh, name = self._pool[s % len(self._pool)]
-        method = "stat" if rng.random() < 0.5 else "utime"
-        return ServiceMeta(method, (dirh, name), s)
-
-    # -- station executors (op → service time, simulated seconds) ----------
-    def data_service(self, op: Op) -> float:
-        """Price one data op: map it, submit the batch, return wall time.
+    # -- station executors (row → service time, simulated seconds) ---------
+    def data_service(self, row: tuple) -> float:
+        """Price one data row: map it, submit the batch, return wall time.
 
         The region index recovered from the offset is the allocator-visible
         stream id — the same folding the generator applied.  Reads of
         not-yet-written slots map to holes and cost nothing, exactly like
         reading sparse ranges anywhere else in the simulator.
         """
-        region = op.offset // self.region_bytes
-        if isinstance(op, WriteOp):
-            requests = self.plane.write(op.file, region, op.offset, op.nbytes)
+        offset, nbytes = row[ROW_OFFSET], row[ROW_NBYTES]
+        if row[ROW_KIND] == _WRITE:
+            requests = self.plane.write(
+                self.file, offset // self.region_bytes, offset, nbytes
+            )
         else:
-            requests = self.plane.read(op.file, op.offset, op.nbytes)
+            requests = self.plane.read(self.file, offset, nbytes)
         return self.plane.array.submit_batch(requests)
 
-    def meta_service(self, op: MetaOp) -> float:
-        """Price one metadata op via the MDS timeline delta."""
+    def meta_service(self, row: tuple) -> float:
+        """Price one metadata row via the MDS timeline delta."""
         t0 = self.mds.elapsed_s
-        getattr(self.mds, op.method)(*op.args)
+        getattr(self.mds, row[ROW_METHOD])(*row[ROW_TARGET])
         return self.mds.elapsed_s - t0
-
-    def bytes_for(self, op: Op | MetaOp) -> int:
-        return op.nbytes if isinstance(op, (WriteOp, ReadOp)) else 0
 
     @property
     def active_streams(self) -> int:
@@ -339,12 +340,8 @@ class ServiceWorkload:
         return int(np.count_nonzero(self.ops_per_stream))
 
 
-#: Kind codes in a telemetry row (index into :attr:`ServiceWorkload.KINDS`).
-_WRITE, _READ, _META = range(3)
-
 #: Doubles per logged station arrival: ``now, kind, queued, done, service,
-#: nbytes`` — ``done`` is nan for a drop, ``nbytes`` is nan for a metadata
-#: op (which moves no data, so it never creates a ``bytes`` series).
+#: nbytes`` — ``done`` is nan for a drop.
 _ROW = 6
 
 
@@ -367,9 +364,7 @@ class ServiceTelemetry:
     :meth:`~repro.obs.histogram.Histogram.observe_array`, and float sums
     are folded left to right from the running value, so every frame is
     bit-equal to what per-arrival ``incr``/``add``/``observe`` calls would
-    have built, at any chunk size (docs/TELEMETRY.md).  The loop probe has
-    a single number to record, so it keeps a run-length count and bills it
-    when the window changes.
+    have built, at any chunk size (docs/TELEMETRY.md).
 
     Series emitted per station (and per ``station.kind`` for the mix
     breakdown): ``arrivals``/``drops``/``completions`` counters, a
@@ -377,14 +372,14 @@ class ServiceTelemetry:
     (both attributed to the *arrival* window), ``busy_s`` accumulation
     (per-window saturation = busy_s / window_s) and moved ``bytes``
     (per-window goodput), the latter two attributed to the window the
-    operation *completes* in.  A loop-level ``arrivals`` counter tracks
-    total offered load.
+    operation *completes* in.  A plain ``arrivals`` counter sums the
+    stations': the total offered client load (a scrub tick reaches no
+    station and is not an arrival).
 
     :meth:`track_cache` additionally polls the MDS buffer-cache counters
     (:data:`CACHE_SERIES`, docs/CACHE.md) into per-window deltas plus a
     derived ``cache.prefetch_accuracy`` sum — flushed only when the loop
-    probe crosses a window boundary, so the per-arrival cost stays one
-    integer compare.
+    probe crosses a window boundary, so it costs nothing per arrival.
     """
 
     #: Buffer-cache counters rolled into per-window series by
@@ -403,10 +398,8 @@ class ServiceTelemetry:
     def __init__(self, window_s: float) -> None:
         self.series = TimeSeries(window_s)
         self._window_s = self.series.window_s
-        #: Index of the window the loop is in, and the arrivals it has seen
-        #: there that are not yet billed to the frame.
+        #: Index of the window the loop is in.
         self._window = 0
-        self._arrivals = 0
         #: One ``reduce()`` per station probe handed out.
         self._reducers: list = []
         self._cache_counters = None
@@ -449,31 +442,25 @@ class ServiceTelemetry:
             # clamp: accuracy is a per-window estimate, exact in total.
             frame.sums["cache.prefetch_accuracy"] = min(1.0, used / issued) if issued else 1.0
 
-    def loop_probe(self, now: float, op: Op | MetaOp) -> None:
-        """The ``EventLoop.probe`` callback: counts loop-level arrivals.
+    def loop_probe(self, times: np.ndarray) -> Iterator[tuple[int, int]]:
+        """The ``EventLoop.probe`` callback: one ``(lo, hi)`` run of the
+        chunk's sorted time column per window it touches.
 
-        Arrival times never decrease, so the count is a run length: one
-        integer compare per arrival, one frame update per window.
+        On entering a run in a new window the cache deltas since the last
+        flush are billed to the window just left — the loop dispatches a
+        run between two ``next`` calls, so the counters are read after the
+        last arrival of one window and before the first of the next, as a
+        per-arrival probe would read them.
         """
-        window = int(now / self._window_s)
-        if window != self._window:
-            # Crossing into a new window: bill what accumulated to the
-            # window just left.
-            self._bill_arrivals()
-            if self._cache_counters is not None:
-                self._flush_cache()
-            self._window = window
-        self._arrivals += 1
-
-    def _bill_arrivals(self) -> None:
-        if self._arrivals:
-            counters = self.series.frame_at(self._window).counters
-            counters["arrivals"] = counters.get("arrivals", 0) + self._arrivals
-            self._arrivals = 0
+        for window, lo, hi in self.series.window_runs(times):
+            if window != self._window:
+                if self._cache_counters is not None:
+                    self._flush_cache()
+                self._window = window
+            yield lo, hi
 
     def _reduce(self) -> None:
         """Fold everything recorded so far into the window frames."""
-        self._bill_arrivals()
         for reduce in self._reducers:
             reduce()
 
@@ -510,18 +497,15 @@ class ServiceTelemetry:
 
         def probe(
             now: float,
-            op: Op | MetaOp,
+            row: tuple,
             queued: int,
             done: float | None,
             service: float,
         ) -> None:
-            if done is None:
-                done = nan
-            if isinstance(op, MetaOp):
-                rows.extend((now, _META, queued, done, service, nan))
-            else:
-                kind = _WRITE if isinstance(op, WriteOp) else _READ
-                rows.extend((now, kind, queued, done, service, op.nbytes))
+            rows.extend((
+                now, row[ROW_KIND], queued, nan if done is None else done,
+                service, row[ROW_NBYTES],
+            ))
             if len(rows) >= limit:
                 reduce()
 
@@ -543,6 +527,7 @@ class ServiceTelemetry:
             for frame, lo, hi in series.runs(now):
                 counters = frame.counters
                 counters[arrivals] = counters.get(arrivals, 0) + (hi - lo)
+                counters["arrivals"] = counters.get("arrivals", 0) + (hi - lo)
                 bump(counters, kind_arrivals, kind[lo:hi])
                 frame.hist(queue_depth).observe_array(queued[lo:hi])
                 ok = started[lo:hi]
@@ -559,15 +544,16 @@ class ServiceTelemetry:
                             run_sojourn[run_kind == code]
                         )
             # Completion side: busy seconds and moved bytes land in the
-            # window the operation completes in.
-            done, service, moved = done[started], service[started], moved[started]
+            # window the operation completes in.  A metadata op moves no
+            # data, so it never creates a ``bytes`` series.
+            done, service = done[started], service[started]
+            moved, is_data = moved[started], kind[started] != _META
             for frame, lo, hi in series.runs(done):
                 counters = frame.counters
                 counters[completions] = counters.get(completions, 0) + (hi - lo)
                 sums = frame.sums
                 sums[busy] = fold_left(sums.get(busy, 0.0), service[lo:hi])
-                data_bytes = moved[lo:hi]
-                data_bytes = data_bytes[~np.isnan(data_bytes)]
+                data_bytes = moved[lo:hi][is_data[lo:hi]]
                 if data_bytes.shape[0]:
                     sums[nbytes] = fold_left(sums.get(nbytes, 0.0), data_bytes)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 
 from repro.bench.baseline import render
@@ -28,7 +29,13 @@ from repro.fs.dataplane import DataPlane
 from repro.fs.profiles import redbud_mif_profile
 from repro.meta.mds import MetadataServer
 from repro.obs.export import to_jsonl
-from repro.workloads.service import ServiceSpec, ServiceWorkload
+from repro.workloads.service import (
+    ROW_METHOD,
+    ROW_OFFSET,
+    ROW_STREAM,
+    ServiceSpec,
+    ServiceWorkload,
+)
 
 #: Observation variants; every one carries telemetry + SLOs.
 VARIANTS: dict[str, dict] = {
@@ -112,6 +119,12 @@ def service_digest(streams: int, seed: int, variant: str) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def arrivals(wl: ServiceWorkload, kind: str, n: int) -> list[tuple]:
+    """The first ``n`` ``(gap, row)`` arrivals of one kind's block source."""
+    flat = ((dt, row) for gaps, rows in wl.events(kind) for dt, row in zip(gaps, rows))
+    return list(itertools.islice(flat, n))
+
+
 def draws(kind: str, seed: int, n: int = DRAWS) -> list[tuple]:
     """The first ``n`` ``(dt, stream, offset | method)`` of one kind's event
     source at the ledger's operating point."""
@@ -119,15 +132,8 @@ def draws(kind: str, seed: int, n: int = DRAWS) -> list[tuple]:
     cfg = redbud_mif_profile()
     wl = ServiceWorkload(spec, DataPlane(cfg), MetadataServer(cfg))
     wl.setup()
-    events = wl.events(kind)
-    out = []
-    for _ in range(n):
-        dt, op = next(events)
-        # The parent published the stream id beside the event; since the
-        # refactor it rides in the payload.
-        stream = op.stream if hasattr(op, "stream") else wl.pending_stream[kind]
-        out.append((dt, stream, op.method if kind == "meta" else op.offset))
-    return out
+    field = ROW_METHOD if kind == "meta" else ROW_OFFSET
+    return [(dt, row[ROW_STREAM], row[field]) for dt, row in arrivals(wl, kind, n)]
 
 
 def draw_digest(kind: str, seed: int) -> str:

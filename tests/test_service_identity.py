@@ -21,7 +21,7 @@ from repro.fs.profiles import redbud_mif_profile
 from repro.meta.mds import MetadataServer
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop
-from repro.workloads.service import ServiceSpec, ServiceWorkload
+from repro.workloads.service import ROW_OFFSET, ROW_STREAM, ServiceSpec, ServiceWorkload
 
 from . import service_golden
 
@@ -30,7 +30,7 @@ SERVICE = {
     (2000, 0, 'telemetry+slo'):
         '13524265ccdd27f6c0cb29a3d845aa08a7213b8f0a4783db7fd3a09654413a59',
     (2000, 0, 'scrub'):
-        'f8bfd4573cca63fed6c8fddc9aa402f01efcac33b7fcd3d58295afe6d8001254',
+        '86389fff024aeb577023aee39b18ff969db34d9d7f54ca41a307e23f13f8f843',
     (2000, 0, 'sample'):
         '1c32ca56f8cd189b09c892e62749bccea2d44ae8485c8c1b5b1414f9618a76ad',
     (2000, 0, 'tracer'):
@@ -38,7 +38,7 @@ SERVICE = {
     (2000, 1, 'telemetry+slo'):
         'cc4f183951062622ee92e6648de35f0657d80cbd3edb6cf1b1fe0430a56e83db',
     (2000, 1, 'scrub'):
-        '9cca1ed2f4dbeb901f5e099bd880e0b7a1eb7a4f5e4b8b8890d5e755b4a2b864',
+        '0664149403dadf637563191391336bce4c1fdac5b2c8dd0a656f3f55039fc82e',
     (2000, 1, 'sample'):
         'e90d92421b495b27c3ef4fc9df31cbb263d49a2b20ef75e4c418b6ec6d8599b6',
     (2000, 1, 'tracer'):
@@ -46,7 +46,7 @@ SERVICE = {
     (50000, 0, 'telemetry+slo'):
         '8f56bba62b22d0668ff77a653f3c60172d65475044f4672564ba7eed4a1a2821',
     (50000, 0, 'scrub'):
-        '8bfdf699669522f73bc3f05b50289f9e591be323249665bdac6390945fda690e',
+        'f85038ce15f2c3aa80c1948a93b1fb61f035c0aa83bb9fd116222ec2969b9fd0',
     (50000, 0, 'sample'):
         '43ebb761801100057d70d6b6b2fb73a367ad02df34ffbd69181ed5bd56d88f8f',
     (50000, 0, 'tracer'):
@@ -54,7 +54,7 @@ SERVICE = {
     (50000, 1, 'telemetry+slo'):
         '90e433ba9876f0b116cdfa4693995b00fef544bdeb88015ff38828de97d6db21',
     (50000, 1, 'scrub'):
-        '6df6c71a65bf684ad4b4ad93f0e21bddbe89cde98f78692534d61b872cdbab94',
+        'd293ddb368115853ea619a12efaadcc03e1446b17fa3f0fc83e6d161980228c2',
     (50000, 1, 'sample'):
         'e317cd62cd60629c4c479ba125b62ed8303d0de63e93e157d251610dd9ceffb9',
     (50000, 1, 'tracer'):
@@ -113,8 +113,10 @@ def test_event_stream_does_not_depend_on_block_size(monkeypatch, block):
         cfg = redbud_mif_profile()
         wl = ServiceWorkload(spec, DataPlane(cfg), MetadataServer(cfg))
         wl.setup()
-        events = wl.events("read")
-        return [(dt, op.stream, op.offset) for dt, op in (next(events) for _ in range(80))]
+        return [
+            (dt, row[ROW_STREAM], row[ROW_OFFSET])
+            for dt, row in service_golden.arrivals(wl, "read", 80)
+        ]
 
     past_window = prefix()
     assert sum(dt for dt, _, _ in past_window) > 4 * spec.duration_s
@@ -138,7 +140,7 @@ def test_a_run_draws_one_pending_arrival_per_source_and_no_more():
     wl.setup()
     loop = EventLoop(SimClock())
     for kind in ServiceWorkload.KINDS:
-        loop.add_source(wl.events(kind), lambda now, op: None)
+        loop.add_blocks(wl.events(kind), lambda now, row: None)
     dispatched = loop.run(until=spec.duration_s)
     assert dispatched > 6 * service_mod.ARRIVAL_BLOCK  # every source spans blocks
     assert len(loop) == len(ServiceWorkload.KINDS)

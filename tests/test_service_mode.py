@@ -26,13 +26,16 @@ from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop, Station
 from repro.units import KiB, MiB
 from repro.workloads.base import (
-    MetaOp,
     ReadOp,
     StreamProgram,
     WriteOp,
     run_data_phase,
 )
 from repro.workloads.service import (
+    ROW_KIND,
+    ROW_METHOD,
+    ROW_NBYTES,
+    ROW_OFFSET,
     ServiceSpec,
     ServiceWorkload,
     resolve_duration,
@@ -40,6 +43,7 @@ from repro.workloads.service import (
 )
 
 from .conftest import small_config
+from .service_golden import arrivals
 
 
 class TestEventLoop:
@@ -210,10 +214,9 @@ class TestServiceWorkload:
         for _ in range(2):
             wl = ServiceWorkload(spec, DataPlane(cfg), MetadataServer(cfg))
             wl.setup()
-            gen = wl.events("write")
             prefixes.append(
-                [(dt, op.offset, op.nbytes) for dt, op in
-                 (next(gen) for _ in range(50))]
+                [(dt, row[ROW_OFFSET], row[ROW_NBYTES])
+                 for dt, row in arrivals(wl, "write", 50)]
             )
         assert prefixes[0] == prefixes[1]
 
@@ -227,23 +230,20 @@ class TestServiceWorkload:
         spec = _small_service(streams=10_000)
         wl = ServiceWorkload(spec, DataPlane(cfg), MetadataServer(cfg))
         wl.setup()
-        gen = wl.events("write")
         max_offset = wl.regions * wl.region_bytes
-        for _ in range(200):
-            _, op = next(gen)
-            assert 0 <= op.offset < max_offset
-            assert op.offset % spec.request_bytes == 0
+        for _, row in arrivals(wl, "write", 200):
+            assert 0 <= row[ROW_OFFSET] < max_offset
+            assert row[ROW_OFFSET] % spec.request_bytes == 0
 
     def test_meta_ops_stay_in_bounded_pool(self):
         cfg = small_config()
         spec = _small_service(streams=4096, meta_fraction=0.9, read_fraction=0.05)
         wl = ServiceWorkload(spec, DataPlane(cfg), MetadataServer(cfg))
         wl.setup()
-        gen = wl.events("meta")
-        for _ in range(100):
-            _, op = next(gen)
-            assert isinstance(op, MetaOp)
-            assert op.method in ("stat", "utime")
+        for _, row in arrivals(wl, "meta", 100):
+            assert ServiceWorkload.KINDS[row[ROW_KIND]] == "meta"
+            assert row[ROW_NBYTES] == 0
+            assert row[ROW_METHOD] in ("stat", "utime")
 
     def test_resolvers(self):
         assert resolve_rate("small") == 0.5

@@ -11,6 +11,7 @@ cover the event-loop and station behaviour the tightened loop must keep.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 
 import numpy as np
@@ -31,9 +32,24 @@ from repro.obs.timeseries import TimeSeries
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop, Station
 from repro.workloads.base import MetaOp, ReadOp, WriteOp
-from repro.workloads.service import ServiceSpec, ServiceTelemetry, ServiceWorkload
+from repro.workloads.service import (
+    ROW_METHOD,
+    ROW_NBYTES,
+    ROW_OFFSET,
+    ROW_STREAM,
+    ROW_TARGET,
+    ServiceSpec,
+    ServiceTelemetry,
+    ServiceWorkload,
+)
 
-from .service_reference import ReferenceStation, ReferenceTelemetry
+from .service_reference import (
+    HeapEventLoop,
+    ReferenceCacheTelemetry,
+    ReferenceEvents,
+    ReferenceStation,
+    ReferenceTelemetry,
+)
 
 # ---------------------------------------------------------------------------
 # Histogram.observe_array == a loop of observe
@@ -72,10 +88,17 @@ def test_observe_array_rejects_negative_and_ignores_empty():
 # Reduced telemetry frames and station histograms == the per-arrival oracle
 # ---------------------------------------------------------------------------
 
+#: What one arrival looks like to the per-arrival oracle (a protocol op) ...
 KIND_OPS = {
     "write": lambda n: WriteOp(None, 0, n),
     "read": lambda n: ReadOp(None, 0, n),
     "meta": lambda n: MetaOp("stat"),
+}
+#: ... and to the reduced path (a row: kind code, stream, nbytes, detail).
+KIND_ROWS = {
+    "write": lambda n: (0, 0, n, 0),
+    "read": lambda n: (1, 0, n, 0),
+    "meta": lambda n: (2, 0, 0, "stat", ()),
 }
 
 arrival = st.tuples(
@@ -92,7 +115,13 @@ arrival = st.tuples(
 
 
 def _drive(telemetry, station_cls, script, depth):
-    """Play one script through a data and a meta station; returns them."""
+    """Play one script through a data and a meta station; returns them.
+
+    ``ServiceTelemetry`` is driven the way the event loop drives it — rows,
+    and one loop-probe call for the whole time column; the oracle per
+    arrival, with protocol ops."""
+    reduced = isinstance(telemetry, ServiceTelemetry)
+    make = KIND_ROWS if reduced else KIND_OPS
     service = {}
     stations = {
         name: station_cls(name, lambda op: service[id(op)], depth)
@@ -100,18 +129,28 @@ def _drive(telemetry, station_cls, script, depth):
     }
     for st_ in stations.values():
         st_.probe = telemetry.station_probe(st_.name)
-    now = 0.0
-    for i, (dt, kind, service_s, nbytes) in enumerate(script):
-        now += dt
-        op = KIND_OPS[kind](nbytes)
+    times = list(itertools.accumulate((dt for dt, *_ in script), initial=0.0))[1:]
+
+    def arrive(i):
+        now = times[i]
+        _, kind, service_s, nbytes = script[i]
+        op = make[kind](nbytes)
         service[id(op)] = service_s
-        telemetry.loop_probe(now, op)
         stations["meta" if kind == "meta" else "data"].offer(now, op)
         if i % 5 == 0:
             # A low-rate scalar caller (the scrub handler) shares the frames.
             telemetry.series.incr(now, "scrub.steps")
             telemetry.series.add(now, "side.sum", service_s)
             telemetry.series.observe(now, "side.hist", service_s)
+
+    if reduced:
+        for lo, hi in telemetry.loop_probe(np.array(times)):
+            for i in range(lo, hi):
+                arrive(i)
+    else:
+        for i, now in enumerate(times):
+            telemetry.loop_probe(now, None)
+            arrive(i)
     return stations
 
 
@@ -156,19 +195,22 @@ def test_reduced_frames_equal_per_arrival_frames(script, depth, window_s, chunk)
 
 
 def test_snapshot_mid_run_does_not_disturb_what_follows():
-    def play(telemetry, station, peek):
+    def play(telemetry, station, make, peek):
         station.probe = telemetry.station_probe("data")
         for i in range(60):
             now = i * 0.013
-            op = (WriteOp if i % 3 else ReadOp)(None, 0, 4096 + i)
-            telemetry.loop_probe(now, op)
-            station.offer(now, op)
+            if make is KIND_OPS:
+                telemetry.loop_probe(now, None)  # the oracle's arrivals count
+            station.offer(now, make["write" if i % 3 else "read"](4096 + i))
             if peek and i == 29:
                 assert len(telemetry.snapshot().frames) > 1
         return telemetry.snapshot()
 
-    got = play(ServiceTelemetry(0.1), Station("data", lambda op: 0.031, 2), peek=True)
-    want = play(ReferenceTelemetry(0.1), ReferenceStation("data", lambda op: 0.031, 2), peek=False)
+    got = play(
+        ServiceTelemetry(0.1), Station("data", lambda op: 0.031, 2), KIND_ROWS, peek=True)
+    want = play(
+        ReferenceTelemetry(0.1), ReferenceStation("data", lambda op: 0.031, 2), KIND_OPS,
+        peek=False)
     assert got == want
 
 
@@ -178,9 +220,8 @@ def test_telemetry_memory_is_bounded_by_the_chunk(monkeypatch):
     telemetry = ServiceTelemetry(0.1)
     station = Station("data", lambda op: 0.001, depth=4)
     station.probe = telemetry.station_probe("data")
-    op = WriteOp(None, 0, 4096)
+    op = KIND_ROWS["write"](4096)
     for i in range(100):
-        telemetry.loop_probe(i * 0.01, op)
         station.offer(i * 0.01, op)
         # Never more than a chunk of rows waiting to be reduced.
         reduced = sum(
@@ -327,9 +368,272 @@ class TestEventLoopContract:
         assert loop.run() == 1 and loop.clock.now == 6.0  # no until: no parking
 
     def test_probe_sees_every_event_before_its_handler(self):
+        """The probe is a run-level hook: called once per merged chunk with
+        the sorted times, it cuts the chunk into runs, and its code between
+        two runs executes between their handlers."""
         order = []
         loop = EventLoop(SimClock())
-        loop.probe = lambda t, op: order.append(("probe", op))
-        loop.add_source(iter([(0.1, "a"), (0.1, "b")]), lambda t, op: order.append(("run", op)))
+
+        def probe(times):
+            order.append(("probe", times.tolist()))
+            for i in range(len(times)):
+                order.append(("enter", i))
+                yield i, i + 1
+
+        loop.probe = probe
+        loop.add_blocks(
+            iter([([0.125, 0.125], ["a", "b"]), ([0.25], ["c"])]),
+            lambda t, op: order.append(("run", op)),
+        )
+        assert loop.run() == 3
+        assert order == [
+            ("probe", [0.125, 0.25]), ("enter", 0), ("run", "a"), ("enter", 1), ("run", "b"),
+            ("probe", [0.5]), ("enter", 0), ("run", "c"),
+        ]
+
+
+# ---------------------------------------------------------------------------
+# The chunk-merged schedule is the heap's, bit for bit
+# ---------------------------------------------------------------------------
+
+#: Integer-valued gaps make exact ties, zero gaps and equal-time heads
+#: common; the float ones make them rare.
+gap = st.one_of(
+    st.integers(min_value=0, max_value=3).map(float),
+    st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+)
+gap_lists = st.lists(gap, min_size=0, max_size=12)
+
+
+def _blocks(events, size):
+    """A ``(dt, op)`` list as ``(gaps, ops)`` blocks of ``size``; ``drawn``
+    counts the blocks handed out."""
+    drawn = [0]
+
+    def source():
+        for lo in range(0, len(events), size):
+            drawn[0] += 1
+            chunk = events[lo:lo + size]
+            yield [dt for dt, _ in chunk], [op for _, op in chunk]
+
+    return source(), drawn
+
+
+def _counted(events):
+    drawn = [0]
+
+    def source():
+        for event in events:
+            drawn[0] += 1
+            yield event
+
+    return source(), drawn
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    sources=st.lists(gap_lists, min_size=1, max_size=4),
+    child=gap_lists,
+    spawn_at=st.integers(min_value=0, max_value=20),
+    size=st.sampled_from([1, 3, 1024]),
+    until=st.one_of(
+        st.none(),
+        st.integers(min_value=0, max_value=12).map(float),
+        st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+    ),
+)
+def test_chunked_schedule_equals_the_heap(sources, child, spawn_at, size, until):
+    def play(loop, blocked):
+        seen, draws = [], []
+
+        def register(name, gaps):
+            events = [(dt, (name, i)) for i, dt in enumerate(gaps)]
+            if blocked:
+                source, drawn = _blocks(events, size)
+                loop.add_blocks(source, handler)
+            else:
+                source, drawn = _counted(events)
+                loop.add_source(source, handler)
+            draws.append(drawn)
+
+        def handler(now, op):
+            assert loop.clock.now == now
+            if len(seen) == spawn_at:
+                register("child", child)  # mid-dispatch, possibly on a tie
+            seen.append((now, op))
+
+        for k, gaps in enumerate(sources):
+            register(k, gaps)
+        state = []
+        for horizon in (until, None):
+            n = loop.run(until=horizon)
+            state.append((n, list(seen), loop.processed, len(loop), loop.clock.now))
+        return state, [d[0] for d in draws]
+
+    want, heap_draws = play(HeapEventLoop(SimClock()), blocked=False)
+    got, block_draws = play(EventLoop(SimClock()), blocked=True)
+    assert got == want
+    # The next block is drawn exactly when the heap draws its first event.
+    assert block_draws == [-(-d // size) for d in heap_draws]
+    if size == 1:
+        # Per-event sources are one-row blocks: the same draws, one by one.
+        got, event_draws = play(EventLoop(SimClock()), blocked=False)
+        assert got == want and event_draws == heap_draws
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    script=st.lists(
+        st.tuples(
+            # Mostly within a window; sometimes several windows are skipped.
+            st.one_of(
+                st.floats(min_value=0.0, max_value=0.05),
+                st.floats(min_value=0.5, max_value=3.0),
+            ),
+            st.integers(min_value=0, max_value=3),  # cache hits this arrival adds
+            st.integers(min_value=0, max_value=2),  # ... and misses
+        ),
+        min_size=1, max_size=80,
+    ),
+    window_s=st.sampled_from([0.04, 0.1, 1.0 / 3.0]),
+    size=st.sampled_from([1, 3, 1024]),
+)
+def test_loop_probe_per_window_run_equals_per_arrival_probe(script, window_s, size):
+    """Cache deltas are read between the last arrival of one window and the
+    first of the next, windows without an arrival included."""
+
+    class Bag:
+        def __init__(self):
+            self.counters = {"cache.hits": 5}  # set-up traffic: never billed
+
+        def raw_counters(self):
+            return self.counters
+
+    def play(loop, telemetry, station, make, blocked):
+        bag = Bag()
+        telemetry.track_cache(bag)
+        loop.probe = telemetry.loop_probe
+        station.probe = telemetry.station_probe("data")
+
+        def handler(now, i):
+            _, hits, misses = script[i]
+            bag.counters["cache.hits"] += hits
+            bag.counters["cache.misses"] = bag.counters.get("cache.misses", 0) + misses
+            station.offer(now, make["write"](4096))
+
+        events = [(dt, i) for i, (dt, _, _) in enumerate(script)]
+        if blocked:
+            loop.add_blocks(_blocks(events, size)[0], handler)
+        else:
+            loop.add_source(iter(events), handler)
         loop.run()
-        assert order == [("probe", "a"), ("run", "a"), ("probe", "b"), ("run", "b")]
+        telemetry.finish(loop.clock.now)
+        return telemetry
+
+    got = play(
+        EventLoop(SimClock()), ServiceTelemetry(window_s),
+        Station("data", lambda op: 0.001, 4), KIND_ROWS, blocked=True)
+    want = play(
+        HeapEventLoop(SimClock()), ReferenceCacheTelemetry(window_s),
+        ReferenceStation("data", lambda op: 0.001, 4), KIND_OPS, blocked=False)
+    assert got.snapshot() == want.snapshot()
+    # The run-level probe addressed no window the per-arrival one did not.
+    assert sorted(got.series._frames) == sorted(want.series._frames)
+    hits = sum(h for _, h, _ in script)
+    assert sum(got.snapshot().counter_values("cache.hits")) == hits
+
+
+def _fresh_workload(spec):
+    cfg = redbud_mif_profile()
+    wl = ServiceWorkload(spec, DataPlane(cfg), MetadataServer(cfg))
+    wl.setup()
+    return wl
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+@pytest.mark.parametrize("kind", ServiceWorkload.KINDS)
+def test_blocks_of_rows_equal_the_per_event_generator(monkeypatch, kind, block):
+    """Same gaps, same op fields, same RNG state, region cursors and
+    per-stream counts after every block — inside the arrival window and
+    past it, where blocks shrink to one arrival."""
+    monkeypatch.setattr(service_mod, "ARRIVAL_BLOCK", block)
+    made = []
+    derive = service_mod.derive_rng
+    monkeypatch.setattr(
+        service_mod, "derive_rng", lambda *a: made.append(derive(*a)) or made[-1])
+    spec = ServiceSpec(streams=5_000, rate=0.5, duration_s=0.02, seed=2)
+    wl = _fresh_workload(spec)
+    ref = ReferenceEvents(wl)
+    events = ref.events(kind)
+    blocks = wl.events(kind)
+    t = 0.0
+    for _ in range(3 * 1024 // block + 40):
+        gaps, rows = next(blocks)
+        assert 1 <= len(gaps) == len(rows) <= block
+        for dt, row in zip(gaps, rows):
+            want_dt, op = next(events)
+            assert dt == want_dt and row[ROW_STREAM] == op.stream
+            if kind == "meta":
+                assert (row[ROW_NBYTES], row[ROW_METHOD], row[ROW_TARGET]) == (
+                    0, op.method, op.args)
+            else:
+                assert (row[ROW_NBYTES], row[ROW_OFFSET]) == (op.nbytes, op.offset)
+                assert isinstance(op, WriteOp if kind == "write" else ReadOp)
+            t += dt
+        (rng,) = made
+        assert rng.bit_generator.state == ref.rng.bit_generator.state
+        assert wl._cursors == ref._cursors
+        assert (wl.ops_per_stream == ref.ops_per_stream).all()
+    assert t > 2 * spec.duration_s  # most blocks were drawn past the window
+
+
+class TestLoopErrors:
+    """A bad source or station still fails with the heap loop's message and
+    leaves the loop's books where the heap loop left them."""
+
+    @pytest.mark.parametrize("loop_cls", [EventLoop, HeapEventLoop])
+    def test_negative_service_time_keeps_the_arrival_pending(self, loop_cls):
+        service = {"b": -0.5}
+        station = Station("data", lambda op: service.get(op, 0.25), depth=4)
+        loop = loop_cls(SimClock())
+        loop.add_source(iter([(0.5, "a"), (0.5, "b"), (0.5, "c")]), station.offer)
+        loop.add_source(iter([(0.75, "x")]), station.offer)
+        with pytest.raises(ConfigError, match="negative service time at station data: -0.5"):
+            loop.run()
+        # "a" and "x" were handled; "b" raised inside its handler and is
+        # still the pending arrival of its source.
+        assert (loop.processed, len(loop), station.started) == (2, 1, 2)
+        service["b"] = 0.0
+        assert loop.run() == 2 and loop.processed == 4 and station.started == 4
+
+    def test_negative_gap_inside_a_block(self):
+        seen = []
+        loop = EventLoop(SimClock())
+        loop.add_blocks(
+            iter([([0.1, 0.1], ["a", "b"]), ([0.2, -1.0, 0.3], ["c", "bad", "d"])]),
+            lambda t, op: seen.append(op),
+        )
+        loop.add_source(iter([(0.5, "other")]), lambda t, op: seen.append(op))
+        with pytest.raises(ConfigError, match="negative inter-arrival time from source 0: -1.0"):
+            loop.run()
+        # The block with the negative gap is rejected whole, when drawn.
+        assert seen == ["a", "b"] and loop.processed == 2 and len(loop) == 1
+        assert loop.run() == 1 and seen == ["a", "b", "other"]
+        with pytest.raises(ConfigError, match="negative inter-arrival time from source 2"):
+            loop.add_blocks(iter([([-0.5], ["bad"])]), lambda t, op: None)
+        assert len(loop) == 0
+
+
+# ---------------------------------------------------------------------------
+# Scrub ticks are dispatched by the loop but are not client arrivals
+# ---------------------------------------------------------------------------
+
+def test_scrub_ticks_are_not_arrivals():
+    result = run(
+        "service", streams=2000, rate="small", duration="short", seed=0,
+        telemetry=True, scrub=True, scrub_corrupt=3,
+    )
+    (cell,) = result.payload.cells
+    assert sum(cell.telemetry.counter_values("scrub.steps")) == 49
+    assert cell.arrivals == sum(s.offered for s in cell.stations.values())
+    assert sum(cell.telemetry.counter_values("arrivals")) == cell.arrivals
