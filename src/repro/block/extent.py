@@ -280,8 +280,8 @@ class ExtentMap:
     ) -> tuple[list[tuple[int, int]], bool, list[tuple[int, int]] | None]:
         """One pass over [logical, logical+count) for the batched write path.
 
-        Returns ``(holes, has_unwritten, runs)``: ``holes`` is exactly
-        :meth:`holes_in_range`, ``has_unwritten`` whether any unwritten
+        Returns ``(holes, has_unwritten, runs)``: ``holes`` the unmapped
+        ``(start, length)`` gaps, ``has_unwritten`` whether any unwritten
         extent overlaps the range (i.e. :meth:`mark_written` would change
         something), and ``runs`` is the :meth:`physical_runs` result when
         the range is fully written — or None when holes/unwritten extents
@@ -323,29 +323,7 @@ class ExtentMap:
 
     def holes_in_range(self, logical: int, count: int) -> list[tuple[int, int]]:
         """Unmapped (start, length) gaps inside [logical, logical+count)."""
-        if count <= 0:
-            raise ExtentError(f"range count must be positive: {count}")
-        holes: list[tuple[int, int]] = []
-        cursor = logical
-        end = logical + count
-        i = bisect_right(self._starts, logical) - 1
-        if i < 0:
-            i = 0
-        extents = self._extents
-        for i in range(i, len(extents)):
-            ext = extents[i]
-            el = ext.logical
-            if el >= end:
-                break
-            ee = el + ext.length
-            if ee <= cursor:
-                continue
-            if el > cursor:
-                holes.append((cursor, el - cursor))
-            cursor = ee if ee < end else end
-        if cursor < end:
-            holes.append((cursor, end - cursor))
-        return holes
+        return self.scan_write_range(logical, count)[0]
 
     # -- mutation -------------------------------------------------------------
     def insert(self, extent: Extent) -> None:
@@ -391,6 +369,60 @@ class ExtentMap:
             self._starts.pop(i)
         self._extents.insert(i, extent)
         self._starts.insert(i, extent.logical)
+
+    def insert_many(self, rows) -> None:
+        """Insert many mappings at once: ``rows`` holds one ``(logical,
+        physical, length, flags)`` int64 row per new extent, in any order.
+
+        Leaves the map as the loop of :meth:`insert` over the rows would
+        (the map is maximally merged, so the result does not depend on the
+        order), except that an overlap — with the map or between rows —
+        raises :class:`~repro.errors.ExtentError` before anything changed.
+        The map's extents are gathered into columns once per call
+        (O(extents)), so this pays only for many rows at a time.
+        """
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+        if rows.shape[0] == 0:
+            return
+        if (rows[:, :2] < 0).any() or (rows[:, 2] <= 0).any():
+            raise ExtentError("negative extent coordinates or non-positive length in rows")
+        old = self._extents
+        m = len(old)
+        total = m + rows.shape[0]
+        cols = np.empty((total, 4), dtype=np.int64)
+        cols[:m, 0] = self._starts
+        cols[:m, 1] = np.fromiter(map(_PHYSICAL, old), np.int64, m)
+        cols[:m, 2] = np.fromiter(map(_LENGTH, old), np.int64, m)
+        cols[:m, 3] = np.fromiter(map(_FLAGS, old), np.int64, m)
+        cols[m:] = rows
+        order = np.argsort(cols[:, 0], kind="stable")
+        logical, physical, length, flags = cols[order].T
+        end = logical + length
+        clash = np.flatnonzero(logical[1:] < end[:-1])
+        if clash.shape[0]:
+            a, b = (Extent(*cols[order[j]].tolist()) for j in (clash[0], clash[0] + 1))
+            raise ExtentError(f"overlap: {b} vs {a}")
+        # An extent opens unless it continues its left neighbour logically
+        # and physically with the same flags; the rest merge into it.
+        opens = np.ones(total, dtype=bool)
+        opens[1:] = (
+            (logical[1:] != end[:-1])
+            | (physical[1:] != physical[:-1] + length[:-1])
+            | (flags[1:] != flags[:-1])
+        )
+        heads = np.flatnonzero(opens)
+        source = order[heads]
+        # An old extent that merged with nothing keeps its object.
+        kept = (np.diff(heads, append=total) == 1) & (source < m)
+        starts = logical[heads].tolist()
+        self._extents = [
+            old[i] if keep else Extent(lo, phys, n, flag)
+            for keep, i, lo, phys, n, flag in zip(
+                kept.tolist(), source.tolist(), starts, physical[heads].tolist(),
+                np.add.reduceat(length, heads).tolist(), flags[heads].tolist(),
+            )
+        ]
+        self._starts = starts
 
     def mark_written(self, logical: int, count: int) -> None:
         """Convert unwritten (preallocated) blocks in the range to written,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,10 +30,20 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 from repro.units import block_span, bytes_to_blocks
 
-#: :meth:`DataPlane.read_many` maps a run of at least this many reads by
-#: column; a shorter run loops the scalar mapping (gathering an extent
-#: map's columns costs O(extents) per run, whatever the run's length).
-READ_MANY_FROM = 32
+#: :meth:`DataPlane.read_many` and :meth:`DataPlane.write_many` map a run
+#: of at least this many ops by column; a shorter run loops the scalar
+#: mapping (gathering an extent map's columns costs O(extents) per run,
+#: whatever the run's length).
+MANY_FROM = 32
+
+_LOGICAL = attrgetter("logical")
+_LENGTH = attrgetter("length")
+
+
+def _runs_of(keys: np.ndarray) -> Iterable[tuple[int, int]]:
+    """``(start, end)`` of every run of equal consecutive ``keys``."""
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    return zip([0, *cuts], [*cuts, keys.shape[0]])
 
 
 class DataPlane:
@@ -188,17 +199,29 @@ class DataPlane:
         """The in-order loop of :meth:`write` over a run of operations held
         as columns (one file, stream, offset and byte count per op).
 
-        Same extents, allocation decisions and metrics as that loop; each
-        op's coalesced physical requests append onto ``out_starts`` /
-        ``out_nblocks`` as plain ints (no :class:`BlockRequest` exists),
-        and the per-op counters and file sizes are booked once per run.  A
-        bad range or :class:`~repro.errors.NoSpaceError` at op ``k``
-        surfaces after the ops before it took effect and were booked.
+        Same extents, allocator calls in the same order and metrics as that
+        loop; each op's coalesced physical requests append onto
+        ``out_starts`` / ``out_nblocks`` as plain ints (no
+        :class:`BlockRequest` exists), and the per-op counters and file
+        sizes are booked once per run.  A bad range or
+        :class:`~repro.errors.NoSpaceError` at op ``k`` surfaces after the
+        ops before it took effect and were booked.
+
+        Only the allocator calls depend on the ops' order, so a run of
+        :data:`MANY_FROM` ops or more is mapped by column
+        (:meth:`_map_write_columns`): the extent-map work between the calls
+        is done once per run.  The caller decides how far a run may reach
+        (:func:`~repro.workloads.base.run_data_phase`: never across a point
+        where a submit can happen); shorter runs, and copy-on-write
+        policies, loop the scalar mapping.
         """
-        self._write_ops(
-            files, streams, offsets.tolist(), nbytes.tolist(),
-            out_starts, out_nblocks, "write",
-        )
+        if offsets.shape[0] >= MANY_FROM and not self.policy.cow:
+            self._map_write_columns(files, streams, offsets, nbytes, out_starts, out_nblocks)
+        else:
+            self._write_ops(
+                files, streams, offsets.tolist(), nbytes.tolist(),
+                out_starts, out_nblocks, "write",
+            )
 
     def writev(
         self,
@@ -239,10 +262,12 @@ class DataPlane:
         out_starts: list[int],
         out_nblocks: list[int],
         op: str,
-    ) -> None:
+    ) -> bool:
         """The write mapping core behind :meth:`write`, :meth:`write_many`
         and :meth:`writev`: maps the ops in order and appends their
-        coalesced ``(start, nblocks)`` requests as plain ints.
+        coalesced ``(start, nblocks)`` requests as plain ints.  Returns
+        whether the policy preallocated (mapped unwritten blocks) beside a
+        hole it was asked to back.
 
         The common cases are short-circuited.  A segment appended past
         its slot's EOF is one whole hole, so the hole scan, the unwritten
@@ -262,21 +287,30 @@ class DataPlane:
         insert_runs = self._insert_runs
         emit = self._emit_rows
         f = None
+        # Per-file facts, remembered when the run leaves a file for another.
+        facts: dict[int, tuple] = {}
         runs: list[tuple[int, int]] = []
         done = total = nbuffered = end_max = 0
+        strayed = False
         try:
             for g, stream, offset, n in zip(files, streams, offsets, nbytes):
                 if g is not f:
-                    self._check_live(g)
-                    if f is not None and end_max > f.size_bytes:
-                        f.size_bytes = end_max
+                    if f is not None:
+                        if end_max > f.size_bytes:
+                            f.size_bytes = end_max
+                        facts[id(f)] = (maps, file_id, sb, width, targets)
+                    fact = facts.get(id(g)) if facts else None
                     f = g
                     end_max = 0
-                    maps = f.maps
-                    file_id = f.file_id
-                    sb = f.stripe_blocks
-                    width = f.width
-                    targets = self._targets_of(f)
+                    if fact is None:
+                        self._check_live(g)
+                        maps = g.maps
+                        file_id = g.file_id
+                        sb = g.stripe_blocks
+                        width = g.width
+                        targets = self._targets_of(g)
+                    else:
+                        maps, file_id, sb, width, targets = fact
                 if n <= 0 or offset < 0:
                     self._check_range(offset, n, op)
                 lb = offset // bs
@@ -294,7 +328,8 @@ class DataPlane:
                         if not new:
                             buffered += 1  # delayed allocation
                             continue
-                        insert_runs(smap, new)
+                        if insert_runs(smap, new):
+                            strayed = True
                         for run in new:
                             if not run.unwritten:
                                 runs.append((run.physical, run.length))
@@ -312,7 +347,8 @@ class DataPlane:
                         if not new:
                             missed = True
                             continue
-                        insert_runs(smap, new)
+                        if insert_runs(smap, new):
+                            strayed = True
                     if written is None:
                         if (
                             holes
@@ -347,6 +383,306 @@ class DataPlane:
             if done:
                 counters["fs.writes"] += done
                 counters["fs.bytes_written"] += total
+        return strayed
+
+    def _map_write_columns(
+        self,
+        files: Sequence[RedbudFile],
+        streams: Sequence[StreamId],
+        offsets: np.ndarray,
+        nbytes: np.ndarray,
+        out_starts: list[int],
+        out_nblocks: list[int],
+    ) -> None:
+        """Column form of :meth:`_write_ops` over a run of plain writes.
+
+        Stripe / slot / dlocal are array arithmetic, one row per op and
+        stripe unit, and every extent map's rows are classified once
+        against the map as it stands before the run
+        (:meth:`_independent_rows`).  Then one loop in arrival order: a row
+        that is a whole hole no other row touches costs its
+        ``policy.allocate`` call and nothing else — its runs wait among the
+        pending rows, which reach the maps through
+        :meth:`ExtentMap.insert_many` and the output through
+        :meth:`_request_heads`.  Any other op (overwrite, partial hole,
+        unwritten preallocation, overlap inside the run, two rows on one
+        map) takes :meth:`_write_ops` after the pending rows were folded
+        in; and once the policy maps blocks beside a hole it was asked to
+        back, the classification is void and so does the rest of the run.
+        """
+        n = offsets.shape[0]
+        ids = np.fromiter(map(id, files), np.int64, n)
+        _, first, fidx = np.unique(ids, return_index=True, return_inverse=True)
+        run_files = [files[i] for i in first.tolist()]
+        if ((nbytes <= 0) | (offsets < 0)).any() or any(
+            f.deleted or f.file_id not in self._files for f in run_files
+        ):
+            # The scalar loop raises at the op it rejects, after the ops
+            # before it took effect.
+            self._write_ops(
+                files, streams, offsets.tolist(), nbytes.tolist(),
+                out_starts, out_nblocks, "write",
+            )
+            return
+
+        widths = np.array([f.width for f in run_files], dtype=np.int64)
+        units, op, group, dstart, dcount = self._write_rows(
+            np.array([f.stripe_blocks for f in run_files], dtype=np.int64)[fidx],
+            widths[fidx], (np.cumsum(widths) - widths)[fidx], offsets, nbytes,
+        )
+        # A group is one extent map: (file, slot).
+        g_maps = [m for f in run_files for m in f.maps]
+        g_targets = [t for f in run_files for t in self._targets_of(f)]
+        g_file = [f.file_id for f in run_files for _ in f.maps]
+        # The column loop takes an op whose rows are all independent and sit
+        # on different maps (so what the policy does for one row cannot
+        # reach the op's other rows).
+        by_column = (units <= widths[fidx]) & (
+            np.bincount(
+                op[~self._independent_rows(g_maps, group, dstart, dcount)], minlength=n
+            ) == 0
+        )
+
+        grp = group.tolist()
+        row_streams = streams if op.shape[0] == n else [streams[j] for j in op.tolist()]
+        row_at = [0, *np.cumsum(units).tolist()]
+        starts, counts = dstart.tolist(), dcount.tolist()
+        allocate = self.policy.allocate
+        # Pending written runs (row, dlocal, physical, length), pending
+        # unwritten ones (group, dlocal, physical, length), buffered rows.
+        w_row: list[int] = []
+        w_dlocal: list[int] = []
+        w_phys: list[int] = []
+        w_len: list[int] = []
+        extras: list[tuple[int, int, int, int]] = []
+        buffered: list[int] = []
+        took = np.zeros(n, dtype=bool)
+
+        def fold(stop: int) -> None:
+            """Pending rows into their maps, and the written runs of the
+            ops before ``stop`` out as coalesced requests."""
+            if not (w_row or extras):
+                return
+            row = np.array(w_row, dtype=np.int64)
+            table = np.empty((row.shape[0] + len(extras), 4), dtype=np.int64)
+            table[: row.shape[0], 0] = w_dlocal
+            table[: row.shape[0], 1] = w_phys
+            table[: row.shape[0], 2] = w_len
+            table[:, 3] = 0
+            maps = group[row]
+            if extras:
+                maps = np.append(maps, [x[0] for x in extras])
+                table[row.shape[0] :, :3] = [x[1:] for x in extras]
+                table[row.shape[0] :, 3] = 1
+            del w_row[:], w_dlocal[:], w_phys[:], w_len[:], extras[:]
+            owner = op[row]
+            upto = int(np.searchsorted(owner, stop))
+            if upto:
+                self._emit_written(
+                    owner[:upto], row[:upto], dstart[row[:upto]], maps[:upto],
+                    *table[:upto, :3].T, g_maps, out_starts, out_nblocks,
+                )
+            self._extent_histogram().observe_array(table[:, 2])
+            order = np.argsort(maps, kind="stable")
+            for a, b in _runs_of(maps[order]):
+                smap = g_maps[maps[order[a]]]
+                rows = table[order[a:b]]
+                if b - a < MANY_FROM:
+                    for extent in rows.tolist():
+                        smap.insert(Extent(*extent))
+                else:
+                    smap.insert_many(rows)
+
+        column_from = -1  # first op of the column stretch under way
+        i = 0
+        try:
+            for a, b in _runs_of(by_column):
+                if not by_column[a]:
+                    fold(n)
+                    strayed = self._write_ops(
+                        files[a:b], streams[a:b], offsets[a:b].tolist(), nbytes[a:b].tolist(),
+                        out_starts, out_nblocks, "write",
+                    )
+                else:
+                    column_from = a
+                    strayed = False
+                    lo, hi = row_at[a], row_at[b]
+                    while lo < hi:
+                        for i, file_id, stream, target, ds, dc in zip(
+                            range(lo, hi),
+                            map(g_file.__getitem__, grp[lo:hi]),
+                            row_streams[lo:hi],
+                            map(g_targets.__getitem__, grp[lo:hi]),
+                            starts[lo:hi],
+                            counts[lo:hi],
+                        ):
+                            new = allocate(file_id, stream, target, ds, dc)
+                            if len(new) == 1:
+                                run = new[0]
+                                if run.dlocal == ds and run.length == dc and not run.unwritten:
+                                    w_row.append(i)
+                                    w_dlocal.append(ds)
+                                    w_phys.append(run.physical)
+                                    w_len.append(dc)
+                                    continue
+                            elif not new:
+                                buffered.append(i)  # delayed allocation
+                                continue
+                            for run in new:
+                                if run.unwritten:
+                                    extras.append((grp[i], run.dlocal, run.physical, run.length))
+                                    strayed = True
+                                else:
+                                    w_row.append(i)
+                                    w_dlocal.append(run.dlocal)
+                                    w_phys.append(run.physical)
+                                    w_len.append(run.length)
+                                    if run.dlocal < ds or run.dlocal + run.length > ds + dc:
+                                        strayed = True
+                            if strayed:
+                                break
+                        else:
+                            break
+                        # The op's other rows sit on other maps: finish it.
+                        lo, hi = i + 1, row_at[op[i] + 1]
+                    column_from = -1
+                    if strayed:
+                        b = int(op[i]) + 1
+                    took[a:b] = True
+                if strayed and b < n:
+                    fold(n)
+                    self._write_ops(
+                        files[b:], streams[b:], offsets[b:].tolist(), nbytes[b:].tolist(),
+                        out_starts, out_nblocks, "write",
+                    )
+                    break
+        finally:
+            stop = n
+            if column_from >= 0:
+                # Row i's op failed: the column ops before it took effect.
+                stop = int(op[i])
+                took[column_from:stop] = True
+            fold(stop)
+            counters = self._counters
+            if buffered:
+                nbuffered = int((op[buffered] < stop).sum())
+                if nbuffered:
+                    counters["fs.buffered_writes"] += nbuffered
+            done = int(took.sum())
+            if done:
+                counters["fs.writes"] += done
+                counters["fs.bytes_written"] += int(nbytes[took].sum())
+                top = np.zeros(len(run_files), dtype=np.int64)
+                np.maximum.at(top, fidx[took], (offsets + nbytes)[took])
+                for f, size in zip(run_files, top.tolist()):
+                    if size > f.size_bytes:
+                        f.size_bytes = size
+
+    def _write_rows(
+        self,
+        sb: np.ndarray,
+        width: np.ndarray,
+        base: np.ndarray,
+        offsets: np.ndarray,
+        nbytes: np.ndarray,
+    ) -> tuple[np.ndarray, ...]:
+        """The allocation segments of a run of writes as rows: per op its
+        row count, and per row (in op, then stripe-unit order) its op, its
+        group ``base + slot``, ``dstart`` and ``dcount`` — ``sb``,
+        ``width`` and ``base`` being each op's file's stripe unit, width
+        and first group."""
+        bs = self.block_size
+        lb = offsets // bs
+        end = (offsets + nbytes - 1) // bs + 1
+        first = lb // sb
+        # One row per op and stripe unit; a width-1 file's units are one
+        # dlocal-contiguous segment (:meth:`_segments`): one row.
+        units = np.where(width == 1, 1, (end - 1) // sb - first + 1)
+        op = np.repeat(np.arange(offsets.shape[0]), units)
+        stripe = np.arange(op.shape[0]) + (first - (np.cumsum(units) - units))[op]
+        sb, width, end = sb[op], width[op], end[op]
+        lo = np.maximum(lb[op], stripe * sb)
+        dcount = np.where(width == 1, end, np.minimum(end, (stripe + 1) * sb)) - lo
+        dstart = (stripe // width) * sb + (lo - stripe * sb)
+        return units, op, base[op] + stripe % width, dstart, dcount
+
+    @staticmethod
+    def _independent_rows(
+        maps: list, group: np.ndarray, dstart: np.ndarray, dcount: np.ndarray
+    ) -> np.ndarray:
+        """Which rows ``[dstart, dstart+dcount)`` of extent map
+        ``maps[group]`` a write run can map in any order: those overlapping
+        no other row of their map that are one whole hole of it."""
+        order = np.lexsort((dstart, group))
+        g, lo = group[order], dstart[order]
+        hi = lo + dcount[order]
+        # Keyed by group, one comparison serves every map at once: sorted by
+        # start, a row overlaps an earlier one iff it starts below the
+        # furthest end so far, a later one iff the next row starts inside it.
+        span = int(hi.max()) + 1
+        key_lo, key_hi = g * span + lo, g * span + hi
+        free = np.ones(g.shape[0], dtype=bool)
+        free[1:] = key_lo[1:] >= np.maximum.accumulate(key_hi)[:-1]
+        free[:-1] &= key_lo[1:] >= key_hi[:-1]
+        for a, b in _runs_of(g):
+            smap = maps[g[a]]
+            if lo[a] >= smap.size_blocks:
+                continue  # every row lies past the map's end
+            m = len(smap)
+            starts = np.fromiter(map(_LOGICAL, smap), np.int64, m)
+            ends = starts + np.fromiter(map(_LENGTH, smap), np.int64, m)
+            # The first extent ending past a row's start is the only one
+            # that can reach into it.
+            reach = np.append(starts, span)[np.searchsorted(ends, lo[a:b], side="right")]
+            free[a:b] &= reach >= hi[a:b]
+        out = np.empty_like(free)
+        out[order] = free
+        return out
+
+    def _emit_written(
+        self,
+        owner: np.ndarray,
+        row: np.ndarray,
+        row_start: np.ndarray,
+        group: np.ndarray,
+        dlocal: np.ndarray,
+        phys: np.ndarray,
+        length: np.ndarray,
+        maps: list,
+        out_starts: list[int],
+        out_nblocks: list[int],
+    ) -> None:
+        """Append the pending written runs (in arrival order, not yet in
+        their maps) as each op's coalesced requests.
+
+        Runs of one row that continue each other are one extent.  The
+        scalar mapping takes the policy's runs as they come for a row at or
+        past its map's end — the merge counts as coalescing — and re-reads
+        any other row from the map, where they are merged already.
+        """
+        same = (
+            (row[1:] == row[:-1])
+            & (dlocal[1:] == dlocal[:-1] + length[:-1])
+            & (phys[1:] == phys[:-1] + length[:-1])
+        )
+        if same.any():
+            # A map's end when a row was mapped: its size now, or the
+            # furthest end among the rows pending on it from before.
+            span = int((dlocal + length).max()) + 1
+            order = np.argsort(group, kind="stable")
+            before = np.zeros_like(dlocal)
+            before[order[1:]] = np.maximum.accumulate((group * span + dlocal + length)[order])[:-1]
+            size = np.array([m.size_blocks for m in maps], dtype=np.int64)
+            map_end = np.maximum(before - group * span, size[group])
+            head = np.maximum.accumulate(
+                np.where(np.append(True, row[1:] != row[:-1]), np.arange(row.shape[0]), 0)
+            )
+            keep = np.append(True, ~(same & (row_start < map_end[head])[1:]))
+            heads = np.flatnonzero(keep)
+            owner, phys, length = owner[heads], phys[heads], np.add.reduceat(length, heads)
+        heads = self._request_heads(owner, phys, length)
+        out_starts.extend(phys[heads].tolist())
+        out_nblocks.extend(np.add.reduceat(length, heads).tolist())
 
     def read(self, f: RedbudFile, offset: int, nbytes: int) -> list[BlockRequest]:
         """Map a read and return its physical requests (holes read as zeros
@@ -404,7 +740,7 @@ class DataPlane:
         arithmetic (one row per op and stripe unit), each slot's map is
         consulted once (:meth:`ExtentMap.physical_runs_many`) and
         :meth:`_emit_rows`' coalescing is a boundary mask.  Runs shorter
-        than :data:`READ_MANY_FROM` loop the scalar mapping.
+        than :data:`MANY_FROM` loop the scalar mapping.
         A bad range at op ``k`` surfaces after the ops before it were booked.
         """
         bad = (nbytes <= 0) | (offsets < 0)
@@ -413,7 +749,7 @@ class DataPlane:
             self.read_many(f, offsets[:k], nbytes[:k])
             self._check_range(int(offsets[k]), int(nbytes[k]), "read")
         n = offsets.shape[0]
-        if n >= READ_MANY_FROM:
+        if n >= MANY_FROM:
             self._check_live(f)
             counters = self._counters
             counters["fs.reads"] += n
@@ -472,11 +808,21 @@ class DataPlane:
         owner = op[row[order]]
         phys = np.concatenate(phys)[order]
         length = np.concatenate(length)[order]
-        total = phys.shape[0]
-        if total == 0:
+        if phys.shape[0] == 0:
             return np.zeros(n + 1, dtype=np.int64), phys, length
-        # _emit_rows as a mask: a run opens a request unless it continues the
-        # previous run of the same op on the same disk.
+        heads = self._request_heads(owner, phys, length)
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[heads], minlength=n), out=bounds[1:])
+        return bounds, phys[heads], np.add.reduceat(length, heads)
+
+    def _request_heads(
+        self, owner: np.ndarray, phys: np.ndarray, length: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_emit_rows` as a mask over the ``(physical, length)`` runs
+        of many ops (``owner`` names each run's op): the indices of the runs
+        that open a request — every run but those continuing the previous
+        run of the same op on the same disk, which are counted coalesced."""
+        total = phys.shape[0]
         bpd = self.config.disk.capacity_blocks
         opens = np.ones(total, dtype=bool)
         opens[1:] = (
@@ -487,9 +833,7 @@ class DataPlane:
         heads = np.flatnonzero(opens)
         if heads.shape[0] < total:
             self._counters["fs.coalesced_requests"] += total - heads.shape[0]
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner[heads], minlength=n), out=bounds[1:])
-        return bounds, phys[heads], np.add.reduceat(length, heads)
+        return heads
 
     def readv(
         self, f: RedbudFile, regions: list[tuple[int, int]]
@@ -652,14 +996,27 @@ class DataPlane:
         out_starts.append(cur_start)
         out_nblocks.append(cur_end - cur_start)
 
-    def _insert_runs(self, smap, runs: list[PhysicalRun]) -> None:
+    def _extent_histogram(self):
         hist = self._extent_hist
         if hist is None:
             hist = self._extent_hist = self.metrics.histogram_ref("fs.extent_blocks")
+        return hist
+
+    def _insert_runs(self, smap, runs: list[PhysicalRun]) -> bool:
+        """Map a policy's runs; True when one of them is unwritten."""
+        hist = self._extent_hist
+        if hist is None:
+            hist = self._extent_histogram()
         insert = smap.insert
+        unwritten = False
         for run in runs:
             hist.observe(run.length)
-            insert(Extent(run.dlocal, run.physical, run.length, 1 if run.unwritten else 0))
+            if run.unwritten:
+                unwritten = True
+                insert(Extent(run.dlocal, run.physical, run.length, 1))
+            else:
+                insert(Extent(run.dlocal, run.physical, run.length, 0))
+        return unwritten
 
     def _slot_share(self, f: RedbudFile, total_blocks: int, slot: int) -> int:
         """Blocks of a ``total_blocks``-file landing on rotation slot ``slot``."""

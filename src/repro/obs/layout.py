@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime dependency
     from repro.fs.dataplane import DataPlane
@@ -48,19 +51,6 @@ _HEAT_GLYPHS = " .:-=+*#%@"
 # ---------------------------------------------------------------------------
 # Report dataclasses
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FragmentRun:
-    """One physically contiguous piece of a file that is also contiguous in
-    file-logical space (extents are split at stripe-unit and region
-    boundaries to get here)."""
-
-    disk: int
-    physical: int  # global block
-    length: int
-    logical: int   # file logical block of the first mapped block
-    region: int    # logical write-region id (interleave bucketing)
-
 
 @dataclass(frozen=True)
 class FileLayout:
@@ -284,12 +274,12 @@ class LayoutInspector:
     def file_layout(self, plane: "DataPlane", f: "RedbudFile") -> FileLayout:
         """Layout metrics for one file."""
         region_blocks = self._region_blocks(plane.block_size, f)
-        frags = list(self._fragments(plane, f, region_blocks))
+        disk, physical, length, logical, region = self._fragments(plane, f, region_blocks)
         extents = f.extent_count
         populated = sum(1 for m in f.maps if m.extent_count > 0)
         contiguity = populated / extents if extents else 1.0
-        interleave, regions = _interleave(frags)
-        seek_s, seeks = _seek_cost(plane, frags)
+        interleave, regions = _interleave(disk, physical, length, region)
+        seek_s, seeks = _seek_cost(plane, disk, physical, length, logical)
         return FileLayout(
             name=f.name,
             size_bytes=f.size_bytes,
@@ -365,77 +355,93 @@ class LayoutInspector:
 
     def _fragments(
         self, plane: "DataPlane", f: "RedbudFile", region_blocks: int
-    ) -> Iterable[FragmentRun]:
-        """Split extents into file-logically contiguous physical runs.
+    ) -> tuple[np.ndarray, ...]:
+        """Split extents into file-logically contiguous physical runs:
+        ``(disk, physical, length, logical, region)`` columns, one row per
+        run, slot by slot in dlocal order.
 
         A slot extent is contiguous in dlocal space but file-logical
         addresses jump at every stripe-unit boundary, so extents are cut at
         stripe units and again at region boundaries; each resulting piece
         maps one solid (logical, physical) run.
         """
-        blocks_per_disk = plane.array.blocks_per_disk
-        sb = f.stripe_blocks
-        for slot, smap in enumerate(f.maps):
-            for ext in smap:
-                cursor = ext.logical  # dlocal
-                end = ext.logical + ext.length
-                while cursor < end:
-                    unit_end = (cursor // sb + 1) * sb
-                    logical = f.to_logical(slot, cursor)
-                    region_end_logical = (logical // region_blocks + 1) * region_blocks
-                    chunk = min(end, unit_end) - cursor
-                    chunk = min(chunk, region_end_logical - logical)
-                    physical = ext.physical + (cursor - ext.logical)
-                    yield FragmentRun(
-                        disk=physical // blocks_per_disk,
-                        physical=physical,
-                        length=chunk,
-                        logical=logical,
-                        region=logical // region_blocks,
-                    )
-                    cursor += chunk
+        sb, width = f.stripe_blocks, f.width
+        sizes = [len(smap) for smap in f.maps]
+        slot = np.repeat(np.arange(width), sizes)
+        dlocal, physical, length = (
+            np.concatenate(
+                [np.fromiter(map(column, smap), np.int64, m) for smap, m in zip(f.maps, sizes)]
+            )
+            for column in _EXTENT_COLUMNS
+        )
+        of, start, length = _cut(dlocal, length, sb)
+        physical = physical[of] + (start - dlocal[of])
+        logical = ((start // sb) * width + slot[of]) * sb + start % sb
+        of, start, length = _cut(logical, length, region_blocks)
+        physical = physical[of] + (start - logical[of])
+        return (
+            physical // plane.array.blocks_per_disk,
+            physical,
+            length,
+            start,
+            start // region_blocks,
+        )
 
 
-def _interleave(frags: list[FragmentRun]) -> tuple[float, int]:
+_EXTENT_COLUMNS = (attrgetter("logical"), attrgetter("physical"), attrgetter("length"))
+
+
+def _cut(
+    start: np.ndarray, length: np.ndarray, step: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut the ranges ``[start, start+length)`` at the multiples of
+    ``step``: per piece, in order, the index of its range, its start and
+    its length."""
+    first = start // step
+    pieces = (start + length - 1) // step - first + 1
+    of = np.repeat(np.arange(start.shape[0]), pieces)
+    cell = np.arange(of.shape[0]) + (first - (np.cumsum(pieces) - pieces))[of]
+    lo = np.maximum(start[of], cell * step)
+    return of, lo, np.minimum((start + length)[of], (cell + 1) * step) - lo
+
+
+def _interleave(
+    disk: np.ndarray, physical: np.ndarray, length: np.ndarray, region: np.ndarray
+) -> tuple[float, int]:
     """Physical region-runs per distinct region, per disk, averaged."""
-    total_runs = 0
-    total_regions = 0
-    by_disk: dict[int, list[FragmentRun]] = {}
-    for fr in frags:
-        by_disk.setdefault(fr.disk, []).append(fr)
-    for disk_frags in by_disk.values():
-        disk_frags.sort(key=lambda fr: fr.physical)
-        regions = {fr.region for fr in disk_frags}
-        runs = 0
-        prev_region = None
-        prev_end = None
-        for fr in disk_frags:
-            # A new run starts when the region changes or the placement is
-            # physically discontiguous even within one region.
-            if fr.region != prev_region or fr.physical != prev_end:
-                runs += 1
-            prev_region = fr.region
-            prev_end = fr.physical + fr.length
-        total_runs += runs
-        total_regions += len(regions)
-    if total_regions == 0:
+    if disk.shape[0] == 0:
         return (1.0, 0)
-    return (total_runs / total_regions, total_regions)
+    order = np.lexsort((physical, disk))
+    disk, physical, region = disk[order], physical[order], region[order]
+    # In physical order on each disk, a new run starts when the region
+    # changes or the placement is physically discontiguous even within one
+    # region.
+    runs = 1 + np.count_nonzero(
+        (disk[1:] != disk[:-1])
+        | (region[1:] != region[:-1])
+        | (physical[1:] != (physical + length[order])[:-1])
+    )
+    regions = np.unique(disk * (int(region.max()) + 1) + region).shape[0]
+    return (runs / regions, regions)
 
 
-def _seek_cost(plane: "DataPlane", frags: list[FragmentRun]) -> tuple[float, int]:
-    """Positioning seconds of a logical-order sweep, summed over disks."""
+def _seek_cost(
+    plane: "DataPlane",
+    disk: np.ndarray,
+    physical: np.ndarray,
+    length: np.ndarray,
+    logical: np.ndarray,
+) -> tuple[float, int]:
+    """Positioning seconds of a logical-order sweep, summed over disks (in
+    the order the fragments first reach them: the sum is a float)."""
     blocks_per_disk = plane.array.blocks_per_disk
-    by_disk: dict[int, list[FragmentRun]] = {}
-    for fr in frags:
-        by_disk.setdefault(fr.disk, []).append(fr)
     total = 0.0
     seeks = 0
-    for disk, disk_frags in by_disk.items():
-        model = plane.array.disks[disk].model
-        disk_frags.sort(key=lambda fr: fr.logical)
-        cost, n = model.sweep_cost(
-            (fr.physical - disk * blocks_per_disk, fr.length) for fr in disk_frags
+    for d in disk[np.sort(np.unique(disk, return_index=True)[1])].tolist():
+        on = np.flatnonzero(disk == d)
+        on = on[np.argsort(logical[on], kind="stable")]
+        cost, n = plane.array.disks[d].model.sweep_cost(
+            zip((physical[on] - d * blocks_per_disk).tolist(), length[on].tolist())
         )
         total += cost
         seeks += n

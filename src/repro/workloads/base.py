@@ -40,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.fs.dataplane import READ_MANY_FROM, DataPlane
+from repro.fs.dataplane import MANY_FROM, DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
 from repro.rng import derive_rng
@@ -138,9 +138,9 @@ WRITE, READ = 0, 1
 #: Decoded kind of everything else (list I/O, fsync): run one op at a time.
 _SOLO = 2
 
-#: A run of reads is mapped ahead at most this many ops at a time, which
-#: bounds the mapping's temporaries whatever the run's length.
-READ_RUN_OPS = 4096
+#: A run of reads or writes is mapped ahead at most this many ops at a
+#: time, which bounds the mapping's temporaries whatever the run's length.
+RUN_OPS = 4096
 
 #: :func:`meta_runs` holds at most this many argument tuples at a time,
 #: whatever the phase's size.
@@ -396,13 +396,19 @@ def run_data_phase(
 
     The phase is decoded to columns, scheduled (:func:`schedule_arrivals`)
     and then executed by run: the arrival order is cut into runs of one
-    kind.  A run of writes (cut at round ends) is mapped in the round it
-    arrives in and flushed at that round's end, never ahead — allocator
-    trace events are stamped with the array's clock, which moves at a
-    submit.  A run of reads may span rounds: nothing mutates between its
-    ops and read mapping emits nothing, so the whole run is mapped ahead
-    and only its windows are submitted round by round.  Everything else
-    (list I/O, fsync, ops the plane will reject) runs one op at a time.
+    kind.  A run of writes is never mapped across a point where a submit
+    can happen — allocator trace events are stamped with the array's
+    clock, which moves at a submit — and a round end can submit only once
+    a non-write has arrived (a read window may be ready) or the blocks
+    spanned by the writes so far have reached ``write_buffer_blocks``
+    (the dirty pool may be at its mark): a run of writes is cut at the
+    round ends from that arrival on and at no round end before it, so a
+    pure write phase under the mark is one run (mapped :data:`RUN_OPS` ops
+    at a time).  A run of reads may span
+    rounds: nothing mutates between its ops and read mapping emits
+    nothing, so the whole run is mapped ahead and only its windows are
+    submitted round by round.  Everything else (list I/O, fsync, ops the
+    plane will reject) runs one op at a time.
     """
     if read_buffer_blocks <= 0 or write_buffer_blocks <= 0:
         raise ValueError("read/write buffer sizes must be positive")
@@ -436,11 +442,19 @@ def run_data_phase(
     code = np.where((kinds == READ) & doomed, _SOLO, kinds)
     at_round_end = np.zeros(n + 1, dtype=bool)
     at_round_end[round_ends] = True
+    # A round end cuts a run of writes only where it could submit: a read
+    # window needs a non-write to have arrived, the writeback the dirty pool
+    # to reach its mark — and the pool holds at most the blocks spanned by
+    # the writes mapped so far.
+    spans = (offsets + nbytes - 1) // plane.block_size - offsets // plane.block_size + 1
+    may_submit = np.logical_or.accumulate(code != WRITE) | (
+        np.cumsum(spans) >= write_buffer_blocks
+    )
     opens = np.ones(n, dtype=bool)
     opens[1:] = (
         (code[1:] != code[:-1])
         | (code[1:] == _SOLO)
-        | ((code[1:] == WRITE) & at_round_end[1:n])
+        | ((code[1:] == WRITE) & at_round_end[1:n] & may_submit[:-1])
     )
     heads = np.flatnonzero(opens)
     at_round_end = at_round_end.tolist()
@@ -492,18 +506,20 @@ def run_data_phase(
     ):
         if kind == WRITE:
             mapped = len(dirty_nblocks)
-            plane.write_many(
-                op_files[a:b], streams[a:b], offsets[a:b], nbytes[a:b],
-                dirty_starts, dirty_nblocks,
-            )
+            for at in range(a, b, RUN_OPS):
+                upto = min(at + RUN_OPS, b)
+                plane.write_many(
+                    op_files[at:upto], streams[at:upto], offsets[at:upto], nbytes[at:upto],
+                    dirty_starts, dirty_nblocks,
+                )
             dirty_blocks += sum(dirty_nblocks[mapped:])
             if at_round_end[b]:
                 end_round()
-        elif kind == READ and b - a >= READ_MANY_FROM:
-            # Map the run ahead (READ_RUN_OPS at a time, file by file), fill
+        elif kind == READ and b - a >= MANY_FROM:
+            # Map the run ahead (RUN_OPS at a time, file by file), fill
             # windows in arrival order, submit the full ones round by round.
-            for at in range(a, b, READ_RUN_OPS):
-                upto = min(at + READ_RUN_OPS, b)
+            for at in range(a, b, RUN_OPS):
+                upto = min(at + RUN_OPS, b)
                 run_files = fids[at:upto]
                 first = np.empty(upto - at, dtype=np.int64)
                 last = np.empty(upto - at, dtype=np.int64)

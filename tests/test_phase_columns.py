@@ -38,7 +38,7 @@ from repro.disk.model import BlockRequest
 from repro.errors import ExtentError, FaultError, NoSpaceError, ReproError, SimulationError
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
-from repro.fs.dataplane import READ_MANY_FROM, DataPlane
+from repro.fs.dataplane import MANY_FROM, DataPlane
 from repro.obs.export import to_jsonl
 from repro.obs.trace import Tracer
 from repro.rng import derive_rng
@@ -254,7 +254,9 @@ def _drive(runner, config, widths, specs, per_stream_files, phase_kw, bad_op):
     per_stream_files=st.booleans(),
     skip=st.sampled_from([0.0, 0.1, 0.9]),
     seed=st.integers(0, 3),
-    buffers=st.sampled_from([(256, 32768), (1, 1), (8, 16)]),
+    # (256, 40) and (8, 64): the blocks spanned reach the writeback mark
+    # mid-phase (and under ``delayed`` overstate the dirty pool).
+    buffers=st.sampled_from([(256, 32768), (1, 1), (8, 16), (256, 40), (8, 64)]),
     bad=st.sampled_from([None, None, "range", "length"]),
     disk_blocks=st.sampled_from([16, 48, 192]),
     cutoffs=st.sampled_from([(1, 3), (4, 4096), (32, 4096)]),
@@ -275,14 +277,70 @@ def test_phase_matches_round_loop(
     )
     config = _tiny_config(policy, disk_blocks)
     args = (config, widths, specs, per_stream_files, phase_kw, bad_op)
-    # Small cutoffs send these short programs' read runs down the column
-    # path, in more than one mapped piece.
+    # Small cutoffs send these short programs' read and write runs down the
+    # column paths, the reads in more than one mapped piece.
     with (
-        mock.patch.object(dataplane, "READ_MANY_FROM", cutoffs[0]),
-        mock.patch.multiple(base, READ_MANY_FROM=cutoffs[0], READ_RUN_OPS=cutoffs[1]),
+        mock.patch.object(dataplane, "MANY_FROM", cutoffs[0]),
+        mock.patch.multiple(base, MANY_FROM=cutoffs[0], RUN_OPS=cutoffs[1]),
     ):
         new = _drive(run_data_phase, *args)
     assert new == _drive(ref.reference_run_data_phase, *args)
+
+
+@pytest.mark.parametrize(
+    "middle,write_buffer_blocks,calls",
+    [
+        (None, 32768, 1),  # under the mark: the phase is one run
+        (None, 1, None),  # at the mark from the first op: one run per round
+        (lambda f: ReadOp(f, 0, BS), 32768, None),
+        (lambda f: WritevOp(f, ((600 * BS, BS), (620 * BS, BS))), 32768, None),
+        (lambda f: FsyncOp(f), 32768, None),
+    ],
+    ids=["under-the-mark", "mark-of-one-block", "read", "writev", "fsync"],
+)
+def test_write_runs_are_cut_only_where_a_submit_can_happen(
+    middle, write_buffer_blocks, calls
+):
+    """Four streams of 24 writes.  Nothing can be submitted before a
+    non-write arrives or the blocks spanned reach ``write_buffer_blocks``:
+    up to there the writes are one ``write_many`` call, from there on one
+    per round — and extents, metrics, disks and trace stay the round
+    loop's either way."""
+    rounds = 24
+
+    def programs(files):
+        f = files[0]
+        out = []
+        for p in range(4):
+            ops = [WriteOp(f, (p * rounds + k) * 3 * BS, 3 * BS) for k in range(rounds)]
+            if middle is not None and p == 1:
+                ops.insert(rounds // 2, middle(f))
+            out.append(StreamProgram(p, ops))
+        return out
+
+    kw = dict(write_buffer_blocks=write_buffer_blocks, skip_probability=0.0, seed=0)
+    spans: list[int] = []
+
+    def drive(runner):
+        tracer = Tracer(capacity=1 << 16)
+        plane = DataPlane(small_config(policy="ondemand", stripe_blocks=4), tracer=tracer)
+        files = [plane.create_file("/f", width=2)]
+        real = plane.write_many
+        plane.write_many = lambda *a: (spans.append(len(a[0])), real(*a))[1]
+        return _end_state(plane, tracer, runner(plane, programs(files), **kw))
+
+    new = drive(run_data_phase)
+    runs, spans[:] = list(spans), []
+    assert new == drive(ref.reference_run_data_phase)
+    assert not spans  # the round loop maps op by op
+    if calls is not None:
+        assert runs == [4 * rounds]
+    elif middle is None:
+        assert runs == [4] * rounds
+    else:
+        # One run up to the non-write (stream 1's op 12), the rest of that
+        # round, then a run per round.
+        assert runs == [4 * 12 + 1, 2] + [4] * (rounds - 13) + [1]
 
 
 def test_phase_runs_out_of_space_like_the_round_loop():
@@ -387,7 +445,7 @@ def test_read_many_is_a_loop_of_read(data):
     extents, ranges past EOF and multi-stripe ops, at run lengths either
     side of the scalar cutoff."""
     plane, f = _written_plane(data)
-    n = data.draw(st.sampled_from([0, 1, READ_MANY_FROM - 1, READ_MANY_FROM, READ_MANY_FROM + 9]))
+    n = data.draw(st.sampled_from([0, 1, MANY_FROM - 1, MANY_FROM, MANY_FROM + 9]))
     reads = data.draw(
         st.lists(
             st.tuples(st.integers(0, 130 * BS), st.integers(1, 14 * BS)),
@@ -410,7 +468,7 @@ def test_read_many_is_a_loop_of_read(data):
     ]
 
 
-@pytest.mark.parametrize("n", [3, READ_MANY_FROM + 3])
+@pytest.mark.parametrize("n", [3, MANY_FROM + 3])
 def test_read_many_bad_range_surfaces_after_the_ops_before_it(n):
     plane = DataPlane(small_config())
     f = plane.create_file("/f")
@@ -424,23 +482,12 @@ def test_read_many_bad_range_surfaces_after_the_ops_before_it(n):
     assert plane.metrics.count("fs.bytes_read") == (n - 2) * BS
 
 
-@given(data=st.data())
-@settings(max_examples=120, deadline=None)
-def test_write_many_is_a_loop_of_write(data):
-    policy = data.draw(st.sampled_from(POLICY_NAMES))
-    widths = data.draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2))
-    ops = data.draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, 1), st.integers(0, 3), st.integers(0, 90 * BS),
-                st.integers(1, 12 * BS),
-            ),
-            max_size=30,
-        )
-    )
+def _write_both_ways(make_plane, widths, ops, cutoff):
+    """``ops`` — (file index, stream, offset, nbytes) — through
+    ``write_many`` in one run and through a loop of ``write``."""
 
     def drive(many: bool):
-        plane = DataPlane(_tiny_config(policy))
+        plane = make_plane()
         files = [plane.create_file(f"/f{i}", width=w) for i, w in enumerate(widths)]
         targets = [files[fi % len(files)] for fi, _, _, _ in ops]
         starts: list[int] = []
@@ -448,13 +495,14 @@ def test_write_many_is_a_loop_of_write(data):
         error = None
         try:
             if many:
-                plane.write_many(
-                    targets,
-                    [s for _, s, _, _ in ops],
-                    np.array([off for _, _, off, _ in ops], dtype=np.int64),
-                    np.array([n for _, _, _, n in ops], dtype=np.int64),
-                    starts, nblocks,
-                )
+                with mock.patch.object(dataplane, "MANY_FROM", cutoff):
+                    plane.write_many(
+                        targets,
+                        [s for _, s, _, _ in ops],
+                        np.array([off for _, _, off, _ in ops], dtype=np.int64),
+                        np.array([n for _, _, _, n in ops], dtype=np.int64),
+                        starts, nblocks,
+                    )
             else:
                 for f, (_, stream, off, n) in zip(targets, ops):
                     for r in plane.write(f, stream, off, n):
@@ -468,7 +516,107 @@ def test_write_many_is_a_loop_of_write(data):
             [f.size_bytes for f in files],
         )
 
-    assert drive(True) == drive(False)
+    many, looped = drive(True), drive(False)
+    assert many == looped
+    return many
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_write_many_is_a_loop_of_write(data):
+    """Every policy (``static`` overwrites unwritten preallocation,
+    ``delayed`` maps nothing, ``cow`` skips the column core), one to three
+    files interleaved in one run, overlaps and overwrites inside the run,
+    multi-unit ops, a disk small enough to fill mid-run — at run lengths
+    either side of the scalar cutoff."""
+    policy = data.draw(st.sampled_from(POLICY_NAMES))
+    widths = data.draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3))
+    disk_blocks = data.draw(st.sampled_from([48, 192, 1024]))
+    cutoff = data.draw(st.sampled_from([1, 4, 32]))
+    declared = data.draw(st.booleans())
+    # Mostly block-aligned appends of distinct regions (independent rows),
+    # salted with arbitrary ranges (overlaps, partial holes, overwrites).
+    ops = data.draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(0, 2), st.integers(0, 3),
+                    st.integers(0, 60).map(lambda b: b * 2 * BS), st.integers(1, 2 * BS),
+                ),
+                st.tuples(
+                    st.integers(0, 2), st.integers(0, 3), st.integers(0, 90 * BS),
+                    st.integers(1, 12 * BS),
+                ),
+            ),
+            max_size=80,
+        )
+    )
+
+    def make_plane():
+        plane = DataPlane(_tiny_config(policy, disk_blocks))
+        if declared:
+            # Under static / hybrid: writes land in unwritten preallocation.
+            plane.create_file("/declared", expected_bytes=24 * BS, width=2)
+        return plane
+
+    _write_both_ways(make_plane, widths, ops, cutoff)
+
+
+def test_write_many_column_core_is_reached():
+    """The property above is not vacuous: a run of disjoint appends costs
+    no scan and no per-extent insert, an overwrite inside it takes the
+    scalar body, and the disk does fill mid-run."""
+    ops = [(0, k % 4, (k % 4) * 40 * BS + (k // 4) * 2 * BS, 2 * BS) for k in range(64)]
+    calls = {"scan": 0, "insert": 0, "insert_many": 0}
+
+    def counting(name):
+        real = getattr(ExtentMap, name)
+
+        def wrapper(self, *args):
+            calls[name if name != "scan_write_range" else "scan"] += 1
+            return real(self, *args)
+
+        return mock.patch.object(ExtentMap, name, wrapper)
+
+    with counting("scan_write_range"), counting("insert"), counting("insert_many"):
+        plane = DataPlane(small_config(policy="ondemand", stripe_blocks=4))
+        f = plane.create_file("/f", width=2)
+        offsets = np.array([off for _, _, off, _ in ops], dtype=np.int64)
+        nbytes = np.array([n for _, _, _, n in ops], dtype=np.int64)
+        plane.write_many([f] * 64, [s for _, s, _, _ in ops], offsets, nbytes, [], [])
+        assert calls == {"scan": 0, "insert": 0, "insert_many": 2}
+        # The same run again overwrites every block: all scalar.
+        plane.write_many([f] * 64, [s for _, s, _, _ in ops], offsets, nbytes, [], [])
+        assert calls == {"scan": 64, "insert": 0, "insert_many": 2}
+    error, *_ = _write_both_ways(
+        lambda: DataPlane(_tiny_config("ondemand", 48)), [2], ops, 4
+    )
+    assert error is not None
+
+
+@pytest.mark.parametrize("cutoff", [1, 32])
+@pytest.mark.parametrize("width", [1, 2])
+def test_write_many_survives_a_policy_that_preallocates_beside_the_hole(cutoff, width):
+    """``_OverAllocatingPolicy`` maps two unwritten blocks past every hole
+    it backs; later rows of the same run write into them, and a multi-unit
+    op continues on the slot it just preallocated on."""
+    ops = (
+        [(0, 0, k * 8 * BS, 4 * BS) for k in range(20)]  # holes, 4 blocks apart
+        + [(0, 1, k * 8 * BS + 4 * BS, 2 * BS) for k in range(20)]  # into the extras
+        # Multi-unit: two rows on two slots, then four rows wrapping around.
+        + [(0, 2, 202 * BS, 6 * BS), (0, 2, 300 * BS, 14 * BS), (0, 2, 400 * BS, BS)]
+    )
+
+    def make_plane():
+        plane = DataPlane(small_config(stripe_blocks=4))
+        plane.policy = _OverAllocatingPolicy(
+            plane.config.alloc, plane.fsm, plane.metrics, plane.tracer
+        )
+        return plane
+
+    error, starts, nblocks, _, extents, _ = _write_both_ways(make_plane, [width], ops, cutoff)
+    assert error is None and sum(nblocks) == 20 * 4 + 20 * 2 + 6 + 14 + 1
+    assert any(e.unwritten for m in extents[0] for e in m)
 
 
 def test_write_many_books_the_ops_before_a_bad_one():
@@ -483,6 +631,26 @@ def test_write_many_books_the_ops_before_a_bad_one():
         )
     assert plane.metrics.count("fs.writes") == 1
     assert f.size_bytes == BS and nblocks == [1]
+
+
+@pytest.mark.parametrize("bad", ["range", "deleted"])
+def test_write_many_column_run_books_the_ops_before_a_bad_one(bad):
+    n = MANY_FROM + 8
+    plane = DataPlane(small_config())
+    f, dead = plane.create_file("/f"), plane.create_file("/dead")
+    plane.delete_file(dead)
+    files = [f] * n
+    offsets = np.arange(n, dtype=np.int64) * BS
+    if bad == "range":
+        offsets[n - 3] = -BS
+    else:
+        files[n - 3] = dead
+    starts: list[int] = []
+    nblocks: list[int] = []
+    with pytest.raises(ReproError, match="negative write range|deleted file"):
+        plane.write_many(files, [0] * n, offsets, np.full(n, BS), starts, nblocks)
+    assert plane.metrics.count("fs.writes") == n - 3
+    assert f.size_bytes == (n - 3) * BS and sum(nblocks) == n - 3
 
 
 # ---------------------------------------------------------------------------

@@ -118,3 +118,75 @@ def test_reinserting_any_mapped_block_raises(extents):
         except ExtentError:
             continue
         raise AssertionError("overlap accepted")
+
+
+def _contents(m: ExtentMap) -> list[tuple[int, int, int, int]]:
+    return [(e.logical, e.physical, e.length, e.flags) for e in m.extents()]
+
+
+@st.composite
+def abutting_batches(draw):
+    """Extents tiling most of the space, physically continuing each other in
+    places (so inserts merge on one side, on both, or not at all), in two
+    shuffled halves: what the map holds, and what ``insert_many`` adds."""
+    extents = []
+    logical, physical = draw(st.integers(0, 4)), draw(st.integers(0, 500))
+    for _ in range(draw(st.integers(1, 24))):
+        length = draw(st.integers(1, 6))
+        flags = draw(st.sampled_from([0, 0, 1]))
+        extents.append(Extent(logical, physical, length, flags))
+        logical += length + draw(st.sampled_from([0, 0, 0, 2]))
+        physical += length + draw(st.sampled_from([0, 0, 7]))
+    order = draw(st.permutations(range(len(extents))))
+    cut = draw(st.integers(0, len(extents)))
+    return [extents[i] for i in order[:cut]], [extents[i] for i in order[cut:]]
+
+
+@given(abutting_batches())
+@settings(max_examples=300)
+def test_insert_many_is_the_loop_of_insert(batches):
+    held, added = batches
+    looped, bulk = ExtentMap(), ExtentMap()
+    for e in held:
+        looped.insert(e)
+        bulk.insert(e)
+    for e in added:
+        looped.insert(e)
+    bulk.insert_many([(e.logical, e.physical, e.length, e.flags) for e in added])
+    bulk.validate()
+    assert _contents(bulk) == _contents(looped)
+    assert all(type(e.flags) is int and type(e.logical) is int for e in bulk)
+
+
+@given(abutting_batches(), st.data())
+@settings(max_examples=200)
+def test_insert_many_rejects_an_overlap_before_it_mutates(batches, data):
+    held, added = batches
+    m = ExtentMap()
+    for e in held:
+        m.insert(e)
+    # One more row over a block some other extent or row maps already.
+    victim = data.draw(st.sampled_from(held + added))
+    block = data.draw(st.integers(victim.logical, victim.logical_end - 1))
+    rows = [(e.logical, e.physical, e.length, e.flags) for e in added]
+    rows.insert(data.draw(st.integers(0, len(rows))), (block, 9_999, 1, 0))
+    before, objects = _contents(m), [id(e) for e in m]
+    try:
+        m.insert_many(rows)
+    except ExtentError:
+        assert _contents(m) == before and [id(e) for e in m] == objects
+        m.validate()
+        return
+    raise AssertionError("overlap accepted")
+
+
+def test_insert_many_rejects_what_extent_rejects():
+    m = ExtentMap()
+    m.insert_many([])
+    for row in [(-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 0)]:
+        try:
+            m.insert_many([(8, 8, 1, 0), row])
+        except ExtentError:
+            assert len(m) == 0
+            continue
+        raise AssertionError(f"accepted {row}")
