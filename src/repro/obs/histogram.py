@@ -102,6 +102,14 @@ class Histogram:
         if len(log) >= LOG_CHUNK:
             self._fold()
 
+    def observe_repeated(self, value: float, times: int) -> None:
+        """Record ``times`` samples of ``value``: a loop of :meth:`observe`."""
+        if value < 0:
+            raise ValueError(f"histogram values must be non-negative: {value}")
+        self._log.extend([value] * times)
+        if len(self._log) >= LOG_CHUNK:
+            self._fold()
+
     def observe_array(self, values) -> None:
         """Record a whole numpy array of samples at once.
 

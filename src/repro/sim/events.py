@@ -41,6 +41,7 @@ wall-clock time.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -53,7 +54,18 @@ from repro.errors import ConfigError
 from repro.obs.histogram import Histogram
 from repro.sim.clock import SimClock
 
-__all__ = ["EventLoop", "Station"]
+__all__ = ["EventLoop", "Station", "arrival_times"]
+
+#: Refused arrivals a full :class:`Station` logs before it books them; bounds
+#: the log as ``TELEMETRY_CHUNK`` bounds the telemetry row log.
+REFUSED_CHUNK = 1024
+
+
+def arrival_times(origin: float, gaps: np.ndarray) -> np.ndarray:
+    """Absolute times of arrivals ``gaps`` apart, the first one ``gaps[0]``
+    after ``origin``: ``accumulate`` is ``out[i] = out[i-1] + in[i]``, the
+    left-to-right float sum ``when + dt`` a per-event walk makes."""
+    return np.add.accumulate(np.concatenate(((origin,), gaps)))[1:]
 
 
 @dataclass(slots=True, eq=False)
@@ -141,13 +153,14 @@ class EventLoop:
     ) -> None:
         """Register one lazy source that draws its arrivals a block ahead.
 
-        ``blocks`` yields non-empty ``(gaps, ops)`` column pairs: the
-        ``(arrival_dt, op)`` protocol of :meth:`add_source`, a block at a
-        time.  The loop turns the gaps into absolute times with the
-        left-to-right float sum ``when + dt`` a per-event walk makes, holds
-        one block per source, and asks for the next only once the block's
-        last arrival has been handled — exactly when a per-event source
-        would be advanced.
+        ``blocks`` yields ``(gaps, ops)`` column pairs — non-empty, of equal
+        length, every gap finite and >= 0, or the source is retired with a
+        :class:`~repro.errors.ConfigError` — the ``(arrival_dt, op)``
+        protocol of :meth:`add_source`, a block at a time.  The loop turns
+        the gaps into absolute times (:func:`arrival_times`), holds one
+        block per source, and asks for the next only once the block's last
+        arrival has been handled — exactly when a per-event source would be
+        advanced.
         """
         src = _Source(self._sources, blocks, on_event, self._seq)
         self._sources += 1
@@ -164,16 +177,21 @@ class EventLoop:
             self._live.remove(src)
             return
         gaps = np.asarray(gaps, dtype=np.float64)
-        if gaps.min() < 0.0:
-            self._live.remove(src)
+        bad = gaps[~((gaps >= 0.0) & (gaps < np.inf))]
+        if len(gaps) == len(rows) > 0 and not bad.shape[0]:
+            src.times = arrival_times(origin, gaps)
+            src.rows = rows
+            src.pos = 0
+            return
+        self._live.remove(src)
+        if not bad.shape[0]:
             raise ConfigError(
-                f"negative inter-arrival time from source {src.sid}: "
-                f"{gaps[gaps < 0.0][0]}"
+                f"a block of {len(gaps)} gaps and {len(rows)} rows from source {src.sid}"
             )
-        # accumulate is out[i] = out[i-1] + in[i]: the per-event sum.
-        src.times = np.add.accumulate(np.concatenate(((origin,), gaps)))[1:]
-        src.rows = rows
-        src.pos = 0
+        raise ConfigError(
+            f"{'negative' if bad[0] < 0.0 else 'non-finite'} inter-arrival time "
+            f"from source {src.sid}: {bad[0]}"
+        )
 
     def run(self, until: float | None = None) -> int:
         """Drain events in time order; returns how many were processed.
@@ -295,9 +313,9 @@ class Station:
     """
 
     __slots__ = (
-        "name", "depth", "_execute", "latency", "queue_depth",
-        "offered", "started", "dropped", "completed", "busy_s", "free_at",
-        "_inflight", "probe",
+        "name", "depth", "_execute", "latency", "_queue_depth",
+        "_offered", "started", "_dropped", "completed", "busy_s", "free_at",
+        "_inflight", "_closed_until", "_refused", "_probe",
     )
 
     def __init__(self, name: str, execute: Callable[[Any], float], depth: int) -> None:
@@ -308,55 +326,118 @@ class Station:
         self._execute = execute
         #: Sojourn time (queueing + service) of every started op.
         self.latency = Histogram()
-        #: Queue length each arrival found ahead of it (drops included).
-        self.queue_depth = Histogram()
-        self.offered = 0
+        self._queue_depth = Histogram()
+        self._offered = 0
         self.started = 0
-        self.dropped = 0
+        self._dropped = 0
         self.completed = 0
         self.busy_s = 0.0
         self.free_at = 0.0
         self._inflight: deque[float] = deque()
-        #: Optional telemetry hook ``probe(now, op, queued, done, service)``
-        #: called once per arrival after its fate is decided: ``done`` is
-        #: the completion time (``None`` when the bounded queue dropped it)
-        #: and ``service`` the charged service time (0.0 on drops).
-        #: Observe-only; None (the default) costs one comparison per
-        #: arrival.
-        self.probe: Callable[[float, Any, int, float | None, float], None] | None = None
+        #: A full station is closed until its oldest in-flight completion
+        #: (-inf: open).  Arrivals before that are refused by comparison and
+        #: logged as ``(now, op)``; :meth:`_book` books the run in bulk.
+        self._closed_until = -math.inf
+        self._refused: list[tuple[float, Any]] = []
+        self._probe = None
+
+    @property
+    def probe(self) -> Callable[[float, Any, int, float | None, float], None] | None:
+        """Optional telemetry hook ``probe(now, op, queued, done, service)``,
+        called once per arrival after its fate is decided: ``done`` is the
+        completion time (``None`` for a drop) and ``service`` the charged
+        service time (0.0 on drops).  A refused run reaches it when booked —
+        before the next accepted arrival — and by column, as
+        ``probe.refused(times, ops, queued)``, if it has that attribute; one
+        with an ``upstream`` attribute is handed the station's ``_book``
+        there, to call before the probe's own books are read.  Observe-only.
+        """
+        return self._probe
+
+    @probe.setter
+    def probe(self, probe) -> None:
+        self._book()  # the open run belongs to the previous observer
+        self._probe = probe
+        if hasattr(probe, "upstream"):
+            probe.upstream = self._book
+
+    @property
+    def offered(self) -> int:
+        """Arrivals seen; exact on every read, mid-run included."""
+        return self._offered + len(self._refused)
+
+    @property
+    def dropped(self) -> int:
+        """Arrivals the bounded queue refused; exact on every read."""
+        return self._dropped + len(self._refused)
+
+    @property
+    def queue_depth(self) -> Histogram:
+        """Queue length each arrival found ahead of it (drops included)."""
+        self._book()
+        return self._queue_depth
 
     def offer(self, now: float, op: Any) -> float | None:
         """One arrival at time ``now``; returns its completion time, or
         ``None`` if the bounded queue rejected it."""
-        inflight = self._inflight
-        while inflight and inflight[0] <= now:
-            inflight.popleft()
-            self.completed += 1
-        self.offered += 1
-        q = len(inflight)
-        self.queue_depth.observe(float(q))
-        if q >= self.depth:
-            self.dropped += 1
-            if self.probe is not None:
-                self.probe(now, op, q, None, 0.0)
-            return None
-        service = self._execute(op)
-        if service < 0.0:
-            raise ConfigError(f"negative service time at station {self.name}: {service}")
-        start = now if now > self.free_at else self.free_at
-        done = start + service
-        self.free_at = done
-        self.busy_s += service
-        inflight.append(done)
-        self.latency.observe(done - now)
-        self.started += 1
-        if self.probe is not None:
-            self.probe(now, op, q, done, service)
-        return done
+        if now >= self._closed_until:
+            if self._refused:
+                self._book()
+            inflight = self._inflight
+            while inflight and inflight[0] <= now:
+                inflight.popleft()
+                self.completed += 1
+            q = len(inflight)
+            if q < self.depth:
+                self._closed_until = -math.inf
+                self._offered += 1
+                self._queue_depth.observe(float(q))
+                service = self._execute(op)
+                if service < 0.0:
+                    raise ConfigError(
+                        f"negative service time at station {self.name}: {service}"
+                    )
+                start = now if now > self.free_at else self.free_at
+                done = start + service
+                self.free_at = done
+                self.busy_s += service
+                inflight.append(done)
+                self.latency.observe(done - now)
+                self.started += 1
+                if self._probe is not None:
+                    self._probe(now, op, q, done, service)
+                return done
+            self._closed_until = inflight[0]
+        refused = self._refused
+        refused.append((now, op))
+        if len(refused) >= REFUSED_CHUNK:
+            self._book()
+        return None
+
+    def _book(self) -> None:
+        """Book the logged refused run: every arrival in it found ``depth``
+        operations ahead of it and was dropped."""
+        run = self._refused
+        if not run:
+            return
+        self._refused = []  # the probe may read this station while it takes the run
+        self._offered += len(run)
+        self._dropped += len(run)
+        self._queue_depth.observe_repeated(float(self.depth), len(run))
+        probe = self._probe
+        if probe is not None:
+            refused = getattr(probe, "refused", None)
+            if refused is not None:
+                refused(*zip(*run), self.depth)
+            else:
+                for now, op in run:
+                    probe(now, op, self.depth, None, 0.0)
 
     def drain(self) -> float:
         """Retire everything still in flight; returns the last completion
         time (or 0.0 if the station never started an operation)."""
+        self._book()
+        self._closed_until = -math.inf
         last = self._inflight[-1] if self._inflight else 0.0
         self.completed += len(self._inflight)
         self._inflight.clear()

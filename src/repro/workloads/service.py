@@ -37,9 +37,10 @@ a chunk at a time.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import count, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from repro.meta.mds import MetadataServer
 from repro.obs.histogram import fold_left
 from repro.obs.timeseries import TimeSeries, TimeSeriesSnapshot
 from repro.rng import derive_rng
+from repro.sim.events import arrival_times
 from repro.units import KiB
 
 __all__ = [
@@ -100,7 +102,7 @@ ROW_METHOD, ROW_TARGET = 3, 4
 _WRITE, _READ, _META = range(3)
 
 #: Rows a :class:`ServiceTelemetry` probe logs before they are reduced into
-#: window frames; bounds each row log at ``6 * 8 * TELEMETRY_CHUNK`` bytes.
+#: window frames (a probe may overshoot by one refused run of a station).
 TELEMETRY_CHUNK = 4096
 
 
@@ -243,71 +245,64 @@ class ServiceWorkload:
                 self._pool.append((dirh, name))
 
     # -- lazy event sources -------------------------------------------------
-    def events(self, kind: str) -> Iterator[tuple[list[float], list[tuple]]]:
+    def events(self, kind: str) -> Iterator[tuple[np.ndarray, list[tuple]]]:
         """Infinite superposed-Poisson arrival stream for one op kind, as
         blocks for :meth:`~repro.sim.events.EventLoop.add_blocks`.
 
-        Yields ``(gaps, rows)``: exponential inter-arrival gaps at the
-        kind's aggregate rate and one row per arrival (see ``ROW_*``), each
-        attributed to a uniform stream.
+        Yields ``(gaps, rows)``: an ndarray of exponential inter-arrival
+        gaps at the kind's aggregate rate and one row per arrival (see
+        ``ROW_*``), each attributed to a uniform stream.
 
-        Arrivals are drawn :data:`ARRIVAL_BLOCK` at a time in one tight
-        loop and the rows assembled by a C-level ``zip``.  The draws are
-        the per-event scalar ones in the per-event order — ``exponential``,
-        ``integers``, then the kind's own draw — so the stream of arrivals
-        is the same at any block size, and a block ends at the first
-        arrival past ``spec.duration_s`` (sources start at t = 0): a run
-        of the arrival window makes exactly the draws a per-event
-        generator would, the one pending past the window included.  Memory
-        is O(block): nothing per arrival outlives its block beyond the
-        region cursors and the per-stream op counter.
+        Each column has its own sub-stream (docs/SERVICE.md): gaps, stream
+        attributions and the kind's detail (a read's slot, a metadata op's
+        stat/utime coin; a write's offset walks its region cursor) draw
+        from ``derive_rng(seed, "service", kind, "gaps" | "streams" |
+        "detail")``.  No column interleaves with another, so a block is
+        three vector draws equal to the per-arrival scalar draws, and the
+        stream of arrivals is the same at any :data:`ARRIVAL_BLOCK`.  Blocks
+        are always whole: rows past ``spec.duration_s`` are drawn and never
+        dispatched, and ``ops_per_stream`` counts the arrivals up to and
+        including the first one past the window (the one the loop holds
+        pending).  Memory is O(block).
         """
         lam = self.spec.kind_rate(kind)
         if lam <= 0.0:
             return
-        rng = derive_rng(self.spec.seed, "service", kind)
-        exponential, integers = rng.exponential, rng.integers
+        gap_rng, stream_rng, detail_rng = (
+            derive_rng(self.spec.seed, "service", kind, column)
+            for column in ("gaps", "streams", "detail")
+        )
         scale = 1.0 / lam
-        nstreams = self.spec.streams
-        horizon = self.spec.duration_s
-        nbytes = self.spec.request_bytes
+        horizon, nbytes = self.spec.duration_s, self.spec.request_bytes
         regions, region_bytes = self.regions, self.region_bytes
         cursors, pool = self._cursors, self._pool
-
-        def write_offset(s: int) -> int:
-            region = s % regions
-            slot = cursors[region]
-            cursors[region] = (slot + 1) % REGION_SLOTS
-            return region * region_bytes + slot * nbytes
-
-        def read_offset(s: int) -> int:
-            return s % regions * region_bytes + int(integers(REGION_SLOTS)) * nbytes
-
-        def meta_method(s: int) -> str:
-            return "stat" if rng.random() < 0.5 else "utime"
-
-        detail = {"write": write_offset, "read": read_offset, "meta": meta_method}[kind]
         code = self.KINDS.index(kind)
-        t = 0.0
+        t = 0.0  # the previous block's last arrival (sources start at 0)
         while True:
-            gaps: list[float] = []
-            streams: list[int] = []
-            details: list = []
-            for _ in range(ARRIVAL_BLOCK):
-                dt = exponential(scale)
-                s = int(integers(nstreams))
-                gaps.append(dt)
-                streams.append(s)
-                details.append(detail(s))
-                t += dt
-                if t > horizon:
-                    break
-            np.add.at(self.ops_per_stream, streams, 1)
+            gaps = gap_rng.exponential(scale, ARRIVAL_BLOCK)
+            streams = stream_rng.integers(self.spec.streams, size=ARRIVAL_BLOCK)
+            if t <= horizon:
+                times = arrival_times(t, gaps)  # the loop's own sum
+                counted = int(times.searchsorted(horizon, "right")) + 1
+                np.add.at(self.ops_per_stream, streams[:counted], 1)
+                t = float(times[-1])
+            ids = streams.tolist()
             if code == _META:
-                targets = [pool[s % len(pool)] for s in streams]
-                rows = zip(repeat(code), streams, repeat(0), details, targets)
+                coins = detail_rng.random(ARRIVAL_BLOCK) < 0.5
+                methods = np.where(coins, "stat", "utime").tolist()
+                targets = [pool[s % len(pool)] for s in ids]
+                rows = zip(repeat(code), ids, repeat(0), methods, targets)
             else:
-                rows = zip(repeat(code), streams, repeat(nbytes), details)
+                if code == _READ:
+                    slots = detail_rng.integers(REGION_SLOTS, size=ARRIVAL_BLOCK)
+                    offsets = (streams % regions * region_bytes + slots * nbytes).tolist()
+                else:
+                    offsets = []
+                    for region in (streams % regions).tolist():
+                        slot = cursors[region]
+                        cursors[region] = (slot + 1) % REGION_SLOTS
+                        offsets.append(region * region_bytes + slot * nbytes)
+                rows = zip(repeat(code), ids, repeat(nbytes), offsets)
             yield gaps, list(rows)
 
     # -- station executors (row → service time, simulated seconds) ---------
@@ -340,11 +335,6 @@ class ServiceWorkload:
         return int(np.count_nonzero(self.ops_per_stream))
 
 
-#: Doubles per logged station arrival: ``now, kind, queued, done, service,
-#: nbytes`` — ``done`` is nan for a drop.
-_ROW = 6
-
-
 class ServiceTelemetry:
     """Bridge :class:`~repro.sim.events.Station` probes into a time series.
 
@@ -355,11 +345,13 @@ class ServiceTelemetry:
     their per-arrival cost is a single ``None`` check.
 
     **Record, then reduce.**  A station probe does no statistics: it
-    appends one flat row per arrival to an ``array('d')`` log.  Every
-    :data:`TELEMETRY_CHUNK` rows — and at :meth:`finish` /
-    :meth:`snapshot` — the log is reduced into the window frames with
-    numpy, one contiguous run of rows per window (arrival times and each
-    station's completion times are non-decreasing).  The reduction is
+    logs each arrival by column, and a full station's refused run — handed
+    over whole, ``probe.refused(times, ops, queued)`` — with three
+    ``extend`` calls.  Every :data:`TELEMETRY_CHUNK` rows — and at
+    :meth:`finish` / :meth:`snapshot`, after asking the station for its
+    open run — the log is reduced into the window frames with numpy, one
+    contiguous run of rows per window (arrival times and each station's
+    completion times are non-decreasing).  The reduction is
     exact: counters are integer counts, histograms take each run through
     :meth:`~repro.obs.histogram.Histogram.observe_array`, and float sums
     are folded left to right from the running value, so every frame is
@@ -475,9 +467,9 @@ class ServiceTelemetry:
     def station_probe(self, name: str):
         """The ``Station.probe`` callback for station ``name``.
 
-        The callback appends one row per arrival; its ``reduce`` (run
-        every :data:`TELEMETRY_CHUNK` rows, and by :meth:`finish` and
-        :meth:`snapshot`) does the statistics.
+        The callback logs one row per arrival (``probe.refused`` a whole
+        refused run); its ``reduce`` (run every :data:`TELEMETRY_CHUNK`
+        rows, and by :meth:`finish` and :meth:`snapshot`) does the statistics.
         """
         series = self.series
         kinds = ServiceWorkload.KINDS
@@ -491,8 +483,12 @@ class ServiceTelemetry:
         kind_arrivals = [f"{name}.{k}.arrivals" for k in kinds]
         kind_drops = [f"{name}.{k}.drops" for k in kinds]
         kind_latency = [f"{name}.{k}.latency_s" for k in kinds]
-        rows = array("d")
-        limit = TELEMETRY_CHUNK * _ROW
+        # The log, by column: arrival times, kind codes, and four doubles per
+        # arrival — ``queued, done, service, nbytes`` (a drop's ``done``: nan).
+        nows: list[float] = []
+        kind_codes = bytearray()
+        fates = array("d")
+        limit = TELEMETRY_CHUNK
         nan = float("nan")
 
         def probe(
@@ -502,11 +498,17 @@ class ServiceTelemetry:
             done: float | None,
             service: float,
         ) -> None:
-            rows.extend((
-                now, row[ROW_KIND], queued, nan if done is None else done,
-                service, row[ROW_NBYTES],
-            ))
-            if len(rows) >= limit:
+            nows.append(now)
+            kind_codes.append(row[ROW_KIND])
+            fates.extend((queued, nan if done is None else done, service, row[ROW_NBYTES]))
+            if len(nows) >= limit:
+                reduce()
+
+        def refused(times: Sequence[float], rows: Sequence[tuple], queued: int) -> None:
+            nows.extend(times)
+            kind_codes.extend(map(itemgetter(ROW_KIND), rows))
+            fates.extend(array("d", (queued, nan, 0.0, 0.0)) * len(rows))
+            if len(nows) >= limit:
                 reduce()
 
         def bump(counters: dict[str, int], names: list[str], codes: np.ndarray) -> None:
@@ -515,11 +517,14 @@ class ServiceTelemetry:
                     counters[names[code]] = counters.get(names[code], 0) + n
 
         def reduce() -> None:
-            if not rows:
+            if probe.upstream is not None:
+                probe.upstream()  # the station's open refused run, if any
+            if not nows:
                 return
-            now, kind, queued, done, service, moved = np.array(rows).reshape(-1, _ROW).T
-            del rows[:]
-            kind = kind.astype(np.intp)
+            now = np.array(nows)
+            kind = np.array(kind_codes, dtype=np.intp)
+            queued, done, service, moved = np.array(fates).reshape(-1, 4).T
+            del nows[:], kind_codes[:], fates[:]
             started = ~np.isnan(done)
             sojourn = done - now
             # Arrival side: counters and both histograms land in the window
@@ -557,6 +562,7 @@ class ServiceTelemetry:
                 if data_bytes.shape[0]:
                     sums[nbytes] = fold_left(sums.get(nbytes, 0.0), data_bytes)
 
+        probe.refused, probe.upstream = refused, None
         self._reducers.append(reduce)
         return probe
 

@@ -1,18 +1,20 @@
 """Digests that pin an open-loop service run, independent of *how* its
 statistics were gathered.
 
-``tests/test_service_identity.py`` compares these against values recorded
-at commit 916ab44 — the last commit whose telemetry did its statistics
-once per arrival — so the record → reduce path (docs/TELEMETRY.md) is held
-to the per-arrival path's output bit for bit: the rendered service
-document, every telemetry frame (counters, float sums, histogram buckets,
-extrema and float totals) and, where a tracer is attached, the exported
-trace.  Dict keys are sorted before hashing, so the digests do not depend
-on the order in which events first touched a window.
+``tests/test_service_identity.py`` compares these against recorded values
+(provenance there: the per-arrival scalar draw loop on the column
+sub-streams, ISSUE 23 step A), so the block-drawn, record → reduce path
+(docs/SERVICE.md, docs/TELEMETRY.md) is held to the per-arrival path's
+output bit for bit: the rendered service document, every telemetry frame
+(counters, float sums, histogram buckets, extrema and float totals) and,
+where a tracer is attached, the exported trace.  Dict keys are sorted
+before hashing, so the digests do not depend on the order in which events
+first touched a window.
 
-Run ``PYTHONPATH=src python -m tests.service_golden`` to print the table
+Run ``PYTHONPATH=src python -m tests.service_golden`` to print the tables
 (that is how the recorded values were produced, with ``src`` pointing at
-the parent checkout).
+the checkout being recorded) and ``... --check`` to compare them with the
+recorded ones instead: a per-id diff and exit status 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -145,21 +147,28 @@ def active_streams(streams: int, seed: int) -> int:
     return result.payload.cells[0].active_streams
 
 
+def tables() -> dict[str, dict]:
+    """Every golden table of ``tests/test_service_identity.py``, computed now."""
+    return {
+        "SERVICE": {
+            (streams, seed, variant): service_digest(streams, seed, variant)
+            for streams in STREAMS for seed in SEEDS for variant in VARIANTS
+        },
+        "ACTIVE_STREAMS": {
+            (streams, seed): active_streams(streams, seed)
+            for streams in STREAMS for seed in SEEDS
+        },
+        "DRAWS": {
+            (kind, seed): draw_digest(kind, seed)
+            for seed in SEEDS for kind in ServiceWorkload.KINDS
+        },
+    }
+
+
 if __name__ == "__main__":
-    print("SERVICE = {")
-    for streams in STREAMS:
-        for seed in SEEDS:
-            for variant in VARIANTS:
-                print(f"    ({streams}, {seed}, {variant!r}):")
-                print(f"        {service_digest(streams, seed, variant)!r},")
-    print("}")
-    print("ACTIVE_STREAMS = {")
-    for streams in STREAMS:
-        for seed in SEEDS:
-            print(f"    ({streams}, {seed}): {active_streams(streams, seed)},")
-    print("}")
-    print("DRAWS = {")
-    for seed in SEEDS:
-        for kind in ServiceWorkload.KINDS:
-            print(f"    ({kind!r}, {seed}): {draw_digest(kind, seed)!r},")
-    print("}")
+    import sys
+
+    from tests import test_service_identity
+    from tests.golden import main
+
+    sys.exit(main(tables(), test_service_identity, sys.argv[1:]))

@@ -11,9 +11,10 @@ reduced path is held to, bit for bit — float ``sums`` and histogram
 Below them, the bodies ``src/`` ran at commit 633503b, before the open-loop
 path switched to schedule → execute (docs/SERVICE.md): the heap-scheduled
 ``EventLoop`` with its per-arrival probe, and ``ServiceWorkload.events``
-yielding one ``(dt, op)`` dataclass per arrival.  The chunk-merged loop and
-the block-of-rows sources are held to these — dispatch order, times, where
-each source stopped drawing, rows and RNG state.
+yielding one ``(dt, op)`` dataclass per arrival (re-keyed at ISSUE 23 to the
+column sub-streams ``src/`` draws from now).  The chunk-merged loop and the
+block-of-rows sources are held to these — dispatch order, times, rows,
+per-stream counts and RNG state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import repro.workloads.service as service_mod
 from repro.errors import ConfigError
 from repro.obs.histogram import Histogram
 from repro.obs.timeseries import TimeSeries
@@ -153,7 +153,10 @@ class ReferenceCacheTelemetry(ReferenceTelemetry):
 
 
 class ReferenceStation:
-    """``Station`` with the two per-arrival ``observe`` calls."""
+    """``Station`` with the two per-arrival ``observe`` calls, examining
+    every arrival — reap, count, observe, then drop or start: what the
+    station that refuses a full queue's arrivals by comparison and books
+    them in bulk (ISSUE 23) is held to."""
 
     def __init__(self, name: str, execute, depth: int) -> None:
         self.name = name
@@ -300,11 +303,16 @@ class ServiceMeta(MetaOp):
 
 
 class ReferenceEvents:
-    """``ServiceWorkload.events`` and its three op builders, over the state
-    of a real (set-up) workload.  ``rng`` keeps the last source's generator
-    so a test can compare its state.  The one edit to the vendored bodies:
-    ``ARRIVAL_BLOCK`` is read from the live module so a test can patch it
-    for both sides at once."""
+    """``ServiceWorkload.events`` one arrival at a time, and its three op
+    builders, over the state of a real (set-up) workload: the oracle of the
+    column-stream draw contract (docs/SERVICE.md).  Per arrival it makes one
+    *scalar* draw from each of the kind's sub-streams — ``exponential`` on
+    ``gaps``, ``integers`` on ``streams``, the kind's own on ``detail`` — and
+    it counts an arrival into ``ops_per_stream`` while the previous one was
+    inside the window.  ``rngs`` keeps the last source's three generators
+    so a test can compare their states.  (Until ISSUE 23 a kind drew all
+    three from one generator, a block at a time, and blocks ended at the
+    first arrival past the window.)"""
 
     def __init__(self, wl: ServiceWorkload) -> None:
         self.spec = wl.spec
@@ -314,34 +322,27 @@ class ReferenceEvents:
         self._cursors = [0] * wl.regions
         self.ops_per_stream = np.zeros(wl.spec.streams, dtype=np.int64)
         self._pool = wl._pool
-        self.rng = None
+        self.rngs = ()
 
     def events(self, kind: str):
         lam = self.spec.kind_rate(kind)
         if lam <= 0.0:
             return
-        rng = self.rng = derive_rng(self.spec.seed, "service", kind)
-        exponential, integers = rng.exponential, rng.integers
+        gap_rng, stream_rng, rng = self.rngs = tuple(
+            derive_rng(self.spec.seed, "service", kind, column)
+            for column in ("gaps", "streams", "detail")
+        )
         scale = 1.0 / lam
         build = {"write": self._write_op, "read": self._read_op, "meta": self._meta_op}[kind]
-        nstreams = self.spec.streams
-        horizon = self.spec.duration_s
         t = 0.0
         while True:
-            gaps: list[float] = []
-            streams: list[int] = []
-            ops: list = []
-            for _ in range(service_mod.ARRIVAL_BLOCK):
-                dt = exponential(scale)
-                s = int(integers(nstreams))
-                gaps.append(dt)
-                streams.append(s)
-                ops.append(build(s, rng))
-                t += dt
-                if t > horizon:
-                    break
-            np.add.at(self.ops_per_stream, streams, 1)
-            yield from zip(gaps, ops)
+            dt = gap_rng.exponential(scale)
+            s = int(stream_rng.integers(self.spec.streams))
+            op = build(s, rng)
+            if t <= self.spec.duration_s:
+                self.ops_per_stream[s] += 1
+            t += dt
+            yield dt, op
 
     def _write_op(self, s: int, rng):
         region = s % self.regions

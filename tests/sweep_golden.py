@@ -6,11 +6,13 @@ commit 810d797 — the last commit at which every cell of a traced sweep
 borrowed the run's one tracer (and a traced sweep therefore always took the
 serial in-process driver) — so the per-cell rings merged in submission order
 (``repro.core.sweep``) are held to the shared ring's event stream, row for
-row, with the same lifetime and eviction counts.
+row, with the same lifetime and eviction counts.  (``service-sampled`` was
+re-recorded at ISSUE 23 step A, when the arrival draws were re-keyed.)
 
 Run ``PYTHONPATH=src python -m tests.sweep_golden`` to print the table (that
-is how the recorded values were produced, with ``src`` pointing at the parent
-checkout).
+is how the recorded values were produced, with ``src`` pointing at the
+checkout being recorded) and ``... --check`` to compare it with the recorded
+one instead: a per-id diff and exit status 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -55,10 +57,20 @@ def trace_digest(tracer) -> tuple[str, int, int]:
     return digest, tracer.emitted, tracer.dropped
 
 
+def tables() -> dict[str, dict]:
+    """The golden table of ``tests/test_sweep_trace.py``, computed now."""
+    return {
+        "GOLDEN": {
+            (case, capacity): trace_digest(traced_run(case, capacity, jobs=1).trace)
+            for case in CASES for capacity in (ROOMY, TIGHT)
+        },
+    }
+
+
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for case in CASES:
-        for capacity in (ROOMY, TIGHT):
-            digest = trace_digest(traced_run(case, capacity, jobs=1).trace)
-            print(f"    ({case!r}, {capacity}): {digest!r},")
-    print("}")
+    import sys
+
+    from tests import test_sweep_trace
+    from tests.golden import main
+
+    sys.exit(main(tables(), test_sweep_trace, sys.argv[1:]))

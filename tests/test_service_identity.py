@@ -1,13 +1,23 @@
-"""The service run is the parent's, bit for bit.
+"""The service run is the recorded one, bit for bit.
 
-Golden digests recorded at commit 916ab44 — *before* the service path
-switched to record -> reduce and block-drawn arrivals — with
-``python -m tests.service_golden`` (PYTHONHASHSEED 0 and 1 agree).  What a
-digest covers is defined there: the rendered service document, every
-telemetry frame key-sorted (float sums and histogram totals by ``repr``),
-and the exported trace where a tracer is attached.  ``cache.*`` series of
-the windows the parent mis-billed are excluded and pinned by
+Golden digests produced by ``python -m tests.service_golden`` (PYTHONHASHSEED
+0 and 1 agree; ``--check`` compares a checkout with them).  What a digest
+covers is defined there: the rendered service document, every telemetry
+frame key-sorted (float sums and histogram totals by ``repr``), and the
+exported trace where a tracer is attached.  ``cache.*`` series of the
+windows commit 916ab44 mis-billed are excluded and pinned by
 ``test_service_reduce.py::test_cache_deltas_are_billed_to_their_own_window``.
+
+**Provenance.**  Recorded at ISSUE 23 *step A*: the per-arrival scalar draw
+loop of commit 4248606 with one change — each kind draws its gaps, stream
+attributions and detail from three sub-streams, ``derive_rng(seed,
+"service", kind, "gaps" | "streams" | "detail")``, not from one interleaved
+generator.  That re-key changes which pseudo-random numbers realise the
+(unchanged) Poisson process, once; the vectorised block draws and the
+station's refuse-by-comparison path (step B, what ``src/`` runs) reproduce
+all of these values unmodified.  Before that the table dated from commit
+916ab44 (per-arrival statistics; ``scrub`` rows from ISSUE 21).  How to
+re-record: docs/SERVICE.md.
 """
 
 from __future__ import annotations
@@ -28,55 +38,61 @@ from . import service_golden
 #: (streams, seed, variant) -> sha256; see tests/service_golden.py.
 SERVICE = {
     (2000, 0, 'telemetry+slo'):
-        '13524265ccdd27f6c0cb29a3d845aa08a7213b8f0a4783db7fd3a09654413a59',
+        'b20b6fcec71a6312840fecf455c8e518e8dbc97d9c315196c1a4daf360ff8dff',
     (2000, 0, 'scrub'):
-        '86389fff024aeb577023aee39b18ff969db34d9d7f54ca41a307e23f13f8f843',
+        '58133530c43e0db98c566f8f56a9d37c869955743c72b24d9bdf484d7a8a97fb',
     (2000, 0, 'sample'):
-        '1c32ca56f8cd189b09c892e62749bccea2d44ae8485c8c1b5b1414f9618a76ad',
+        'f13191ac66579fe4849284fd3a7b50fb6f8b8444b06905c35a602da66d48776d',
     (2000, 0, 'tracer'):
-        'f3292f93aecb93e1bf1f6a4dd491a6b0829e57b9c93ec7f619eae15e431dba25',
+        '004601412a1b8af44b96b5238804e4901759512e89a74ff1abc95c3a344da110',
     (2000, 1, 'telemetry+slo'):
-        'cc4f183951062622ee92e6648de35f0657d80cbd3edb6cf1b1fe0430a56e83db',
+        '60fd81f76fdaf5964180819900c6028a7ad2434bbf73c3e272452f488b667871',
     (2000, 1, 'scrub'):
-        '0664149403dadf637563191391336bce4c1fdac5b2c8dd0a656f3f55039fc82e',
+        'db1572cf0d4b199adcb10785bf933e84564a7df7982498b74e21ac755d9ff26c',
     (2000, 1, 'sample'):
-        'e90d92421b495b27c3ef4fc9df31cbb263d49a2b20ef75e4c418b6ec6d8599b6',
+        'e74be4fa34b19c037bf2e0faa7f4ebc39b900a6b10a64a3a63ba0bf8367a183c',
     (2000, 1, 'tracer'):
-        'b7990b50f78df2dfc48f7ea142489aece8ec6cee268d77b0c3e8146671e7f020',
+        '642d7c8fd9c107327fc814df09aebf86825725fff7586461c43cf369b928b81f',
     (50000, 0, 'telemetry+slo'):
-        '8f56bba62b22d0668ff77a653f3c60172d65475044f4672564ba7eed4a1a2821',
+        '6239c437e9fdc4a7b48fc379282a63914370221b755b706023a45bb40cc5bdb4',
     (50000, 0, 'scrub'):
-        'f85038ce15f2c3aa80c1948a93b1fb61f035c0aa83bb9fd116222ec2969b9fd0',
+        '884dcc78eb891c77da1492824d310b50083fcec629c1961c633612c37e818819',
     (50000, 0, 'sample'):
-        '43ebb761801100057d70d6b6b2fb73a367ad02df34ffbd69181ed5bd56d88f8f',
+        '26787f4238da16b0aed297502c5a15da74f3f2b86645601e605d9bf621d70487',
     (50000, 0, 'tracer'):
-        '3d58973baa0851bc6f24aa43e103271f20b87d2fa33be032576fb27ab6abf54f',
+        'dc6e5c4e77a3d66de1304fc9ae5d70544a323c027d1e98e750986f6302068477',
     (50000, 1, 'telemetry+slo'):
-        '90e433ba9876f0b116cdfa4693995b00fef544bdeb88015ff38828de97d6db21',
+        '06f008929aebfc1efd2ff6b3878e0b45e326fe30c3b19d27aeb424a57812ec0a',
     (50000, 1, 'scrub'):
-        'd293ddb368115853ea619a12efaadcc03e1446b17fa3f0fc83e6d161980228c2',
+        '747a8b9af13293cacde0d9f20b7e88d3a6cc566049262b31f534035ebb92fb05',
     (50000, 1, 'sample'):
-        'e317cd62cd60629c4c479ba125b62ed8303d0de63e93e157d251610dd9ceffb9',
+        '3574958244dc506cca10c180fd77d5f4c4089c4e90d0d44232ce20c47b607716',
     (50000, 1, 'tracer'):
-        '537f58811a1108995991953bf78c2843ff79e6ec309aa99fd9a0c13c0df4e14f',
+        'd07d20ae319455ad398aa2d3c792829e68f22fac967d50e2cd8016473579c1f3',
 }
 
 #: (streams, seed) -> ``ServiceCell.active_streams`` of a plain run.
 ACTIVE_STREAMS = {
-    (2000, 0): 1309,
-    (2000, 1): 1248,
-    (50000, 0): 31507,
-    (50000, 1): 31688,
+    (2000, 0): 1273,
+    (2000, 1): 1289,
+    (50000, 0): 31632,
+    (50000, 1): 31595,
 }
 
 #: (kind, seed) -> sha256 of the first 1 000 (dt, stream, offset | method).
 DRAWS = {
-    ('write', 0): '2ec3a44475a0ee7db431439d285be311016f7ebb118cddd8f446ae5b1bdbe238',
-    ('read', 0): '8571599a7b9dc9d41c9413fa496b2d672c4831b4144b0e2e6b1fe67e55ff452d',
-    ('meta', 0): 'a155b2178da9de869575f76e5fb2299238e3213db6c072587cc1a67aeef23a91',
-    ('write', 1): 'eac531cf335c8e676c0f502e604a5041433ab8891ddaa67fd3548021ec48050d',
-    ('read', 1): 'ab85c7b23fa9ebde8ef82bab210ffd2edc1eb493922081e91db2428b638897cb',
-    ('meta', 1): 'ab4179d05d4bf0d2a189e3abfe20953bc6b5cb065743c6bb2841f18a6288bf4c',
+    ('write', 0):
+        '121803e0d282e8d6216477eb9304261848249dc1282effb6c4a85c4b27e82919',
+    ('read', 0):
+        'fb2643529bd45c4c8a97a05e0615a1d880724bfafb525fb09eac56757e732598',
+    ('meta', 0):
+        'd700d51c62a43165a3346b10f094af8598d980695c540344c5cf097a86367a95',
+    ('write', 1):
+        '269e52e7f17fcb5eeb7a5e4605cc120c0e9e66fe9e13c73a95c33b1f7a4b7ae6',
+    ('read', 1):
+        'c9f0fd3833c24c3df060396920cd7408f6ee1e23c5f8770850db469b14cf4869',
+    ('meta', 1):
+        'a85c01fbf3642ce5d8a2539b05f09d1ea7d8914f434cc5c90d812d7a8235248b',
 }
 
 
@@ -99,29 +115,71 @@ def test_first_thousand_draws_match_parent(kind, seed):
 
 @pytest.mark.parametrize("block", [1, 3, 1024])
 def test_event_stream_does_not_depend_on_block_size(monkeypatch, block):
-    """The block is only how far a source draws ahead: same scalar draws
-    in the same order, so the same events — before and past the arrival
-    window, where blocks shrink to one event."""
+    """The block is only how far a source draws ahead: no column's draws
+    interleave with another's, so the same events come out at any size —
+    before the arrival window closes and past it, where blocks stay whole."""
     want = {k: service_golden.draws(k, 1, n=300) for k in ServiceWorkload.KINDS}
-    monkeypatch.setattr(service_mod, "ARRIVAL_BLOCK", block)
-    for kind in ServiceWorkload.KINDS:
-        assert service_golden.draws(kind, 1, n=300) == want[kind]
-    # A short window: the stream keeps going past duration_s unchanged.
+    # A short window, left behind by more than three blocks of any size.
     spec = ServiceSpec(streams=64, rate=2.0, duration_s=0.25, seed=3)
+    past = 3 * 1024 + 80
 
-    def prefix():
+    def prefix(kind):
         cfg = redbud_mif_profile()
         wl = ServiceWorkload(spec, DataPlane(cfg), MetadataServer(cfg))
         wl.setup()
         return [
             (dt, row[ROW_STREAM], row[ROW_OFFSET])
-            for dt, row in service_golden.arrivals(wl, "read", 80)
-        ]
+            for dt, row in service_golden.arrivals(wl, kind, past)
+        ], wl.active_streams
 
-    past_window = prefix()
-    assert sum(dt for dt, _, _ in past_window) > 4 * spec.duration_s
-    monkeypatch.setattr(service_mod, "ARRIVAL_BLOCK", 1024)
-    assert prefix() == past_window
+    past_window = {k: prefix(k) for k in ServiceWorkload.KINDS}
+    monkeypatch.setattr(service_mod, "ARRIVAL_BLOCK", block)
+    for kind in ServiceWorkload.KINDS:
+        assert service_golden.draws(kind, 1, n=300) == want[kind]
+        assert prefix(kind) == past_window[kind]
+        gaps = [dt for dt, _, _ in past_window[kind][0]]
+        assert sum(gaps[:80]) > 4 * spec.duration_s  # all but a few are past it
+
+
+@pytest.mark.parametrize("kind", ServiceWorkload.KINDS)
+def test_draws_realise_the_declared_process(kind):
+    """The goldens pin *which* numbers are drawn; this pins what they are
+    numbers *of*, so a re-key cannot silently change the process: gaps
+    exponential at the kind's aggregate rate, streams uniform, a read's slot
+    uniform, stat/utime a fair coin.  Fixed seed, 50 000 draws, 4 sigma."""
+    n, sigmas = 50_000, 4.0
+    spec = ServiceSpec(streams=50_000, rate=0.5, duration_s=2.0, seed=11)
+    cfg = redbud_mif_profile()
+    wl = ServiceWorkload(spec, DataPlane(cfg), MetadataServer(cfg))
+    wl.setup()
+    drawn = service_golden.arrivals(wl, kind, n)
+    gaps = np.array([dt for dt, _ in drawn])
+    rows = [row for _, row in drawn]
+    mean = 1.0 / spec.kind_rate(kind)
+    # An exponential's sd is its mean, so the sample mean's is mean / sqrt(n);
+    # its sample sd is within a few percent of the mean, its minimum near 0.
+    assert abs(gaps.mean() - mean) < sigmas * mean / np.sqrt(n)
+    assert abs(gaps.std() - mean) < 0.03 * mean and 0.0 <= gaps.min() < 0.01 * mean
+
+    def chi2(values, bins):
+        observed = np.bincount(values, minlength=bins)
+        assert observed.shape[0] == bins
+        return float(((observed - n / bins) ** 2 / (n / bins)).sum())
+
+    def plausible(stat, dof):
+        # chi-square(dof) has mean dof and variance 2 dof.
+        return abs(stat - dof) < sigmas * np.sqrt(2 * dof)
+
+    streams = np.array([row[ROW_STREAM] for row in rows])
+    assert 0 <= streams.min() and streams.max() < spec.streams
+    assert plausible(chi2(streams * 64 // spec.streams, 64), 63)
+    if kind == "read":
+        slots = np.array([row[ROW_OFFSET] for row in rows]) % wl.region_bytes // spec.request_bytes
+        assert plausible(chi2(slots, service_mod.REGION_SLOTS), service_mod.REGION_SLOTS - 1)
+    if kind == "meta":
+        stats = sum(row[service_golden.ROW_METHOD] == "stat" for row in rows)
+        assert {row[service_golden.ROW_METHOD] for row in rows} == {"stat", "utime"}
+        assert abs(stats - n / 2) < sigmas * np.sqrt(n) / 2
 
 
 @pytest.mark.parametrize("streams,seed", list(ACTIVE_STREAMS))
@@ -132,8 +190,9 @@ def test_active_streams_unchanged(streams, seed):
 def test_a_run_draws_one_pending_arrival_per_source_and_no_more():
     """The quirk ``active_streams`` has always had: each source's one
     pending, undispatched arrival is already attributed to its stream.
-    Block-drawn sources stop at the first arrival past the window, so the
-    count of draws is exactly dispatched + one per source."""
+    Block-drawn sources draw whole blocks but attribute nothing after the
+    first arrival past the window, so the count is exactly dispatched + one
+    per source."""
     spec = ServiceSpec(streams=10_000, rate=0.5, duration_s=2.0, seed=0)
     cfg = redbud_mif_profile()
     wl = ServiceWorkload(spec, DataPlane(cfg), MetadataServer(cfg))

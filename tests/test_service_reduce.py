@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs.histogram as histogram_mod
+import repro.sim.events as events_mod
 import repro.workloads.service as service_mod
 from repro.core.run import run
 from repro.errors import ConfigError
@@ -192,6 +193,97 @@ def test_reduced_frames_equal_per_arrival_frames(script, depth, window_s, chunk)
         # Snapshots are name-sorted whatever order the signals arrived in.
         for d in (frame.counters, frame.sums, frame.hists):
             assert list(d) == sorted(d)
+
+
+# ---------------------------------------------------------------------------
+# Station: refusing by comparison == examining every arrival
+# ---------------------------------------------------------------------------
+
+#: Where the next arrival lands: after a gap (0.0 = a tie), at the exact
+#: instant the oldest / the newest in-flight operation completes, or earlier
+#: than the previous one (no loop does that; the station need not care).
+station_step = st.tuples(
+    st.one_of(
+        st.tuples(st.just("gap"), st.sampled_from([0.0, 0.0, 0.01, 0.1]) | st.floats(0.0, 0.3)),
+        st.tuples(st.sampled_from(["oldest", "newest", "rewind"]), st.just(0.0)),
+    ),
+    st.one_of(st.just(0.0), st.sampled_from([0.05, 0.1, 0.25]), awkward.map(lambda v: v % 0.7)),
+    st.booleans(),  # read the station right after this arrival?
+)
+
+
+def _recorder(columns: bool):
+    """A probe that keeps every row it is shown — per arrival, or taking a
+    refused run by column and asking to be synced before it is read."""
+    rows = []
+
+    def probe(*row):
+        rows.append(row)
+
+    if columns:
+        def refused(times, ops, queued):
+            assert len(times) == len(ops) > 0
+            rows.extend((now, op, queued, None, 0.0) for now, op in zip(times, ops))
+
+        probe.refused, probe.upstream = refused, None
+    return probe, rows
+
+
+def _books(station):
+    return (
+        station.offered, station.started, station.dropped, station.completed,
+        station.busy_s, station.free_at,
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    script=st.lists(station_step, min_size=1, max_size=60),
+    depth=st.integers(min_value=1, max_value=8),
+    bound=st.sampled_from([1, 3, 1024]),
+    columns=st.booleans(),
+)
+def test_station_equals_the_per_arrival_station(script, depth, bound, columns):
+    old, events_mod.REFUSED_CHUNK = events_mod.REFUSED_CHUNK, bound
+    try:
+        _play_both_stations(script, depth, columns)
+    finally:
+        events_mod.REFUSED_CHUNK = old
+
+
+def _play_both_stations(script, depth, columns):
+    station = Station("data", lambda op: op[-1], depth)
+    ref = ReferenceStation("data", lambda op: op[-1], depth)
+    station.probe, got = _recorder(columns)
+    ref.probe, want = _recorder(False)
+    assert station.probe.upstream is not None if columns else True
+    now = 0.0
+    for i, ((mode, dt), service_s, peek) in enumerate(script):
+        if mode == "gap":
+            now += dt
+        elif mode == "rewind":
+            now *= 0.5
+        elif ref._inflight:
+            now = max(now, ref._inflight[0 if mode == "oldest" else -1])
+        op = (i % 3, i, 4096, service_s)
+        assert station.offer(now, op) == ref.offer(now, op)
+        if peek:
+            # Counters are exact between arrivals, inside a refused run too ...
+            assert _books(station) == _books(ref)
+            if i % 2:
+                # ... the histogram as well (reading it books the open run) ...
+                assert station.queue_depth.snapshot() == ref.queue_depth.snapshot()
+            if columns:
+                # ... and so is an observer that asks its station first.
+                station.probe.upstream()
+                assert got == want
+    assert _books(station) == _books(ref)
+    assert station.drain() == ref.drain()
+    assert _books(station) == _books(ref)
+    assert got == want  # rows, in order: refused runs before the next accepted arrival
+    assert station.latency.snapshot() == ref.latency.snapshot()
+    assert station.queue_depth.snapshot() == ref.queue_depth.snapshot()
+    assert station.queue_depth.total == ref.queue_depth.total
 
 
 def test_snapshot_mid_run_does_not_disturb_what_follows():
@@ -553,9 +645,10 @@ def _fresh_workload(spec):
 @pytest.mark.parametrize("block", [1, 3, 1024])
 @pytest.mark.parametrize("kind", ServiceWorkload.KINDS)
 def test_blocks_of_rows_equal_the_per_event_generator(monkeypatch, kind, block):
-    """Same gaps, same op fields, same RNG state, region cursors and
-    per-stream counts after every block — inside the arrival window and
-    past it, where blocks shrink to one arrival."""
+    """Same gaps, same op fields, same state of each of the three RNGs,
+    same region cursors and per-stream counts after every block — inside
+    the arrival window and for at least three blocks past it, where every
+    block is still whole and nothing more is counted."""
     monkeypatch.setattr(service_mod, "ARRIVAL_BLOCK", block)
     made = []
     derive = service_mod.derive_rng
@@ -566,11 +659,12 @@ def test_blocks_of_rows_equal_the_per_event_generator(monkeypatch, kind, block):
     ref = ReferenceEvents(wl)
     events = ref.events(kind)
     blocks = wl.events(kind)
-    t = 0.0
+    t, inside, past, counted = 0.0, 0, 0, []
     for _ in range(3 * 1024 // block + 40):
+        past += t > spec.duration_s  # a block drawn wholly past the window
         gaps, rows = next(blocks)
-        assert 1 <= len(gaps) == len(rows) <= block
-        for dt, row in zip(gaps, rows):
+        assert isinstance(gaps, np.ndarray) and len(gaps) == len(rows) == block
+        for dt, row in zip(gaps.tolist(), rows):
             want_dt, op = next(events)
             assert dt == want_dt and row[ROW_STREAM] == op.stream
             if kind == "meta":
@@ -580,11 +674,17 @@ def test_blocks_of_rows_equal_the_per_event_generator(monkeypatch, kind, block):
                 assert (row[ROW_NBYTES], row[ROW_OFFSET]) == (op.nbytes, op.offset)
                 assert isinstance(op, WriteOp if kind == "write" else ReadOp)
             t += dt
-        (rng,) = made
-        assert rng.bit_generator.state == ref.rng.bit_generator.state
+            inside += t <= spec.duration_s
+        assert len(made) == 3  # one sub-stream per column: gaps, streams, detail
+        for rng, want_rng in zip(made, ref.rngs):
+            assert rng.bit_generator.state == want_rng.bit_generator.state
         assert wl._cursors == ref._cursors
         assert (wl.ops_per_stream == ref.ops_per_stream).all()
-    assert t > 2 * spec.duration_s  # most blocks were drawn past the window
+        counted.append(int(wl.ops_per_stream.sum()))
+    assert past >= 3 and t > 2 * spec.duration_s
+    # Counted: the arrivals inside the window and the first one past it —
+    # the one the loop holds pending — and nothing in the blocks after.
+    assert counted[-1] == counted[-past - 1] == inside + 1
 
 
 class TestLoopErrors:
@@ -622,6 +722,32 @@ class TestLoopErrors:
         with pytest.raises(ConfigError, match="negative inter-arrival time from source 2"):
             loop.add_blocks(iter([([-0.5], ["bad"])]), lambda t, op: None)
         assert len(loop) == 0
+
+
+    @pytest.mark.parametrize("block,message", [
+        (([], []), "a block of 0 gaps and 0 rows from source 1"),
+        (([0.1, 0.2], ["c"]), "a block of 2 gaps and 1 rows from source 1"),
+        (([0.1], ["c", "d"]), "a block of 1 gaps and 2 rows from source 1"),
+        (([0.1, float("nan")], ["c", "d"]), "non-finite inter-arrival time from source 1: nan"),
+        (([float("inf")], ["c"]), "non-finite inter-arrival time from source 1: inf"),
+    ], ids=["empty", "more-gaps", "more-rows", "nan", "inf"])
+    def test_malformed_block_retires_its_source(self, block, message):
+        """A block is validated once, when drawn: the bad source leaves the
+        live set with a ConfigError naming it, whether the block is its
+        first (at registration) or a later one (mid-run), and the loop's
+        books stay where the dispatched prefix left them."""
+        seen = []
+        loop = EventLoop(SimClock())
+        loop.add_source(iter([(0.5, "other")]), lambda t, op: seen.append(op))
+        loop.add_blocks(
+            iter([([0.1, 0.1], ["a", "b"]), block]), lambda t, op: seen.append(op))
+        with pytest.raises(ConfigError, match=message):
+            loop.run(until=5.0)
+        assert seen == ["a", "b"] and loop.processed == 2 and len(loop) == 1
+        assert loop.run(until=5.0) == 1 and seen == ["a", "b", "other"] and len(loop) == 0
+        with pytest.raises(ConfigError, match=message.replace("source 1", "source 2")):
+            loop.add_blocks(iter([block]), lambda t, op: None)
+        assert len(loop) == 0 and loop.run(until=9.0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ in this process or a worker alike.  Pins:
 - ``jobs=1`` and ``jobs=2`` give the same events, lifetime/eviction counts,
   metrics, phases and payload, at a ring that never evicts and one that does;
 - the ``jobs=1`` event stream still matches digests recorded at 810d797, when
-  all cells shared the run's one ring (``tests/sweep_golden.py``);
+  all cells shared the run's one ring (``tests/sweep_golden.py``; the two
+  ``service-sampled`` rows re-recorded at ISSUE 23 step A, see ``GOLDEN``);
 - ``spawn`` / ``absorb`` semantics, what a ``CellResult`` may carry through
   pickle, and merge order under reversed completion order.
 """
@@ -34,7 +35,10 @@ from tests.sweep_golden import ROOMY, TIGHT, trace_digest, traced_run
 
 #: (case, capacity) -> (sha256 of the JSONL export, emitted, dropped) at
 #: ``jobs=1``, recorded at commit 810d797 by ``python -m tests.sweep_golden``
-#: (identical under PYTHONHASHSEED 0 and 1).
+#: (identical under PYTHONHASHSEED 0 and 1) — except ``service-sampled``,
+#: whose arrivals changed sample path once: recorded at ISSUE 23 step A (the
+#: scalar draw loop of 4248606 on one sub-stream per arrival column, see
+#: ``tests/test_service_identity.py``); the vectorised draws reproduce it.
 GOLDEN = {
     ('fig6a', 1048576): ('07f5e15b34cbb957819342605de350621f4827434fa69f2275993cd815409b0f', 1077, 0),
     ('fig6a', 997): ('fe9e6f418bb51b34856afd69772c8dcfdadfef4213d627808fe3e86744524f1f', 1077, 80),
@@ -42,8 +46,8 @@ GOLDEN = {
     ('fig8', 997): ('e030d1444702402ec53cafee279bc41b8cdc98893fe21d9a588a9d5a834ae8fe', 104521, 103524),
     ('fig_listio', 1048576): ('b3a7eb452048ccc30b7f1516cb9fe2e822f033dda3edad7e772d86a1a8edf063', 1256, 0),
     ('fig_listio', 997): ('9d164ab8617fd13dd37a89168784828ab702c6731c2fac4e9263a1e4ecd1b170', 1256, 259),
-    ('service-sampled', 1048576): ('ba990a3e5e898383e0ad3aa100b91d26ed59196e0beaad168013e7afbc6de50b', 1205, 0),
-    ('service-sampled', 997): ('b7859c0e89371540e2460f141e93a4997bed41ab937f28ab3783dd593b4ef7eb', 1205, 208),
+    ('service-sampled', 1048576): ('92beb5b00bc01c33fe75113b5798073dd7b9cb50f91c425640b908e3e07d0793', 1084, 0),
+    ('service-sampled', 997): ('7044a8e37da78cda434dded02dc8c1531db5a1f6fe3e255a0dbd09ff513c0272', 1084, 87),
     ('fig7', 1048576): ('01fa97380ecf809e8dc0303cb784609184484d6bd3f7f2bbac102790b684ef94', 8011, 0),
     ('fig7', 997): ('bf715fbc326a82833d41435f8fa5b22d938b4554e7fa092d10aa7ce08e190ff4', 8011, 7014),
     ('fig_cache', 1048576): ('38a8d4b4a4f49563d3410acd6d39c712bf9d28ec1a127b9f887c8477c60e878c', 76306, 0),
