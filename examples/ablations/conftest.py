@@ -1,19 +1,11 @@
-"""Benchmark harness configuration.
+"""Shared pieces of the ablation sweeps: the seed and a small FSConfig.
 
-Each benchmark regenerates one of the paper's tables/figures and prints the
-same rows/series the paper reports (run with ``-s`` to see them;
-the key numbers are also attached to pytest-benchmark's ``extra_info`` so
-``--benchmark-json`` captures them).
-
-Scale: benchmarks default to a laptop-friendly fraction of the paper's
-workload sizes; set ``REPRO_BENCH_SCALE=1.0`` for full scale.
+Each ``test_ablation_*.py`` sweeps one design parameter, prints the table
+(run with ``-s`` to see it) and asserts the trade-off it demonstrates.  No
+claim of the paper cites them — those are the rows of ``repro claims``.
 """
 
 from __future__ import annotations
-
-import os
-
-import pytest
 
 from repro.config import (
     AllocPolicyParams,
@@ -24,15 +16,8 @@ from repro.config import (
     SchedulerParams,
 )
 
-
-@pytest.fixture(scope="session")
-def bench_scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-@pytest.fixture(scope="session")
-def bench_seed() -> int:
-    return int(os.environ.get("REPRO_BENCH_SEED", "0"))
+#: Every sweep is deterministic in this seed.
+SEED = 0
 
 
 def small_config(policy: str = "ondemand", layout: str = "embedded", **kw) -> FSConfig:

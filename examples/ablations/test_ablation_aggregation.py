@@ -14,7 +14,7 @@ from repro.sim.report import Table
 from conftest import small_config
 
 
-def test_ablation_readdirplus_aggregation(benchmark, bench_seed):
+def test_ablation_readdirplus_aggregation():
     def run():
         out = {}
         for layout in ("normal", "embedded"):
@@ -33,7 +33,7 @@ def test_ablation_readdirplus_aggregation(benchmark, bench_seed):
                 out[(layout, mode)] = mds.elapsed_s - t0
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — readdirplus aggregation x directory layout (400 files, cold)",
         ["layout", "mode", "time (ms)"],

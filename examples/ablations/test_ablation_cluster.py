@@ -16,7 +16,7 @@ from repro.sim.report import Table
 from conftest import small_config
 
 
-def test_ablation_distribution_locality(benchmark, bench_seed):
+def test_ablation_distribution_locality():
     def run():
         out = {}
         for layout in ("normal", "embedded"):
@@ -39,7 +39,7 @@ def test_ablation_distribution_locality(benchmark, bench_seed):
                 )
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — readdir-stat disk requests, 512-file dir, 4 MDS servers",
         ["layout", "distribution", "disk requests"],
@@ -55,7 +55,7 @@ def test_ablation_distribution_locality(benchmark, bench_seed):
     assert hash_ratio > subtree_ratio
 
 
-def test_ablation_large_directory_hash_collection(benchmark, bench_seed):
+def test_ablation_large_directory_hash_collection():
     def run():
         out = {}
         for hash_collection in (True, False):
@@ -74,7 +74,7 @@ def test_ablation_large_directory_hash_collection(benchmark, bench_seed):
             out[hash_collection] = cluster.rpcs()
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — sharded-directory lookups, 256 files over 4 servers",
         ["primary hash collection", "RPCs for 256 lookups"],

@@ -16,6 +16,8 @@ from repro.sim.report import Table
 from repro.units import KiB, MiB
 from repro.workloads.streams import SharedFileMicrobench
 
+from conftest import SEED
+
 
 def _run(policy: str, defrag: bool, declared: bool, seed: int):
     cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=5), policy)
@@ -37,16 +39,16 @@ def _run(policy: str, defrag: bool, declared: bool, seed: int):
     return read.mib_per_s, defrag_s, f.extent_count
 
 
-def test_ablation_defrag_vs_hybrid(benchmark, bench_seed):
+def test_ablation_defrag_vs_hybrid():
     def run():
         return {
-            "reservation": _run("reservation", False, True, bench_seed),
-            "reservation+defrag": _run("reservation", True, True, bench_seed),
-            "hybrid (declared)": _run("hybrid", False, True, bench_seed),
-            "hybrid (undeclared)": _run("hybrid", False, False, bench_seed),
+            "reservation": _run("reservation", False, True, SEED),
+            "reservation+defrag": _run("reservation", True, True, SEED),
+            "hybrid (declared)": _run("hybrid", False, True, SEED),
+            "hybrid (undeclared)": _run("hybrid", False, False, SEED),
         }
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — defragment-later vs never-fragment (32-stream shared file)",
         ["configuration", "read MiB/s", "defrag cost (s)", "extents"],

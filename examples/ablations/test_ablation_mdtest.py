@@ -11,7 +11,7 @@ from repro.sim.report import Table
 from repro.workloads.mdtest import MdtestConfig, MdtestWorkload
 
 
-def test_extra_mdtest(benchmark, bench_seed):
+def test_extra_mdtest():
     cfg = MdtestConfig(depth=2, branch=3, items_per_dir=64, ntasks=4)
 
     def run():
@@ -25,7 +25,7 @@ def test_extra_mdtest(benchmark, bench_seed):
             out[profile.name] = MdtestWorkload(cfg).run(mds, cold_stat=True)
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         f"mdtest — depth {cfg.depth}, branch {cfg.branch}, "
         f"{cfg.items_per_dir} items/dir, {cfg.ntasks} tasks (ops/s)",

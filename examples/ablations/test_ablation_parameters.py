@@ -16,6 +16,8 @@ from repro.units import KiB, MiB
 from repro.workloads.metarates import MetaratesWorkload
 from repro.workloads.streams import SharedFileMicrobench
 
+from conftest import SEED
+
 
 def _micro_with_alloc(alloc: AllocPolicyParams, nstreams=32, seed=0):
     cfg = replace(redbud_vanilla_profile(ndisks=5), alloc=alloc)
@@ -30,7 +32,7 @@ def _micro_with_alloc(alloc: AllocPolicyParams, nstreams=32, seed=0):
     return read.mib_per_s, f.extent_count
 
 
-def test_ablation_window_scale(benchmark, bench_seed):
+def test_ablation_window_scale():
     def run():
         out = {}
         for scale in (2, 4):
@@ -38,10 +40,10 @@ def test_ablation_window_scale(benchmark, bench_seed):
                 alloc = AllocPolicyParams(
                     policy="ondemand", window_scale=scale, max_preallocation_blocks=cap
                 )
-                out[(scale, cap)] = _micro_with_alloc(alloc, seed=bench_seed)
+                out[(scale, cap)] = _micro_with_alloc(alloc, seed=SEED)
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — window scale x max preallocation (32-stream micro-bench)",
         ["scale", "cap (blocks)", "read MiB/s", "extents"],
@@ -55,15 +57,15 @@ def test_ablation_window_scale(benchmark, bench_seed):
     assert result[(2, 256)][1] >= result[(2, 2048)][1]
 
 
-def test_ablation_miss_threshold(benchmark, bench_seed):
+def test_ablation_miss_threshold():
     def run():
         out = {}
         for threshold in (1, 3, 8):
             alloc = AllocPolicyParams(policy="ondemand", miss_threshold=threshold)
-            out[threshold] = _micro_with_alloc(alloc, seed=bench_seed)
+            out[threshold] = _micro_with_alloc(alloc, seed=SEED)
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — miss threshold (sequential shared-file workload)",
         ["threshold", "read MiB/s", "extents"],
@@ -77,7 +79,7 @@ def test_ablation_miss_threshold(benchmark, bench_seed):
     assert max(tputs) - min(tputs) < 0.35 * max(tputs)
 
 
-def test_ablation_frag_degree_threshold(benchmark, bench_seed):
+def test_ablation_frag_degree_threshold():
     def run():
         out = {}
         for threshold in (1.0, 4.0, 64.0):
@@ -103,7 +105,7 @@ def test_ablation_frag_degree_threshold(benchmark, bench_seed):
             )
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — fragmentation-degree threshold (embedded spill blocks)",
         ["threshold", "readdir-stat time (s)", "disk requests"],

@@ -20,6 +20,8 @@ from repro.units import KiB, MiB
 from repro.workloads.base import FsyncOp, StreamProgram, WriteOp, run_data_phase
 from repro.workloads.streams import SharedFileMicrobench
 
+from conftest import SEED
+
 
 def _micro(policy: str, nstreams: int = 32, seed: int = 0):
     cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=5), policy)
@@ -34,7 +36,7 @@ def _micro(policy: str, nstreams: int = 32, seed: int = 0):
     return plane, f, w, r
 
 
-def test_ablation_delayed_vs_sync(benchmark, bench_seed):
+def test_ablation_delayed_vs_sync():
     """Delayed allocation coalesces beautifully — until the application
     syncs after every write."""
 
@@ -56,11 +58,11 @@ def test_ablation_delayed_vs_sync(benchmark, bench_seed):
                 if mode == "async":
                     ops.append(FsyncOp(f))
                 programs.append(StreamProgram(s, ops))
-            run_data_phase(plane, programs, seed=bench_seed)
+            run_data_phase(plane, programs, seed=SEED)
             out[mode] = f.extent_count
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — delayed allocation vs explicit syncs (extent counts)",
         ["mode", "extents"],
@@ -72,17 +74,17 @@ def test_ablation_delayed_vs_sync(benchmark, bench_seed):
     assert result["sync-per-write"] > 4 * result["async"]
 
 
-def test_ablation_cow_tradeoff(benchmark, bench_seed):
+def test_ablation_cow_tradeoff():
     """CoW appends: fastest writes of any policy, fragmented reads."""
 
     def run():
         out = {}
         for policy in ("cow", "reservation", "ondemand"):
-            _, f, w, r = _micro(policy, seed=bench_seed)
+            _, f, w, r = _micro(policy, seed=SEED)
             out[policy] = (w.mib_per_s, r.mib_per_s, f.extent_count)
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — copy-on-write vs in-place policies (32-stream micro-bench)",
         ["policy", "write MiB/s", "read MiB/s", "extents"],
@@ -96,7 +98,7 @@ def test_ablation_cow_tradeoff(benchmark, bench_seed):
     assert result["cow"][2] > result["ondemand"][2]
 
 
-def test_ablation_replication(benchmark, bench_seed):
+def test_ablation_replication():
     """Replication repairs fragmented reads eventually, but the copy is
     charged at runtime and a mispredicted trigger reclaims nothing."""
 
@@ -107,7 +109,7 @@ def test_ablation_replication(benchmark, bench_seed):
             plane = DataPlane(cfg)
             bench = SharedFileMicrobench(
                 nstreams=32, file_bytes=192 * MiB, write_request_bytes=16 * KiB,
-                seed=bench_seed,
+                seed=SEED,
             )
             f = bench.create_shared_file(plane)
             bench.phase1_write(plane, f)
@@ -124,11 +126,11 @@ def test_ablation_replication(benchmark, bench_seed):
             elapsed = plane.array.elapsed_s - start
             out[passes] = bytes_read / elapsed / MiB
         # On-demand needs no replication at all: same read volume, single pass.
-        _, f, _, r = _micro("ondemand", seed=bench_seed)
+        _, f, _, r = _micro("ondemand", seed=SEED)
         out["ondemand-1pass"] = r.mib_per_s
         return out
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — reservation + replication vs on-demand (read MiB/s)",
         ["configuration", "effective read MiB/s"],

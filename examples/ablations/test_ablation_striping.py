@@ -15,6 +15,8 @@ from repro.sim.report import Table
 from repro.units import KiB, MiB
 from repro.workloads.streams import SharedFileMicrobench
 
+from conftest import SEED
+
 
 def _run(ndisks: int, stripe_blocks: int, policy: str, seed: int):
     cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=ndisks), policy)
@@ -30,13 +32,13 @@ def _run(ndisks: int, stripe_blocks: int, policy: str, seed: int):
     return read.mib_per_s, f.extent_count
 
 
-def test_ablation_disk_count(benchmark, bench_seed):
+def test_ablation_disk_count():
     def run():
         return {
-            nd: _run(nd, 256, "ondemand", bench_seed) for nd in (2, 5, 8)
+            nd: _run(nd, 256, "ondemand", SEED) for nd in (2, 5, 8)
         }
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — disk count (on-demand, 32 streams, 96 MiB shared file)",
         ["disks", "read MiB/s", "extents"],
@@ -48,14 +50,14 @@ def test_ablation_disk_count(benchmark, bench_seed):
     assert result[8][0] > result[2][0]
 
 
-def test_ablation_stripe_unit(benchmark, bench_seed):
+def test_ablation_stripe_unit():
     def run():
         return {
-            sb: _run(5, sb, "ondemand", bench_seed)
+            sb: _run(5, sb, "ondemand", SEED)
             for sb in (16, 64, 256, 1024)  # 64 KiB .. 4 MiB units
         }
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+    result = run()
     table = Table(
         "Ablation — stripe unit (on-demand, 32 streams, 5 disks)",
         ["stripe (blocks)", "read MiB/s", "extents"],

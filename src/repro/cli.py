@@ -29,7 +29,6 @@ from repro.core import sweep
 from repro.core.run import RUNNERS, RunnerCommand, positive_int, runner_names
 from repro.core.run import run as run_experiment
 from repro.core.runners import RUNNER_COMMANDS
-from repro.core.runners.claims import cmd_claims
 from repro.core.runners.fsck import print_repair
 from repro.fs.dataplane import DataPlane
 from repro.fs.profiles import (
@@ -133,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     _register_runner_commands(sub)
-
-    p = sub.add_parser("claims", help="§I and §III.C headline claims")
-    p.add_argument("--scale", type=_scale, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_claims)
 
     p = sub.add_parser(
         "trace",

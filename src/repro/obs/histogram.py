@@ -296,16 +296,3 @@ class HistogramSnapshot:
             maximum=hi,
             extrema_exact=False,
         )
-
-    def summary(self) -> dict[str, float]:
-        """Flat percentile summary, ready for reports."""
-        return {
-            "count": float(self.count),
-            "total": self.total,
-            "mean": self.mean,
-            "p50": self.percentile(50.0),
-            "p90": self.percentile(90.0),
-            "p99": self.percentile(99.0),
-            "min": self.minimum if self.minimum is not None else 0.0,
-            "max": self.maximum if self.maximum is not None else 0.0,
-        }

@@ -5,11 +5,11 @@ yielding ``(arrival_dt, op)`` events, where ``arrival_dt`` is the think
 time since the stream's previous operation (0.0 for the closed-loop
 benchmarks, which issue back-to-back) and ``op`` is a data-plane
 :data:`Op` or a metadata :class:`MetaOp`.  Generators may also yield bare
-ops — :func:`as_event` normalizes either shape.  A :class:`StreamProgram`
-built from a factory re-derives its operations on every iteration and one
-built from columns holds one int64 row per op; the open-loop path
-materializes nothing (a million-stream service workload costs no more
-memory than its generator state).
+ops — every consumer takes either shape, a bare op being one with no gap.
+A :class:`StreamProgram` built from a factory re-derives its operations on
+every iteration and one built from columns holds one int64 row per op; the
+open-loop path materializes nothing (a million-stream service workload
+costs no more memory than its generator state).
 
 Two consumers share the protocol:
 
@@ -155,13 +155,6 @@ SCHEDULE_CELLS = 1 << 16
 Event = tuple[float, "Op | MetaOp | MetaOpRun"]
 
 
-def as_event(item: Event | Op | MetaOp | MetaOpRun) -> Event:
-    """Normalize a yielded item to ``(arrival_dt, op)`` (bare op → dt 0)."""
-    if type(item) is tuple:
-        return item
-    return (0.0, item)
-
-
 def drive(
     gen: Generator[Any, Any, Any],
     execute: Callable[[MetaOp | MetaOpRun], Any],
@@ -177,7 +170,7 @@ def drive(
     try:
         item = next(gen)
         while True:
-            # as_event inlined: this loop turns once per metadata op.
+            # Bare op or (dt, op): this loop turns once per metadata op.
             item = send(execute(item[1] if type(item) is tuple else item))
     except StopIteration as stop:
         return stop.value
