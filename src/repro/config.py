@@ -246,8 +246,6 @@ class MetaParams:
     journal_interval_ops: int = 64
     #: Synchronous metadata updates (the paper's Metarates configuration).
     sync_writes: bool = True
-    #: LRU inode/dentry cache capacity, counted in objects.
-    cache_objects: int = 8192
     #: Block groups in the metadata file system.
     block_groups: int = 32
     blocks_per_group: int = 32768
@@ -272,8 +270,6 @@ class MetaParams:
             raise ConfigError("lazy_free_batch must be positive")
         if self.journal_blocks <= 0 or self.journal_interval_ops <= 0:
             raise ConfigError("journal parameters must be positive")
-        if self.cache_objects < 0:
-            raise ConfigError("cache_objects must be >= 0")
         if self.block_groups <= 0 or self.blocks_per_group <= 0:
             raise ConfigError("block group geometry must be positive")
         if self.inodes_per_group <= 0:

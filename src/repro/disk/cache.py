@@ -29,7 +29,6 @@ Two cache profiles share this class (``CacheParams.profile``, docs/CACHE.md):
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import OrderedDict
 
 import numpy as np
@@ -39,11 +38,6 @@ from repro.disk.disk import SimulatedDisk
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
-
-#: ``read_batch`` refreshes a resident hit of at most this many blocks on
-#: the spot, as the scalar ``read`` does; deferring to ``_flush_moves`` only
-#: pays for longer sweeps (docs/CACHE.md).
-REFRESH_NOW_BLOCKS = 8
 
 
 class BufferCache:
@@ -63,12 +57,6 @@ class BufferCache:
         self._lru: OrderedDict[int, None] = OrderedDict()
         # Readahead contexts: (expected next block, window size), LRU order.
         self._ra: OrderedDict[int, int] = OrderedDict()
-        # LRU refreshes deferred by read_batch's hit path: (start, end) runs
-        # of resident blocks awaiting move-to-end, in access order.  Applied
-        # (deduplicated) before anything order-sensitive — an insert, an
-        # eviction, an invalidation — so the cache's LRU order is exactly
-        # the scalar path's whenever that order can matter.
-        self._pending_moves: list[tuple[int, int]] = []
         # -- adaptive profile state (inert under "legacy") ------------------
         self._adaptive = params.profile == "adaptive"
         #: A stream matches reads within ``slack`` blocks below its frontier
@@ -99,66 +87,6 @@ class BufferCache:
             return len(self._t1) + len(self._t2)
         return len(self._lru)
 
-    def _flush_moves(self) -> None:
-        """Apply deferred LRU refreshes in scalar-equivalent order.
-
-        Replaying the pending runs front-to-back would re-move every block
-        of every warm sweep.  The final LRU order of an OrderedDict after a
-        move sequence is: blocks never moved (original relative order),
-        then moved blocks ordered by their *last* move.  So a reverse walk
-        collecting each block's *last* occurrence, replayed in forward
-        order, yields exactly the scalar end state — and because the
-        pending entries are runs, the bookkeeping can stay on intervals (a
-        sorted disjoint coverage list) instead of per-block sets: repeated
-        warm sweeps of the same region collapse to one covered-interval
-        test, and only the final ``move_to_end`` loop touches blocks.
-        """
-        pending = self._pending_moves
-        if not pending:
-            return
-        move = self._lru.move_to_end
-        if len(pending) == 1:
-            start, end = pending[0]
-            for b in range(start, end):
-                move(b)
-            pending.clear()
-            return
-        covered: list[tuple[int, int]] = []  # sorted, disjoint
-        segments: list[tuple[int, int]] = []  # uncovered pieces, reverse order
-        for start, end in reversed(pending):
-            if not covered:
-                segments.append((start, end))
-                covered.append((start, end))
-                continue
-            lo = bisect_right(covered, (start,)) - 1
-            if lo >= 0 and covered[lo][1] < start:
-                lo += 1
-            elif lo < 0:
-                lo = 0
-            # covered[lo:hi] are the intervals overlapping/adjacent [start, end)
-            hi = lo
-            pieces: list[tuple[int, int]] = []
-            cursor = start
-            while hi < len(covered) and covered[hi][0] <= end:
-                cs, ce = covered[hi]
-                if cursor < cs:
-                    pieces.append((cursor, min(cs, end)))
-                cursor = max(cursor, ce)
-                hi += 1
-            if cursor < end:
-                pieces.append((cursor, end))
-            for piece in reversed(pieces):
-                segments.append(piece)
-            # Merge [start, end) with the overlapped intervals in place.
-            if lo < hi:
-                start = min(start, covered[lo][0])
-                end = max(end, covered[hi - 1][1])
-            covered[lo:hi] = [(start, end)]
-        for start, end in reversed(segments):
-            for b in range(start, end):
-                move(b)
-        pending.clear()
-
     def _insert(self, start: int, nblocks: int) -> None:
         if self.params.capacity_blocks == 0:
             return
@@ -166,8 +94,6 @@ class BufferCache:
             for b in range(start, start + nblocks):
                 self._tier_insert(b)
             return
-        if self._pending_moves:
-            self._flush_moves()
         for b in range(start, start + nblocks):
             if b in self._lru:
                 self._lru.move_to_end(b)
@@ -200,8 +126,6 @@ class BufferCache:
             if stale:
                 self.metrics.incr("cache.ra_invalidated", len(stale))
             return
-        if self._pending_moves:
-            self._flush_moves()
         for b in range(start, end):
             self._lru.pop(b, None)
         stale = [k for k in self._ra if start <= k < end]
@@ -214,7 +138,6 @@ class BufferCache:
         """Empty the cache and reset readahead (echo 3 > drop_caches)."""
         self._lru.clear()
         self._ra.clear()
-        self._pending_moves.clear()
         self._t1.clear()
         self._t2.clear()
         self._streams.clear()
@@ -489,8 +412,6 @@ class BufferCache:
             return self.disk.submit_one(start, nblocks, False)
         if self._adaptive:
             return self._read_adaptive(start, nblocks)
-        if self._pending_moves:
-            self._flush_moves()
 
         # Readahead: each context is (prefetch frontier -> window size).  A
         # read at or just below a frontier belongs to that stream; pushing
@@ -598,13 +519,13 @@ class BufferCache:
         read raises part-way (a faulted disk): the reads before it keep
         their hits and their cache effects.  A read that is fully resident
         and does not push past a readahead frontier takes a fast path
-        without per-block accounting; anything else — a miss, a frontier
+        without per-block accounting (its blocks move to the MRU end on the
+        spot, as :meth:`read` moves them); anything else — a miss, a frontier
         crossing, a read past capacity, or a disabled cache — falls back to
         the scalar :meth:`read` for that element, *before* any state was
         touched, so the sequence of cache and context mutations is
         identical to the scalar loop.  The adaptive profile always takes
-        the scalar loop (tier promotion is order-sensitive on every touch,
-        so there is no deferrable work).
+        the scalar loop (tier promotion is order-sensitive on every touch).
         """
         if not self.params.enabled or self._adaptive:
             read = self.read
@@ -615,7 +536,6 @@ class BufferCache:
         lru = self._lru
         keys = lru.keys()
         move = lru.move_to_end
-        pending = self._pending_moves
         ra = self._ra
         tracer = self.tracer
         slack = 2 * self.params.readahead_max_blocks
@@ -642,13 +562,8 @@ class BufferCache:
                         if resident:
                             if ctx_key is not None:
                                 ra.move_to_end(ctx_key)
-                            if nblocks <= REFRESH_NOW_BLOCKS and not pending:
-                                for b in range(start, end):
-                                    move(b)
-                            else:
-                                # A direct move behind a pending sweep would
-                                # reorder the LRU: queue behind it instead.
-                                pending.append((start, end))
+                            for b in range(start, end):
+                                move(b)
                             hits += nblocks
                             if tracer.enabled:
                                 tracer.emit("cache", "hit", start=start, nblocks=nblocks)
@@ -673,8 +588,6 @@ class BufferCache:
             for b in blocks:
                 self._tier_insert(b)
             return
-        if self._pending_moves:
-            self._flush_moves()
         lru = self._lru
         move = lru.move_to_end
         popitem = lru.popitem

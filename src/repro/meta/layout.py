@@ -15,8 +15,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.config import MetaParams
 from repro.errors import FileNotFound
 from repro.meta.inode import Inode
@@ -86,28 +84,6 @@ class AccessPlan:
             elif s1 == e0 and c1 > 0:
                 self.reads = [(s0, c0 + c1)]
             return self
-        n = len(reads)
-        if n >= 64:
-            starts = np.fromiter((s for s, _ in reads), dtype=np.int64, count=n)
-            counts = np.fromiter((c for _, c in reads), dtype=np.int64, count=n)
-            if bool((counts == 1).all()):
-                # Long single-block plans (normal-layout readdirplus sweeps)
-                # reduce to: keep each block's first occurrence, then merge
-                # consecutive-block runs.  The containment rule cannot fire
-                # here — a block inside an already-merged run was, by
-                # construction, seen before and is dropped as a duplicate.
-                _, first = np.unique(starts, return_index=True)
-                first.sort()
-                dedup = starts[first]
-                brk = np.flatnonzero(np.diff(dedup) != 1)
-                run_lo = np.concatenate(([0], brk + 1))
-                run_hi = np.concatenate((brk + 1, [dedup.size]))
-                if run_lo.size != n:
-                    self.reads = [
-                        (int(dedup[a]), int(b - a))
-                        for a, b in zip(run_lo, run_hi)
-                    ]
-                return self
         out: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         prev_start = prev_end = -1

@@ -40,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.fs.dataplane import MANY_FROM, DataPlane
+from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
 from repro.rng import derive_rng
@@ -508,7 +508,7 @@ def run_data_phase(
             dirty_blocks += sum(dirty_nblocks[mapped:])
             if at_round_end[b]:
                 end_round()
-        elif kind == READ and b - a >= MANY_FROM:
+        elif kind == READ:
             # Map the run ahead (RUN_OPS at a time, file by file), fill
             # windows in arrival order, submit the full ones round by round.
             for at in range(a, b, RUN_OPS):
@@ -534,7 +534,8 @@ def run_data_phase(
                     if at_round_end[i]:
                         end_round()
         else:
-            # One op at a time through the plane's object API.
+            # List I/O, fsync and reads the plane will reject: one op at a
+            # time through the plane's object API.
             for i in range(a, b):
                 f, stream = op_files[i], streams[i]
                 op = others[offsets[i]] if kinds[i] == _SOLO else None

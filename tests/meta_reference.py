@@ -4,7 +4,7 @@ The bodies below are the ones ``src/`` ran at commit b45a510, before a
 bulk metadata phase was described once (``MetaOpRun``), the layouts built
 each ``AccessPlan`` in place, the commit became one ``Journal.log_one``
 record under one hot ``MetadataServer._execute`` body, and
-``BufferCache.read_batch`` started refreshing short hits on the spot
+``BufferCache.read_batch`` started refreshing resident hits on the spot
 (docs/PERF.md section 4): the generator forms of
 ``MetaratesWorkload.per_file_program`` and ``MdtestWorkload.item_program``
 (one ``MetaOp`` per call; ``self`` is the workload), both directory
@@ -30,6 +30,9 @@ one-body server for whole-state and trace identity
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from collections import OrderedDict
 
 from repro.disk.cache import BufferCache
 from repro.disk.model import BlockRequest
@@ -733,7 +736,87 @@ class ReferenceJournal(Journal):
 
 
 class ReferenceBufferCache(BufferCache):
-    """``BufferCache`` with the parent's ``read_batch`` (every hit deferred)."""
+    """``BufferCache`` with the parent's ``read_batch`` (every hit deferred).
+
+    A deferred hit queues its ``(start, end)`` run on ``_pending_moves``;
+    every access to ``_lru`` — by the inherited methods or by a test
+    reading the order — first applies the queue (:meth:`_flush_moves`), so
+    the order seen is always the one the scalar loop would have left.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._pending_moves: list[tuple[int, int]] = []
+        super().__init__(*args, **kwargs)
+
+    @property
+    def _lru(self) -> OrderedDict:
+        if self._pending_moves:
+            self._flush_moves()
+        return self._order
+
+    @_lru.setter
+    def _lru(self, value: OrderedDict) -> None:
+        self._order = value
+
+    def _flush_moves(self) -> None:
+        """Apply deferred LRU refreshes in scalar-equivalent order.
+
+        Replaying the pending runs front-to-back would re-move every block
+        of every warm sweep.  The final LRU order of an OrderedDict after a
+        move sequence is: blocks never moved (original relative order),
+        then moved blocks ordered by their *last* move.  So a reverse walk
+        collecting each block's *last* occurrence, replayed in forward
+        order, yields exactly the scalar end state — and because the
+        pending entries are runs, the bookkeeping can stay on intervals (a
+        sorted disjoint coverage list) instead of per-block sets: repeated
+        warm sweeps of the same region collapse to one covered-interval
+        test, and only the final ``move_to_end`` loop touches blocks.
+        """
+        pending = self._pending_moves
+        if not pending:
+            return
+        move = self._order.move_to_end
+        if len(pending) == 1:
+            start, end = pending[0]
+            for b in range(start, end):
+                move(b)
+            pending.clear()
+            return
+        covered: list[tuple[int, int]] = []  # sorted, disjoint
+        segments: list[tuple[int, int]] = []  # uncovered pieces, reverse order
+        for start, end in reversed(pending):
+            if not covered:
+                segments.append((start, end))
+                covered.append((start, end))
+                continue
+            lo = bisect_right(covered, (start,)) - 1
+            if lo >= 0 and covered[lo][1] < start:
+                lo += 1
+            elif lo < 0:
+                lo = 0
+            # covered[lo:hi] are the intervals overlapping/adjacent [start, end)
+            hi = lo
+            pieces: list[tuple[int, int]] = []
+            cursor = start
+            while hi < len(covered) and covered[hi][0] <= end:
+                cs, ce = covered[hi]
+                if cursor < cs:
+                    pieces.append((cursor, min(cs, end)))
+                cursor = max(cursor, ce)
+                hi += 1
+            if cursor < end:
+                pieces.append((cursor, end))
+            for piece in reversed(pieces):
+                segments.append(piece)
+            # Merge [start, end) with the overlapped intervals in place.
+            if lo < hi:
+                start = min(start, covered[lo][0])
+                end = max(end, covered[hi - 1][1])
+            covered[lo:hi] = [(start, end)]
+        for start, end in reversed(segments):
+            for b in range(start, end):
+                move(b)
+        pending.clear()
 
     def read_batch(self, reads: list[tuple[int, int]]) -> float:
         """Execute a plan's read list; returns total disk seconds spent.

@@ -10,7 +10,6 @@ import repro.meta.inumber
 import repro.rng
 import repro.sim.events
 import repro.sim.report
-import repro.sim.stats
 import repro.sim.visual
 import repro.units
 import repro.workloads.filesizes
@@ -21,7 +20,6 @@ MODULES = [
     repro.rng,
     repro.sim.events,
     repro.sim.report,
-    repro.sim.stats,
     repro.sim.visual,
     repro.meta.inumber,
     repro.workloads.filesizes,

@@ -64,7 +64,6 @@ def test_disarmed_injector_is_no_injector(layout):
         for i in range(0, 40, 3):
             mds.delete(d, f"f{i:02d}")
         mds.crash_recover()
-        mds.cache._flush_moves()
         return (
             mds.elapsed_s, mds.ops, mds.disk.head, mds.disk.busy_s,
             mds.metrics.snapshot(), list(mds.cache._lru), list(mds.cache._ra.items()),

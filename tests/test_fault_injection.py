@@ -167,7 +167,6 @@ class TestFaultedCacheReads:
                 else:
                     cache.read(10, 2)
                     cache.read(500, 1)
-            cache._flush_moves()
             return disk.metrics.snapshot(), list(cache._lru), list(cache._ra.items())
 
         batched, scalar = drive(True), drive(False)

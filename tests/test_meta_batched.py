@@ -42,7 +42,6 @@ def snapshot(mds: MetadataServer) -> dict:
     ``SimulatedDisk._service_arrays``); they are rounded, everything
     else — including elapsed time and busy time — compares bit for bit.
     """
-    mds.cache._flush_moves()
     m = mds.metrics
     hists = {}
     for name in m.histogram_names():
@@ -148,7 +147,6 @@ def make_cache(capacity=64, ra_init=4, ra_max=32):
 
 
 def cache_state(cache, disk):
-    cache._flush_moves()
     return {
         "lru": list(cache._lru),
         "ra": list(cache._ra.items()),
@@ -193,10 +191,10 @@ class TestReadBatchFrontier:
         assert t1 == t2
         assert cache_state(c1, d1) == cache_state(c2, d2)
 
-    def test_deferred_lru_moves_flush_before_eviction(self):
-        # Capacity 8: warm hits defer their LRU refreshes; the miss that
-        # triggers an eviction must apply them first, or the wrong victim
-        # is chosen relative to the scalar path.
+    def test_hit_refreshes_pick_the_scalar_eviction_victim(self):
+        # Capacity 8: warm hits refresh their LRU positions; the miss that
+        # triggers an eviction must see them, or the wrong victim is chosen
+        # relative to the scalar path.
         c1, d1 = make_cache(capacity=8, ra_init=2, ra_max=4)
         c2, d2 = make_cache(capacity=8, ra_init=2, ra_max=4)
         ops = [(0, 1), (3, 1), (0, 1), (3, 1), (0, 1), (5, 1), (9, 1), (12, 1)]
@@ -220,25 +218,39 @@ class TestCoalesce:
 
     def test_duplicate_spans_dropped(self):
         assert self.collapse([(5, 2), (9, 1), (5, 2)]) == [(5, 2), (9, 1)]
+        # 64+ single blocks, every one read twice, none adjacent.
+        reads = [(2 * (i % 40), 1) for i in range(80)]
+        assert self.collapse(reads) == reads[:40]
 
     def test_contained_span_dropped(self):
         assert self.collapse([(5, 4), (6, 2)]) == [(5, 4)]
+        # A single block inside the run just merged is a repeat.
+        reads = [(i, 1) for i in range(70)] + [(35, 1)]
+        assert self.collapse(reads) == [(0, 70)]
 
     def test_adjacent_spans_merge(self):
         assert self.collapse([(5, 2), (7, 3)]) == [(5, 5)]
+        # Two ascending runs of single blocks, 64+ reads in all.
+        reads = [(i, 1) for i in range(40)] + [(100 + i, 1) for i in range(40)]
+        assert self.collapse(reads) == [(0, 40), (100, 40)]
 
     def test_order_is_preserved(self):
         assert self.collapse([(20, 1), (5, 1), (20, 1)]) == [(20, 1), (5, 1)]
+        # A descending sweep of single blocks never merges backwards.
+        reads = [(200 - i, 1) for i in range(70)] + [(200, 1)]
+        assert self.collapse(reads) == reads[:70]
 
-    def test_long_single_block_plan_uses_numpy_path(self):
+    def test_long_single_block_plan_merges_runs_and_drops_repeats(self):
         # A readdirplus-shaped plan: repeated itable blocks, ascending runs.
         reads = [(100 + i // 4, 1) for i in range(80)] + [(50, 1), (100, 1)]
         got = self.collapse(reads)
         assert got == [(100, 20), (50, 1)]
 
     def test_long_unchanged_plan_returns_self(self):
-        plan = AccessPlan(reads=[(i * 3, 1) for i in range(80)])
+        reads = [(i * 3, 1) for i in range(80)]
+        plan = AccessPlan(reads=list(reads))
         assert plan.coalesce() is plan
+        assert plan.reads == reads
 
     def test_dirties_and_costs_survive(self):
         plan = AccessPlan(

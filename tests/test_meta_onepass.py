@@ -13,8 +13,8 @@ demand equality at the finest grain each layer exposes:
   order, and the exported trace, at checkpoint intervals of 1 / 7 / 64 on
   a journal small enough to wrap;
 - ``MetaOpRun`` against the same calls as ``MetaOp``s, ``Journal.log_one``
-  against ``log``, ``read_batch`` against a loop of ``read`` either side of
-  ``REFRESH_NOW_BLOCKS``.
+  against ``log``, ``read_batch`` against a loop of ``read`` — cache order
+  included, after every batch.
 
 The last section pins the all-or-nothing creates: a ``NoSpaceError`` part
 way through a create or mkdir leaves no trace (it left an orphan inode,
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import repro.workloads.base as workloads_base
 from repro.config import CacheParams, DiskParams, MetaParams, SchedulerParams
-from repro.disk.cache import REFRESH_NOW_BLOCKS, BufferCache
+from repro.disk.cache import BufferCache
 from repro.disk.disk import SimulatedDisk
 from repro.errors import MetadataError, NoSpaceError, ReproError
 from repro.fs.profiles import (
@@ -270,7 +270,6 @@ def apply_to_mds(mds: MetadataServer, dirs: list, op: tuple):
 
 
 def mds_state(mds: MetadataServer) -> dict:
-    mds.cache._flush_moves()
     state = {
         "elapsed": mds.elapsed_s,
         "cpu": mds.cpu_s,
@@ -440,7 +439,7 @@ def test_log_one_equals_log_at_every_head_and_size(region):
             )
 
 
-# -- read_batch == a loop of read, either side of the refresh constant -------------------
+# -- read_batch == a loop of read, cache order included ----------------------------------
 def make_cache(capacity: int = 64):
     disk = SimulatedDisk(DiskParams(capacity_blocks=256), SchedulerParams())
     params = CacheParams(
@@ -450,37 +449,34 @@ def make_cache(capacity: int = 64):
 
 
 def cache_state(cache: BufferCache) -> tuple:
-    cache._flush_moves()
     return (
         list(cache._lru), list(cache._ra.items()), cache.disk.busy_s,
         cache.disk.head, cache.metrics.snapshot(),
     )
 
 
-@pytest.mark.parametrize(
-    "length", [1, 2, REFRESH_NOW_BLOCKS - 1, REFRESH_NOW_BLOCKS, REFRESH_NOW_BLOCKS + 1, 20]
-)
-@pytest.mark.parametrize("pending", [False, True])
-def test_a_resident_hit_is_refreshed_now_or_behind_the_pending_sweep(length, pending):
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 20])
+@pytest.mark.parametrize("after_sweep", [False, True])
+def test_a_resident_hit_is_refreshed_now_or_behind_the_pending_sweep(length, after_sweep):
+    """A resident hit of any length is moved to the MRU end the moment
+    ``read_batch`` reaches it: with a resident sweep earlier in the batch
+    its blocks land right behind the sweep's, and the order is the loop's
+    as soon as the batch returns."""
     batch, loop = make_cache(), make_cache()
-    warm = [(0, 48)]
-    sweep = [(30, REFRESH_NOW_BLOCKS + 4)] if pending else []
+    sweep = [(30, 12)] if after_sweep else []
     reads = [(5, length), (3, length), (5, 1)]
     for c in (batch, loop):
-        for start, n in warm:
-            c.read(start, n)
+        c.read(0, 48)
     batch.read_batch(sweep + reads)
-    if pending:
-        assert batch._pending_moves[0] == (30, 30 + REFRESH_NOW_BLOCKS + 4)
-        # Everything after the deferred sweep queues behind it, in order.
-        assert len(batch._pending_moves) == 1 + len(reads)
-    elif length <= REFRESH_NOW_BLOCKS:
-        assert batch._pending_moves == []
-        assert list(batch._lru)[-1] == 5
-    else:
-        assert batch._pending_moves[0] == (5, 5 + length)
     for start, n in sweep + reads:
         loop.read(start, n)
+    order = list(batch._lru)
+    assert order == list(loop._lru)
+    touched = set(range(3, 3 + length)) | set(range(5, 5 + length))
+    assert order[-1] == 5
+    assert set(order[-len(touched):]) == touched
+    if after_sweep:
+        assert order[-len(touched) - 12:-len(touched)] == list(range(30, 42))
     # A miss after the hits makes the LRU order matter (eviction).
     for c in (batch, loop):
         c.read(100, 30)
@@ -488,8 +484,7 @@ def test_a_resident_hit_is_refreshed_now_or_behind_the_pending_sweep(length, pen
 
 
 READS = st.lists(
-    st.tuples(st.integers(0, 120), st.integers(1, 2 * REFRESH_NOW_BLOCKS + 2)),
-    min_size=1, max_size=40,
+    st.tuples(st.integers(0, 120), st.integers(1, 18)), min_size=1, max_size=40,
 )
 
 
@@ -497,13 +492,17 @@ READS = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_read_batch_is_the_read_loop_across_batches(first, second):
     batch, loop = make_cache(40), make_cache(40)
-    t_batch = batch.read_batch(first) + batch.read_batch(second)
+    t_batch = batch.read_batch(first)
     t_loop = 0.0
     for start, n in first:
         t_loop += loop.read(start, n)
+    # The LRU order is the loop's after each batch, not only at the end.
+    assert list(batch._lru) == list(loop._lru)
+    t_batch += batch.read_batch(second)
     t_second = 0.0
     for start, n in second:
         t_second += loop.read(start, n)
+    assert list(batch._lru) == list(loop._lru)
     assert t_batch == t_loop + t_second
     assert cache_state(batch) == cache_state(loop)
 

@@ -281,7 +281,7 @@ def test_phase_matches_round_loop(
     # column paths, the reads in more than one mapped piece.
     with (
         mock.patch.object(dataplane, "MANY_FROM", cutoffs[0]),
-        mock.patch.multiple(base, MANY_FROM=cutoffs[0], RUN_OPS=cutoffs[1]),
+        mock.patch.object(base, "RUN_OPS", cutoffs[1]),
     ):
         new = _drive(run_data_phase, *args)
     assert new == _drive(ref.reference_run_data_phase, *args)

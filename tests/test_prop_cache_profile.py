@@ -4,8 +4,8 @@ The tiered/adaptive rebuild of :class:`BufferCache` (docs/CACHE.md) must
 leave the ``profile="legacy"`` paths bit-for-bit: block-for-block cache
 state, billing-for-billing disk time, counter-for-counter metrics, under
 arbitrary interleavings of ``read`` / ``insert_blocks`` / ``invalidate``
-/ ``write`` / ``read_batch`` — including ``read_batch``'s deferred-LRU
-``_flush_moves`` path crossing the other mutations.
+/ ``write`` / ``read_batch`` — including ``read_batch``'s resident-hit
+fast path crossing the other mutations.
 
 The oracle is a straight-line reimplementation of the legacy semantics
 (flat LRU + fixed readahead-context table, scalar reads only, the fixed
@@ -185,7 +185,6 @@ def test_legacy_profile_is_the_legacy_cache(sequence):
             nblocks = min(nblocks, CAPACITY - start)  # writes must fit the disk
             billed.append(cache.write(start, nblocks, sync=sync))
             ref_billed.append(ref.write(start, nblocks, sync=sync))
-    cache._flush_moves()
     assert billed == ref_billed  # exact bits, op for op
     assert list(cache._lru) == list(ref.lru)
     assert list(cache._ra.items()) == list(ref.ra.items())

@@ -1,6 +1,4 @@
-"""Simulation substrate: clock, metrics, statistics, report rendering."""
-
-import math
+"""Simulation substrate: clock, metrics, report rendering."""
 
 import pytest
 
@@ -8,7 +6,6 @@ from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.metrics import Metrics, ThroughputResult
 from repro.sim.report import Table, format_pct, format_series
-from repro.sim.stats import geometric_mean, ratio, speedup, summarize
 
 
 class TestSimClock:
@@ -108,41 +105,6 @@ class TestThroughputResult:
     def test_ops_per_s(self):
         r = ThroughputResult(bytes_moved=0, elapsed=2.0, ops=10)
         assert r.ops_per_s == 5.0
-
-
-class TestStats:
-    def test_summarize(self):
-        s = summarize([2.0, 4.0, 6.0])
-        assert s.n == 3
-        assert s.mean == 4.0
-        assert s.minimum == 2.0
-        assert s.maximum == 6.0
-        assert s.std == pytest.approx(math.sqrt(8.0 / 3.0))
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_cv_zero_mean(self):
-        assert summarize([0.0, 0.0]).cv == 0.0
-
-    def test_speedup(self):
-        assert speedup(100.0, 119.0) == pytest.approx(0.19)
-
-    def test_speedup_needs_positive_base(self):
-        with pytest.raises(ValueError):
-            speedup(0.0, 1.0)
-
-    def test_ratio_zero_denominator(self):
-        assert ratio(1.0, 0.0) == math.inf
-        assert ratio(0.0, 0.0) == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
 
 
 class TestReport:
