@@ -7,6 +7,9 @@ claim of the paper cites them — those are the rows of ``repro claims``.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 from repro.config import (
     AllocPolicyParams,
     CacheParams,
@@ -18,6 +21,10 @@ from repro.config import (
 
 #: Every sweep is deterministic in this seed.
 SEED = 0
+
+# ``mds_cluster`` (the §IV.C/D metadata cluster model) sits beside the
+# example scripts, one directory up.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
 def small_config(policy: str = "ondemand", layout: str = "embedded", **kw) -> FSConfig:

@@ -10,10 +10,10 @@ of sub-file name hashes answers lookups in one RPC instead of probing
 every shard.
 """
 
-from repro.meta.cluster import MDSCluster
 from repro.sim.report import Table
 
 from conftest import small_config
+from mds_cluster import MDSCluster
 
 
 def test_ablation_distribution_locality():

@@ -11,8 +11,9 @@ Run:  python examples/cluster_study.py
 """
 
 from repro.config import FSConfig, MetaParams
-from repro.meta.cluster import MDSCluster
 from repro.sim.report import Table
+
+from mds_cluster import MDSCluster
 
 
 def cluster_config(layout: str) -> FSConfig:

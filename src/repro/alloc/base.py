@@ -16,6 +16,7 @@ extents.
 from __future__ import annotations
 
 import abc
+from collections.abc import Iterable
 
 from repro.block.freespace import FreeSpaceManager
 from repro.config import AllocPolicyParams
@@ -150,6 +151,30 @@ class AllocationPolicy(abc.ABC):
         will be produced by :meth:`flush` later.
         """
 
+    def allocate_many(
+        self,
+        file_ids: Iterable[int],
+        streams: Iterable[int],
+        targets: Iterable[AllocTarget],
+        dstarts: Iterable[int],
+        dcounts: Iterable[int],
+        out_physical: list[int],
+    ) -> list[PhysicalRun] | None:
+        """The loop of :meth:`allocate` over rows (one hole each), in
+        arrival order: a row backed by exactly one written run appends its
+        physical start onto ``out_physical``; the first row answered any
+        other way stops the call (the rows after it are not read) and its
+        runs are returned.  ``None``: every row was answered.  A policy
+        overrides this to answer its no-trigger rows in place, with the
+        same state, metrics and trace rows as the loop, also when it raises.
+        """
+        for row in zip(file_ids, streams, targets, dstarts, dcounts):
+            new = self.allocate(*row)
+            if not _backs_exactly(new, row[3], row[4]):
+                return new
+            out_physical.append(new[0].physical)
+        return None
+
     # -- optional hooks ----------------------------------------------------
     def prepare(
         self, file_id: int, target: AllocTarget, dlocal_blocks: int
@@ -200,3 +225,9 @@ class AllocationPolicy(abc.ABC):
                 self.fsm.free(start, got)
             raise
         return runs
+
+
+def _backs_exactly(runs: list[PhysicalRun], dlocal: int, count: int) -> bool:
+    """Is ``runs`` one written run backing exactly [dlocal, dlocal+count)?"""
+    run = runs[0] if len(runs) == 1 else None
+    return run is not None and run.dlocal == dlocal and run.length == count and not run.unwritten

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alloc.base import AllocationPolicy, AllocTarget, PhysicalRun
+from repro.alloc.base import AllocationPolicy, AllocTarget, PhysicalRun, _backs_exactly
 from repro.alloc.window import Window
 from repro.errors import NoSpaceError
 
@@ -89,6 +89,36 @@ class OnDemandPolicy(AllocationPolicy):
                 )
             raise
         return runs
+
+    def allocate_many(self, file_ids, streams, targets, dstarts, dcounts, out_physical):
+        """§III's fast path in place: a row from its stream's consumption
+        cursor to inside the current window fires no trigger and makes no
+        free-space call, so only the window's cursor moves."""
+        states = self._states
+        hits = 0
+        try:
+            for fid, sid, target, ds, dc in zip(file_ids, streams, targets, dstarts, dcounts):
+                st = states.get((fid, sid, target.group_index))
+                cw = st.current if st is not None else None
+                if cw is not None:
+                    used = cw.consumed
+                    if ds == cw.logical + used and used + dc <= cw.length:
+                        physical = cw.physical + used
+                        cw.consumed = used + dc
+                        st.last_end = physical + dc
+                        out_physical.append(physical)
+                        hits += 1
+                        continue
+                new = self.allocate(fid, sid, target, ds, dc)
+                if not _backs_exactly(new, ds, dc):
+                    return new
+                out_physical.append(new[0].physical)
+            return None
+        finally:
+            # A window is only ever consumed from after both keys exist.
+            if hits:
+                self._counters["alloc.requests"] += hits
+                self._counters["alloc.cw_hits"] += hits
 
     def _allocate_loop(
         self,

@@ -15,7 +15,7 @@ contiguous range on disk.
 
 from __future__ import annotations
 
-from repro.alloc.base import AllocationPolicy, AllocTarget, PhysicalRun
+from repro.alloc.base import AllocationPolicy, AllocTarget, PhysicalRun, _backs_exactly
 from repro.alloc.window import Window
 from repro.errors import NoSpaceError
 
@@ -73,6 +73,30 @@ class ReservationPolicy(AllocationPolicy):
             cursor += take
             remaining -= take
         return runs
+
+    def allocate_many(self, file_ids, streams, targets, dstarts, dcounts, out_physical):
+        """:meth:`allocate`'s fast path in place: a row its file's live pool
+        covers takes the pool's next blocks."""
+        pools = self._pools
+        served = 0
+        try:
+            for fid, sid, target, ds, dc in zip(file_ids, streams, targets, dstarts, dcounts):
+                pool = pools.get((fid, target.group_index))
+                if pool is not None:
+                    used = pool.consumed
+                    if used + dc <= pool.length:
+                        pool.consumed = used + dc
+                        out_physical.append(pool.physical + used)
+                        served += 1
+                        continue
+                new = self.allocate(fid, sid, target, ds, dc)
+                if not _backs_exactly(new, ds, dc):
+                    return new
+                out_physical.append(new[0].physical)
+            return None
+        finally:
+            if served:
+                self._counters["alloc.requests"] += served
 
     def release(self, file_id: int) -> int:
         """Return every unconsumed reserved block of ``file_id`` to free

@@ -163,14 +163,14 @@ class FreeExtentSet:
         """Check invariants: sorted, in-range, coalesced, positive lengths,
         and the incremental free total matching the run lengths."""
         prev_end = None
-        for s, l in zip(self._starts, self._lengths):
-            if l <= 0:
+        for s, n in zip(self._starts, self._lengths):
+            if n <= 0:
                 raise AllocationError(f"non-positive run length at {s}")
-            if s < self.base or s + l > self.base + self.size:
-                raise AllocationError(f"run [{s}, {s + l}) out of region")
+            if s < self.base or s + n > self.base + self.size:
+                raise AllocationError(f"run [{s}, {s + n}) out of region")
             if prev_end is not None and s <= prev_end:
                 raise AllocationError(f"overlapping/uncoalesced runs at {s}")
-            prev_end = s + l
+            prev_end = s + n
         if self._free_total != sum(self._lengths):
             raise AllocationError(
                 f"free total drifted: cached {self._free_total}, "

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import FSConfig
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile

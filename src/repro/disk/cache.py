@@ -36,7 +36,7 @@ import numpy as np
 from repro.config import CacheParams
 from repro.disk.disk import SimulatedDisk
 from repro.errors import SimulationError
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
 

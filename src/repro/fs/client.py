@@ -15,7 +15,7 @@ client side: per-client sessions that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.fs.redbud import RedbudFileSystem

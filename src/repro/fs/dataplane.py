@@ -11,7 +11,7 @@ requests the way an I/O scheduler would see them.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -399,9 +399,11 @@ class DataPlane:
         Stripe / slot / dlocal are array arithmetic, one row per op and
         stripe unit, and every extent map's rows are classified once
         against the map as it stands before the run
-        (:meth:`_independent_rows`).  Then one loop in arrival order: a row
-        that is a whole hole no other row touches costs its
-        ``policy.allocate`` call and nothing else — its runs wait among the
+        (:meth:`_independent_rows`).  Then one loop in arrival order: the
+        rows that are whole holes no other row touches go to
+        ``policy.allocate_many`` a stretch at a time, and the call stops
+        only at a row not backed by exactly one written run (buffered,
+        preallocated beside, or split).  Their runs wait among the
         pending rows, which reach the maps through
         :meth:`ExtentMap.insert_many` and the output through
         :meth:`_request_heads`.  Any other op (overwrite, partial hole,
@@ -444,10 +446,16 @@ class DataPlane:
         )
 
         grp = group.tolist()
-        row_streams = streams if op.shape[0] == n else [streams[j] for j in op.tolist()]
         row_at = [0, *np.cumsum(units).tolist()]
         starts, counts = dstart.tolist(), dcount.tolist()
-        allocate = self.policy.allocate
+        args = (  # allocate_many's argument columns, one entry per row
+            [g_file[g] for g in grp],
+            streams if op.shape[0] == n else [streams[j] for j in op.tolist()],
+            [g_targets[g] for g in grp],
+            starts,
+            counts,
+        )
+        allocate_many = self.policy.allocate_many
         # Pending written runs (row, dlocal, physical, length), pending
         # unwritten ones (group, dlocal, physical, length), buffered rows.
         w_row: list[int] = []
@@ -457,6 +465,17 @@ class DataPlane:
         extras: list[tuple[int, int, int, int]] = []
         buffered: list[int] = []
         took = np.zeros(n, dtype=bool)
+        phys: list[int] = []  # the rows allocate_many answers exactly
+
+        def answered(lo: int) -> int:
+            """Pend the rows answered from ``lo`` on; return the stop row."""
+            i = lo + len(phys)
+            w_row.extend(range(lo, i))
+            w_dlocal.extend(starts[lo:i])
+            w_phys.extend(phys)
+            w_len.extend(counts[lo:i])
+            del phys[:]
+            return i
 
         def fold(stop: int) -> None:
             """Pending rows into their maps, and the written runs of the
@@ -494,7 +513,6 @@ class DataPlane:
                     smap.insert_many(rows)
 
         column_from = -1  # first op of the column stretch under way
-        i = 0
         try:
             for a, b in _runs_of(by_column):
                 if not by_column[a]:
@@ -504,50 +522,39 @@ class DataPlane:
                         out_starts, out_nblocks, "write",
                     )
                 else:
-                    column_from = a
                     strayed = False
                     lo, hi = row_at[a], row_at[b]
+                    # Each call resumes after the row the last one stopped at.
+                    cols = [iter(c[lo:hi]) for c in args]
+                    column_from = a
                     while lo < hi:
-                        for i, file_id, stream, target, ds, dc in zip(
-                            range(lo, hi),
-                            map(g_file.__getitem__, grp[lo:hi]),
-                            row_streams[lo:hi],
-                            map(g_targets.__getitem__, grp[lo:hi]),
-                            starts[lo:hi],
-                            counts[lo:hi],
-                        ):
-                            new = allocate(file_id, stream, target, ds, dc)
-                            if len(new) == 1:
-                                run = new[0]
-                                if run.dlocal == ds and run.length == dc and not run.unwritten:
-                                    w_row.append(i)
-                                    w_dlocal.append(ds)
-                                    w_phys.append(run.physical)
-                                    w_len.append(dc)
-                                    continue
-                            elif not new:
-                                buffered.append(i)  # delayed allocation
-                                continue
-                            for run in new:
-                                if run.unwritten:
-                                    extras.append((grp[i], run.dlocal, run.physical, run.length))
-                                    strayed = True
-                                else:
-                                    w_row.append(i)
-                                    w_dlocal.append(run.dlocal)
-                                    w_phys.append(run.physical)
-                                    w_len.append(run.length)
-                                    if run.dlocal < ds or run.dlocal + run.length > ds + dc:
-                                        strayed = True
-                            if strayed:
-                                break
-                        else:
+                        new = allocate_many(*cols, phys)
+                        i = answered(lo)
+                        if new is None:
                             break
-                        # The op's other rows sit on other maps: finish it.
-                        lo, hi = i + 1, row_at[op[i] + 1]
+                        lo = i + 1
+                        if not new:
+                            buffered.append(i)  # delayed allocation
+                            continue
+                        ds, dc = starts[i], counts[i]
+                        for run in new:
+                            if run.unwritten:
+                                extras.append((grp[i], run.dlocal, run.physical, run.length))
+                                strayed = True
+                            else:
+                                w_row.append(i)
+                                w_dlocal.append(run.dlocal)
+                                w_phys.append(run.physical)
+                                w_len.append(run.length)
+                                if run.dlocal < ds or run.dlocal + run.length > ds + dc:
+                                    strayed = True
+                        if strayed and hi > row_at[op[i] + 1]:
+                            # The op's other rows sit on other maps: finish it.
+                            hi = row_at[op[i] + 1]
+                            cols = [islice(c, hi - lo) for c in cols]
                     column_from = -1
                     if strayed:
-                        b = int(op[i]) + 1
+                        b = int(op[hi - 1]) + 1
                     took[a:b] = True
                 if strayed and b < n:
                     fold(n)
@@ -559,8 +566,8 @@ class DataPlane:
         finally:
             stop = n
             if column_from >= 0:
-                # Row i's op failed: the column ops before it took effect.
-                stop = int(op[i])
+                # allocate_many raised: the ops before the row's took effect.
+                stop = int(op[answered(lo)])
                 took[column_from:stop] = True
             fold(stop)
             counters = self._counters

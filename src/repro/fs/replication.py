@@ -122,7 +122,6 @@ class ReplicationManager:
             # ...and write one contiguous copy in dlocal order.
             remaining = total
             hint = None
-            cursor = 0
             ordered = sorted(extents, key=lambda e: e.logical)
             flat: list[tuple[int, int]] = [(e.logical, e.length) for e in ordered]
             while remaining > 0:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.meta.mds import MetadataServer
-from repro.sim.metrics import ThroughputResult
 from repro.workloads.base import MetaOp, drive, mds_executor, meta_runs
 
 

@@ -1,11 +1,19 @@
-"""MDS cluster: subtree vs hash-path distribution, sharded directories."""
+"""MDS cluster: subtree vs hash-path distribution, sharded directories.
+
+The cluster model is ``examples/mds_cluster.py``: nothing in the package
+uses it, and these tests keep it working against the metadata server."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError, FileNotFound
-from repro.meta.cluster import MDSCluster
 
 from tests.conftest import small_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+from mds_cluster import MDSCluster  # noqa: E402
 
 
 def make_cluster(distribution="subtree", nservers=4, layout="embedded", **kw):

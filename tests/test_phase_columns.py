@@ -619,6 +619,25 @@ def test_write_many_survives_a_policy_that_preallocates_beside_the_hole(cutoff, 
     assert any(e.unwritten for m in extents[0] for e in m)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_write_many_finishes_the_op_that_strayed_and_no_more(width):
+    """Only every fifth call preallocates beside its hole: the column loop
+    finishes the op whose row did (its other rows are answered exactly)
+    and hands every later op, whose rows the extras overlap, to the
+    scalar body."""
+    ops = [(0, 0, k * 8 * BS, 8 * BS) for k in range(40)]
+
+    def make_plane():
+        plane = DataPlane(small_config(stripe_blocks=4))
+        plane.policy = _SometimesOverAllocatingPolicy(
+            plane.config.alloc, plane.fsm, plane.metrics, plane.tracer
+        )
+        return plane
+
+    error, *_, extents, _ = _write_both_ways(make_plane, [width], ops, 1)
+    assert error is None and any(e.unwritten for m in extents[0] for e in m)
+
+
 def test_write_many_books_the_ops_before_a_bad_one():
     plane = DataPlane(small_config())
     f = plane.create_file("/f")
@@ -670,6 +689,20 @@ class _OverAllocatingPolicy(AllocationPolicy):
             PhysicalRun(dlocal, start, count),
             PhysicalRun(dlocal + count, start + count, 2, unwritten=True),
         ]
+
+
+class _SometimesOverAllocatingPolicy(_OverAllocatingPolicy):
+    """Backs every hole with one run; every fifth call also preallocates
+    two blocks after it."""
+
+    calls = 0
+
+    def allocate(self, file_id, stream_id, target, dlocal, count):
+        self.calls += 1
+        if self.calls % 5 == 0:
+            return super().allocate(file_id, stream_id, target, dlocal, count)
+        start, _ = self.fsm.allocate_in_group(target.group_index, count, minimum=count)
+        return [PhysicalRun(dlocal, start, count)]
 
 
 def test_append_shortcut_does_not_write_unwritten_preallocation():
