@@ -14,13 +14,13 @@ predicts each one's failure mode:
 
 from repro.fs.dataplane import DataPlane
 from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
-from repro.fs.replication import ReplicationManager
 from repro.sim.report import Table
 from repro.units import KiB, MiB
 from repro.workloads.base import FsyncOp, StreamProgram, WriteOp, run_data_phase
 from repro.workloads.streams import SharedFileMicrobench
 
 from conftest import SEED
+from replication import ReplicationManager
 
 
 def _micro(policy: str, nstreams: int = 32, seed: int = 0):

@@ -18,6 +18,10 @@ at are modelled:
   pays the copy and reclaims nothing.
 
 Writes invalidate the replica (write-through would double every write).
+
+No runner or claim of the package uses it: it is an example-side model
+built on the library's :class:`~repro.fs.dataplane.DataPlane`, imported by
+the ``ablations/`` related-work sweep and ``tests/test_fs_replication.py``.
 """
 
 from __future__ import annotations

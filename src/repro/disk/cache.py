@@ -75,6 +75,10 @@ class BufferCache:
         #: Prefetched blocks not yet referenced by a requested read; the
         #: numerator feed of the prefetch-accuracy metric.
         self._prefetched: set[int] = set()
+        # read_batch's fixed inputs (scalar loop?, context slack, disk size).
+        self._scalar_reads = not params.enabled or self._adaptive
+        self._ra_slack = 2 * params.readahead_max_blocks
+        self._disk_blocks = disk.capacity_blocks
 
     # -- cache bookkeeping --------------------------------------------------
     def __contains__(self, block: int) -> bool:
@@ -527,7 +531,7 @@ class BufferCache:
         identical to the scalar loop.  The adaptive profile always takes
         the scalar loop (tier promotion is order-sensitive on every touch).
         """
-        if not self.params.enabled or self._adaptive:
+        if self._scalar_reads:
             read = self.read
             total = 0.0
             for start, nblocks in reads:
@@ -538,8 +542,8 @@ class BufferCache:
         move = lru.move_to_end
         ra = self._ra
         tracer = self.tracer
-        slack = 2 * self.params.readahead_max_blocks
-        capacity = self.disk.capacity_blocks
+        slack = self._ra_slack
+        capacity = self._disk_blocks
         total = 0.0
         hits = 0
         try:

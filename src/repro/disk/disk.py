@@ -87,6 +87,7 @@ class SimulatedDisk:
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.model = ServiceTimeModel(params)
+        self._transfer_s_per_block = params.transfer_s_per_block
         self.scheduler = make_scheduler(
             scheduler_params if scheduler_params is not None else SchedulerParams(),
             self.metrics,
@@ -321,9 +322,12 @@ class SimulatedDisk:
             return self._submit_checked(
                 np.array([start]), np.array([nblocks]), np.array([is_write])
             )
-        header = self._charge_header()
-        positioning = self.model.positioning_time(self._head, start)
-        transfer = self.model.transfer_time(nblocks)
+        header = self.model.header_s
+        if header > 0.0:
+            self._charge_header()
+        head = self._head
+        positioning = 0.0 if start == head else self.model.positioning_time(head, start)
+        transfer = nblocks * self._transfer_s_per_block
         total = positioning + transfer
         tracer = self.tracer
         if tracer.enabled:

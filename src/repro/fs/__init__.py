@@ -6,7 +6,6 @@ from repro.fs.file import RedbudFile
 from repro.fs.dataplane import DataPlane
 from repro.fs.redbud import RedbudFileSystem
 from repro.fs.client import ClientSession, make_clients
-from repro.fs.replication import ReplicationManager
 from repro.fs.defrag import DefragResult, defragment
 from repro.fs.verify import Finding, FsckReport, check_dataplane, check_mds
 from repro.fs.profiles import (
@@ -24,7 +23,6 @@ __all__ = [
     "RedbudFileSystem",
     "ClientSession",
     "make_clients",
-    "ReplicationManager",
     "DefragResult",
     "defragment",
     "Finding",

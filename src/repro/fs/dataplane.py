@@ -35,6 +35,8 @@ from repro.units import block_span, bytes_to_blocks
 #: mapping (gathering an extent map's columns costs O(extents) per run,
 #: whatever the run's length).
 MANY_FROM = 32
+#: The counters that mapping reads books (``DataPlane.read`` / ``read_many``).
+READ_BOOKS = ("fs.reads", "fs.bytes_read", "fs.coalesced_requests")
 
 _LOGICAL = attrgetter("logical")
 _LENGTH = attrgetter("length")

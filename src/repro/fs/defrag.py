@@ -6,8 +6,9 @@ slot, allocate one contiguous (best-effort) destination, copy, free the old
 blocks — and reports the cost, so benchmarks can compare "fragment now,
 defragment later" against MiF's "never fragment" placement.
 
-Unlike :mod:`repro.fs.replication`, defragmentation *replaces* the layout:
-the extent map is rewritten and the old blocks are freed.
+Unlike the read replicas of ``examples/replication.py``, defragmentation
+*replaces* the layout: the extent map is rewritten and the old blocks are
+freed.
 """
 
 from __future__ import annotations

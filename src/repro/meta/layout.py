@@ -65,7 +65,7 @@ class AccessPlan:
         - a span starting exactly where the preceding span ends extends it.
 
         Reads are never reordered.  The plan is rewritten **in place** and
-        returned: its one caller, ``MetadataServer._execute``, owns the
+        returned: its one caller, ``MetadataServer._run``, owns the
         plan the layout just built for it, so no second plan is made per
         operation (and skips the call for a plan of one read, which has
         nothing to combine).

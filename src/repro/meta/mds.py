@@ -8,11 +8,13 @@ blocks are flushed by periodic checkpoints — "the reduction of disk access
 counts mainly comes from the checkpoint operations" (§V.D.1).
 
 The server is the unit of timing for all metadata benchmarks: its elapsed
-time is disk busy time + per-operation CPU charges + per-request protocol
-overhead (paid once for aggregated pairs like readdir-stat).
+time is disk busy time + per-operation CPU charges + one protocol overhead
+per operation (an aggregated pair like readdir-stat is one operation).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -78,7 +80,7 @@ class MetadataServer:
         self._req_overhead_s = config.mds_request_overhead_s
         self._counters = self.metrics.raw_counters()
         self._op_latency = self.metrics.histogram_ref("mds.op_latency_s")
-        self._op_keys: dict[str, str] = {}
+        self._handles: tuple | None = None
 
     # -- timing --------------------------------------------------------------
     def now(self) -> float:
@@ -106,32 +108,32 @@ class MetadataServer:
     # -- operations ---------------------------------------------------------
     def mkdir(self, parent, name: str):
         d, plan = self.layout.create_dir(parent, name, self.now())
-        self._execute(plan, "mkdir")
+        self._run((plan,), "mkdir")
         return d
 
     def create(self, parent, name: str) -> Inode:
         inode, plan = self.layout.create_file(parent, name, self.now())
-        self._execute(plan, "create")
+        self._run((plan,), "create")
         return inode
 
     def delete(self, parent, name: str) -> None:
         plan = self.layout.delete_file(parent, name)
-        self._execute(plan, "delete")
+        self._run((plan,), "delete")
 
     def utime(self, parent, name: str) -> None:
         plan = self.layout.utime(parent, name, self.now())
-        self._execute(plan, "utime")
+        self._run((plan,), "utime")
 
     def stat(self, parent, name: str) -> Inode:
         inode, plan = self.layout.stat(parent, name)
-        self._execute(plan, "stat")
+        self._run((plan,), "stat")
         return inode
 
     def readdir(self, parent) -> list[str]:
         names, plan = self.layout.readdir(parent)
         if self._dir_prefetch:
             self.cache.prefetch_runs(self.layout.prefetch_region(parent))
-        self._execute(plan, "readdir")
+        self._run((plan,), "readdir")
         return names
 
     def readdir_stat(self, parent) -> list[Inode]:
@@ -139,14 +141,14 @@ class MetadataServer:
         inodes, plan = self.layout.readdir_stat(parent)
         if self._dir_prefetch:
             self.cache.prefetch_runs(self.layout.prefetch_region(parent))
-        self._execute(plan, "readdir_stat")
+        self._run((plan,), "readdir_stat")
         return inodes
 
     def readdir_then_stats(self, parent) -> list[Inode]:
         """Non-aggregated baseline: a readdir followed by one stat request
         per entry (n+1 protocol round trips)."""
         names, plan = self.layout.readdir(parent)
-        self._execute(plan, "readdir")
+        self._run((plan,), "readdir")
         out = []
         for name in names:
             out.append(self.stat(parent, name))
@@ -156,16 +158,40 @@ class MetadataServer:
         """Aggregated open+getlayout pair (pNFS/Lustre style): inode plus
         all mapping blocks in one request."""
         inode, plan = self.layout.getlayout(parent, name)
-        self._execute(plan, "open_getlayout")
+        self._run((plan,), "open_getlayout")
         return inode
 
     def set_extent_records(self, parent, name: str, count: int) -> None:
         plan = self.layout.set_extent_records(parent, name, count)
-        self._execute(plan, "set_extent_records")
+        self._run((plan,), "set_extent_records")
 
     def rename(self, src_dir, src_name: str, dst_dir, dst_name: str) -> None:
         plan = self.layout.rename(src_dir, src_name, dst_dir, dst_name, self.now())
-        self._execute(plan, "rename")
+        self._run((plan,), "rename")
+
+    def run_many(self, method: str, argsets: Sequence[tuple]) -> int:
+        """Call ``method`` once per argument tuple of ``argsets``, in order,
+        results unread; returns the number of calls made.
+
+        ``create`` / ``utime`` / ``delete`` run as one :meth:`_run`, each
+        plan built only once the op before it finished (so the layout
+        stamps the same :meth:`now`); any other method loops its public
+        call.  Nothing is validated ahead: a call that raises does so with
+        every earlier call applied.
+        """
+        layout, now = self.layout, self.now
+        if method == "create":
+            plans = (layout.create_file(p, name, now())[1] for p, name in argsets)
+        elif method == "utime":
+            plans = (layout.utime(p, name, now()) for p, name in argsets)
+        elif method == "delete":
+            plans = (layout.delete_file(p, name) for p, name in argsets)
+        else:
+            call = getattr(self, method)
+            for args in argsets:
+                call(*args)
+            return len(argsets)
+        return self._run(plans, method)
 
     # -- maintenance -----------------------------------------------------------
     def checkpoint(self) -> int:
@@ -245,63 +271,77 @@ class MetadataServer:
         self._overhead_s = 0.0
 
     # -- internals -----------------------------------------------------------
-    def _execute(self, plan: AccessPlan, op_name: str, requests: int = 1) -> None:
-        """Run one operation's plan: reads through the cache, one synchronous
-        journal commit, dirty-set / CPU / overhead bookkeeping, checkpoint
-        when due.
+    def _run(self, plans: Iterable[AccessPlan], op_name: str) -> int:
+        """The one body: run operations' plans in order; returns how many ran.
 
-        The one body: :meth:`BufferCache.read_batch`,
-        :meth:`Journal.log_one`, :meth:`SimulatedDisk.submit_one`, with
-        per-op bookkeeping hoisted out of the interpreter's way.  A commit
-        record that hit the platter torn (``disk.torn_writes`` moved during
-        the write) never committed: it is counted and traced, not
-        acknowledged, and :meth:`crash_recover` discards it.
-        """
-        disk = self.disk
+        Per plan: reads through :meth:`BufferCache.read_batch`, one
+        synchronous commit (:meth:`Journal.log_one` +
+        :meth:`SimulatedDisk.submit_one`), dirty-set / CPU / overhead
+        bookkeeping, a checkpoint when due, the trace event.  A commit torn
+        on the platter (``disk.torn_writes`` moved) never committed: it is
+        counted and traced, and :meth:`crash_recover` discards it.  The op
+        counter, ``mds.journal_writes`` and the latency samples are booked
+        once, on the way out: a plan that raises (or fails to build) leaves
+        those before it applied and booked."""
+        handles = self._handles
+        if handles is None:  # not in __init__: subclasses swap disk/cache/journal
+            handles = self._handles = (
+                self.disk, self.journal, self.cache.read_batch,
+                self.journal.log_one, self.disk.submit_one, self._dirty.update,
+            )
+        disk, journal, read_batch, log_one, submit_one, dirty_update = handles
         tracer = self.tracer
-        t0 = disk.busy_s + self._cpu_s + self._overhead_s
-        reads = plan.reads
-        if reads:
-            if len(reads) > 1:
-                reads = plan.coalesce().reads
-            self.cache.read_batch(reads)
-        dirties = plan.dirties
-        journal_records = plan.journal_records
-        if journal_records > 0 and self._sync_writes:
-            journal = self.journal
-            torn_before = disk.torn_writes
-            record = journal.log_one(dirties, journal_records)
-            if record is not None:
-                disk.submit_one(record.block, journal_records, True)
-            else:  # the record wraps the region, or its size is invalid
-                record, reqs = journal.log(dirties, journal_records)
-                for req in reqs:
-                    disk.submit_one(req.start, req.nblocks, req.is_write)
-            self._counters["mds.journal_writes"] += journal_records
-            if disk.torn_writes > torn_before:
-                # Write-ahead rules: a torn commit record never committed,
-                # so replay skips it.
-                self._counters["mds.torn_journal_records"] += 1
+        sync_writes, interval = self._sync_writes, self._ckpt_interval
+        overhead = self._req_overhead_s
+        latencies: list[float] = []
+        ops = journal_writes = 0
+        try:
+            for plan in plans:
+                t0 = disk.busy_s + self._cpu_s + self._overhead_s
+                reads = plan.reads
+                if reads:
+                    if len(reads) > 1:
+                        reads = plan.coalesce().reads
+                    read_batch(reads)
+                dirties = plan.dirties
+                journal_records = plan.journal_records
+                if journal_records > 0 and sync_writes:
+                    torn_before = disk.torn_writes
+                    record = log_one(dirties, journal_records)
+                    if record is not None:
+                        submit_one(record.block, journal_records, True)
+                    else:  # the record wraps the region, or its size is invalid
+                        record, reqs = journal.log(dirties, journal_records)
+                        for req in reqs:
+                            submit_one(req.start, req.nblocks, req.is_write)
+                    journal_writes += journal_records
+                    if disk.torn_writes > torn_before:  # never committed
+                        self._counters["mds.torn_journal_records"] += 1
+                        if tracer.enabled:
+                            tracer.emit("meta", "journal_torn", seq=record.seq)
+                    else:
+                        record.committed = True  # Journal.commit
+                        if tracer.enabled:
+                            tracer.emit("meta", "journal_commit", records=journal_records)
+                if dirties:
+                    dirty_update(dirties)
+                self._cpu_s += plan.cpu_s
+                self._overhead_s += overhead
+                ops += 1
+                if journal_records > 0:
+                    self._ops_since_ckpt += 1
+                    if self._ops_since_ckpt >= interval:
+                        self.checkpoint()
+                elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
+                latencies.append(elapsed)
                 if tracer.enabled:
-                    tracer.emit("meta", "journal_torn", seq=record.seq)
-            else:
-                journal.commit(record)
-                if tracer.enabled:
-                    tracer.emit("meta", "journal_commit", records=journal_records)
-        if dirties:
-            self._dirty.update(dirties)
-        self._cpu_s += plan.cpu_s
-        self._overhead_s += requests * self._req_overhead_s
-        self.ops += 1
-        key = self._op_keys.get(op_name)
-        if key is None:
-            key = self._op_keys[op_name] = f"mds.op.{op_name}"
-        self._counters[key] += 1
-        if journal_records > 0:
-            self._ops_since_ckpt += 1
-            if self._ops_since_ckpt >= self._ckpt_interval:
-                self.checkpoint()
-        elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
-        self._op_latency.observe(elapsed)
-        if tracer.enabled:
-            tracer.emit("meta", op_name, t=t0, dur=elapsed)
+                    tracer.emit("meta", op_name, t=t0, dur=elapsed)
+        finally:
+            counters = self._counters
+            if journal_writes:
+                counters["mds.journal_writes"] += journal_writes
+            if ops:
+                self.ops += ops
+                counters[f"mds.op.{op_name}"] += ops
+                self._op_latency.observe_each(latencies)
+        return ops

@@ -110,6 +110,16 @@ class Histogram:
         if len(self._log) >= LOG_CHUNK:
             self._fold()
 
+    def observe_each(self, values: list[float]) -> None:
+        """A loop of :meth:`observe` over NaN-free ``values``, except that a
+        negative sample raises with none of them recorded."""
+        if values:
+            if min(values) < 0:
+                raise ValueError(f"histogram values must be non-negative: {min(values)}")
+            self._log.extend(values)
+            if len(self._log) >= LOG_CHUNK:
+                self._fold()
+
     def observe_array(self, values) -> None:
         """Record a whole numpy array of samples at once.
 

@@ -40,7 +40,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.fs.dataplane import DataPlane
+from repro.errors import ReproError
+from repro.fs.dataplane import READ_BOOKS, DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
 from repro.rng import derive_rng
@@ -122,9 +123,10 @@ class MetaOpRun:
     phase described once instead of one :class:`MetaOp` per call.
 
     ``argsets[i]`` is the i-th call's argument tuple.  The executor makes
-    the calls in order in a plain loop — nothing is validated ahead, so a
-    call that raises does so with every earlier call applied — and
-    answers (sends back) the number of calls made.
+    the calls in order (:meth:`~repro.meta.mds.MetadataServer.run_many`
+    on an MDS) — nothing is validated ahead, so a call that raises does so
+    with every earlier call applied — and answers (sends back) the number
+    of calls made.
     """
 
     method: str
@@ -178,10 +180,14 @@ def drive(
 
 def mds_executor(mds: Any) -> Callable[[MetaOp | MetaOpRun], Any]:
     """Executor resolving :class:`MetaOp` / :class:`MetaOpRun` methods
-    against ``mds``/``fs``."""
+    against ``mds``/``fs``; a run goes to the target's ``run_many`` when
+    it has one."""
+    run_many = getattr(mds, "run_many", None)
 
     def execute(op: MetaOp | MetaOpRun) -> Any:
         if type(op) is MetaOpRun:
+            if run_many is not None:
+                return run_many(op.method, op.argsets)
             call = getattr(mds, op.method)
             for args in op.argsets:
                 call(*args)
@@ -414,6 +420,7 @@ def run_data_phase(
         plane.array.reset_timelines()
     start_elapsed = plane.array.elapsed_s
     submit = plane.array.submit_columns
+    counters = plane.metrics.raw_counters()
 
     # Decode, then schedule: every column below is in arrival order.
     files: dict[int, RedbudFile] = {}
@@ -482,6 +489,22 @@ def run_data_phase(
         dirty_nblocks.clear()
         dirty_blocks = 0
 
+    def map_reads(lo: int, hi: int) -> tuple:
+        """Map reads ``lo:hi`` by file: each op's first/last request row, the rows."""
+        run_files = fids[lo:hi]
+        first = np.empty(hi - lo, dtype=np.int64)
+        last = np.empty(hi - lo, dtype=np.int64)
+        starts: list[int] = []
+        nblocks: list[int] = []
+        for j in np.unique(run_files).tolist():
+            pick = np.flatnonzero(run_files == j)
+            bounds, s, nb = plane.read_many(files[j], offsets[lo:hi][pick], nbytes[lo:hi][pick])
+            first[pick] = bounds[:-1] + len(starts)
+            last[pick] = bounds[1:] + len(starts)
+            starts.extend(s.tolist())
+            nblocks.extend(nb.tolist())
+        return first, last, starts, nblocks
+
     def end_round() -> None:
         if ready_starts:
             submit(
@@ -513,26 +536,22 @@ def run_data_phase(
             # windows in arrival order, submit the full ones round by round.
             for at in range(a, b, RUN_OPS):
                 upto = min(at + RUN_OPS, b)
-                run_files = fids[at:upto]
-                first = np.empty(upto - at, dtype=np.int64)
-                last = np.empty(upto - at, dtype=np.int64)
-                starts: list[int] = []
-                nblocks: list[int] = []
-                for j in np.unique(run_files).tolist():
-                    pick = np.flatnonzero(run_files == j)
-                    bounds, s, nb = plane.read_many(
-                        files[j], offsets[at:upto][pick], nbytes[at:upto][pick]
-                    )
-                    first[pick] = bounds[:-1] + len(starts)
-                    last[pick] = bounds[1:] + len(starts)
-                    starts.extend(s.tolist())
-                    nblocks.extend(nb.tolist())
-                for i, stream, lo, hi in zip(
-                    range(at + 1, upto + 1), streams[at:upto], first.tolist(), last.tolist()
-                ):
-                    read_ahead(stream, starts[lo:hi], nblocks[lo:hi])
-                    if at_round_end[i]:
-                        end_round()
+                booked = {k: counters[k] for k in READ_BOOKS if k in counters}
+                first, last, starts, nblocks = map_reads(at, upto)
+                try:
+                    ops = zip(streams[at:upto], first.tolist(), last.tolist())
+                    for i, (stream, lo, hi) in enumerate(ops, at + 1):
+                        read_ahead(stream, starts[lo:hi], nblocks[lo:hi])
+                        if at_round_end[i]:
+                            end_round()
+                except ReproError:
+                    # The round loop had mapped, and booked, only the reads
+                    # up to the round end whose submit raised: book those.
+                    for k in READ_BOOKS:
+                        counters.pop(k, None)
+                    counters.update(booked)
+                    map_reads(at, i)
+                    raise
         else:
             # List I/O, fsync and reads the plane will reject: one op at a
             # time through the plane's object API.

@@ -8,10 +8,15 @@ import pytest
 from hypothesis import settings
 
 # Derandomize property tests on CI so red builds reproduce locally from the
-# printed blob; "dev" keeps the default randomized exploration.
+# printed blob; "dev" keeps the default randomized exploration.  "deep"
+# (HYPOTHESIS_PROFILE=deep, a CI job of its own) explores randomly with
+# DEEP_FACTOR times every test's examples and prints the blob of a failure.
 settings.register_profile("ci", derandomize=True, print_blob=True)
 settings.register_profile("dev")
-settings.load_profile("ci" if os.environ.get("CI") else "dev")
+settings.register_profile("deep", print_blob=True)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE") or ("ci" if os.environ.get("CI") else "dev")
+settings.load_profile(PROFILE)
+DEEP_FACTOR = 5
 
 from repro.config import (
     AllocPolicyParams,
@@ -24,6 +29,23 @@ from repro.config import (
 
 #: A tiny disk: 64 MiB (16384 blocks of 4 KiB).
 SMALL_BLOCKS = 16384
+
+
+def pytest_collection_modifyitems(items) -> None:
+    """Under "deep", scale each property test's own ``max_examples`` (a
+    profile only sets the default that ``@settings`` overrides)."""
+    if PROFILE != "deep":
+        return
+    seen = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)  # a method's function
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None and id(test) not in seen:
+            seen.add(id(test))
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=DEEP_FACTOR * own.max_examples
+            )
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 The bodies below are the ones ``src/`` ran at commit b45a510, before a
 bulk metadata phase was described once (``MetaOpRun``), the layouts built
 each ``AccessPlan`` in place, the commit became one ``Journal.log_one``
-record under one hot ``MetadataServer._execute`` body, and
+record under one hot ``MetadataServer._execute`` body (``_run`` since), and
 ``BufferCache.read_batch`` started refreshing resident hits on the spot
 (docs/PERF.md section 4): the generator forms of
 ``MetaratesWorkload.per_file_program`` and ``MdtestWorkload.item_program``
@@ -877,7 +877,19 @@ class ReferenceBufferCache(BufferCache):
         return total
 
 
-class ReferenceMetadataServer(MetadataServer):
+class _PlanByPlan:
+    """Hooks a vendored one-plan ``_execute`` onto ``MetadataServer._run``:
+    a run is the loop of ``_execute`` over its plans."""
+
+    def _run(self, plans, op_name: str) -> int:
+        ops = 0
+        for plan in plans:
+            self._execute(plan, op_name)
+            ops += 1
+        return ops
+
+
+class ReferenceMetadataServer(_PlanByPlan, MetadataServer):
     """``MetadataServer`` over the reference layout, journal and cache,
     executing plans through ``_execute_batched``."""
 
@@ -894,6 +906,7 @@ class ReferenceMetadataServer(MetadataServer):
         self.layout = layouts[config.meta.layout](config.meta, self.mfs)
         self.layout.metrics = self.metrics
         self.layout.tracer = self.tracer
+        self._op_keys: dict[str, str] = {}  # read by the vendored body
 
     def _execute(self, plan: AccessPlan, op_name: str, requests: int = 1) -> None:
         self._execute_batched(plan.coalesce(), op_name, requests)
@@ -953,7 +966,7 @@ class ScalarBufferCache(BufferCache):
         return total
 
 
-class ScalarMetadataServer(MetadataServer):
+class ScalarMetadataServer(_PlanByPlan, MetadataServer):
     """``MetadataServer`` as ``FSConfig.execution="legacy"`` ran it until
     f3214f3 — the straight-line reference of the one-body server: the
     scalar ``_execute`` (one ``BufferCache.read`` per span, per-request

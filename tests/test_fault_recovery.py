@@ -82,7 +82,7 @@ class TestTornJournal:
         mds.disk.attach_injector(injector)
         # A two-block commit record: the injector tears it, so write-ahead
         # rules say the operation never committed.
-        mds._execute(AccessPlan(dirties=[7], journal_records=2), "test-op")
+        mds._run((AccessPlan(dirties=[7], journal_records=2),), "test-op")
         assert mds.metrics.count("mds.torn_journal_records") == 1
         assert mds.journal.replay() == []
         assert len(mds.journal.pending_records()) == 1
@@ -91,7 +91,7 @@ class TestTornJournal:
         mds = MetadataServer(small_config())
         injector = FaultInjector(FaultPlan(seed=0, torn_every=1))
         mds.disk.attach_injector(injector)
-        mds._execute(AccessPlan(dirties=[7], journal_records=2), "test-op")
+        mds._run((AccessPlan(dirties=[7], journal_records=2),), "test-op")
         injector.disarm()
         mds.crash_recover()
         assert mds.metrics.count("mds.discarded_records") == 1

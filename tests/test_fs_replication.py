@@ -1,14 +1,22 @@
-"""Replication manager (§II.B InterferenceRemoval baseline)."""
+"""Replication manager (§II.B InterferenceRemoval baseline).
+
+The manager is ``examples/replication.py``: nothing in the package uses
+it, and these tests keep it working against the data plane."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ReproError
 from repro.fs.dataplane import DataPlane
-from repro.fs.replication import ReplicationManager
 from repro.units import KiB, MiB
 from repro.workloads.streams import SharedFileMicrobench
 
 from tests.conftest import small_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+from replication import ReplicationManager  # noqa: E402
 
 
 def fragmented_file(plane: DataPlane):

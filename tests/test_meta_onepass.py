@@ -255,7 +255,7 @@ def apply_to_mds(mds: MetadataServer, dirs: list, op: tuple):
         plan = AccessPlan(
             reads=list(reads), dirties=list(dirties), journal_records=records
         )
-        return attempt(mds._execute, plan, "raw")
+        return attempt(mds._run, (plan,), "raw")
     _, d, *rest = op
     parent = dirs[d % len(dirs)]
     if rest:

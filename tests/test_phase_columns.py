@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.fs.dataplane as dataplane
@@ -247,6 +247,45 @@ def _drive(runner, config, widths, specs, per_stream_files, phase_kw, bad_op):
     return _end_state(plane, tracer, outcomes)
 
 
+#: A read run mapped ahead across a round end whose submit raises (a request
+#: spanning disks): only the reads up to that round end are booked.
+_ROUND_END_RAISES = dict(
+    policy="ondemand",
+    widths=[1, 1],
+    specs=[
+        (0, "list", [
+            (0, "write", 0, 1, [(0, 1)]),
+            (0, "write", 0, 1, [(0, 1)]),
+            (0, "read", 0, 1, [(0, 1)]),
+            (0, "write", 0, 1, [(0, 1)]),
+            (0, "write", 0, 1, [(0, 1), (0, 1), (0, 1)]),
+            (0, "write", 0, 1, [(0, 1), (0, 1), (0, 1)]),
+        ]),
+        (0, "list", [
+            (0, "write", 10, 6, [(0, 1), (72, 6)]),
+            (2, "write", 0, 12, [(1, 3)]),
+            (0, "read", 0, 5, [(13, 1)]),
+            (0, "write", 0, 1, [(0, 1), (0, 1), (0, 1)]),
+        ]),
+        (0, "list", [
+            (0, "write", 0, 1, [(0, 1)]),
+            (0, "read", 0, 1, [(0, 1)]),
+            (0, "write", 0, 1, [(0, 1), (0, 1), (0, 1)]),
+        ]),
+        (0, "list", []),
+        (0, "list", []),
+        (0, "list", []),
+    ],
+    per_stream_files=True,
+    skip=0.0,
+    seed=0,
+    buffers=(8, 16),
+    bad=None,
+    disk_blocks=16,
+    cutoffs=(1, 3),
+)
+
+
 @given(
     policy=st.sampled_from(POLICY_NAMES),
     widths=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3),
@@ -261,11 +300,25 @@ def _drive(runner, config, widths, specs, per_stream_files, phase_kw, bad_op):
     disk_blocks=st.sampled_from([16, 48, 192]),
     cutoffs=st.sampled_from([(1, 3), (4, 4096), (32, 4096)]),
 )
+@example(**_ROUND_END_RAISES)
 @settings(max_examples=250, deadline=None)
-def test_phase_matches_round_loop(
+def test_phase_matches_round_loop(**kw):
+    new, old = _phase_and_round_loop(**kw)
+    assert new == old
+
+
+def test_read_run_books_only_the_reads_before_a_raising_round_end():
+    new, old = _phase_and_round_loop(**_ROUND_END_RAISES)
+    assert new["outcome"][0] == ("SimulationError", "request [7, 17) spans disks")
+    assert new["metrics"].counters["fs.reads"] == old["metrics"].counters["fs.reads"] == 1
+    assert new == old
+
+
+def _phase_and_round_loop(
     policy, widths, specs, per_stream_files, skip, seed, buffers, bad,
     disk_blocks, cutoffs,
 ):
+    """End states of ``run_data_phase`` and of the vendored round loop."""
     bad_op = {
         None: None,
         "range": lambda f: ReadOp(f, -BS, BS),
@@ -284,7 +337,7 @@ def test_phase_matches_round_loop(
         mock.patch.object(base, "RUN_OPS", cutoffs[1]),
     ):
         new = _drive(run_data_phase, *args)
-    assert new == _drive(ref.reference_run_data_phase, *args)
+    return new, _drive(ref.reference_run_data_phase, *args)
 
 
 @pytest.mark.parametrize(
