@@ -32,6 +32,12 @@ from repro.alloc.base import AllocationPolicy, AllocTarget, PhysicalRun, _backs_
 from repro.alloc.window import Window
 from repro.errors import NoSpaceError
 
+#: Trace schemas, ``(layer, op, *attr names)``; the stream is the row's own.
+_PRE_ALLOC_LAYOUT = ("alloc", "pre_alloc_layout", "file", "group", "dlocal", "window")
+_LAYOUT_MISS = ("alloc", "layout_miss", "file", "group", "dlocal", "misses")
+_STREAM_RANDOM = ("alloc", "stream_random", "file", "group", "misses")
+_WINDOW_RAMP = ("alloc", "window_ramp", "file", "group", "window")
+
 
 @dataclass
 class StreamState:
@@ -154,28 +160,18 @@ class OnDemandPolicy(AllocationPolicy):
                 # pre_alloc_layout: the stream proved sequential.
                 counters["alloc.trigger_prealloc_layout"] += 1
                 if self.tracer.enabled:
-                    self.tracer.emit(
-                        "alloc",
-                        "pre_alloc_layout",
-                        stream=key[1],
-                        file=key[0],
-                        group=target.group_index,
-                        dlocal=cursor,
-                        window=sw.length,
+                    self.tracer.record(
+                        _PRE_ALLOC_LAYOUT, None, 0.0, key[1],
+                        key[0], target.group_index, cursor, sw.length,
                     )
                 self._promote(key, st, target)
             else:
                 # layout_miss (also the stream's very first extend).
                 counters["alloc.trigger_layout_miss"] += 1
                 if self.tracer.enabled:
-                    self.tracer.emit(
-                        "alloc",
-                        "layout_miss",
-                        stream=key[1],
-                        file=key[0],
-                        group=target.group_index,
-                        dlocal=cursor,
-                        misses=st.misses,
+                    self.tracer.record(
+                        _LAYOUT_MISS, None, 0.0, key[1],
+                        key[0], target.group_index, cursor, st.misses,
                     )
                 took = self._miss(key, st, target, cursor, remaining, runs)
                 cursor += took
@@ -236,13 +232,8 @@ class OnDemandPolicy(AllocationPolicy):
                 st.prealloc_on = False
                 self.metrics.incr("alloc.streams_turned_random")
                 if self.tracer.enabled:
-                    self.tracer.emit(
-                        "alloc",
-                        "stream_random",
-                        stream=key[1],
-                        file=key[0],
-                        group=key[2],
-                        misses=st.misses,
+                    self.tracer.record(
+                        _STREAM_RANDOM, None, 0.0, key[1], key[0], key[2], st.misses
                     )
 
         cursor = dlocal
@@ -289,13 +280,8 @@ class OnDemandPolicy(AllocationPolicy):
         st.window_size = self._clamp(max(1, st.window_size) * self.params.window_scale)
         self.metrics.observe("alloc.window_blocks", st.window_size)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "alloc",
-                "window_ramp",
-                stream=key[1],
-                file=key[0],
-                group=key[2],
-                window=st.window_size,
+            self.tracer.record(
+                _WINDOW_RAMP, None, 0.0, key[1], key[0], key[2], st.window_size
             )
         self._reserve_sequential(st, target, sw.logical_end, sw.physical_end)
 

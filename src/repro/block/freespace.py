@@ -13,6 +13,10 @@ from repro.errors import AllocationError, NoSpaceError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
+#: Trace schemas, ``(layer, op, *attr names)``: one per event shape.
+_GROUP_FALLBACK = ("fsm", "group_fallback", "wanted_group", "used_group", "count", "got")
+_FREE = ("fsm", "free", "start", "count", "groups")
+
 
 class FreeSpaceManager:
     """All allocation groups over a disk array's global block space."""
@@ -152,13 +156,8 @@ class FreeSpaceManager:
                 continue
             self._counters["fsm.group_fallbacks"] += 1
             if self.tracer.enabled:
-                self.tracer.emit(
-                    "fsm",
-                    "group_fallback",
-                    wanted_group=group_index,
-                    used_group=group.index,
-                    count=count,
-                    got=got,
+                self.tracer.record(
+                    _GROUP_FALLBACK, None, 0.0, None, group_index, group.index, count, got
                 )
             return (start, got)
         raise NoSpaceError(f"array full: {last_error}")
@@ -205,10 +204,4 @@ class FreeSpaceManager:
         self._free_total += count
         self.metrics.incr("fsm.blocks_freed", count)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "fsm",
-                "free",
-                start=start,
-                count=count,
-                groups=last - first + 1,
-            )
+            self.tracer.record(_FREE, None, 0.0, None, start, count, last - first + 1)

@@ -13,6 +13,9 @@ from repro.errors import AllocationError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
+#: Trace schema, ``(layer, op, *attr names)``, of a shortened allocation.
+_DEGRADED_ALLOC = ("fsm", "degraded_alloc", "group", "want", "got", "goal")
+
 
 class AllocationGroup:
     """One PAG: a contiguous global block range plus its free-space set."""
@@ -93,13 +96,8 @@ class AllocationGroup:
                 self.metrics.incr("pag.degraded_allocations")
                 self.metrics.incr("pag.degraded_shortfall_blocks", count - got)
             if self.tracer.enabled:
-                self.tracer.emit(
-                    "fsm",
-                    "degraded_alloc",
-                    group=self.index,
-                    want=count,
-                    got=got,
-                    goal=goal,
+                self.tracer.record(
+                    _DEGRADED_ALLOC, None, 0.0, None, self.index, count, got, goal
                 )
         if hint is None:
             # Only unhinted allocations advance the rotating cursor; hinted

@@ -178,7 +178,10 @@ def _service_cell(spec, tracer=None) -> CellResult:
     drops = {"data": {"write": 0, "read": 0}, "meta": {"meta": 0}}
 
     def arrive(station, kind, kind_drops):
-        offer = station.offer
+        offer, name = station.offer, station.name
+        arrived, dropped, sojourn = (
+            ("service", f"{kind}.{what}", "station") for what in ("arrive", "drop", "sojourn")
+        )
 
         def on_event(now, row):
             if offer(now, row) is None:
@@ -189,20 +192,13 @@ def _service_cell(spec, tracer=None) -> CellResult:
             if not sampler.sampled(stream):
                 return on_event(now, row)
             with sampler.op(stream):
-                sampler.emit(
-                    "service", f"{kind}.arrive", t=now, station=station.name,
-                )
+                sampler.record(arrived, now, 0.0, None, name)
                 done = offer(now, row)
                 if done is None:
                     kind_drops[kind] += 1
-                    sampler.emit(
-                        "service", f"{kind}.drop", t=now, station=station.name,
-                    )
+                    sampler.record(dropped, now, 0.0, None, name)
                 else:
-                    sampler.emit(
-                        "service", f"{kind}.sojourn", t=now, dur=done - now,
-                        station=station.name,
-                    )
+                    sampler.record(sojourn, now, done - now, None, name)
 
         return on_event if sampler is None else on_sampled_event
 

@@ -166,9 +166,9 @@ class _Context:
     def phase(self, label: str, result: ThroughputResult) -> ThroughputResult:
         self.phases[label] = result
         if self.tracer.enabled:
-            self.tracer.emit(
-                "run", label, dur=result.elapsed,
-                bytes=result.bytes_moved, ops=result.ops,
+            self.tracer.record(
+                ("run", label, "bytes", "ops"), None, result.elapsed, None,
+                result.bytes_moved, result.ops,
             )
         return result
 

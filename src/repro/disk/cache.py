@@ -39,6 +39,13 @@ from repro.errors import SimulationError
 from repro.obs.trace import NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
+#: Trace schemas, ``(layer, op, *attr names)``: one per event shape.
+_HIT = ("cache", "hit", "start", "nblocks")
+_MISS = ("cache", "miss", "start", "nblocks", "prefetch", "miss_runs")
+_PREFETCH = ("cache", "prefetch", "start", "nblocks", "prefetch")
+_READAHEAD = ("cache", "readahead", "start", "window")
+_DIR_PREFETCH = ("cache", "dir_prefetch", "runs", "blocks")
+
 
 class BufferCache:
     """LRU block cache in front of one simulated disk."""
@@ -279,9 +286,7 @@ class BufferCache:
                 self._drop_stream(frontier)
                 self._add_stream(start + nblocks + prefetch, window)
                 if self.tracer.enabled:
-                    self.tracer.emit(
-                        "cache", "readahead", start=start, window=window
-                    )
+                    self.tracer.record(_READAHEAD, None, 0.0, None, start, window)
             else:
                 self._streams.move_to_end(frontier)
         else:
@@ -323,7 +328,7 @@ class BufferCache:
 
         if not misses:
             if self.tracer.enabled:
-                self.tracer.emit("cache", "hit", start=start, nblocks=nblocks)
+                self.tracer.record(_HIT, None, 0.0, None, start, nblocks)
             return 0.0
         elapsed = self._fetch(misses)
         issued = 0
@@ -339,15 +344,11 @@ class BufferCache:
             self.metrics.incr("cache.prefetch_only_reads")
             self.metrics.add("cache.unbilled_prefetch_s", elapsed)
             if self.tracer.enabled:
-                self.tracer.emit(
-                    "cache", "prefetch", dur=elapsed, start=start,
-                    nblocks=nblocks, prefetch=prefetch,
-                )
+                self.tracer.record(_PREFETCH, None, elapsed, None, start, nblocks, prefetch)
             return 0.0
         if self.tracer.enabled:
-            self.tracer.emit(
-                "cache", "miss", dur=elapsed, start=start, nblocks=nblocks,
-                prefetch=prefetch, miss_runs=len(misses),
+            self.tracer.record(
+                _MISS, None, elapsed, None, start, nblocks, prefetch, len(misses)
             )
         self.metrics.observe("cache.read_latency_s", elapsed)
         return elapsed
@@ -396,10 +397,7 @@ class BufferCache:
         self.metrics.incr("cache.prefetch_issued_blocks", issued)
         self.metrics.add("cache.unbilled_prefetch_s", elapsed)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "cache", "dir_prefetch", dur=elapsed, runs=len(reads),
-                blocks=issued,
-            )
+            self.tracer.record(_DIR_PREFETCH, None, elapsed, None, len(reads), issued)
         return 0.0
 
     # -- I/O ------------------------------------------------------------------
@@ -438,9 +436,7 @@ class BufferCache:
                 self._ra[start + nblocks + prefetch] = window
                 self.metrics.incr("cache.readahead_hits")
                 if self.tracer.enabled:
-                    self.tracer.emit(
-                        "cache", "readahead", start=start, window=window
-                    )
+                    self.tracer.record(_READAHEAD, None, 0.0, None, start, window)
             else:
                 # Still inside the prefetched region: refresh LRU position.
                 self._ra.move_to_end(ctx_key)
@@ -480,7 +476,7 @@ class BufferCache:
 
         if not misses:
             if self.tracer.enabled:
-                self.tracer.emit("cache", "hit", start=start, nblocks=nblocks)
+                self.tracer.record(_HIT, None, 0.0, None, start, nblocks)
             return 0.0
         elapsed = self._fetch(misses)
         for run_start, run_blocks in misses:
@@ -492,24 +488,11 @@ class BufferCache:
             self.metrics.incr("cache.prefetch_only_reads")
             self.metrics.add("cache.unbilled_prefetch_s", elapsed)
             if self.tracer.enabled:
-                self.tracer.emit(
-                    "cache",
-                    "prefetch",
-                    dur=elapsed,
-                    start=start,
-                    nblocks=nblocks,
-                    prefetch=prefetch,
-                )
+                self.tracer.record(_PREFETCH, None, elapsed, None, start, nblocks, prefetch)
             return 0.0
         if self.tracer.enabled:
-            self.tracer.emit(
-                "cache",
-                "miss",
-                dur=elapsed,
-                start=start,
-                nblocks=nblocks,
-                prefetch=prefetch,
-                miss_runs=len(misses),
+            self.tracer.record(
+                _MISS, None, elapsed, None, start, nblocks, prefetch, len(misses)
             )
         self.metrics.observe("cache.read_latency_s", elapsed)
         return elapsed
@@ -570,7 +553,7 @@ class BufferCache:
                                 move(b)
                             hits += nblocks
                             if tracer.enabled:
-                                tracer.emit("cache", "hit", start=start, nblocks=nblocks)
+                                tracer.record(_HIT, None, 0.0, None, start, nblocks)
                             continue
                 total += self.read(start, nblocks)
         finally:

@@ -14,13 +14,17 @@ import numpy as np
 
 from repro.config import DiskParams, SchedulerParams
 from repro.disk.model import BlockRequest, ServiceTimeModel, request_columns
-from repro.disk.scheduler import make_scheduler
+from repro.disk.scheduler import ARRANGE, make_scheduler
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
 #: ``submit_one`` has the bag reduce its request log at this many rows.
 REQUEST_CHUNK = 1024
+
+#: Trace schemas of one serviced request (``emit_batch`` builds the same).
+_READ = ("disk", "read", "disk", "start", "nblocks", "seek_s", "transfer_s")
+_WRITE = ("disk", "write", *_READ[2:])
 
 
 def reduce_request_rows(metrics: Metrics, rows: list) -> None:
@@ -331,17 +335,10 @@ class SimulatedDisk:
         total = positioning + transfer
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit("sched", "arrange", requests_in=1, requests_out=1)
-            tracer.emit(
-                "disk",
-                "write" if is_write else "read",
-                t=self._busy_s,
-                dur=total,
-                disk=self.name,
-                start=start,
-                nblocks=nblocks,
-                seek_s=positioning,
-                transfer_s=transfer,
+            tracer.record(ARRANGE, None, 0.0, None, 1, 1)
+            tracer.record(
+                _WRITE if is_write else _READ, self._busy_s, total, None,
+                self.name, start, nblocks, positioning, transfer,
             )
         self._head = end
         self._busy_s += total

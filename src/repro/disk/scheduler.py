@@ -20,6 +20,9 @@ from repro.disk.model import BlockRequest
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
+#: Trace schema of one arranged batch, ``(layer, op, *attr names)``.
+ARRANGE = ("sched", "arrange", "requests_in", "requests_out")
+
 
 class FifoScheduler:
     """Dispatch requests in arrival order; merge only back-to-back runs."""
@@ -41,9 +44,7 @@ class FifoScheduler:
         merged = _merge_sorted(requests, self.params.merge_gap_blocks)
         self.metrics.incr("scheduler.requests_out", len(merged))
         if self.tracer.enabled:
-            self.tracer.emit(
-                "sched", "arrange", requests_in=len(requests), requests_out=len(merged)
-            )
+            self.tracer.record(ARRANGE, None, 0.0, None, len(requests), len(merged))
         return merged
 
     def arrange_arrays(
@@ -63,9 +64,7 @@ class FifoScheduler:
         )
         self.metrics.incr("scheduler.requests_out", int(s.shape[0]))
         if self.tracer.enabled:
-            self.tracer.emit(
-                "sched", "arrange", requests_in=n, requests_out=int(s.shape[0])
-            )
+            self.tracer.record(ARRANGE, None, 0.0, None, n, int(s.shape[0]))
         return s, b, w
 
 
@@ -100,9 +99,7 @@ class ElevatorScheduler:
             out.extend(_merge_sorted(window, self.params.merge_gap_blocks))
         self.metrics.incr("scheduler.requests_out", len(out))
         if self.tracer.enabled:
-            self.tracer.emit(
-                "sched", "arrange", requests_in=len(requests), requests_out=len(out)
-            )
+            self.tracer.record(ARRANGE, None, 0.0, None, len(requests), len(out))
         return out
 
     def arrange_arrays(
@@ -145,9 +142,7 @@ class ElevatorScheduler:
             m_w = np.concatenate(out_w)
         self.metrics.incr("scheduler.requests_out", int(m_s.shape[0]))
         if self.tracer.enabled:
-            self.tracer.emit(
-                "sched", "arrange", requests_in=n, requests_out=int(m_s.shape[0])
-            )
+            self.tracer.record(ARRANGE, None, 0.0, None, n, int(m_s.shape[0]))
         return m_s, m_n, m_w
 
 

@@ -26,6 +26,9 @@ from repro.meta.inode import Inode
 from repro.meta.inumber import GlobalDirectoryTable, decode_ino, encode_ino
 from repro.meta.layout import AccessPlan, DirectoryLayout
 
+#: Trace schema, ``(layer, op, *attr names)``, of a mapping spill.
+_INODE_SPILL = ("meta", "inode_spill", "ino", "block", "spills", "at")
+
 
 @dataclass
 class EmbeddedDir:
@@ -401,13 +404,8 @@ class EmbeddedLayout(DirectoryLayout):
         if self.metrics is not None:
             self.metrics.incr("meta.inode_spill_blocks")
         if self.tracer.enabled:
-            self.tracer.emit(
-                "meta",
-                "inode_spill",
-                ino=inode.ino,
-                block=block,
-                spills=len(inode.spill_blocks),
-                at=at,
+            self.tracer.record(
+                _INODE_SPILL, None, 0.0, None, inode.ino, block, len(inode.spill_blocks), at
             )
 
     def _mapping_blocks_needed(self, records: int) -> int:

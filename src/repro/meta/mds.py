@@ -15,6 +15,7 @@ per operation (an aggregated pair like readdir-stat is one operation).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +31,18 @@ from repro.meta.mfs import MetadataFS
 from repro.meta.normal_layout import NormalLayout
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
+
+#: Trace schemas, ``(layer, op, *attr names)``: one per event shape.
+_CHECKPOINT = ("meta", "checkpoint", "blocks")
+_CRASH_RECOVER = ("meta", "crash_recover", "replayed", "discarded")
+_JOURNAL_TORN = ("meta", "journal_torn", "seq")
+_JOURNAL_COMMIT = ("meta", "journal_commit", "records")
+
+
+@cache
+def _op_schema(op_name: str) -> tuple:
+    """The attr-less schema of one operation's event, built once per name."""
+    return ("meta", op_name)
 
 
 class MetadataServer:
@@ -217,7 +230,7 @@ class MetadataServer:
         self.metrics.incr("mds.checkpoints")
         self.metrics.incr("mds.checkpoint_blocks", flushed)
         if self.tracer.enabled:
-            self.tracer.emit("meta", "checkpoint", blocks=flushed)
+            self.tracer.record(_CHECKPOINT, None, 0.0, None, flushed)
         return flushed
 
     def flush(self) -> None:
@@ -257,9 +270,7 @@ class MetadataServer:
         if discarded:
             self.metrics.incr("mds.discarded_records", discarded)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "meta", "crash_recover", replayed=replayed, discarded=discarded
-            )
+            self.tracer.record(_CRASH_RECOVER, None, 0.0, None, replayed, discarded)
         return replayed
 
     def reset_timeline(self) -> None:
@@ -318,11 +329,11 @@ class MetadataServer:
                     if disk.torn_writes > torn_before:  # never committed
                         self._counters["mds.torn_journal_records"] += 1
                         if tracer.enabled:
-                            tracer.emit("meta", "journal_torn", seq=record.seq)
+                            tracer.record(_JOURNAL_TORN, None, 0.0, None, record.seq)
                     else:
                         record.committed = True  # Journal.commit
                         if tracer.enabled:
-                            tracer.emit("meta", "journal_commit", records=journal_records)
+                            tracer.record(_JOURNAL_COMMIT, None, 0.0, None, journal_records)
                 if dirties:
                     dirty_update(dirties)
                 self._cpu_s += plan.cpu_s
@@ -335,7 +346,7 @@ class MetadataServer:
                 elapsed = disk.busy_s + self._cpu_s + self._overhead_s - t0
                 latencies.append(elapsed)
                 if tracer.enabled:
-                    tracer.emit("meta", op_name, t=t0, dur=elapsed)
+                    tracer.record(_op_schema(op_name), t0, elapsed, None)
         finally:
             counters = self._counters
             if journal_writes:

@@ -5,7 +5,8 @@ round-trips through :func:`read_jsonl`).  The Chrome format produces a file
 loadable in ``chrome://tracing`` / Perfetto: events become complete ("X")
 slices with microsecond timestamps, the layer as the category and the
 stream id as the thread id, so concurrent streams render as parallel
-tracks.
+tracks; the exact stream (0 or None, which share thread 0) rides along
+as a top-level ``stream`` key that :func:`read_chrome` prefers.
 
 For telemetry time series (:mod:`repro.obs.timeseries`), CSV is the
 spreadsheet-friendly wide format — one row per window, one column per
@@ -98,6 +99,7 @@ def chrome_trace_dict(events: Iterable[TraceEvent]) -> dict[str, Any]:
                 "dur": e.dur * 1e6,
                 "pid": 0,
                 "tid": e.stream if isinstance(e.stream, int) else 0,
+                "stream": e.stream,  # exact: tid 0 is both stream 0 and None
                 "args": e.attrs,
             }
         )
@@ -127,13 +129,14 @@ def read_chrome(src: str | Path | IO[str]) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     for rec in raw:
         tid = rec.get("tid", 0)
+        stream = rec["stream"] if "stream" in rec else (tid if tid != 0 else None)
         events.append(
             TraceEvent(
                 t=float(rec["ts"]) / 1e6,
                 layer=rec.get("cat", ""),
                 op=rec.get("name", ""),
                 dur=float(rec.get("dur", 0.0)) / 1e6,
-                stream=tid if tid != 0 else None,
+                stream=stream,
                 attrs=dict(rec.get("args", {})),
             )
         )

@@ -8,8 +8,11 @@ dropped; tracing never grows without bound.  A row is one flat tuple
 ``(t, dur, stream, schema, *attr values)`` whose ``schema`` —
 ``(layer, op, *attr names)`` — is shared by every event of the same
 shape; :class:`TraceEvent` objects exist only once :meth:`Tracer.events`
-is called.  Array code paths append a whole batch of rows from numpy
-columns with one :meth:`Tracer.emit_batch` call.
+is called.  A site of fixed shape declares its schema as a module
+constant and appends positionally with :meth:`Tracer.record`;
+:meth:`Tracer.emit` is the keyword form of the same row, and array code
+paths append a whole batch of rows from numpy columns with one
+:meth:`Tracer.emit_batch` call.
 
 Tracing is a property of the buffer, never of the code path: hot paths
 guard every *emission* with ``if tracer.enabled:`` (sparing the argument
@@ -110,7 +113,9 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """Bounded ring buffer of trace rows, read back as :class:`TraceEvent`."""
 
-    __slots__ = ("enabled", "capacity", "clock", "_rows", "_schemas", "_emitted")
+    __slots__ = (
+        "enabled", "capacity", "clock", "active_stream", "_rows", "_schemas", "_emitted",
+    )
 
     def __init__(
         self,
@@ -123,6 +128,9 @@ class Tracer:
         self.enabled = enabled
         self.capacity = capacity
         self.clock = clock
+        #: Stream id given to events recorded without one: the operation a
+        #: :class:`SamplingTracer` is armed for, always None otherwise.
+        self.active_stream: int | None = None
         self._rows: deque[tuple] = deque(maxlen=capacity)
         #: Interned ``(layer, op, *attr names)`` tuples, one per event shape.
         self._schemas: dict[tuple, tuple] = {}
@@ -145,6 +153,28 @@ class Tracer:
         return float(self._emitted)
 
     # -- recording ---------------------------------------------------------
+    def record(
+        self,
+        schema: tuple,
+        t: float | None,
+        dur: float,
+        stream: int | None,
+        *values: Any,
+    ) -> None:
+        """Record one event of a declared shape (evicting the oldest once at
+        capacity): ``schema`` is a constant ``(layer, op, *attr names)`` and
+        ``values`` the attrs in that order.  ``t=None`` stamps the bound
+        clock, else the sequence number; ``stream=None`` the active stream."""
+        if not self.enabled:
+            return
+        if t is None:
+            clock = self.clock
+            t = clock() if clock is not None else float(self._emitted)
+        self._emitted += 1
+        self._rows.append(
+            (t, dur, self.active_stream if stream is None else stream, schema, *values)
+        )
+
     def emit(
         self,
         layer: str,
@@ -154,17 +184,12 @@ class Tracer:
         stream: int | None = None,
         **attrs: Any,
     ) -> None:
-        """Record one event (evicting the oldest once at capacity)."""
+        """Record one event given by keywords: the :meth:`record` row, with
+        the schema interned per shape."""
         if not self.enabled:
             return
-        if t is None:
-            clock = self.clock
-            t = clock() if clock is not None else float(self._emitted)
-        self._emitted += 1
         key = (layer, op, *attrs)
-        self._rows.append(
-            (t, dur, stream, self._schemas.setdefault(key, key), *attrs.values())
-        )
+        self.record(self._schemas.setdefault(key, key), t, dur, stream, *attrs.values())
 
     def emit_batch(
         self,
@@ -191,6 +216,8 @@ class Tracer:
         for op in set(ops):
             key = (layer, op, *names)
             schemas[op] = self._schemas.setdefault(key, key)
+        if stream is None:
+            stream = self.active_stream
         self._emitted += n
         self._rows.extend(zip(
             t.tolist(), dur.tolist(), repeat(stream, n),
@@ -213,7 +240,10 @@ class Tracer:
     def events(self) -> list[TraceEvent]:
         """The retained events, oldest first."""
         return [
-            TraceEvent(t, schema[0], schema[1], dur, stream, dict(zip(schema[2:], values)))
+            TraceEvent(
+                t, schema[0], schema[1], dur, stream,
+                dict(zip(schema[2:], values, strict=True)),
+            )
             for t, dur, stream, schema, *values in self._rows
         ]
 
@@ -306,7 +336,7 @@ class SamplingTracer(Tracer):
     layer doesn't pass its own.
     """
 
-    __slots__ = ("every", "offset", "active_stream")
+    __slots__ = ("every", "offset")
 
     def __init__(
         self,
@@ -320,8 +350,6 @@ class SamplingTracer(Tracer):
         super().__init__(capacity=capacity, clock=clock, enabled=False)
         self.every = every
         self.offset = offset % every
-        #: Stream id of the operation the tracer is armed for, or None.
-        self.active_stream: int | None = None
 
     def spawn(self) -> "SamplingTracer":
         return SamplingTracer(self.every, self.offset, self.capacity)
@@ -333,34 +361,6 @@ class SamplingTracer(Tracer):
     def op(self, stream: int) -> _ArmedOp:
         """Arm the tracer for one sampled operation (context manager)."""
         return _ArmedOp(self, stream)
-
-    def emit(
-        self,
-        layer: str,
-        op: str,
-        t: float | None = None,
-        dur: float = 0.0,
-        stream: int | None = None,
-        **attrs: Any,
-    ) -> None:
-        if not self.enabled:
-            return
-        if stream is None:
-            stream = self.active_stream
-        super().emit(layer, op, t=t, dur=dur, stream=stream, **attrs)
-
-    def emit_batch(
-        self,
-        layer: str,
-        ops: Sequence[str],
-        t: np.ndarray,
-        dur: np.ndarray,
-        stream: int | None = None,
-        **columns: Any,
-    ) -> None:
-        if stream is None:
-            stream = self.active_stream
-        super().emit_batch(layer, ops, t, dur, stream=stream, **columns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -402,6 +402,7 @@ class NullTracer:
     enabled = False
     capacity = 0
     clock = None
+    active_stream = None
     emitted = 0
     dropped = 0
 
@@ -410,6 +411,9 @@ class NullTracer:
 
     def now(self) -> float:
         return 0.0
+
+    def record(self, *args: Any) -> None:
+        pass
 
     def emit(self, *args: Any, **kwargs: Any) -> None:
         pass

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.obs import (
+    SamplingTracer,
     TraceEvent,
     Tracer,
     read_chrome,
@@ -44,6 +45,32 @@ class TestTraceRoundTrips:
         ch = tmp_path / "uni.json"
         to_chrome(events, ch)
         assert read_chrome(ch) == events
+
+    def test_stream_zero_and_none_round_trip_through_chrome(self, tmp_path):
+        """Stream 0 and stream-less events share thread 0 on the timeline,
+        yet each comes back as it went in — stream 0 is the first stream a
+        ``SamplingTracer`` at its default offset samples."""
+        tr = SamplingTracer(every=4)
+        with tr.op(0):
+            tr.emit("meta", "create", t=0.5, dur=0.25)
+        events = [
+            *tr.events(),
+            TraceEvent(t=1.0, layer="fsm", op="free", attrs={"start": 8}),
+            TraceEvent(t=1.5, layer="disk", op="read", stream=5, attrs={}),
+        ]
+        assert [e.stream for e in events] == [0, None, 5]
+        path = tmp_path / "zero.json"
+        assert to_chrome(events, path) == 3
+        doc = json.loads(path.read_text())
+        assert [(r["ph"], r["pid"], r["tid"]) for r in doc["traceEvents"]] == [
+            ("X", 0, 0), ("X", 0, 0), ("X", 0, 5),
+        ]
+        assert read_chrome(path) == events
+        # A file without the exact key still reads by thread id.
+        for r in doc["traceEvents"]:
+            del r["stream"]
+        path.write_text(json.dumps(doc))
+        assert [e.stream for e in read_chrome(path)] == [None, None, 5]
 
     def test_large_ring_buffer_wrap_round_trips(self, tmp_path):
         """Export after heavy eviction: only the retained tail is written,
