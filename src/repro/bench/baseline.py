@@ -38,8 +38,7 @@ BENCH_SCHEMA_VERSION = 1
 PINNED_SCALE = 0.05
 PINNED_SEED = 0
 PINNED_RUNNERS = (
-    "fig6a", "fig6b", "fig7", "table1", "fig8", "fig_listio", "fig_cache",
-    "fig_fsck",
+    "fig6a", "fig6b", "fig7", "table1", "fig8", "fig_listio", "fig_fsck",
 )
 
 

@@ -104,42 +104,19 @@ class CacheParams:
     The readahead window starts at ``readahead_init_blocks`` and doubles on
     every correctly-predicted sequential access up to
     ``readahead_max_blocks`` — the behaviour §V.D.1 credits for the growing
-    readdir-stat win of embedded directories on large directories.
-
-    ``profile`` selects the caching subsystem (docs/CACHE.md):
-
-    - ``"legacy"`` (default) — flat LRU plus a fixed pool of
-      ``ra_contexts`` readahead contexts, the original kernel-style design.
-      Every committed benchmark baseline runs this profile.
-    - ``"adaptive"`` — per-stream readahead contexts (hashed frontier map
-      sized O(active streams), window ramp on sequential hits and
-      multiplicative decay when prefetched blocks are evicted before use),
-      a scan-resistant SLRU tier pair (probation + protected, promotion on
-      second touch) and embedded-directory metadata prefetch at the MDS.
-
-    The adaptive knobs: ``max_streams`` bounds the per-stream context map
-    (LRU-evicted beyond it) and ``protected_fraction`` splits the capacity
-    between the protected and probation tiers.
+    readdir-stat win of embedded directories on large directories
+    (docs/CACHE.md).
     """
 
     capacity_blocks: int = 4096
     readahead_init_blocks: int = 4
     readahead_max_blocks: int = 32
     enabled: bool = True
-    #: Concurrent sequential streams tracked by the legacy readahead table
-    #: (the kernel keeps a context per open file / access pattern; a
-    #: readdirplus interleaves a dentry stream with an inode-table stream
-    #: and both deserve a window).  Ignored by the adaptive profile, which
-    #: tracks up to ``max_streams`` contexts instead.
+    #: Concurrent sequential streams tracked by the readahead table (the
+    #: kernel keeps a context per open file / access pattern; a readdirplus
+    #: interleaves a dentry stream with an inode-table stream and both
+    #: deserve a window).
     ra_contexts: int = 4
-    #: Caching subsystem profile: ``"legacy"`` or ``"adaptive"``.
-    profile: str = "legacy"
-    #: Adaptive profile: per-stream contexts kept before LRU eviction.
-    max_streams: int = 1024
-    #: Adaptive profile: fraction of ``capacity_blocks`` reserved for the
-    #: protected (second-touch) tier; the rest is the probation tier scans
-    #: churn through.
-    protected_fraction: float = 0.8
 
     def __post_init__(self) -> None:
         if self.capacity_blocks < 0:
@@ -150,14 +127,6 @@ class CacheParams:
             raise ConfigError("readahead_init_blocks must be <= readahead_max_blocks")
         if self.ra_contexts < 1:
             raise ConfigError(f"ra_contexts must be >= 1: {self.ra_contexts}")
-        if self.profile not in ("legacy", "adaptive"):
-            raise ConfigError(f"unknown cache profile: {self.profile!r}")
-        if self.max_streams < 1:
-            raise ConfigError(f"max_streams must be >= 1: {self.max_streams}")
-        if not (0.0 < self.protected_fraction < 1.0):
-            raise ConfigError(
-                f"protected_fraction must be in (0, 1): {self.protected_fraction}"
-            )
 
 
 @dataclass(frozen=True)
@@ -346,9 +315,3 @@ class FSConfig:
     def with_layout(self, layout: str) -> "FSConfig":
         """Copy of this config with a different directory layout."""
         return replace(self, meta=replace(self.meta, layout=layout))
-
-    def with_cache_profile(self, profile: str, **overrides: object) -> "FSConfig":
-        """Copy of this config with a different cache profile (and optional
-        :class:`CacheParams` overrides); see docs/CACHE.md."""
-        cache = replace(self.cache, profile=profile, **overrides)  # type: ignore[arg-type]
-        return replace(self, cache=cache, name=f"{self.name}:{profile}-cache")

@@ -10,13 +10,7 @@ this package imports every family, which is what fills the registry.
 """
 
 from repro.core.runners import (
-    cache, claims, faults, fig6, fig8, fig9, fig10, fsck, listio, macro, service,
-)
-from repro.core.runners.cache import (
-    CACHE_PRESSURE_CAPACITY,
-    CacheRun,
-    FigCacheResult,
-    cache_pressure_suite,
+    claims, faults, fig6, fig8, fig9, fig10, fsck, listio, macro, service,
 )
 from repro.core.runners.claims import (
     CLAIMS,
@@ -69,21 +63,20 @@ from repro.core.runners.service import (
 #: runner's signature.
 RUNNER_COMMANDS = (
     *fig6.COMMANDS, *macro.COMMANDS, *fig8.COMMANDS, *fig9.COMMANDS,
-    *fig10.COMMANDS, *claims.COMMANDS, *listio.COMMANDS, *cache.COMMANDS,
+    *fig10.COMMANDS, *claims.COMMANDS, *listio.COMMANDS,
     *faults.COMMANDS, *fsck.COMMANDS, *service.COMMANDS,
 )
 
 __all__ = [
-    "AgingResult", "AgingRun", "CACHE_PRESSURE_CAPACITY", "CLAIMS", "CacheRun",
-    "Claim", "ClaimsResult", "FaultCampaignResult", "Fig10Result",
-    "Fig6aResult", "Fig6bResult", "Fig7Result", "Fig8Result", "FigCacheResult",
-    "FigFsckResult", "FppGap", "FsckRun", "InterferenceClaim",
-    "LISTIO_HEADER_S", "ListIOResult", "ListIORun", "MacroRun", "MetaRun",
-    "PreallocWaste", "RUNNER_COMMANDS", "ScrubSummary", "ServiceCell",
-    "ServiceReport", "StationReport", "TELEMETRY_WINDOWS", "Table1Result",
-    "Verdict", "aging_impact", "cache_pressure_suite", "fault_campaign",
+    "AgingResult", "AgingRun", "CLAIMS", "Claim", "ClaimsResult",
+    "FaultCampaignResult", "Fig10Result", "Fig6aResult", "Fig6bResult",
+    "Fig7Result", "Fig8Result", "FigFsckResult", "FppGap", "FsckRun",
+    "InterferenceClaim", "LISTIO_HEADER_S", "ListIOResult", "ListIORun",
+    "MacroRun", "MetaRun", "PreallocWaste", "RUNNER_COMMANDS", "ScrubSummary",
+    "ServiceCell", "ServiceReport", "StationReport", "TELEMETRY_WINDOWS",
+    "Table1Result", "Verdict", "aging_impact", "fault_campaign",
     "file_per_process_gap", "fsck_benchmarks", "interference_claim",
     "listio_benchmarks", "macro_benchmarks", "metarates_suite",
-    "micro_request_size", "micro_stream_count", "paper_claims", "postmark_apps",
-    "prealloc_waste", "service_mode", "table1_segments",
+    "micro_request_size", "micro_stream_count", "paper_claims",
+    "postmark_apps", "prealloc_waste", "service_mode", "table1_segments",
 ]

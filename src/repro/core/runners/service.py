@@ -350,7 +350,6 @@ def service_mode(
     telemetry: bool | float = False,
     slo: bool | str | SLObjective | tuple[str | SLObjective, ...] | None = None,
     sample: int | str | None = None,
-    cache_profile: str = "legacy",
     scrub: bool | float = False,
     scrub_corrupt: int = 0,
     scrub_faults: int = 1,
@@ -381,15 +380,6 @@ def service_mode(
       SamplingTracer`, bounding trace volume at any stream count.
       Ignored when an explicit ``trace=`` tracer is passed.
 
-    ``cache_profile`` selects the MDS buffer-cache profile ("legacy" or
-    "adaptive", docs/CACHE.md).  Unlike the observability knobs it *does*
-    change simulated results, so a non-default profile enters the
-    fingerprint through the config name; the default is
-    fingerprint-identical to previous releases.  Under ``telemetry`` the
-    cache counters (per-tier hits, misses, prefetch issued/used) are
-    rolled into per-window series with a derived
-    ``cache.prefetch_accuracy``.
-
     ``scrub`` enables online scrubbing (docs/FSCK.md): ``True`` steps the
     :class:`~repro.fs.verify.Scrubber` once per telemetry-sized window
     (duration / :data:`TELEMETRY_WINDOWS`), a number is an explicit step
@@ -404,10 +394,6 @@ def service_mode(
     rate_points = tuple(resolve_rate(r) for r in (rates if rates is not None else (rate,)))
     duration_s = resolve_duration(duration) * scale
     cfg = config if config is not None else redbud_mif_profile()
-    if cache_profile != "legacy":
-        # Fold the cache profile into the config (and thus, via its name,
-        # into the fingerprint): the default stays fingerprint-identical.
-        cfg = cfg.with_cache_profile(cache_profile)
     objectives = resolve_objectives(slo)
     telemetry_window = _resolve_telemetry_window(
         telemetry, objectives is not None, duration_s
@@ -629,11 +615,6 @@ COMMANDS = (
                 default=None, metavar="1/N",
                 help="trace every Nth stream end-to-end (sampled tracing "
                 "bounds trace volume at any stream count)")),
-            CliOption(("--cache-profile",), "cache_profile", dict(
-                choices=["legacy", "adaptive"], default="legacy",
-                help="MDS buffer-cache profile: legacy flat LRU or the "
-                "adaptive tiered cache (docs/CACHE.md); per-tier hit/miss "
-                "and prefetch-accuracy series appear under --telemetry")),
             CliOption(("--scrub",), "scrub", dict(
                 nargs="?", const=True, default=False, type=float,
                 metavar="INTERVAL_S",

@@ -11,20 +11,9 @@ matter for the paper's results:
   used", merging individual readdir-stat accesses into large reads.  We
   reproduce the classic doubling window.
 
-Two cache profiles share this class (``CacheParams.profile``, docs/CACHE.md):
-
-- ``"legacy"`` — a flat LRU plus a fixed pool of ``ra_contexts`` readahead
-  contexts.  This is the original design; every committed ``BENCH_*.json``
-  baseline runs it, and its code paths are kept bit-for-bit (the hypothesis
-  oracle in ``tests/test_prop_cache_profile.py`` pins the equivalence).
-- ``"adaptive"`` — the three-part subsystem for service-mode pressure:
-  per-stream readahead contexts in a hashed frontier map (window ramp on
-  sequential hits, multiplicative decay when prefetched blocks are evicted
-  before use, O(active streams) and LRU-bounded by ``max_streams``), a
-  scan-resistant SLRU tier pair (probation + protected segments, promotion
-  on second touch so scans cannot evict the hot set), and a batched
-  :meth:`BufferCache.prefetch_runs` entry point the MDS uses to pull a
-  whole embedded directory's inode+extent region in one request.
+The cache is a flat LRU of ``capacity_blocks`` plus a fixed table of
+``ra_contexts`` readahead contexts (docs/CACHE.md); the hypothesis oracle
+in ``tests/test_prop_cache.py`` holds it to a straight-line reference.
 """
 
 from __future__ import annotations
@@ -64,46 +53,20 @@ class BufferCache:
         self._lru: OrderedDict[int, None] = OrderedDict()
         # Readahead contexts: (expected next block, window size), LRU order.
         self._ra: OrderedDict[int, int] = OrderedDict()
-        # -- adaptive profile state (inert under "legacy") ------------------
-        self._adaptive = params.profile == "adaptive"
-        #: A stream matches reads within ``slack`` blocks below its frontier
-        #: (same window the legacy table uses); also the hash-bucket width
-        #: of the frontier index, so a lookup probes at most two buckets.
-        self._slack = max(1, 2 * params.readahead_max_blocks)
-        #: Probation tier: first-touch blocks; where scans churn.
-        self._t1: OrderedDict[int, None] = OrderedDict()
-        #: Protected tier: blocks referenced at least twice while resident.
-        self._t2: OrderedDict[int, None] = OrderedDict()
-        self._protected_cap = max(1, int(params.capacity_blocks * params.protected_fraction))
-        #: Per-stream contexts keyed by frontier block, LRU order.
-        self._streams: OrderedDict[int, int] = OrderedDict()
-        #: frontier // slack -> frontiers in that bucket (few per bucket).
-        self._stream_buckets: dict[int, list[int]] = {}
-        #: Prefetched blocks not yet referenced by a requested read; the
-        #: numerator feed of the prefetch-accuracy metric.
-        self._prefetched: set[int] = set()
         # read_batch's fixed inputs (scalar loop?, context slack, disk size).
-        self._scalar_reads = not params.enabled or self._adaptive
+        self._scalar_reads = not params.enabled
         self._ra_slack = 2 * params.readahead_max_blocks
         self._disk_blocks = disk.capacity_blocks
 
     # -- cache bookkeeping --------------------------------------------------
     def __contains__(self, block: int) -> bool:
-        if self._adaptive:
-            return block in self._t1 or block in self._t2
         return block in self._lru
 
     def __len__(self) -> int:
-        if self._adaptive:
-            return len(self._t1) + len(self._t2)
         return len(self._lru)
 
     def _insert(self, start: int, nblocks: int) -> None:
         if self.params.capacity_blocks == 0:
-            return
-        if self._adaptive:
-            for b in range(start, start + nblocks):
-                self._tier_insert(b)
             return
         for b in range(start, start + nblocks):
             if b in self._lru:
@@ -126,17 +89,6 @@ class BufferCache:
         ``TestInvalidateReadahead`` for the pinned semantics).
         """
         end = start + nblocks
-        if self._adaptive:
-            for b in range(start, end):
-                self._t1.pop(b, None)
-                self._t2.pop(b, None)
-                self._prefetched.discard(b)
-            stale = [k for k in self._streams if start <= k < end]
-            for k in stale:
-                self._drop_stream(k)
-            if stale:
-                self.metrics.incr("cache.ra_invalidated", len(stale))
-            return
         for b in range(start, end):
             self._lru.pop(b, None)
         stale = [k for k in self._ra if start <= k < end]
@@ -149,222 +101,15 @@ class BufferCache:
         """Empty the cache and reset readahead (echo 3 > drop_caches)."""
         self._lru.clear()
         self._ra.clear()
-        self._t1.clear()
-        self._t2.clear()
-        self._streams.clear()
-        self._stream_buckets.clear()
-        self._prefetched.clear()
-
-    # -- adaptive tiers (SLRU: probation + protected) -----------------------
-    def _tier_insert(self, b: int, prefetched: bool = False) -> None:
-        """First touch lands in probation; re-inserts refresh in place."""
-        if b in self._t1:
-            self._t1.move_to_end(b)
-            return
-        if b in self._t2:
-            self._t2.move_to_end(b)
-            return
-        self._t1[b] = None
-        if prefetched:
-            self._prefetched.add(b)
-        cap = self.params.capacity_blocks
-        evictions = 0
-        while len(self._t1) + len(self._t2) > cap:
-            tier = self._t1 if self._t1 else self._t2
-            victim, _ = tier.popitem(last=False)
-            self._prefetched.discard(victim)
-            evictions += 1
-        if evictions:
-            self.metrics.incr("cache.evictions", evictions)
-
-    def _tier_reference(self, b: int) -> None:
-        """A requested hit: second touch promotes probation -> protected.
-
-        A prefetched block's *first* requested hit only consumes the
-        prefetch (it counts toward prefetch accuracy and refreshes
-        probation); promotion needs a second requested touch.  Otherwise a
-        prefetch-assisted scan would flood the protected tier and evict
-        the hot set — the exact failure mode the tiers exist to prevent.
-        """
-        if b in self._t2:
-            self._t2.move_to_end(b)
-            self.metrics.incr("cache.t2_hits")
-            return
-        if b in self._prefetched:
-            self._prefetched.discard(b)
-            self.metrics.incr("cache.prefetch_used_blocks")
-            self._t1.move_to_end(b)
-            self.metrics.incr("cache.t1_hits")
-            return
-        del self._t1[b]
-        self._t2[b] = None
-        self.metrics.incr("cache.t1_hits")
-        self.metrics.incr("cache.promotions")
-        demotions = 0
-        while len(self._t2) > self._protected_cap:
-            demoted, _ = self._t2.popitem(last=False)
-            self._t1[demoted] = None  # protected overflow -> probation MRU
-            demotions += 1
-        if demotions:
-            self.metrics.incr("cache.demotions", demotions)
-
-    # -- adaptive per-stream readahead --------------------------------------
-    def _match_stream(self, start: int) -> int | None:
-        """Frontier of the stream a read at ``start`` belongs to, if any.
-
-        A frontier ``k`` matches when ``k - slack <= start <= k``, i.e.
-        ``k in [start, start + slack]`` — which spans at most two buckets of
-        the frontier index, so the probe is O(1) in the stream count.
-        """
-        slack = self._slack
-        bucket = start // slack
-        best: int | None = None
-        for b in (bucket, bucket + 1):
-            for k in self._stream_buckets.get(b, ()):
-                if k - slack <= start <= k and (best is None or k < best):
-                    best = k
-        return best
-
-    def _add_stream(self, frontier: int, window: int) -> None:
-        streams = self._streams
-        if frontier in streams:
-            streams[frontier] = max(streams[frontier], window)
-            streams.move_to_end(frontier)
-            return
-        streams[frontier] = window
-        self._stream_buckets.setdefault(frontier // self._slack, []).append(frontier)
-        evicted = 0
-        while len(streams) > self.params.max_streams:
-            old, _ = streams.popitem(last=False)
-            self._unindex_stream(old)
-            evicted += 1
-        if evicted:
-            self.metrics.incr("cache.stream_evictions", evicted)
-
-    def _drop_stream(self, frontier: int) -> None:
-        del self._streams[frontier]
-        self._unindex_stream(frontier)
-
-    def _unindex_stream(self, frontier: int) -> None:
-        bucket = frontier // self._slack
-        entries = self._stream_buckets.get(bucket)
-        if entries is not None:
-            entries.remove(frontier)
-            if not entries:
-                del self._stream_buckets[bucket]
-
-    def _read_adaptive(self, start: int, nblocks: int) -> float:
-        """Adaptive-profile read: per-stream windows over the SLRU tiers.
-
-        Same billing philosophy as the legacy path — a fully-resident
-        request returns 0.0 even when it triggers prefetch beyond the
-        frontier; prefetch disk time is accounted to the disk, never to
-        the requester.
-        """
-        params = self.params
-        capacity = self.disk.capacity_blocks
-        frontier = self._match_stream(start)
-        prefetch = 0
-        if frontier is not None:
-            window = self._streams[frontier]
-            if start + nblocks > frontier:
-                # Crossed the frontier.  Ramp when the previously-prefetched
-                # run survived to be used; decay multiplicatively when it
-                # was evicted before use (scan pressure made the prefetch
-                # worthless at this window size).
-                lo = max(start, frontier - window)
-                evicted = any(
-                    b not in self for b in range(lo, min(start + nblocks, frontier))
-                )
-                if evicted:
-                    window = max(params.readahead_init_blocks, window // 2, 1)
-                    self.metrics.incr("cache.ra_decays")
-                else:
-                    window = min(max(window, 1) * 2, params.readahead_max_blocks)
-                    self.metrics.incr("cache.readahead_hits")
-                prefetch = window
-                self._drop_stream(frontier)
-                self._add_stream(start + nblocks + prefetch, window)
-                if self.tracer.enabled:
-                    self.tracer.record(_READAHEAD, None, 0.0, None, start, window)
-            else:
-                self._streams.move_to_end(frontier)
-        else:
-            req_end = min(start + nblocks, capacity)
-            has_miss = any(b not in self for b in range(start, req_end))
-            if has_miss:
-                window = params.readahead_init_blocks
-                prefetch = window if nblocks > 1 else 0
-                self._add_stream(start + nblocks + prefetch, window)
-
-        # Collect the miss runs within [start, start+nblocks+prefetch).
-        want = nblocks + prefetch
-        req_end = start + nblocks
-        misses: list[tuple[int, int]] = []
-        requested_miss = False
-        run_start = -1
-        for b in range(start, start + want):
-            if b >= capacity:
-                break
-            if b in self:
-                if b < req_end:
-                    self.metrics.incr("cache.hits")
-                    self._tier_reference(b)
-                else:
-                    self.metrics.incr("cache.ra_cached")
-                    self._tier_insert(b)  # refresh within its tier
-                if run_start >= 0:
-                    misses.append((run_start, b - run_start))
-                    run_start = -1
-            else:
-                if b < req_end:
-                    self.metrics.incr("cache.misses")
-                    requested_miss = True
-                if run_start < 0:
-                    run_start = b
-        if run_start >= 0:
-            end = min(start + want, capacity)
-            misses.append((run_start, end - run_start))
-
-        if not misses:
-            if self.tracer.enabled:
-                self.tracer.record(_HIT, None, 0.0, None, start, nblocks)
-            return 0.0
-        elapsed = self._fetch(misses)
-        issued = 0
-        for run_start, run_blocks in misses:
-            for b in range(run_start, run_start + run_blocks):
-                ahead = b >= req_end
-                self._tier_insert(b, prefetched=ahead)
-                if ahead:
-                    issued += 1
-        if issued:
-            self.metrics.incr("cache.prefetch_issued_blocks", issued)
-        if not requested_miss:
-            self.metrics.incr("cache.prefetch_only_reads")
-            self.metrics.add("cache.unbilled_prefetch_s", elapsed)
-            if self.tracer.enabled:
-                self.tracer.record(_PREFETCH, None, elapsed, None, start, nblocks, prefetch)
-            return 0.0
-        if self.tracer.enabled:
-            self.tracer.record(
-                _MISS, None, elapsed, None, start, nblocks, prefetch, len(misses)
-            )
-        self.metrics.observe("cache.read_latency_s", elapsed)
-        return elapsed
 
     def prefetch_runs(self, reads: list[tuple[int, int]]) -> float:
         """One batched prefetch of every non-resident block in ``reads``.
 
-        The embedded-directory metadata prefetch (docs/CACHE.md): the MDS
-        hands over a directory's whole contiguous inode+extent region —
-        the run MiF's layout guarantees exists (§IV.A) — and the cache
-        fetches all of it under a single submission, so the scheduler
-        merges the region instead of the doubling window discovering it
-        block by block.  Prefetch is opportunistic: the requester is never
-        billed (returns 0.0) and the blocks land in the probation tier
-        marked prefetched, feeding the prefetch-accuracy metric when the
-        reads that follow consume them.
+        Kept only because ``benchmarks/ledger/spans.py::ENTRY_POINTS`` names
+        it: nothing in ``src/`` calls it.  The non-resident blocks are
+        fetched under a single submission and inserted at the MRU end;
+        prefetch is opportunistic, so the requester is never billed
+        (returns 0.0).
         """
         if not self.params.enabled or self.params.capacity_blocks == 0:
             return 0.0
@@ -387,11 +132,7 @@ class BufferCache:
         elapsed = self._fetch(misses)
         issued = 0
         for run_start, run_blocks in misses:
-            if self._adaptive:
-                for b in range(run_start, run_start + run_blocks):
-                    self._tier_insert(b, prefetched=True)
-            else:
-                self._insert(run_start, run_blocks)
+            self._insert(run_start, run_blocks)
             issued += run_blocks
         self.metrics.incr("cache.dir_prefetches")
         self.metrics.incr("cache.prefetch_issued_blocks", issued)
@@ -412,8 +153,6 @@ class BufferCache:
             raise SimulationError(f"read of {nblocks} blocks")
         if not self.params.enabled:
             return self.disk.submit_one(start, nblocks, False)
-        if self._adaptive:
-            return self._read_adaptive(start, nblocks)
 
         # Readahead: each context is (prefetch frontier -> window size).  A
         # read at or just below a frontier belongs to that stream; pushing
@@ -511,8 +250,7 @@ class BufferCache:
         crossing, a read past capacity, or a disabled cache — falls back to
         the scalar :meth:`read` for that element, *before* any state was
         touched, so the sequence of cache and context mutations is
-        identical to the scalar loop.  The adaptive profile always takes
-        the scalar loop (tier promotion is order-sensitive on every touch).
+        identical to the scalar loop.
         """
         if self._scalar_reads:
             read = self.read
@@ -570,10 +308,6 @@ class BufferCache:
         including interleaved evictions, without the per-call overhead.
         """
         if self.params.capacity_blocks == 0:
-            return
-        if self._adaptive:
-            for b in blocks:
-                self._tier_insert(b)
             return
         lru = self._lru
         move = lru.move_to_end

@@ -268,10 +268,8 @@ class EmbeddedLayout(DirectoryLayout):
     def prefetch_region(self, parent: EmbeddedDir) -> list[tuple[int, int]]:
         """The directory's whole contiguous inode+extent region as block
         runs: the used content runs plus any spilled mapping blocks.  This
-        is the run MiF's embedding guarantees exists (§IV.A) — the MDS
-        hands it to :meth:`BufferCache.prefetch_runs` on readdir so the
-        adaptive cache pulls the region in one batched request instead of
-        the doubling window discovering it block by block (docs/CACHE.md)."""
+        is the run MiF's embedding guarantees exists (§IV.A), and the read
+        list of :meth:`readdir_stat`."""
         reads = self._content_reads(parent)
         spills = sorted(
             blk

@@ -80,14 +80,6 @@ class MetadataServer:
         self._dirty: set[int] = set()
         self._ops_since_ckpt = 0
         self.ops = 0
-        #: Embedded-directory metadata prefetch (docs/CACHE.md): under the
-        #: adaptive cache profile, readdir/readdirplus against an embedded
-        #: directory first pulls the whole contiguous inode+extent region
-        #: with one batched, unbilled prefetch.
-        self._dir_prefetch = (
-            config.cache.profile == "adaptive"
-            and hasattr(self.layout, "prefetch_region")
-        )
         self._sync_writes = config.meta.sync_writes
         self._ckpt_interval = config.meta.journal_interval_ops
         self._req_overhead_s = config.mds_request_overhead_s
@@ -144,16 +136,12 @@ class MetadataServer:
 
     def readdir(self, parent) -> list[str]:
         names, plan = self.layout.readdir(parent)
-        if self._dir_prefetch:
-            self.cache.prefetch_runs(self.layout.prefetch_region(parent))
         self._run((plan,), "readdir")
         return names
 
     def readdir_stat(self, parent) -> list[Inode]:
         """Aggregated readdirplus: one MDS request for the whole directory."""
         inodes, plan = self.layout.readdir_stat(parent)
-        if self._dir_prefetch:
-            self.cache.prefetch_runs(self.layout.prefetch_region(parent))
         self._run((plan,), "readdir_stat")
         return inodes
 

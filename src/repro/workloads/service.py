@@ -370,22 +370,13 @@ class ServiceTelemetry:
 
     :meth:`track_cache` additionally polls the MDS buffer-cache counters
     (:data:`CACHE_SERIES`, docs/CACHE.md) into per-window deltas plus a
-    derived ``cache.prefetch_accuracy`` sum — flushed only when the loop
-    probe crosses a window boundary, so it costs nothing per arrival.
+    derived ``cache.hit_rate`` sum — flushed only when the loop probe
+    crosses a window boundary, so it costs nothing per arrival.
     """
 
     #: Buffer-cache counters rolled into per-window series by
-    #: :meth:`track_cache` (per-tier hits, misses, prefetch accounting).
-    CACHE_SERIES = (
-        "cache.hits",
-        "cache.misses",
-        "cache.t1_hits",
-        "cache.t2_hits",
-        "cache.prefetch_issued_blocks",
-        "cache.prefetch_used_blocks",
-        "cache.dir_prefetches",
-        "cache.evictions",
-    )
+    #: :meth:`track_cache`.
+    CACHE_SERIES = ("cache.hits", "cache.misses", "cache.evictions")
 
     def __init__(self, window_s: float) -> None:
         self.series = TimeSeries(window_s)
@@ -412,7 +403,7 @@ class ServiceTelemetry:
         frame = self.series.frame_at(self._window)
         counters = frame.counters
         last = self._cache_last
-        hits = misses = used = issued = 0
+        hits = misses = 0
         for s in self.CACHE_SERIES:
             value = live.get(s, 0)
             delta = value - last[s]
@@ -423,16 +414,8 @@ class ServiceTelemetry:
                     hits = delta
                 elif s == "cache.misses":
                     misses = delta
-                elif s == "cache.prefetch_used_blocks":
-                    used = delta
-                elif s == "cache.prefetch_issued_blocks":
-                    issued = delta
         if hits or misses:
             frame.sums["cache.hit_rate"] = hits / (hits + misses)
-        if issued or used:
-            # Used blocks may have been issued in an earlier window, so
-            # clamp: accuracy is a per-window estimate, exact in total.
-            frame.sums["cache.prefetch_accuracy"] = min(1.0, used / issued) if issued else 1.0
 
     def loop_probe(self, times: np.ndarray) -> Iterator[tuple[int, int]]:
         """The ``EventLoop.probe`` callback: one ``(lo, hi)`` run of the

@@ -829,11 +829,9 @@ class ReferenceBufferCache(BufferCache):
         else — a miss, a frontier crossing, a read past capacity, or a
         disabled cache — falls back to the scalar :meth:`read` for
         that element, *before* any state was touched, so the sequence of
-        cache and context mutations is identical to the scalar loop.  The
-        adaptive profile always takes the scalar loop (tier promotion is
-        order-sensitive on every touch, so there is no deferrable work).
+        cache and context mutations is identical to the scalar loop.
         """
-        if not self.params.enabled or self._adaptive:
+        if not self.params.enabled:
             read = self.read
             total = 0.0
             for start, nblocks in reads:

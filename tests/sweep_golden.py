@@ -7,7 +7,10 @@ borrowed the run's one tracer (and a traced sweep therefore always took the
 serial in-process driver) — so the per-cell rings merged in submission order
 (``repro.core.sweep``) are held to the shared ring's event stream, row for
 row, with the same lifetime and eviction counts.  (``service-sampled`` was
-re-recorded at ISSUE 23 step A, when the arrival draws were re-keyed.)
+re-recorded at ISSUE 23 step A, when the arrival draws were re-keyed;
+``fig10`` was recorded at e0ad66e, where it replaced the deleted
+``fig_cache`` case as the traced sweep that drives one ``MetaOp`` per
+call.)
 
 Run ``PYTHONPATH=src python -m tests.sweep_golden`` to print the table (that
 is how the recorded values were produced, with ``src`` pointing at the
@@ -39,7 +42,7 @@ CASES = {
         streams=2000, rates=("small", "medium"), duration="short",
     ), lambda capacity: SamplingTracer(every=50, capacity=capacity)),
     "fig7": ("fig7", dict(scale=0.05, ndisks=4), Tracer),
-    "fig_cache": ("fig_cache", dict(scale=0.25), Tracer),
+    "fig10": ("fig10", dict(scale=0.1), Tracer),
 }
 
 

@@ -6,7 +6,9 @@ from repro.config import CacheParams, DiskParams, SchedulerParams
 from repro.disk.cache import BufferCache
 from repro.disk.disk import SimulatedDisk
 from repro.disk.model import BlockRequest
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
+from repro.fs.profiles import redbud_mif_profile
+from repro.meta.mds import MetadataServer
 
 
 def make_cache(capacity=64, ra_init=4, ra_max=32, enabled=True):
@@ -128,6 +130,58 @@ class TestReadahead:
         for b in (5000, 100, 9000, 42, 7777):
             cache.read(b, 1)
         assert disk.metrics.count("disk.blocks") == 5
+
+    def test_more_streams_than_contexts_thrash_the_table(self):
+        # 8 interleaved streams against the default 4 contexts: every
+        # context is evicted before its stream returns, so no read ever
+        # crosses a frontier.
+        cache, _ = make_cache(capacity=4096)
+        for i in range(24):
+            for s in range(8):
+                cache.read(s * 4096 + i, 1)
+        assert cache.metrics.count("cache.readahead_hits") == 0
+        assert cache.metrics.count("cache.hits") == 0
+
+    def test_ra_contexts_field_bounds_the_table(self):
+        disk = SimulatedDisk(DiskParams(capacity_blocks=1 << 16), SchedulerParams())
+        cache = BufferCache(CacheParams(ra_contexts=2), disk)
+        for base in (0, 1000, 2000):
+            cache.read(base, 2)
+        assert len(cache._ra) == 2
+
+    def test_ra_contexts_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            CacheParams(ra_contexts=0)
+
+
+class TestPrefetchRuns:
+    def test_prefetch_runs_is_batched_and_unbilled(self):
+        cache, disk = make_cache(capacity=256)
+        before = disk.metrics.count("disk.read_requests")
+        assert cache.prefetch_runs([(0, 8), (20, 4)]) == 0.0
+        assert disk.metrics.count("disk.read_requests") > before
+        assert cache.metrics.count("cache.dir_prefetches") == 1
+        assert cache.metrics.count("cache.prefetch_issued_blocks") == 12
+        assert cache.metrics.total("cache.unbilled_prefetch_s") > 0.0
+        assert all(b in cache for b in [*range(8), *range(20, 24)])
+
+    def test_resident_blocks_are_not_refetched(self):
+        cache, disk = make_cache(capacity=256)
+        cache.prefetch_runs([(0, 8)])
+        before = disk.metrics.count("disk.read_requests")
+        cache.prefetch_runs([(0, 8)])  # fully resident: nothing to do
+        assert disk.metrics.count("disk.read_requests") == before
+        assert cache.metrics.count("cache.dir_prefetches") == 1
+        assert cache.metrics.count("cache.prefetch_issued_blocks") == 8
+
+    def test_mds_does_not_prefetch(self):
+        mds = MetadataServer(redbud_mif_profile())
+        d = mds.mkdir(mds.root, "d")
+        for i in range(40):
+            mds.create(d, f"f{i:03d}")
+        mds.drop_caches()
+        mds.readdir_stat(d)
+        assert mds.metrics.count("cache.dir_prefetches") == 0
 
 
 class TestBillingOnCachedReads:

@@ -1,13 +1,13 @@
-"""Property oracle: the legacy cache profile is the legacy cache.
+"""Property oracle: the buffer cache equals a straight-line reference cache.
 
-The tiered/adaptive rebuild of :class:`BufferCache` (docs/CACHE.md) must
-leave the ``profile="legacy"`` paths bit-for-bit: block-for-block cache
-state, billing-for-billing disk time, counter-for-counter metrics, under
-arbitrary interleavings of ``read`` / ``insert_blocks`` / ``invalidate``
-/ ``write`` / ``read_batch`` — including ``read_batch``'s resident-hit
-fast path crossing the other mutations.
+:class:`BufferCache` (docs/CACHE.md) must match the reference
+block-for-block in cache state, billing-for-billing in disk time and
+counter-for-counter in metrics, under arbitrary interleavings of ``read``
+/ ``insert_blocks`` / ``invalidate`` / ``write`` / ``read_batch`` —
+including ``read_batch``'s resident-hit fast path crossing the other
+mutations.
 
-The oracle is a straight-line reimplementation of the legacy semantics
+The oracle is a straight-line reimplementation of the cache's semantics
 (flat LRU + fixed readahead-context table, scalar reads only, the fixed
 frontier-in-region invalidation rule) kept deliberately free of fast
 paths, so any behavioural drift in the production class shows up as a
@@ -30,7 +30,7 @@ CAPACITY = 192
 
 
 class ReferenceCache:
-    """The legacy BufferCache semantics, scalar-only and fast-path-free."""
+    """The BufferCache semantics, scalar-only and fast-path-free."""
 
     def __init__(self, params: CacheParams, disk: SimulatedDisk) -> None:
         self.params = params
@@ -136,7 +136,6 @@ def make_pair(capacity=48):
         readahead_init_blocks=4,
         readahead_max_blocks=16,
     )
-    assert params.profile == "legacy"  # the default under test
     return BufferCache(params, d1), d1, ReferenceCache(params, d2), d2
 
 
@@ -159,7 +158,7 @@ ops = st.lists(
 
 @given(ops)
 @settings(max_examples=200, deadline=None)
-def test_legacy_profile_is_the_legacy_cache(sequence):
+def test_cache_is_the_reference_cache(sequence):
     cache, d1, ref, d2 = make_pair()
     billed: list[float] = []
     ref_billed: list[float] = []

@@ -8,7 +8,8 @@ in this process or a worker alike.  Pins:
   metrics, phases and payload, at a ring that never evicts and one that does;
 - the ``jobs=1`` event stream still matches digests recorded at 810d797, when
   all cells shared the run's one ring (``tests/sweep_golden.py``; the two
-  ``service-sampled`` rows re-recorded at ISSUE 23 step A, see ``GOLDEN``);
+  ``service-sampled`` rows re-recorded at ISSUE 23 step A and the two
+  ``fig10`` rows recorded at e0ad66e, see ``GOLDEN``);
 - ``spawn`` / ``absorb`` semantics, what a ``CellResult`` may carry through
   pickle, and merge order under reversed completion order.
 """
@@ -38,7 +39,8 @@ from tests.sweep_golden import ROOMY, TIGHT, trace_digest, traced_run
 #: (identical under PYTHONHASHSEED 0 and 1) — except ``service-sampled``,
 #: whose arrivals changed sample path once: recorded at ISSUE 23 step A (the
 #: scalar draw loop of 4248606 on one sub-stream per arrival column, see
-#: ``tests/test_service_identity.py``); the vectorised draws reproduce it.
+#: ``tests/test_service_identity.py``); the vectorised draws reproduce it —
+#: and ``fig10``, recorded at e0ad66e.
 GOLDEN = {
     ('fig6a', 1048576): ('07f5e15b34cbb957819342605de350621f4827434fa69f2275993cd815409b0f', 1077, 0),
     ('fig6a', 997): ('fe9e6f418bb51b34856afd69772c8dcfdadfef4213d627808fe3e86744524f1f', 1077, 80),
@@ -50,8 +52,8 @@ GOLDEN = {
     ('service-sampled', 997): ('7044a8e37da78cda434dded02dc8c1531db5a1f6fe3e255a0dbd09ff513c0272', 1084, 87),
     ('fig7', 1048576): ('01fa97380ecf809e8dc0303cb784609184484d6bd3f7f2bbac102790b684ef94', 8011, 0),
     ('fig7', 997): ('bf715fbc326a82833d41435f8fa5b22d938b4554e7fa092d10aa7ce08e190ff4', 8011, 7014),
-    ('fig_cache', 1048576): ('38a8d4b4a4f49563d3410acd6d39c712bf9d28ec1a127b9f887c8477c60e878c', 76306, 0),
-    ('fig_cache', 997): ('cc4d692491244ab6eb243039898492fc73a476667eb5a4efb923d4c6a2c98c1a', 76306, 75309),
+    ('fig10', 1048576): ('addee41dfc4fbbe0babce18498be2a24fd177fb0efce52747548169b3a1b98ea', 41450, 0),
+    ('fig10', 997): ('8e37616c49dc01527bb24d21cdd1527e32f8f5805b2d80506742b120ed5e2aea', 41450, 40453),
 }
 
 
@@ -61,7 +63,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("capacity", [ROOMY, TIGHT], ids=["roomy", "evicting"])
-@pytest.mark.parametrize("case", ["fig6a", "fig8", "fig_listio", "service-sampled"])
+@pytest.mark.parametrize("case", ["fig6a", "fig8", "fig_listio", "service-sampled", "fig10"])
 def test_pooled_trace_equals_in_process_trace(case, capacity):
     serial = traced_run(case, capacity, jobs=1)
     pooled = traced_run(case, capacity, jobs=2)
@@ -74,7 +76,7 @@ def test_pooled_trace_equals_in_process_trace(case, capacity):
 
 
 @pytest.mark.parametrize("capacity", [ROOMY, TIGHT], ids=["roomy", "evicting"])
-@pytest.mark.parametrize("case", ["fig7", "fig_cache"])
+@pytest.mark.parametrize("case", ["fig7"])
 def test_in_process_trace_matches_shared_ring_golden(case, capacity):
     assert trace_digest(traced_run(case, capacity, jobs=1).trace) == GOLDEN[case, capacity]
 

@@ -136,10 +136,7 @@ def end_state(mds: MetadataServer) -> dict:
         "head": mds.disk.head,
         "metrics": m.as_dict(),
         "hists": {name: m.histogram(name) for name in m.histogram_names()},
-        "cache": (
-            list(cache._lru), list(cache._ra.items()), list(cache._t1),
-            list(cache._t2), list(cache._streams.items()), sorted(cache._prefetched),
-        ),
+        "cache": (list(cache._lru), list(cache._ra.items())),
         "dirty": sorted(mds._dirty),
         "journal": (
             mds.journal.head_block, mds.journal.records_written,
@@ -148,14 +145,13 @@ def end_state(mds: MetadataServer) -> dict:
     }
 
 
-@pytest.mark.parametrize("cache_profile", ["legacy", "adaptive"])
 @pytest.mark.parametrize("layout", ["embedded", "normal"])
 @given(program=programs)
 @settings(max_examples=60, deadline=None)
-def test_traced_batched_is_traced_legacy_and_untraced_batched(layout, cache_profile, program):
+def test_traced_batched_is_traced_legacy_and_untraced_batched(layout, program):
     # A cache smaller than the working set, so misses, evictions and
     # readahead frontier crossings all occur.
-    cfg = small_config(layout=layout, cache_blocks=24).with_cache_profile(cache_profile)
+    cfg = small_config(layout=layout, cache_blocks=24)
     batched = MetadataServer(cfg, tracer=Tracer())
     legacy = ScalarMetadataServer(cfg, tracer=Tracer())
     bare = MetadataServer(cfg)
