@@ -22,9 +22,9 @@ from repro.config import (
 #: Every sweep is deterministic in this seed.
 SEED = 0
 
-# ``mds_cluster`` (the §IV.C/D metadata cluster model) and ``replication``
-# (the §II.B read-replica baseline) sit beside the example scripts, one
-# directory up.
+# ``mds_cluster`` (the §IV.C/D metadata cluster model), ``replication``
+# (the §II.B read-replica baseline), ``defrag`` and ``mdtest`` sit beside
+# the example scripts, one directory up.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 

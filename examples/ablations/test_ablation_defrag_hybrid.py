@@ -10,13 +10,13 @@ Compares three life-cycles for the shared-file workload:
 """
 
 from repro.fs.dataplane import DataPlane
-from repro.fs.defrag import defragment
 from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
 from repro.sim.report import Table
 from repro.units import KiB, MiB
 from repro.workloads.streams import SharedFileMicrobench
 
 from conftest import SEED
+from defrag import defragment
 
 
 def _run(policy: str, defrag: bool, declared: bool, seed: int):

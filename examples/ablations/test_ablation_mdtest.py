@@ -8,7 +8,8 @@ per phase, for the three systems.
 from repro.fs.profiles import lustre_profile, redbud_mif_profile, redbud_vanilla_profile
 from repro.meta.mds import MetadataServer
 from repro.sim.report import Table
-from repro.workloads.mdtest import MdtestConfig, MdtestWorkload
+
+from mdtest import MdtestConfig, MdtestWorkload
 
 
 def test_extra_mdtest():

@@ -1,3 +1,4 @@
+#!/usr/bin/env python3
 """Offline defragmentation (the e4defrag-style alternative MiF obviates).
 
 The traditional answer to intra-file fragmentation is to rewrite the file
@@ -6,19 +7,28 @@ slot, allocate one contiguous (best-effort) destination, copy, free the old
 blocks — and reports the cost, so benchmarks can compare "fragment now,
 defragment later" against MiF's "never fragment" placement.
 
-Unlike the read replicas of ``examples/replication.py``, defragmentation
+Unlike the read replicas of ``replication.py``, defragmentation
 *replaces* the layout: the extent map is rewritten and the old blocks are
-freed.
+freed.  No runner or claim of the package uses it: the defrag ablation and
+``tests/test_fs_extensions.py`` import :func:`defragment`, and running the
+file fragments a shared file, then defragments it.
+
+Run:  python examples/defrag.py [nstreams]
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.block.extent import Extent, ExtentFlags
 from repro.disk.model import BlockRequest
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
+from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
+from repro.sim.visual import layout_map
+from repro.units import KiB, MiB
+from repro.workloads.streams import SharedFileMicrobench
 
 
 @dataclass(frozen=True)
@@ -100,3 +110,32 @@ def defragment(plane: DataPlane, f: RedbudFile) -> DefragResult:
         blocks_moved=blocks_moved,
         elapsed_s=elapsed,
     )
+
+
+def main() -> None:
+    nstreams = int(sys.argv[1]) if len(sys.argv) > 1 else 32
+    cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=5), "reservation")
+    plane = DataPlane(cfg)
+    bench = SharedFileMicrobench(
+        nstreams=nstreams, file_bytes=64 * MiB - (64 * MiB) % nstreams,
+        write_request_bytes=16 * KiB,
+    )
+    f = bench.create_shared_file(plane)
+    bench.phase1_write(plane, f)
+    plane.close_file(f)
+    before = bench.phase2_read(plane, f)
+    print(f"before: {before.mib_per_s:.1f} MiB/s read-back, {f.extent_count} extents")
+    print(layout_map(plane, f, slot=0))
+    plane.array.reset_timelines()
+    result = defragment(plane, f)
+    print(
+        f"defrag: moved {result.blocks_moved} blocks in {result.elapsed_s:.2f} s "
+        f"(simulated), {result.extents_before} -> {result.extents_after} extents"
+    )
+    after = bench.phase2_read(plane, f)
+    print(f"after:  {after.mib_per_s:.1f} MiB/s read-back, {f.extent_count} extents")
+    print(layout_map(plane, f, slot=0))
+
+
+if __name__ == "__main__":
+    main()

@@ -6,6 +6,10 @@ branching factor.  The paper uses Metarates (flat per-client directories);
 mdtest exercises the *tree* dimension — deep lookups, directory creation
 spread across groups, and interleaved per-task operation phases — and is
 the benchmark a downstream user of this library would reach for first.
+
+No runner or claim of the package uses it: the mdtest ablation,
+``tests/test_workloads_mdtest.py`` and ``tests/test_meta_onepass.py``
+import it.
 """
 
 from __future__ import annotations

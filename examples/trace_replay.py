@@ -1,26 +1,40 @@
+#!/usr/bin/env python3
 """Trace serialization and replay.
 
 The micro-benchmark synthesizes LLNL-style traces in memory
 (:mod:`repro.workloads.traces`); this module round-trips them through a
 plain-text format so traces can be saved, edited, shared and replayed —
-the workflow a downstream user of the library actually has.
+the workflow a downstream user of the library actually has.  No runner or
+claim of the package uses it; ``tests/test_replay_visual_cli.py``,
+``tests/test_phase_columns.py`` and ``tests/test_doctests.py`` import it.
 
 Format: one record per line, ``seq,proc,op,offset,nbytes``, with ``#``
 comments and blank lines ignored.
+
+Run:  python examples/trace_replay.py [trace-file]
+
+replays the given trace file under the reservation and on-demand
+policies; without one, it first writes a 32-process checkpoint trace to a
+temporary file.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import sys
+import tempfile
 from collections.abc import Iterable
 
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
+from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
 from repro.fs.stream import make_stream_id
 from repro.sim.metrics import ThroughputResult
+from repro.units import KiB, MiB
 from repro.workloads.base import READ, WRITE, StreamProgram, run_data_phase
-from repro.workloads.traces import TraceRecord, trace_streams
+from repro.workloads.traces import TraceRecord, synth_checkpoint_trace, trace_streams
 
 HEADER = "# repro trace v1: seq,proc,op,offset,nbytes"
 
@@ -99,3 +113,25 @@ def replay(
     return run_data_phase(
         plane, programs, skip_probability=skip_probability, seed=seed
     )
+
+
+def main() -> None:
+    if len(sys.argv) > 1:
+        records = read_trace(sys.argv[1])
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "llnl.trace")
+            save_trace(synth_checkpoint_trace(32, 4096 * KiB, 16 * KiB), path)
+            print("synthesized a 32-process checkpoint trace")
+            records = read_trace(path)
+    total = sum(r.nbytes for r in records)
+    print(f"replaying {len(records)} records ({total // MiB} MiB) ...")
+    for policy in ("reservation", "ondemand"):
+        plane = DataPlane(with_alloc_policy(redbud_vanilla_profile(ndisks=5), policy))
+        f = plane.create_file("/trace.dat", expected_bytes=total)
+        result = replay(plane, f, records)
+        print(f"  {policy:12s} {result.mib_per_s:8.1f} MiB/s, {f.extent_count} extents")
+
+
+if __name__ == "__main__":
+    main()

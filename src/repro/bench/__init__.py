@@ -1,13 +1,12 @@
-"""Benchmark baseline harness: pinned-seed runs, BENCH JSON, regression gate.
+"""Benchmark baseline harness: pinned-seed runs rendered as BENCH JSON.
 
 ``repro.bench.baseline`` turns the registered paper-figure runners into a
-longitudinal performance record: :func:`collect` runs one runner at a
-pinned scale/seed and renders a schema-versioned, canonically-serialized
+longitudinal record: :func:`collect` runs one runner at a pinned
+scale/seed and renders a schema-versioned, canonically-serialized
 ``BENCH_<name>.json`` document (per-phase throughput, latency percentiles,
-and the :mod:`repro.obs.layout` fragmentation metrics), and
-:func:`compare` diffs a fresh run against the committed baseline with
-per-metric directional tolerances, so CI can fail on a layout or
-throughput regression.  See ``python -m repro bench`` and
+and the :mod:`repro.obs.layout` fragmentation metrics).  The same code at
+the same seed writes the same bytes, so CI gates on a plain diff against
+the committed files.  See ``python -m repro bench run`` and
 ``docs/LAYOUT.md``.
 """
 
@@ -16,14 +15,9 @@ from repro.bench.baseline import (
     PINNED_SCALE,
     PINNED_SEED,
     PINNED_RUNNERS,
-    Regression,
     baseline_filename,
     collect,
-    compare,
     dumps,
-    flatten,
-    format_regressions,
-    load,
     render,
 )
 
@@ -32,13 +26,8 @@ __all__ = [
     "PINNED_RUNNERS",
     "PINNED_SCALE",
     "PINNED_SEED",
-    "Regression",
     "baseline_filename",
     "collect",
-    "compare",
     "dumps",
-    "flatten",
-    "format_regressions",
-    "load",
     "render",
 ]

@@ -1,4 +1,4 @@
-"""Pinned-configuration benchmark baselines with regression comparison.
+"""Pinned-configuration benchmark baselines.
 
 A *baseline document* is the JSON value produced by :func:`render` from a
 :class:`~repro.core.run.RunResult`: schema-versioned, canonically ordered
@@ -8,26 +8,13 @@ baselines live at the repo root as ``BENCH_<runner>.json``; the pinned
 configuration every baseline uses is :data:`PINNED_SCALE` /
 :data:`PINNED_SEED` over :data:`PINNED_RUNNERS`.
 
-:func:`compare` flattens two documents into metric paths and applies
-directional tolerances:
-
-- ``phases/*/mib_per_s`` and ``ops_per_s`` — throughput, lower is a
-  regression, default tolerance 10%;
-- ``histograms/*latency*/p50|p90|p99`` — latency, higher is a regression,
-  default tolerance 100% (log2 buckets quantize coarsely);
-- ``layouts/*/extents|interleave_factor|seek_cost_s|fragmentation_degree``
-  — layout quality, higher is a regression, default tolerance 25%;
-- ``layouts/*/contiguity`` — lower is a regression, default tolerance 25%.
-
-Counts, sizes and free-space statistics are recorded but not gated.
-Schema-version or fingerprint drift and metrics missing from the current
-run are always regressions.
+The gate is byte identity: CI regenerates every pinned document with
+``repro bench run`` and diffs it against the committed file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
 from repro.core.run import RunResult, run
@@ -50,10 +37,6 @@ def _round(value: float) -> float:
     """6-significant-digit rounding: stable repr, diff-friendly files."""
     return float(f"{value:.6g}")
 
-
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
 
 def render(result: RunResult, *, scale: float, seed: int) -> dict[str, Any]:
     """Benchmark document for one run: phases, histograms, layout metrics."""
@@ -132,156 +115,3 @@ def dumps(doc: dict[str, Any]) -> str:
     property the "baseline unchanged" CI gate relies on.
     """
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def load(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-# ---------------------------------------------------------------------------
-# Comparison
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Regression:
-    """One gated metric that moved past its tolerance in the bad direction."""
-
-    path: str
-    baseline: float | None
-    current: float | None
-    delta: float  # signed relative change, + = increased
-    tolerance: float
-
-    def describe(self) -> str:
-        if self.baseline is None or self.current is None:
-            return f"{self.path}: {self.baseline!r} -> {self.current!r}"
-        return (
-            f"{self.path}: {self.baseline:g} -> {self.current:g} "
-            f"({self.delta:+.1%}, tolerance {self.tolerance:.0%})"
-        )
-
-
-#: leaf name -> (higher_is_better, default relative tolerance)
-_GATES: dict[str, tuple[bool, float]] = {
-    "mib_per_s": (True, 0.10),
-    "ops_per_s": (True, 0.10),
-    "p50": (False, 1.00),
-    "p90": (False, 1.00),
-    "p99": (False, 1.00),
-    "extents": (False, 0.25),
-    "interleave_factor": (False, 0.25),
-    "fragmentation_degree": (False, 0.25),
-    "seek_cost_s": (False, 0.25),
-    "contiguity": (True, 0.25),
-}
-
-
-def _gate(path: str) -> tuple[bool, float] | None:
-    section, _, rest = path.partition("/")
-    leaf = path.rsplit("/", 1)[-1]
-    if section == "phases" and leaf in ("mib_per_s", "ops_per_s"):
-        return _GATES[leaf]
-    if section == "histograms" and leaf in ("p50", "p90", "p99"):
-        # Gate latency distributions only; size histograms have no
-        # good/bad direction.
-        return _GATES[leaf] if "latency" in rest else None
-    if section == "layouts" and leaf in (
-        "extents",
-        "interleave_factor",
-        "fragmentation_degree",
-        "seek_cost_s",
-        "contiguity",
-    ):
-        return _GATES[leaf]
-    return None
-
-
-def flatten(doc: Any, prefix: str = "") -> dict[str, float]:
-    """Numeric leaves of a (sub)document as ``section/sub/leaf`` paths."""
-    out: dict[str, float] = {}
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            out.update(flatten(value, f"{prefix}{key}/"))
-    elif isinstance(doc, bool):
-        pass
-    elif isinstance(doc, (int, float)):
-        out[prefix[:-1]] = float(doc)
-    return out
-
-
-def compare(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    tolerances: dict[str, float] | None = None,
-) -> list[Regression]:
-    """Regressions of ``current`` against ``baseline`` (empty = gate passes).
-
-    ``tolerances`` overrides the default relative tolerance per metric leaf
-    name (e.g. ``{"mib_per_s": 0.02}``).
-    """
-    regressions: list[Regression] = []
-    for key in ("schema_version", "runner", "fingerprint", "scale", "seed"):
-        if baseline.get(key) != current.get(key):
-            regressions.append(
-                Regression(
-                    path=key,
-                    baseline=None,
-                    current=None,
-                    delta=0.0,
-                    tolerance=0.0,
-                )
-            )
-    base_flat = flatten(
-        {k: baseline.get(k, {}) for k in ("phases", "histograms", "layouts")}
-    )
-    cur_flat = flatten(
-        {k: current.get(k, {}) for k in ("phases", "histograms", "layouts")}
-    )
-    for path, base_value in sorted(base_flat.items()):
-        gate = _gate(path)
-        if gate is None:
-            continue
-        higher_better, tolerance = gate
-        leaf = path.rsplit("/", 1)[-1]
-        if tolerances and leaf in tolerances:
-            tolerance = tolerances[leaf]
-        if path not in cur_flat:
-            regressions.append(
-                Regression(
-                    path=path,
-                    baseline=base_value,
-                    current=None,
-                    delta=0.0,
-                    tolerance=tolerance,
-                )
-            )
-            continue
-        cur_value = cur_flat[path]
-        if base_value == cur_value:
-            continue
-        if base_value != 0.0:
-            delta = (cur_value - base_value) / abs(base_value)
-        else:
-            delta = float("inf") if cur_value > 0 else float("-inf")
-        worse = -delta if higher_better else delta
-        if worse > tolerance:
-            regressions.append(
-                Regression(
-                    path=path,
-                    baseline=base_value,
-                    current=cur_value,
-                    delta=delta,
-                    tolerance=tolerance,
-                )
-            )
-    return regressions
-
-
-def format_regressions(regressions: list[Regression]) -> str:
-    if not regressions:
-        return "no regressions"
-    lines = [f"{len(regressions)} regression(s):"]
-    for reg in regressions:
-        lines.append(f"  ! {reg.describe()}")
-    return "\n".join(lines)

@@ -1,8 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands regenerate the paper's tables and figures, run one-off
-micro-benchmarks with a fragmentation visualization, and synthesize or
-replay shared-file traces.  Everything is simulated — no disks are touched.
+Commands regenerate the paper's tables and figures, trace or inspect one
+run, write the pinned ``BENCH_<name>.json`` baselines and check a crashed
+image.  Everything is simulated — no disks are touched.
 
 Runner-backed subcommands are **registry-driven**: each is one declarative
 :class:`~repro.core.run.RunnerCommand` row (name, help, default scale, extra
@@ -30,19 +30,8 @@ from repro.core.run import RUNNERS, RunnerCommand, positive_int, runner_names
 from repro.core.run import run as run_experiment
 from repro.core.runners import RUNNER_COMMANDS
 from repro.core.runners.fsck import print_repair
-from repro.fs.dataplane import DataPlane
-from repro.fs.profiles import (
-    lustre_profile,
-    redbud_mif_profile,
-    redbud_vanilla_profile,
-    with_alloc_policy,
-)
+from repro.fs.profiles import lustre_profile, redbud_mif_profile, redbud_vanilla_profile
 from repro.sim.report import Table
-from repro.sim.visual import extent_histogram, layout_map, utilization_bars
-from repro.units import KiB, MiB
-from repro.workloads.replay import read_trace, replay, save_trace
-from repro.workloads.streams import SharedFileMicrobench
-from repro.workloads.traces import synth_checkpoint_trace
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,6 +74,18 @@ def _scale(text: str) -> float:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value
+
+
+def _runner_list(text: str) -> list[str]:
+    """``argparse`` type: a comma-separated list of registered runners."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    unknown = [n for n in names if n not in RUNNERS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown runner(s) {', '.join(unknown)}; "
+            f"choose from: {', '.join(runner_names())}"
+        )
+    return names
 
 
 # -- declarative runner-backed subcommands ------------------------------------
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="benchmark baseline harness: emit/compare BENCH_<name>.json",
+        help="benchmark baseline harness: write BENCH_<name>.json",
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     b = bench_sub.add_parser(
@@ -179,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("--out-dir", default=".",
                    help="directory to write BENCH_<name>.json into")
-    b.add_argument("--names", default=",".join(bench_baseline.PINNED_RUNNERS),
+    b.add_argument("--names", type=_runner_list,
+                   default=",".join(bench_baseline.PINNED_RUNNERS),
                    help="comma-separated runner names")
     b.add_argument("--scale", type=_scale, default=bench_baseline.PINNED_SCALE)
     b.add_argument("--seed", type=int, default=bench_baseline.PINNED_SEED)
@@ -187,56 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write LAYOUT_<name>.txt report/heatmap artifacts")
     _add_jobs(b)
     b.set_defaults(func=cmd_bench_run)
-    b = bench_sub.add_parser(
-        "compare",
-        help="re-run baselines and diff against committed BENCH files "
-        "(exit 1 on regression)",
-    )
-    b.add_argument("--baseline-dir", default=".",
-                   help="directory holding the committed BENCH_<name>.json")
-    b.add_argument("--current-dir", default=None,
-                   help="compare against BENCH files in this directory "
-                   "instead of re-running")
-    b.add_argument("--names", default=",".join(bench_baseline.PINNED_RUNNERS),
-                   help="comma-separated runner names")
-    b.add_argument("--scale", type=_scale, default=bench_baseline.PINNED_SCALE)
-    b.add_argument("--seed", type=int, default=bench_baseline.PINNED_SEED)
-    _add_jobs(b)
-    b.set_defaults(func=cmd_bench_compare)
-
-    p = sub.add_parser(
-        "microbench", help="one-off shared-file run with a layout map"
-    )
-    p.add_argument("--policy", default="ondemand",
-                   choices=["vanilla", "reservation", "static", "ondemand", "delayed", "cow"])
-    p.add_argument("--streams", type=int, default=32)
-    p.add_argument("--file-mib", type=int, default=128)
-    p.add_argument("--request-kib", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_microbench)
-
-    p = sub.add_parser("trace-synth", help="synthesize an LLNL-style trace file")
-    p.add_argument("path")
-    p.add_argument("--procs", type=int, default=32)
-    p.add_argument("--region-kib", type=int, default=4096)
-    p.add_argument("--request-kib", type=int, default=16)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_trace_synth)
-
-    p = sub.add_parser("trace-replay", help="replay a trace under each policy")
-    p.add_argument("path")
-    p.add_argument("--policies", default="reservation,ondemand")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_trace_replay)
-
-    p = sub.add_parser(
-        "defrag", help="fragment a shared file, then defragment it"
-    )
-    p.add_argument("--streams", type=int, default=32)
-    p.add_argument("--file-mib", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_defrag)
 
     p = sub.add_parser(
         "fsck",
@@ -300,9 +252,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench_run(args) -> int:
-    names = [n.strip() for n in args.names.split(",") if n.strip()]
     os.makedirs(args.out_dir, exist_ok=True)
-    for name in names:
+    for name in args.names:
         kwargs = {} if args.jobs is None else {"jobs": args.jobs}
         result = run_experiment(name, scale=args.scale, seed=args.seed, **kwargs)
         doc = bench_baseline.render(result, scale=args.scale, seed=args.seed)
@@ -318,37 +269,6 @@ def cmd_bench_run(args) -> int:
                     fh.write("\n\n")
             print(f"{name}: wrote {lpath}")
     return 0
-
-
-def cmd_bench_compare(args) -> int:
-    names = [n.strip() for n in args.names.split(",") if n.strip()]
-    failed = False
-    for name in names:
-        base_path = os.path.join(
-            args.baseline_dir, bench_baseline.baseline_filename(name)
-        )
-        try:
-            baseline = bench_baseline.load(base_path)
-        except FileNotFoundError:
-            print(f"{name}: FAIL — no committed baseline at {base_path}")
-            failed = True
-            continue
-        if args.current_dir is not None:
-            cur_path = os.path.join(
-                args.current_dir, bench_baseline.baseline_filename(name)
-            )
-            current = bench_baseline.load(cur_path)
-        else:
-            current = bench_baseline.collect(
-                name, scale=args.scale, seed=args.seed, jobs=args.jobs
-            )
-        regressions = bench_baseline.compare(baseline, current)
-        if regressions:
-            print(f"{name}: FAIL — {bench_baseline.format_regressions(regressions)}")
-            failed = True
-        else:
-            print(f"{name}: ok ({len(bench_baseline.flatten(current))} metrics)")
-    return 1 if failed else 0
 
 
 def cmd_trace(args) -> int:
@@ -396,87 +316,6 @@ def cmd_trace(args) -> int:
             f"p90={h.percentile(90):.2e} p99={h.percentile(99):.2e} "
             f"max={h.maximum:.2e}"
         )
-    return 0
-
-
-def cmd_microbench(args) -> int:
-    cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=5), args.policy)
-    plane = DataPlane(cfg)
-    file_bytes = args.file_mib * MiB
-    file_bytes -= file_bytes % args.streams
-    bench = SharedFileMicrobench(
-        nstreams=args.streams,
-        file_bytes=file_bytes,
-        write_request_bytes=args.request_kib * KiB,
-        seed=args.seed,
-    )
-    f = bench.create_shared_file(plane)
-    write = bench.phase1_write(plane, f)
-    plane.close_file(f)
-    read = bench.phase2_read(plane, f)
-    print(f"policy={args.policy} streams={args.streams} file={args.file_mib} MiB")
-    print(f"write {write.mib_per_s:.1f} MiB/s   read-back {read.mib_per_s:.1f} MiB/s")
-    print(f"\nPAG 0 layout (letters = logical file regions):")
-    print(layout_map(plane, f, slot=0))
-    print(f"\n{extent_histogram(f)}")
-    print(f"\n{utilization_bars(plane)}")
-    return 0
-
-
-def cmd_trace_synth(args) -> int:
-    records = synth_checkpoint_trace(
-        args.procs,
-        args.region_kib * KiB,
-        args.request_kib * KiB,
-        jitter=args.jitter,
-        seed=args.seed,
-    )
-    save_trace(records, args.path)
-    print(f"wrote {len(records)} records to {args.path}")
-    return 0
-
-
-def cmd_trace_replay(args) -> int:
-    records = read_trace(args.path)
-    total = sum(r.nbytes for r in records)
-    print(f"replaying {len(records)} records ({total // MiB} MiB) ...")
-    for policy in args.policies.split(","):
-        cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=5), policy.strip())
-        plane = DataPlane(cfg)
-        f = plane.create_file("/trace.dat", expected_bytes=total)
-        result = replay(plane, f, records, seed=args.seed)
-        print(
-            f"  {policy.strip():12s} {result.mib_per_s:8.1f} MiB/s, "
-            f"{f.extent_count} extents"
-        )
-    return 0
-
-
-def cmd_defrag(args) -> int:
-    from repro.fs.defrag import defragment
-
-    cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=5), "reservation")
-    plane = DataPlane(cfg)
-    file_bytes = args.file_mib * MiB - (args.file_mib * MiB) % args.streams
-    bench = SharedFileMicrobench(
-        nstreams=args.streams, file_bytes=file_bytes,
-        write_request_bytes=16 * KiB, seed=args.seed,
-    )
-    f = bench.create_shared_file(plane)
-    bench.phase1_write(plane, f)
-    plane.close_file(f)
-    before = bench.phase2_read(plane, f)
-    print(f"before: {before.mib_per_s:.1f} MiB/s read-back, {f.extent_count} extents")
-    print(layout_map(plane, f, slot=0))
-    plane.array.reset_timelines()
-    result = defragment(plane, f)
-    print(
-        f"defrag: moved {result.blocks_moved} blocks in {result.elapsed_s:.2f} s "
-        f"(simulated), {result.extents_before} -> {result.extents_after} extents"
-    )
-    after = bench.phase2_read(plane, f)
-    print(f"after:  {after.mib_per_s:.1f} MiB/s read-back, {f.extent_count} extents")
-    print(layout_map(plane, f, slot=0))
     return 0
 
 

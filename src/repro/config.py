@@ -307,11 +307,6 @@ class FSConfig:
         if self.mds_request_overhead_s < 0 or self.mds_cpu_s_per_extent < 0:
             raise ConfigError("MDS cost parameters must be >= 0")
 
-    def with_policy(self, policy: str, **overrides: object) -> "FSConfig":
-        """Copy of this config with a different allocation policy."""
-        alloc = replace(self.alloc, policy=policy, **overrides)  # type: ignore[arg-type]
-        return replace(self, alloc=alloc, name=f"{self.name}:{policy}")
-
     def with_layout(self, layout: str) -> "FSConfig":
         """Copy of this config with a different directory layout."""
         return replace(self, meta=replace(self.meta, layout=layout))

@@ -6,7 +6,6 @@ from repro.fs.file import RedbudFile
 from repro.fs.dataplane import DataPlane
 from repro.fs.redbud import RedbudFileSystem
 from repro.fs.client import ClientSession, make_clients
-from repro.fs.defrag import DefragResult, defragment
 from repro.fs.verify import Finding, FsckReport, check_dataplane, check_mds
 from repro.fs.profiles import (
     lustre_profile,
@@ -23,8 +22,6 @@ __all__ = [
     "RedbudFileSystem",
     "ClientSession",
     "make_clients",
-    "DefragResult",
-    "defragment",
     "Finding",
     "FsckReport",
     "check_dataplane",

@@ -28,13 +28,6 @@ class SimClock:
         """Current simulated time in seconds."""
         return self._now
 
-    def advance(self, delta: float) -> float:
-        """Advance the clock by ``delta`` seconds and return the new time."""
-        if delta < 0.0:
-            raise SimulationError(f"cannot advance clock by negative delta: {delta}")
-        self._now += delta
-        return self._now
-
     def advance_to(self, when: float) -> float:
         """Advance the clock to absolute time ``when`` (no-op if in the past)."""
         if when > self._now:

@@ -64,19 +64,6 @@ def _fmt_cell(value: object) -> str:
     return str(value)
 
 
-def format_series(name: str, xs: Sequence[object], ys: Sequence[float], unit: str = "") -> str:
-    """Render an (x, y) series as ``name: x=y unit, ...`` for figure benches.
-
-    >>> format_series("tput", [32, 64], [10.0, 20.0], "MiB/s")
-    'tput: 32=10.00 MiB/s, 64=20.00 MiB/s'
-    """
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    suffix = f" {unit}" if unit else ""
-    parts = [f"{x}={y:.2f}{suffix}" for x, y in zip(xs, ys)]
-    return f"{name}: " + ", ".join(parts)
-
-
 def format_pct(value: float) -> str:
     """Render a fraction as a signed percentage string.
 

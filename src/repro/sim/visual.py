@@ -2,7 +2,7 @@
 
 Console-friendly reports for debugging placement behaviour and for the
 examples: a layout map showing which stream's data occupies each region of
-a PAG, an extent-size histogram, and per-disk utilization bars.
+a PAG, and an extent-size histogram.
 """
 
 from __future__ import annotations
@@ -83,27 +83,4 @@ def extent_histogram(f: RedbudFile, buckets: int = 8) -> str:
         n = counts.get(b, 0)
         bar = "#" * (0 if peak == 0 else round(20 * n / peak))
         lines.append(f"{label:>8s} blocks | {bar:<20s} {n}")
-    return "\n".join(lines)
-
-
-def utilization_bars(plane: DataPlane, width: int = 40) -> str:
-    """Per-disk used-space bars.
-
-    >>> from repro.fs.dataplane import DataPlane
-    >>> from repro.config import FSConfig, DiskParams
-    >>> plane = DataPlane(FSConfig(ndisks=2, disk=DiskParams(capacity_blocks=4096)))
-    >>> print(utilization_bars(plane, width=10))  # doctest: +NORMALIZE_WHITESPACE
-    disk0 |          |   0.0%
-    disk1 |          |   0.0%
-    """
-    if width <= 0:
-        raise ValueError(f"width must be positive: {width}")
-    lines = []
-    for d in range(plane.config.ndisks):
-        groups = plane.fsm.groups_on_disk(d)
-        used = sum(g.used_blocks for g in groups)
-        size = sum(g.size for g in groups)
-        frac = used / size if size else 0.0
-        bar = "#" * round(frac * width)
-        lines.append(f"disk{d} |{bar:<{width}s}| {frac:6.1%}")
     return "\n".join(lines)

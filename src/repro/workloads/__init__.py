@@ -19,7 +19,6 @@ from repro.workloads.listio import StridedAccessBenchmark, TileAccessBenchmark
 from repro.workloads.ior import IORBenchmark
 from repro.workloads.btio import BTIOBenchmark
 from repro.workloads.metarates import MetaratesWorkload
-from repro.workloads.mdtest import MdtestConfig, MdtestResult, MdtestWorkload
 from repro.workloads.fpp import FilePerProcessBench
 from repro.workloads.postmark import PostMarkConfig, PostMarkWorkload
 from repro.workloads.filesizes import kernel_tree_sizes
@@ -47,9 +46,6 @@ __all__ = [
     "IORBenchmark",
     "BTIOBenchmark",
     "MetaratesWorkload",
-    "MdtestConfig",
-    "MdtestResult",
-    "MdtestWorkload",
     "FilePerProcessBench",
     "PostMarkConfig",
     "PostMarkWorkload",

@@ -1,6 +1,10 @@
-"""Run the doctest examples embedded in module docstrings."""
+"""Run the doctest examples embedded in module docstrings.
+
+``trace_replay`` is ``examples/trace_replay.py``."""
 
 import doctest
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,9 @@ import repro.sim.report
 import repro.sim.visual
 import repro.units
 import repro.workloads.filesizes
-import repro.workloads.replay
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+import trace_replay  # noqa: E402
 
 MODULES = [
     repro.units,
@@ -23,7 +29,7 @@ MODULES = [
     repro.sim.visual,
     repro.meta.inumber,
     repro.workloads.filesizes,
-    repro.workloads.replay,
+    trace_replay,
     repro.fs.client,
     repro.core.api,
 ]

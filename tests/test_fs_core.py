@@ -143,10 +143,6 @@ class TestConfigValidation:
         m = MetaParams(inode_size=256, inode_header_size=128, extent_record_size=16)
         assert m.inode_tail_extents == 8
 
-    def test_with_policy_helper(self):
-        cfg = FSConfig().with_policy("vanilla")
-        assert cfg.alloc.policy == "vanilla"
-
     def test_with_layout_helper(self):
         cfg = FSConfig().with_layout("normal")
         assert cfg.meta.layout == "normal"

@@ -1,17 +1,26 @@
-"""Client sessions, crash recovery, defragmentation, hybrid policy."""
+"""Client sessions, crash recovery, defragmentation, hybrid policy.
+
+The defragmenter is ``examples/defrag.py``: no runner of the package uses
+it, and these tests keep it working against the data plane."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ReproError
 from repro.fs.client import ClientSession, make_clients
 from repro.fs.dataplane import DataPlane
-from repro.fs.defrag import defragment
 from repro.fs.redbud import RedbudFileSystem
 from repro.fs.verify import check_dataplane
 from repro.units import KiB, MiB
 from repro.workloads.streams import SharedFileMicrobench
 
 from tests.conftest import small_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+import defrag  # noqa: E402
+from defrag import defragment  # noqa: E402
 
 
 class TestClientSession:
@@ -184,6 +193,14 @@ class TestDefrag:
         result = defragment(plane, f)
         assert result.blocks_moved == 0
         assert result.extents_after == 0
+
+
+    def test_script_fragments_then_defragments(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["defrag.py", "8"])
+        defrag.main()
+        out = capsys.readouterr().out
+        assert "before:" in out and "after:" in out
+        assert "defrag: moved" in out
 
 
 class TestHybridPolicy:

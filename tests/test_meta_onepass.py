@@ -24,7 +24,9 @@ or an entry without its directory, at the parent commit).
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -50,7 +52,6 @@ from repro.meta.normal_layout import NormalLayout
 from repro.obs.export import to_jsonl
 from repro.obs.trace import Tracer
 from repro.workloads.base import MetaOp, MetaOpRun, drive, mds_executor
-from repro.workloads.mdtest import MdtestConfig, MdtestWorkload
 from repro.workloads.metarates import MetaratesWorkload
 
 from .meta_reference import (
@@ -60,6 +61,9 @@ from .meta_reference import (
     reference_item_program,
     reference_per_file_program,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+from mdtest import MdtestConfig, MdtestWorkload  # noqa: E402
 
 MDS_DISK = DiskParams(capacity_blocks=2048)
 

@@ -18,7 +18,9 @@ Every layer of the column path is held to the per-op code it replaced:
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -58,13 +60,15 @@ from repro.workloads.base import (
 from repro.workloads.btio import BTIOBenchmark
 from repro.workloads.fpp import FilePerProcessBench
 from repro.workloads.ior import IORBenchmark
-from repro.workloads.replay import replay
 from repro.workloads.streams import SharedFileMicrobench
 from repro.workloads.traces import TraceRecord
 
 from tests.conftest import small_config
 from tests.dataplane_reference import ReferenceDataPlane
 from tests.metrics_reference import ReferenceMetrics, object_loop_disks, rounded
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+from trace_replay import replay  # noqa: E402
 
 BS = 4 * KiB
 

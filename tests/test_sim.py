@@ -5,25 +5,12 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.metrics import Metrics, ThroughputResult
-from repro.sim.report import Table, format_pct, format_series
+from repro.sim.report import Table, format_pct
 
 
 class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().now == 0.0
-
-    def test_advance_accumulates(self):
-        c = SimClock()
-        c.advance(1.5)
-        c.advance(0.5)
-        assert c.now == 2.0
-
-    def test_advance_returns_new_time(self):
-        assert SimClock().advance(3.0) == 3.0
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(SimulationError):
-            SimClock().advance(-1.0)
 
     def test_advance_to_forward_only(self):
         c = SimClock(start=5.0)
@@ -129,14 +116,6 @@ class TestReport:
         t = Table("T", ["v"])
         t.add_row([1.23456])
         assert "1.23" in t.render()
-
-    def test_format_series(self):
-        s = format_series("tput", [1, 2], [1.0, 2.0], "MiB/s")
-        assert s == "tput: 1=1.00 MiB/s, 2=2.00 MiB/s"
-
-    def test_format_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("x", [1], [1.0, 2.0])
 
     def test_format_pct(self):
         assert format_pct(0.19) == "+19.0%"

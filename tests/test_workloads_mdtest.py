@@ -1,13 +1,21 @@
-"""mdtest tree benchmark: geometry, phases, layout comparison."""
+"""mdtest tree benchmark: geometry, phases, layout comparison.
+
+The benchmark is ``examples/mdtest.py``: no runner of the package uses
+it, and these tests keep it working against the metadata server."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.fs.verify import check_mds
 from repro.meta.mds import MetadataServer
-from repro.workloads.mdtest import MdtestConfig, MdtestWorkload
 
 from tests.conftest import small_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+from mdtest import MdtestConfig, MdtestWorkload  # noqa: E402
 
 
 class TestConfigGeometry:
