@@ -5,7 +5,8 @@ The traditional answer to intra-file fragmentation is to rewrite the file
 contiguously after the fact.  This tool does exactly that — per rotation
 slot, allocate one contiguous (best-effort) destination, copy, free the old
 blocks — and reports the cost, so benchmarks can compare "fragment now,
-defragment later" against MiF's "never fragment" placement.
+defragment later" against MiF's "never fragment" placement.  :func:`layout_map`
+draws one slot's placement before and after.
 
 Unlike the read replicas of ``replication.py``, defragmentation
 *replaces* the layout: the extent map is rewritten and the old blocks are
@@ -19,6 +20,7 @@ Run:  python examples/defrag.py [nstreams]
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.block.extent import Extent, ExtentFlags
@@ -26,7 +28,6 @@ from repro.disk.model import BlockRequest
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
-from repro.sim.visual import layout_map
 from repro.units import KiB, MiB
 from repro.workloads.streams import SharedFileMicrobench
 
@@ -110,6 +111,48 @@ def defragment(plane: DataPlane, f: RedbudFile) -> DefragResult:
         blocks_moved=blocks_moved,
         elapsed_s=elapsed,
     )
+
+
+_GLYPHS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+
+
+def layout_map(plane: DataPlane, f: RedbudFile, slot: int = 0, width: int = 64) -> str:
+    """ASCII map of one PAG: each cell is a block range, lettered by the
+    *logical region* of the file that occupies it ('.' = free/foreign).
+
+    Interleaved placement shows as salt-and-pepper; per-stream contiguity
+    as solid runs — Figure 1(a) at a glance.
+    """
+    if not (0 <= slot < f.width):
+        raise ValueError(f"slot out of range: {slot}")
+    if width <= 0:
+        raise ValueError(f"width must be positive: {width}")
+    extents = f.maps[slot].extents()
+    if not extents:
+        return "." * width
+    # Map only the span the file actually occupies, so the picture shows
+    # placement structure rather than the empty remainder of the PAG.
+    base = min(e.physical for e in extents)
+    end = max(e.physical_end for e in extents)
+    span = max(1, end - base)
+    cells = [Counter() for _ in range(width)]
+    regions = 16  # logical space bucketed into 16 lettered regions
+    logical_span = max(1, f.maps[slot].size_blocks)
+    for ext in extents:
+        for b in range(ext.physical, ext.physical_end):
+            logical = ext.logical + (b - ext.physical)
+            region = min(regions - 1, logical * regions // logical_span)
+            cell = (b - base) * width // span
+            if 0 <= cell < width:
+                cells[cell][region] += 1
+    out = []
+    for counter in cells:
+        if not counter:
+            out.append(".")
+        else:
+            region, _ = counter.most_common(1)[0]
+            out.append(_GLYPHS[region % len(_GLYPHS)])
+    return "".join(out)
 
 
 def main() -> None:

@@ -67,13 +67,13 @@ class MdtestWorkload:
         self.config = config
 
     def tree_program(self, root):
-        """Phase-1 event stream: every task builds its tree, tasks
+        """Phase-1 op program: every task builds its tree, tasks
         interleaving per level.  Receives each mkdir's handle back via
         :func:`drive`; returns the per-task directory lists."""
         cfg = self.config
         trees: list[list] = [[] for _ in range(cfg.ntasks)]
         for t in range(cfg.ntasks):
-            handle = yield (0.0, MetaOp("mkdir", (root, f"task{t:03d}")))
+            handle = yield MetaOp("mkdir", (root, f"task{t:03d}"))
             trees[t].append(handle)
         frontier = [list(tree) for tree in trees]
         for level in range(cfg.depth):
@@ -81,9 +81,8 @@ class MdtestWorkload:
             for width_idx in range(cfg.branch):
                 for t in range(cfg.ntasks):
                     for parent_idx, parent in enumerate(frontier[t]):
-                        d = yield (
-                            0.0,
-                            MetaOp("mkdir", (parent, f"d{level}.{parent_idx}.{width_idx}")),
+                        d = yield MetaOp(
+                            "mkdir", (parent, f"d{level}.{parent_idx}.{width_idx}")
                         )
                         trees[t].append(d)
                         next_frontier[t].append(d)
@@ -91,7 +90,7 @@ class MdtestWorkload:
         return trees
 
     def item_program(self, trees: list[list], method: str):
-        """Per-item event stream (phases 2-4): ``method`` on every item of
+        """Per-item op program (phases 2-4): ``method`` on every item of
         every directory, tasks interleaved one op at a time; results are
         unread, so the stream is :class:`~repro.workloads.base.MetaOpRun`s."""
         cfg = self.config

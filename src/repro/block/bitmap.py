@@ -55,11 +55,6 @@ class BlockBitmap:
         self._check(start, count)
         return not self._used[start : start + count].any()
 
-    def bitmap_block_of(self, bit: int) -> int:
-        """Index of the on-disk bitmap block holding ``bit``."""
-        self._check(bit, 1)
-        return bit // self.bits_per_block
-
     # -- mutation ---------------------------------------------------------
     def set_range(self, start: int, count: int) -> list[int]:
         """Mark [start, start+count) used; returns dirtied bitmap blocks."""

@@ -44,24 +44,19 @@ class FreeSpaceManager:
         group_size = blocks_per_disk // pags_per_disk
         self._group_size = group_size
         self.groups: list[AllocationGroup] = []
-        self._groups_by_disk: list[list[AllocationGroup]] = []
         index = 0
         for disk in range(ndisks):
             disk_base = disk * blocks_per_disk
-            disk_groups: list[AllocationGroup] = []
             for g in range(pags_per_disk):
-                group = AllocationGroup(
+                self.groups.append(AllocationGroup(
                     index=index,
                     base=disk_base + g * group_size,
                     size=group_size,
                     disk_index=disk,
                     metrics=self.metrics,
                     tracer=self.tracer,
-                )
-                self.groups.append(group)
-                disk_groups.append(group)
+                ))
                 index += 1
-            self._groups_by_disk.append(disk_groups)
         # Incremental free total, delta-updated on every allocate/free so the
         # hot utilization checks never walk all groups.
         self._free_total = ndisks * blocks_per_disk
@@ -95,11 +90,6 @@ class FreeSpaceManager:
         # Groups tile the global space contiguously (disk-major), so the
         # group index is a single division.
         return self.groups[block // self._group_size]
-
-    def groups_on_disk(self, disk_index: int) -> list[AllocationGroup]:
-        if not (0 <= disk_index < self.ndisks):
-            return []
-        return list(self._groups_by_disk[disk_index])
 
     # -- allocation ---------------------------------------------------------
     def allocate_in_group(

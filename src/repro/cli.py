@@ -26,7 +26,7 @@ import sys
 from repro import __version__
 from repro.bench import baseline as bench_baseline
 from repro.core import sweep
-from repro.core.run import RUNNERS, RunnerCommand, positive_int, runner_names
+from repro.core.run import RUNNERS, RunnerCommand, positive_float, positive_int, runner_names
 from repro.core.run import run as run_experiment
 from repro.core.runners import RUNNER_COMMANDS
 from repro.core.runners.fsck import print_repair
@@ -65,15 +65,12 @@ def _scale(text: str) -> float:
     if text in NAMED_SCALES:
         return NAMED_SCALES[text]
     try:
-        value = float(text)
+        return positive_float(text)
     except ValueError:
         names = ", ".join(sorted(NAMED_SCALES))
         raise argparse.ArgumentTypeError(
             f"must be a float or one of: {names}"
         ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
 
 
 def _runner_list(text: str) -> list[str]:

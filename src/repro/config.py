@@ -111,7 +111,6 @@ class CacheParams:
     capacity_blocks: int = 4096
     readahead_init_blocks: int = 4
     readahead_max_blocks: int = 32
-    enabled: bool = True
     #: Concurrent sequential streams tracked by the readahead table (the
     #: kernel keeps a context per open file / access pattern; a readdirplus
     #: interleaves a dentry stream with an inode-table stream and both
@@ -213,8 +212,6 @@ class MetaParams:
     #: blocks.  ``journal_interval_ops`` metadata ops per checkpoint batch.
     journal_blocks: int = 8192
     journal_interval_ops: int = 64
-    #: Synchronous metadata updates (the paper's Metarates configuration).
-    sync_writes: bool = True
     #: Block groups in the metadata file system.
     block_groups: int = 32
     blocks_per_group: int = 32768

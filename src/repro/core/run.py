@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
@@ -143,6 +144,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """``argparse`` type: a finite float > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number: {text}")
     return value
 
 

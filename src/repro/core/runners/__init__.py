@@ -17,11 +17,9 @@ from repro.core.runners.claims import (
     Claim,
     ClaimsResult,
     FppGap,
-    InterferenceClaim,
     PreallocWaste,
     Verdict,
     file_per_process_gap,
-    interference_claim,
     paper_claims,
     prealloc_waste,
 )
@@ -71,12 +69,12 @@ __all__ = [
     "AgingResult", "AgingRun", "CLAIMS", "Claim", "ClaimsResult",
     "FaultCampaignResult", "Fig10Result", "Fig6aResult", "Fig6bResult",
     "Fig7Result", "Fig8Result", "FigFsckResult", "FppGap", "FsckRun",
-    "InterferenceClaim", "LISTIO_HEADER_S", "ListIOResult", "ListIORun",
-    "MacroRun", "MetaRun", "PreallocWaste", "RUNNER_COMMANDS", "ScrubSummary",
-    "ServiceCell", "ServiceReport", "StationReport", "TELEMETRY_WINDOWS",
-    "Table1Result", "Verdict", "aging_impact", "fault_campaign",
-    "file_per_process_gap", "fsck_benchmarks", "interference_claim",
-    "listio_benchmarks", "macro_benchmarks", "metarates_suite",
-    "micro_request_size", "micro_stream_count", "paper_claims",
-    "postmark_apps", "prealloc_waste", "service_mode", "table1_segments",
+    "LISTIO_HEADER_S", "ListIOResult", "ListIORun", "MacroRun", "MetaRun",
+    "PreallocWaste", "RUNNER_COMMANDS", "ScrubSummary", "ServiceCell",
+    "ServiceReport", "StationReport", "TELEMETRY_WINDOWS", "Table1Result",
+    "Verdict", "aging_impact", "fault_campaign", "file_per_process_gap",
+    "fsck_benchmarks", "listio_benchmarks", "macro_benchmarks",
+    "metarates_suite", "micro_request_size", "micro_stream_count",
+    "paper_claims", "postmark_apps", "prealloc_waste", "service_mode",
+    "table1_segments",
 ]

@@ -19,7 +19,6 @@ from typing import Any
 
 from repro.core.run import RunnerCommand, RunResult, register
 from repro.core.run import run as run_experiment
-from repro.core.runners.fig6 import micro_stream_count
 from repro.core.sweep import CellResult, _Cell, _Run, _scaled
 from repro.fs.dataplane import DataPlane
 from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
@@ -27,29 +26,6 @@ from repro.obs.trace import NullTracer, Tracer
 from repro.units import KiB, MiB
 from repro.workloads.filesizes import kernel_tree_sizes
 from repro.workloads.streams import SharedFileMicrobench
-
-
-@dataclass
-class InterferenceClaim:
-    fragmented_mib_s: float
-    contiguous_mib_s: float
-
-    @property
-    def loss_fraction(self) -> float:
-        """I/O performance lost to intra-file interference (paper: >40%)."""
-        return 1.0 - self.fragmented_mib_s / self.contiguous_mib_s
-
-
-def interference_claim(scale: float = 1.0, seed: int = 0) -> InterferenceClaim:
-    """§I: intra-file interference can reduce I/O performance by >40%."""
-    fig = micro_stream_count(
-        stream_counts=(64,), policies=("reservation", "static"),
-        scale=scale, seed=seed,
-    ).payload
-    return InterferenceClaim(
-        fragmented_mib_s=fig.throughput["reservation"][64],
-        contiguous_mib_s=fig.throughput["static"][64],
-    )
 
 
 @dataclass

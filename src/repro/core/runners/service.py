@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.config import FSConfig
-from repro.core.run import CliOption, RunnerCommand, RunResult, positive_int, register
+from repro.core.run import (
+    CliOption, RunnerCommand, RunResult, positive_float, positive_int, register,
+)
 from repro.core.sweep import CellResult, _Cell, _Run
 from repro.errors import ConfigError
 from repro.fault import Corruptor
@@ -326,8 +332,8 @@ def _resolve_telemetry_window(
     if telemetry is True:
         return duration_s / TELEMETRY_WINDOWS
     window_s = float(telemetry)
-    if window_s <= 0:
-        raise ConfigError(f"telemetry window must be positive: {telemetry}")
+    if not 0 < window_s < math.inf:
+        raise ConfigError(f"telemetry window must be positive and finite: {telemetry}")
     return window_s
 
 
@@ -575,8 +581,30 @@ def _rate_or_name(text: str) -> str | float:
         return text
 
 
+def _checked(check: Callable[[Any], object], parse: Callable[[str], Any] = str):
+    """An ``argparse`` type: ``parse`` the text, then pass it through the
+    run's own validator ``check``, so a value the run would reject is a
+    usage error before anything runs.  The run gets the parsed value."""
+
+    def convert(text: str) -> Any:
+        try:
+            value = parse(text)
+            check(value)
+        except (ConfigError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return convert
+
+
+_rate = _checked(resolve_rate, _rate_or_name)
+
+
 def _rate_list(text: str) -> tuple[str | float, ...]:
-    return tuple(_rate_or_name(t.strip()) for t in text.split(",") if t.strip())
+    rates = tuple(_rate(t.strip()) for t in text.split(",") if t.strip())
+    if not rates:
+        raise argparse.ArgumentTypeError(f"needs at least one rate: {text!r}")
+    return rates
 
 
 COMMANDS = (
@@ -590,10 +618,10 @@ COMMANDS = (
                 type=positive_int, default=1000,
                 help="number of client streams (default 1000)")),
             CliOption(("--rate",), "rate", dict(
-                type=_rate_or_name, default="small",
+                type=_rate, default="small",
                 help="per-stream ops/s: small|medium|large or a number")),
             CliOption(("--duration",), "duration", dict(
-                type=_rate_or_name, default="short",
+                type=_checked(resolve_duration, _rate_or_name), default="short",
                 help="arrival window: short|long or seconds (x scale)")),
             CliOption(("--queue-depth",), "queue_depth", dict(
                 type=positive_int, default=64,
@@ -602,27 +630,29 @@ COMMANDS = (
                 type=_rate_list, default=None, metavar="R1,R2,...",
                 help="sweep several rates as independent cells")),
             CliOption(("--telemetry",), "telemetry", dict(
-                nargs="?", const=True, default=False, type=float,
+                nargs="?", const=True, default=False, type=positive_float,
                 metavar="WINDOW_S",
                 help="collect per-window time-series telemetry; optional "
                 "window width in simulated seconds (default: duration/50)")),
             CliOption(("--slo",), "slo", dict(
                 nargs="?", const="default", default=None, metavar="SPECS",
+                type=_checked(resolve_objectives),
                 help="evaluate SLO objectives (implies --telemetry): "
                 "comma-separated SERIES:pP<=THRESHOLD[:wS][:bF] specs, "
                 "or no value for the defaults; a fail verdict exits 1")),
             CliOption(("--sample",), "sample", dict(
-                default=None, metavar="1/N",
+                type=_checked(parse_sample), default=None, metavar="1/N",
                 help="trace every Nth stream end-to-end (sampled tracing "
                 "bounds trace volume at any stream count)")),
             CliOption(("--scrub",), "scrub", dict(
-                nargs="?", const=True, default=False, type=float,
+                nargs="?", const=True, default=False, type=positive_float,
                 metavar="INTERVAL_S",
                 help="run the incremental scrubber alongside the workload, "
                 "one shard per tick; optional tick interval in simulated "
                 "seconds (default: duration/50; docs/FSCK.md)")),
             CliOption(("--scrub-corrupt",), "scrub_corrupt", dict(
-                type=int, default=0, metavar="N",
+                type=_checked(lambda n: ScrubSpec(corrupt_every=n), int),
+                default=0, metavar="N",
                 help="with --scrub: inject live corruption every N scrub "
                 "ticks (0 = none)")),
             CliOption(("--scrub-faults",), "scrub_faults", dict(

@@ -53,8 +53,7 @@ class BufferCache:
         self._lru: OrderedDict[int, None] = OrderedDict()
         # Readahead contexts: (expected next block, window size), LRU order.
         self._ra: OrderedDict[int, int] = OrderedDict()
-        # read_batch's fixed inputs (scalar loop?, context slack, disk size).
-        self._scalar_reads = not params.enabled
+        # read_batch's fixed inputs (context slack, disk size).
         self._ra_slack = 2 * params.readahead_max_blocks
         self._disk_blocks = disk.capacity_blocks
 
@@ -111,7 +110,7 @@ class BufferCache:
         prefetch is opportunistic, so the requester is never billed
         (returns 0.0).
         """
-        if not self.params.enabled or self.params.capacity_blocks == 0:
+        if self.params.capacity_blocks == 0:
             return 0.0
         capacity = self.disk.capacity_blocks
         misses: list[tuple[int, int]] = []
@@ -151,8 +150,6 @@ class BufferCache:
         """Read a block run through the cache; returns disk seconds spent."""
         if nblocks <= 0:
             raise SimulationError(f"read of {nblocks} blocks")
-        if not self.params.enabled:
-            return self.disk.submit_one(start, nblocks, False)
 
         # Readahead: each context is (prefetch frontier -> window size).  A
         # read at or just below a frontier belongs to that stream; pushing
@@ -247,17 +244,11 @@ class BufferCache:
         and does not push past a readahead frontier takes a fast path
         without per-block accounting (its blocks move to the MRU end on the
         spot, as :meth:`read` moves them); anything else — a miss, a frontier
-        crossing, a read past capacity, or a disabled cache — falls back to
+        crossing or a read past capacity — falls back to
         the scalar :meth:`read` for that element, *before* any state was
         touched, so the sequence of cache and context mutations is
         identical to the scalar loop.
         """
-        if self._scalar_reads:
-            read = self.read
-            total = 0.0
-            for start, nblocks in reads:
-                total += read(start, nblocks)
-            return total
         lru = self._lru
         keys = lru.keys()
         move = lru.move_to_end

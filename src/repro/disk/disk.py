@@ -149,9 +149,6 @@ class SimulatedDisk:
         injector.bind(self.metrics, self.name)
         self.injector = injector
 
-    def detach_injector(self) -> None:
-        self.injector = None
-
     # -- operation ----------------------------------------------------------
     def submit_batch(self, requests: Sequence[BlockRequest]) -> float:
         """Service a batch of concurrently outstanding requests.

@@ -68,7 +68,7 @@ class RedbudFileSystem:
 
     def getlayout(self, path: str):
         """The aggregated open+getlayout, returning the inode (what a
-        client caches; see :mod:`repro.fs.client`)."""
+        client caches)."""
         path = _norm(path)
         parent, name = self._split(path)
         return self.mds.open_getlayout(self._dir_handle(parent), name)

@@ -142,13 +142,3 @@ class GlobalDirectoryTable:
             seen.add(current)
             current = self._rename_old_to_new[current]
         return current
-
-    def forget_correlations(self) -> None:
-        """Drop all rename correlations ("until the management routines
-        exit" — called when no management job holds old ids)."""
-        self._rename_old_to_new.clear()
-        self._rename_new_to_old.clear()
-
-    @property
-    def correlation_count(self) -> int:
-        return len(self._rename_old_to_new)

@@ -80,7 +80,6 @@ class MetadataServer:
         self._dirty: set[int] = set()
         self._ops_since_ckpt = 0
         self.ops = 0
-        self._sync_writes = config.meta.sync_writes
         self._ckpt_interval = config.meta.journal_interval_ops
         self._req_overhead_s = config.mds_request_overhead_s
         self._counters = self.metrics.raw_counters()
@@ -290,7 +289,7 @@ class MetadataServer:
             )
         disk, journal, read_batch, log_one, submit_one, dirty_update = handles
         tracer = self.tracer
-        sync_writes, interval = self._sync_writes, self._ckpt_interval
+        interval = self._ckpt_interval
         overhead = self._req_overhead_s
         latencies: list[float] = []
         ops = journal_writes = 0
@@ -304,7 +303,7 @@ class MetadataServer:
                     read_batch(reads)
                 dirties = plan.dirties
                 journal_records = plan.journal_records
-                if journal_records > 0 and sync_writes:
+                if journal_records > 0:
                     torn_before = disk.torn_writes
                     record = log_one(dirties, journal_records)
                     if record is not None:

@@ -35,13 +35,6 @@ def bytes_to_blocks(nbytes: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
     return -(-nbytes // block_size)
 
 
-def blocks_to_bytes(nblocks: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
-    """Byte size of ``nblocks`` whole blocks."""
-    if nblocks < 0:
-        raise ValueError(f"negative block count: {nblocks}")
-    return nblocks * block_size
-
-
 def block_span(offset: int, length: int, block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[int, int]:
     """Return ``(first_block, nblocks)`` covering byte range [offset, offset+length).
 

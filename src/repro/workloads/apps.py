@@ -69,7 +69,7 @@ class KernelTree:
 
 
 class _AppBase:
-    """Shared timing harness: drives the app's event-stream program
+    """Shared timing harness: drives the app's send-based op program
     (:meth:`program`) against the file system with MDS/data/CPU accounting.
 
     Application programs are result-dependent — tar lists a directory
@@ -115,18 +115,18 @@ class TarApp(_AppBase):
         ops = 0
         for d in range(self.tree.dirs):
             dpath = f"{root}/dir{d:03d}"
-            inodes = yield (0.0, MetaOp("readdir_stat", (dpath,)))
+            inodes = yield MetaOp("readdir_stat", (dpath,))
             ops += 1
             for inode in inodes:
                 path = f"{dpath}/{inode.name}"
-                f = yield (0.0, MetaOp("file_handle", (path,)))
+                f = yield MetaOp("file_handle", (path,))
                 size = max(1, f.size_bytes)
-                yield (0.0, MetaOp("open", (path,)))
-                yield (0.0, MetaOp("read", (path, 0, size)))
+                yield MetaOp("open", (path,))
+                yield MetaOp("read", (path, 0, size))
                 ops += 1
         archive = f"{root}/archive.tar.gz"
-        yield (0.0, MetaOp("create", (archive,)))
-        yield (0.0, MetaOp("write", (archive, 0, max(1, tarball_bytes(self.tree.sizes())))))
+        yield MetaOp("create", (archive,))
+        yield MetaOp("write", (archive, 0, max(1, tarball_bytes(self.tree.sizes()))))
         ops += 1
         return ops
 
@@ -144,18 +144,18 @@ class MakeApp(_AppBase):
         i = 0
         for d in range(self.tree.dirs):
             dpath = f"{root}/dir{d:03d}"
-            names = yield (0.0, MetaOp("readdir", (dpath,)))
+            names = yield MetaOp("readdir", (dpath,))
             for name in names:
                 if not name.endswith(".c"):
                     continue
                 src = f"{dpath}/{name}"
-                yield (0.0, MetaOp("open", (src,)))
-                handle = yield (0.0, MetaOp("file_handle", (src,)))
-                yield (0.0, MetaOp("read", (src, 0, max(1, handle.size_bytes))))
+                yield MetaOp("open", (src,))
+                handle = yield MetaOp("file_handle", (src,))
+                yield MetaOp("read", (src, 0, max(1, handle.size_bytes)))
                 obj = f"{dpath}/{name[:-2]}.o"
-                yield (0.0, MetaOp("create", (obj,)))
+                yield MetaOp("create", (obj,))
                 # Object files are roughly source-sized for -O0 builds.
-                yield (0.0, MetaOp("write", (obj, 0, int(max(1, sizes[min(i, sizes.size - 1)])))))
+                yield MetaOp("write", (obj, 0, int(max(1, sizes[min(i, sizes.size - 1)]))))
                 i += 1
                 ops += 1
         return ops
@@ -170,9 +170,9 @@ class MakeCleanApp(_AppBase):
         ops = 0
         for d in range(self.tree.dirs):
             dpath = f"{root}/dir{d:03d}"
-            names = yield (0.0, MetaOp("readdir", (dpath,)))
+            names = yield MetaOp("readdir", (dpath,))
             for name in list(names):
                 if name.endswith(".o"):
-                    yield (0.0, MetaOp("unlink", (f"{dpath}/{name}",)))
+                    yield MetaOp("unlink", (f"{dpath}/{name}",))
                     ops += 1
         return ops

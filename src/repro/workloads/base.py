@@ -1,34 +1,25 @@
-"""Operation records, the event-stream protocol and the phase runners.
+"""Operation records, the stream programs and the phase runners.
 
-Workloads describe themselves as **event streams**: seeded lazy iterators
-yielding ``(arrival_dt, op)`` events, where ``arrival_dt`` is the think
-time since the stream's previous operation (0.0 for the closed-loop
-benchmarks, which issue back-to-back) and ``op`` is a data-plane
-:data:`Op` or a metadata :class:`MetaOp`.  Generators may also yield bare
-ops — every consumer takes either shape, a bare op being one with no gap.
-A :class:`StreamProgram` built from a factory re-derives its operations on
-every iteration and one built from columns holds one int64 row per op; the
-open-loop path materializes nothing (a million-stream service workload
-costs no more memory than its generator state).
+Workloads describe each client stream as a :class:`StreamProgram`: seeded
+lazy iterators yielding data-plane :data:`Op` records back-to-back (the
+closed-loop benchmarks have no think time).  A program built from a
+factory re-derives its operations on every iteration and one built from
+columns holds one int64 row per op.
 
-Two consumers share the protocol:
+The closed-loop runner below (:func:`run_data_phase`) executes lock-step
+rounds: client threads are *synchronous* — each has one request
+outstanding — and every round takes the next operation of each
+still-active stream (the "order of arrival time" interleaving of Figure
+1(a)).  It decodes a phase's programs to columns, draws the whole arrival
+order once, and hands the data plane runs of operations rather than one op
+at a time; the union of a round's physical requests reaches the disk array
+as one concurrent batch for the elevator to arrange.  (The open-loop
+service draws its own arrival columns: :mod:`repro.workloads.service`.)
 
-- the **closed-loop** runner below (:func:`run_data_phase`), which drops
-  the arrival gaps and executes lock-step rounds: client threads are
-  *synchronous* — each has one request outstanding — and every round
-  takes the next operation of each still-active stream (the "order of
-  arrival time" interleaving of Figure 1(a)).  It decodes a phase's
-  programs to columns, draws the whole arrival order once, and hands the
-  data plane runs of operations rather than one op at a time; the union
-  of a round's physical requests reaches the disk array as one concurrent
-  batch for the elevator to arrange;
-- the **open-loop** service runner (:mod:`repro.sim.events`), which
-  honours the arrival gaps and enqueues ops without waiting for
-  completion.
-
-Result-dependent metadata workloads (a build reads ``readdir`` output
-before deciding what to compile) use the send-based :func:`drive`
-protocol: the executor sends each call's result back into the generator.
+Metadata workloads are send-based generators yielding :class:`MetaOp` /
+:class:`MetaOpRun` records, run by :func:`drive`: the executor sends each
+call's result back into the generator (a build reads ``readdir`` output
+before deciding what to compile).
 """
 
 from __future__ import annotations
@@ -152,10 +143,6 @@ META_RUN_OPS = 4096
 #: cells at a time, bounding the draw block whatever the phase's size.
 SCHEDULE_CELLS = 1 << 16
 
-#: An event is an operation plus the think-time gap (seconds) since the
-#: stream's previous operation.
-Event = tuple[float, "Op | MetaOp | MetaOpRun"]
-
 
 def drive(
     gen: Generator[Any, Any, Any],
@@ -163,17 +150,17 @@ def drive(
 ) -> Any:
     """Run a send-based meta program to completion; returns its value.
 
-    ``gen`` yields :class:`MetaOp` events (bare or ``(dt, op)``); each
-    op's result is sent back into the generator, preserving the exact
+    ``gen`` yields :class:`MetaOp` / :class:`MetaOpRun` records; each
+    one's result is sent back into the generator, preserving the exact
     call order of the hand-rolled loops this protocol replaced.  The
     generator's ``return`` value (op count, handles, ...) is returned.
     """
     send = gen.send
     try:
-        item = next(gen)
+        op = next(gen)
         while True:
-            # Bare op or (dt, op): this loop turns once per metadata op.
-            item = send(execute(item[1] if type(item) is tuple else item))
+            # This loop turns once per metadata op or run.
+            op = send(execute(op))
     except StopIteration as stop:
         return stop.value
 
@@ -197,38 +184,15 @@ def mds_executor(mds: Any) -> Callable[[MetaOp | MetaOpRun], Any]:
     return execute
 
 
-def meta_runs(method: str, argsets: Iterable[tuple]) -> Generator[Event, int, int]:
+def meta_runs(method: str, argsets: Iterable[tuple]) -> Generator[MetaOpRun, int, int]:
     """Send-based program calling ``method`` once per tuple of ``argsets``,
-    in order, as :class:`MetaOpRun` events of at most :data:`META_RUN_OPS`
+    in order, as :class:`MetaOpRun` records of at most :data:`META_RUN_OPS`
     calls; returns the number of calls made."""
     argsets = iter(argsets)
     count = 0
     while run := list(islice(argsets, META_RUN_OPS)):
-        count += yield (0.0, MetaOpRun(method, run))
+        count += yield MetaOpRun(method, run)
     return count
-
-
-class _LazySource:
-    """Re-iterable view over an event-stream factory, yielding bare ops.
-
-    Wraps a zero-arg callable returning a fresh event iterator; every
-    ``iter()`` re-derives the sequence, so the source itself holds nothing
-    and the program can be consumed any number of times (write phase,
-    read-back, equivalence tests).
-    """
-
-    __slots__ = ("factory",)
-
-    def __init__(self, factory: Callable[[], Iterator[Event | Op]]) -> None:
-        self.factory = factory
-
-    def __iter__(self) -> Iterator[Op]:
-        for item in self.factory():
-            yield item[1] if type(item) is tuple else item
-
-    def events(self) -> Iterator[Event]:
-        for item in self.factory():
-            yield item if type(item) is tuple else (0.0, item)
 
 
 @dataclass
@@ -236,22 +200,18 @@ class StreamProgram:
     """One client stream: a stream id plus its operation source.
 
     ``ops`` is a concrete iterable of ops (hand-built programs) or a
-    zero-arg callable returning a fresh event iterator (the lazy protocol).
-    The bundled closed-loop workloads build theirs :meth:`from_columns`: the
-    columns are then the one description of the program — the closed-loop
-    runner reads them directly, iteration derives the op objects from them.
-    Iterating the program always yields bare ops; :meth:`events` yields
-    ``(arrival_dt, op)`` pairs for arrival-aware consumers.
+    zero-arg callable returning a fresh op iterator, called on every
+    iteration, so the program holds nothing and can be consumed any number
+    of times (write phase, read-back, equivalence tests).  The bundled
+    closed-loop workloads build theirs :meth:`from_columns`: the columns
+    are then the one description of the program — the closed-loop runner
+    reads them directly, iteration derives the op objects from them.
     """
 
     stream: StreamId
-    ops: Iterable[Op] | Callable[[], Iterator[Event | Op]]
+    ops: Iterable[Op] | Callable[[], Iterator[Op]]
     #: ``(file, kinds, offsets, nbytes)`` of a :meth:`from_columns` program.
     columns: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if callable(self.ops):
-            self.ops = _LazySource(self.ops)
 
     @classmethod
     def from_columns(
@@ -275,13 +235,7 @@ class StreamProgram:
         return cls(stream, ops, (file, kinds, offsets, nbytes))
 
     def __iter__(self) -> Iterator[Op]:
-        return iter(self.ops)
-
-    def events(self) -> Iterator[Event]:
-        """The program as ``(arrival_dt, op)`` events (bare ops get 0.0)."""
-        if isinstance(self.ops, _LazySource):
-            return self.ops.events()
-        return ((0.0, op) for op in self.ops)
+        return iter(self.ops() if callable(self.ops) else self.ops)
 
 
 def _decode(

@@ -59,13 +59,13 @@ class MetaratesWorkload:
         """Aggregated readdirplus over every client directory."""
         return self._timed(mds, self.readdir_stat_program(dirs, repeats))
 
-    # -- lazy event-stream programs --------------------------------------------
+    # -- lazy send-based programs ----------------------------------------------
     def per_file_program(self, dirs: list, method: str):
         """Round-robin ``method`` over every (file, client) pair: clients
         take turns one op at a time, exactly the MDS-side interleaving of
         Metarates' MPI coordination.  Nobody reads the results, so the
         phase is yielded as :class:`~repro.workloads.base.MetaOpRun`
-        events; returns the op count."""
+        records; returns the op count."""
         return meta_runs(method, (
             (d, self._filename(c, i))
             for i in range(self.files_per_dir)
@@ -78,7 +78,7 @@ class MetaratesWorkload:
         count = 0
         for _ in range(repeats):
             for d in dirs:
-                inodes = yield (0.0, MetaOp("readdir_stat", (d,)))
+                inodes = yield MetaOp("readdir_stat", (d,))
                 count += 1 + len(inodes)  # readdir + per-entry stat results
         return count
 

@@ -58,7 +58,7 @@ class PostMarkWorkload:
         self.config = config
 
     def program(self):
-        """The whole PostMark run as one seeded lazy event stream.
+        """The whole PostMark run as one seeded lazy op program.
 
         Pool state (which files exist per client) lives in the generator;
         file sizes are resolved at execution time by yielding a
@@ -73,7 +73,7 @@ class PostMarkWorkload:
         pools: list[list[str]] = []
         serial = 0
         for c in range(cfg.nclients):
-            yield (0.0, MetaOp("mkdir", (f"/pm{c:03d}",)))
+            yield MetaOp("mkdir", (f"/pm{c:03d}",))
             pools.append([])
         # Initial pool, clients interleaved.
         per_client = cfg.files // cfg.nclients
@@ -82,8 +82,8 @@ class PostMarkWorkload:
                 path = f"/pm{c:03d}/file{serial:07d}"
                 serial += 1
                 size = int(rng.integers(cfg.min_size, cfg.max_size + 1))
-                yield (0.0, MetaOp("create", (path,)))
-                yield (0.0, MetaOp("write", (path, 0, size)))
+                yield MetaOp("create", (path,))
+                yield MetaOp("write", (path, 0, size))
                 pools[c].append(path)
                 creates += 1
 
@@ -96,32 +96,32 @@ class PostMarkWorkload:
                 path = f"/pm{c:03d}/file{serial:07d}"
                 serial += 1
                 size = int(rng.integers(cfg.min_size, cfg.max_size + 1))
-                yield (0.0, MetaOp("create", (path,)))
-                yield (0.0, MetaOp("write", (path, 0, size)))
+                yield MetaOp("create", (path,))
+                yield MetaOp("write", (path, 0, size))
                 pool.append(path)
                 creates += 1
             else:
                 victim = pool.pop(int(rng.integers(0, len(pool))))
-                yield (0.0, MetaOp("unlink", (victim,)))
+                yield MetaOp("unlink", (victim,))
                 deletes += 1
             # read-or-append half
             if pool:
                 target = pool[int(rng.integers(0, len(pool)))]
-                f = yield (0.0, MetaOp("file_handle", (target,)))
+                f = yield MetaOp("file_handle", (target,))
                 size = max(1, f.size_bytes)
                 if rng.random() < 0.5:
-                    yield (0.0, MetaOp("open", (target,)))
-                    yield (0.0, MetaOp("read", (target, 0, size)))
+                    yield MetaOp("open", (target,))
+                    yield MetaOp("read", (target, 0, size))
                     reads += 1
                 else:
                     grow = int(rng.integers(cfg.min_size, cfg.max_size + 1))
-                    yield (0.0, MetaOp("write", (target, f.size_bytes, grow)))
+                    yield MetaOp("write", (target, f.size_bytes, grow))
                     appends += 1
 
         # Teardown: delete the remaining pool (PostMark's final phase).
         for c, pool in enumerate(pools):
             for path in pool:
-                yield (0.0, MetaOp("unlink", (path,)))
+                yield MetaOp("unlink", (path,))
                 deletes += 1
         return (creates, deletes, reads, appends)
 

@@ -36,6 +36,7 @@ a chunk at a time.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -115,8 +116,8 @@ def resolve_rate(rate: str | float) -> float:
             raise ConfigError(
                 f"unknown rate {rate!r}; choose from {sorted(RATES)} or a number"
             ) from None
-    if rate <= 0:
-        raise ConfigError(f"rate must be positive: {rate}")
+    if not 0 < rate < math.inf:
+        raise ConfigError(f"rate must be positive and finite: {rate}")
     return float(rate)
 
 
@@ -130,8 +131,8 @@ def resolve_duration(duration: str | float) -> float:
                 f"unknown duration {duration!r}; choose from {sorted(DURATIONS)}"
                 " or a number"
             ) from None
-    if duration <= 0:
-        raise ConfigError(f"duration must be positive: {duration}")
+    if not 0 < duration < math.inf:
+        raise ConfigError(f"duration must be positive and finite: {duration}")
     return float(duration)
 
 
@@ -152,8 +153,8 @@ class ScrubSpec:
     nfaults: int = 1
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ConfigError(f"scrub interval must be positive: {self.interval_s}")
+        if not 0 < self.interval_s < math.inf:
+            raise ConfigError(f"scrub interval must be positive and finite: {self.interval_s}")
         if self.corrupt_every < 0:
             raise ConfigError(f"corrupt_every must be >= 0: {self.corrupt_every}")
         if self.nfaults < 1:

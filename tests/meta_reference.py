@@ -52,25 +52,25 @@ from tests.metrics_reference import ReferenceDisk, ReferenceMetrics
 def reference_per_file_program(self, dirs: list, method: str):
     """Round-robin ``method`` over every (file, client) pair: clients
     take turns one op at a time, exactly the MDS-side interleaving of
-    Metarates' MPI coordination.  Yields ``(arrival_dt, MetaOp)``
-    events; returns the op count."""
+    Metarates' MPI coordination.  Yields one :class:`MetaOp` per call;
+    returns the op count."""
     count = 0
     for i in range(self.files_per_dir):
         for c, d in enumerate(dirs):
-            yield (0.0, MetaOp(method, (d, self._filename(c, i))))
+            yield MetaOp(method, (d, self._filename(c, i)))
             count += 1
     return count
 
 
 
 def reference_item_program(self, trees: list[list], method: str):
-    """Per-item event stream (phases 2-4): ``method`` on every item of
+    """Per-item op program (phases 2-4): ``method`` on every item of
     every directory, tasks interleaved one op at a time."""
     cfg = self.config
     for i in range(cfg.items_per_dir):
         for t in range(cfg.ntasks):
             for di, d in enumerate(trees[t]):
-                yield (0.0, MetaOp(method, (d, f"file.{di}.{i}")))
+                yield MetaOp(method, (d, f"file.{di}.{i}"))
 
 
 
@@ -826,17 +826,10 @@ class ReferenceBufferCache(BufferCache):
         batched metadata path's determinism contract, docs/PERF.md).  A
         read that is fully resident and does not push past a readahead
         frontier takes a fast path without per-block accounting; anything
-        else — a miss, a frontier crossing, a read past capacity, or a
-        disabled cache — falls back to the scalar :meth:`read` for
-        that element, *before* any state was touched, so the sequence of
+        else — a miss, a frontier crossing or a read past capacity — falls
+        back to the scalar :meth:`read` for that element, *before* any state was touched, so the sequence of
         cache and context mutations is identical to the scalar loop.
         """
-        if not self.params.enabled:
-            read = self.read
-            total = 0.0
-            for start, nblocks in reads:
-                total += read(start, nblocks)
-            return total
         lru = self._lru
         keys = lru.keys()
         pend = self._pending_moves.append
@@ -925,7 +918,7 @@ class ReferenceMetadataServer(_PlanByPlan, MetadataServer):
         if plan.reads:
             self.cache.read_batch(plan.reads)
         journal_records = plan.journal_records
-        if journal_records > 0 and self._sync_writes:
+        if journal_records > 0:
             records, reqs, _ = self.journal.log_batch(
                 ((plan.dirties, journal_records),)
             )
@@ -987,7 +980,7 @@ class ScalarMetadataServer(_PlanByPlan, MetadataServer):
         t0 = self.elapsed_s
         for block, count in plan.reads:
             self.cache.read(block, count)
-        if plan.journal_records > 0 and self.config.meta.sync_writes:
+        if plan.journal_records > 0:
             record, requests_j = self.journal.log(
                 plan.dirties, plan.journal_records
             )

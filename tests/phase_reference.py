@@ -152,7 +152,8 @@ def reference_run_data_phase(
 
 # ---------------------------------------------------------------------------
 # The bundled workloads' programs as generator closures / op lists
-# (``self`` renamed ``bench``; otherwise the method bodies of 82425ec)
+# (``self`` renamed ``bench`` and each ``(0.0, op)`` yield now a bare op,
+# since programs carry no arrival gap; otherwise the bodies of 82425ec)
 # ---------------------------------------------------------------------------
 
 
@@ -175,7 +176,7 @@ def reference_ior_programs(bench, f: RedbudFile, write: bool) -> list[StreamProg
             cursor = 0
             while cursor < share:
                 chunk = min(request, share - cursor)
-                yield (0.0, op_cls(f, base + cursor, chunk))
+                yield op_cls(f, base + cursor, chunk)
                 cursor += chunk
 
         return events
@@ -197,7 +198,7 @@ def reference_btio_programs(bench, f: RedbudFile, op_cls) -> list[StreamProgram]
         def make_collective(a):
             def events():
                 for step in range(bench.steps):
-                    yield (0.0, op_cls(f, step * step_total + a * slab, slab))
+                    yield op_cls(f, step * step_total + a * slab, slab)
 
             return events
 
@@ -218,7 +219,7 @@ def reference_btio_programs(bench, f: RedbudFile, op_cls) -> list[StreamProgram]
                     slot = (p + r) % bench.nprocs
                     row_base = base + (r * bench.nprocs + slot) * bench.subrun_bytes
                     for c in range(chunks_per_row):
-                        yield (0.0, op_cls(f, row_base + c * bench.chunk_bytes, bench.chunk_bytes))
+                        yield op_cls(f, row_base + c * bench.chunk_bytes, bench.chunk_bytes)
 
         return events
 
@@ -241,7 +242,7 @@ def reference_shared_write_programs(bench, f: RedbudFile) -> list[StreamProgram]
     def make_events(recs):
         def events():
             for rec in recs:
-                yield (0.0, WriteOp(f, rec.offset, rec.nbytes))
+                yield WriteOp(f, rec.offset, rec.nbytes)
 
         return events
 
@@ -267,7 +268,7 @@ def reference_shared_read_programs(bench, f: RedbudFile) -> list[StreamProgram]:
                 cursor = 0
                 while cursor < seg_bytes:
                     chunk = min(bench.read_request_bytes, seg_bytes - cursor)
-                    yield (0.0, ReadOp(f, base + cursor, chunk))
+                    yield ReadOp(f, base + cursor, chunk)
                     cursor += chunk
 
         return events
@@ -288,7 +289,7 @@ def reference_fpp_programs(
     def sequential_events(f):
         def events():
             for off in range(0, bench.file_bytes, request_bytes):
-                yield (0.0, op_cls(f, off, min(request_bytes, bench.file_bytes - off)))
+                yield op_cls(f, off, min(request_bytes, bench.file_bytes - off))
 
         return events
 

@@ -46,11 +46,6 @@ class TestDirtyBlocks:
     def test_straddles_bitmap_blocks(self, bm):
         assert bm.set_range(250, 10) == [0, 1]
 
-    def test_bitmap_block_of(self, bm):
-        assert bm.bitmap_block_of(0) == 0
-        assert bm.bitmap_block_of(255) == 0
-        assert bm.bitmap_block_of(256) == 1
-
 
 class TestFindFreeRun:
     def test_finds_from_hint(self, bm):

@@ -62,9 +62,6 @@ class TestFreeSpaceManager:
         assert fsm.group_of(500).index == 1
         assert fsm.group_of(1999).index == 3
 
-    def test_groups_on_disk(self, fsm):
-        assert [g.index for g in fsm.groups_on_disk(1)] == [2, 3]
-
     def test_allocate_in_group(self, fsm):
         start, got = fsm.allocate_in_group(2, 10)
         assert fsm.group_of(start).index == 2

@@ -1,13 +1,19 @@
-"""Unified runner API: RunResult shape, unified invocation, trace CLI."""
+"""Unified runner API: RunResult shape, unified invocation, trace CLI, and
+structural behaviour of the experiment result types."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core.run import RunResult, fingerprint, run, runner_names
+from repro.core.runners import Fig6aResult, Fig7Result, MacroRun, prealloc_waste
 from repro.errors import ConfigError
 from repro.obs import Tracer
 from repro.sim.metrics import ThroughputResult
@@ -141,3 +147,43 @@ class TestTraceCLI:
         assert lines
         rec = json.loads(lines[0])
         assert {"t", "layer", "op", "dur"} <= set(rec)
+
+
+class TestImportOrder:
+    @pytest.mark.parametrize(
+        "module", ["repro.fs.verify", "repro.core.sweep", "repro.core.runners"]
+    )
+    def test_fresh_interpreter_imports_module_first(self, module):
+        """``repro.core`` loads ``repro.fs`` before the runners, which
+        closes the fs.verify -> core.sweep -> repro.fs cycle whichever
+        module a program imports first."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestResultTypes:
+    def test_fig6a_improvement(self):
+        r = Fig6aResult(
+            stream_counts=[32],
+            throughput={"reservation": {32: 100.0}, "ondemand": {32: 120.0}},
+            extents={"reservation": {32: 10}, "ondemand": {32: 2}},
+        )
+        assert r.improvement_over("reservation", "ondemand", 32) == pytest.approx(0.2)
+
+    def test_fig7_get_raises_on_missing(self):
+        r = Fig7Result(
+            runs=[MacroRun("IOR", "ondemand", False, 1.0, 10, 0.5)]
+        )
+        assert r.get("IOR", "ondemand", False).extents == 10
+        with pytest.raises(KeyError):
+            r.get("IOR", "ondemand", True)
+
+    def test_prealloc_waste_properties(self):
+        w = prealloc_waste(nfiles=100, seed=0)
+        assert w.occupied_large > w.occupied_small
+        assert w.waste_ratio > 1.0

@@ -11,14 +11,13 @@ from repro.fs.profiles import redbud_mif_profile
 from repro.meta.mds import MetadataServer
 
 
-def make_cache(capacity=64, ra_init=4, ra_max=32, enabled=True):
+def make_cache(capacity=64, ra_init=4, ra_max=32):
     disk = SimulatedDisk(DiskParams(capacity_blocks=1 << 16), SchedulerParams())
     cache = BufferCache(
         CacheParams(
             capacity_blocks=capacity,
             readahead_init_blocks=ra_init,
             readahead_max_blocks=ra_max,
-            enabled=enabled,
         ),
         disk,
     )
@@ -78,12 +77,6 @@ class TestCaching:
         cache.read(10, 2)
         cache.drop()
         assert len(cache) == 0
-
-    def test_disabled_cache_always_reads_disk(self):
-        cache, disk = make_cache(enabled=False)
-        cache.read(10, 1)
-        cache.read(10, 1)
-        assert disk.metrics.count("disk.requests") == 2
 
     def test_zero_blocks_rejected(self):
         cache, _ = make_cache()

@@ -1,6 +1,7 @@
 """Run the doctest examples embedded in module docstrings.
 
-``trace_replay`` is ``examples/trace_replay.py``."""
+``trace_replay`` is ``examples/trace_replay.py`` and ``client_session``
+``examples/client_session.py``."""
 
 import doctest
 import sys
@@ -8,17 +9,15 @@ from pathlib import Path
 
 import pytest
 
-import repro.core.api
-import repro.fs.client
 import repro.meta.inumber
 import repro.rng
 import repro.sim.events
 import repro.sim.report
-import repro.sim.visual
 import repro.units
 import repro.workloads.filesizes
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+import client_session  # noqa: E402
 import trace_replay  # noqa: E402
 
 MODULES = [
@@ -26,12 +25,10 @@ MODULES = [
     repro.rng,
     repro.sim.events,
     repro.sim.report,
-    repro.sim.visual,
     repro.meta.inumber,
     repro.workloads.filesizes,
     trace_replay,
-    repro.fs.client,
-    repro.core.api,
+    client_session,
 ]
 
 

@@ -131,12 +131,6 @@ class TestCrashPoints:
         # Recovery runs against a quiet disk: no re-crash.
         assert disk.submit(BlockRequest(0, 1)) > 0.0
 
-    def test_detach_removes_injection(self):
-        disk = make_disk()
-        disk.attach_injector(FaultInjector(FaultPlan(seed=0, lse_ranges=((5, 1),))))
-        disk.detach_injector()
-        assert disk.submit(BlockRequest(5, 1)) > 0.0
-
     def test_disarmed_injector_counts_nothing(self):
         disk = make_disk()
         inj = FaultInjector(FaultPlan(seed=0, lse_ranges=((5, 1),), torn_every=1))

@@ -1,7 +1,8 @@
 """Client sessions, crash recovery, defragmentation, hybrid policy.
 
-The defragmenter is ``examples/defrag.py``: no runner of the package uses
-it, and these tests keep it working against the data plane."""
+The client session is ``examples/client_session.py`` and the defragmenter
+``examples/defrag.py``: no runner of the package uses them, and these tests
+keep them working against the file system."""
 
 import sys
 from pathlib import Path
@@ -9,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ReproError
-from repro.fs.client import ClientSession, make_clients
 from repro.fs.dataplane import DataPlane
 from repro.fs.redbud import RedbudFileSystem
 from repro.fs.verify import check_dataplane
@@ -20,6 +20,7 @@ from tests.conftest import small_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
 import defrag  # noqa: E402
+from client_session import ClientSession, make_clients  # noqa: E402
 from defrag import defragment  # noqa: E402
 
 

@@ -4,13 +4,16 @@ Covers the tentpole end-to-end — data-plane region-list mapping with
 cross-region coalescing, the facade and client-session entry points, the
 per-submission request header — plus the satellites: unified range
 validation, deprecation-free internals, write/read layout-accounting
-symmetry, and the fifo scheduler's array path.
+symmetry, and the fifo scheduler's array path.  The client session is
+``examples/client_session.py``.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from repro.disk.disk import SimulatedDisk
 from repro.disk.model import BlockRequest
 from repro.disk.scheduler import ElevatorScheduler, FifoScheduler
 from repro.errors import ConfigError, ReproError
-from repro.fs.client import ClientSession
 from repro.fs.dataplane import DataPlane
 from repro.fs.redbud import RedbudFileSystem
 from repro.units import KiB
@@ -28,6 +30,9 @@ from repro.units import KiB
 from tests.conftest import small_config
 from tests.dataplane_reference import ReferenceDataPlane
 from tests.meta_reference import ScalarMetadataServer
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
+from client_session import ClientSession  # noqa: E402
 
 BS = 4 * KiB
 

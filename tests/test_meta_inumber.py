@@ -89,12 +89,5 @@ class TestRenameCorrelation:
         assert t.resolve(100) == 300
         assert t.resolve(200) == 300
 
-    def test_forget(self):
-        t = GlobalDirectoryTable()
-        t.correlate_rename(100, 200)
-        t.forget_correlations()
-        assert t.resolve(100) == 100
-        assert t.correlation_count == 0
-
     def test_untouched_ino_resolves_to_itself(self):
         assert GlobalDirectoryTable().resolve(42) == 42

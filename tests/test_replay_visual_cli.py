@@ -1,7 +1,8 @@
 """Trace replay, layout visualization, and the command-line interface.
 
-Trace replay is ``examples/trace_replay.py``: no runner of the package
-uses it, and these tests keep it working against the data plane."""
+Trace replay is ``examples/trace_replay.py`` and the layout map lives in
+``examples/defrag.py``: no runner of the package uses them, and these
+tests keep them working against the data plane."""
 
 import sys
 from pathlib import Path
@@ -11,7 +12,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.cli import main
 from repro.fs.dataplane import DataPlane
-from repro.sim.visual import extent_histogram, layout_map
 from repro.units import KiB, MiB
 from repro.workloads.traces import TraceRecord, synth_checkpoint_trace
 
@@ -19,6 +19,7 @@ from tests.conftest import small_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
 import trace_replay  # noqa: E402
+from defrag import layout_map  # noqa: E402
 from trace_replay import (  # noqa: E402
     dump_trace,
     load_trace,
@@ -107,16 +108,6 @@ class TestVisual:
         with pytest.raises(ValueError):
             layout_map(plane, f, width=0)
 
-    def test_extent_histogram_counts(self, plane_file):
-        _, f = plane_file
-        out = extent_histogram(f)
-        assert f"extents: {f.extent_count}" in out
-
-    def test_extent_histogram_empty(self):
-        plane = DataPlane(small_config())
-        f = plane.create_file("/e")
-        assert extent_histogram(f) == "(no extents)"
-
 
 class TestCli:
     def test_no_command_shows_help_on_stderr(self, capsys):
@@ -145,6 +136,22 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig6a", "--scale", "nan"], ["fig6a", "--scale", "inf"],
+        ["service", "--rates", "0"], ["service", "--rates", "nope"],
+        ["service", "--rate", "inf"], ["service", "--duration", "0"],
+        ["service", "--duration", "inf"], ["service", "--telemetry", "-1"],
+        ["service", "--telemetry", "nan"], ["service", "--scrub-corrupt", "-1"],
+        ["service", "--sample", "1/0"], ["service", "--slo", "junk"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_rejected_inputs_are_usage_errors(self, argv, capsys):
+        """Each value is refused while parsing, before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}:" in err and "Traceback" not in err
 
     def test_claims(self, capsys):
         # Tiny scale just exercises the command path.

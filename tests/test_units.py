@@ -8,7 +8,6 @@ from repro.units import (
     KiB,
     MiB,
     block_span,
-    blocks_to_bytes,
     bytes_to_blocks,
     fmt_bytes,
 )
@@ -33,15 +32,6 @@ class TestBytesToBlocks:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bytes_to_blocks(-1)
-
-
-class TestBlocksToBytes:
-    def test_roundtrip(self):
-        assert blocks_to_bytes(bytes_to_blocks(10 * MiB)) == 10 * MiB
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            blocks_to_bytes(-2)
 
 
 class TestBlockSpan:

@@ -179,7 +179,7 @@ class TestBTIO:
         f = bench.create_file(plane)
         progs = bench._write_programs(f)
         # Proc 0's consecutive sub-runs are not logically adjacent.
-        ops = list(progs[0].ops)
+        ops = list(progs[0])
         row_starts = sorted({op.offset // (64 * KiB) for op in ops})
         gaps = [b - a for a, b in zip(row_starts, row_starts[1:])]
         # Diagonal rotation: consecutive rows of one proc are nprocs+1
