@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -21,6 +22,9 @@ from repro.errors import ExtentError
 _LENGTH = attrgetter("length")
 _PHYSICAL = attrgetter("physical")
 _FLAGS = attrgetter("flags")
+_LOGICAL = attrgetter("logical")
+_EXTENTS = attrgetter("_extents")
+_STARTS = attrgetter("_starts")
 
 
 class ExtentFlags(enum.IntFlag):
@@ -513,13 +517,48 @@ class ExtentMap:
         self._starts = []
         return removed
 
-    def validate(self) -> None:
-        """Check internal invariants (sorted, non-overlapping, merged, and
-        the parallel start index in lockstep)."""
-        for a, b in zip(self._extents, self._extents[1:]):
-            if a.logical_end > b.logical:
-                raise ExtentError(f"overlapping extents: {a} / {b}")
-            if a.abuts(b):
-                raise ExtentError(f"unmerged abutting extents: {a} / {b}")
-        if self._starts != [e.logical for e in self._extents]:
-            raise ExtentError("start index out of sync with extents")
+
+def extent_columns(maps) -> tuple[list[Extent], np.ndarray, np.ndarray, list]:
+    """Gather ``maps`` flat, in map order, and find the broken ones in one
+    numpy pass: ``(extents, owner, cols, invalid)``, where row ``r`` is
+    ``extents[r]``, held by map ``owner[r]``, ``cols[:, r]`` is its
+    ``(logical, physical, length, flags)`` and ``invalid`` lists ``(map
+    index, message)``.  A map's first adjacent pair that overlaps (or is out
+    of order) or abuts unmerged names its fault; a map whose pairs are sound
+    is still broken when its start index is out of step with its extents."""
+    lists = list(map(_EXTENTS, maps))
+    extents = list(chain.from_iterable(lists))
+    n = len(extents)
+    counts = np.fromiter(map(len, lists), np.int64, len(lists))
+    owner = np.repeat(np.arange(len(lists)), counts)
+    cols = np.stack([
+        np.fromiter(map(get, extents), np.int64, n)
+        for get in (_LOGICAL, _PHYSICAL, _LENGTH, _FLAGS)
+    ])
+    logical, physical, length, flags = cols
+    end = logical + length
+    overlap = end[:-1] > logical[1:]
+    bad = (owner[:-1] == owner[1:]) & (overlap | (
+        (logical[1:] == end[:-1])
+        & (physical[1:] == physical[:-1] + length[:-1])
+        & (flags[1:] == flags[:-1])
+    ))
+    pairs = np.flatnonzero(bad)
+    hit, first = np.unique(owner[pairs], return_index=True)
+    invalid = {
+        m: f"{'overlapping' if overlap[i] else 'unmerged abutting'} extents: "
+        f"{extents[i]} / {extents[i + 1]}"
+        for m, i in zip(hit.tolist(), pairs[first].tolist())
+    }
+    # A start index of the wrong length is stale outright; the others line
+    # up row for row with the extents.
+    starts = list(map(_STARTS, maps))
+    scounts = np.fromiter(map(len, starts), np.int64, len(starts))
+    flat = np.fromiter(chain.from_iterable(starts), np.int64, int(scounts.sum()))
+    same = scounts == counts
+    stale = ~same
+    rows = same[owner]
+    stale[owner[rows][flat[np.repeat(same, scounts)] != logical[rows]]] = True
+    for m in np.flatnonzero(stale).tolist():
+        invalid.setdefault(m, "start index out of sync with extents")
+    return extents, owner, cols, sorted(invalid.items())

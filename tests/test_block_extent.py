@@ -5,6 +5,8 @@ import pytest
 from repro.block.extent import Extent, ExtentFlags, ExtentMap
 from repro.errors import ExtentError
 
+from tests.fsck_reference import validate_extent_map
+
 
 class TestExtent:
     def test_ends(self):
@@ -153,7 +155,7 @@ class TestMarkWritten:
         m.insert(Extent(0, 500, 16, ExtentFlags.UNWRITTEN))
         m.mark_written(2, 3)
         m.mark_written(9, 2)
-        m.validate()
+        validate_extent_map(m)
 
 
 class TestRemove:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from repro.block.extent import Extent, ExtentFlags, ExtentMap
 from repro.errors import ExtentError
 
+from tests.fsck_reference import validate_extent_map
+
 LOGICAL_SPACE = 256
 
 
@@ -56,7 +58,7 @@ def test_insert_preserves_structure_and_content(extents):
         m.insert(e)
         for b in range(e.logical, e.logical_end):
             model[b] = e.physical_for(b)
-    m.validate()
+    validate_extent_map(m)
     assert m.mapped_blocks == len(model)
     for b, phys in model.items():
         ext = m.lookup_block(b)
@@ -76,7 +78,7 @@ def test_remove_range_partitions(extents, start, count):
         m.insert(e)
     before = m.mapped_blocks
     removed = m.remove_range(start, count)
-    m.validate()
+    validate_extent_map(m)
     removed_blocks = sum(e.length for e in removed)
     assert m.mapped_blocks == before - removed_blocks
     assert m.lookup_range(start, count) == []
@@ -94,7 +96,7 @@ def test_mark_written_is_idempotent_and_flag_only(extents, start, count):
         for b in range(e.logical, e.logical_end)
     }
     m.mark_written(start, count)
-    m.validate()
+    validate_extent_map(m)
     once = [(e.logical, e.physical, e.length, e.flags) for e in m.extents()]
     m.mark_written(start, count)
     twice = [(e.logical, e.physical, e.length, e.flags) for e in m.extents()]
@@ -153,7 +155,7 @@ def test_insert_many_is_the_loop_of_insert(batches):
     for e in added:
         looped.insert(e)
     bulk.insert_many([(e.logical, e.physical, e.length, e.flags) for e in added])
-    bulk.validate()
+    validate_extent_map(bulk)
     assert _contents(bulk) == _contents(looped)
     assert all(type(e.flags) is int and type(e.logical) is int for e in bulk)
 
@@ -175,7 +177,7 @@ def test_insert_many_rejects_an_overlap_before_it_mutates(batches, data):
         m.insert_many(rows)
     except ExtentError:
         assert _contents(m) == before and [id(e) for e in m] == objects
-        m.validate()
+        validate_extent_map(m)
         return
     raise AssertionError("overlap accepted")
 
