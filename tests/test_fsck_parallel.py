@@ -363,6 +363,12 @@ class TestWorkerProcesses:
         assert report_key(rep_1) == report_key(rep_2)
         assert not rep_1.clean
 
+    def test_data_plane_cuts_one_chunk_per_worker(self):
+        img = build_crashed_image(scale=0.3, seed=5)
+        scan = verify._scan_dataplane(img.plane)
+        assert len(verify._plane_shard_specs(scan, img.plane, jobs=1)) == 1
+        assert len(verify._plane_shard_specs(scan, img.plane, jobs=2)) == 2
+
     def test_crashed_image_repair_identical_across_jobs(self):
         serial = build_crashed_image(scale=0.3, seed=5)
         workers = build_crashed_image(scale=0.3, seed=5)
