@@ -10,21 +10,12 @@ each run.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
 from repro.errors import ExtentError
-
-
-_LENGTH = attrgetter("length")
-_PHYSICAL = attrgetter("physical")
-_FLAGS = attrgetter("flags")
-_LOGICAL = attrgetter("logical")
-_EXTENTS = attrgetter("_extents")
-_STARTS = attrgetter("_starts")
 
 
 class ExtentFlags(enum.IntFlag):
@@ -41,9 +32,10 @@ class Extent:
     ``logical`` is the file block offset, ``physical`` the global disk block
     (PAG-resolved "group offset"), ``length`` the run length in blocks.
 
-    A plain slots class rather than a frozen dataclass: extent maps build
-    and merge extents on every write, and the frozen init path costs ~3x a
-    plain one.  Instances are treated as immutable by convention; value
+    An :class:`ExtentMap` stores columns, not extents: this is the value
+    its callers hand in and get back.  A plain slots class rather than a
+    frozen dataclass: the write path builds one per insert, and the frozen
+    init path costs ~3x a plain one.  Instances are treated as immutable by convention; value
     semantics (eq/hash/repr) stay dataclass-compatible.
     """
 
@@ -121,63 +113,76 @@ class Extent:
 class ExtentMap:
     """Sorted, non-overlapping logical→physical mapping for one file.
 
+    The map is the paper's extent tuple as four ``list[int]`` columns —
+    ``_logical``, ``_physical``, ``_length``, ``_flags`` — sorted by logical
+    start, so the hot scalar lookups bisect a plain list; :class:`Extent`
+    values are built only for the callers that ask for them.
+
     Adjacent extents that continue each other both logically and physically
     are merged on insert, so ``extent_count`` reflects true fragmentation:
     interleaved allocation from concurrent streams produces logical-adjacent
     but physical-scattered blocks that cannot merge.
     """
 
+    # A file holds one map per stripe slot, most of them empty on a wide
+    # layout: slots keep an empty map four empty lists and nothing more.
+    __slots__ = ("_logical", "_physical", "_length", "_flags")
+
     def __init__(self) -> None:
-        self._extents: list[Extent] = []  # sorted by logical start
-        # Parallel list of logical starts, kept in lockstep with _extents so
-        # the hot bisects run keyless over plain ints instead of paying an
-        # attribute-access lambda per probe.
-        self._starts: list[int] = []
+        self._logical: list[int] = []
+        self._physical: list[int] = []
+        self._length: list[int] = []
+        self._flags: list[int] = []
 
     # -- queries ------------------------------------------------------------
     @property
     def extent_count(self) -> int:
         """Number of extents ("segments" in Table I)."""
-        return len(self._extents)
+        return len(self._logical)
 
     @property
     def mapped_blocks(self) -> int:
         """Total blocks with a mapping (written or preallocated)."""
-        return sum(e.length for e in self._extents)
+        return sum(self._length)
 
     @property
     def written_blocks(self) -> int:
         """Blocks holding real data (excludes unwritten preallocation)."""
-        return sum(e.length for e in self._extents if not e.unwritten)
+        return sum(n for n, flags in zip(self._length, self._flags) if not flags & 1)
 
     @property
     def size_blocks(self) -> int:
         """One past the highest mapped logical block (0 when empty)."""
-        if not self._extents:
+        if not self._logical:
             return 0
-        return self._extents[-1].logical_end
+        return self._logical[-1] + self._length[-1]
+
+    def columns(self) -> np.ndarray:
+        """The map as a ``(4, extents)`` int64 array: rows ``logical``,
+        ``physical``, ``length`` and ``flags``, extents in logical order."""
+        return np.array(
+            (self._logical, self._physical, self._length, self._flags), dtype=np.int64
+        )
+
+    def _extent(self, i: int) -> Extent:
+        return Extent(self._logical[i], self._physical[i], self._length[i], self._flags[i])
 
     def extents(self) -> list[Extent]:
         """Snapshot of all extents in logical order."""
-        return list(self._extents)
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self._extents)
+        return len(self._logical)
 
     def __iter__(self):
-        return iter(self._extents)
-
-    def _index_for(self, logical: int) -> int:
-        """Index of the extent containing ``logical``, or -1."""
-        i = bisect_right(self._starts, logical) - 1
-        if i >= 0 and self._extents[i].logical <= logical < self._extents[i].logical_end:
-            return i
-        return -1
+        return map(Extent, self._logical, self._physical, self._length, self._flags)
 
     def lookup_block(self, logical: int) -> Extent | None:
         """Extent containing file block ``logical``, or None (hole)."""
-        i = self._index_for(logical)
-        return self._extents[i] if i >= 0 else None
+        i = bisect_right(self._logical, logical) - 1
+        if i >= 0 and logical < self._logical[i] + self._length[i]:
+            return self._extent(i)
+        return None
 
     def lookup_range(self, logical: int, count: int) -> list[Extent]:
         """All extent fragments overlapping [logical, logical+count), clipped
@@ -186,25 +191,15 @@ class ExtentMap:
             raise ExtentError(f"range count must be positive: {count}")
         out: list[Extent] = []
         end = logical + count
-        i = bisect_right(self._starts, logical) - 1
-        if i < 0:
-            i = 0
-        while i < len(self._extents):
-            ext = self._extents[i]
-            if ext.logical >= end:
+        starts, physical, length, flags = self._logical, self._physical, self._length, self._flags
+        for i in range(max(bisect_right(starts, logical) - 1, 0), len(starts)):
+            el = starts[i]
+            if el >= end:
                 break
-            lo = max(ext.logical, logical)
-            hi = min(ext.logical_end, end)
+            lo = max(el, logical)
+            hi = min(el + length[i], end)
             if lo < hi:
-                out.append(
-                    Extent(
-                        logical=lo,
-                        physical=ext.physical + (lo - ext.logical),
-                        length=hi - lo,
-                        flags=ext.flags,
-                    )
-                )
-            i += 1
+                out.append(Extent(lo, physical[i] + (lo - el), hi - lo, flags[i]))
         return out
 
     def physical_runs(self, logical: int, count: int) -> list[tuple[int, int]]:
@@ -218,29 +213,25 @@ class ExtentMap:
         if count <= 0:
             raise ExtentError(f"range count must be positive: {count}")
         end = logical + count
-        i = bisect_right(self._starts, logical) - 1
+        starts, physical, length, flags = self._logical, self._physical, self._length, self._flags
+        i = bisect_right(starts, logical) - 1
         if i < 0:
             i = 0
-        extents = self._extents
-        if i < len(extents):
+        elif starts[i] + length[i] >= end and not flags[i] & 1:
             # Fast path: one written extent covers the whole range.
-            ext = extents[i]
-            el = ext.logical
-            if el <= logical and el + ext.length >= end and not (ext.flags & 1):
-                return [(ext.physical + (logical - el), count)]
+            return [(physical[i] + (logical - starts[i]), count)]
         out: list[tuple[int, int]] = []
-        for i in range(i, len(extents)):
-            ext = extents[i]
-            el = ext.logical
+        for i in range(i, len(starts)):
+            el = starts[i]
             if el >= end:
                 break
-            if ext.flags & 1:  # ExtentFlags.UNWRITTEN
+            if flags[i] & 1:  # ExtentFlags.UNWRITTEN
                 continue
-            ee = el + ext.length
+            ee = el + length[i]
             lo = el if el > logical else logical
             hi = ee if ee < end else end
             if lo < hi:
-                out.append((ext.physical + (lo - el), hi - lo))
+                out.append((physical[i] + (lo - el), hi - lo))
         return out
 
     def physical_runs_many(
@@ -250,17 +241,15 @@ class ExtentMap:
         against this one map: ``(bounds, physical, length)`` int64 columns,
         range ``i`` owning rows ``bounds[i]:bounds[i+1]`` in logical order.
 
-        The extents are gathered into columns once per call (O(extents)),
-        so this pays only for many ranges at a time; callers with a few
-        loop the scalar form.
+        The map's columns become arrays once per call (O(extents)), so this
+        pays only for many ranges at a time; callers with a few loop the
+        scalar form.
         """
         if (counts <= 0).any():
             raise ExtentError(f"range count must be positive: {int(counts.min())}")
         n = los.shape[0]
-        extents = self._extents
-        m = len(extents)
-        starts = np.array(self._starts, dtype=np.int64)
-        ends = starts + np.fromiter(map(_LENGTH, extents), np.int64, m)
+        starts, physical, length, flags = self.columns()
+        ends = starts + length
         his = los + counts
         # Extents overlapping range i: from the first one ending past lo
         # up to the first one starting at or past hi.
@@ -269,15 +258,14 @@ class ExtentMap:
         rows = np.repeat(np.arange(n), hits)
         total = rows.shape[0]
         ext = np.arange(total) + np.repeat(first - (np.cumsum(hits) - hits), hits)
-        written = np.fromiter(map(_FLAGS, extents), np.int64, m)[ext] & 1 == 0
+        written = flags[ext] & 1 == 0
         rows = rows[written]
         ext = ext[written]
         el = starts[ext]
         lo = np.maximum(el, los[rows])
-        physical = np.fromiter(map(_PHYSICAL, extents), np.int64, m)[ext] + (lo - el)
         bounds = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=bounds[1:])
-        return bounds, physical, np.minimum(ends[ext], his[rows]) - lo
+        return bounds, physical[ext] + (lo - el), np.minimum(ends[ext], his[rows]) - lo
 
     def scan_write_range(
         self, logical: int, count: int
@@ -298,26 +286,25 @@ class ExtentMap:
         has_unwritten = False
         cursor = logical
         end = logical + count
-        i = bisect_right(self._starts, logical) - 1
+        starts, physical, length, flags = self._logical, self._physical, self._length, self._flags
+        i = bisect_right(starts, logical) - 1
         if i < 0:
             i = 0
-        extents = self._extents
-        for i in range(i, len(extents)):
-            ext = extents[i]
-            el = ext.logical
+        for i in range(i, len(starts)):
+            el = starts[i]
             if el >= end:
                 break
-            ee = el + ext.length
+            ee = el + length[i]
             if ee <= cursor:
                 continue
             if el > cursor:
                 holes.append((cursor, el - cursor))
-            if ext.flags & 1:  # ExtentFlags.UNWRITTEN
+            if flags[i] & 1:  # ExtentFlags.UNWRITTEN
                 has_unwritten = True
             else:
                 lo = el if el > cursor else cursor
                 hi = ee if ee < end else end
-                runs.append((ext.physical + (lo - el), hi - lo))
+                runs.append((physical[i] + (lo - el), hi - lo))
             cursor = ee if ee < end else end
         if cursor < end:
             holes.append((cursor, end - cursor))
@@ -332,47 +319,53 @@ class ExtentMap:
     # -- mutation -------------------------------------------------------------
     def insert(self, extent: Extent) -> None:
         """Insert a new mapping; overlap with an existing extent is an error."""
-        extents = self._extents
-        if extents:
+        starts, length = self._logical, self._length
+        logical = extent.logical
+        if starts:
             # Fast path: appending at the end (sequential growth), the
             # overwhelmingly common case on the write path.
-            prev = extents[-1]
-            pe = prev.logical + prev.length
-            if pe <= extent.logical:
+            pe = starts[-1] + length[-1]
+            if pe <= logical:
                 if (
-                    pe == extent.logical
-                    and prev.physical + prev.length == extent.physical
-                    and prev.flags == extent.flags
+                    pe == logical
+                    and self._physical[-1] + length[-1] == extent.physical
+                    and self._flags[-1] == extent.flags
                 ):
-                    extents[-1] = Extent(
-                        prev.logical,
-                        prev.physical,
-                        prev.length + extent.length,
-                        prev.flags,
-                    )
+                    length[-1] += extent.length
                 else:
-                    extents.append(extent)
-                    self._starts.append(extent.logical)
+                    starts.append(logical)
+                    self._physical.append(extent.physical)
+                    length.append(extent.length)
+                    self._flags.append(extent.flags)
                 return
-        i = bisect_right(self._starts, extent.logical)
-        if i > 0 and self._extents[i - 1].logical_end > extent.logical:
-            raise ExtentError(f"overlap: {extent} vs {self._extents[i - 1]}")
-        if i < len(self._extents) and self._extents[i].logical < extent.logical_end:
-            raise ExtentError(f"overlap: {extent} vs {self._extents[i]}")
-        # Try merging with neighbours.
-        if i > 0 and self._extents[i - 1].abuts(extent):
-            prev = self._extents[i - 1]
-            extent = Extent(prev.logical, prev.physical, prev.length + extent.length, prev.flags)
-            self._extents.pop(i - 1)
-            self._starts.pop(i - 1)
-            i -= 1
-        if i < len(self._extents) and extent.abuts(self._extents[i]):
-            nxt = self._extents[i]
-            extent = Extent(extent.logical, extent.physical, extent.length + nxt.length, extent.flags)
-            self._extents.pop(i)
-            self._starts.pop(i)
-        self._extents.insert(i, extent)
-        self._starts.insert(i, extent.logical)
+        a = b = bisect_right(starts, logical)
+        if a > 0 and starts[a - 1] + length[a - 1] > logical:
+            raise ExtentError(f"overlap: {extent} vs {self._extent(a - 1)}")
+        physical, n, flags = extent.physical, extent.length, extent.flags
+        end = logical + n
+        if b < len(starts) and starts[b] < end:
+            raise ExtentError(f"overlap: {extent} vs {self._extent(b)}")
+        # Merge with the neighbours the new extent continues (or that
+        # continue it) logically and physically with the same flags.
+        phys, flag = self._physical, self._flags
+        if a > 0 and starts[a - 1] + length[a - 1] == logical and (
+            phys[a - 1] + length[a - 1] == physical and flag[a - 1] == flags
+        ):
+            a -= 1
+            logical, physical, n = starts[a], phys[a], n + length[a]
+        if b < len(starts) and starts[b] == end and phys[b] == physical + n and flag[b] == flags:
+            n += length[b]
+            b += 1
+        if a == b:
+            starts.insert(a, logical)
+            phys.insert(a, physical)
+            length.insert(a, n)
+            flag.insert(a, flags)
+        else:
+            starts[a:b] = (logical,)
+            phys[a:b] = (physical,)
+            length[a:b] = (n,)
+            flag[a:b] = (flags,)
 
     def insert_many(self, rows) -> None:
         """Insert many mappings at once: ``rows`` holds one ``(logical,
@@ -382,51 +375,43 @@ class ExtentMap:
         (the map is maximally merged, so the result does not depend on the
         order), except that an overlap — with the map or between rows —
         raises :class:`~repro.errors.ExtentError` before anything changed.
-        The map's extents are gathered into columns once per call
-        (O(extents)), so this pays only for many rows at a time.
+        The map's columns become arrays once per call (O(extents)), so this
+        pays only for many rows at a time.
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
         if rows.shape[0] == 0:
             return
         if (rows[:, :2] < 0).any() or (rows[:, 2] <= 0).any():
             raise ExtentError("negative extent coordinates or non-positive length in rows")
-        old = self._extents
-        m = len(old)
-        total = m + rows.shape[0]
-        cols = np.empty((total, 4), dtype=np.int64)
-        cols[:m, 0] = self._starts
-        cols[:m, 1] = np.fromiter(map(_PHYSICAL, old), np.int64, m)
-        cols[:m, 2] = np.fromiter(map(_LENGTH, old), np.int64, m)
-        cols[:m, 3] = np.fromiter(map(_FLAGS, old), np.int64, m)
-        cols[m:] = rows
-        order = np.argsort(cols[:, 0], kind="stable")
-        logical, physical, length, flags = cols[order].T
+        cols = np.concatenate((self.columns(), rows.T), axis=1)
+        order = np.argsort(cols[0], kind="stable")
+        cols = cols[:, order]
+        logical, physical, length, flags = cols
         end = logical + length
         clash = np.flatnonzero(logical[1:] < end[:-1])
         if clash.shape[0]:
-            a, b = (Extent(*cols[order[j]].tolist()) for j in (clash[0], clash[0] + 1))
+            a, b = (Extent(*cols[:, j].tolist()) for j in (clash[0], clash[0] + 1))
             raise ExtentError(f"overlap: {b} vs {a}")
         # An extent opens unless it continues its left neighbour logically
         # and physically with the same flags; the rest merge into it.
-        opens = np.ones(total, dtype=bool)
+        opens = np.ones(logical.shape[0], dtype=bool)
         opens[1:] = (
             (logical[1:] != end[:-1])
             | (physical[1:] != physical[:-1] + length[:-1])
             | (flags[1:] != flags[:-1])
         )
         heads = np.flatnonzero(opens)
-        source = order[heads]
-        # An old extent that merged with nothing keeps its object.
-        kept = (np.diff(heads, append=total) == 1) & (source < m)
-        starts = logical[heads].tolist()
-        self._extents = [
-            old[i] if keep else Extent(lo, phys, n, flag)
-            for keep, i, lo, phys, n, flag in zip(
-                kept.tolist(), source.tolist(), starts, physical[heads].tolist(),
-                np.add.reduceat(length, heads).tolist(), flags[heads].tolist(),
-            )
-        ]
-        self._starts = starts
+        self._logical = logical[heads].tolist()
+        self._physical = physical[heads].tolist()
+        self._length = np.add.reduceat(length, heads).tolist()
+        self._flags = flags[heads].tolist()
+
+    def _splice(self, a: int, b: int, pieces: list[Extent]) -> None:
+        """Replace extents ``a:b`` with ``pieces``."""
+        self._logical[a:b] = [e.logical for e in pieces]
+        self._physical[a:b] = [e.physical for e in pieces]
+        self._length[a:b] = [e.length for e in pieces]
+        self._flags[a:b] = [e.flags for e in pieces]
 
     def mark_written(self, logical: int, count: int) -> None:
         """Convert unwritten (preallocated) blocks in the range to written,
@@ -434,57 +419,35 @@ class ExtentMap:
         if count <= 0:
             raise ExtentError(f"count must be positive: {count}")
         end = logical + count
-        i = bisect_right(self._starts, logical) - 1
-        if i < 0:
-            i = 0
-        while i < len(self._extents):
-            ext = self._extents[i]
-            if ext.logical >= end:
-                break
+        starts = self._logical
+        i = max(bisect_right(starts, logical) - 1, 0)
+        while i < len(starts) and starts[i] < end:
+            ext = self._extent(i)
             if not ext.unwritten or ext.logical_end <= logical:
                 i += 1
                 continue
             lo = max(ext.logical, logical)
             hi = min(ext.logical_end, end)
-            pieces: list[Extent] = []
+            written = Extent(lo, ext.physical + (lo - ext.logical), hi - lo)
+            # The pieces replace extents a:b — this one, and a written
+            # neighbour the written piece continues on either side.
+            a, b = i, i + 1
+            pieces = [written]
             if ext.logical < lo:
-                pieces.append(
-                    Extent(ext.logical, ext.physical, lo - ext.logical, ext.flags)
-                )
-            pieces.append(
-                Extent(lo, ext.physical + (lo - ext.logical), hi - lo, ExtentFlags.NONE)
-            )
+                pieces.insert(0, Extent(ext.logical, ext.physical, lo - ext.logical, ext.flags))
+            elif a > 0 and (prev := self._extent(a - 1)).abuts(written):
+                written = Extent(prev.logical, prev.physical, prev.length + written.length)
+                pieces[0] = written
+                a -= 1
             if hi < ext.logical_end:
-                pieces.append(
-                    Extent(hi, ext.physical + (hi - ext.logical), ext.logical_end - hi, ext.flags)
-                )
-            self._extents[i : i + 1] = pieces
-            self._starts[i : i + 1] = [p.logical for p in pieces]
-            # Re-merge the written piece with its neighbours where possible.
-            j = i + (1 if ext.logical < lo else 0)
-            self._remerge_around(j)
-            i = j + 1
-        return None
-
-    def _remerge_around(self, i: int) -> None:
-        """Merge extent at index ``i`` with abutting neighbours."""
-        if not (0 <= i < len(self._extents)):
-            return
-        # merge left
-        if i > 0 and self._extents[i - 1].abuts(self._extents[i]):
-            prev, cur = self._extents[i - 1], self._extents[i]
-            self._extents[i - 1 : i + 1] = [
-                Extent(prev.logical, prev.physical, prev.length + cur.length, prev.flags)
-            ]
-            del self._starts[i]
-            i -= 1
-        # merge right
-        if i + 1 < len(self._extents) and self._extents[i].abuts(self._extents[i + 1]):
-            cur, nxt = self._extents[i], self._extents[i + 1]
-            self._extents[i : i + 2] = [
-                Extent(cur.logical, cur.physical, cur.length + nxt.length, cur.flags)
-            ]
-            del self._starts[i + 1]
+                pieces.append(Extent(
+                    hi, ext.physical + (hi - ext.logical), ext.logical_end - hi, ext.flags
+                ))
+            elif b < len(starts) and written.abuts(nxt := self._extent(b)):
+                pieces[-1] = Extent(written.logical, written.physical, written.length + nxt.length)
+                b += 1
+            self._splice(a, b, pieces)
+            i = a + len(pieces)
 
     def remove_range(self, logical: int, count: int) -> list[Extent]:
         """Unmap [logical, logical+count); returns the removed fragments
@@ -493,48 +456,55 @@ class ExtentMap:
         if not removed:
             return []
         end = logical + count
-        kept: list[Extent] = []
-        for ext in self._extents:
-            if ext.logical_end <= logical or ext.logical >= end:
-                kept.append(ext)
-                continue
-            if ext.logical < logical:
-                kept.append(
-                    Extent(ext.logical, ext.physical, logical - ext.logical, ext.flags)
-                )
-            if ext.logical_end > end:
-                kept.append(
-                    Extent(end, ext.physical + (end - ext.logical), ext.logical_end - end, ext.flags)
-                )
-        self._extents = kept
-        self._starts = [e.logical for e in kept]
+        # Extents a:b overlap the range; only the first and the last can
+        # keep a piece outside it.
+        starts = self._logical
+        a = max(bisect_right(starts, logical) - 1, 0)
+        if starts[a] + self._length[a] <= logical:
+            a += 1
+        b = bisect_left(starts, end)
+        first, last = self._extent(a), self._extent(b - 1)
+        pieces = []
+        if first.logical < logical:
+            pieces.append(
+                Extent(first.logical, first.physical, logical - first.logical, first.flags)
+            )
+        if last.logical_end > end:
+            pieces.append(Extent(
+                end, last.physical + (end - last.logical), last.logical_end - end, last.flags
+            ))
+        self._splice(a, b, pieces)
         return removed
 
     def clear(self) -> list[Extent]:
         """Unmap everything; returns the removed extents."""
-        removed = self._extents
-        self._extents = []
-        self._starts = []
+        removed = self.extents()
+        self._logical, self._physical, self._length, self._flags = [], [], [], []
         return removed
 
 
-def extent_columns(maps) -> tuple[list[Extent], np.ndarray, np.ndarray, list]:
-    """Gather ``maps`` flat, in map order, and find the broken ones in one
-    numpy pass: ``(extents, owner, cols, invalid)``, where row ``r`` is
-    ``extents[r]``, held by map ``owner[r]``, ``cols[:, r]`` is its
-    ``(logical, physical, length, flags)`` and ``invalid`` lists ``(map
-    index, message)``.  A map's first adjacent pair that overlaps (or is out
-    of order) or abuts unmerged names its fault; a map whose pairs are sound
-    is still broken when its start index is out of step with its extents."""
-    lists = list(map(_EXTENTS, maps))
-    extents = list(chain.from_iterable(lists))
-    n = len(extents)
-    counts = np.fromiter(map(len, lists), np.int64, len(lists))
-    owner = np.repeat(np.arange(len(lists)), counts)
-    cols = np.stack([
-        np.fromiter(map(get, extents), np.int64, n)
-        for get in (_LOGICAL, _PHYSICAL, _LENGTH, _FLAGS)
-    ])
+def extent_columns(maps) -> tuple[np.ndarray, np.ndarray]:
+    """Gather ``maps`` flat, in map order: ``(owner, cols)``, where row
+    ``r`` is held by map ``owner[r]`` and ``cols[:, r]`` is its ``(logical,
+    physical, length, flags)``."""
+    logical = [m._logical for m in maps]
+    counts = np.fromiter(map(len, logical), np.int64, len(logical))
+    # Most maps of a striped file are empty: only the others are walked.
+    held = [m for m in maps if m._logical]
+    cols = np.array([
+        list(chain.from_iterable([m._logical for m in held])),
+        list(chain.from_iterable([m._physical for m in held])),
+        list(chain.from_iterable([m._length for m in held])),
+        list(chain.from_iterable([m._flags for m in held])),
+    ], dtype=np.int64).reshape(4, -1)
+    return np.repeat(np.arange(len(logical)), counts), cols
+
+
+def invalid_maps(owner: np.ndarray, cols: np.ndarray) -> list[tuple[int, str]]:
+    """The broken maps of an :func:`extent_columns` gather, found in one
+    numpy pass: ``(map index, message)``, ascending.  A map's first
+    adjacent pair that overlaps (or is out of order) or abuts unmerged
+    names its fault."""
     logical, physical, length, flags = cols
     end = logical + length
     overlap = end[:-1] > logical[1:]
@@ -545,20 +515,8 @@ def extent_columns(maps) -> tuple[list[Extent], np.ndarray, np.ndarray, list]:
     ))
     pairs = np.flatnonzero(bad)
     hit, first = np.unique(owner[pairs], return_index=True)
-    invalid = {
-        m: f"{'overlapping' if overlap[i] else 'unmerged abutting'} extents: "
-        f"{extents[i]} / {extents[i + 1]}"
+    return [
+        (m, f"{'overlapping' if overlap[i] else 'unmerged abutting'} extents: "
+         f"{Extent(*cols[:, i].tolist())} / {Extent(*cols[:, i + 1].tolist())}")
         for m, i in zip(hit.tolist(), pairs[first].tolist())
-    }
-    # A start index of the wrong length is stale outright; the others line
-    # up row for row with the extents.
-    starts = list(map(_STARTS, maps))
-    scounts = np.fromiter(map(len, starts), np.int64, len(starts))
-    flat = np.fromiter(chain.from_iterable(starts), np.int64, int(scounts.sum()))
-    same = scounts == counts
-    stale = ~same
-    rows = same[owner]
-    stale[owner[rows][flat[np.repeat(same, scounts)] != logical[rows]]] = True
-    for m in np.flatnonzero(stale).tolist():
-        invalid.setdefault(m, "start index out of sync with extents")
-    return extents, owner, cols, sorted(invalid.items())
+    ]

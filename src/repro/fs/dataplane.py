@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import islice, repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -37,9 +36,6 @@ from repro.units import block_span, bytes_to_blocks
 MANY_FROM = 32
 #: The counters that mapping reads books (``DataPlane.read`` / ``read_many``).
 READ_BOOKS = ("fs.reads", "fs.bytes_read", "fs.coalesced_requests")
-
-_LOGICAL = attrgetter("logical")
-_LENGTH = attrgetter("length")
 
 
 def _runs_of(keys: np.ndarray) -> Iterable[tuple[int, int]]:
@@ -637,9 +633,8 @@ class DataPlane:
             smap = maps[g[a]]
             if lo[a] >= smap.size_blocks:
                 continue  # every row lies past the map's end
-            m = len(smap)
-            starts = np.fromiter(map(_LOGICAL, smap), np.int64, m)
-            ends = starts + np.fromiter(map(_LENGTH, smap), np.int64, m)
+            starts, _, length, _ = smap.columns()
+            ends = starts + length
             # The first extent ending past a row's start is the only one
             # that can reach into it.
             reach = np.append(starts, span)[np.searchsorted(ends, lo[a:b], side="right")]

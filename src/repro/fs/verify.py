@@ -53,7 +53,7 @@ from operator import attrgetter, is_not, ne
 
 import numpy as np
 
-from repro.block.extent import Extent, extent_columns
+from repro.block.extent import Extent, extent_columns, invalid_maps
 from repro.core.sweep import resolve_jobs, run_cells, stream_cells
 from repro.errors import MetadataError
 from repro.fs.dataplane import DataPlane
@@ -241,15 +241,16 @@ _LAYOUT = attrgetter("layout")
 @dataclass
 class _PlaneScan:
     """Driver-side index of one data-plane walk, one row per extent, flat in
-    map order: row ``r`` is ``extents[r]`` of map ``owner[r]`` (file ``f``
-    holds maps ``first[f]:first[f + 1]``) at serial position ``pos[r]``, its
-    slot's layout naming PAG ``pag[r]``.  The shard kernels check ``rows``
+    map order: row ``r`` is extent ``cols[:, r]`` (``phys`` and ``length``
+    are two of its rows) of map ``owner[r]`` (file ``f`` holds maps
+    ``first[f]:first[f + 1]``) at serial position ``pos[r]``, its slot's
+    layout naming PAG ``pag[r]``.  The shard kernels check ``rows``
     (valid maps, inside the array); ``pre`` holds the keyed findings of the
     scan itself (structurally invalid maps, extents outside the array)."""
 
     files: list
     first: list[int]
-    extents: list[Extent]
+    cols: np.ndarray
     owner: np.ndarray
     phys: np.ndarray
     length: np.ndarray
@@ -265,9 +266,13 @@ class _PlaneScan:
         f = bisect_right(self.first, m) - 1
         return self.files[f], m - self.first[f]
 
+    def extent(self, row: int) -> Extent:
+        """Row ``row`` as the :class:`Extent` a message names."""
+        return Extent(*self.cols[:, row].tolist())
+
     def label(self, row: int) -> tuple:
         """``(file, slot, extent)`` of row ``row``."""
-        return (*self.slot_of(int(self.owner[row])), self.extents[row])
+        return (*self.slot_of(int(self.owner[row])), self.extent(row))
 
 
 @dataclass(frozen=True)
@@ -315,9 +320,9 @@ def _scan_dataplane(
     files = plane.files()
     map_lists = list(map(_MAPS, files))
     first = list(accumulate(map(len, map_lists), initial=0))
-    extents, owner, (_, phys, length, _), broken = extent_columns(
-        list(chain.from_iterable(map_lists))
-    )
+    owner, cols = extent_columns(list(chain.from_iterable(map_lists)))
+    broken = invalid_maps(owner, cols)
+    phys, length = cols[1], cols[2]
     pag = np.fromiter(chain.from_iterable(map(_LAYOUT, files)), np.int64, first[-1])
     # An invalid map takes one serial position, a valid one one per extent.
     counts = np.bincount(owner, minlength=first[-1])
@@ -330,7 +335,7 @@ def _scan_dataplane(
     inside = (phys >= 0) & (phys < plane.fsm.total_blocks)
     rows = np.flatnonzero(valid & inside)
     scan = _PlaneScan(
-        files, first, extents, owner, phys, length, pos, pag[owner], rows, [],
+        files, first, cols, owner, phys, length, pos, pag[owner], rows, [],
         int(counts[~invalid].sum()), int(length[valid].sum()),
     )
     faults = [(int(map_pos[m]), m, None, exc) for m, exc in broken] + [
@@ -341,7 +346,7 @@ def _scan_dataplane(
         f, slot = scan.slot_of(m)
         where = f"{f.name} slot {slot}: "
         if r is not None:
-            ext = extents[r]
+            ext = scan.extent(r)
             code, found = "extent-outside-array", f"extent {ext} outside the array"
             fixed = f"unmapped {ext} (outside array)"
         else:
@@ -967,11 +972,12 @@ def _apply_shard_repairs(
     for r in rep.overlap.tolist():
         if r in removed or r in misplaced:
             continue
-        ext = scan.extents[r]
-        if claims.first_owned_in(ext.physical, ext.physical_end) is not None:
+        a = int(scan.phys[r])
+        b = a + int(scan.length[r])
+        if claims.first_owned_in(a, b) is not None:
             losers.add(r)
         else:
-            claims.assign(ext.physical, ext.physical_end, r)
+            claims.assign(a, b, r)
     for r in sorted(misplaced | losers):
         if r in removed:
             continue

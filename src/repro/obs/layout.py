@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -366,14 +365,8 @@ class LayoutInspector:
         maps one solid (logical, physical) run.
         """
         sb, width = f.stripe_blocks, f.width
-        sizes = [len(smap) for smap in f.maps]
-        slot = np.repeat(np.arange(width), sizes)
-        dlocal, physical, length = (
-            np.concatenate(
-                [np.fromiter(map(column, smap), np.int64, m) for smap, m in zip(f.maps, sizes)]
-            )
-            for column in _EXTENT_COLUMNS
-        )
+        slot = np.repeat(np.arange(width), [len(smap) for smap in f.maps])
+        dlocal, physical, length, _ = np.concatenate([smap.columns() for smap in f.maps], axis=1)
         of, start, length = _cut(dlocal, length, sb)
         physical = physical[of] + (start - dlocal[of])
         logical = ((start // sb) * width + slot[of]) * sb + start % sb
@@ -386,9 +379,6 @@ class LayoutInspector:
             start,
             start // region_blocks,
         )
-
-
-_EXTENT_COLUMNS = (attrgetter("logical"), attrgetter("physical"), attrgetter("length"))
 
 
 def _cut(

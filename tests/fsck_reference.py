@@ -10,7 +10,7 @@ with the same counters.  Nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
-from repro.block.extent import ExtentMap
+from repro.block.extent import Extent, ExtentMap
 from repro.errors import ExtentError
 from repro.fs.dataplane import DataPlane
 from repro.fs.verify import FsckReport
@@ -21,17 +21,19 @@ from repro.meta.normal_layout import NormalLayout
 
 def validate_extent_map(m: ExtentMap) -> None:
     """Check an extent map's internal invariants (sorted, non-overlapping,
-    merged, and the parallel start index in lockstep); raise
-    :class:`ExtentError` naming the first fault.  Formerly
-    ``ExtentMap.validate``, the straight-line oracle of
-    :func:`repro.block.extent.extent_columns`."""
-    for a, b in zip(m._extents, m._extents[1:]):
-        if a.logical_end > b.logical:
-            raise ExtentError(f"overlapping extents: {a} / {b}")
-        if a.abuts(b):
-            raise ExtentError(f"unmerged abutting extents: {a} / {b}")
-    if m._starts != [e.logical for e in m._extents]:
-        raise ExtentError("start index out of sync with extents")
+    merged) row by row over its raw columns; raise :class:`ExtentError`
+    naming the first fault.  Formerly ``ExtentMap.validate``, the
+    straight-line oracle of :func:`repro.block.extent.invalid_maps`."""
+    rows = list(zip(m._logical, m._physical, m._length, m._flags))
+    for (l0, p0, n0, f0), (l1, p1, n1, f1) in zip(rows, rows[1:]):
+        if l0 + n0 > l1:
+            fault = "overlapping"
+        elif l0 + n0 == l1 and p0 + n0 == p1 and f0 == f1:
+            fault = "unmerged abutting"
+        else:
+            continue
+        a, b = Extent(l0, p0, n0, f0), Extent(l1, p1, n1, f1)
+        raise ExtentError(f"{fault} extents: {a} / {b}")
 
 
 def check_dataplane_reference(

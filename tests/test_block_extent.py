@@ -157,6 +157,19 @@ class TestMarkWritten:
         m.mark_written(9, 2)
         validate_extent_map(m)
 
+    def test_does_not_skip_the_extent_after_a_left_merge(self):
+        # The converted [4, 8) merges into [0, 4); [8, 12) must still be
+        # converted, not skipped.
+        m = ExtentMap()
+        m.insert(Extent(0, 100, 4))
+        m.insert(Extent(4, 104, 4, ExtentFlags.UNWRITTEN))
+        m.insert(Extent(8, 500, 4, ExtentFlags.UNWRITTEN))
+        m.mark_written(0, 12)
+        assert m.written_blocks == 12
+        assert [(e.logical, e.physical, e.length, e.flags) for e in m] == [
+            (0, 100, 8, 0), (8, 500, 4, 0)
+        ]
+
 
 class TestRemove:
     def test_remove_returns_fragments(self):

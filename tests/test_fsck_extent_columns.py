@@ -1,8 +1,9 @@
 """The columnar extent-map check and the data-plane faults it feeds.
 
-:func:`repro.block.extent.extent_columns` replaces a per-map ``validate``
-call; its verdicts and messages must match the straight-line oracle
-:func:`tests.fsck_reference.validate_extent_map`.  The hand-built planes
+:func:`repro.block.extent.invalid_maps` over an
+:func:`~repro.block.extent.extent_columns` gather replaces a per-map
+``validate`` call; its verdicts and messages must match the straight-line
+oracle :func:`tests.fsck_reference.validate_extent_map`.  The hand-built planes
 put an invalid map, an out-of-array extent and a PAG-crossing extent side
 by side, so ``extent-map-invalid`` — which no Corruptor fault produces —
 is checked against the serial oracle, at one kernel chunk per worker and
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.block.extent import Extent, ExtentMap, extent_columns
+from repro.block.extent import Extent, ExtentMap, extent_columns, invalid_maps
 from repro.errors import ExtentError
 from repro.fs import verify
 from repro.fs.dataplane import DataPlane
@@ -26,38 +27,32 @@ from tests.conftest import small_config
 from tests.fsck_reference import check_dataplane_reference, validate_extent_map
 
 
-def raw_map(extents: list[Extent], starts: list[int]) -> ExtentMap:
-    """An extent map holding exactly ``extents`` / ``starts``, sound or not."""
-    m = ExtentMap()
-    m._extents = list(extents)
-    m._starts = list(starts)
+def set_rows(m: ExtentMap, rows) -> ExtentMap:
+    """Make ``m``'s columns hold exactly the ``(logical, physical, length,
+    flags)`` ``rows``, sound or not."""
+    m._logical, m._physical, m._length, m._flags = ([row[k] for row in rows] for k in range(4))
     return m
+
+
+def raw_map(rows) -> ExtentMap:
+    return set_rows(ExtentMap(), rows)
 
 
 @st.composite
 def raw_maps(draw):
     """Maps whose neighbours may overlap, come out of order or abut with
-    the same flags, and whose start index may be stale or the wrong length."""
-    extents: list[Extent] = []
+    the same flags."""
+    rows: list[tuple[int, int, int, int]] = []
     logical, physical = draw(st.integers(0, 8)), draw(st.integers(0, 64))
     for _ in range(draw(st.integers(0, 5))):
         length = draw(st.integers(1, 6))
-        extents.append(Extent(logical, physical, length, draw(st.integers(0, 1))))
+        rows.append((logical, physical, length, draw(st.integers(0, 1))))
         # A negative gap overlaps the next extent; a zero gap abuts it.
         logical = max(0, logical + length + draw(st.integers(-3, 3)))
         physical = max(0, physical + length + draw(st.sampled_from([0, 0, 5, -2])))
     if draw(st.integers(0, 4)) == 0:
-        extents = draw(st.permutations(extents))
-    starts = [e.logical for e in extents]
-    fault = draw(st.sampled_from(["none", "none", "bump", "drop", "add"]))
-    if fault == "bump" and starts:
-        i = draw(st.integers(0, len(starts) - 1))
-        starts[i] += draw(st.sampled_from([-1, 1, 7]))
-    elif fault == "drop" and starts:
-        del starts[draw(st.integers(0, len(starts) - 1))]
-    elif fault == "add":
-        starts.insert(draw(st.integers(0, len(starts))), draw(st.integers(0, 40)))
-    return raw_map(extents, starts)
+        rows = draw(st.permutations(rows))
+    return raw_map(rows)
 
 
 def reference_invalid(maps: list[ExtentMap]) -> list[tuple[int, str]]:
@@ -73,29 +68,16 @@ def reference_invalid(maps: list[ExtentMap]) -> list[tuple[int, str]]:
 class TestExtentColumns:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(raw_maps(), max_size=8))
-    @example([raw_map([], [3])])
-    @example([raw_map([Extent(0, 10, 2), Extent(2, 12, 2)], [0, 2])])
-    @example([raw_map([Extent(4, 10, 2), Extent(0, 20, 2)], [4, 0])])
-    @example([raw_map([Extent(0, 10, 2), Extent(2, 50, 2)], [0, 3])])
-    @example([raw_map([Extent(0, 10, 2), Extent(2, 50, 2)], [0])])
+    @example([raw_map([])])
+    @example([raw_map([(0, 10, 2, 0), (2, 12, 2, 0)])])
+    @example([raw_map([(4, 10, 2, 0), (0, 20, 2, 0)])])
+    @example([raw_map([(0, 10, 2, 0), (2, 50, 2, 0)])])
     def test_same_verdict_and_message_as_the_reference(self, maps):
-        extents, owner, cols, invalid = extent_columns(maps)
-        assert invalid == reference_invalid(maps)
-        flat = [e for m in maps for e in m._extents]
-        assert extents == flat
-        assert owner.tolist() == [i for i, m in enumerate(maps) for _ in m._extents]
-        assert cols.tolist() == [
-            [e.logical for e in flat], [e.physical for e in flat],
-            [e.length for e in flat], [e.flags for e in flat],
-        ]
-
-    def test_first_bad_pair_wins_over_a_stale_index(self):
-        m = raw_map(
-            [Extent(0, 10, 2), Extent(2, 12, 2), Extent(3, 40, 1)], [9, 9, 9]
-        )
-        ((index, message),) = extent_columns([ExtentMap(), m])[3]
-        assert index == 1
-        assert message.startswith("unmerged abutting extents: ")
+        owner, cols = extent_columns(maps)
+        assert invalid_maps(owner, cols) == reference_invalid(maps)
+        rows = [row for m in maps for row in zip(m._logical, m._physical, m._length, m._flags)]
+        assert owner.tolist() == [i for i, m in enumerate(maps) for _ in m._logical]
+        assert cols.T.tolist() == [list(row) for row in rows]
 
 
 def three_file_plane() -> DataPlane:
@@ -110,18 +92,22 @@ def mapped_blocks(plane: DataPlane) -> int:
     return sum(m.mapped_blocks for f in plane.files() for m in f.maps)
 
 
-def stale_first_map(plane: DataPlane, name: str) -> ExtentMap:
-    """Knock the start index of ``name``'s first non-empty map out of step."""
+def split_first_extent(plane: DataPlane, name: str) -> ExtentMap:
+    """Cut the first extent of ``name``'s first non-empty map into two
+    abutting rows: an unmerged pair no map operation leaves behind."""
     f = next(f for f in plane.files() if f.name == name)
     smap = next(m for m in f.maps if len(m))
-    smap._starts[0] += 1
-    return smap
+    (logical, physical, length, flags), *rest = smap.columns().T.tolist()
+    assert length > 1
+    return set_rows(smap, [
+        (logical, physical, 1, flags), (logical + 1, physical + 1, length - 1, flags), *rest,
+    ])
 
 
 def damaged_plane() -> DataPlane:
     """An invalid map, an out-of-array extent and a PAG-crossing extent."""
     plane = three_file_plane()
-    stale_first_map(plane, "/f0")
+    split_first_extent(plane, "/f0")
     f1, f2 = plane.files()[1:]
     f1.maps[0].insert(Extent(10_000, plane.fsm.total_blocks + 64, 8))
     boundary = plane.fsm.groups[1].base
@@ -188,7 +174,7 @@ class TestDroppedMapReleasesItsBlocks:
     def test_used_equals_mapped_after_repair(self):
         plane = three_file_plane()
         assert plane.fsm.used_blocks == mapped_blocks(plane)
-        stale_first_map(plane, "/f1")
+        split_first_extent(plane, "/f1")
         fix = repair_dataplane(plane)
         assert fix.converged
         assert [a.code for a in fix.actions] == ["extent-map-invalid"]
@@ -199,9 +185,9 @@ class TestDroppedMapReleasesItsBlocks:
         plane = three_file_plane()
         f0, f1 = plane.files()[:2]
         kept = f0.maps[0].extents()[0]
-        # /f1 also maps two of /f0's blocks, then its map goes stale.
+        # /f1 also maps two of /f0's blocks, then its map turns invalid.
         f1.maps[0].insert(Extent(1_000, kept.physical, 2))
-        stale_first_map(plane, "/f1")
+        split_first_extent(plane, "/f1")
         fix = repair_dataplane(plane)
         assert fix.converged
         # Nothing to re-claim: the shared blocks never went back to free space.
