@@ -50,8 +50,6 @@ from repro.obs import (
     TraceEvent,
     Tracer,
     format_breakdown,
-    read_chrome,
-    read_jsonl,
     to_chrome,
     to_jsonl,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "format_breakdown",
     "lustre_profile",
     "make_stream_id",
-    "read_chrome",
-    "read_jsonl",
     "redbud_mif_profile",
     "redbud_vanilla_profile",
     "run",

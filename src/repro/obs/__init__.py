@@ -9,25 +9,17 @@ without pulling the run off the vectorized fast paths — :class:`Histogram`
 sketches latency/size distributions inside
 :class:`~repro.sim.metrics.Metrics`, :class:`TimeSeries` rolls signals
 into fixed-width simulated-time windows, :func:`evaluate_slo` checks
-declarative SLO objectives against them, and the exporters dump a run as
-JSONL, CSV or a ``chrome://tracing`` file.  See ``docs/PROFILING.md``,
-``docs/TELEMETRY.md`` and ``python -m repro trace`` / ``service``.
+declarative SLO objectives against them, and the exporters write a trace
+as JSONL or a ``chrome://tracing`` file and a time series as CSV.  See
+``docs/PROFILING.md``, ``docs/TELEMETRY.md`` and ``python -m repro trace``
+/ ``service``.
 
 The package deliberately imports nothing from the rest of the simulator so
 any layer can depend on it without cycles.
 """
 
-from repro.obs.export import (
-    chrome_trace_dict,
-    read_chrome,
-    read_jsonl,
-    read_timeseries_jsonl,
-    timeseries_to_csv,
-    timeseries_to_jsonl,
-    to_chrome,
-    to_jsonl,
-)
-from repro.obs.histogram import Histogram, HistogramSnapshot, bucket_mid, bucket_of
+from repro.obs.export import chrome_trace_dict, timeseries_to_csv, to_chrome, to_jsonl
+from repro.obs.histogram import Histogram, HistogramSnapshot, bucket_mid
 from repro.obs.layout import (
     LAYOUT_SCHEMA_VERSION,
     DirectoryStats,
@@ -95,7 +87,6 @@ __all__ = [
     "Tracer",
     "block_heatmap",
     "bucket_mid",
-    "bucket_of",
     "chrome_trace_dict",
     "coerce_tracer",
     "evaluate_slo",
@@ -106,14 +97,10 @@ __all__ = [
     "op_times",
     "parse_objective",
     "parse_sample",
-    "read_chrome",
-    "read_jsonl",
-    "read_timeseries_jsonl",
     "render_dashboard",
     "resolve_objectives",
     "sparkline",
     "timeseries_to_csv",
-    "timeseries_to_jsonl",
     "to_chrome",
     "to_jsonl",
 ]

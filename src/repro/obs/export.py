@@ -1,18 +1,16 @@
 """Trace and telemetry exporters: JSONL, Chrome trace-event format, CSV.
 
-For traces, JSONL is the lossless interchange format (one event per line,
-round-trips through :func:`read_jsonl`).  The Chrome format produces a file
-loadable in ``chrome://tracing`` / Perfetto: events become complete ("X")
-slices with microsecond timestamps, the layer as the category and the
-stream id as the thread id, so concurrent streams render as parallel
-tracks; the exact stream (0 or None, which share thread 0) rides along
-as a top-level ``stream`` key that :func:`read_chrome` prefers.
+For traces, JSONL is the lossless interchange format: one event per line,
+every field of :class:`~repro.obs.trace.TraceEvent` kept.  The Chrome
+format produces a file loadable in ``chrome://tracing`` / Perfetto: events
+become complete ("X") slices with microsecond timestamps, the layer as the
+category and the stream id as the thread id, so concurrent streams render
+as parallel tracks; the exact stream (0 or None, which share thread 0)
+rides along as a top-level ``stream`` key.
 
 For telemetry time series (:mod:`repro.obs.timeseries`), CSV is the
-spreadsheet-friendly wide format — one row per window, one column per
-signal, histograms flattened to count/p50/p99/p999 — and JSONL is the
-lossless one (full bucket state per frame, round-trips through
-:func:`read_timeseries_jsonl`).
+spreadsheet-friendly wide format: one row per window, one column per
+signal, histograms flattened to count/p50/p99/p999.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import IO, Any
 
-from repro.obs.histogram import HistogramSnapshot
-from repro.obs.timeseries import FrameSnapshot, TimeSeriesSnapshot
+from repro.obs.timeseries import TimeSeriesSnapshot
 from repro.obs.trace import TraceEvent
 
 
@@ -59,31 +56,6 @@ def to_jsonl(events: Iterable[TraceEvent], dest: str | Path | IO[str]) -> int:
     return n
 
 
-def read_jsonl(src: str | Path | IO[str]) -> list[TraceEvent]:
-    """Read events written by :func:`to_jsonl`."""
-    if hasattr(src, "read"):
-        lines = src.read().splitlines()
-    else:
-        lines = Path(src).read_text(encoding="utf-8").splitlines()
-    events: list[TraceEvent] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        events.append(
-            TraceEvent(
-                t=float(rec["t"]),
-                layer=rec["layer"],
-                op=rec["op"],
-                dur=float(rec.get("dur", 0.0)),
-                stream=rec.get("stream"),
-                attrs=dict(rec.get("attrs", {})),
-            )
-        )
-    return events
-
-
 # -- Chrome trace-event format ---------------------------------------------
 
 def chrome_trace_dict(events: Iterable[TraceEvent]) -> dict[str, Any]:
@@ -116,31 +88,6 @@ def to_chrome(events: Iterable[TraceEvent], dest: str | Path | IO[str]) -> int:
         if close:
             out.close()
     return len(doc["traceEvents"])
-
-
-def read_chrome(src: str | Path | IO[str]) -> list[TraceEvent]:
-    """Read a Chrome trace-event JSON back into :class:`TraceEvent` form."""
-    if hasattr(src, "read"):
-        doc = json.load(src)
-    else:
-        with open(src, encoding="utf-8") as f:
-            doc = json.load(f)
-    raw = doc["traceEvents"] if isinstance(doc, dict) else doc
-    events: list[TraceEvent] = []
-    for rec in raw:
-        tid = rec.get("tid", 0)
-        stream = rec["stream"] if "stream" in rec else (tid if tid != 0 else None)
-        events.append(
-            TraceEvent(
-                t=float(rec["ts"]) / 1e6,
-                layer=rec.get("cat", ""),
-                op=rec.get("name", ""),
-                dur=float(rec.get("dur", 0.0)) / 1e6,
-                stream=stream,
-                attrs=dict(rec.get("args", {})),
-            )
-        )
-    return events
 
 
 # -- telemetry time series --------------------------------------------------
@@ -186,90 +133,3 @@ def timeseries_to_csv(ts: TimeSeriesSnapshot, dest: str | Path | IO[str]) -> int
         if close:
             out.close()
     return len(ts.frames)
-
-
-def _hist_record(snap: HistogramSnapshot) -> dict[str, Any]:
-    return {
-        "count": snap.count,
-        "total": snap.total,
-        "zeros": snap.zeros,
-        "buckets": {str(e): c for e, c in sorted(snap.buckets.items())},
-        "min": snap.minimum,
-        "max": snap.maximum,
-    }
-
-
-def _hist_from_record(rec: dict[str, Any]) -> HistogramSnapshot:
-    return HistogramSnapshot(
-        count=int(rec["count"]),
-        total=float(rec["total"]),
-        zeros=int(rec.get("zeros", 0)),
-        buckets={int(e): int(c) for e, c in rec.get("buckets", {}).items()},
-        minimum=rec.get("min"),
-        maximum=rec.get("max"),
-    )
-
-
-def timeseries_to_jsonl(ts: TimeSeriesSnapshot, dest: str | Path | IO[str]) -> int:
-    """Write a time series as JSON Lines; returns the number of frames.
-
-    The first line is a header record carrying the window width; each
-    following line is one frame with full histogram bucket state, so
-    :func:`read_timeseries_jsonl` reconstructs a snapshot whose percentile
-    queries and merges match the original exactly.
-    """
-    out, close = _open_out(dest)
-    try:
-        header = {
-            "format": "repro.timeseries",
-            "window_s": ts.window_s,
-            "frames": len(ts.frames),
-        }
-        out.write(json.dumps(header) + "\n")
-        for f in ts.frames:
-            record = {
-                "window": f.index,
-                "start_s": f.start_s,
-                "counters": f.counters,
-                "sums": f.sums,
-                "hists": {name: _hist_record(h) for name, h in f.hists.items()},
-            }
-            out.write(json.dumps(record) + "\n")
-    finally:
-        if close:
-            out.close()
-    return len(ts.frames)
-
-
-def read_timeseries_jsonl(src: str | Path | IO[str]) -> TimeSeriesSnapshot:
-    """Read a time series written by :func:`timeseries_to_jsonl`."""
-    if hasattr(src, "read"):
-        lines = src.read().splitlines()
-    else:
-        lines = Path(src).read_text(encoding="utf-8").splitlines()
-    lines = [line for line in (line.strip() for line in lines) if line]
-    if not lines:
-        raise ValueError("empty time-series JSONL input")
-    header = json.loads(lines[0])
-    if header.get("format") != "repro.timeseries":
-        raise ValueError(
-            f"not a repro.timeseries JSONL file (header: {header!r})"
-        )
-    frames = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        frames.append(
-            FrameSnapshot(
-                index=int(rec["window"]),
-                start_s=float(rec["start_s"]),
-                counters={k: int(v) for k, v in rec.get("counters", {}).items()},
-                sums={k: float(v) for k, v in rec.get("sums", {}).items()},
-                hists={
-                    name: _hist_from_record(h)
-                    for name, h in rec.get("hists", {}).items()
-                },
-            )
-        )
-    return TimeSeriesSnapshot(
-        window_s=float(header["window_s"]), frames=tuple(frames)
-    )

@@ -24,16 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def bucket_of(value: float) -> int:
-    """Bucket index of a positive value: the binary exponent ``e`` such
-    that ``2**(e-1) <= value < 2**e``.
-
-    >>> bucket_of(1.0), bucket_of(1.5), bucket_of(4.0)
-    (1, 1, 3)
-    """
-    return math.frexp(value)[1]
-
-
 def bucket_mid(exponent: int) -> float:
     """Representative value of a bucket: the midpoint of [2**(e-1), 2**e)."""
     return 0.75 * 2.0**exponent
@@ -194,16 +184,6 @@ class Histogram:
             self._max = snap.maximum
 
     # -- queries -----------------------------------------------------------
-    @property
-    def count(self) -> int:
-        self._fold()
-        return self._count
-
-    @property
-    def total(self) -> float:
-        self._fold()
-        return self._sum
-
     def snapshot(self) -> "HistogramSnapshot":
         """Immutable copy for later diffing."""
         self._fold()
@@ -225,9 +205,6 @@ class Histogram:
         self._sum = 0.0
         self._min = None
         self._max = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram(count={self.count}, sum={self.total:.6g})"
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ class FreeSpaceStats:
     runs: int
     largest_run: int
     #: log2 run-length histogram: bucket exponent e counts runs with
-    #: 2**(e-1) <= length < 2**e (see repro.obs.histogram.bucket_of).
+    #: 2**(e-1) <= length < 2**e (the binary exponent math.frexp returns).
     run_hist: dict[int, int] = field(default_factory=dict)
 
     @property

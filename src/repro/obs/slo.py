@@ -70,10 +70,14 @@ class SLObjective:
             raise ValueError("objective series name must be non-empty")
         if not (0.0 < self.percentile <= 100.0):
             raise ValueError(f"percentile must be in (0, 100]: {self.percentile}")
-        if self.threshold < 0.0:
-            raise ValueError(f"threshold must be non-negative: {self.threshold}")
-        if self.window_s is not None and self.window_s <= 0.0:
-            raise ValueError(f"compliance window must be positive: {self.window_s}")
+        if not (0.0 <= self.threshold < math.inf):
+            raise ValueError(
+                f"threshold must be finite and non-negative: {self.threshold}"
+            )
+        if self.window_s is not None and not (0.0 < self.window_s < math.inf):
+            raise ValueError(
+                f"compliance window must be finite and positive: {self.window_s}"
+            )
         if not (0.0 < self.budget <= 1.0):
             raise ValueError(f"error budget must be in (0, 1]: {self.budget}")
 
@@ -212,15 +216,6 @@ class SLOReport:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-    def get(self, series: str) -> ObjectiveResult:
-        for r in self.results:
-            if r.objective.series == series:
-                return r
-        raise KeyError(
-            f"no objective over {series!r}; known: "
-            f"{[r.objective.series for r in self.results]}"
-        )
 
     def to_dict(self) -> dict:
         return {

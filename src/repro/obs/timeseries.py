@@ -94,10 +94,6 @@ class FrameSnapshot:
         h = self.hists.get(name)
         return h.percentile(p) if h is not None else 0.0
 
-    @property
-    def empty(self) -> bool:
-        return not (self.counters or self.sums or self.hists)
-
 
 class TimeSeries:
     """Roll telemetry signals into fixed-width simulated-time windows."""
@@ -184,9 +180,6 @@ class TimeSeries:
         self.frame(t).hist(name).observe(value)
 
     # -- inspection --------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._frames)
-
     def snapshot(self) -> "TimeSeriesSnapshot":
         """Freeze into an immutable, picklable snapshot.
 
@@ -215,9 +208,6 @@ class TimeSeriesSnapshot:
 
     window_s: float
     frames: tuple[FrameSnapshot, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
     @property
     def duration_s(self) -> float:

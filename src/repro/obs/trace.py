@@ -17,9 +17,11 @@ paths append a whole batch of rows from numpy columns with one
 Tracing is a property of the buffer, never of the code path: hot paths
 guard every *emission* with ``if tracer.enabled:`` (sparing the argument
 packing) but run the same code either way, and default to the shared
-:data:`NULL_TRACER`, whose ``enabled`` is ``False`` and whose methods are
-no-ops — with tracing off the per-operation cost is one attribute load
-and a branch.
+:data:`NULL_TRACER`, whose ``enabled`` is ``False`` — with tracing off the
+per-operation cost is one attribute load and a branch.  The null tracer
+therefore has no recording methods at all: it carries only what a caller
+outside such a guard touches (binding a clock, and a sweep's
+spawn / rows / absorb hand-off).
 
 Timestamps are *simulated* seconds.  A component that owns a timeline (a
 disk, the MDS) passes ``t=`` explicitly; everything else falls back to the
@@ -53,10 +55,6 @@ class TraceEvent:
     dur: float = 0.0         #: simulated duration (seconds), 0 for instants
     stream: int | None = None  #: originating write stream, when known
     attrs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def end(self) -> float:
-        return self.t + self.dur
 
 
 class _Span:
@@ -247,9 +245,6 @@ class Tracer:
             for t, dur, stream, schema, *values in self._rows
         ]
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
     @property
     def emitted(self) -> int:
         """Events emitted over the tracer's lifetime (including evicted)."""
@@ -259,11 +254,6 @@ class Tracer:
     def dropped(self) -> int:
         """Events evicted by the ring buffer."""
         return max(0, self._emitted - len(self._rows))
-
-    def clear(self) -> None:
-        """Drop all retained events and reset the lifetime counters."""
-        self._rows.clear()
-        self._emitted = 0
 
     # -- one ring per sweep cell -------------------------------------------
     def spawn(self) -> "Tracer":
@@ -281,12 +271,6 @@ class Tracer:
         if the events had been emitted here, and the counts add up."""
         self._rows.extend(rows)
         self._emitted += emitted
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Tracer(enabled={self.enabled}, capacity={self.capacity}, "
-            f"events={len(self._rows)}, dropped={self.dropped})"
-        )
 
 
 class _ArmedOp:
@@ -362,12 +346,6 @@ class SamplingTracer(Tracer):
         """Arm the tracer for one sampled operation (context manager)."""
         return _ArmedOp(self, stream)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SamplingTracer(every={self.every}, offset={self.offset}, "
-            f"events={len(self._rows)}, dropped={self.dropped})"
-        )
-
 
 def parse_sample(sample: "int | str") -> int:
     """Parse a sampling period: an int N or the CLI form ``"1/N"``."""
@@ -392,45 +370,18 @@ def parse_sample(sample: "int | str") -> int:
 class NullTracer:
     """Zero-overhead stand-in used when tracing is off.
 
-    Shares the :class:`Tracer` surface; every method is a no-op and
-    ``enabled`` is always ``False``, so hot-path guards cost one attribute
-    load.  Use the module-level :data:`NULL_TRACER` singleton.
+    ``enabled`` is always ``False`` and every emission site checks it
+    first, so the null tracer records nothing and has no recording
+    methods; it keeps only what a caller outside that guard touches.  Use
+    the module-level :data:`NULL_TRACER` singleton.
     """
 
     __slots__ = ()
 
     enabled = False
-    capacity = 0
-    clock = None
-    active_stream = None
     emitted = 0
-    dropped = 0
 
     def bind_clock(self, clock: Callable[[], float], override: bool = False) -> None:
-        pass
-
-    def now(self) -> float:
-        return 0.0
-
-    def record(self, *args: Any) -> None:
-        pass
-
-    def emit(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def emit_batch(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def span(self, *args: Any, **kwargs: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def events(self) -> list[TraceEvent]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def clear(self) -> None:
         pass
 
     def spawn(self) -> "NullTracer":
@@ -441,9 +392,6 @@ class NullTracer:
 
     def absorb(self, rows: Sequence[tuple], emitted: int) -> None:
         pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NullTracer()"
 
 
 #: Shared disabled tracer: the default for every instrumented component.

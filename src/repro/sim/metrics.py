@@ -94,11 +94,6 @@ class Metrics:
             total += amount
         self._accumulators[name] = total
 
-    def total(self, name: str) -> float:
-        """Current value of accumulator ``name`` (zero if never touched)."""
-        self.flush()
-        return self._accumulators.get(name, 0.0)
-
     # -- histograms -------------------------------------------------------
     def observe(self, name: str, value: float) -> None:
         """Record one sample in histogram ``name`` (created empty)."""
@@ -124,17 +119,6 @@ class Metrics:
         if h is None:
             h = self._histograms[name] = Histogram()
         return h
-
-    def histogram(self, name: str) -> HistogramSnapshot:
-        """Snapshot of histogram ``name`` (empty if never observed)."""
-        self.flush()
-        h = self._histograms.get(name)
-        return h.snapshot() if h is not None else _EMPTY_HISTOGRAM
-
-    def histogram_names(self) -> list[str]:
-        """Sorted names of the histograms that hold samples."""
-        self.flush()
-        return sorted(self._sampled())
 
     def _sampled(self) -> dict[str, HistogramSnapshot]:
         """Snapshots of the histograms that hold samples.  One that holds
@@ -203,16 +187,6 @@ class Metrics:
         for h in self._histograms.values():
             h.reset()
 
-    def as_dict(self) -> dict[str, float]:
-        """Flatten to a plain dict (counters first, accumulators second)."""
-        self.flush()
-        out: dict[str, float] = dict(self._counters)
-        out.update(self._accumulators)
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Metrics({self.as_dict()!r})"
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
@@ -234,10 +208,6 @@ class MetricsSnapshot:
     def histogram_names(self) -> list[str]:
         """Sorted names of every histogram captured in this snapshot."""
         return sorted(self.histograms)
-
-    def percentile(self, name: str, p: float) -> float:
-        """Convenience: p-th percentile of histogram ``name``."""
-        return self.histogram(name).percentile(p)
 
 
 @dataclass(frozen=True)

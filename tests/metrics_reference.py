@@ -101,14 +101,6 @@ class ReferenceHistogram:
         if snap.maximum is not None and (self._max is None or snap.maximum > self._max):
             self._max = snap.maximum
 
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def total(self) -> float:
-        return self._sum
-
     def snapshot(self) -> HistogramSnapshot:
         return HistogramSnapshot(
             count=self._count,

@@ -155,7 +155,7 @@ class TestRunner:
         rows = tuple(c for c in CLAIMS if c.figure == "table1")
         monkeypatch.setattr(claims, "CLAIMS", rows)
         result = run("claims", scale=0.05, trace=True)
-        assert len(result.trace) > 0
+        assert result.trace.rows()
         ops = {e.op for e in result.trace.events() if e.layer == "run"}
         assert "write:IOR:ondemand:indep" in ops
         assert len(result.payload.verdicts) == len(rows)

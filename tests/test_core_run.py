@@ -88,7 +88,7 @@ class TestRunResultShape:
         result = run("fig6a", scale=SCALE, trace=True, stream_counts=(4,),
                      policies=("ondemand",), ndisks=2)
         assert isinstance(result.trace, Tracer)
-        assert len(result.trace) > 0
+        assert result.trace.rows()
         layers = {e.layer for e in result.trace.events()}
         assert "disk" in layers and "run" in layers
 

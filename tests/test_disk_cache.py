@@ -155,7 +155,7 @@ class TestPrefetchRuns:
         assert disk.metrics.count("disk.read_requests") > before
         assert cache.metrics.count("cache.dir_prefetches") == 1
         assert cache.metrics.count("cache.prefetch_issued_blocks") == 12
-        assert cache.metrics.total("cache.unbilled_prefetch_s") > 0.0
+        assert cache.metrics.snapshot().total("cache.unbilled_prefetch_s") > 0.0
         assert all(b in cache for b in [*range(8), *range(20, 24)])
 
     def test_resident_blocks_are_not_refetched(self):
@@ -205,7 +205,7 @@ class TestBillingOnCachedReads:
         assert elapsed == 0.0  # resident read: free...
         assert disk.metrics.count("disk.read_requests") > before  # ...but prefetched
         assert cache.metrics.count("cache.prefetch_only_reads") == 1
-        assert cache.metrics.total("cache.unbilled_prefetch_s") > 0.0
+        assert cache.metrics.snapshot().total("cache.unbilled_prefetch_s") > 0.0
 
     def test_partial_miss_still_billed(self):
         cache, _ = make_cache()

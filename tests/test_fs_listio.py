@@ -267,7 +267,7 @@ class TestRequestHeader:
         disk.submit_batch([BlockRequest(0, 8, is_write=True)])
         disk.submit_one(64, 8, False)
         assert disk.metrics.count("disk.request_headers") == 0
-        assert disk.metrics.total("disk.header_s") == 0.0
+        assert disk.metrics.snapshot().total("disk.header_s") == 0.0
 
     def test_one_header_per_submission(self):
         header = 1e-3

@@ -42,14 +42,14 @@ def snapshot(mds: MetadataServer) -> dict:
     ``SimulatedDisk._service_arrays``); they are rounded, everything
     else — including elapsed time and busy time — compares bit for bit.
     """
-    m = mds.metrics
-    hists = {}
-    for name in m.histogram_names():
-        h = m.histogram(name)
-        hists[name] = (h.count, h.percentile(50), h.percentile(90), h.percentile(99))
+    snap = mds.metrics.snapshot()
+    hists = {
+        name: (h.count, h.percentile(50), h.percentile(90), h.percentile(99))
+        for name, h in snap.histograms.items()
+    }
     metrics = {
         k: round(v, 12) if k in ("disk.positioning_s", "disk.transfer_s") else v
-        for k, v in m.as_dict().items()
+        for k, v in {**snap.counters, **snap.accumulators}.items()
     }
     return {
         "elapsed": mds.elapsed_s,

@@ -251,7 +251,7 @@ def test_observe_each_of_nothing_is_a_no_op():
     h.observe(2.0)
     h.observe_each([])
     assert h._log == [2.0]
-    assert h.count == 1
+    assert h.snapshot().count == 1
 
 
 def test_observe_each_with_a_negative_sample_records_none_of_them():
@@ -261,4 +261,4 @@ def test_observe_each_with_a_negative_sample_records_none_of_them():
     with pytest.raises(ValueError):
         h.observe_each([2.0, -1.0, 3.0])
     assert h._log == [1.0]
-    assert h.count == 1 and h.total == 1.0
+    assert (h.snapshot().count, h.snapshot().total) == (1, 1.0)

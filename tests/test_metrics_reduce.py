@@ -98,9 +98,9 @@ def test_histogram_equals_the_eager_oracle(steps, chunk, direct):
             elif op == "snapshot":
                 same_histogram(got, want)
             elif op == "count":
-                assert got.count == want.count
+                assert got.snapshot().count == want.snapshot().count
             elif op == "total":
-                assert repr(got.total) == repr(want.total)
+                assert repr(got.snapshot().total) == repr(want.snapshot().total)
             elif op == "reset":
                 got.reset()
                 want.reset()
@@ -147,7 +147,7 @@ def test_negative_sample_raises_at_the_call_and_logs_nothing(monkeypatch, chunk)
     with pytest.raises(ValueError):
         h.observe_array(np.array([1.0, -2.0, 3.0]))
     assert h._log == pending
-    assert h.count == 3 and h.total == 4.0
+    assert (h.snapshot().count, h.snapshot().total) == (3, 4.0)
 
 
 def test_long_array_is_reduced_on_the_spot_after_the_log():
@@ -212,7 +212,7 @@ def _play(disks, metrics, steps):
                 "disk.requests", "disk.write_blocks", "scheduler.batches",
             )])
         elif op == "total":
-            seen.append(repr(metrics.total("disk.transfer_s")))
+            seen.append(repr(metrics.snapshot().total("disk.transfer_s")))
         elif op == "snapshot":
             mark = metrics.snapshot()
             seen.append(mark)
@@ -252,12 +252,13 @@ def test_rows_from_both_disks_fold_in_submission_order():
         disks = _pair(bag, cls)
         for i, n in enumerate(sizes):
             disks[i % 2].submit_one((i * 37) % 4000, n, True)
-    assert repr(metrics.total("disk.transfer_s")) == repr(reference.total("disk.transfer_s"))
-    assert metrics.snapshot() == reference.snapshot()
+    got, want = metrics.snapshot(), reference.snapshot()
+    assert repr(got.total("disk.transfer_s")) == repr(want.total("disk.transfer_s"))
+    assert got == want
     per_disk = 0.0
     for n in sizes[0::2] + sizes[1::2]:
         per_disk += disks[0].model.transfer_time(n)
-    assert per_disk != reference.total("disk.transfer_s")
+    assert per_disk != want.total("disk.transfer_s")
     d0, d1 = _pair(metrics, SimulatedDisk)
     assert d0._rows is d1._rows is metrics.deferred(disk_mod.reduce_request_rows)
 
@@ -281,7 +282,7 @@ def test_injector_attached_mid_sequence_flushes_the_log_first():
     disk.submit_one(100, 1, False)  # a one-row batch through the fault filter
     assert disk._rows == []
     assert disk.metrics.count("fault.requests") == 1
-    assert disk.metrics.histogram("disk.request_blocks").count == 3
+    assert disk.metrics.snapshot().histogram("disk.request_blocks").count == 3
 
 
 def test_bag_with_pending_rows_survives_pickle_and_deepcopy():
@@ -327,7 +328,7 @@ def test_reset_keeps_histogram_handles_live():
     mds.metrics.reset()
     mds.create(d, "b")
     mds.create(d, "c")
-    m = mds.metrics
+    m = mds.metrics.snapshot()
     assert m.count("mds.op.create") == 2
     assert m.histogram("mds.op_latency_s").count == 2
     assert m.count("disk.requests") == m.histogram("disk.request_latency_s").count
@@ -341,10 +342,10 @@ def test_reset_discards_pending_rows_and_samples():
     disk.metrics.reset()
     assert disk._rows == []
     assert disk.metrics.snapshot() == Metrics().snapshot()
-    assert disk.metrics.histogram_names() == []
+    assert disk.metrics.snapshot().histogram_names() == []
     disk.submit_one(12, 2, True)
     assert disk.metrics.count("disk.requests") == 1
-    assert disk.metrics.histogram_names() == [
+    assert disk.metrics.snapshot().histogram_names() == [
         "disk.request_blocks", "disk.request_latency_s",
     ]
 

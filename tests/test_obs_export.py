@@ -1,4 +1,4 @@
-"""Exporter round trips: traces (JSONL/Chrome) and telemetry time series."""
+"""Exporter round trips: traces (JSONL/Chrome) and telemetry time series (CSV)."""
 
 from __future__ import annotations
 
@@ -6,21 +6,16 @@ import csv
 import io
 import json
 
-import pytest
-
 from repro.obs import (
     SamplingTracer,
     TraceEvent,
     Tracer,
-    read_chrome,
-    read_jsonl,
-    read_timeseries_jsonl,
     timeseries_to_csv,
-    timeseries_to_jsonl,
     to_chrome,
     to_jsonl,
 )
 from repro.obs.timeseries import TimeSeries
+from tests.trace_reference import read_chrome, read_jsonl
 
 
 class TestTraceRoundTrips:
@@ -98,60 +93,14 @@ def _sample_ts():
     return ts.snapshot()
 
 
-class TestTimeSeriesJsonl:
-    def test_round_trip_is_exact(self, tmp_path):
-        snap = _sample_ts()
-        path = tmp_path / "ts.jsonl"
-        assert timeseries_to_jsonl(snap, path) == len(snap)
-        back = read_timeseries_jsonl(path)
-        assert back == snap
-        # Percentile queries and merges agree, not just field equality.
-        assert back.percentile_values("data.latency_s", 99.0) == \
-            snap.percentile_values("data.latency_s", 99.0)
-        assert back.merged("data.latency_s").buckets == \
-            snap.merged("data.latency_s").buckets
-
-    def test_stringio_round_trip(self):
-        snap = _sample_ts()
-        buf = io.StringIO()
-        timeseries_to_jsonl(snap, buf)
-        buf.seek(0)
-        assert read_timeseries_jsonl(buf) == snap
-
-    def test_header_carries_format_and_window(self, tmp_path):
-        snap = _sample_ts()
-        path = tmp_path / "ts.jsonl"
-        timeseries_to_jsonl(snap, path)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["format"] == "repro.timeseries"
-        assert header["window_s"] == snap.window_s
-        assert header["frames"] == len(snap)
-
-    def test_empty_snapshot_round_trips(self, tmp_path):
-        snap = TimeSeries(window_s=2.0).snapshot()
-        path = tmp_path / "empty.jsonl"
-        assert timeseries_to_jsonl(snap, path) == 0
-        back = read_timeseries_jsonl(path)
-        assert back == snap and back.window_s == 2.0
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            read_timeseries_jsonl(io.StringIO(""))
-
-    def test_foreign_header_rejected(self):
-        buf = io.StringIO('{"format": "something.else"}\n')
-        with pytest.raises(ValueError, match="repro.timeseries"):
-            read_timeseries_jsonl(buf)
-
-
 class TestTimeSeriesCsv:
     def test_shape_and_values(self):
         snap = _sample_ts()
         buf = io.StringIO()
-        assert timeseries_to_csv(snap, buf) == len(snap)
+        assert timeseries_to_csv(snap, buf) == len(snap.frames)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         header, data = rows[0], rows[1:]
-        assert len(data) == len(snap)
+        assert len(data) == len(snap.frames)
         assert header[:2] == ["window", "start_s"]
         assert "arrivals" in header and "bytes" in header
         for col in ("data.latency_s.count", "data.latency_s.p50",

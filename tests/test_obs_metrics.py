@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.obs.histogram import Histogram, HistogramSnapshot, bucket_mid, bucket_of
+from repro.obs.histogram import Histogram, HistogramSnapshot, bucket_mid
 from repro.sim.metrics import Metrics
+
+
+def bucket_of(value: float) -> int:
+    """Bucket oracle: the binary exponent ``e`` with ``2**(e-1) <= value <
+    2**e``, computed per value as ``Histogram`` does for a whole column."""
+    return math.frexp(value)[1]
 
 
 class TestHistogram:
@@ -75,7 +83,7 @@ class TestHistogram:
         h = Histogram()
         h.observe(3.0)
         h.reset()
-        assert h.count == 0 and h.snapshot().count == 0
+        assert h.snapshot() == HistogramSnapshot()
 
     def test_exact_snapshot_clamps_to_observed_extrema(self):
         h = Histogram()
@@ -125,16 +133,17 @@ class TestMetricsHistograms:
         m = Metrics()
         m.observe("lat", 0.5)
         m.observe("lat", 2.0)
-        assert m.histogram("lat").count == 2
-        assert m.histogram_names() == ["lat"]
-        assert m.histogram("missing").count == 0
+        snap = m.snapshot()
+        assert snap.histogram("lat").count == 2
+        assert snap.histogram_names() == ["lat"]
+        assert snap.histogram("missing").count == 0
 
     def test_snapshot_includes_histograms(self):
         m = Metrics()
         m.observe("lat", 1.0)
         snap = m.snapshot()
         assert snap.histogram("lat").count == 1
-        assert snap.percentile("lat", 50) > 0.0
+        assert snap.histogram("lat").percentile(50) > 0.0
 
     def test_since_diffs_histograms_like_counters(self):
         """No stale distribution leaks across phases (phase-diff parity)."""
@@ -166,13 +175,15 @@ class TestMetricsHistograms:
         m = Metrics()
         m.observe("lat", 1.0)
         m.reset()
-        assert m.histogram("lat").count == 0
-        assert m.histogram_names() == []
+        snap = m.snapshot()
+        assert snap.histogram("lat").count == 0
+        assert snap.histogram_names() == []
 
-    def test_as_dict_excludes_histograms(self):
-        # Backward compatible: as_dict stays counters + accumulators only.
+    def test_snapshot_keeps_histograms_apart(self):
         m = Metrics()
         m.incr("c")
         m.add("a", 1.5)
         m.observe("lat", 1.0)
-        assert m.as_dict() == {"c": 1, "a": 1.5}
+        snap = m.snapshot()
+        assert (snap.counters, snap.accumulators) == ({"c": 1}, {"a": 1.5})
+        assert list(snap.histograms) == ["lat"]

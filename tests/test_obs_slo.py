@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
     SLObjective,
@@ -77,6 +79,27 @@ class TestSpecGrammar:
             SLObjective(series="s", percentile=99.0, threshold=1.0, budget=0.0)
         with pytest.raises(ValueError, match="invalid SLO spec"):
             parse_objective("s:p200<=1")
+        # Non-finite numbers: an infinite window cannot be cut into
+        # telemetry windows, and no percentile ever exceeds a NaN bound.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold"):
+                SLObjective(series="s", percentile=99.0, threshold=bad)
+            with pytest.raises(ValueError, match="window"):
+                SLObjective(series="s", percentile=99.0, threshold=1.0, window_s=bad)
+        for spec in ("s:p99<=nan", "s:p99<=inf", "s:p99<=1:w1e999"):
+            with pytest.raises(ValueError, match="invalid SLO spec"):
+                parse_objective(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "data.latency_s:p99<=0.25:w1e999", "data.latency_s:p99<=nan",
+    ])
+    def test_non_finite_spec_is_a_usage_error(self, spec, capsys):
+        """Refused while parsing the command line, before the sweep runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(["service", "--scale", "0.05", "--streams", "50", "--slo", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --slo:" in err and "Traceback" not in err
 
 
 class TestResolve:
@@ -167,9 +190,9 @@ class TestEvaluate:
         report = evaluate(
             ts, ["data.latency_s:p99<=0.25", "ghost:p50<=1"]
         )
-        assert report.get("data.latency_s").windows == 3
-        with pytest.raises(KeyError, match="no objective"):
-            report.get("nope")
+        data, ghost = report.results  # in objective order
+        assert data.objective.series == "data.latency_s" and data.windows == 3
+        assert ghost.windows == 0 and ghost.passed  # no samples: vacuous
 
     def test_overall_verdict_is_the_and(self):
         ts = _series([9.0] * 4)

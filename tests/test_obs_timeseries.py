@@ -19,7 +19,7 @@ class TestWindowing:
         ts.add(0.5, "bytes", 100.0)
         ts.observe(2.1, "latency_s", 0.25)
         snap = ts.snapshot()
-        assert len(snap) == 3  # windows 0, 1 (gap), 2
+        assert len(snap.frames) == 3  # windows 0, 1 (gap), 2
         assert snap.counter_values("arrivals") == [2, 0, 1]
         assert snap.sum_values("bytes") == [100.0, 0.0, 0.0]
         assert snap.frames[2].percentile("latency_s", 50.0) > 0.0
@@ -34,14 +34,14 @@ class TestWindowing:
         ts = TimeSeries(window_s=1.0)
         ts.incr(4.5, "x")
         snap = ts.snapshot()
-        assert len(snap) == 5
-        assert all(f.empty for f in snap.frames[:4])
-        assert not snap.frames[4].empty
+        assert len(snap.frames) == 5
+        assert all(f == FrameSnapshot(f.index, f.start_s) for f in snap.frames[:4])
+        assert snap.frames[4].counters == {"x": 1}
         assert snap.frames[3].start_s == 3.0
 
     def test_empty_series_snapshots_empty(self):
         snap = TimeSeries(window_s=1.0).snapshot()
-        assert len(snap) == 0
+        assert snap.frames == ()
         assert snap.duration_s == 0.0
         assert snap.counter_names() == []
         assert snap.hist_names() == []
@@ -56,12 +56,6 @@ class TestWindowing:
         ts = TimeSeries(window_s=1.0)
         with pytest.raises(ValueError, match="non-negative"):
             ts.incr(-0.1, "x")
-
-    def test_len_counts_touched_windows_only(self):
-        ts = TimeSeries(window_s=1.0)
-        ts.incr(0.0, "x")
-        ts.incr(9.0, "x")
-        assert len(ts) == 2  # gaps only materialize at snapshot time
 
 
 class TestSnapshot:
@@ -143,7 +137,7 @@ class TestSnapshot:
 class TestFrameSnapshot:
     def test_defaults(self):
         f = FrameSnapshot(index=3, start_s=1.5)
-        assert f.empty
+        assert (f.counters, f.sums, f.hists) == ({}, {}, {})
         assert f.count("anything") == 0
         assert f.total("anything") == 0.0
         assert f.percentile("anything", 99.0) == 0.0
@@ -151,4 +145,3 @@ class TestFrameSnapshot:
     def test_empty_snapshot_type_roundtrip(self):
         snap = TimeSeriesSnapshot(window_s=2.0)
         assert snap.frames == ()
-        assert len(snap) == 0

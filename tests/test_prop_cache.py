@@ -188,8 +188,7 @@ def test_cache_is_the_reference_cache(sequence):
     assert list(cache._lru) == list(ref.lru)
     assert list(cache._ra.items()) == list(ref.ra.items())
     assert dict(d1.metrics.raw_counters()) == dict(d2.metrics.raw_counters())
-    assert d1.metrics.total("cache.unbilled_prefetch_s") == d2.metrics.total(
-        "cache.unbilled_prefetch_s"
-    )
+    assert d1.metrics.snapshot().total("cache.unbilled_prefetch_s") == \
+        d2.metrics.snapshot().total("cache.unbilled_prefetch_s")
     assert d1.head == d2.head
     assert d1.busy_s == d2.busy_s

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.fs.profiles import redbud_mif_profile
 from repro.meta.mds import MetadataServer
-from repro.obs.export import read_timeseries_jsonl, timeseries_to_jsonl
+from repro.obs.export import timeseries_to_csv
 from repro.obs.histogram import Histogram
 from repro.obs.timeseries import TimeSeries
 from repro.sim.clock import SimClock
@@ -73,14 +72,13 @@ def test_observe_array_equals_observe_loop(before, values):
     for v in values:
         scalar.observe(v)
     bulk.observe_array(np.array(values))
-    assert bulk.snapshot() == scalar.snapshot()
-    assert bulk.total == scalar.total  # same bits, not approximately
+    assert bulk.snapshot() == scalar.snapshot()  # float total: same bits
 
 
 def test_observe_array_rejects_negative_and_ignores_empty():
     h = Histogram()
     h.observe_array(np.array([]))
-    assert h.count == 0
+    assert h.snapshot().count == 0
     with pytest.raises(ValueError, match="non-negative"):
         h.observe_array(np.array([1.0, -0.5]))
 
@@ -283,7 +281,6 @@ def _play_both_stations(script, depth, columns):
     assert got == want  # rows, in order: refused runs before the next accepted arrival
     assert station.latency.snapshot() == ref.latency.snapshot()
     assert station.queue_depth.snapshot() == ref.queue_depth.snapshot()
-    assert station.queue_depth.total == ref.queue_depth.total
 
 
 def test_snapshot_mid_run_does_not_disturb_what_follows():
@@ -358,7 +355,7 @@ def test_frame_at_addresses_by_index():
     ts = TimeSeries(0.04)
     ts.frame_at(29).counters["x"] = 1
     assert ts.frame(29 * 0.04) is ts.frame_at(28)  # the float round trip
-    assert [f.index for f in ts.snapshot().frames if not f.empty] == [29]
+    assert [f.index for f in ts.snapshot().frames if f.counters] == [29]
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +369,18 @@ def test_export_bytes_do_not_depend_on_signal_order():
             ts.incr(0.5, f"c.{name}")
             ts.add(0.5, f"s.{name}", 1.5)
             ts.observe(0.5, f"h.{name}", 0.25)
+        snap = ts.snapshot()
         buf = io.StringIO()
-        timeseries_to_jsonl(ts.snapshot(), buf)
-        return buf.getvalue()
+        timeseries_to_csv(snap, buf)
+        return snap, buf.getvalue()
 
-    forward, backward = build("abc"), build("cba")
-    assert forward == backward
-    frame = json.loads(forward.splitlines()[1])
-    assert list(frame["counters"]) == ["c.a", "c.b", "c.c"]
-    assert list(frame["hists"]) == ["h.a", "h.b", "h.c"]
-    snap = read_timeseries_jsonl(io.StringIO(forward))
-    again = io.StringIO()
-    timeseries_to_jsonl(snap, again)
-    assert again.getvalue() == forward  # round trip keeps the bytes
+    (forward, forward_csv), (backward, backward_csv) = build("abc"), build("cba")
+    assert forward_csv == backward_csv
+    for snap in (forward, backward):
+        (frame,) = snap.frames
+        assert list(frame.counters) == ["c.a", "c.b", "c.c"]
+        assert list(frame.sums) == ["s.a", "s.b", "s.c"]
+        assert list(frame.hists) == ["h.a", "h.b", "h.c"]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ class TestMetrics:
         m = Metrics()
         m.add("t", 0.25)
         m.add("t", 0.25)
-        assert m.total("t") == 0.5
+        assert m.snapshot().total("t") == 0.5
 
     def test_snapshot_diff(self):
         m = Metrics()
@@ -68,13 +68,7 @@ class TestMetrics:
         m.add("b", 1.0)
         m.reset()
         assert m.count("a") == 0
-        assert m.total("b") == 0.0
-
-    def test_as_dict(self):
-        m = Metrics()
-        m.incr("a", 2)
-        m.add("b", 0.5)
-        assert m.as_dict() == {"a": 2, "b": 0.5}
+        assert m.snapshot().total("b") == 0.0
 
 
 class TestThroughputResult:

@@ -112,7 +112,7 @@ class TestSpawn:
         ring = SamplingTracer(every=50, offset=53, capacity=9, clock=lambda: 1.0).spawn()
         assert type(ring) is SamplingTracer
         assert (ring.every, ring.offset, ring.capacity) == (50, 3, 9)
-        assert ring.enabled is False and ring.clock is None and len(ring) == 0
+        assert ring.enabled is False and ring.clock is None and ring.rows() == []
 
     def test_null_tracer_is_its_own_ring(self):
         assert NULL_TRACER.spawn() is NULL_TRACER

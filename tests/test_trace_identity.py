@@ -129,13 +129,13 @@ def drive(mds: MetadataServer, program) -> None:
 def end_state(mds: MetadataServer) -> dict:
     """Elapsed time, every metric and the cache/journal end state, exact."""
     cache = mds.cache
-    m = mds.metrics
+    m = mds.metrics.snapshot()
     return {
         "elapsed": mds.elapsed_s,
         "ops": mds.ops,
         "head": mds.disk.head,
-        "metrics": m.as_dict(),
-        "hists": {name: m.histogram(name) for name in m.histogram_names()},
+        "metrics": (m.counters, m.accumulators),
+        "hists": m.histograms,
         "cache": (list(cache._lru), list(cache._ra.items())),
         "dirty": sorted(mds._dirty),
         "journal": (
@@ -182,7 +182,8 @@ def test_fig7_traced_and_untraced_take_the_same_path():
     traced, bare = _ior_plane(tracer), _ior_plane(None)
     assert traced.array.io_profile == bare.array.io_profile
     assert bare.array.io_profile["batches_vectorized"] > 0
-    assert traced.metrics.as_dict() == bare.metrics.as_dict()
+    t, b = traced.metrics.snapshot(), bare.metrics.snapshot()
+    assert t.counters == b.counters and t.accumulators == b.accumulators
     assert traced.array.elapsed_s == bare.array.elapsed_s
     assert tracer.emitted > 0 and tracer.dropped == 0
 
@@ -233,7 +234,7 @@ def test_emit_batch_is_a_loop_of_emits():
     for i, op in enumerate(ops):
         loop.emit("disk", op, t=float(t[i]), dur=float(dur[i]), disk="d0", start=int(start[i]))
     assert bulk.events() == loop.events()
-    assert (bulk.emitted, bulk.dropped, len(bulk)) == (4, 2, 2)
+    assert (bulk.emitted, bulk.dropped, len(bulk.rows())) == (4, 2, 2)
     last = bulk.events()[-1]
     assert type(last.t) is float and type(last.attrs["start"]) is int
     assert list(last.attrs) == ["disk", "start"]

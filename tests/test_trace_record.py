@@ -17,15 +17,17 @@ the ``emit``-based oracles (``tests/meta_reference.py``,
 
 from __future__ import annotations
 
+import ast
 from collections import deque
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import NULL_TRACER, NullTracer, SamplingTracer, Tracer
+from repro.obs import SamplingTracer, Tracer
 
 #: Declared schemas of a few shapes: no attrs, one, several.
 SCHEMAS = (
@@ -113,7 +115,7 @@ def _replay(by_record: Tracer, by_emit: Tracer, model: _EmitModel, script) -> No
 
 def _same_ring(a: Tracer, b: Tracer) -> None:
     assert a.rows() == b.rows()
-    assert (a.emitted, a.dropped, len(a)) == (b.emitted, b.dropped, len(b))
+    assert (a.emitted, a.dropped) == (b.emitted, b.dropped)
     assert a.events() == b.events()
 
 
@@ -164,13 +166,79 @@ def test_arity_mismatch_raises_when_read():
             tr.events()
 
 
-def test_null_tracer_has_the_tracer_surface():
-    public = {name for name in dir(Tracer) if not name.startswith("_")}
-    assert "record" in public and "active_stream" in public
-    assert public <= set(dir(NullTracer))
-    NULL_TRACER.record(SCHEMAS[1], None, 0.0, None, 1)
-    assert NULL_TRACER.rows() == [] and NULL_TRACER.emitted == 0
-    assert NULL_TRACER.active_stream is None
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: The recording methods only :class:`Tracer` has: ``NULL_TRACER`` has none.
+_RECORDING = frozenset({"record", "emit", "emit_batch"})
+
+
+def _is_tracer(node: ast.expr) -> bool:
+    """``tracer`` or ``self.tracer``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "tracer" and isinstance(node.value, ast.Name) \
+            and node.value.id == "self"
+    return isinstance(node, ast.Name) and node.id == "tracer"
+
+
+def _tests_enabled(test: ast.expr) -> bool:
+    """``<…>.enabled``, alone or as one term of an ``and``."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return any(_tests_enabled(v) for v in test.values)
+    return isinstance(test, ast.Attribute) and test.attr == "enabled"
+
+
+def emissions(source: str) -> list[tuple[int, bool]]:
+    """``(line, guarded)`` for every recording call on a tracer receiver:
+    guarded when it sits in the body (not the ``else``) of an ``if`` that
+    tests ``<…>.enabled``."""
+    found: list[tuple[int, bool]] = []
+
+    def visit(node: ast.AST, guarded: bool) -> None:
+        if isinstance(node, ast.If):
+            visit(node.test, guarded)
+            for child in node.body:
+                visit(child, guarded or _tests_enabled(node.test))
+            for child in node.orelse:
+                visit(child, guarded)
+            return
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and isinstance(func, ast.Attribute) \
+                and func.attr in _RECORDING and _is_tracer(func.value):
+            found.append((node.lineno, guarded))
+        for child in ast.iter_child_nodes(node):
+            visit(child, guarded)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_the_scan_flags_an_unguarded_call():
+    planted = (
+        "def f(self, tracer):\n"
+        "    tracer.record(S, None, 0.0, None)\n"
+        "    if tracer.enabled and n:\n"
+        "        self.tracer.emit('x', 'y')\n"
+        "    else:\n"
+        "        self.tracer.emit_batch('x', ops, t, d)\n"
+        "    if not tracer.enabled:\n"
+        "        tracer.record(S, None, 0.0, None)\n"
+        "    self._tracer.emit('x', 'y')\n"
+    )
+    assert emissions(planted) == [(2, False), (4, True), (6, False), (8, False)]
+
+
+def test_every_emission_in_src_is_guarded_by_enabled():
+    """The contract that lets ``NULL_TRACER`` carry no recording method:
+    no code in ``src/`` records into a tracer without checking
+    ``enabled`` first."""
+    seen, unguarded = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        for line, guarded in emissions(path.read_text(encoding="utf-8")):
+            seen += 1
+            if not guarded:
+                unguarded.append(f"{path.relative_to(SRC)}:{line}")
+    assert seen > 20  # the scan sees the sites it is meant to check
+    assert unguarded == []
 
 
 def test_sampling_tracer_adds_no_recording_override():
