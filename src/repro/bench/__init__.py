@@ -1,13 +1,12 @@
 """Benchmark baseline harness: pinned-seed runs rendered as BENCH JSON.
 
 ``repro.bench.baseline`` turns the registered paper-figure runners into a
-longitudinal record: :func:`collect` runs one runner at a pinned
-scale/seed and renders a schema-versioned, canonically-serialized
-``BENCH_<name>.json`` document (per-phase throughput, latency percentiles,
-and the :mod:`repro.obs.layout` fragmentation metrics).  The same code at
-the same seed writes the same bytes, so CI gates on a plain diff against
-the committed files.  See ``python -m repro bench run`` and
-``docs/LAYOUT.md``.
+longitudinal record: :func:`render` turns one run at a pinned scale/seed
+into a schema-versioned, canonically-serialized ``BENCH_<name>.json``
+document (per-phase throughput, latency percentiles, and the
+:mod:`repro.obs.layout` fragmentation metrics).  The same code at the same
+seed writes the same bytes, so the committed files are compared byte for
+byte.  See ``python -m repro bench run`` and ``docs/LAYOUT.md``.
 """
 
 from repro.bench.baseline import (
@@ -16,7 +15,6 @@ from repro.bench.baseline import (
     PINNED_SEED,
     PINNED_RUNNERS,
     baseline_filename,
-    collect,
     dumps,
     render,
 )
@@ -27,7 +25,6 @@ __all__ = [
     "PINNED_SCALE",
     "PINNED_SEED",
     "baseline_filename",
-    "collect",
     "dumps",
     "render",
 ]

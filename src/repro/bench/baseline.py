@@ -8,8 +8,8 @@ baselines live at the repo root as ``BENCH_<runner>.json``; the pinned
 configuration every baseline uses is :data:`PINNED_SCALE` /
 :data:`PINNED_SEED` over :data:`PINNED_RUNNERS`.
 
-The gate is byte identity: CI regenerates every pinned document with
-``repro bench run`` and diffs it against the committed file.
+The gate is byte identity: the golden registry's ``BENCH_<runner>`` cases
+render every pinned run and compare it with the committed file.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.run import RunResult, run
+from repro.core.run import RunResult
 
 BENCH_SCHEMA_VERSION = 1
 
@@ -90,28 +90,10 @@ def render(result: RunResult, *, scale: float, seed: int) -> dict[str, Any]:
     }
 
 
-def collect(
-    name: str,
-    *,
-    scale: float = PINNED_SCALE,
-    seed: int = PINNED_SEED,
-    jobs: int | None = None,
-) -> dict[str, Any]:
-    """Run ``name`` at the pinned configuration and render its document.
-
-    ``jobs`` selects the worker count for runners that support parallel
-    sweeps (see :mod:`repro.core.sweep`); it never changes the document.
-    """
-    kwargs: dict[str, Any] = {}
-    if jobs is not None:
-        kwargs["jobs"] = jobs
-    return render(run(name, scale=scale, seed=seed, **kwargs), scale=scale, seed=seed)
-
-
 def dumps(doc: dict[str, Any]) -> str:
     """Canonical serialization: sorted keys, 2-space indent, newline-terminated.
 
     Byte-identical across runs of the same code at the same seed — the
-    property the "baseline unchanged" CI gate relies on.
+    property the "baseline unchanged" gate relies on.
     """
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

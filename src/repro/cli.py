@@ -182,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated runner names")
     b.add_argument("--scale", type=_scale, default=bench_baseline.PINNED_SCALE)
     b.add_argument("--seed", type=int, default=bench_baseline.PINNED_SEED)
-    b.add_argument("--layouts", action="store_true",
-                   help="also write LAYOUT_<name>.txt report/heatmap artifacts")
     _add_jobs(b)
     b.set_defaults(func=cmd_bench_run)
 
@@ -258,13 +256,6 @@ def cmd_bench_run(args) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(bench_baseline.dumps(doc))
         print(f"{name}: wrote {path}")
-        if args.layouts and result.layouts:
-            lpath = os.path.join(args.out_dir, f"LAYOUT_{name}.txt")
-            with open(lpath, "w", encoding="utf-8") as fh:
-                for tag in sorted(result.layouts):
-                    fh.write(result.layouts[tag].format())
-                    fh.write("\n\n")
-            print(f"{name}: wrote {lpath}")
     return 0
 
 

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
@@ -337,6 +338,16 @@ def _resolve_telemetry_window(
     return window_s
 
 
+def resolve_rates(rates: tuple[str | float, ...]) -> tuple[float, ...]:
+    """Each rate resolved; two that resolve alike would be one cell run
+    twice, its artifacts written to one path, so they are refused."""
+    points = tuple(resolve_rate(r) for r in rates)
+    twice = sorted({p for p in points if points.count(p) > 1})
+    if twice:
+        raise ConfigError(f"duplicate rates: {', '.join(f'{p:g}' for p in twice)}")
+    return points
+
+
 @register("service")
 def service_mode(
     *,
@@ -397,7 +408,7 @@ def service_mode(
     Scrubbing repairs live state, so it enters the fingerprint when
     enabled; the default stays fingerprint-identical.
     """
-    rate_points = tuple(resolve_rate(r) for r in (rates if rates is not None else (rate,)))
+    rate_points = resolve_rates(rates if rates is not None else (rate,))
     duration_s = resolve_duration(duration) * scale
     cfg = config if config is not None else redbud_mif_profile()
     objectives = resolve_objectives(slo)
@@ -463,10 +474,8 @@ def _cell_artifact_path(path: str, report, cell) -> str:
     """Artifact path for one cell: rate-suffixed when the run swept rates."""
     if len(report.cells) <= 1:
         return path
-    root, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}.r{cell.rate:g}"
-    return f"{root}.r{cell.rate:g}.{ext}"
+    root, ext = os.path.splitext(path)
+    return f"{root}.r{cell.rate:g}{ext}"
 
 
 def _format_drops(st) -> str:
@@ -597,14 +606,15 @@ def _checked(check: Callable[[Any], object], parse: Callable[[str], Any] = str):
     return convert
 
 
-_rate = _checked(resolve_rate, _rate_or_name)
-
-
-def _rate_list(text: str) -> tuple[str | float, ...]:
-    rates = tuple(_rate(t.strip()) for t in text.split(",") if t.strip())
+def _rate_names(text: str) -> tuple[str | float, ...]:
+    rates = tuple(_rate_or_name(t.strip()) for t in text.split(",") if t.strip())
     if not rates:
-        raise argparse.ArgumentTypeError(f"needs at least one rate: {text!r}")
+        raise ValueError(f"needs at least one rate: {text!r}")
     return rates
+
+
+_rate = _checked(resolve_rate, _rate_or_name)
+_rate_list = _checked(resolve_rates, _rate_names)
 
 
 COMMANDS = (

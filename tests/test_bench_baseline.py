@@ -79,62 +79,3 @@ class TestBenchCli:
         err = capsys.readouterr().err
         assert "usage:" in err and "nope" in err
         assert not out.exists()
-
-    def test_layout_artifacts_written(self, tmp_path):
-        out = tmp_path / "bench"
-        assert (
-            main(
-                [
-                    "bench", "run", "--out-dir", str(out), "--layouts",
-                    "--names", "fig6a", "--scale", "smoke",
-                ]
-            )
-            == 0
-        )
-        art = (out / "LAYOUT_fig6a.txt").read_text()
-        assert "interleave-factor" in art and "block map" in art
-
-
-class TestCommittedBaselines:
-    """The repo-root BENCH files must stay in sync with the code."""
-
-    def test_committed_files_parse_and_match_schema(self):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        for name in bb.PINNED_RUNNERS:
-            path = root / bb.baseline_filename(name)
-            assert path.is_file(), f"missing committed baseline {path.name}"
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            assert doc["schema_version"] == bb.BENCH_SCHEMA_VERSION
-            assert doc["runner"] == name
-            assert doc["scale"] == bb.PINNED_SCALE
-            assert doc["seed"] == bb.PINNED_SEED
-
-    def test_committed_fig6a_matches_current_code(self):
-        """Byte-for-byte regeneration: if this fails, rerun
-        ``python -m repro bench run --out-dir .`` and commit the diff."""
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        committed = (root / bb.baseline_filename("fig6a")).read_text()
-        assert committed == bb.dumps(bb.collect("fig6a"))
-
-    def test_committed_fig6b_unchanged_by_sampled_tracing(self):
-        """A SamplingTracer is observe-only: a pinned runner regenerated
-        with sampling armed must stay byte-identical to the committed
-        baseline (the telemetry acceptance pin)."""
-        import pathlib
-
-        from repro.core.run import run
-        from repro.obs import SamplingTracer
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        committed = (root / bb.baseline_filename("fig6b")).read_text()
-        result = run(
-            "fig6b", scale=bb.PINNED_SCALE, seed=bb.PINNED_SEED,
-            trace=SamplingTracer(every=3),
-        )
-        doc = bb.render(result, scale=bb.PINNED_SCALE, seed=bb.PINNED_SEED)
-        assert committed == bb.dumps(doc)

@@ -143,6 +143,14 @@ class TestRunner:
         }
         assert "fig7:IOR:reservation:indep" in serial.layouts
 
+    def test_scoreboard_prints_the_rows_not_gated(self, serial, capsys):
+        """What ``repro claims --scale 0.1`` prints; ``TestGate`` drives the
+        command itself."""
+        assert claims.print_claims(serial, None) == 0
+        out = capsys.readouterr().out
+        assert "interference" in out and "prealloc waste" in out
+        assert "not gated" in out
+
     def test_jobs_changes_nothing(self, serial):
         fanned = run("claims", scale=0.1, jobs=2)
         assert fanned.fingerprint == serial.fingerprint

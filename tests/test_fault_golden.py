@@ -1,9 +1,6 @@
-"""The fault campaign is the parent's, and an idle injector changes nothing.
-
-Golden digests recorded at commit f3214f3 — when an attached injector still
-steered every disk batch onto a per-request object loop and every metadata
-op onto a scalar MDS body — with ``python -m tests.fault_golden``
-(PYTHONHASHSEED 0 and 1 agree).  What a digest covers is defined there.
+"""The fault campaign crashes where it should, and an idle injector changes
+nothing.  The campaign's outputs are the ``faults-*`` cases of
+``tests/golden.py`` (recorded at commit f3214f3; provenance there).
 """
 
 from __future__ import annotations
@@ -14,31 +11,18 @@ from repro.fault import FaultInjector, FaultPlan
 from repro.meta.mds import MetadataServer
 from repro.obs.trace import Tracer
 
-from tests import fault_golden
+from tests import golden
 from tests.conftest import small_config
-
-#: (seed, scale) -> sha256; see tests/fault_golden.py.
-CAMPAIGN = {
-    (0, 0.2): 'b393715445f954c0fc70a608d5b24e704bc98482f05d1cf4f5c609db9f57fcaf',
-    (1, 0.2): 'e9942112e963e01df72a87cfaa6cccb1ea9aa74a26982ebd920572e0f55d4281',
-    (0, 1.0): '04016211bc0ce918bc4b0e65599f8c7b5a758550f9feacdfc08bf4f7ae473d5c',
-    (1, 1.0): 'a5cade899c6b6556f2666fdbd45720e56fa5f7e3060ecd4c4b6007f4a2f9f7d3',
-}
-
-
-@pytest.mark.parametrize("seed,scale", fault_golden.CASES)
-def test_fault_campaign_matches_pre_refactor_golden(seed, scale):
-    assert fault_golden.campaign_digest(seed, scale) == CAMPAIGN[seed, scale]
 
 
 def test_scale_one_campaigns_crash_and_discard():
     """The scale-1.0 cases are the ones whose crash point fires."""
     for seed in (0, 1):
-        payload = fault_golden.campaign_document(seed, 1.0)["payload"]
+        payload = golden.document(f"faults-seed{seed}-scale1.0")["payload"]
         assert payload["injected_crashes"] == 1
         assert payload["injected_torn"] > 1
         assert payload["replayed_records"] > 0
-    assert fault_golden.campaign_document(0, 1.0)["payload"]["discarded_records"] == 1
+    assert golden.document("faults-seed0-scale1.0")["payload"]["discarded_records"] == 1
 
 
 @pytest.mark.parametrize("layout", ["embedded", "normal"])

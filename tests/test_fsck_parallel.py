@@ -321,32 +321,6 @@ class TestHandBuiltMetadataDamage:
             check_mds_reference(mds)
 
 
-#: (layout, seed) -> sha256 of (before findings, actions, passes, after
-#: findings) of repairing ``build_crashed_image(scale=2)``, recorded at commit
-#: d75c676 — the last one whose metadata checker and repair passes walked
-#: directory entries one Python tuple at a time.
-GOLDEN_REPAIR = {
-    ("embedded", 0): "42d113a081c61ad799f89a63c02a8d34027671776c6b07eef224acab9cbd75f0",
-    ("embedded", 1): "ff10274060bbe8bf4f68bb1b2c018ee88d0c8bb22ac474bcf86bd7e9cbe8bad7",
-    ("normal", 0): "f2467240898ca424d3b674f1bb2667a878df856f90872978e05ea6404c924bd1",
-    ("normal", 1): "b4a5ae6cf376bb2e0bdce646ad07ba0d22818ee1a536f37fcb849c6ef7f0bc9a",
-}
-
-
-@pytest.mark.parametrize("layout,seed", sorted(GOLDEN_REPAIR))
-def test_repair_matches_pre_columnar_golden(layout, seed):
-    img = build_crashed_image(scale=2, seed=seed, layout=layout)
-    fix = repair_dataplane(img.plane).merge(repair_mds(img.mds))
-    doc = repr((
-        [(f.code, f.message) for f in fix.before.findings],
-        action_key(fix),
-        fix.passes,
-        [(f.code, f.message) for f in fix.after.findings],
-    ))
-    assert fix.converged and fix.actions
-    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_REPAIR[layout, seed]
-
-
 class TestWorkerProcesses:
     """jobs=2 really runs shards in worker processes and still merges to
     the identical report."""

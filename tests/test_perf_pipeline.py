@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.baseline import dumps, render
 from repro.block.bitmap import BlockBitmap
 from repro.block.extent import Extent, ExtentFlags, ExtentMap
 from repro.block.freelist import FreeExtentSet
 from repro.config import DiskParams, SchedulerParams
+from repro.core.run import run
 from repro.core.sweep import resolve_jobs, run_cells
 from repro.core.runners import LISTIO_HEADER_S
 from repro.disk.array import DiskArray
@@ -39,6 +41,7 @@ from repro.workloads.btio import BTIOBenchmark
 from repro.workloads.ior import IORBenchmark
 from repro.workloads.listio import StridedAccessBenchmark
 
+from tests import golden
 from tests.conftest import small_config
 from tests.dataplane_reference import ReferenceDataPlane, reference_coalesce
 from tests.metrics_reference import ReferenceMetrics, object_loop_disks, rounded
@@ -357,25 +360,26 @@ class TestRunCellsDeterminism:
     def test_single_cell_stays_in_process(self):
         assert run_cells([4], _cube, jobs=8) == [(4, 64)]
 
+    @staticmethod
+    def document(runner: str, jobs: int) -> str:
+        """The rendered document at ``jobs``; at ``jobs=1`` the committed
+        ``BENCH_<runner>.json`` where there is one."""
+        path = golden.bench_file(f"BENCH_{runner}")
+        if jobs == 1 and path.is_file():
+            return path.read_text(encoding="utf-8")
+        return dumps(render(run(runner, scale=0.05, seed=0, jobs=jobs), scale=0.05, seed=0))
+
     def test_fig7_cells_identical_across_jobs(self):
         """End-to-end: the real sweep renders the same document serial and
         parallel."""
-        from repro.bench.baseline import collect
-
-        assert collect("fig7", scale=0.05, seed=0) == collect(
-            "fig7", scale=0.05, seed=0, jobs=2
-        )
+        assert self.document("fig7", jobs=2) == self.document("fig7", jobs=1)
 
     @pytest.mark.parametrize("runner", ["fig8", "fig9", "fig10"])
     def test_sweep_documents_identical_across_jobs(self, runner):
         """The metadata and application sweeps fan their cells out over
         worker processes too; the rendered document must not depend on the
         worker count."""
-        from repro.bench.baseline import collect
-
-        assert collect(runner, scale=0.05, seed=0, jobs=1) == collect(
-            runner, scale=0.05, seed=0, jobs=4
-        )
+        assert self.document(runner, jobs=4) == self.document(runner, jobs=1)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["fig6a", "--scale", "nan"], ["fig6a", "--scale", "inf"],
         ["service", "--rates", "0"], ["service", "--rates", "nope"],
+        ["service", "--rates", "small,0.5"],
         ["service", "--rate", "inf"], ["service", "--duration", "0"],
         ["service", "--duration", "inf"], ["service", "--telemetry", "-1"],
         ["service", "--telemetry", "nan"], ["service", "--scrub-corrupt", "-1"],
@@ -152,13 +153,6 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {argv[1]}:" in err and "Traceback" not in err
-
-    def test_claims(self, capsys):
-        # Tiny scale just exercises the command path.
-        assert main(["claims", "--scale", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "interference" in out
-        assert "prealloc waste" in out
 
     def test_fsck_finds_and_repairs_corruption(self, capsys):
         assert main(["fsck", "--scale", "0.3", "--seed", "3"]) == 1

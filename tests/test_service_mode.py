@@ -42,7 +42,7 @@ from repro.workloads.service import (
 )
 
 from .conftest import small_config
-from .service_golden import arrivals
+from .golden import arrivals
 
 
 class TestEventLoop:
@@ -277,6 +277,13 @@ class TestServiceRunner:
         assert serial.payload == fanned.payload
         assert serial.phases == fanned.phases
 
+    @pytest.mark.parametrize("rates", [("small", "small"), ("small", 0.5, "medium")])
+    def test_duplicate_rates_are_refused(self, rates):
+        """Two rates that resolve alike would run one cell twice and write
+        its artifacts to one path."""
+        with pytest.raises(ConfigError, match="duplicate rates: 0.5$"):
+            run("service", streams=10, rates=rates, duration="short")
+
     def test_saturation_and_drops_rise_with_rate(self):
         r = run("service", streams=300, rates=("small", "large"),
                 duration="short", seed=1, queue_depth=16)
@@ -480,6 +487,22 @@ class TestServiceCliTelemetry:
     def test_plain_run_has_no_slo_exit_semantics(self, capsys):
         assert main(self.ARGS) == 0
         assert "SLO" not in capsys.readouterr().out
+
+    def test_sweep_artifacts_suffix_the_file_name_not_a_directory(self, tmp_path, capsys):
+        """A dot in a directory name is not the file's extension."""
+        runs = tmp_path / "runs.d"
+        runs.mkdir()
+        rc = main([
+            "service", "--streams", "200", "--rates", "small,medium",
+            "--duration", "short", "--telemetry",
+            "--telemetry-out", str(runs / "telemetry"),
+            "--dashboard-out", str(runs / "dash.txt"),
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in runs.iterdir()) == [
+            "dash.r0.5.txt", "dash.r5.txt", "telemetry.r0.5", "telemetry.r5",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.d"]
 
 
 class TestTelemetryOverhead:

@@ -3,11 +3,12 @@
 A traced run takes the code path the untraced run takes, and that path
 emits what the scalar server over an object-loop disk emits
 (``tests/meta_reference.py::ScalarMetadataServer``): the same events, at
-the same simulated times, in the same order.  Three pins:
+the same simulated times, in the same order.  Two pins here, beside the
+traced cases of ``tests/golden.py`` (whose fig8, fig7 and table1 trace
+digests were recorded at the commit *before* the tracer gates were deleted,
+when a full ``Tracer`` still steered every batch onto the scalar metadata
+path and the object disk path):
 
-- golden digests of the JSONL trace export, recorded at the commit *before*
-  the tracer gates were deleted (when a full ``Tracer`` still steered every
-  batch onto the scalar metadata path and the object disk path);
 - a hypothesis property over random metadata programs: the traced server
   emits the scalar server's event list, and leaves the MDS in the state
   the untraced run leaves it in;
@@ -17,21 +18,17 @@ the same simulated times, in the same order.  Three pins:
 
 from __future__ import annotations
 
-import hashlib
-import io
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DiskParams
-from repro.core import run
 from repro.disk.array import DiskArray
 from repro.disk.model import BlockRequest
 from repro.fs.dataplane import DataPlane
 from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
 from repro.meta.mds import MetadataServer
-from repro.obs.export import to_jsonl
 from repro.obs.trace import Tracer
 from repro.units import KiB, MiB
 from repro.workloads.ior import IORBenchmark
@@ -39,39 +36,6 @@ from repro.workloads.ior import IORBenchmark
 from tests.conftest import small_config
 from tests.meta_reference import ScalarMetadataServer
 from tests.metrics_reference import ReferenceMetrics, object_loop_disks
-
-# ---------------------------------------------------------------------------
-# Golden trace digests
-# ---------------------------------------------------------------------------
-
-#: runner, kwargs -> (sha256 of to_jsonl(trace.events()), emitted, dropped),
-#: recorded at commit becf4b6 with PYTHONHASHSEED=0 (the export does not
-#: depend on it).  fig8 uses the host-time ledger's ``meta_rates_traced``
-#: kwargs; its default 65536-row ring wraps, so the digest also pins which
-#: events survive.
-GOLDEN = [
-    ("fig8", dict(scale=0.04, dir_sizes=(200,), seed=0),
-     "8b9372f903fd4d9942d195f4fcfbd66307b752637ca9d3f58f893e8df00f07ca", 104521, 38985),
-    ("fig8", dict(scale=0.04, dir_sizes=(200,), seed=1),
-     "8b9372f903fd4d9942d195f4fcfbd66307b752637ca9d3f58f893e8df00f07ca", 104521, 38985),
-    ("table1", dict(scale=0.05, seed=0),
-     "dd55871b36f14e63f16b30af79b1e13c6a5e2150aaddca68e35dc6c736fb548c", 7600, 0),
-    ("fig7", dict(scale=0.05, seed=0, ndisks=4),
-     "01fa97380ecf809e8dc0303cb784609184484d6bd3f7f2bbac102790b684ef94", 8011, 0),
-]
-
-
-@pytest.mark.parametrize(
-    "runner,kwargs,sha256,emitted,dropped", GOLDEN,
-    ids=[f"{g[0]}-seed{g[1]['seed']}" for g in GOLDEN],
-)
-def test_trace_export_matches_pre_refactor_golden(runner, kwargs, sha256, emitted, dropped):
-    result = run(runner, trace=True, jobs=1, **kwargs)
-    buf = io.StringIO()
-    to_jsonl(result.trace.events(), buf)
-    assert (result.trace.emitted, result.trace.dropped) == (emitted, dropped)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
-
 
 # ---------------------------------------------------------------------------
 # Property: traced == scalar server traced (events) == untraced (state)

@@ -11,8 +11,8 @@ also held to :class:`_EmitModel`, the standalone ``emit`` body (with the
 ``SamplingTracer`` override folded in) that built these rows before.
 That the converted sites record the rows they emitted before is pinned by
 the ``emit``-based oracles (``tests/meta_reference.py``,
-``tests/metrics_reference.py``) and the trace goldens
-(``tests/test_trace_identity.py``, ``tests/service_golden.py``).
+``tests/metrics_reference.py``) and the traced cases of the golden
+registry (``tests/golden.py``).
 """
 
 from __future__ import annotations

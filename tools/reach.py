@@ -43,9 +43,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 
-#: ``service`` as CI's smoke runs it: telemetry, SLOs and sampled tracing.
+#: ``service`` as CI's smoke runs it: telemetry, SLOs and sampled tracing
+#: (its one rate given as a ``--rates`` list, so the list parser runs too).
 SERVICE_ARGS = [
-    "service", "--streams", "2000", "--rate", "small", "--duration", "short",
+    "service", "--streams", "2000", "--rates", "small", "--duration", "short",
     "--telemetry", "--slo", "--sample", "1/200",
     "--telemetry-out", "service.csv", "--dashboard-out", "service.txt",
     "--out", "service.json",
@@ -58,7 +59,7 @@ UTILITY_COMMANDS = [
     ["trace", "fig6a", "--scale", "0.05"],
     ["trace", "fig8", "--scale", "0.04", "--format", "jsonl"],
     ["inspect", "fig6a", "--scale", "smoke", "--json", "inspect.json"],
-    ["bench", "run", "--names", "fig6a", "--scale", "smoke", "--layouts",
+    ["bench", "run", "--names", "fig6a", "--scale", "smoke",
      "--out-dir", "bench"],
     ["fsck", "--scale", "0.3", "--seed", "3"],
     ["fsck", "--scale", "0.3", "--seed", "3", "--repair"],
