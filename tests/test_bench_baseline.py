@@ -79,3 +79,34 @@ class TestBenchCli:
         err = capsys.readouterr().err
         assert "usage:" in err and "nope" in err
         assert not out.exists()
+
+
+class TestCommittedBaselines:
+    """The repo-root BENCH files must stay in sync with the code."""
+
+    def test_committed_files_parse_and_match_schema(self):
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        for name in bb.PINNED_RUNNERS:
+            path = root / bb.baseline_filename(name)
+            assert path.is_file(), f"missing committed baseline {path.name}"
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            assert doc["schema_version"] == bb.BENCH_SCHEMA_VERSION
+            assert doc["runner"] == name
+            assert doc["scale"] == bb.PINNED_SCALE
+            assert doc["seed"] == bb.PINNED_SEED
+
+    def test_committed_fig6a_matches_current_code(self):
+        """Byte-for-byte regeneration: if this fails, rerun
+        ``python -m repro bench run --out-dir .`` and commit the diff."""
+        import pathlib
+
+        from repro.core.run import run
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        committed = (root / bb.baseline_filename("fig6a")).read_text()
+        result = run("fig6a", scale=bb.PINNED_SCALE, seed=bb.PINNED_SEED)
+        doc = bb.render(result, scale=bb.PINNED_SCALE, seed=bb.PINNED_SEED)
+        assert committed == bb.dumps(doc)

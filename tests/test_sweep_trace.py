@@ -8,6 +8,8 @@ in this process or a worker alike.  Pins:
   case of ``tests/golden.py`` — events, lifetime/eviction counts, metrics,
   phases in order and payload — at a ring that never evicts and one that
   does;
+- fig7, run in this process at ``jobs=1``, still gives its recorded
+  document (the shared-ring digests of 810d797), at both rings;
 - ``spawn`` / ``absorb`` semantics, what a ``CellResult`` may carry through
   pickle, and merge order under reversed completion order.
 """
@@ -42,6 +44,15 @@ from tests.conftest import small_config
 @pytest.mark.parametrize("sweep", ["fig6a", "fig8", "fig_listio", "service-sampled", "fig10"])
 def test_pooled_trace_equals_in_process_trace(sweep, ring, monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "2")
+    case = f"{sweep}-{ring}"
+    moved = golden.diff(case, golden.CASES[case]())
+    assert not moved, "\n".join(moved)
+
+
+@pytest.mark.parametrize("ring", list(golden.RINGS))
+@pytest.mark.parametrize("sweep", ["fig7"])
+def test_in_process_trace_matches_shared_ring_golden(sweep, ring, monkeypatch):
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
     case = f"{sweep}-{ring}"
     moved = golden.diff(case, golden.CASES[case]())
     assert not moved, "\n".join(moved)

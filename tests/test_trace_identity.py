@@ -3,12 +3,13 @@
 A traced run takes the code path the untraced run takes, and that path
 emits what the scalar server over an object-loop disk emits
 (``tests/meta_reference.py::ScalarMetadataServer``): the same events, at
-the same simulated times, in the same order.  Two pins here, beside the
-traced cases of ``tests/golden.py`` (whose fig8, fig7 and table1 trace
-digests were recorded at the commit *before* the tracer gates were deleted,
-when a full ``Tracer`` still steered every batch onto the scalar metadata
-path and the object disk path):
+the same simulated times, in the same order.  Three pins:
 
+- the JSONL trace export of runs under a default full ``Tracer`` matches
+  the ``trace`` section that ``tests/golden.py`` records for the same run
+  (fig8, fig7 and table1 digests recorded at the commit *before* the tracer
+  gates were deleted, when a full ``Tracer`` still steered every batch onto
+  the scalar metadata path and the object disk path);
 - a hypothesis property over random metadata programs: the traced server
   emits the scalar server's event list, and leaves the MDS in the state
   the untraced run leaves it in;
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DiskParams
+from repro.core import run
 from repro.disk.array import DiskArray
 from repro.disk.model import BlockRequest
 from repro.fs.dataplane import DataPlane
@@ -33,9 +35,34 @@ from repro.obs.trace import Tracer
 from repro.units import KiB, MiB
 from repro.workloads.ior import IORBenchmark
 
+from tests import golden
 from tests.conftest import small_config
 from tests.meta_reference import ScalarMetadataServer
 from tests.metrics_reference import ReferenceMetrics, object_loop_disks
+
+# ---------------------------------------------------------------------------
+# Golden trace digests
+# ---------------------------------------------------------------------------
+
+#: runner, kwargs -> the registry case recording the same trace.  fig8's
+#: default 65536-row ring wraps, so its digest also pins which events
+#: survive; fig8 ignores its seed, so both seeds give one trace.
+TRACED = [
+    ("fig8", dict(scale=0.04, dir_sizes=(200,), seed=0), "fig8-ring65536"),
+    ("fig8", dict(scale=0.04, dir_sizes=(200,), seed=1), "fig8-ring65536"),
+    ("table1", dict(scale=0.05, seed=0), "BENCH_table1"),
+    ("fig7", dict(scale=0.05, seed=0, ndisks=4), "fig7-roomy"),
+]
+
+
+@pytest.mark.parametrize(
+    "runner,kwargs,case", TRACED, ids=[f"{t[0]}-seed{t[1]['seed']}" for t in TRACED],
+)
+def test_trace_export_matches_pre_refactor_golden(runner, kwargs, case):
+    result = run(runner, trace=True, jobs=1, **kwargs)
+    doc = golden.runner_document(result, scale=kwargs["scale"], seed=kwargs["seed"])
+    assert golden.digest(doc["trace"]) == golden.recorded_table()[case]["trace"]
+
 
 # ---------------------------------------------------------------------------
 # Property: traced == scalar server traced (events) == untraced (state)
