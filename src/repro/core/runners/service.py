@@ -339,12 +339,13 @@ def _resolve_telemetry_window(
 
 
 def resolve_rates(rates: tuple[str | float, ...]) -> tuple[float, ...]:
-    """Each rate resolved; two that resolve alike would be one cell run
-    twice, its artifacts written to one path, so they are refused."""
+    """Each rate resolved; two that name one artifact path (``f"{rate:g}"``)
+    would write their artifacts to one file, so they are refused."""
     points = tuple(resolve_rate(r) for r in rates)
-    twice = sorted({p for p in points if points.count(p) > 1})
+    names = [f"{p:g}" for p in points]
+    twice = sorted({n for n in names if names.count(n) > 1}, key=float)
     if twice:
-        raise ConfigError(f"duplicate rates: {', '.join(f'{p:g}' for p in twice)}")
+        raise ConfigError(f"duplicate rates: {', '.join(twice)}")
     return points
 
 

@@ -3,10 +3,11 @@
 ``CASES`` maps a case id to a zero-argument callable returning the case's
 *document*, a dict of JSON-able sections.  ``tests/golden_recorded.py`` is
 the one recorded table: one 16-hex sha256 prefix per section of every case,
-so a mismatch names the sections that moved.  A ``BENCH_<runner>`` case's
-``bench`` section is the exception: its record is the committed
-``BENCH_<runner>.json``, compared byte for byte with ``dumps`` of the
-computed section (``repro bench run`` writes those files).
+so a mismatch names the sections that moved.  The ``bench`` section of a
+case run at the pinned configuration (``COMMITTED``) is the exception: its
+record is the runner's committed ``BENCH_<runner>.json``, compared byte for
+byte with ``dumps`` of the computed section (``repro bench run`` writes
+those files).
 
 A runner case (:func:`runner_case`) documents one ``run(...)`` in these
 sections, each present when the run has it:
@@ -59,15 +60,18 @@ new document) and where its values were first recorded:
 - ``repair-<layout>-seed<s>``: repairing ``build_crashed_image(scale=2)``
   (findings before, actions, passes, findings after), recorded at d75c676,
   when the metadata checker walked entries one tuple at a time.
-- ``BENCH_<runner>``: the committed baselines at the pinned configuration.
-  ``fig6b`` runs under a ``SamplingTracer`` and ``table1`` under a full
-  ``Tracer`` (its trace is the trace-identity table's table1 row, becf4b6):
-  both must still render the committed, untraced bytes.
+- ``BENCH_<runner>``: the committed baselines, run untraced at the pinned
+  configuration, as ``repro bench run`` writes them.
+- ``fig6b-sampled`` / ``table1-traced``: the same runs under a
+  ``SamplingTracer(every=3)`` and a full ``Tracer``.  Each must still
+  render its runner's committed bytes (was the committed-baseline test of
+  fig6b under sampled tracing); ``table1-traced``'s trace is the
+  trace-identity table's table1 row (becf4b6).
 
 Run ``PYTHONPATH=src python -m tests.golden`` to record: it computes every
 case, rewrites the table and then checks.  ``... --check`` only checks:
 a per-case, per-section diff and exit status 1 on any mismatch.
-``REPRO_JOBS``, when set, overrides every case's worker count.
+No case sets a worker count, so ``REPRO_JOBS`` picks it (default 1).
 """
 
 from __future__ import annotations
@@ -175,15 +179,12 @@ def runner_document(result, *, scale: float, seed: int) -> dict:
     return {name: section for name, section in doc.items() if section}
 
 
-def runner_case(runner: str, *, trace=None, jobs: int = 1, **kwargs):
+def runner_case(runner: str, *, trace=None, **kwargs):
     """The case documenting ``run(runner, **kwargs)``.  ``trace`` is
     ``True`` or a zero-argument tracer factory (a fresh ring per call)."""
 
     def case() -> dict:
-        result = run(
-            runner, trace=trace() if callable(trace) else trace,
-            jobs=int(os.environ.get("REPRO_JOBS", jobs)), **kwargs,
-        )
+        result = run(runner, trace=trace() if callable(trace) else trace, **kwargs)
         return runner_document(
             result, scale=kwargs.get("scale", 1.0), seed=kwargs.get("seed", 0)
         )
@@ -252,8 +253,15 @@ VARIANTS = {
     "tracer": {"trace": True},
 }
 
-#: The BENCH cases' tracers: each must leave the committed bytes alone.
-BENCH_TRACE = {"fig6b": lambda: SamplingTracer(every=3), "table1": True}
+#: Traced runs at the pinned configuration: case -> (runner, tracer).
+BENCH_TRACED = {
+    "fig6b-sampled": ("fig6b", lambda: SamplingTracer(every=3)),
+    "table1-traced": ("table1", True),
+}
+#: Case -> the committed BENCH file (without ``.json``) its ``bench`` must be.
+COMMITTED = {f"BENCH_{name}": f"BENCH_{name}" for name in PINNED_RUNNERS} | {
+    case: f"BENCH_{runner}" for case, (runner, _) in BENCH_TRACED.items()
+}
 
 CASES = {}
 for (name, (runner, kwargs, tracer)), (ring, capacity) in itertools.product(
@@ -262,7 +270,7 @@ for (name, (runner, kwargs, tracer)), (ring, capacity) in itertools.product(
     CASES[f"{name}-{ring}"] = runner_case(
         runner, seed=0, trace=functools.partial(tracer, capacity), **kwargs
     )
-CASES["fig8-ring65536"] = runner_case("fig8", scale=0.04, dir_sizes=(200,), trace=True)
+CASES["fig8-ring65536"] = runner_case("fig8", seed=0, trace=True, **SWEEPS["fig8"][1])
 for streams, seed in itertools.product((2_000, 50_000), (0, 1)):
     service = dict(streams=streams, rate="small", duration="short", seed=seed)
     for variant, extra in VARIANTS.items():
@@ -279,9 +287,9 @@ for seed, scale in ((0, 0.2), (1, 0.2), (0, 1.0), (1, 1.0)):
 for layout, seed in itertools.product(("embedded", "normal"), (0, 1)):
     CASES[f"repair-{layout}-seed{seed}"] = functools.partial(repair_document, layout, seed)
 for name in PINNED_RUNNERS:
-    CASES[f"BENCH_{name}"] = runner_case(
-        name, scale=PINNED_SCALE, seed=PINNED_SEED, trace=BENCH_TRACE.get(name)
-    )
+    CASES[f"BENCH_{name}"] = runner_case(name, scale=PINNED_SCALE, seed=PINNED_SEED)
+for case, (runner, tracer) in BENCH_TRACED.items():
+    CASES[case] = runner_case(runner, scale=PINNED_SCALE, seed=PINNED_SEED, trace=tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +302,7 @@ def digest(section) -> str:
 
 def bench_file(case: str) -> Path | None:
     """The committed file that records ``case``'s ``bench`` section."""
-    return ROOT / f"{case}.json" if case.startswith("BENCH_") else None
+    return ROOT / f"{COMMITTED[case]}.json" if case in COMMITTED else None
 
 
 def recorded_table() -> dict[str, dict[str, str]]:
@@ -303,9 +311,13 @@ def recorded_table() -> dict[str, dict[str, str]]:
     return RECORDED
 
 
-@functools.cache
 def document(case: str) -> dict:
-    """``CASES[case]()``, computed once per process."""
+    """``CASES[case]()``, computed once per process and ``REPRO_JOBS``."""
+    return _document(case, os.environ.get("REPRO_JOBS"))
+
+
+@functools.cache
+def _document(case: str, jobs: str | None) -> dict:
     return CASES[case]()
 
 
@@ -332,8 +344,8 @@ def diff(case: str, doc: dict, recorded: dict | None = None) -> list[str]:
 
 
 def table(documents: dict[str, dict]) -> dict[str, dict[str, str]]:
-    """The recorded table for ``documents``: every section but a BENCH
-    case's ``bench``, which its committed file records."""
+    """The recorded table for ``documents``: every section but the
+    ``bench`` that a committed file records."""
     return {
         case: {
             name: digest(section) for name, section in doc.items()

@@ -9,6 +9,8 @@ import pytest
 from repro.bench import baseline as bb
 from repro.cli import main
 
+from tests import golden
+
 
 def _collect_small():
     # The full pinned configuration is CI-sized; tests shrink fig6a further.
@@ -99,14 +101,8 @@ class TestCommittedBaselines:
             assert doc["seed"] == bb.PINNED_SEED
 
     def test_committed_fig6a_matches_current_code(self):
-        """Byte-for-byte regeneration: if this fails, rerun
-        ``python -m repro bench run --out-dir .`` and commit the diff."""
-        import pathlib
-
-        from repro.core.run import run
-
-        root = pathlib.Path(__file__).resolve().parent.parent
-        committed = (root / bb.baseline_filename("fig6a")).read_text()
-        result = run("fig6a", scale=bb.PINNED_SCALE, seed=bb.PINNED_SEED)
-        doc = bb.render(result, scale=bb.PINNED_SCALE, seed=bb.PINNED_SEED)
-        assert committed == bb.dumps(doc)
+        """Byte-for-byte regeneration (the registry's ``BENCH_fig6a``
+        document): if this fails, rerun ``python -m repro bench run
+        --out-dir .`` and commit the diff."""
+        committed = golden.bench_file("BENCH_fig6a").read_text(encoding="utf-8")
+        assert committed == bb.dumps(golden.document("BENCH_fig6a")["bench"])

@@ -140,7 +140,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["fig6a", "--scale", "nan"], ["fig6a", "--scale", "inf"],
         ["service", "--rates", "0"], ["service", "--rates", "nope"],
-        ["service", "--rates", "small,0.5"],
+        ["service", "--rates", "small,0.5"], ["service", "--rates", "1.0000001,1.0000002"],
         ["service", "--rate", "inf"], ["service", "--duration", "0"],
         ["service", "--duration", "inf"], ["service", "--telemetry", "-1"],
         ["service", "--telemetry", "nan"], ["service", "--scrub-corrupt", "-1"],

@@ -277,11 +277,15 @@ class TestServiceRunner:
         assert serial.payload == fanned.payload
         assert serial.phases == fanned.phases
 
-    @pytest.mark.parametrize("rates", [("small", "small"), ("small", 0.5, "medium")])
-    def test_duplicate_rates_are_refused(self, rates):
-        """Two rates that resolve alike would run one cell twice and write
-        its artifacts to one path."""
-        with pytest.raises(ConfigError, match="duplicate rates: 0.5$"):
+    @pytest.mark.parametrize("rates,named", [
+        (("small", "small"), "0.5"),
+        (("small", 0.5, "medium"), "0.5"),
+        ((1.0000001, 1.0000002), "1"),
+    ])
+    def test_duplicate_rates_are_refused(self, rates, named):
+        """Two rates that resolve alike, or print alike in an artifact path,
+        would write their artifacts to one path."""
+        with pytest.raises(ConfigError, match=f"duplicate rates: {named}$"):
             run("service", streams=10, rates=rates, duration="short")
 
     def test_saturation_and_drops_rise_with_rate(self):

@@ -54,7 +54,7 @@ def test_pooled_trace_equals_in_process_trace(sweep, ring, monkeypatch):
 def test_in_process_trace_matches_shared_ring_golden(sweep, ring, monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     case = f"{sweep}-{ring}"
-    moved = golden.diff(case, golden.CASES[case]())
+    moved = golden.diff(case, golden.document(case))
     assert not moved, "\n".join(moved)
 
 

@@ -5,11 +5,11 @@ emits what the scalar server over an object-loop disk emits
 (``tests/meta_reference.py::ScalarMetadataServer``): the same events, at
 the same simulated times, in the same order.  Three pins:
 
-- the JSONL trace export of runs under a default full ``Tracer`` matches
-  the ``trace`` section that ``tests/golden.py`` records for the same run
-  (fig8, fig7 and table1 digests recorded at the commit *before* the tracer
-  gates were deleted, when a full ``Tracer`` still steered every batch onto
-  the scalar metadata path and the object disk path);
+- the JSONL trace export of runs under a full ``Tracer`` is the ``trace``
+  section that ``tests/golden.py`` records for the same run (fig8, fig7
+  and table1 digests recorded at the commit *before* the tracer gates were
+  deleted, when a full ``Tracer`` still steered every batch onto the
+  scalar metadata path and the object disk path);
 - a hypothesis property over random metadata programs: the traced server
   emits the scalar server's event list, and leaves the MDS in the state
   the untraced run leaves it in;
@@ -44,23 +44,28 @@ from tests.metrics_reference import ReferenceMetrics, object_loop_disks
 # Golden trace digests
 # ---------------------------------------------------------------------------
 
-#: runner, kwargs -> the registry case recording the same trace.  fig8's
-#: default 65536-row ring wraps, so its digest also pins which events
-#: survive; fig8 ignores its seed, so both seeds give one trace.
-TRACED = [
-    ("fig8", dict(scale=0.04, dir_sizes=(200,), seed=0), "fig8-ring65536"),
-    ("fig8", dict(scale=0.04, dir_sizes=(200,), seed=1), "fig8-ring65536"),
-    ("table1", dict(scale=0.05, seed=0), "BENCH_table1"),
-    ("fig7", dict(scale=0.05, seed=0, ndisks=4), "fig7-roomy"),
-]
+#: Test id -> the registry case recording the same trace, and the seed it
+#: runs at.  fig8's default 65536-row ring wraps, so its digest also pins
+#: which events survive; fig8 ignores its seed, so seed 1 is a second run
+#: that must give the seed-0 trace.  The seed-0 rows read the registry's
+#: documents and run nothing of their own.
+TRACED = {
+    "fig8-seed0": ("fig8-ring65536", 0),
+    "fig8-seed1": ("fig8-ring65536", 1),
+    "table1-seed0": ("table1-traced", 0),
+    "fig7-seed0": ("fig7-roomy", 0),
+}
 
 
-@pytest.mark.parametrize(
-    "runner,kwargs,case", TRACED, ids=[f"{t[0]}-seed{t[1]['seed']}" for t in TRACED],
-)
-def test_trace_export_matches_pre_refactor_golden(runner, kwargs, case):
-    result = run(runner, trace=True, jobs=1, **kwargs)
-    doc = golden.runner_document(result, scale=kwargs["scale"], seed=kwargs["seed"])
+@pytest.mark.parametrize("name", list(TRACED))
+def test_trace_export_matches_pre_refactor_golden(name):
+    case, seed = TRACED[name]
+    if seed:
+        kwargs = golden.SWEEPS["fig8"][1]
+        result = run("fig8", trace=True, jobs=1, seed=seed, **kwargs)
+        doc = golden.runner_document(result, scale=kwargs["scale"], seed=seed)
+    else:
+        doc = golden.document(case)
     assert golden.digest(doc["trace"]) == golden.recorded_table()[case]["trace"]
 
 
