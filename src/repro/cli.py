@@ -74,14 +74,20 @@ def _scale(text: str) -> float:
 
 
 def _runner_list(text: str) -> list[str]:
-    """``argparse`` type: a comma-separated list of registered runners."""
+    """``argparse`` type: a comma-separated list of registered runners,
+    each named once (two runs of one runner would write one file twice)."""
     names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"needs at least one runner: {text!r}")
     unknown = [n for n in names if n not in RUNNERS]
     if unknown:
         raise argparse.ArgumentTypeError(
             f"unknown runner(s) {', '.join(unknown)}; "
             f"choose from: {', '.join(runner_names())}"
         )
+    twice = sorted({n for n in names if names.count(n) > 1})
+    if twice:
+        raise argparse.ArgumentTypeError(f"duplicate runner(s): {', '.join(twice)}")
     return names
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.block.extent import Extent
 from repro.errors import NoSpaceError
 from repro.meta.embedded_layout import EmbeddedLayout
@@ -131,13 +133,16 @@ class Corruptor:
         return applied
 
     def _file_entries(self, layout):
-        out = []
-        for d in layout._dirs.values():
-            for name, ino in d.entries.items():
-                inode = layout._inodes.get(ino)
-                if inode is not None and not inode.is_dir:
-                    out.append((d, name, ino))
-        return out
+        """``(dir, name, ino)`` of every entry whose inode is a live file,
+        in directory order, tested on the ``is_dir`` column in one gather."""
+        entries = [
+            (d, name, ino)
+            for d in layout._dirs.values() for name, ino in d.entries.items()
+        ]
+        table = layout._inodes
+        rows = table.rows_of([ino for _, _, ino in entries])
+        (is_dir,) = table.gather(rows, "is_dir")
+        return [entries[i] for i in np.flatnonzero((rows >= 0) & ~is_dir).tolist()]
 
     def _md_dangling(self, layout) -> str | None:
         """Lose an inode but keep its directory entry."""

@@ -48,8 +48,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
-from operator import attrgetter, is_not, ne
+from itertools import accumulate, chain
+from operator import attrgetter, ne
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from repro.core.sweep import resolve_jobs, run_cells, stream_cells
 from repro.errors import MetadataError
 from repro.fs.dataplane import DataPlane
 from repro.meta.embedded_layout import EmbeddedDir, EmbeddedLayout
-from repro.meta.inode import Inode
 from repro.meta.inumber import decode_inos
 from repro.meta.mds import MetadataServer
 from repro.meta.mfs import ItableGeometry
@@ -565,11 +564,6 @@ def check_dataplane(
 # each directory (content overlaps, table membership, entries), phase 1 is
 # the trailing table-resolution sweep over all directories.
 
-#: Stands in for an inode the table has lost, so one bulk attribute gather
-#: covers every entry of a directory; ``exists`` masks its values out.
-_LOST = Inode(
-    ino=0, is_dir=False, name="", parent_dir_id=0, home_block=0, home_slot=0
-)
 #: Below every block number: the content end "covering" blocks that lie
 #: before a directory's first run.
 _NOWHERE = np.iinfo(np.int64).min
@@ -627,39 +621,26 @@ class _MetaShardReport:
     checked_inodes: int
 
 
-def _entry_inodes(d, table: dict) -> tuple[tuple, tuple, list, np.ndarray]:
-    """Entry names, inode numbers, inodes (``_LOST`` where ``table`` has
-    none) and the ``exists`` column of directory ``d``."""
-    names = tuple(d.entries)
-    inos = tuple(d.entries.values())
-    inodes = list(map(table.get, inos, repeat(_LOST)))
-    exists = np.fromiter(
-        map(is_not, inodes, repeat(_LOST)), dtype=bool, count=len(inodes)
-    )
-    return names, inos, inodes, exists
-
-
-def _column(field_name: str, inodes: list, dtype) -> np.ndarray:
-    return np.fromiter(
-        map(attrgetter(field_name), inodes), dtype=dtype, count=len(inodes)
-    )
-
-
 def _embedded_dir_spec(
     layout: EmbeddedLayout, seq: int, d: EmbeddedDir
 ) -> _EmbeddedDirSpec:
-    names, inos, inodes, exists = _entry_inodes(d, layout._inodes)
+    inos = tuple(d.entries.values())
+    table = layout._inodes
+    rows = table.rows_of(inos)
+    is_dir, home_block, inode_names = table.gather(
+        rows, "is_dir", "home_block", "name"
+    )
     return _EmbeddedDirSpec(
         seq=seq,
         dir_id=d.dir_id,
         runs=tuple(d.content_runs),
         in_gdt=d.dir_id in layout.gdt,
-        exists=exists,
-        is_dir=_column("is_dir", inodes, bool),
-        home_block=_column("home_block", inodes, np.int64),
-        names=names,
+        exists=rows >= 0,
+        is_dir=is_dir,
+        home_block=home_block,
+        names=tuple(d.entries),
         inos=inos,
-        inode_names=tuple(map(attrgetter("name"), inodes)),
+        inode_names=inode_names,
     )
 
 
@@ -775,7 +756,10 @@ def _merge_embedded(
 def _normal_dir_spec(
     layout: NormalLayout, geometry: ItableGeometry, seq: int, d: NormalDir
 ) -> _NormalDirSpec:
-    names, inos, inodes, exists = _entry_inodes(d, layout._inodes)
+    inos = d.entries.values()
+    rows = layout._inodes.rows_of(inos)
+    home_block, home_slot = layout._inodes.gather(rows, "home_block", "home_slot")
+    names = tuple(d.entries)
     return _NormalDirSpec(
         seq=seq,
         ino=d.ino,
@@ -783,10 +767,10 @@ def _normal_dir_spec(
         fill=tuple(d.fill),
         dentry_blocks=tuple(d.dentry_blocks),
         geometry=geometry,
-        exists=exists,
+        exists=rows >= 0,
         inos=np.fromiter(inos, dtype=np.int64, count=len(inos)),
-        home_block=_column("home_block", inodes, np.int64),
-        home_slot=_column("home_slot", inodes, np.int64),
+        home_block=home_block,
+        home_slot=home_slot,
         names=names,
         entry_blocks=tuple(map(d.entry_block.get, names)),
     )

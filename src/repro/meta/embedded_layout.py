@@ -82,11 +82,7 @@ class EmbeddedLayout(DirectoryLayout):
     # -- construction ------------------------------------------------------------
     def make_root(self) -> EmbeddedDir:
         root_ino = encode_ino(0, 1)  # parent identification 0 = none
-        inode = Inode(
-            ino=root_ino, is_dir=True, name="/", parent_dir_id=0,
-            home_block=0, home_slot=0,  # lives with the superblock
-        )
-        self._inodes[root_ino] = inode
+        self._inodes.add(root_ino, True, "/", 0, 0, 0)  # lives with the superblock
         dir_id = self.gdt.new_dir_id(root_ino)
         group = self.mfs.next_dir_group()
         d = EmbeddedDir(dir_id=dir_id, ino=root_ino, group=group)
@@ -98,16 +94,17 @@ class EmbeddedLayout(DirectoryLayout):
     def create_dir(self, parent: EmbeddedDir, name: str, now: float) -> tuple[EmbeddedDir, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=None)
         slot = self._take_slot(parent, plan.dirties)
-        inode = self._new_inode(parent, name, now, True, slot, plan.dirties)
-        dir_id = self.gdt.new_dir_id(inode.ino)
+        row = self._new_inode(parent, name, now, True, slot, plan.dirties)
+        ino = self._inodes.ino[row]
+        dir_id = self.gdt.new_dir_id(ino)
         # §V.A: the subdirectory's *inode* sits in the parent's content, but
         # its *content* is distributed between groups by rlov.
         group = self.mfs.next_dir_group()
-        d = EmbeddedDir(dir_id=dir_id, ino=inode.ino, group=group)
+        d = EmbeddedDir(dir_id=dir_id, ino=ino, group=group)
         start, got, bitmap_dirty = self.mfs.alloc_data(group, self.params.dir_prealloc_blocks)
         d.content_runs.append((start, got))
         plan.dirties += bitmap_dirty
-        self._dirs[inode.ino] = d
+        self._dirs[ino] = d
         return (d, plan)
 
     def create_file(self, parent: EmbeddedDir, name: str, now: float) -> tuple[Inode, AccessPlan]:
@@ -129,67 +126,69 @@ class EmbeddedLayout(DirectoryLayout):
                     if len(parent.content_runs) > nruns:
                         self.mfs.free_data(*parent.content_runs.pop())
                 raise
-            inode = self._new_inode(parent, name, now, False, slot, dirties)
-            inode.spill_blocks.append(block)
+            row = self._new_inode(parent, name, now, False, slot, dirties)
+            self._inodes.spill_blocks[row].append(block)
             dirties += bitmap_dirty
             dirties.append(block)
-            self._note_spill(inode, block, at="create")
+            self._note_spill(row, block, at="create")
         else:
             slot = self._take_slot(parent, dirties)
-            inode = self._new_inode(parent, name, now, False, slot, dirties)
+            row = self._new_inode(parent, name, now, False, slot, dirties)
         parent.file_count += 1
-        return (inode, plan)
+        return (Inode(self._inodes, row), plan)
 
     # -- mutation -----------------------------------------------------------------
     def delete_file(self, parent: EmbeddedDir, name: str) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
         ino = parent.entries[name]
-        inode = self._inodes[ino]
-        if inode.is_dir:
+        table = self._inodes
+        row = table.rows[ino]
+        if table.is_dir[row]:
             raise IsADirectory(name)
         # Mark the slot dead in its content block; no inode-bitmap or
         # inode-table traffic — §V.D.1's explanation of the (small)
         # deletion win.
-        plan.dirties.append(inode.home_block)
-        for blk in inode.spill_blocks:
+        plan.dirties.append(table.home_block[row])
+        for blk in table.spill_blocks[row]:
             plan.dirties += self.mfs.free_data(blk, 1)
         _, offset = decode_ino(ino)
         parent.pending_free.append(offset)
         parent.file_count -= 1
-        parent.record_sum -= inode.extent_records
+        parent.record_sum -= table.extent_records[row]
         del parent.entries[name]
-        del self._inodes[ino]
-        parent_inode = self._inodes[parent.ino]
-        plan.dirties.append(parent_inode.home_block)
+        del table[ino]
+        plan.dirties.append(table.home_block[table.rows[parent.ino]])
         if len(parent.pending_free) >= self.params.lazy_free_batch:
             plan = plan.merge(self._lazy_free(parent))
         return plan
 
     def utime(self, parent: EmbeddedDir, name: str, now: float) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        inode = self._inodes[parent.entries[name]]
-        inode.touch(now)
-        plan.reads.append((inode.home_block, 1))
-        plan.dirties.append(inode.home_block)
+        home_block = self._inodes.touch(parent.entries[name], now)
+        plan.reads.append((home_block, 1))
+        plan.dirties.append(home_block)
         return plan
 
     def set_extent_records(self, parent: EmbeddedDir, name: str, count: int) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        inode = self._inodes[parent.entries[name]]
+        table = self._inodes
+        row = table.rows[parent.entries[name]]
         if count < 0:
             raise MetadataError(f"negative extent record count: {count}")
-        parent.record_sum += count - inode.extent_records
-        inode.extent_records = count
-        plan.reads.append((inode.home_block, 1))
-        plan.dirties.append(inode.home_block)
+        parent.record_sum += count - table.extent_records[row]
+        table.extent_records[row] = count
+        home_block = table.home_block[row]
+        plan.reads.append((home_block, 1))
+        plan.dirties.append(home_block)
         needed = self._mapping_blocks_needed(count)
-        while len(inode.spill_blocks) < needed:
+        spill_blocks = table.spill_blocks[row]
+        while len(spill_blocks) < needed:
             block, _, dirty = self.mfs.alloc_data(parent.group, 1)
-            inode.spill_blocks.append(block)
+            spill_blocks.append(block)
             plan.dirties += dirty + [block]
-            self._note_spill(inode, block, at="set_extent_records")
-        while len(inode.spill_blocks) > needed:
-            block = inode.spill_blocks.pop()
+            self._note_spill(row, block, at="set_extent_records")
+        while len(spill_blocks) > needed:
+            block = spill_blocks.pop()
             plan.dirties += self.mfs.free_data(block, 1)
         return plan
 
@@ -202,7 +201,8 @@ class EmbeddedLayout(DirectoryLayout):
         plan = self._lookup_plan(src_dir, src_name, expect=True)
         plan = plan.merge(self._lookup_plan(dst_dir, dst_name, expect=None))
         old_ino = src_dir.entries[src_name]
-        inode = self._inodes.pop(old_ino)
+        table = self._inodes
+        inode = table[old_ino]
         # Free the source slot (lazily) and dirty its block.
         plan.dirties.append(inode.home_block)
         _, old_offset = decode_ino(old_ino)
@@ -214,13 +214,13 @@ class EmbeddedLayout(DirectoryLayout):
         # Allocate a destination slot and re-number the inode.
         offset, home_block, home_slot = self._take_slot(dst_dir, plan.dirties)
         new_ino = encode_ino(dst_dir.dir_id, offset)
-        inode.ino = new_ino
+        table.rows[new_ino] = table.rows.pop(old_ino)
+        table.ino[table.rows[new_ino]] = new_ino
         inode.name = dst_name
         inode.parent_dir_id = dst_dir.ino
         inode.home_block = home_block
         inode.home_slot = home_slot
-        inode.touch(now)
-        self._inodes[new_ino] = inode
+        table.touch(new_ino, now)
         dst_dir.entries[dst_name] = new_ino
         if inode.is_dir:
             d = self._dirs.pop(old_ino)
@@ -233,9 +233,7 @@ class EmbeddedLayout(DirectoryLayout):
         self.gdt.correlate_rename(old_ino, new_ino)
         plan.dirties.append(home_block)
         for d2 in (src_dir, dst_dir):
-            parent_inode = self._inodes[d2.ino]
-            parent_inode.touch(now)
-            plan.dirties.append(parent_inode.home_block)
+            plan.dirties.append(table.touch(d2.ino, now))
         if len(src_dir.pending_free) >= self.params.lazy_free_batch:
             plan = plan.merge(self._lazy_free(src_dir))
         return plan
@@ -243,10 +241,11 @@ class EmbeddedLayout(DirectoryLayout):
     # -- queries -------------------------------------------------------------------
     def stat(self, parent: EmbeddedDir, name: str) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=True)
-        inode = self._inodes[parent.entries[name]]
-        plan.reads.append((inode.home_block, 1))
+        table = self._inodes
+        row = table.rows[parent.entries[name]]
+        plan.reads.append((table.home_block[row], 1))
         plan.journal_records = 0
-        return (inode, plan)
+        return (Inode(table, row), plan)
 
     def readdir(self, parent: EmbeddedDir) -> tuple[list[str], AccessPlan]:
         plan = AccessPlan(
@@ -261,7 +260,9 @@ class EmbeddedLayout(DirectoryLayout):
         (inodes included), plus any spilled mapping blocks — "all disk
         accesses can be combined in the same disk request" (§IV.A)."""
         reads = self.prefetch_region(parent)
-        inodes = [self._inodes[ino] for ino in parent.entries.values()]
+        table = self._inodes
+        rows = map(table.rows.__getitem__, parent.entries.values())
+        inodes = [Inode(table, row) for row in rows]
         plan = AccessPlan(reads=reads, cpu_s=self._lookup_cpu(0), journal_records=0)
         return (inodes, plan)
 
@@ -271,22 +272,25 @@ class EmbeddedLayout(DirectoryLayout):
         is the run MiF's embedding guarantees exists (§IV.A), and the read
         list of :meth:`readdir_stat`."""
         reads = self._content_reads(parent)
+        table = self._inodes
+        spill_blocks, rows = table.spill_blocks, table.rows
         spills = sorted(
             blk
             for ino in parent.entries.values()
-            for blk in self._inodes[ino].spill_blocks
+            for blk in spill_blocks[rows[ino]]
         )
         reads += [(b, 1) for b in spills]
         return reads
 
     def getlayout(self, parent: EmbeddedDir, name: str) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=True)
-        inode = self._inodes[parent.entries[name]]
-        plan.reads.append((inode.home_block, 1))
-        for blk in inode.spill_blocks:
+        table = self._inodes
+        row = table.rows[parent.entries[name]]
+        plan.reads.append((table.home_block[row], 1))
+        for blk in table.spill_blocks[row]:
             plan.reads.append((blk, 1))
         plan.journal_records = 0
-        return (inode, plan)
+        return (Inode(table, row), plan)
 
     # -- §IV.B inode location -------------------------------------------------------
     def locate_inode(self, ino: int) -> tuple[Inode, list[int]]:
@@ -308,22 +312,17 @@ class EmbeddedLayout(DirectoryLayout):
     def _new_inode(
         self, parent: EmbeddedDir, name: str, now: float, is_dir: bool,
         slot: tuple[int, int, int], dirties: list[int],
-    ) -> Inode:
+    ) -> int:
         """Enter ``name`` in ``parent`` with its inode in the taken ``slot``,
-        appending what that dirties to ``dirties``."""
+        appending what that dirties to ``dirties``; returns the inode's row."""
         offset, home_block, home_slot = slot
         ino = encode_ino(parent.dir_id, offset)
-        inode = Inode(
-            ino=ino, is_dir=is_dir, name=name, parent_dir_id=parent.ino,
-            home_block=home_block, home_slot=home_slot, mtime=now, ctime=now,
-        )
-        self._inodes[ino] = inode
+        table = self._inodes
+        row = table.add(ino, is_dir, name, parent.ino, home_block, home_slot, now)
         parent.entries[name] = ino
         dirties.append(home_block)
-        parent_inode = self._inodes[parent.ino]
-        parent_inode.touch(now)
-        dirties.append(parent_inode.home_block)
-        return inode
+        dirties.append(table.touch(parent.ino, now))
+        return row
 
     def _take_slot(self, d: EmbeddedDir, dirties: list[int]) -> tuple[int, int, int]:
         """Claim a content slot — (offset, home block, home slot) — extending
@@ -397,13 +396,16 @@ class EmbeddedLayout(DirectoryLayout):
         d.pending_free.clear()
         return plan
 
-    def _note_spill(self, inode: Inode, block: int, at: str) -> None:
-        """Observability hook for mapping spills out of the inode tail."""
+    def _note_spill(self, row: int, block: int, at: str) -> None:
+        """Observability hook for a mapping spill out of the inode tail of
+        the inode in ``row``."""
         if self.metrics is not None:
             self.metrics.incr("meta.inode_spill_blocks")
         if self.tracer.enabled:
+            table = self._inodes
             self.tracer.record(
-                _INODE_SPILL, None, 0.0, None, inode.ino, block, len(inode.spill_blocks), at
+                _INODE_SPILL, None, 0.0, None, table.ino[row], block,
+                len(table.spill_blocks[row]), at,
             )
 
     def _mapping_blocks_needed(self, records: int) -> int:

@@ -17,7 +17,7 @@ from typing import Any
 
 from repro.config import MetaParams
 from repro.errors import FileNotFound
-from repro.meta.inode import Inode
+from repro.meta.inode import Inode, InodeTable
 from repro.meta.mfs import MetadataFS
 from repro.obs.trace import NULL_TRACER
 
@@ -117,7 +117,7 @@ class DirectoryLayout(abc.ABC):
     def __init__(self, params: MetaParams, mfs: MetadataFS) -> None:
         self.params = params
         self.mfs = mfs
-        self._inodes: dict[int, Inode] = {}
+        self._inodes = InodeTable()
         self._dirs: dict[int, Any] = {}  # narrowed per layout in subclasses
         self.root: Any = None  # set by make_root()
 
@@ -180,10 +180,6 @@ class DirectoryLayout(abc.ABC):
     def dirs(self) -> list[Any]:
         """Live directory handles (observability accessor, creation order)."""
         return list(self._dirs.values())
-
-    def lookup_inode(self, ino: int) -> Inode | None:
-        """Inode by number, or ``None`` — non-raising observability lookup."""
-        return self._inodes.get(ino)
 
     def _lookup_cpu(self, entries_scanned: int) -> float:
         """CPU cost of a directory search: Htree hash lookup (ext4/Lustre)

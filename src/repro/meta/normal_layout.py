@@ -53,11 +53,7 @@ class NormalLayout(DirectoryLayout):
     def make_root(self) -> NormalDir:
         ino_index, _ = self.mfs.alloc_inode(0)
         home_block, home_slot = self.mfs.itable_block_of(ino_index)
-        inode = Inode(
-            ino=ino_index, is_dir=True, name="/", parent_dir_id=0,
-            home_block=home_block, home_slot=home_slot,
-        )
-        self._inodes[ino_index] = inode
+        self._inodes.add(ino_index, True, "/", 0, home_block, home_slot)
         d = NormalDir(ino=ino_index, group=0)
         self._dirs[ino_index] = d
         self._add_dentry_block(d)
@@ -88,14 +84,10 @@ class NormalLayout(DirectoryLayout):
             mfs.free_inode(ino_index)
             mfs._dir_rotor = group
             raise
-        self._inodes[ino_index] = Inode(
-            ino=ino_index, is_dir=True, name=name, parent_dir_id=parent.ino,
-            home_block=home_block, home_slot=home_slot, mtime=now, ctime=now,
-        )
+        table = self._inodes
+        table.add(ino_index, True, name, parent.ino, home_block, home_slot, now)
         self._dirs[ino_index] = d
-        parent_inode = self._inodes[parent.ino]
-        parent_inode.touch(now)
-        dirties.append(parent_inode.home_block)
+        dirties.append(table.touch(parent.ino, now))
         return (d, plan)
 
     def create_file(self, parent: NormalDir, name: str, now: float) -> tuple[Inode, AccessPlan]:
@@ -112,57 +104,56 @@ class NormalLayout(DirectoryLayout):
         except NoSpaceError:
             mfs.free_inode(ino_index)  # no dentry block to be had: no inode either
             raise
-        inode = self._inodes[ino_index] = Inode(
-            ino=ino_index, is_dir=False, name=name, parent_dir_id=parent.ino,
-            home_block=home_block, home_slot=home_slot, mtime=now, ctime=now,
-        )
-        parent_inode = self._inodes[parent.ino]
-        parent_inode.touch(now)
-        dirties.append(parent_inode.home_block)
-        return (inode, plan)
+        table = self._inodes
+        row = table.add(ino_index, False, name, parent.ino, home_block, home_slot, now)
+        dirties.append(table.touch(parent.ino, now))
+        return (Inode(table, row), plan)
 
     # -- mutation ---------------------------------------------------------------
     def delete_file(self, parent: NormalDir, name: str) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
         ino = parent.entries[name]
-        inode = self._inodes[ino]
-        if inode.is_dir:
+        table = self._inodes
+        row = table.rows[ino]
+        if table.is_dir[row]:
             raise IsADirectory(name)
         # Entry block, inode table block and inode bitmap all get dirtied;
         # mapping blocks (if any) are freed, dirtying the block bitmap too.
         dirties = plan.dirties
         dirties.append(self._drop_entry(parent, name))
-        dirties.append(inode.home_block)
+        dirties.append(table.home_block[row])
         dirties += self.mfs.free_inode(ino)
-        for blk in inode.spill_blocks:
+        for blk in table.spill_blocks[row]:
             dirties += self.mfs.free_data(blk, 1)
-        del self._inodes[ino]
-        dirties.append(self._inodes[parent.ino].home_block)
+        del table[ino]
+        dirties.append(table.home_block[table.rows[parent.ino]])
         return plan
 
     def utime(self, parent: NormalDir, name: str, now: float) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        inode = self._inodes[parent.entries[name]]
-        inode.touch(now)
-        plan.reads.append((inode.home_block, 1))
-        plan.dirties.append(inode.home_block)
+        home_block = self._inodes.touch(parent.entries[name], now)
+        plan.reads.append((home_block, 1))
+        plan.dirties.append(home_block)
         return plan
 
     def set_extent_records(self, parent: NormalDir, name: str, count: int) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        inode = self._inodes[parent.entries[name]]
+        table = self._inodes
+        row = table.rows[parent.entries[name]]
         if count < 0:
             raise MetadataError(f"negative extent record count: {count}")
-        inode.extent_records = count
-        plan.reads.append((inode.home_block, 1))
-        plan.dirties.append(inode.home_block)
+        table.extent_records[row] = count
+        home_block = table.home_block[row]
+        plan.reads.append((home_block, 1))
+        plan.dirties.append(home_block)
         needed = self._mapping_blocks_needed(count)
-        while len(inode.spill_blocks) < needed:
+        spill_blocks = table.spill_blocks[row]
+        while len(spill_blocks) < needed:
             block, _, dirty = self.mfs.alloc_data(parent.group, 1)
-            inode.spill_blocks.append(block)
+            spill_blocks.append(block)
             plan.dirties += dirty + [block]
-        while len(inode.spill_blocks) > needed:
-            block = inode.spill_blocks.pop()
+        while len(spill_blocks) > needed:
+            block = spill_blocks.pop()
             plan.dirties += self.mfs.free_data(block, 1)
         return plan
 
@@ -179,21 +170,20 @@ class NormalLayout(DirectoryLayout):
         self._append_entry(dst_dir, dst_name, ino, plan.dirties)
         inode.name = dst_name
         inode.parent_dir_id = dst_dir.ino
-        inode.touch(now)
-        plan.dirties.append(inode.home_block)
+        table = self._inodes
+        plan.dirties.append(table.touch(ino, now))
         for d in (src_dir, dst_dir):
-            parent_inode = self._inodes[d.ino]
-            parent_inode.touch(now)
-            plan.dirties.append(parent_inode.home_block)
+            plan.dirties.append(table.touch(d.ino, now))
         return plan
 
     # -- queries ----------------------------------------------------------------
     def stat(self, parent: NormalDir, name: str) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=True)
-        inode = self._inodes[parent.entries[name]]
-        plan.reads.append((inode.home_block, 1))
+        table = self._inodes
+        row = table.rows[parent.entries[name]]
+        plan.reads.append((table.home_block[row], 1))
         plan.journal_records = 0
-        return (inode, plan)
+        return (Inode(table, row), plan)
 
     def readdir(self, parent: NormalDir) -> tuple[list[str], AccessPlan]:
         plan = AccessPlan(
@@ -212,12 +202,14 @@ class NormalLayout(DirectoryLayout):
         per_block: dict[int, list[str]] = {b: [] for b in parent.dentry_blocks}
         for name, block in parent.entry_block.items():
             per_block[block].append(name)
+        table = self._inodes
+        rows, home_block = table.rows, table.home_block
         for block in parent.dentry_blocks:
             reads.append((block, 1))
             for name in per_block[block]:
-                inode = self._inodes[parent.entries[name]]
-                inodes.append(inode)
-                reads.append((inode.home_block, 1))
+                row = rows[parent.entries[name]]
+                inodes.append(Inode(table, row))
+                reads.append((home_block[row], 1))
         plan = AccessPlan(
             reads=reads,
             cpu_s=self._lookup_cpu(len(parent.entries)),
@@ -227,12 +219,13 @@ class NormalLayout(DirectoryLayout):
 
     def getlayout(self, parent: NormalDir, name: str) -> tuple[Inode, AccessPlan]:
         plan = self._lookup_plan(parent, name, expect=True)
-        inode = self._inodes[parent.entries[name]]
-        plan.reads.append((inode.home_block, 1))
-        for blk in inode.spill_blocks:
+        table = self._inodes
+        row = table.rows[parent.entries[name]]
+        plan.reads.append((table.home_block[row], 1))
+        for blk in table.spill_blocks[row]:
             plan.reads.append((blk, 1))
         plan.journal_records = 0
-        return (inode, plan)
+        return (Inode(table, row), plan)
 
     # -- internals ----------------------------------------------------------------
     def dir_of(self, ino: int) -> NormalDir:

@@ -322,15 +322,13 @@ class LayoutInspector:
             file_count = getattr(d, "file_count", None)
             record_sum = getattr(d, "record_sum", None)
             if file_count is None or record_sum is None:
-                # Normal layout: derive from the live inodes.
-                file_count = 0
-                record_sum = 0
-                for ino in d.entries.values():
-                    inode = layout.lookup_inode(ino)
-                    if inode is None or inode.is_dir:
-                        continue
-                    file_count += 1
-                    record_sum += inode.extent_records
+                # Normal layout: derive from the live inodes' columns.
+                table = layout._inodes
+                rows = table.rows_of(d.entries.values())
+                is_dir, records = table.gather(rows, "is_dir", "extent_records")
+                files = (rows >= 0) & ~is_dir
+                file_count = int(files.sum())
+                record_sum = int(records[files].sum())
             degrees.append((file_count, record_sum))
         files = sum(fc for fc, _ in degrees)
         records = sum(rs for _, rs in degrees)

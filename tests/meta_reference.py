@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import OrderedDict
+from dataclasses import dataclass, field, fields
 
 from repro.disk.cache import BufferCache
 from repro.disk.model import BlockRequest
 from repro.errors import FileExists, FileNotFound, IsADirectory, MetadataError
 from repro.meta.embedded_layout import EmbeddedDir
-from repro.meta.inode import Inode
+from repro.meta.inode import Inode as InodeHandle
 from repro.meta.inumber import GlobalDirectoryTable, decode_ino, encode_ino
 from repro.meta.journal import Journal, JournalRecord
 from repro.meta.layout import AccessPlan, DirectoryLayout
@@ -48,6 +49,50 @@ from repro.meta.normal_layout import NormalDir
 from repro.workloads.base import MetaOp
 
 from tests.metrics_reference import ReferenceDisk, ReferenceMetrics
+
+
+@dataclass
+class Inode:
+    """``repro.meta.inode.Inode`` as it was before the inode table became
+    its columns: one record per inode, what the oracle layouts store."""
+
+    ino: int
+    is_dir: bool
+    name: str
+    parent_dir_id: int
+    home_block: int
+    home_slot: int
+    size: int = 0
+    nlink: int = 1
+    mtime: float = 0.0
+    ctime: float = 0.0
+    extent_records: int = 0
+    spill_blocks: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.ino < 0:
+            raise MetadataError(f"negative inode number: {self.ino}")
+        if self.home_block < 0 or self.home_slot < 0:
+            raise MetadataError(f"invalid inode home: {self}")
+
+    def touch(self, now: float) -> None:
+        """Update timestamps (utime/setattr)."""
+        self.mtime = now
+        self.ctime = now
+
+
+def as_record(value):
+    """``value`` with every inode in it — a live table handle or an oracle
+    record, alone or inside tuples and lists — read out as a fresh
+    :class:`Inode` record, so live and oracle results compare field for
+    field."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(as_record, value))
+    if isinstance(value, (Inode, InodeHandle)):
+        record = {f.name: getattr(value, f.name) for f in fields(Inode)}
+        record["spill_blocks"] = list(record["spill_blocks"])
+        return Inode(**record)
+    return value
 
 def reference_per_file_program(self, dirs: list, method: str):
     """Round-robin ``method`` over every (file, client) pair: clients
@@ -95,6 +140,7 @@ class ReferenceNormalLayout(_ParentChecks, DirectoryLayout):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self._inodes: dict[int, Inode] = {}
         self._dirs: dict[int, NormalDir] = {}
         self.dentries_per_block = self.mfs.block_size // self.params.dentry_size
         self.records_per_block = self.mfs.block_size // self.params.extent_record_size
@@ -349,6 +395,7 @@ class ReferenceEmbeddedLayout(_ParentChecks, DirectoryLayout):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self._inodes: dict[int, Inode] = {}
         self.gdt = GlobalDirectoryTable()
         self._dirs: dict[int, EmbeddedDir] = {}
         self.slots_per_block = self.mfs.block_size // self.params.inode_size

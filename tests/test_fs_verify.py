@@ -133,7 +133,7 @@ class TestFindingCodes:
         fs.create("/d/f")
         layout = fs.mds.layout
         (ino,) = [
-            i for i, inode in layout._inodes.items() if inode.name == "f"
+            i for i in layout._inodes.rows if layout._inodes[i].name == "f"
         ]
         # Corrupt: home block relocated outside every directory's content.
         layout._inodes[ino].home_block = 10**9

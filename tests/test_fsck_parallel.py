@@ -313,7 +313,8 @@ class TestHandBuiltMetadataDamage:
         layout = mds.layout
         d = dirs_of(mds)[1]
         beyond = layout.mfs.group_count * layout.mfs.params.inodes_per_group + 5
-        layout._inodes[beyond] = layout._inodes.pop(d.entries["f007"])
+        rows = layout._inodes.rows
+        rows[beyond] = rows.pop(d.entries["f007"])
         d.entries["f007"] = beyond
         with pytest.raises(MetadataError, match=f"group out of range: {layout.mfs.group_count}"):
             check_mds(mds)

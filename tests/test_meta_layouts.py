@@ -31,6 +31,14 @@ def layout(request):
     return make_layout(request.param)
 
 
+def assert_same_inode(got, want):
+    """Inode handles are built per call: the same row, the same fields."""
+    assert (got._table, got._row) == (want._table, want._row)
+    assert (got.ino, got.name, got.home_block, got.home_slot, got.mtime) == (
+        want.ino, want.name, want.home_block, want.home_slot, want.mtime
+    )
+
+
 class TestCommonSemantics:
     """Both layouts implement identical namespace semantics."""
 
@@ -38,7 +46,7 @@ class TestCommonSemantics:
         d, _ = layout.create_dir(layout.root, "d", now=1.0)
         inode, _ = layout.create_file(d, "f", now=2.0)
         got, plan = layout.stat(d, "f")
-        assert got is inode
+        assert_same_inode(got, inode)
         assert got.mtime == 2.0
         assert plan.journal_records == 0  # stat does not journal
 
@@ -161,10 +169,12 @@ class TestNormalFootprints:
     def test_delete_frees_inode(self):
         layout = make_layout("normal")
         inode, _ = layout.create_file(layout.root, "f", now=0.0)
+        # Read before the delete: a deleted inode's handle raises.
+        old_ino = inode.ino
         plan = layout.delete_file(layout.root, "f")
         assert layout.mfs.inode_bitmap_block(layout.root.group) in plan.dirties
         ino2, _ = layout.create_file(layout.root, "g", now=0.0)
-        assert ino2.ino == inode.ino  # slot reused
+        assert ino2.ino == old_ino  # slot reused
 
     def test_dentry_block_growth(self):
         layout = make_layout("normal")
@@ -264,7 +274,7 @@ class TestEmbeddedFootprints:
         # §IV.B: changes routed through the old id reach the new inode.
         assert layout.gdt.resolve(old_ino) == new_inode.ino
         located, chain = layout.locate_inode(old_ino)
-        assert located is new_inode
+        assert_same_inode(located, new_inode)
         assert chain[0] == d2.ino
 
     def test_locate_inode_tracks_back_to_root(self):
@@ -273,7 +283,7 @@ class TestEmbeddedFootprints:
         sub, _ = layout.create_dir(d, "sub", now=0.0)
         inode, _ = layout.create_file(sub, "f", now=0.0)
         located, chain = layout.locate_inode(inode.ino)
-        assert located is inode
+        assert_same_inode(located, inode)
         assert chain == [sub.ino, d.ino, layout.root.ino]
 
     def test_renamed_directory_keeps_working(self):
@@ -284,4 +294,4 @@ class TestEmbeddedFootprints:
         # Children still resolve through the (re-pointed) directory table.
         inode, _ = layout.stat(d, "f")
         located, _ = layout.locate_inode(inode.ino)
-        assert located is inode
+        assert_same_inode(located, inode)

@@ -58,6 +58,7 @@ from .meta_reference import (
     ReferenceEmbeddedLayout,
     ReferenceMetadataServer,
     ReferenceNormalLayout,
+    as_record,
     reference_item_program,
     reference_per_file_program,
 )
@@ -127,17 +128,21 @@ LAYOUT_METHOD = {
 
 
 def attempt(call, *args):
-    """The call's result, or the simulator error it raised."""
+    """The call's result (inodes read out as records), or the simulator
+    error it raised."""
     try:
-        return call(*args)
+        return as_record(call(*args))
     except ReproError as exc:
         return (type(exc), exc.args)
 
 
 def layout_state(layout) -> dict:
-    mfs = layout.mfs
+    mfs, inodes = layout.mfs, layout._inodes
     state = {
-        "inodes": list(layout._inodes.items()),
+        # Inode numbers in table order: the oracle's dict, the table's rows.
+        "inodes": [
+            (ino, as_record(inodes[ino])) for ino in getattr(inodes, "rows", inodes)
+        ],
         "dirs": list(layout._dirs.items()),
         "bitmaps": [
             (b._used.tobytes(), b._rotor, b.used_count)
@@ -532,7 +537,10 @@ def namespace_state(mds: MetadataServer) -> dict:
         )
     return {
         "dirs": dirs,
-        "inodes": {ino: replace(i) for ino, i in layout._inodes.items()},
+        "inodes": {
+            ino: as_record(layout._inodes[ino])
+            for ino in getattr(layout._inodes, "rows", layout._inodes)
+        },
         "used": [b.used_count for b in mfs._block_bitmaps + mfs._inode_bitmaps],
         "dir_rotor": mfs._dir_rotor,
         "journal": (mds.journal.head_block, len(mds._redo)),

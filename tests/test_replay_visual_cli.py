@@ -145,14 +145,20 @@ class TestCli:
         ["service", "--duration", "inf"], ["service", "--telemetry", "-1"],
         ["service", "--telemetry", "nan"], ["service", "--scrub-corrupt", "-1"],
         ["service", "--sample", "1/0"], ["service", "--slo", "junk"],
+        ["bench", "run", "--names", "fig_fsck,fig_fsck"],
+        ["bench", "run", "--names", ","],
     ], ids=lambda argv: " ".join(argv))
-    def test_rejected_inputs_are_usage_errors(self, argv, capsys):
+    def test_rejected_inputs_are_usage_errors(self, argv, capsys, tmp_path):
         """Each value is refused while parsing, before anything runs."""
+        option = next(arg for arg in argv if arg.startswith("--"))
+        if argv[0] == "bench":  # what a wrongly accepted run writes lands here
+            argv = [*argv, "--out-dir", str(tmp_path)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {argv[1]}:" in err and "Traceback" not in err
+        assert f"argument {option}:" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_fsck_finds_and_repairs_corruption(self, capsys):
         assert main(["fsck", "--scale", "0.3", "--seed", "3"]) == 1
