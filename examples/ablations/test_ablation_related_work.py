@@ -120,8 +120,7 @@ def test_ablation_replication():
             bytes_read = 0
             for _ in range(passes):
                 for off in range(0, 192 * MiB, 1 * MiB):
-                    requests = mgr.read(f, off, 1 * MiB)
-                    plane.array.submit_batch(requests)
+                    plane.array.submit_batch(*mgr.read(f, off, 1 * MiB))
                     bytes_read += 1 * MiB
             elapsed = plane.array.elapsed_s - start
             out[passes] = bytes_read / elapsed / MiB

@@ -23,8 +23,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.block.extent import Extent, ExtentFlags
-from repro.disk.model import BlockRequest
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
@@ -57,7 +58,10 @@ def defragment(plane: DataPlane, f: RedbudFile) -> DefragResult:
     moves data.
     """
     extents_before = f.extent_count
-    requests: list[BlockRequest] = []
+    # The copy's requests as columns: (start, nblocks, is_write) per run.
+    starts: list[int] = []
+    nblocks: list[int] = []
+    writes: list[bool] = []
     blocks_moved = 0
     for slot, smap in enumerate(f.maps):
         old = [e for e in smap.extents() if not e.unwritten]
@@ -66,7 +70,9 @@ def defragment(plane: DataPlane, f: RedbudFile) -> DefragResult:
             continue
         # Read the fragmented original.
         for e in old:
-            requests.append(BlockRequest(e.physical, e.length, is_write=False))
+            starts.append(e.physical)
+            nblocks.append(e.length)
+            writes.append(False)
         total = sum(e.length for e in old)
         # Allocate the destination (contiguous best effort), logical order.
         pieces: list[tuple[int, int]] = []  # (start, length)
@@ -77,7 +83,9 @@ def defragment(plane: DataPlane, f: RedbudFile) -> DefragResult:
                 f.layout[slot], remaining, hint=hint, minimum=1
             )
             pieces.append((start, got))
-            requests.append(BlockRequest(start, got, is_write=True))
+            starts.append(start)
+            nblocks.append(got)
+            writes.append(True)
             hint = start + got
             remaining -= got
         # Rewrite the map: logical order packed into the new pieces.
@@ -102,7 +110,11 @@ def defragment(plane: DataPlane, f: RedbudFile) -> DefragResult:
                 lcursor += take
                 remaining_len -= take
         blocks_moved += total
-    elapsed = plane.array.submit_batch(requests)
+    elapsed = plane.array.submit_batch(
+        np.array(starts, dtype=np.int64),
+        np.array(nblocks, dtype=np.int64),
+        np.array(writes, dtype=bool),
+    )
     plane.metrics.incr("defrag.runs")
     plane.metrics.incr("defrag.blocks_moved", blocks_moved)
     return DefragResult(

@@ -28,11 +28,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.disk.model import BlockRequest
+import numpy as np
+
 from repro.errors import ReproError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.units import block_span
+
+#: A batch of physical requests as columns — int64 ``starts`` and
+#: ``nblocks``, bool ``is_write`` — ready for ``DiskArray.submit_batch``.
+Requests = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _columns(starts: list[int], nblocks: list[int], writes: list[bool]) -> Requests:
+    return (
+        np.array(starts, dtype=np.int64),
+        np.array(nblocks, dtype=np.int64),
+        np.array(writes, dtype=bool),
+    )
 
 
 @dataclass
@@ -72,7 +85,7 @@ class ReplicationManager:
         self._states: dict[int, ReplicaState] = {}
 
     # -- read path ----------------------------------------------------------
-    def read(self, f: RedbudFile, offset: int, nbytes: int) -> list[BlockRequest]:
+    def read(self, f: RedbudFile, offset: int, nbytes: int) -> Requests:
         """Read through the manager: replica if active, original otherwise.
 
         Observes fragmentation and triggers replication when the pattern
@@ -83,26 +96,29 @@ class ReplicationManager:
         if state.active:
             self.plane.metrics.incr("replica.reads")
             return self._replica_requests(f, state, offset, nbytes)
-        requests = self.plane.read(f, offset, nbytes)
+        starts, nblocks = self.plane.read(f, offset, nbytes)
         state.reads_observed += 1
-        state.fragments_observed += len(requests)
+        state.fragments_observed += starts.shape[0]
+        requests = (starts, nblocks, np.zeros(starts.shape[0], dtype=bool))
         if (
             state.reads_observed >= self.min_reads
             and state.fragmentation_ratio >= self.trigger_ratio
         ):
-            requests = requests + self.replicate(f)
+            copy = self.replicate(f)
+            requests = tuple(np.concatenate(pair) for pair in zip(requests, copy))
         return requests
 
-    def write(self, f: RedbudFile, stream: int, offset: int, nbytes: int) -> list[BlockRequest]:
+    def write(self, f: RedbudFile, stream: int, offset: int, nbytes: int) -> Requests:
         """Writes go to the original and invalidate any replica."""
         state = self._states.get(f.file_id)
         if state is not None and state.active:
             self.drop_replica(f)
             self.plane.metrics.incr("replica.invalidations")
-        return self.plane.write(f, stream, offset, nbytes)
+        starts, nblocks = self.plane.write(f, stream, offset, nbytes)
+        return starts, nblocks, np.ones(starts.shape[0], dtype=bool)
 
     # -- replica lifecycle ------------------------------------------------------
-    def replicate(self, f: RedbudFile) -> list[BlockRequest]:
+    def replicate(self, f: RedbudFile) -> Requests:
         """Build a contiguous, logically-ordered replica of ``f``.
 
         Returns the requests of the copy itself: a read of every original
@@ -110,8 +126,10 @@ class ReplicationManager:
         """
         state = self._states.setdefault(f.file_id, ReplicaState())
         if state.active:
-            return []
-        requests: list[BlockRequest] = []
+            return _columns([], [], [])
+        starts: list[int] = []
+        nblocks: list[int] = []
+        writes: list[bool] = []
         slot_runs: list[list[tuple[int, int, int]]] = []
         for slot, smap in enumerate(f.maps):
             runs: list[tuple[int, int, int]] = []
@@ -122,7 +140,9 @@ class ReplicationManager:
                 continue
             # Read the fragmented original...
             for e in extents:
-                requests.append(BlockRequest(e.physical, e.length, is_write=False))
+                starts.append(e.physical)
+                nblocks.append(e.length)
+                writes.append(False)
             # ...and write one contiguous copy in dlocal order.
             remaining = total
             hint = None
@@ -132,7 +152,9 @@ class ReplicationManager:
                 start, got = self.plane.fsm.allocate_in_group(
                     f.layout[slot], remaining, hint=hint, minimum=1
                 )
-                requests.append(BlockRequest(start, got, is_write=True))
+                starts.append(start)
+                nblocks.append(got)
+                writes.append(True)
                 # Record which dlocal range this physical run backs.
                 take = got
                 while take > 0 and flat:
@@ -151,9 +173,9 @@ class ReplicationManager:
         state.active = True
         self.plane.metrics.incr("replica.built")
         self.plane.metrics.incr(
-            "replica.copied_blocks", sum(r.nblocks for r in requests if r.is_write)
+            "replica.copied_blocks", sum(n for n, w in zip(nblocks, writes) if w)
         )
-        return requests
+        return _columns(starts, nblocks, writes)
 
     def drop_replica(self, f: RedbudFile) -> None:
         """Free the replica's blocks (invalidation or file delete)."""
@@ -177,20 +199,20 @@ class ReplicationManager:
     # -- internals ----------------------------------------------------------
     def _replica_requests(
         self, f: RedbudFile, state: ReplicaState, offset: int, nbytes: int
-    ) -> list[BlockRequest]:
+    ) -> Requests:
         lb, nb = block_span(offset, nbytes, self.plane.block_size)
-        requests: list[BlockRequest] = []
+        starts: list[int] = []
+        nblocks: list[int] = []
         for slot, dstart, dcount in f.segments(lb, nb):
             for dlocal, physical, length in state.slot_runs[slot]:
                 lo = max(dlocal, dstart)
                 hi = min(dlocal + length, dstart + dcount)
                 if lo < hi:
-                    requests.append(
-                        BlockRequest(physical + (lo - dlocal), hi - lo, is_write=False)
-                    )
+                    starts.append(physical + (lo - dlocal))
+                    nblocks.append(hi - lo)
         self.plane.metrics.incr("fs.reads")
         self.plane.metrics.incr("fs.bytes_read", nbytes)
-        return requests
+        return _columns(starts, nblocks, [False] * len(starts))
 
 
 def _coalesce_runs(

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from repro.core.run import RunnerCommand, RunResult, register
 from repro.core.runners.fsck import print_repair
 from repro.core.sweep import _Run, _scaled
-from repro.disk.model import BlockRequest
 from repro.errors import CrashError, LatentSectorError
 from repro.fault import Corruptor, FaultInjector, FaultPlan
 from repro.fs.profiles import redbud_mif_profile
@@ -118,12 +117,12 @@ def fault_campaign(
     injected_disk = None
     for r in range(rounds):
         for i, f in enumerate(files):
-            reqs = plane.write(f, make_stream_id(i, 0), r * chunk, chunk)
-            if injected_disk is None and reqs:
-                idx, _ = plane.array.locate(reqs[0].start)
+            starts, nblocks = plane.write(f, make_stream_id(i, 0), r * chunk, chunk)
+            if injected_disk is None and starts.shape[0]:
+                idx, _ = plane.array.locate(int(starts[0]))
                 injected_disk = plane.array.disks[idx]
                 injected_disk.attach_injector(data_injector)
-            plane.array.submit_batch(reqs)
+            plane.array.submit_batch(starts, nblocks, True)
     lse_rng = derive_rng(seed + 1, "fault", "develop")
     written = sorted(data_injector.written)
     if written:
@@ -133,14 +132,14 @@ def fault_campaign(
         data_injector.develop_lse(picks)
     healed = 0
     for f in files:
-        for req in plane.read(f, 0, f.size_bytes):
+        starts, nblocks = plane.read(f, 0, f.size_bytes)
+        for at in range(starts.shape[0]):
+            req = starts[at:at + 1], nblocks[at:at + 1]
             try:
-                plane.array.submit_batch([req])
+                plane.array.submit_batch(*req, False)
             except LatentSectorError:
-                plane.array.submit_batch(
-                    [BlockRequest(req.start, req.nblocks, is_write=True)]
-                )
-                plane.array.submit_batch([req])  # verify the heal took
+                plane.array.submit_batch(*req, True)
+                plane.array.submit_batch(*req, False)  # verify the heal took
                 healed += 1
     run.phase(
         "scrub",

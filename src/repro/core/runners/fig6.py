@@ -28,24 +28,27 @@ class Fig6aResult:
         return self.throughput[other][n] / self.throughput[base][n] - 1.0
 
 
-def _fig6a_cell(spec, tracer=None) -> CellResult:
-    """One (stream count, policy) point of Fig. 6(a)."""
-    scale, seed, ndisks, n, policy = spec
+def _fig6_cell(spec, tracer=None) -> CellResult:
+    """One point of Fig. 6: ``policy`` writes the shared file with
+    ``nstreams`` streams of ``size``-byte requests, then reads it back;
+    ``tag`` names the point in its phase and layout labels.  The payload is
+    the read throughput (MiB/s) and the file's extent count."""
+    scale, seed, ndisks, nstreams, size, policy, tag = spec
     cell = _Cell(tracer)
     file_bytes = _scaled(192 * MiB, scale, floor=16 * MiB)
     cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=ndisks), policy)
     plane = cell.plane(cfg)
     bench = SharedFileMicrobench(
-        nstreams=n,
-        file_bytes=file_bytes - file_bytes % n,
-        write_request_bytes=16 * KiB,
+        nstreams=nstreams,
+        file_bytes=file_bytes - file_bytes % nstreams,
+        write_request_bytes=size,
         seed=seed,
     )
     f = bench.create_shared_file(plane)
-    cell.phase(f"write:{policy}:n{n}", bench.phase1_write(plane, f))
+    cell.phase(f"write:{policy}:{tag}", bench.phase1_write(plane, f))
     plane.close_file(f)
-    result = cell.phase(f"read:{policy}:n{n}", bench.phase2_read(plane, f))
-    cell.capture(f"{policy}:n{n}", plane, region_bytes=bench.region_bytes)
+    result = cell.phase(f"read:{policy}:{tag}", bench.phase2_read(plane, f))
+    cell.capture(f"{policy}:{tag}", plane, region_bytes=bench.region_bytes)
     return cell.result((result.mib_per_s, f.extent_count))
 
 
@@ -69,12 +72,12 @@ def micro_stream_count(
     throughput: dict[str, dict[int, float]] = {p: {} for p in policies}
     extents: dict[str, dict[int, int]] = {p: {} for p in policies}
     specs = [
-        (scale, seed, ndisks, n, policy)
+        (scale, seed, ndisks, n, 16 * KiB, policy, f"n{n}")
         for n in stream_counts
         for policy in policies
     ]
-    for spec, cell in zip(specs, run.cells(specs, _fig6a_cell, jobs)):
-        n, policy = spec[3], spec[4]
+    for spec, cell in zip(specs, run.cells(specs, _fig6_cell, jobs)):
+        n, policy = spec[3], spec[5]
         throughput[policy][n], extents[policy][n] = cell.payload
     return run.result(Fig6aResult(list(stream_counts), throughput, extents))
 
@@ -107,27 +110,6 @@ class Fig6bResult:
     throughput: dict[str, dict[int, float]]  # policy -> bytes -> MiB/s
 
 
-def _fig6b_cell(spec, tracer=None) -> CellResult:
-    """One (request size, policy) point of Fig. 6(b)."""
-    scale, seed, ndisks, nstreams, size, policy = spec
-    cell = _Cell(tracer)
-    file_bytes = _scaled(192 * MiB, scale, floor=16 * MiB)
-    cfg = with_alloc_policy(redbud_vanilla_profile(ndisks=ndisks), policy)
-    plane = cell.plane(cfg)
-    bench = SharedFileMicrobench(
-        nstreams=nstreams,
-        file_bytes=file_bytes - file_bytes % nstreams,
-        write_request_bytes=size,
-        seed=seed,
-    )
-    f = bench.create_shared_file(plane)
-    cell.phase(f"write:{policy}:req{size}", bench.phase1_write(plane, f))
-    plane.close_file(f)
-    result = cell.phase(f"read:{policy}:req{size}", bench.phase2_read(plane, f))
-    cell.capture(f"{policy}:req{size}", plane, region_bytes=bench.region_bytes)
-    return cell.result(result.mib_per_s)
-
-
 @register("fig6b")
 def micro_request_size(
     *,
@@ -148,13 +130,13 @@ def micro_request_size(
     )
     throughput: dict[str, dict[int, float]] = {p: {} for p in policies}
     specs = [
-        (scale, seed, ndisks, nstreams, size, policy)
+        (scale, seed, ndisks, nstreams, size, policy, f"req{size}")
         for size in request_sizes
         for policy in policies
     ]
-    for spec, cell in zip(specs, run.cells(specs, _fig6b_cell, jobs)):
+    for spec, cell in zip(specs, run.cells(specs, _fig6_cell, jobs)):
         size, policy = spec[4], spec[5]
-        throughput[policy][size] = cell.payload
+        throughput[policy][size] = cell.payload[0]
     return run.result(Fig6bResult(list(request_sizes), throughput))
 
 

@@ -163,6 +163,14 @@ class _Context:
         self.tracer.bind_clock(lambda: fs.data.array.elapsed_s, override=True)
         return fs
 
+    def _unbind_clock(self) -> None:
+        """Drop the tracer's clock once the results are taken: it is bound
+        to this context's MDS or plane, which holds the tracer, and that
+        cycle would keep the whole file system alive until a cyclic
+        collection."""
+        if isinstance(self.tracer, Tracer):
+            self.tracer.clock = None
+
     def phase(self, label: str, result: ThroughputResult) -> ThroughputResult:
         self.phases[label] = result
         if self.tracer.enabled:
@@ -209,6 +217,7 @@ class _Run(_Context):
             yield cell
 
     def result(self, payload) -> RunResult:
+        self._unbind_clock()
         return RunResult(
             name=self.name,
             fingerprint=self.fingerprint,
@@ -224,6 +233,7 @@ class _Cell(_Context):
     """One sweep cell's context; its ``result`` is picklable for workers."""
 
     def result(self, payload=None) -> CellResult:
+        self._unbind_clock()
         return CellResult(
             phases=self.phases,
             layouts=self.layouts,

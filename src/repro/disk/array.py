@@ -12,13 +12,10 @@ maximum over disks, modelling spindles that work in parallel.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.config import DiskParams, SchedulerParams
 from repro.disk.disk import SimulatedDisk
-from repro.disk.model import BlockRequest, request_columns
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
@@ -78,50 +75,48 @@ class DiskArray:
         return divmod(global_block, self.blocks_per_disk)
 
     def _checked(self, start: int, nblocks: int) -> tuple[int, int]:
-        """``(disk index, local block)`` of one request, after
-        :class:`BlockRequest`'s own construction checks, then the array's
-        range and span checks."""
-        BlockRequest(start, nblocks)
+        """``(disk index, local block)`` of one request, after the request
+        checks (a non-negative start, at least one block), then the
+        array's range and span checks."""
+        if start < 0:
+            raise SimulationError(f"negative start block: {start}")
+        if nblocks <= 0:
+            raise SimulationError(f"request must cover at least one block: {nblocks}")
         disk_idx, local = self.locate(start)
         if local + nblocks > self.blocks_per_disk:
             raise SimulationError(f"request [{start}, {start + nblocks}) spans disks")
         return disk_idx, local
 
-    def submit_batch(self, requests: Sequence[BlockRequest]) -> float:
-        """Service a batch of concurrently outstanding global requests.
-
-        Requests are split per disk and each disk services its share on its
-        own timeline.  Returns the batch's wall time: the maximum per-disk
-        batch time (disks run in parallel).  The object form of
-        :meth:`submit_columns`.
-        """
-        return self.submit_columns(*request_columns(requests))
-
-    def submit_columns(
+    def submit_batch(
         self, starts: np.ndarray, nblocks: np.ndarray, is_write: np.ndarray | bool
     ) -> float:
-        """:meth:`submit_batch` for a batch held as columns: int64 global
-        ``starts`` and ``nblocks`` in arrival order, ``is_write`` a bool
-        column or one bool for the whole batch.
+        """Service a batch of concurrently outstanding global requests held
+        as columns: int64 global ``starts`` and ``nblocks`` in arrival
+        order, ``is_write`` a bool column or one bool for the whole batch.
 
-        The one submit core.  The batch is split per disk with integer
-        arithmetic and handed to each disk's
-        :meth:`~repro.disk.disk.SimulatedDisk.submit_arrays` — no per-request
-        ``locate`` calls and no :class:`BlockRequest` objects; a batch of
+        The array's one submit.  The batch is split per disk with integer
+        arithmetic and each disk services its share on its own timeline
+        (:meth:`~repro.disk.disk.SimulatedDisk.submit_arrays`); a batch of
         one has nothing to split and goes to its disk's ``submit_one``.
-        Bounds, span and length checks fire before any disk services work,
-        and disks are visited in the order the batch first touches them, so
-        trace events come out in arrival order of the disks.
+        Returns the batch's wall time: the maximum per-disk batch time
+        (disks run in parallel).  Bounds, span and length checks fire
+        before any disk services work, and disks are visited in the order
+        the batch first touches them, so trace events come out in arrival
+        order of the disks.
         """
         n = starts.shape[0]
         if n == 0:
             return 0.0
-        if isinstance(is_write, bool):
-            is_write = np.full(n, is_write)
-        self.io_profile["batches_scalar" if n == 1 else "batches_vectorized"] += 1
+        one_kind = isinstance(is_write, bool)
         if n == 1:  # nothing to split: straight to the owning disk
+            self.io_profile["batches_scalar"] += 1
             d, local = self._checked(int(starts[0]), int(nblocks[0]))
-            return self.disks[d].submit_one(local, int(nblocks[0]), bool(is_write[0]))
+            return self.disks[d].submit_one(
+                local, int(nblocks[0]), is_write if one_kind else bool(is_write[0])
+            )
+        self.io_profile["batches_vectorized"] += 1
+        if one_kind:
+            is_write = np.full(n, is_write)
         bpd = self.blocks_per_disk
         disk_idx = starts // bpd
         local = starts - disk_idx * bpd

@@ -155,7 +155,9 @@ class SimulatedDisk:
 
         Returns the seconds spent on the whole batch.  Requests are arranged
         by the scheduler first, so a batch of adjacent runs costs a single
-        positioning operation.  The object form of :meth:`submit_arrays`.
+        positioning operation.  The object form of :meth:`submit_arrays`,
+        kept for callers holding :class:`BlockRequest` objects; every run
+        submits columns.
         """
         return self.submit_arrays(*request_columns(requests))
 
@@ -164,7 +166,7 @@ class SimulatedDisk:
     ) -> float:
         """Service a batch held as columns: int64 ``starts`` and ``nblocks``
         in arrival order, ``is_write`` a bool column or one bool for the
-        whole batch.  No :class:`BlockRequest` exists at any point.
+        whole batch.
 
         A batch of one is :meth:`submit_one`; anything longer is checked
         against capacity, arranged by the scheduler and serviced by the
@@ -298,10 +300,6 @@ class SimulatedDisk:
             raise fault
         return total
 
-    def submit(self, request: BlockRequest) -> float:
-        """Service a single request (degenerate batch)."""
-        return self.submit_one(request.start, request.nblocks, request.is_write)
-
     def submit_one(self, start: int, nblocks: int, is_write: bool) -> float:
         """A batch of one: the scheduler's batch counters, the disk metrics,
         head movement and busy-time accounting of a one-request
@@ -311,8 +309,7 @@ class SimulatedDisk:
         (head, busy time) and the trace events are produced here; the
         statistics are one row in the bag's request log, reduced by
         :func:`reduce_request_rows` before anything reads them.  Caller
-        contract: ``nblocks > 0`` and ``start >= 0``, as
-        :class:`BlockRequest` validation would enforce.  Under an armed
+        contract: ``nblocks > 0`` and ``start >= 0``.  Under an armed
         fault injector the request goes down as a one-row batch, so the
         injector sees it as columns like every other.
         """

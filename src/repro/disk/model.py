@@ -122,13 +122,10 @@ class ServiceTimeModel:
             raise SimulationError(f"negative block count: {nblocks}")
         return nblocks * self._transfer
 
-    def service_time(self, head: int, request: BlockRequest) -> float:
-        """Total service time for ``request`` with the head at ``head``."""
-        return self.positioning_time(head, request.start) + self.transfer_time(request.nblocks)
-
     def time_for(self, head: int, request: BlockRequest) -> float:
-        """Scalar oracle for :meth:`time_batch` (one request's service time)."""
-        return self.service_time(head, request)
+        """Total service time for ``request`` with the head at ``head``: the
+        scalar oracle for :meth:`time_batch`."""
+        return self.positioning_time(head, request.start) + self.transfer_time(request.nblocks)
 
     def time_batch(
         self, head: int, requests: Sequence[BlockRequest]

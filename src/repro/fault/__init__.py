@@ -1,7 +1,8 @@
 """Deterministic fault injection for the simulated file system.
 
-The fault layer sits beneath :meth:`SimulatedDisk.submit_batch` and turns a
-seeded :class:`~repro.fault.plan.FaultPlan` into latent sector errors, torn
+The fault layer sits beneath every disk submit
+(:meth:`SimulatedDisk.submit_arrays` / ``submit_one``) and turns a seeded
+:class:`~repro.fault.plan.FaultPlan` into latent sector errors, torn
 multi-block writes and crash points.  A separate structure-level
 :class:`~repro.fault.corrupt.Corruptor` damages file-system state directly
 (CrashMonkey / fsck-fuzzing style) to exercise the repair routines in

@@ -1,11 +1,12 @@
 """Data plane: striped, extent-mapped files over PAGs and a disk array.
 
 The plane performs the *mapping* half of every data operation — allocation
-policy calls, extent-map updates — and returns the physical
-:class:`~repro.disk.model.BlockRequest` lists for the caller to time against
-the disk array.  Separating mapping from timing keeps both halves
-independently testable and lets experiment runners batch concurrent streams'
-requests the way an I/O scheduler would see them.
+policy calls, extent-map updates — and returns the physical requests as
+int64 ``(starts, nblocks)`` columns for the caller to time against the disk
+array (:meth:`~repro.disk.array.DiskArray.submit_batch`).  Separating
+mapping from timing keeps both halves independently testable and lets
+experiment runners batch concurrent streams' requests the way an I/O
+scheduler would see them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.block.extent import Extent, ExtentFlags
 from repro.block.freespace import FreeSpaceManager
 from repro.config import FSConfig
 from repro.disk.array import DiskArray
-from repro.disk.model import BlockRequest
 from repro.errors import ConfigError, ReproError
 from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
@@ -36,6 +36,14 @@ from repro.units import block_span, bytes_to_blocks
 MANY_FROM = 32
 #: The counters that mapping reads books (``DataPlane.read`` / ``read_many``).
 READ_BOOKS = ("fs.reads", "fs.bytes_read", "fs.coalesced_requests")
+
+
+#: Physical requests in arrival order: int64 ``(starts, nblocks)`` columns.
+Requests = tuple[np.ndarray, np.ndarray]
+
+
+def _columns(starts: list[int], nblocks: list[int]) -> Requests:
+    return np.array(starts, dtype=np.int64), np.array(nblocks, dtype=np.int64)
 
 
 def _runs_of(keys: np.ndarray) -> Iterable[tuple[int, int]]:
@@ -151,7 +159,7 @@ class DataPlane:
         del self._files[f.file_id]
         self.metrics.incr("fs.files_deleted")
 
-    def close_file(self, f: RedbudFile) -> list[BlockRequest]:
+    def close_file(self, f: RedbudFile) -> Requests:
         """Release temporary reservations; flush delayed writes."""
         self._check_live(f)
         requests = self.fsync(f)
@@ -174,7 +182,7 @@ class DataPlane:
 
     def write(
         self, f: RedbudFile, stream: StreamId, offset: int, nbytes: int
-    ) -> list[BlockRequest]:
+    ) -> Requests:
         """Map a write and return its physical requests.
 
         Under delayed allocation an extending write may return no requests
@@ -183,7 +191,7 @@ class DataPlane:
         starts: list[int] = []
         nblocks: list[int] = []
         self._write_ops((f,), (stream,), (offset,), (nbytes,), starts, nblocks, "write")
-        return [BlockRequest(s, n, True) for s, n in zip(starts, nblocks)]
+        return _columns(starts, nblocks)
 
     def write_many(
         self,
@@ -199,9 +207,8 @@ class DataPlane:
 
         Same extents, allocator calls in the same order and metrics as that
         loop; each op's coalesced physical requests append onto
-        ``out_starts`` / ``out_nblocks`` as plain ints (no
-        :class:`BlockRequest` exists), and the per-op counters and file
-        sizes are booked once per run.  A bad range or
+        ``out_starts`` / ``out_nblocks`` as plain ints, and the per-op
+        counters and file sizes are booked once per run.  A bad range or
         :class:`~repro.errors.NoSpaceError` at op ``k`` surfaces after the
         ops before it took effect and were booked.
 
@@ -226,7 +233,7 @@ class DataPlane:
         f: RedbudFile,
         stream: StreamId,
         regions: list[tuple[int, int]],
-    ) -> list[BlockRequest]:
+    ) -> Requests:
         """Map one scatter-gather write over ``(offset, nbytes)`` regions.
 
         Equivalent to the in-order loop of scalar :meth:`write` calls —
@@ -249,7 +256,7 @@ class DataPlane:
         counters = self._counters
         counters["fs.listio_writes"] += 1
         counters["fs.listio_regions"] += n
-        return [BlockRequest(s, n, True) for s, n in zip(starts, nblocks)]
+        return _columns(starts, nblocks)
 
     def _write_ops(
         self,
@@ -688,13 +695,13 @@ class DataPlane:
         out_starts.extend(phys[heads].tolist())
         out_nblocks.extend(np.add.reduceat(length, heads).tolist())
 
-    def read(self, f: RedbudFile, offset: int, nbytes: int) -> list[BlockRequest]:
+    def read(self, f: RedbudFile, offset: int, nbytes: int) -> Requests:
         """Map a read and return its physical requests (holes read as zeros
         and cost nothing)."""
         starts: list[int] = []
         nblocks: list[int] = []
         self._read_ops(f, (offset,), (nbytes,), starts, nblocks, "read")
-        return [BlockRequest(s, n, False) for s, n in zip(starts, nblocks)]
+        return _columns(starts, nblocks)
 
     def _read_ops(
         self,
@@ -841,7 +848,7 @@ class DataPlane:
 
     def readv(
         self, f: RedbudFile, regions: list[tuple[int, int]]
-    ) -> list[BlockRequest]:
+    ) -> Requests:
         """Map one scatter-gather read over ``(offset, nbytes)`` regions.
 
         Equivalent to the in-order loop of scalar :meth:`read` calls, but
@@ -859,19 +866,21 @@ class DataPlane:
         counters = self._counters
         counters["fs.listio_reads"] += 1
         counters["fs.listio_regions"] += len(regions)
-        return [BlockRequest(s, n, False) for s, n in zip(starts, nblocks)]
+        return _columns(starts, nblocks)
 
-    def fsync(self, f: RedbudFile) -> list[BlockRequest]:
+    def fsync(self, f: RedbudFile) -> Requests:
         """Materialize delayed-allocation buffers; returns their writes."""
         self._check_live(f)
-        requests: list[BlockRequest] = []
+        starts: list[int] = []
+        nblocks: list[int] = []
         for target, runs in self.policy.flush(f.file_id):
             self._insert_runs(f.maps[target.slot], runs)
             for run in runs:
-                requests.append(BlockRequest(run.physical, run.length, is_write=True))
-        if requests:
-            self.metrics.incr("fs.delayed_flush_requests", len(requests))
-        return requests
+                starts.append(run.physical)
+                nblocks.append(run.length)
+        if starts:
+            self.metrics.incr("fs.delayed_flush_requests", len(starts))
+        return _columns(starts, nblocks)
 
     # -- crash recovery -----------------------------------------------------------
     def crash_recover(self) -> int:

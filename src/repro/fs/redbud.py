@@ -131,14 +131,12 @@ class RedbudFileSystem:
     def write(self, path: str, offset: int, nbytes: int, stream: StreamId = 0) -> float:
         """Write and wait; returns simulated disk seconds."""
         f = self._file_handle(_norm(path))
-        requests = self.data.write(f, stream, offset, nbytes)
-        return self.data.array.submit_batch(requests) if requests else 0.0
+        return self.data.array.submit_batch(*self.data.write(f, stream, offset, nbytes), True)
 
     def read(self, path: str, offset: int, nbytes: int) -> float:
         """Read and wait; returns simulated disk seconds."""
         f = self._file_handle(_norm(path))
-        requests = self.data.read(f, offset, nbytes)
-        return self.data.array.submit_batch(requests) if requests else 0.0
+        return self.data.array.submit_batch(*self.data.read(f, offset, nbytes), False)
 
     def writev(
         self,
@@ -149,20 +147,17 @@ class RedbudFileSystem:
         """Scatter-gather write: one list request over ``(offset, nbytes)``
         regions, submitted as a single batch (see docs/LISTIO.md)."""
         f = self._file_handle(_norm(path))
-        requests = self.data.writev(f, stream, regions)
-        return self.data.array.submit_batch(requests) if requests else 0.0
+        return self.data.array.submit_batch(*self.data.writev(f, stream, regions), True)
 
     def readv(self, path: str, regions: list[tuple[int, int]]) -> float:
         """Scatter-gather read: one list request over ``(offset, nbytes)``
         regions, submitted as a single batch (see docs/LISTIO.md)."""
         f = self._file_handle(_norm(path))
-        requests = self.data.readv(f, regions)
-        return self.data.array.submit_batch(requests) if requests else 0.0
+        return self.data.array.submit_batch(*self.data.readv(f, regions), False)
 
     def fsync(self, path: str) -> float:
         f = self._file_handle(_norm(path))
-        requests = self.data.fsync(f)
-        return self.data.array.submit_batch(requests) if requests else 0.0
+        return self.data.array.submit_batch(*self.data.fsync(f), True)
 
     # -- handles -----------------------------------------------------------------
     def file_handle(self, path: str) -> RedbudFile:

@@ -10,7 +10,6 @@ blocks accumulate separately and are flushed by periodic checkpoints (see
 
 from __future__ import annotations
 
-from repro.disk.model import BlockRequest
 from repro.errors import MetadataError
 
 
@@ -22,10 +21,9 @@ class JournalRecord:
     platter intact; torn or crashed commit writes leave it uncommitted and
     replay discards it (the operation never happened, durably).
 
-    A plain slots class rather than a dataclass, like
-    :class:`~repro.disk.model.BlockRequest` and for the same reason: every
-    mutating metadata operation builds one.  ``==`` and ``repr`` are the
-    dataclass's; like a mutable dataclass it is unhashable.
+    A plain slots class rather than a dataclass: every mutating metadata
+    operation builds one.  ``==`` and ``repr`` are the dataclass's; like a
+    mutable dataclass it is unhashable.
     """
 
     __slots__ = ("seq", "block", "dirties", "committed")
@@ -77,10 +75,11 @@ class Journal:
         """Next block the journal will write."""
         return self.base_block + self._head
 
-    def append(self, nblocks: int = 1) -> list[BlockRequest]:
-        """Append ``nblocks`` of commit records; returns the write requests.
+    def append(self, nblocks: int = 1) -> list[tuple[int, int]]:
+        """Append ``nblocks`` of commit records; returns the writes as
+        ``(start, nblocks)`` pairs.
 
-        Wrapping produces two requests (tail + restart at base).
+        Wrapping produces two writes (tail + restart at base).
         """
         if nblocks <= 0:
             raise MetadataError(f"journal append of {nblocks} blocks")
@@ -88,13 +87,11 @@ class Journal:
             raise MetadataError(
                 f"journal append of {nblocks} exceeds region of {self.nblocks}"
             )
-        requests: list[BlockRequest] = []
+        requests: list[tuple[int, int]] = []
         remaining = nblocks
         while remaining > 0:
             chunk = min(remaining, self.nblocks - self._head)
-            requests.append(
-                BlockRequest(self.base_block + self._head, chunk, is_write=True)
-            )
+            requests.append((self.base_block + self._head, chunk))
             self._head = (self._head + chunk) % self.nblocks
             remaining -= chunk
         self.records_written += nblocks
@@ -103,12 +100,12 @@ class Journal:
     # -- write-ahead records --------------------------------------------------
     def log(
         self, dirties: list[int] | tuple[int, ...], nblocks: int = 1
-    ) -> tuple[JournalRecord, list[BlockRequest]]:
+    ) -> tuple[JournalRecord, list[tuple[int, int]]]:
         """Start a write-ahead record for an operation dirtying ``dirties``.
 
-        Returns the (uncommitted) record plus the commit-block write
-        requests; the caller submits the writes and, if they all reached
-        the disk intact, acknowledges with :meth:`commit`.
+        Returns the (uncommitted) record plus the commit-block writes as
+        ``(start, nblocks)`` pairs; the caller submits the writes and, if
+        they all reached the disk intact, acknowledges with :meth:`commit`.
         """
         record = JournalRecord(self._seq, self.head_block, tuple(dirties))
         self._seq += 1
@@ -137,14 +134,14 @@ class Journal:
 
     def log_batch(
         self, entries
-    ) -> tuple[list[JournalRecord], list[BlockRequest], list[tuple[int, int]]]:
+    ) -> tuple[list[JournalRecord], list[tuple[int, int]], list[tuple[int, int]]]:
         """Group commit: write-ahead records for a batch of operations.
 
         ``entries`` is a sequence of ``(dirties, nblocks)`` pairs, one per
         operation.  Returns ``(records, requests, spans)``: the records in
-        entry order, the flat commit-write request list for the whole
-        group, and ``spans[i] = (lo, hi)`` slicing the requests belonging
-        to ``records[i]``.
+        entry order, the flat ``(start, nblocks)`` commit writes of the
+        whole group, and ``spans[i] = (lo, hi)`` slicing the writes
+        belonging to ``records[i]``.
 
         Each operation's commit blocks pack into the shared circular
         region exactly as per-record :meth:`log` calls would — group
@@ -156,12 +153,12 @@ class Journal:
         the per-record path at every crash point.
         """
         records: list[JournalRecord] = []
-        requests: list[BlockRequest] = []
+        requests: list[tuple[int, int]] = []
         spans: list[tuple[int, int]] = []
         for dirties, nblocks in entries:
             record = self.log_one(dirties, nblocks)
             if record is not None:
-                reqs = [BlockRequest(record.block, nblocks, True)]
+                reqs = [(record.block, nblocks)]
             else:
                 record, reqs = self.log(dirties, nblocks)
             records.append(record)

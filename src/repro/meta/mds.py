@@ -310,8 +310,8 @@ class MetadataServer:
                         submit_one(record.block, journal_records, True)
                     else:  # the record wraps the region, or its size is invalid
                         record, reqs = journal.log(dirties, journal_records)
-                        for req in reqs:
-                            submit_one(req.start, req.nblocks, req.is_write)
+                        for start, nblocks in reqs:
+                            submit_one(start, nblocks, True)
                     journal_writes += journal_records
                     if disk.torn_writes > torn_before:  # never committed
                         self._counters["mds.torn_journal_records"] += 1

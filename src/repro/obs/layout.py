@@ -254,9 +254,7 @@ class LayoutInspector:
         self.region_bytes = region_bytes
 
     # -- data plane ---------------------------------------------------------
-    def inspect_dataplane(
-        self, plane: "DataPlane", label: str = "", heatmap: bool = True
-    ) -> LayoutReport:
+    def inspect_dataplane(self, plane: "DataPlane", label: str = "") -> LayoutReport:
         """Report over every live file plus the array's free space."""
         files = tuple(
             self.file_layout(plane, f)
@@ -267,7 +265,7 @@ class LayoutInspector:
             label=label,
             files=files,
             free_space=self.free_space_stats(plane.fsm),
-            heatmap=block_heatmap(plane.fsm) if heatmap else "",
+            heatmap=block_heatmap(plane.fsm),
         )
 
     def file_layout(self, plane: "DataPlane", f: "RedbudFile") -> FileLayout:

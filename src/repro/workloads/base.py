@@ -373,7 +373,7 @@ def run_data_phase(
     if reset_timelines:
         plane.array.reset_timelines()
     start_elapsed = plane.array.elapsed_s
-    submit = plane.array.submit_columns
+    submit = plane.array.submit_batch
     counters = plane.metrics.raw_counters()
 
     # Decode, then schedule: every column below is in arrival order.
@@ -508,28 +508,26 @@ def run_data_phase(
                     raise
         else:
             # List I/O, fsync and reads the plane will reject: one op at a
-            # time through the plane's object API.
+            # time through the plane's per-op API.
             for i in range(a, b):
                 f, stream = op_files[i], streams[i]
                 op = others[offsets[i]] if kinds[i] == _SOLO else None
                 if op is None or type(op) is ReadvOp:
                     if op is None:
-                        requests = plane.read(f, int(offsets[i]), int(nbytes[i]))
+                        starts, nblocks = plane.read(f, int(offsets[i]), int(nbytes[i]))
                     else:
-                        requests = plane.readv(f, list(op.regions))
-                    read_ahead(
-                        stream, [r.start for r in requests], [r.nblocks for r in requests]
-                    )
+                        starts, nblocks = plane.readv(f, list(op.regions))
+                    read_ahead(stream, starts.tolist(), nblocks.tolist())
                 else:
                     if type(op) is WritevOp:
-                        requests = plane.writev(f, stream, list(op.regions))
+                        starts, nblocks = plane.writev(f, stream, list(op.regions))
                     elif type(op) is FsyncOp:
-                        requests = plane.fsync(f)
+                        starts, nblocks = plane.fsync(f)
                     else:  # pragma: no cover - exhaustive over Op
                         raise TypeError(f"unknown op: {op!r}")
-                    dirty_starts.extend(r.start for r in requests)
-                    dirty_nblocks.extend(r.nblocks for r in requests)
-                    dirty_blocks += sum(r.nblocks for r in requests)
+                    dirty_starts.extend(starts.tolist())
+                    dirty_nblocks.extend(nblocks.tolist())
+                    dirty_blocks += int(nblocks.sum())
                 if at_round_end[i + 1]:
                     end_round()
     # Phase end: remaining readahead windows (in first-read order), then

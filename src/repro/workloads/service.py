@@ -317,12 +317,12 @@ class ServiceWorkload:
         """
         offset, nbytes = row[ROW_OFFSET], row[ROW_NBYTES]
         if row[ROW_KIND] == _WRITE:
-            requests = self.plane.write(
+            starts, nblocks = self.plane.write(
                 self.file, offset // self.region_bytes, offset, nbytes
             )
-        else:
-            requests = self.plane.read(self.file, offset, nbytes)
-        return self.plane.array.submit_batch(requests)
+            return self.plane.array.submit_batch(starts, nblocks, True)
+        starts, nblocks = self.plane.read(self.file, offset, nbytes)
+        return self.plane.array.submit_batch(starts, nblocks, False)
 
     def meta_service(self, row: tuple) -> float:
         """Price one metadata row via the MDS timeline delta."""

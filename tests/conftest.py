@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -95,3 +96,21 @@ def small_config(policy: str = "ondemand", layout: str = "embedded", **kw) -> FS
 @pytest.fixture
 def config() -> FSConfig:
     return small_config()
+
+
+def columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, nblocks)`` or ``(start, nblocks, is_write)`` rows as the
+    ``(starts, nblocks, is_write)`` columns ``DiskArray.submit_batch``
+    takes; a row without a direction is a read."""
+    rows = [(*row, False)[:3] for row in rows]
+    return (
+        np.array([row[0] for row in rows], dtype=np.int64),
+        np.array([row[1] for row in rows], dtype=np.int64),
+        np.array([row[2] for row in rows], dtype=bool),
+    )
+
+
+def pairs(requests) -> list[tuple[int, int]]:
+    """A data-plane result's ``(starts, nblocks)`` columns as row pairs."""
+    starts, nblocks = requests
+    return list(zip(starts.tolist(), nblocks.tolist()))

@@ -731,6 +731,12 @@ class ReferenceEmbeddedLayout(_ParentChecks, DirectoryLayout):
         return -(-overflow // self.records_per_block)
 
 
+def as_requests(writes) -> list[BlockRequest]:
+    """A live journal's ``(start, nblocks)`` commit writes as the write
+    requests the bodies below consume."""
+    return [BlockRequest(start, nblocks, True) for start, nblocks in writes]
+
+
 class ReferenceJournal(Journal):
     """``Journal`` with the parent's ``log_batch`` (own one-entry body)."""
 
@@ -769,12 +775,14 @@ class ReferenceJournal(Journal):
                 self.records_written += nblocks
                 return ([record], [BlockRequest(block, nblocks, True)], [(0, 1)])
             record, reqs = self.log(dirties, nblocks)
+            reqs = as_requests(reqs)
             return ([record], reqs, [(0, len(reqs))])
         records: list[JournalRecord] = []
         requests: list[BlockRequest] = []
         spans: list[tuple[int, int]] = []
         for dirties, nblocks in entries:
             record, reqs = self.log(dirties, nblocks)
+            reqs = as_requests(reqs)
             records.append(record)
             lo = len(requests)
             requests.extend(reqs)
@@ -1031,6 +1039,7 @@ class ScalarMetadataServer(_PlanByPlan, MetadataServer):
             record, requests_j = self.journal.log(
                 plan.dirties, plan.journal_records
             )
+            requests_j = as_requests(requests_j)
             torn_before = self.disk.torn_writes
             for req in requests_j:
                 self.disk.submit(req)

@@ -8,7 +8,10 @@ per round and mapped it through ``DataPlane.write/read``, and the
 generator / op-list forms of the IOR, BTIO, shared-file, file-per-process
 and replay programs.  They are kept verbatim as the oracle the column
 path is held to (``tests/test_phase_columns.py``): same arrival order,
-same RNG consumption, same plane, disk and trace state.
+same RNG consumption, same plane, disk and trace state.  The live plane
+and array speak ``(starts, nblocks)`` columns; :func:`_requests_of` and
+:func:`_submit_requests` convert at the call boundary, so the loop still
+holds the request objects it held then.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.disk.model import BlockRequest
+from repro.disk.model import BlockRequest, request_columns
 from repro.errors import ConfigError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
@@ -38,6 +41,23 @@ from repro.workloads.base import (
 from repro.workloads.traces import synth_checkpoint_trace, trace_streams
 
 _request_start = attrgetter("start")
+
+
+def _requests_of(op, is_write: bool):
+    """The live plane ``op``, its columns answered as request objects."""
+
+    def call(*args) -> list[BlockRequest]:
+        starts, nblocks = op(*args)
+        return [
+            BlockRequest(s, n, is_write) for s, n in zip(starts.tolist(), nblocks.tolist())
+        ]
+
+    return call
+
+
+def _submit_requests(array):
+    """The live array's column submit, taking a request list."""
+    return lambda requests: array.submit_batch(*request_columns(requests))
 
 
 def reference_run_data_phase(
@@ -71,12 +91,12 @@ def reference_run_data_phase(
     pending_read_blocks: dict[StreamId, int] = {}
     # Hot-loop locals: the round loop below runs once per op across every
     # stream, so attribute lookups are hoisted out of it.
-    plane_write = plane.write
-    plane_read = plane.read
-    plane_fsync = plane.fsync
-    plane_writev = plane.writev
-    plane_readv = plane.readv
-    submit = plane.array.submit_batch
+    plane_write = _requests_of(plane.write, True)
+    plane_read = _requests_of(plane.read, False)
+    plane_fsync = _requests_of(plane.fsync, True)
+    plane_writev = _requests_of(plane.writev, True)
+    plane_readv = _requests_of(plane.readv, False)
+    submit = _submit_requests(plane.array)
     start_key = _request_start
     while iters:
         ready_reads: list[BlockRequest] = []

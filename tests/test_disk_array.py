@@ -4,8 +4,8 @@ import pytest
 
 from repro.config import DiskParams, SchedulerParams
 from repro.disk.array import DiskArray
-from repro.disk.model import BlockRequest
 from repro.errors import SimulationError
+from tests.conftest import columns
 
 
 @pytest.fixture
@@ -36,36 +36,34 @@ class TestGeometry:
 
 class TestBatches:
     def test_requests_route_to_owning_disk(self, array):
-        array.submit_batch([BlockRequest(1024 + 7, 2)])
+        array.submit_batch(*columns([(1024 + 7, 2)]))
         assert array.disks[1].metrics is array.metrics
         assert array.disks[1].head == 9
 
     def test_cross_disk_request_rejected(self, array):
         with pytest.raises(SimulationError):
-            array.submit_batch([BlockRequest(1023, 2)])
+            array.submit_batch(*columns([(1023, 2)]))
 
     def test_parallel_disks_time_is_max_not_sum(self, array):
         # The same work on two disks takes the max of the two, not the sum.
-        t = array.submit_batch(
-            [BlockRequest(0, 64), BlockRequest(1024, 64)]
-        )
+        t = array.submit_batch(*columns([(0, 64), (1024, 64)]))
         single = DiskArray(1, DiskParams(capacity_blocks=1024), SchedulerParams())
-        t_one = single.submit_batch([BlockRequest(0, 64)])
+        t_one = single.submit_batch(*columns([(0, 64)]))
         assert t == pytest.approx(t_one, rel=0.01)
 
     def test_elapsed_is_busiest_disk(self, array):
-        array.submit_batch([BlockRequest(0, 64)])
-        array.submit_batch([BlockRequest(0, 64)])
-        array.submit_batch([BlockRequest(1024, 64)])
+        array.submit_batch(*columns([(0, 64)]))
+        array.submit_batch(*columns([(0, 64)]))
+        array.submit_batch(*columns([(1024, 64)]))
         assert array.elapsed_s == pytest.approx(array.disks[0].busy_s)
         assert array.total_busy_s == pytest.approx(
             array.disks[0].busy_s + array.disks[1].busy_s
         )
 
     def test_reset_timelines(self, array):
-        array.submit_batch([BlockRequest(0, 4)])
+        array.submit_batch(*columns([(0, 4)]))
         array.reset_timelines()
         assert array.elapsed_s == 0.0
 
     def test_empty_batch(self, array):
-        assert array.submit_batch([]) == 0.0
+        assert array.submit_batch(*columns([])) == 0.0

@@ -22,26 +22,26 @@ class TestSubmit:
         assert disk.busy_s == 0.0
 
     def test_busy_time_accumulates(self, disk):
-        t1 = disk.submit(BlockRequest(0, 8))
-        t2 = disk.submit(BlockRequest(8, 8))
+        t1 = disk.submit_one(0, 8, False)
+        t2 = disk.submit_one(8, 8, False)
         assert disk.busy_s == pytest.approx(t1 + t2)
 
     def test_head_moves_to_request_end(self, disk):
-        disk.submit(BlockRequest(100, 10))
+        disk.submit_one(100, 10, False)
         assert disk.head == 110
 
     def test_sequential_continuation_cheaper(self, disk):
         base = SimulatedDisk(disk.params, SchedulerParams(merge_gap_blocks=0))
-        t_seq = base.submit(BlockRequest(0, 8))
-        t_seq2 = base.submit(BlockRequest(8, 8))  # head at 8: free positioning
-        t_far = base.submit(BlockRequest(30000, 8))
+        t_seq = base.submit_one(0, 8, False)
+        t_seq2 = base.submit_one(8, 8, False)  # head at 8: free positioning
+        t_far = base.submit_one(30000, 8, False)
         assert t_seq2 < t_far
         assert t_seq2 == pytest.approx(base.model.transfer_time(8))
         assert t_seq >= t_seq2  # first request may position from block 0
 
     def test_beyond_capacity_rejected(self, disk):
         with pytest.raises(SimulationError):
-            disk.submit(BlockRequest(disk.capacity_blocks - 1, 2))
+            disk.submit_one(disk.capacity_blocks - 1, 2, False)
 
     def test_batch_sorted_by_elevator(self, disk):
         # Two adjacent runs submitted in reverse order service as one
@@ -58,7 +58,7 @@ class TestSubmit:
         assert disk.metrics.count("disk.positionings") >= 1
 
     def test_reset_timeline_keeps_head(self, disk):
-        disk.submit(BlockRequest(500, 4))
+        disk.submit_one(500, 4, False)
         disk.reset_timeline()
         assert disk.busy_s == 0.0
         assert disk.head == 504

@@ -72,9 +72,9 @@ class TestTransferTime:
 class TestServiceTime:
     def test_sequential_request_is_transfer_only(self, model):
         req = BlockRequest(100, 8)
-        assert model.service_time(100, req) == pytest.approx(model.transfer_time(8))
+        assert model.time_for(100, req) == pytest.approx(model.transfer_time(8))
 
     def test_includes_positioning(self, model):
         req = BlockRequest(100000, 8)
         expected = model.positioning_time(0, 100000) + model.transfer_time(8)
-        assert model.service_time(0, req) == pytest.approx(expected)
+        assert model.time_for(0, req) == pytest.approx(expected)

@@ -49,30 +49,30 @@ class TestLatentSectorErrors:
         disk = make_disk()
         disk.attach_injector(FaultInjector(FaultPlan(seed=0, lse_ranges=((50, 2),))))
         with pytest.raises(LatentSectorError):
-            disk.submit(BlockRequest(49, 4))
+            disk.submit_one(49, 4, False)
 
     def test_read_elsewhere_succeeds(self):
         disk = make_disk()
         disk.attach_injector(FaultInjector(FaultPlan(seed=0, lse_ranges=((50, 2),))))
-        assert disk.submit(BlockRequest(200, 4)) > 0.0
+        assert disk.submit_one(200, 4, False) > 0.0
 
     def test_write_heals(self):
         disk = make_disk()
         inj = FaultInjector(FaultPlan(seed=0, lse_ranges=((50, 2),)))
         disk.attach_injector(inj)
-        disk.submit(BlockRequest(50, 2, is_write=True))
+        disk.submit_one(50, 2, True)
         assert inj.bad_blocks == frozenset()
-        assert disk.submit(BlockRequest(50, 2)) > 0.0
+        assert disk.submit_one(50, 2, False) > 0.0
 
     def test_develop_lse_after_write(self):
         disk = make_disk()
         inj = FaultInjector(FaultPlan(seed=0))
         disk.attach_injector(inj)
-        disk.submit(BlockRequest(10, 4, is_write=True))
+        disk.submit_one(10, 4, True)
         assert inj.written == {10, 11, 12, 13}
         assert inj.develop_lse({11}) == 1
         with pytest.raises(LatentSectorError):
-            disk.submit(BlockRequest(10, 4))
+            disk.submit_one(10, 4, False)
 
     def test_partial_batch_still_bills_serviced_requests(self):
         disk = make_disk()
@@ -91,7 +91,7 @@ class TestTornWrites:
         inj = FaultInjector(FaultPlan(seed=0, torn_every=2))
         disk.attach_injector(inj)
         for i in range(4):
-            disk.submit(BlockRequest(i * 100, 8, is_write=True))
+            disk.submit_one(i * 100, 8, True)
         assert inj.torn_writes == 2
         assert disk.metrics.count("fault.torn_writes") == 2
 
@@ -100,14 +100,14 @@ class TestTornWrites:
         inj = FaultInjector(FaultPlan(seed=0, torn_every=1))
         disk.attach_injector(inj)
         for i in range(5):
-            disk.submit(BlockRequest(i * 10, 1, is_write=True))
+            disk.submit_one(i * 10, 1, True)
         assert inj.torn_writes == 0
 
     def test_torn_write_persists_strict_prefix(self):
         disk = make_disk()
         inj = FaultInjector(FaultPlan(seed=0, torn_every=1))
         disk.attach_injector(inj)
-        disk.submit(BlockRequest(0, 8, is_write=True))
+        disk.submit_one(0, 8, True)
         assert inj.written == set(range(0, 4))  # half persisted
 
 
@@ -117,9 +117,9 @@ class TestCrashPoints:
         inj = FaultInjector(FaultPlan(seed=0, crash_after_requests=3))
         disk.attach_injector(inj)
         for i in range(3):
-            disk.submit(BlockRequest(i * 10, 1))
+            disk.submit_one(i * 10, 1, False)
         with pytest.raises(CrashError):
-            disk.submit(BlockRequest(100, 1))
+            disk.submit_one(100, 1, False)
         assert inj.crashes == 1
 
     def test_crash_disarms_injector(self):
@@ -127,17 +127,17 @@ class TestCrashPoints:
         inj = FaultInjector(FaultPlan(seed=0, crash_after_requests=0))
         disk.attach_injector(inj)
         with pytest.raises(CrashError):
-            disk.submit(BlockRequest(0, 1))
+            disk.submit_one(0, 1, False)
         # Recovery runs against a quiet disk: no re-crash.
-        assert disk.submit(BlockRequest(0, 1)) > 0.0
+        assert disk.submit_one(0, 1, False) > 0.0
 
     def test_disarmed_injector_counts_nothing(self):
         disk = make_disk()
         inj = FaultInjector(FaultPlan(seed=0, lse_ranges=((5, 1),), torn_every=1))
         disk.attach_injector(inj)
         inj.disarm()
-        disk.submit(BlockRequest(5, 4, is_write=True))
-        disk.submit(BlockRequest(5, 1))
+        disk.submit_one(5, 4, True)
+        disk.submit_one(5, 1, False)
         assert inj.requests_seen == 0
         assert inj.torn_writes == 0
 

@@ -1,12 +1,13 @@
 """Data plane: write/read mapping, striping, delete, fsync, accounting."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
 from repro.fs.dataplane import DataPlane
 from repro.units import KiB, MiB
 
-from tests.conftest import small_config
+from tests.conftest import pairs, small_config
 
 
 def make_plane(policy="ondemand", **kw) -> DataPlane:
@@ -57,18 +58,18 @@ class TestWriteRead:
     def test_write_returns_requests_covering_data(self):
         plane = make_plane()
         f = plane.create_file("/a")
-        reqs = plane.write(f, 1, 0, 64 * KiB)
-        assert sum(r.nblocks for r in reqs) == 16
-        assert all(r.is_write for r in reqs)
+        starts, nblocks = plane.write(f, 1, 0, 64 * KiB)
+        assert starts.dtype == nblocks.dtype == np.int64
+        assert nblocks.sum() == 16
 
     def test_read_back_touches_same_physical_blocks(self):
         plane = make_plane()
         f = plane.create_file("/a")
         wreqs = plane.write(f, 1, 0, 64 * KiB)
         rreqs = plane.read(f, 0, 64 * KiB)
-        wset = {(r.start, r.nblocks) for r in wreqs}
+        wset = set(pairs(wreqs))
         rblocks = {
-            b for r in rreqs for b in range(r.start, r.start + r.nblocks)
+            b for s, n in pairs(rreqs) for b in range(s, s + n)
         }
         wblocks = {
             b for s, n in wset for b in range(s, s + n)
@@ -78,7 +79,7 @@ class TestWriteRead:
     def test_read_of_hole_costs_nothing(self):
         plane = make_plane()
         f = plane.create_file("/a")
-        assert plane.read(f, 0, 4096) == []
+        assert pairs(plane.read(f, 0, 4096)) == []
 
     def test_overwrite_does_not_reallocate(self):
         plane = make_plane()
@@ -93,7 +94,7 @@ class TestWriteRead:
         f = plane.create_file("/a")
         plane.write(f, 1, 1 * MiB, 4096)
         assert f.written_blocks == 1
-        assert plane.read(f, 0, 4096) == []
+        assert pairs(plane.read(f, 0, 4096)) == []
 
     def test_unaligned_write_rounds_to_blocks(self):
         plane = make_plane()
@@ -112,8 +113,8 @@ class TestWriteRead:
     def test_write_spanning_stripes_hits_multiple_disks(self):
         plane = make_plane()  # stripe 64 blocks = 256 KiB
         f = plane.create_file("/a")
-        reqs = plane.write(f, 1, 0, 1 * MiB)
-        disks = {plane.array.locate(r.start)[0] for r in reqs}
+        starts, _ = plane.write(f, 1, 0, 1 * MiB)
+        disks = {plane.array.locate(s)[0] for s in starts.tolist()}
         assert len(disks) > 1
 
 
@@ -143,10 +144,10 @@ class TestDelayedPolicyIntegration:
         plane = make_plane(policy="delayed")
         f = plane.create_file("/a")
         reqs = plane.write(f, 1, 0, 64 * KiB)
-        assert reqs == []  # buffered
+        assert pairs(reqs) == []  # buffered
         assert f.written_blocks == 0
-        flushed = plane.fsync(f)
-        assert sum(r.nblocks for r in flushed) == 16
+        _, flushed = plane.fsync(f)
+        assert flushed.sum() == 16
         assert f.written_blocks == 16
 
     def test_coalesced_flush_is_contiguous(self):
@@ -155,7 +156,7 @@ class TestDelayedPolicyIntegration:
         for i in range(8):
             plane.write(f, 1, i * 16 * KiB, 16 * KiB)
         flushed = plane.fsync(f)
-        assert len(flushed) == 1  # eight writes, one extent
+        assert len(pairs(flushed)) == 1  # eight writes, one extent
 
 
 class TestAccounting:

@@ -27,7 +27,7 @@ from repro.fs.dataplane import DataPlane
 from repro.fs.redbud import RedbudFileSystem
 from repro.units import KiB
 
-from tests.conftest import small_config
+from tests.conftest import columns, pairs, small_config
 from tests.dataplane_reference import ReferenceDataPlane
 from tests.meta_reference import ScalarMetadataServer
 
@@ -51,10 +51,10 @@ def _extent_tuples(f):
 
 
 def _covered_blocks(requests):
-    """The set of physical blocks a request list touches."""
+    """The set of physical blocks ``(start, nblocks)`` pairs touch."""
     out: set[int] = set()
-    for r in requests:
-        out.update(range(r.start, r.end))
+    for start, nblocks in requests:
+        out.update(range(start, start + nblocks))
     return out
 
 
@@ -132,15 +132,14 @@ class TestDataPlaneListIO:
         fb = pb.create_file("/b")
         for off, n in regions:
             pa.write(fa, 7, off, n)
-        reqs = pb.writev(fb, 7, regions)
+        _, nblocks = pb.writev(fb, 7, regions)
         assert _extent_tuples(fa) == _extent_tuples(fb)
         assert fa.size_bytes == fb.size_bytes
         assert pa.metrics.count("fs.writes") == pb.metrics.count("fs.writes")
         assert pa.metrics.count("fs.bytes_written") == pb.metrics.count(
             "fs.bytes_written"
         )
-        assert sum(r.nblocks for r in reqs) == 7
-        assert all(r.is_write for r in reqs)
+        assert nblocks.sum() == 7
         assert pb.metrics.count("fs.listio_writes") == 1
         assert pb.metrics.count("fs.listio_regions") == len(regions)
 
@@ -152,10 +151,9 @@ class TestDataPlaneListIO:
             plane.write(f, 0, off, n)
         scalar = []
         for off, n in regions:
-            scalar.extend(plane.read(f, off, n))
-        vectored = plane.readv(f, regions)
+            scalar.extend(pairs(plane.read(f, off, n)))
+        vectored = pairs(plane.readv(f, regions))
         assert _covered_blocks(vectored) == _covered_blocks(scalar)
-        assert not any(r.is_write for r in vectored)
         assert plane.metrics.count("fs.reads") == 2 * len(regions)
         assert plane.metrics.count("fs.listio_reads") == 1
 
@@ -163,8 +161,8 @@ class TestDataPlaneListIO:
         plane = plane_cls(small_config())
         f = plane.create_file("/h")
         plane.write(f, 0, 0, BS)
-        reqs = plane.readv(f, [(0, BS), (100 * BS, 4 * BS)])
-        assert sum(r.nblocks for r in reqs) == 1
+        _, nblocks = plane.readv(f, [(0, BS), (100 * BS, 4 * BS)])
+        assert nblocks.sum() == 1
 
     def test_cross_region_coalescing(self):
         """Physically adjacent runs merge across non-adjacent logical
@@ -176,13 +174,13 @@ class TestDataPlaneListIO:
         # physically (each miss allocates right after the previous run), so
         # logical blocks 8..11 and 0..3 end up back to back on disk.
         regions = [(8 * BS, 4 * BS), (0, 4 * BS)]
-        wrote = plane.writev(f, 0, regions)
+        wrote = pairs(plane.writev(f, 0, regions))
         assert len(wrote) == 1  # even the write list merged into one request
-        reqs = plane.readv(f, regions)
+        reqs = pairs(plane.readv(f, regions))
         assert len(reqs) == 1
-        assert reqs[0].nblocks == 8
+        assert reqs[0][1] == 8
         # The scalar loop cannot merge across its two calls.
-        scalar = plane.read(f, 8 * BS, 4 * BS) + plane.read(f, 0, 4 * BS)
+        scalar = pairs(plane.read(f, 8 * BS, 4 * BS)) + pairs(plane.read(f, 0, 4 * BS))
         assert len(scalar) == 2
         assert plane.metrics.count("fs.coalesced_requests") >= 2
 
@@ -306,10 +304,10 @@ class TestRequestHeader:
         cfg = replace(cfg, disk=replace(cfg.disk, request_header_s=1e-3))
         plane = DataPlane(cfg)
         f = plane.create_file("/h")
-        requests = plane.write(f, 0, 0, 64 * BS)
-        plane.array.submit_batch(requests)
+        starts, nblocks = plane.write(f, 0, 0, 64 * BS)
+        plane.array.submit_batch(starts, nblocks, True)
         # One submission; one header per disk the batch touched.
-        touched = len({r.start // cfg.disk.capacity_blocks for r in requests})
+        touched = len({s // cfg.disk.capacity_blocks for s in starts.tolist()})
         assert plane.metrics.count("disk.request_headers") == touched
 
 
@@ -378,9 +376,7 @@ class TestFifoArrangeArrays:
         plane = DataPlane(cfg)
         # A 2-request batch on one disk (too far apart to merge) drives the
         # fifo scheduler's new arrange_arrays fast path.
-        plane.array.submit_batch(
-            [BlockRequest(0, 4, is_write=True), BlockRequest(4000, 4, is_write=True)]
-        )
+        plane.array.submit_batch(*columns([(0, 4, True), (4000, 4, True)]))
         assert plane.array.io_profile["batches_vectorized"] >= 1
 
     def test_elevator_and_fifo_differ_on_unsorted_batches(self):

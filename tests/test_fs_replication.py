@@ -51,10 +51,10 @@ class TestReplication:
         plane = DataPlane(small_config(policy="reservation"))
         f = fragmented_file(plane)
         mgr = ReplicationManager(plane, trigger_ratio=2.0, min_reads=1)
-        original = plane.read(f, 0, 1 * MiB)
+        _, original = plane.read(f, 0, 1 * MiB)
         mgr.replicate(f)
-        replica = mgr.read(f, 0, 1 * MiB)
-        assert sum(r.nblocks for r in replica) == sum(r.nblocks for r in original)
+        _, replica, _ = mgr.read(f, 0, 1 * MiB)
+        assert replica.sum() == original.sum()
         assert len(replica) < len(original)
 
     def test_replication_is_not_free(self):
@@ -63,9 +63,9 @@ class TestReplication:
         plane = DataPlane(small_config(policy="reservation"))
         f = fragmented_file(plane)
         mgr = ReplicationManager(plane)
-        requests = mgr.replicate(f)
-        copied = sum(r.nblocks for r in requests if r.is_write)
-        read_back = sum(r.nblocks for r in requests if not r.is_write)
+        _, nblocks, is_write = mgr.replicate(f)
+        copied = nblocks[is_write].sum()
+        read_back = nblocks[~is_write].sum()
         assert copied == f.written_blocks
         assert read_back == f.written_blocks
 
@@ -95,8 +95,8 @@ class TestReplication:
         f = fragmented_file(plane)
         mgr = ReplicationManager(plane)
         mgr.replicate(f)
-        requests = mgr.read(f, 0, 8 * MiB)
-        assert sum(r.nblocks for r in requests) == f.written_blocks
+        _, nblocks, _ = mgr.read(f, 0, 8 * MiB)
+        assert nblocks.sum() == f.written_blocks
 
     def test_mispredicted_replication_reclaims_nothing(self):
         """Trigger fires on the *last* read: pure overhead (the paper's
@@ -106,8 +106,8 @@ class TestReplication:
         mgr = ReplicationManager(plane, trigger_ratio=2.0, min_reads=8)
         total_blocks = 0
         for i in range(8):  # the 8th read triggers the copy, then we stop
-            for r in mgr.read(f, i * 256 * KiB, 256 * KiB):
-                total_blocks += r.nblocks
+            _, nblocks, _ = mgr.read(f, i * 256 * KiB, 256 * KiB)
+            total_blocks += int(nblocks.sum())
         useful = 8 * 64  # 8 reads of 64 blocks
         assert total_blocks >= useful + 2 * f.written_blocks  # copy overhead paid
         assert mgr.is_replicated(f)  # ...for nothing further

@@ -49,7 +49,7 @@ def populated_plane() -> DataPlane:
         f = plane.create_file(f"file{i}")
         for r in range(3):
             reqs = plane.write(f, make_stream_id(i, 0), r * 32 * KiB, 32 * KiB)
-            plane.array.submit_batch(reqs)
+            plane.array.submit_batch(*reqs, True)
     return plane
 
 

@@ -428,9 +428,7 @@ def test_log_one_equals_log_at_every_head_and_size(region):
             if fits:
                 want, reqs = ref.log([7, 9], nblocks)
                 assert record == want
-                assert [(r.start, r.nblocks, r.is_write) for r in reqs] == [
-                    (record.block, nblocks, True)
-                ]
+                assert reqs == [(record.block, nblocks)]
             else:
                 # Nothing moved; log then wraps, or raises as it always did.
                 assert before == (

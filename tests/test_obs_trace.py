@@ -223,7 +223,7 @@ class TestIntegration:
         f = plane.create_file("/a.dat")
         for i in range(8):
             reqs = plane.write(f, sid, i * 65536, 65536)
-            plane.array.submit_batch(reqs)
+            plane.array.submit_batch(*reqs, True)
         layers = {e.layer for e in tr.events()}
         assert "disk" in layers and "alloc" in layers
         # disk events carry simulated times from the disk's own timeline.
@@ -243,5 +243,5 @@ class TestIntegration:
         assert plane.tracer is NULL_TRACER
         sid = make_stream_id(1, 2)
         f = plane.create_file("/a.dat")
-        plane.array.submit_batch(plane.write(f, sid, 0, 65536))
+        plane.array.submit_batch(*plane.write(f, sid, 0, 65536), True)
         assert NULL_TRACER.rows() == [] and NULL_TRACER.emitted == 0

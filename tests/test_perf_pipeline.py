@@ -42,7 +42,7 @@ from repro.workloads.ior import IORBenchmark
 from repro.workloads.listio import StridedAccessBenchmark
 
 from tests import golden
-from tests.conftest import small_config
+from tests.conftest import columns, small_config
 from tests.dataplane_reference import ReferenceDataPlane, reference_coalesce
 from tests.metrics_reference import ReferenceMetrics, object_loop_disks, rounded
 
@@ -206,19 +206,17 @@ class TestSubmitArraysEquivalence:
     )
     @settings(max_examples=50)
     def test_array_submit_is_bit_identical_to_object_submit(self, batch):
-        reqs = [
-            BlockRequest(s, n, w) for s, n, w in batch if (s % BPD) + n <= BPD
-        ]
-        if len(reqs) < 2:
+        rows = [(s, n, w) for s, n, w in batch if (s % BPD) + n <= BPD]
+        if len(rows) < 2:
             return
         params = DiskParams(capacity_blocks=BPD)
 
         fast = DiskArray(2, params, metrics=Metrics())
-        t_fast = fast.submit_batch(list(reqs))
+        t_fast = fast.submit_batch(*columns(rows))
 
         # The per-request object loop (tests/metrics_reference.py).
         slow = object_loop_disks(DiskArray(2, params, metrics=ReferenceMetrics()))
-        t_slow = slow.submit_batch(list(reqs))
+        t_slow = slow.submit_batch(*columns(rows))
 
         # Same IEEE-754 operations in the same order: exact equality, not
         # approx — the BENCH fingerprint gate depends on it.

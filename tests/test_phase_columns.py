@@ -36,7 +36,6 @@ from repro.alloc.registry import POLICY_NAMES
 from repro.block.extent import Extent, ExtentMap
 from repro.config import DiskParams, SchedulerParams
 from repro.disk.array import DiskArray
-from repro.disk.model import BlockRequest
 from repro.errors import ExtentError, FaultError, NoSpaceError, ReproError, SimulationError
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
@@ -63,7 +62,7 @@ from repro.workloads.ior import IORBenchmark
 from repro.workloads.streams import SharedFileMicrobench
 from repro.workloads.traces import TraceRecord
 
-from tests.conftest import small_config
+from tests.conftest import pairs, small_config
 from tests.dataplane_reference import ReferenceDataPlane
 from tests.metrics_reference import ReferenceMetrics, object_loop_disks, rounded
 
@@ -90,7 +89,7 @@ class _RecordingArray:
     def reset_timelines(self) -> None:
         pass
 
-    def submit_batch(self, requests) -> float:
+    def submit_batch(self, starts, nblocks, is_write) -> float:
         self.submits.append(len(self.arrivals))
         return 0.0
 
@@ -106,7 +105,7 @@ class _RecordingPlane:
 
     def write(self, f, stream, offset, nbytes):
         self.arrivals.append((stream, nbytes - 1, offset))
-        return [BlockRequest(0, 1, True)]
+        return np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
 
     read = fsync = writev = readv = None  # the loop binds them up front
 
@@ -510,7 +509,7 @@ def test_read_many_is_a_loop_of_read(data):
         )
     )
     before = plane.metrics.snapshot()
-    looped = [plane.read(f, off, nbytes) for off, nbytes in reads]
+    looped = [pairs(plane.read(f, off, nbytes)) for off, nbytes in reads]
     loop_delta = plane.metrics.since(before)
     before = plane.metrics.snapshot()
     bounds, starts, nblocks = plane.read_many(
@@ -520,9 +519,7 @@ def test_read_many_is_a_loop_of_read(data):
     )
     assert plane.metrics.since(before) == loop_delta
     assert bounds.tolist() == np.cumsum([0] + [len(reqs) for reqs in looped]).tolist()
-    assert [BlockRequest(s, b, False) for s, b in zip(starts.tolist(), nblocks.tolist())] == [
-        r for reqs in looped for r in reqs
-    ]
+    assert pairs((starts, nblocks)) == [r for reqs in looped for r in reqs]
 
 
 @pytest.mark.parametrize("n", [3, MANY_FROM + 3])
@@ -562,9 +559,9 @@ def _write_both_ways(make_plane, widths, ops, cutoff):
                     )
             else:
                 for f, (_, stream, off, n) in zip(targets, ops):
-                    for r in plane.write(f, stream, off, n):
-                        starts.append(r.start)
-                        nblocks.append(r.nblocks)
+                    s, b = plane.write(f, stream, off, n)
+                    starts.extend(s.tolist())
+                    nblocks.extend(b.tolist())
         except NoSpaceError as exc:
             error = str(exc)
         return (
@@ -769,12 +766,12 @@ def test_append_shortcut_does_not_write_unwritten_preallocation():
             plane.config.alloc, plane.fsm, plane.metrics, plane.tracer
         )
         f = plane.create_file("/f", width=1)
-        return plane.write(f, 0, 0, 4 * BS), f.maps[0].extents()
+        return pairs(plane.write(f, 0, 0, 4 * BS)), f.maps[0].extents()
 
     written, extents = drive(DataPlane)
     per_extent, per_extent_extents = drive(ReferenceDataPlane)
     assert written == per_extent
-    assert sum(r.nblocks for r in written) == 4
+    assert sum(n for _, n in written) == 4
     assert extents == per_extent_extents
     assert [(e.logical, e.length, e.unwritten) for e in extents] == [
         (0, 4, False), (4, 2, True),
@@ -817,15 +814,16 @@ def _columns(rows):
 
 @given(
     batches=st.lists(
-        st.tuples(st.sampled_from(["batch", "columns", "one"]), _BATCH),
+        st.tuples(st.sampled_from(["batch", "one"]), _BATCH),
         min_size=1, max_size=3,
     ),
     kind=st.sampled_from(["elevator", "fifo"]),
     plans=st.tuples(*[st.one_of(st.none(), _PLAN, _PLAN)] * 3),
 )
 @settings(max_examples=300, deadline=None)
-def test_submit_columns_is_submit_batch(batches, kind, plans):
-    """Whatever the entry point, scheduler and fault plan, the column path
+def test_submit_batch_is_the_object_loop(batches, kind, plans):
+    """Whatever the entry point (the array's column ``submit_batch`` or a
+    disk's ``submit_one``), scheduler and fault plan, the column path
     returns (or raises) what ``ReferenceDisk``'s object loop with the
     per-request fault filter does, and leaves the same disks, metrics,
     trace rows (order included) and injector state behind."""
@@ -849,12 +847,8 @@ def test_submit_columns_is_submit_batch(batches, kind, plans):
         outcomes = []
         for entry, rows in batches:
             try:
-                if entry == "columns":
-                    outcomes.append(array.submit_columns(*_columns(rows)))
-                elif entry == "batch":
-                    outcomes.append(
-                        array.submit_batch([BlockRequest(*row) for row in rows])
-                    )
+                if entry == "batch":
+                    outcomes.append(array.submit_batch(*_columns(rows)))
                 else:
                     outcomes.append([
                         array.disks[s // 1024].submit_one(s % 1024, n, w)
@@ -886,15 +880,18 @@ def test_submit_columns_is_submit_batch(batches, kind, plans):
     }
 
 
-def test_submit_columns_takes_one_direction_for_the_whole_batch():
+def test_submit_batch_takes_one_direction_for_the_whole_batch():
+    """One bool for the batch is a column of it: on a split batch and on a
+    batch of one (which goes straight to its disk's ``submit_one``)."""
     params = DiskParams(capacity_blocks=1024)
     rows = [(8, 4, True), (1500, 2, True), (16, 4, True)]
-    one, column = DiskArray(2, params), DiskArray(2, params)
-    starts, nblocks, writes = _columns(rows)
-    assert one.submit_columns(starts, nblocks, True) == column.submit_columns(
-        starts, nblocks, writes
-    )
-    assert one.metrics.snapshot() == column.metrics.snapshot()
+    for batch in (rows, rows[1:2]):
+        one, column = DiskArray(2, params), DiskArray(2, params)
+        starts, nblocks, writes = _columns(batch)
+        assert one.submit_batch(starts, nblocks, True) == column.submit_batch(
+            starts, nblocks, writes
+        )
+        assert one.metrics.snapshot() == column.metrics.snapshot()
 
 
 @pytest.mark.parametrize(
@@ -907,15 +904,14 @@ def test_submit_columns_takes_one_direction_for_the_whole_batch():
     ],
 )
 def test_submit_columns_rejects_what_submit_batch_rejects(rows, message):
-    """Same errors as building the requests and submitting them, raised
-    before any disk services work."""
+    """A batch and a batch of its bad request alone (the one-request path)
+    raise the request checks' errors, before any disk services work."""
     params = DiskParams(capacity_blocks=1024)
-    array = DiskArray(2, params)
-    with pytest.raises(SimulationError, match=message):
-        array.submit_columns(*_columns(rows))
-    assert array.elapsed_s == 0.0
-    with pytest.raises(SimulationError, match=message):
-        DiskArray(2, params).submit_batch([BlockRequest(*row) for row in rows])
+    for batch in (rows, rows[1:]):
+        array = DiskArray(2, params)
+        with pytest.raises(SimulationError, match=message):
+            array.submit_batch(*_columns(batch))
+        assert array.elapsed_s == 0.0
 
 
 # ---------------------------------------------------------------------------

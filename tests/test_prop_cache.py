@@ -64,7 +64,7 @@ class ReferenceCache:
     def write(self, start: int, nblocks: int, sync: bool = True) -> float:
         self.insert(start, nblocks)
         if sync:
-            return self.disk.submit(BlockRequest(start, nblocks, is_write=True))
+            return self.disk.submit_one(start, nblocks, True)
         self.metrics.incr("cache.delayed_writes")
         return 0.0
 

@@ -57,19 +57,18 @@ class DataPlaneMachine(RuleBasedStateMachine):
     )
     def write(self, data, stream: int, block: int, nblocks: int) -> None:
         name, f = self._pick(data)
-        requests = self.plane.write(
+        starts, lengths = self.plane.write(
             f, stream, block * 4096, nblocks * 4096
         )
         self.files[name] |= set(range(block, block + nblocks))
-        for r in requests:
-            assert r.is_write
+        assert starts.shape == lengths.shape
 
     @precondition(lambda self: self.files)
     @rule(data=st.data(), block=st.integers(0, 300), nblocks=st.integers(1, 16))
     def read(self, data, block: int, nblocks: int) -> None:
         name, f = self._pick(data)
-        requests = self.plane.read(f, block * 4096, nblocks * 4096)
-        covered = sum(r.nblocks for r in requests)
+        _, lengths = self.plane.read(f, block * 4096, nblocks * 4096)
+        covered = int(lengths.sum())
         expected = len(
             self.files[name] & set(range(block, block + nblocks))
         )

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.fs.dataplane import DataPlane
 from repro.units import KiB
 
-from tests.conftest import small_config
+from tests.conftest import columns, pairs, small_config
 
 BS = 4 * KiB
 
@@ -64,8 +64,8 @@ def _extent_tuples(f):
 
 def _covered_blocks(requests):
     out: set[int] = set()
-    for r in requests:
-        out.update(range(r.start, r.end))
+    for start, nblocks in requests:
+        out.update(range(start, start + nblocks))
     return out
 
 
@@ -81,8 +81,8 @@ def test_writev_layout_oracle(regions, stream):
     fv = vec.create_file("/f")
     scalar_reqs = []
     for off, n in regions:
-        scalar_reqs.extend(loop.write(fl, stream, off, n))
-    vec_reqs = vec.writev(fv, stream, regions)
+        scalar_reqs.extend(pairs(loop.write(fl, stream, off, n)))
+    vec_reqs = pairs(vec.writev(fv, stream, regions))
     assert _extent_tuples(fl) == _extent_tuples(fv)
     assert fl.size_bytes == fv.size_bytes
     assert fl.mapped_blocks == fv.mapped_blocks
@@ -103,10 +103,12 @@ def test_writev_service_time_oracle(regions, stream):
     fv = vec.create_file("/f")
     scalar_reqs = []
     for off, n in regions:
-        scalar_reqs.extend(loop.write(fl, stream, off, n))
-    vec_reqs = vec.writev(fv, stream, regions)
+        scalar_reqs.extend(pairs(loop.write(fl, stream, off, n)))
+    vec_reqs = pairs(vec.writev(fv, stream, regions))
     assert _extent_tuples(fl) == _extent_tuples(fv)
-    assert loop.array.submit_batch(scalar_reqs) == vec.array.submit_batch(vec_reqs)
+    assert loop.array.submit_batch(*columns(scalar_reqs)[:2], True) == (
+        vec.array.submit_batch(*columns(vec_reqs)[:2], True)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,11 +128,10 @@ def test_readv_oracle(write_regions, read_regions):
     plane.writev(f, 0, write_regions)
     scalar_reqs = []
     for off, n in read_regions:
-        scalar_reqs.extend(plane.read(f, off, n))
-    vec_reqs = plane.readv(f, read_regions)
+        scalar_reqs.extend(pairs(plane.read(f, off, n)))
+    vec_reqs = pairs(plane.readv(f, read_regions))
     assert _covered_blocks(scalar_reqs) == _covered_blocks(vec_reqs)
-    assert sum(r.nblocks for r in scalar_reqs) == sum(r.nblocks for r in vec_reqs)
-    assert not any(r.is_write for r in vec_reqs)
+    assert sum(n for _, n in scalar_reqs) == sum(n for _, n in vec_reqs)
     # Counters move per region on both sides.
     assert plane.metrics.count("fs.reads") == 2 * len(read_regions)
     assert plane.metrics.count("fs.bytes_read") == 2 * sum(
@@ -152,12 +153,12 @@ def test_readv_service_time_oracle(write_regions, read_regions):
     plane.writev(f, 0, write_regions)
     scalar_reqs = []
     for off, n in read_regions:
-        scalar_reqs.extend(plane.read(f, off, n))
-    vec_reqs = plane.readv(f, read_regions)
+        scalar_reqs.extend(pairs(plane.read(f, off, n)))
+    vec_reqs = pairs(plane.readv(f, read_regions))
     assert _covered_blocks(scalar_reqs) == _covered_blocks(vec_reqs)
-    assert sum(r.nblocks for r in scalar_reqs) == sum(r.nblocks for r in vec_reqs)
+    assert sum(n for _, n in scalar_reqs) == sum(n for _, n in vec_reqs)
     twin_a = DataPlane(small_config())
     twin_b = DataPlane(small_config())
-    assert twin_a.array.submit_batch(vec_reqs) == twin_b.array.submit_batch(
-        scalar_reqs
+    assert twin_a.array.submit_batch(*columns(vec_reqs)) == twin_b.array.submit_batch(
+        *columns(scalar_reqs)
     )

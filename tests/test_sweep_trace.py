@@ -16,6 +16,7 @@ in this process or a worker alike.  Pins:
 
 from __future__ import annotations
 
+import gc
 import pickle
 import time
 
@@ -138,6 +139,23 @@ def test_cell_result_ships_rows_not_the_file_system():
     tracer = Tracer()
     MetadataServer(small_config(), tracer=tracer)
     assert b"MetadataServer" in pickle.dumps(tracer)
+
+
+def test_finished_traced_run_frees_its_metadata_servers():
+    """A context drops its tracer's clock when it hands over its result:
+    the clock is bound to the cell's MDS (or plane), which holds the
+    tracer, so the cycle kept every finished cell's whole file system
+    alive until a cyclic collection — and the run's result kept the last
+    one through ``RunResult.trace``."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = run("fig8", scale=0.04, dir_sizes=(200,), trace=True)
+        alive = [o for o in gc.get_objects() if isinstance(o, MetadataServer)]
+    finally:
+        gc.enable()
+    assert alive == []
+    assert result.trace.emitted > 0 and result.trace.clock is None
 
 
 def _slow_first_cell(spec, tracer=None):

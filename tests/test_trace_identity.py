@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.config import DiskParams
 from repro.core import run
 from repro.disk.array import DiskArray
-from repro.disk.model import BlockRequest
 from repro.fs.dataplane import DataPlane
 from repro.fs.profiles import redbud_vanilla_profile, with_alloc_policy
 from repro.meta.mds import MetadataServer
@@ -36,7 +35,7 @@ from repro.units import KiB, MiB
 from repro.workloads.ior import IORBenchmark
 
 from tests import golden
-from tests.conftest import small_config
+from tests.conftest import columns, small_config
 from tests.meta_reference import ScalarMetadataServer
 from tests.metrics_reference import ReferenceMetrics, object_loop_disks
 
@@ -189,11 +188,9 @@ def test_submit_arrays_visits_disks_in_first_appearance_order():
     submit must service (and trace) that disk first, and every disk's rows
     are the object loop's."""
     params = DiskParams(capacity_blocks=1024)
-    batch = [
-        BlockRequest(2 * 1024 + 8, 4), BlockRequest(16, 4),
-        BlockRequest(1024 + 32, 4), BlockRequest(2 * 1024 + 64, 4, is_write=True),
-        BlockRequest(400, 2),
-    ]
+    batch = columns([
+        (2 * 1024 + 8, 4), (16, 4), (1024 + 32, 4), (2 * 1024 + 64, 4, True), (400, 2),
+    ])
 
     def disk_order(reference: bool):
         tracer = Tracer()
@@ -203,7 +200,7 @@ def test_submit_arrays_visits_disks_in_first_appearance_order():
             )
         else:
             array = DiskArray(3, params, tracer=tracer)
-        array.submit_batch(batch)
+        array.submit_batch(*batch)
         return tracer.events(), array.io_profile
 
     arrays, prof_arrays = disk_order(False)
