@@ -17,7 +17,6 @@ blocks are freed and new ones appended.
 from __future__ import annotations
 
 from repro.alloc.base import AllocationPolicy, AllocTarget, PhysicalRun
-from repro.errors import NoSpaceError
 
 
 class CowPolicy(AllocationPolicy):
@@ -43,29 +42,18 @@ class CowPolicy(AllocationPolicy):
         dlocal: int,
         count: int,
     ) -> list[PhysicalRun]:
+        """Append at the PAG's log head, wrapping to reclaimed space when the
+        tail is exhausted (a trivial cleaner: segments freed by deletes and
+        overwrites become appendable again); all of ``count`` or, on
+        :class:`~repro.errors.NoSpaceError`, nothing."""
         self.metrics.incr("alloc.requests")
+        group = target.group_index
+        head = self._heads.get(group, self.fsm.groups[group].base)
         runs: list[PhysicalRun] = []
         cursor = dlocal
-        remaining = count
-        while remaining > 0:
-            start, got = self._append(target, remaining)
+        for start, got in self._plain_allocate(target, head, count):
             runs.append(PhysicalRun(dlocal=cursor, physical=start, length=got))
             cursor += got
-            remaining -= got
+            self._heads[group] = start + got
+        self.metrics.incr("alloc.log_appends", len(runs))
         return runs
-
-    def _append(self, target: AllocTarget, count: int) -> tuple[int, int]:
-        """Allocate at the log head; wrap to reclaimed space when the tail
-        is exhausted (a trivial cleaner: segments freed by deletes and
-        overwrites become appendable again)."""
-        group = self.fsm.groups[target.group_index]
-        head = self._heads.get(target.group_index, group.base)
-        try:
-            start, got = self.fsm.allocate_in_group(
-                target.group_index, count, hint=head, minimum=1
-            )
-        except NoSpaceError:
-            raise
-        self._heads[target.group_index] = start + got
-        self.metrics.incr("alloc.log_appends")
-        return (start, got)

@@ -54,24 +54,32 @@ class ReservationPolicy(AllocationPolicy):
         runs: list[PhysicalRun] = []
         cursor = dlocal
         remaining = count
-        while remaining > 0:
-            pool = self._pools.get(key)
-            if pool is None or pool.exhausted:
-                pool = self._refill(key, target, pool)
-                if pool is None:
-                    # Reservation impossible (space too fragmented/full):
-                    # degrade to plain allocation for the tail.
-                    for start, got in self._plain_allocate(target, None, remaining):
-                        runs.append(PhysicalRun(dlocal=cursor, physical=start, length=got))
-                        cursor += got
-                    return runs
-            take = min(remaining, pool.remaining)
-            runs.append(
-                PhysicalRun(dlocal=cursor, physical=pool.next_physical, length=take)
-            )
-            pool.consumed += take
-            cursor += take
-            remaining -= take
+        try:
+            while remaining > 0:
+                pool = self._pools.get(key)
+                if pool is None or pool.exhausted:
+                    pool = self._refill(key, target, pool)
+                    if pool is None:
+                        # Reservation impossible (space too fragmented/full):
+                        # degrade to plain allocation for the tail.
+                        for start, got in self._plain_allocate(target, None, remaining):
+                            runs.append(PhysicalRun(dlocal=cursor, physical=start, length=got))
+                            cursor += got
+                        return runs
+                take = min(remaining, pool.remaining)
+                runs.append(
+                    PhysicalRun(dlocal=cursor, physical=pool.next_physical, length=take)
+                )
+                pool.consumed += take
+                cursor += take
+                remaining -= take
+        except NoSpaceError:
+            # Pool blocks this call consumed belong to no pool any more and
+            # the caller maps nothing on failure: free them, as OnDemandPolicy
+            # does, so the books stay balanced.
+            for run in runs:
+                self.fsm.free(run.physical, run.length)
+            raise
         return runs
 
     def allocate_many(self, file_ids, streams, targets, dstarts, dcounts, out_physical):

@@ -30,23 +30,17 @@ class StaticPolicy(AllocationPolicy):
     def prepare(
         self, file_id: int, target: AllocTarget, dlocal_blocks: int
     ) -> list[PhysicalRun]:
-        """fallocate ``dlocal_blocks`` for this target, contiguously."""
+        """fallocate ``dlocal_blocks`` for this target, contiguously; all of
+        them or, on :class:`~repro.errors.NoSpaceError`, none."""
         if dlocal_blocks <= 0:
             return []
         runs: list[PhysicalRun] = []
         cursor = 0
-        hint: int | None = None
-        remaining = dlocal_blocks
-        while remaining > 0:
-            start, got = self.fsm.allocate_in_group(
-                target.group_index, remaining, hint=hint, minimum=1
-            )
+        for start, got in self._plain_allocate(target, None, dlocal_blocks):
             runs.append(
                 PhysicalRun(dlocal=cursor, physical=start, length=got, unwritten=True)
             )
             cursor += got
-            remaining -= got
-            hint = start + got
         key = (file_id, target.group_index)
         self._prepared[key] = self._prepared.get(key, 0) + dlocal_blocks
         self.metrics.incr("alloc.fallocate_calls")

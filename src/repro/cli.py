@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layout", default="embedded", choices=["embedded", "normal"],
                    help="metadata layout of the crashed image")
-    _add_jobs(p)
     p.add_argument("--corrupt", type=positive_int, default=4, metavar="N",
                    help="faults injected per plane before checking "
                    "(offline), or per live injection round (--online)")
@@ -328,7 +327,6 @@ def cmd_fsck(args) -> int:
             "service",
             scale=args.scale,
             seed=args.seed,
-            jobs=args.jobs,
             telemetry=True,
             scrub=True,
             scrub_corrupt=5,
@@ -364,13 +362,11 @@ def cmd_fsck(args) -> int:
     print(f"shards: {len(data_shards)} data (per PAG) + "
           f"{len(meta_shards)} metadata")
     if args.repair:
-        repair = repair_dataplane(img.plane, jobs=args.jobs).merge(
-            repair_mds(img.mds, jobs=args.jobs)
-        )
+        repair = repair_dataplane(img.plane).merge(repair_mds(img.mds))
         print_repair("fsck", repair)
         return 0 if repair.converged else 1
-    report = check_dataplane(img.plane, strict_accounting=False, jobs=args.jobs)
-    report = report.merge(check_mds(img.mds, jobs=args.jobs))
+    report = check_dataplane(img.plane, strict_accounting=False)
+    report = report.merge(check_mds(img.mds))
     print(f"checked {report.checked_extents} extent(s), "
           f"{report.checked_inodes} inode(s)")
     for f in report.findings:

@@ -95,18 +95,13 @@ def stream_cells(
     tracer: Any = None,
 ) -> Iterator[Any]:
     """Yield ``fn(cell, ring)`` per cell — in submission order, possibly
-    computed in worker processes — so the consumer can pipeline downstream
-    work against cells that are still executing.
+    computed in worker processes — so the consumer merges cell *i* while
+    later cells are still executing.
 
     ``fn`` must be a module-level callable of signature
     ``fn(spec, tracer=None)`` and every spec must be picklable; ``ring`` is
-    a fresh ``tracer.spawn()`` per cell (``None`` without a tracer).
-
-    This is the pFSCK check→repair shape: the caller consumes shard *i*'s
-    result (and, say, repairs what it found) while shards *i+1..n* keep
-    running in the pool.  The in-process loop is lazy for the same reason:
-    each ``fn(cell)`` runs only when the consumer advances, interleaving
-    check and repair work even at ``jobs=1``.
+    a fresh ``tracer.spawn()`` per cell (``None`` without a tracer).  This
+    is the only place in the package that starts a process.
     """
     n = resolve_jobs(jobs)
     spawn = (lambda: None) if tracer is None else tracer.spawn
@@ -118,16 +113,6 @@ def stream_cells(
         futures = [pool.submit(fn, cell, spawn()) for cell in cells]
         for f in futures:
             yield f.result()
-
-
-def run_cells(
-    cells: Sequence[S],
-    fn: Callable[..., Any],
-    jobs: int | None = None,
-    tracer: Any = None,
-) -> list[Any]:
-    """``list(stream_cells(...))``: every cell's result, in submission order."""
-    return list(stream_cells(cells, fn, jobs, tracer))
 
 
 def _scaled(value: int, scale: float, floor: int = 1) -> int:

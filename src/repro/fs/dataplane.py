@@ -22,7 +22,7 @@ from repro.block.extent import Extent, ExtentFlags
 from repro.block.freespace import FreeSpaceManager
 from repro.config import FSConfig
 from repro.disk.array import DiskArray
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, NoSpaceError, ReproError
 from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -105,7 +105,8 @@ class DataPlane:
         """Create a file striped over ``width`` disks (default: all).
 
         Under the static policy a declared ``expected_bytes`` is fallocated
-        immediately, exactly like the paper's "static preallocation" mode.
+        immediately, exactly like the paper's "static preallocation" mode;
+        when that runs out of space the file is deleted again.
         """
         file_id = self._next_file_id
         self._next_file_id += 1
@@ -130,7 +131,11 @@ class DataPlane:
         if expected_bytes is not None:
             # Policies without persistent whole-file preallocation return
             # no runs from prepare(), making this a no-op for them.
-            self.fallocate(f, expected_bytes)
+            try:
+                self.fallocate(f, expected_bytes)
+            except NoSpaceError:
+                self.delete_file(f)
+                raise
         return f
 
     def fallocate(self, f: RedbudFile, nbytes: int) -> None:
@@ -210,7 +215,8 @@ class DataPlane:
         ``out_starts`` / ``out_nblocks`` as plain ints, and the per-op
         counters and file sizes are booked once per run.  A bad range or
         :class:`~repro.errors.NoSpaceError` at op ``k`` surfaces after the
-        ops before it took effect and were booked.
+        ops before it took effect and were booked; op ``k`` leaves nothing
+        mapped.
 
         Only the allocator calls depend on the ops' order, so a run of
         :data:`MANY_FROM` ops or more is mapped by column
@@ -282,7 +288,9 @@ class DataPlane:
         run.  ``op="writev"`` coalesces the ops' runs in one pass (one list
         request), anything else per op.
         Counters and file sizes are booked once, for the ops that took
-        effect, also when one of them raises.
+        effect, also when one of them raises.  An op that runs out of space
+        takes back what it had mapped (:meth:`_undo_write`), so it leaves
+        no partial state.
         """
         gather = op == "writev"
         bs = self.block_size
@@ -295,6 +303,8 @@ class DataPlane:
         # Per-file facts, remembered when the run leaves a file for another.
         facts: dict[int, tuple] = {}
         runs: list[tuple[int, int]] = []
+        # What the current op did to the maps, for _undo_write.
+        made: list[tuple] = []
         done = total = nbuffered = end_max = 0
         strayed = False
         try:
@@ -326,6 +336,8 @@ class DataPlane:
                 else:
                     segments = self._segments(f, lb, nb)
                 buffered = 0
+                if made:
+                    made = []
                 for slot, dstart, dcount in segments:
                     smap = maps[slot]
                     if not cow and dstart >= smap.size_blocks:
@@ -333,6 +345,7 @@ class DataPlane:
                         if not new:
                             buffered += 1  # delayed allocation
                             continue
+                        made.append(("mapped", smap, new))
                         if insert_runs(smap, new):
                             strayed = True
                         for run in new:
@@ -340,11 +353,16 @@ class DataPlane:
                                 runs.append((run.physical, run.length))
                         continue
                     if cow:
-                        for ext in smap.remove_range(dstart, dcount):
+                        relocated = smap.remove_range(dstart, dcount)
+                        made.append(("relocated", smap, relocated))
+                        for ext in relocated:
                             self.fsm.free(ext.physical, ext.length)
                             self.metrics.incr("fs.cow_relocated_blocks", ext.length)
                     holes, has_unwritten, written = smap.scan_write_range(dstart, dcount)
                     if has_unwritten:
+                        made.append(("marked", smap, [
+                            e for e in smap.lookup_range(dstart, dcount) if e.unwritten
+                        ]))
                         smap.mark_written(dstart, dcount)
                     missed = False
                     for h_start, h_count in holes:
@@ -352,6 +370,7 @@ class DataPlane:
                         if not new:
                             missed = True
                             continue
+                        made.append(("mapped", smap, new))
                         if insert_runs(smap, new):
                             strayed = True
                     if written is None:
@@ -379,6 +398,9 @@ class DataPlane:
                     end_max = offset + n
             if gather:
                 emit(runs, out_starts, out_nblocks)
+        except NoSpaceError:
+            self._undo_write(made)
+            raise
         finally:
             if f is not None and end_max > f.size_bytes:
                 f.size_bytes = end_max
@@ -389,6 +411,22 @@ class DataPlane:
                 counters["fs.writes"] += done
                 counters["fs.bytes_written"] += total
         return strayed
+
+    def _undo_write(self, made: list[tuple]) -> None:
+        """Take back, newest first, what a write op did before it ran out of
+        space: policy runs it ``"mapped"`` are unmapped and freed; extents it
+        ``"marked"`` written or ``"relocated"`` are put back as they were."""
+        fsm = self.fsm
+        for kind, smap, items in reversed(made):
+            for item in items:
+                if kind == "mapped":
+                    smap.remove_range(item.dlocal, item.length)
+                    fsm.free(item.physical, item.length)
+                    continue
+                if kind == "relocated":
+                    fsm.allocate_exact(item.physical, item.length)
+                smap.remove_range(item.logical, item.length)
+                smap.insert(item)
 
     def _map_write_columns(
         self,
@@ -468,6 +506,8 @@ class DataPlane:
         w_phys: list[int] = []
         w_len: list[int] = []
         extras: list[tuple[int, int, int, int]] = []
+        # The policy's runs of each row it did not answer exactly.
+        row_runs: dict[int, list[PhysicalRun]] = {}
         buffered: list[int] = []
         took = np.zeros(n, dtype=bool)
         phys: list[int] = []  # the rows allocate_many answers exactly
@@ -518,6 +558,7 @@ class DataPlane:
                     smap.insert_many(rows)
 
         column_from = -1  # first op of the column stretch under way
+        out_of_space = False
         try:
             for a, b in _runs_of(by_column):
                 if not by_column[a]:
@@ -542,6 +583,7 @@ class DataPlane:
                             buffered.append(i)  # delayed allocation
                             continue
                         ds, dc = starts[i], counts[i]
+                        row_runs[i] = new
                         for run in new:
                             if run.unwritten:
                                 extras.append((grp[i], run.dlocal, run.physical, run.length))
@@ -568,13 +610,29 @@ class DataPlane:
                         out_starts, out_nblocks, "write",
                     )
                     break
+        except NoSpaceError:
+            out_of_space = True
+            raise
         finally:
             stop = n
+            made: list[tuple] = []
             if column_from >= 0:
                 # allocate_many raised: the ops before the row's took effect.
                 stop = int(op[answered(lo)])
                 took[column_from:stop] = True
+                if out_of_space:
+                    # The row's op maps its rows before it, then takes them
+                    # back, as the scalar loop does.
+                    exact = dict(zip(w_row, w_phys))
+                    made = [
+                        ("mapped", g_maps[grp[r]], row_runs.get(r) or [
+                            PhysicalRun(starts[r], exact[r], counts[r])
+                        ])
+                        for r in sorted(exact.keys() | row_runs.keys())
+                        if op[r] == stop
+                    ]
             fold(stop)
+            self._undo_write(made)
             counters = self._counters
             if buffered:
                 nbuffered = int((op[buffered] < stop).sum())
@@ -910,7 +968,13 @@ class DataPlane:
         for f in self._files.values():
             for smap in f.maps:
                 for ext in smap:
-                    self.fsm.allocate_exact(ext.physical, ext.length)
+                    # An extent a group fallback grew past its PAG's end
+                    # spans two groups; each takes its own part.
+                    start, end = ext.physical, ext.physical_end
+                    while start < end:
+                        part = min(end, self.fsm.group_of(start).end) - start
+                        self.fsm.allocate_exact(start, part)
+                        start += part
         # The allocator restarts cold: windows, pools and buffers are gone.
         self.policy = make_policy(self.config.alloc, self.fsm, self.metrics, self.tracer)
         reclaimed = self.fsm.free_blocks - free_before

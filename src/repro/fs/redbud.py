@@ -13,7 +13,7 @@ from __future__ import annotations
 import posixpath
 
 from repro.config import FSConfig
-from repro.errors import FileExists, FileNotFound, MetadataError
+from repro.errors import FileExists, FileNotFound, MetadataError, NoSpaceError
 from repro.fs.dataplane import DataPlane
 from repro.fs.file import RedbudFile
 from repro.fs.stream import StreamId
@@ -54,7 +54,11 @@ class RedbudFileSystem:
             raise FileExists(path)
         parent, name = self._split(path)
         self.mds.create(self._dir_handle(parent), name)
-        f = self.data.create_file(path, expected_bytes=expected_bytes)
+        try:
+            f = self.data.create_file(path, expected_bytes=expected_bytes)
+        except NoSpaceError:
+            self.mds.delete(self._dir_handle(parent), name)
+            raise
         self._files[path] = f
         return f
 

@@ -1,4 +1,4 @@
-"""Parallel consistency checking (fsck) for the simulated file system.
+"""Consistency checking (fsck) for the simulated file system.
 
 Validates the cross-layer invariants the allocator work depends on:
 
@@ -10,38 +10,32 @@ Validates the cross-layer invariants the allocator work depends on:
   its layout; directory content runs don't overlap; the global directory
   table resolves every embedded directory.
 
-The checker follows pFSCK's shape (see PAPERS.md):
+Everything runs in the calling process:
 
 - **Columns, not objects** — a data-plane scan gathers every extent map
   into ``(logical, physical, length, flags)`` columns and validates them in
-  one numpy pass; shards lexsort extent ``(start, end)`` intervals and
-  sweep them with searchsorted / cumulative-max passes, O(extents log
-  extents) rather than a per-block ownership ``dict``.  A metadata
-  directory is a set of numpy columns, one row per entry.  Every test is a
-  mask, and Python visits only the rows a mask flagged.
-- **Sharded parallelism** — data-plane work runs one kernel call per chunk
-  of PAGs (allocation groups) and still reports per PAG; metadata work
-  shards into per-directory chunks.  Both go through
-  :func:`repro.core.sweep.run_cells` under its ordered-merge contract.
-- **Deterministic merge** — every finding carries a sort key derived from
-  the *serial* emission position, so the merged :class:`FsckReport` is
-  byte-identical (findings, order, counters) to a single-threaded
-  block-by-block, entry-by-entry walk at any ``jobs`` (the tests keep that
-  walk as their oracle).  Cross-shard invariants (double-owned blocks
-  across PAG boundaries, content-run overlap across directories) are
-  resolved in the merge, replaying the serial claim order over only the
-  extents shards flagged as overlapping.
-- **Pipelined repair** — :func:`repair_dataplane` applies shard *i*'s
-  fixes while shards *i+1..n* are still checking
-  (:func:`repro.core.sweep.stream_cells`) and iterates check→repair until
-  convergence.
-- **Online scrub** — :class:`Scrubber` walks the same shards one PAG at a
+  one numpy pass; one kernel call over every busy PAG (allocation group)
+  lexsorts extent ``(start, end)`` intervals and sweeps them with
+  searchsorted / cumulative-max passes, O(extents log extents) rather than
+  a per-block ownership ``dict``, and still reports per PAG.  A metadata
+  directory is a set of numpy columns, one row per entry, and one kernel
+  call walks every directory.  Every test is a mask, and Python visits
+  only the rows a mask flagged.
+- **Serial order** — every finding carries a sort key derived from its
+  position in a single-threaded block-by-block, entry-by-entry walk, so
+  the :class:`FsckReport` is byte-identical (findings, order, counters) to
+  that walk (the tests keep it as their oracle).  Double-owned blocks are
+  resolved by replaying the serial claim order over only the extents the
+  kernel flagged as overlapping.
+- **Repair** — :func:`repair_dataplane` / :func:`repair_mds` consume the
+  same finding codes, fix them, and re-check until the report converges.
+- **Online scrub** — :class:`Scrubber` checks and repairs one PAG at a
   time so a live service workload can interleave scrubbing with traffic.
 
 Tests and long-running experiments call :func:`check_dataplane` /
 :func:`check_mds` after churn to catch leaks and double allocations early.
-:func:`repair_dataplane` / :func:`repair_mds` consume the same finding
-codes and fix them, re-running the checker until it converges.
+The ``fig_fsck`` runner models a pFSCK-style worker pool from
+:func:`shard_work`'s per-shard volumes; no real worker is started here.
 """
 
 from __future__ import annotations
@@ -54,7 +48,6 @@ from operator import attrgetter, ne
 import numpy as np
 
 from repro.block.extent import Extent, extent_columns, invalid_maps
-from repro.core.sweep import resolve_jobs, run_cells, stream_cells
 from repro.errors import MetadataError
 from repro.fs.dataplane import DataPlane
 from repro.meta.embedded_layout import EmbeddedDir, EmbeddedLayout
@@ -63,8 +56,8 @@ from repro.meta.mds import MetadataServer
 from repro.meta.mfs import ItableGeometry
 from repro.meta.normal_layout import NormalDir, NormalLayout
 
-#: Directories per metadata check shard.  Small enough to load-balance a
-#: deep tree across workers, large enough that spec pickling stays cheap.
+#: Directories per metadata shard in ``fig_fsck``'s modeled worker pool
+#: (:func:`shard_work`); the checker itself walks every directory at once.
 META_SHARD_DIRS = 64
 
 
@@ -79,13 +72,9 @@ class Finding:
 
 @dataclass
 class FsckReport:
-    """Findings of one consistency pass.
-
-    Reports are picklable and merge-friendly: shard reports combine with
-    :meth:`merge` (finding lists concatenate in order, counters add by
-    exact integer arithmetic), so a sharded run assembles the same report
-    a serial run would produce.
-    """
+    """Findings of one consistency pass; the data-plane and metadata
+    reports combine with :meth:`merge` (finding lists concatenate in
+    order, counters add)."""
 
     findings: list[Finding] = field(default_factory=list)
     checked_extents: int = 0
@@ -161,7 +150,7 @@ class RepairResult:
 
 
 # ---------------------------------------------------------------------------
-# Interval bookkeeping and shard chunking, shared by both planes
+# Interval bookkeeping, shared by both planes
 # ---------------------------------------------------------------------------
 
 
@@ -215,12 +204,8 @@ class _IntervalOwners:
         self._owners[i:j] = [p[2] for p in pieces]
 
 
-def _chunked(specs: list, size: int) -> list[tuple]:
-    return [tuple(specs[i:i + size]) for i in range(0, len(specs), size)]
-
-
 # ---------------------------------------------------------------------------
-# Data plane: scan -> per-PAG shards -> vectorized check -> ordered merge
+# Data plane: scan -> one per-PAG kernel call -> ordered merge
 # ---------------------------------------------------------------------------
 
 # Per-extent finding ranks reproduce the serial emission order within one
@@ -243,7 +228,7 @@ class _PlaneScan:
     map order: row ``r`` is extent ``cols[:, r]`` (``phys`` and ``length``
     are two of its rows) of map ``owner[r]`` (file ``f`` holds maps
     ``first[f]:first[f + 1]``) at serial position ``pos[r]``, its slot's
-    layout naming PAG ``pag[r]``.  The shard kernels check ``rows``
+    layout naming PAG ``pag[r]``.  The PAG kernel checks ``rows``
     (valid maps, inside the array); ``pre`` holds the keyed findings of the
     scan itself (structurally invalid maps, extents outside the array)."""
 
@@ -276,12 +261,12 @@ class _PlaneScan:
 
 @dataclass(frozen=True)
 class _PlaneShardSpec:
-    """Picklable work unit: the extents a chunk of PAGs sees, grouped by PAG
-    ``g`` (ascending; ``gindex`` lists them; PAGs are ``gsize`` blocks, the
-    last is ``last``).  A PAG's home rows hold extents whose first block
-    lies in it; its visitor rows hold extents crossing in from lower groups,
-    so double-ownership on shared blocks is caught by at least one shard.
-    ``free`` holds the chunk's ``(start, length)`` free runs."""
+    """The extents every busy PAG sees, grouped by PAG ``g`` (ascending;
+    ``gindex`` lists them; PAGs are ``gsize`` blocks, the last is
+    ``last``).  A PAG's home rows hold extents whose first block lies in
+    it; its visitor rows hold extents crossing in from lower groups, so
+    double-ownership on shared blocks is caught in at least one PAG.
+    ``free`` holds those PAGs' ``(start, length)`` free runs."""
 
     gindex: np.ndarray
     gsize: int
@@ -297,7 +282,7 @@ class _PlaneShardSpec:
 
 @dataclass(frozen=True)
 class _PlaneShardReport:
-    """Picklable verdict of one PAG: flagged extent rows, ascending."""
+    """Verdict of one PAG: flagged extent rows, ascending."""
 
     gindex: int
     crosses: np.ndarray
@@ -377,31 +362,26 @@ def _scan_dataplane(
 def _flip(plane: DataPlane, blocks, to_free: bool) -> int:
     """Free (or re-claim) every one of ``blocks`` that is not so already,
     skipping out-of-array ones; returns how many changed."""
+    fsm = plane.fsm
     flipped = 0
     for b in blocks:
-        try:
-            if plane.fsm.group_of(b).free.is_free(b, 1) != to_free:
-                (plane.fsm.free if to_free else plane.fsm.allocate_exact)(b, 1)
-                flipped += 1
-        except Exception:
-            continue
+        if 0 <= b < fsm.total_blocks and fsm.group_of(b).free.is_free(b, 1) != to_free:
+            (fsm.free if to_free else fsm.allocate_exact)(b, 1)
+            flipped += 1
     return flipped
 
 
-def _plane_shard_specs(
-    scan: _PlaneScan, plane: DataPlane, jobs: int | None = None, only: int | None = None
-) -> list[_PlaneShardSpec]:
-    """Partition the non-empty PAGs (or PAG ``only`` alone) into one chunk
-    per worker: a single kernel call at ``jobs=1``."""
+def _plane_shard_spec(
+    scan: _PlaneScan, plane: DataPlane, only: int | None = None
+) -> _PlaneShardSpec:
+    """The kernel input over every non-empty PAG (or PAG ``only`` alone)."""
     groups = plane.fsm.groups
     rows = scan.rows
-    if not groups or not len(rows):
-        return []
     gsize = groups[0].size
     phys = scan.phys[rows]
     first = phys // gsize
     # Extents crossing a PAG boundary visit every further group they touch,
-    # so the shard owning the shared blocks sees both claimants.  Crossing
+    # so the PAG owning the shared blocks sees both claimants.  Crossing
     # extents are corruption — there are none on healthy images.
     last = np.minimum((phys + scan.length[rows] - 1) // gsize, len(groups) - 1)
     visitor = np.repeat(np.arange(len(rows)), last - first)
@@ -415,25 +395,19 @@ def _plane_shard_specs(
     busy = np.flatnonzero(np.diff(bounds))
     if only is not None:
         busy = busy[busy == only]
-    specs: list[_PlaneShardSpec] = []
-    size = -(-len(busy) // resolve_jobs(jobs)) or 1
-    for chunk in _chunked(busy.tolist(), size):
-        sel = slice(bounds[chunk[0]], bounds[chunk[-1] + 1])
-        free = [run for i in chunk for run in groups[i].free.runs()]
-        specs.append(_PlaneShardSpec(
-            np.array(chunk), gsize, len(groups) - 1, g[sel], home[sel], idx[sel],
-            scan.phys[idx[sel]], scan.length[idx[sel]], scan.pag[idx[sel]],
-            np.array(free, dtype=np.int64).reshape(-1, 2),
-        ))
-    return specs
+    sel = slice(bounds[busy[0]], bounds[busy[-1] + 1]) if len(busy) else slice(0, 0)
+    free = [run for i in busy.tolist() for run in groups[i].free.runs()]
+    return _PlaneShardSpec(
+        busy, gsize, len(groups) - 1, g[sel], home[sel], idx[sel],
+        scan.phys[idx[sel]], scan.length[idx[sel]], scan.pag[idx[sel]],
+        np.array(free, dtype=np.int64).reshape(-1, 2),
+    )
 
 
-def _plane_shard_check(
-    spec: _PlaneShardSpec, tracer=None
-) -> tuple[_PlaneShardReport, ...]:
-    """Vectorized invariant sweep over a chunk of PAGs, reported per PAG.
+def _plane_shard_check(spec: _PlaneShardSpec) -> tuple[_PlaneShardReport, ...]:
+    """Vectorized invariant sweep over the busy PAGs, reported per PAG.
 
-    Every test is one numpy pass over the whole chunk.  *crosses /
+    Every test is one numpy pass over all of them.  *crosses /
     wrong-PAG* are masks on the home rows.  *maps-free*: an extent overlaps
     a free run of its PAG iff a run starts before the extent's end (clipped
     to the PAG) and ends after it starts — two ``searchsorted`` calls.
@@ -442,7 +416,7 @@ def _plane_shard_check(
     max overlaps its cluster.  The last PAG's upper bound stays open, so
     extents running past the array end still collide; clipped ranges of
     different PAGs are disjoint, so no cluster spans two.  Every member of a
-    multi-extent cluster is exported for the merge to replay in claim order.
+    multi-extent cluster is reported for the merge to replay in claim order.
     """
     g = spec.g
     gend = (g + 1) * spec.gsize
@@ -537,26 +511,24 @@ def _merge_dataplane(
     return report
 
 
+# ``jobs`` on the four public entry points is accepted and ignored: the
+# host-time ledger's fsck workload still passes ``jobs=1``.
+
+
 def check_dataplane(
     plane: DataPlane, strict_accounting: bool = True, jobs: int | None = None
 ) -> FsckReport:
     """Verify data-plane invariants; returns the report (never raises).
 
-    Work shards per PAG and runs through :func:`run_cells`; ``jobs`` (or
-    ``REPRO_JOBS``) > 1 checks shards in worker processes.  The merged
-    report is byte-identical to a serial block-by-block walk at any worker
-    count.
+    The report is byte-identical to a serial block-by-block walk.
     """
     scan = _scan_dataplane(plane)
-    specs = _plane_shard_specs(scan, plane, jobs)
-    chunks = run_cells(specs, _plane_shard_check, jobs=jobs)
-    return _merge_dataplane(
-        scan, [rep for chunk in chunks for rep in chunk], plane, strict_accounting
-    )
+    reports = _plane_shard_check(_plane_shard_spec(scan, plane))
+    return _merge_dataplane(scan, reports, plane, strict_accounting)
 
 
 # ---------------------------------------------------------------------------
-# Metadata plane: per-directory columns -> chunked shards -> ordered merge
+# Metadata plane: per-directory columns -> one kernel call -> ordered merge
 # ---------------------------------------------------------------------------
 
 # Metadata finding keys are 5-tuples (phase, dir seq, section, item, rank);
@@ -571,7 +543,7 @@ _NOWHERE = np.iinfo(np.int64).min
 
 @dataclass(frozen=True)
 class _EmbeddedDirSpec:
-    """Picklable snapshot of one embedded directory, one row per entry in
+    """Snapshot of one embedded directory, one row per entry in
     directory order: numpy columns for what every row is tested on, tuples
     for what only a flagged row's finding message reads."""
 
@@ -589,9 +561,9 @@ class _EmbeddedDirSpec:
 
 @dataclass(frozen=True)
 class _NormalDirSpec:
-    """Picklable snapshot of one normal-layout directory (rows as in
-    :class:`_EmbeddedDirSpec`); ``geometry`` lets the shard place the whole
-    ``inos`` column in the inode tables without the MFS."""
+    """Snapshot of one normal-layout directory (rows as in
+    :class:`_EmbeddedDirSpec`); ``geometry`` places the whole ``inos``
+    column in the inode tables."""
 
     seq: int
     ino: int
@@ -605,20 +577,6 @@ class _NormalDirSpec:
     home_slot: np.ndarray
     names: tuple
     entry_blocks: tuple
-
-
-@dataclass(frozen=True)
-class _MetaShardReport:
-    """Picklable metadata shard verdict.
-
-    ``findings`` are ``(key, code, message)``; ``deferred`` carries
-    orphan-home candidates whose verdict needs the cross-directory content
-    union, resolved by the driver during the merge.
-    """
-
-    findings: tuple
-    deferred: tuple
-    checked_inodes: int
 
 
 def _embedded_dir_spec(
@@ -644,13 +602,6 @@ def _embedded_dir_spec(
     )
 
 
-def _scan_embedded(layout: EmbeddedLayout) -> list[_EmbeddedDirSpec]:
-    return [
-        _embedded_dir_spec(layout, seq, d)
-        for seq, d in enumerate(layout._dirs.values())
-    ]
-
-
 def _renamed(spec: _EmbeddedDirSpec) -> np.ndarray:
     """Rows whose live inode carries another name than its entry."""
     return spec.exists & np.fromiter(
@@ -658,21 +609,31 @@ def _renamed(spec: _EmbeddedDirSpec) -> np.ndarray:
     )
 
 
-def _embedded_shard_check(
-    chunk: tuple[_EmbeddedDirSpec, ...], tracer=None
-) -> _MetaShardReport:
-    """Check a chunk of embedded directories against shard-local state.
+def _embedded_check(specs: list[_EmbeddedDirSpec]) -> FsckReport:
+    """Check every embedded directory, in directory order.
 
     The whole home-block column is tested against the directory's *own*
-    content runs with one sorted-starts / cumulative-max-ends probe; a miss
-    is only a *candidate* orphan (another directory's runs may still cover
-    it), so misses are deferred to the merge step.  Python touches only the
-    rows some mask flagged.
+    content runs with one sorted-starts / cumulative-max-ends probe, and
+    Python touches only the rows some mask flagged.  A miss is an orphan
+    only when no content run registered so far covers it either: an
+    interval-owner map of every directory's runs, in order, settles that
+    (the serial walk's prefix semantics) and names the prior owner of each
+    block two directories' runs share (last-writer-wins, as the serial
+    dict).
     """
     findings: list[tuple] = []
-    deferred: list[tuple] = []
     checked = 0
-    for spec in chunk:
+    owners = _IntervalOwners()
+    for spec in specs:
+        for ridx, (start, count) in enumerate(spec.runs):
+            for a, b, prior in owners.overlapping(start, start + count):
+                for blk in range(a, b):
+                    findings.append((
+                        (0, spec.seq, 0, ridx, blk), "content-block-overlap",
+                        f"content block {blk} owned by dirs {prior} "
+                        f"and {spec.dir_id}",
+                    ))
+            owners.assign(start, start + count, spec.dir_id)
         if not spec.in_gdt:
             findings.append((
                 (0, spec.seq, 1, 0, 0), "dir-missing-from-gdt",
@@ -703,54 +664,20 @@ def _embedded_shard_check(
                     f"dir {spec.dir_id}: entry {name!r} -> dangling inode {ino}",
                 ))
                 continue
-            if stray[idx]:
-                deferred.append((spec.seq, idx, ino, name, int(home[idx])))
+            block = int(home[idx])
+            if stray[idx] and owners.first_owned_in(block, block + 1) is None:
+                findings.append((
+                    (0, spec.seq, 2, idx, 0), "orphan-home-block",
+                    f"inode {ino} ({name!r}) home block {block} "
+                    f"outside any directory content",
+                ))
             if renamed[idx]:
                 findings.append((
                     (0, spec.seq, 2, idx, 1), "inode-name-mismatch",
                     f"inode {ino}: name {spec.inode_names[idx]!r} != "
                     f"entry name {name!r}",
                 ))
-    return _MetaShardReport(
-        findings=tuple(findings), deferred=tuple(deferred), checked_inodes=checked
-    )
-
-
-def _merge_embedded(
-    specs: list[_EmbeddedDirSpec], reports: list[_MetaShardReport]
-) -> FsckReport:
-    """Merge embedded shards, resolving the cross-directory invariants.
-
-    The driver replays directory order once with an interval-owner map:
-    content-run overlaps get per-block findings naming the prior owner
-    (last-writer-wins, as the serial dict), and each directory's deferred
-    orphan candidates are settled against the union of all content runs
-    registered so far — exactly the serial checker's prefix semantics.
-    """
-    findings = [f for rep in reports for f in rep.findings]
-    deferred_by_seq: dict[int, list[tuple]] = {}
-    for rep in reports:
-        for item in rep.deferred:
-            deferred_by_seq.setdefault(item[0], []).append(item)
-    owners = _IntervalOwners()
-    for spec in specs:
-        for ridx, (start, count) in enumerate(spec.runs):
-            for a, b, prior in owners.overlapping(start, start + count):
-                for blk in range(a, b):
-                    findings.append((
-                        (0, spec.seq, 0, ridx, blk), "content-block-overlap",
-                        f"content block {blk} owned by dirs {prior} "
-                        f"and {spec.dir_id}",
-                    ))
-            owners.assign(start, start + count, spec.dir_id)
-        for seq, idx, ino, name, home in deferred_by_seq.get(spec.seq, ()):
-            if owners.first_owned_in(home, home + 1) is None:
-                findings.append((
-                    (0, seq, 2, idx, 0), "orphan-home-block",
-                    f"inode {ino} ({name!r}) home block {home} "
-                    f"outside any directory content",
-                ))
-    return _ordered_report(findings, reports)
+    return _ordered_report(findings, checked)
 
 
 def _normal_dir_spec(
@@ -776,14 +703,6 @@ def _normal_dir_spec(
     )
 
 
-def _scan_normal(layout: NormalLayout) -> list[_NormalDirSpec]:
-    geometry = layout.mfs.itable_geometry()
-    return [
-        _normal_dir_spec(layout, geometry, seq, d)
-        for seq, d in enumerate(layout._dirs.values())
-    ]
-
-
 def _normal_row_faults(
     spec: _NormalDirSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -805,13 +724,11 @@ def _normal_row_faults(
     return want_block, want_slot, moved, unknown
 
 
-def _normal_shard_check(
-    chunk: tuple[_NormalDirSpec, ...], tracer=None
-) -> _MetaShardReport:
-    """Check a chunk of normal-layout directories (fully shard-local)."""
+def _normal_check(specs: list[_NormalDirSpec]) -> FsckReport:
+    """Check every normal-layout directory, each against its own state."""
     findings: list[tuple] = []
     checked = 0
-    for spec in chunk:
+    for spec in specs:
         if spec.nblocks != len(spec.fill):
             findings.append((
                 (0, spec.seq, 0, 0, 0), "dentry-fill-mismatch",
@@ -848,17 +765,13 @@ def _normal_shard_check(
                     (0, spec.seq, 2, idx, 1), "entry-unknown-dentry-block",
                     f"dir {spec.ino}: entry {name!r} in unknown dentry block",
                 ))
-    return _MetaShardReport(
-        findings=tuple(findings), deferred=(), checked_inodes=checked
-    )
+    return _ordered_report(findings, checked)
 
 
-def _ordered_report(
-    findings: list[tuple], reports: list[_MetaShardReport]
-) -> FsckReport:
-    """Keyed findings back in serial emission order, counters summed."""
+def _ordered_report(findings: list[tuple], checked: int) -> FsckReport:
+    """Keyed findings back in serial emission order."""
     findings.sort(key=lambda t: t[0])
-    report = FsckReport(checked_inodes=sum(rep.checked_inodes for rep in reports))
+    report = FsckReport(checked_inodes=checked)
     for _key, code, message in findings:
         report.error(message, code=code)
     return report
@@ -867,30 +780,24 @@ def _ordered_report(
 def check_mds(mds: MetadataServer, jobs: int | None = None) -> FsckReport:
     """Verify metadata-plane invariants; returns the report.
 
-    Directories shard into chunks of :data:`META_SHARD_DIRS` and run
-    through :func:`run_cells`; the merged report is byte-identical to a
-    serial entry-by-entry walk at any worker count.
+    The report is byte-identical to a serial entry-by-entry walk.
     """
     layout = mds.layout
     if isinstance(layout, EmbeddedLayout):
-        specs = _scan_embedded(layout)
-        reports = run_cells(
-            _chunked(specs, META_SHARD_DIRS), _embedded_shard_check, jobs=jobs
-        )
-        return _merge_embedded(specs, reports)
+        return _embedded_check([
+            _embedded_dir_spec(layout, seq, d) for seq, d in enumerate(layout._dirs.values())
+        ])
     if isinstance(layout, NormalLayout):
-        nspecs = _scan_normal(layout)
-        reports = run_cells(
-            _chunked(nspecs, META_SHARD_DIRS), _normal_shard_check, jobs=jobs
-        )
-        return _ordered_report(
-            [f for rep in reports for f in rep.findings], reports
-        )
+        geometry = layout.mfs.itable_geometry()
+        return _normal_check([
+            _normal_dir_spec(layout, geometry, seq, d)
+            for seq, d in enumerate(layout._dirs.values())
+        ])
     return FsckReport()
 
 
 # ---------------------------------------------------------------------------
-# Repair: pipelined shard consumption, iterating to convergence
+# Repair: apply the per-PAG reports, iterating to convergence
 # ---------------------------------------------------------------------------
 
 
@@ -905,19 +812,18 @@ def repair_dataplane(
     claimants of double-owned blocks lose them; extents mapping free blocks
     re-claim them with ``allocate_exact``.
 
-    Each repair pass streams shard reports through :func:`stream_cells` —
-    fixes for shard *i* apply while shards *i+1..n* are still checking —
-    and the surrounding loop re-checks until the report converges, which
-    also settles any cross-shard interactions a single pass cannot see.
+    Each pass applies the per-PAG reports in PAG order, and the
+    surrounding loop re-checks until the report converges, which also
+    settles any cross-PAG interactions a single pass cannot see.
     """
-    before = check_dataplane(plane, jobs=jobs)
+    before = check_dataplane(plane)
     result = RepairResult(before=before, after=before)
     report = before
     while not report.clean and result.passes < max_passes:
         done = len(result.actions)
-        _repair_dataplane_pass(plane, result.actions, jobs=jobs)
+        _repair_dataplane_pass(plane, result.actions)
         result.passes += 1
-        report = check_dataplane(plane, jobs=jobs)
+        report = check_dataplane(plane)
         if len(result.actions) == done:
             break
     result.after = report
@@ -925,30 +831,27 @@ def repair_dataplane(
 
 
 def _repair_dataplane_pass(
-    plane: DataPlane, actions: list, jobs: int | None = None, only: int | None = None
-) -> tuple[_PlaneScan, list[_PlaneShardReport]]:
+    plane: DataPlane, actions: list, only: int | None = None
+) -> tuple[_PlaneScan, tuple[_PlaneShardReport, ...]]:
     """One check-and-fix sweep (of PAG ``only`` alone, if given); returns
     the scan and the per-PAG reports it fixed."""
     scan = _scan_dataplane(plane, repair_actions=actions)
     removed: set[int] = set()
-    reports: list[_PlaneShardReport] = []
-    specs = _plane_shard_specs(scan, plane, jobs, only)
-    for chunk in stream_cells(specs, _plane_shard_check, jobs=jobs):
-        for rep in chunk:
-            _apply_shard_repairs(plane, scan, rep, removed, actions)
-        reports.extend(chunk)
+    reports = _plane_shard_check(_plane_shard_spec(scan, plane, only))
+    for rep in reports:
+        _apply_shard_repairs(plane, scan, rep, removed, actions)
     return scan, reports
 
 
 def _apply_shard_repairs(
     plane: DataPlane, scan: _PlaneScan, rep: _PlaneShardReport, removed: set, actions: list
 ) -> None:
-    """Apply one shard's verdicts to the live plane.
+    """Apply one PAG's verdicts to the live plane.
 
     Serial-position (row) order decides double-ownership: the earliest
     claimant of a contested block keeps its full extent, later claimants
-    are unmapped.  ``removed`` is shared across shards so an extent flagged
-    by several shards (it crosses PAG boundaries) is unmapped exactly once.
+    are unmapped.  ``removed`` is shared across PAGs so an extent flagged
+    by several (it crosses PAG boundaries) is unmapped exactly once.
     """
     misplaced = set(rep.crosses.tolist()) | set(rep.wrong.tolist())
     losers: set[int] = set()
@@ -992,7 +895,7 @@ def repair_mds(
     mds: MetadataServer, max_passes: int = 4, jobs: int | None = None
 ) -> RepairResult:
     """Fix metadata-plane findings; iterates check→repair until clean."""
-    before = check_mds(mds, jobs=jobs)
+    before = check_mds(mds)
     result = RepairResult(before=before, after=before)
     report = before
     layout = mds.layout
@@ -1004,7 +907,7 @@ def repair_mds(
         else:  # pragma: no cover - exhaustive over shipped layouts
             changed = False
         result.passes += 1
-        report = check_mds(mds, jobs=jobs)
+        report = check_mds(mds)
         if not changed:
             break
     result.after = report
@@ -1185,13 +1088,16 @@ def shard_work(
     from :class:`repro.config.FsckParams`, the modeled parallel check time
     is the longest-processing-time-first makespan over these volumes.
     """
-    specs = _plane_shard_specs(_scan_dataplane(plane), plane)
-    data = [n for s in specs for n in np.unique(s.g, return_counts=True)[1].tolist()]
+    spec = _plane_shard_spec(_scan_dataplane(plane), plane)
+    data = np.unique(spec.g, return_counts=True)[1].tolist()
     meta: list[int] = []
     if mds is not None:
         # one row per entry plus one per-directory structural pass
         rows = [len(d.entries) + 1 for d in mds.layout._dirs.values()]
-        meta = [sum(chunk) for chunk in _chunked(rows, META_SHARD_DIRS)]
+        meta = [
+            sum(rows[i:i + META_SHARD_DIRS])
+            for i in range(0, len(rows), META_SHARD_DIRS)
+        ]
     return data, meta
 
 
@@ -1253,7 +1159,7 @@ class Scrubber:
 
     def _scrub_group(self, g: int) -> ScrubStep:
         actions: list[RepairAction] = []
-        scan, reports = _repair_dataplane_pass(self.plane, actions, jobs=1, only=g)
+        scan, reports = _repair_dataplane_pass(self.plane, actions, only=g)
         nfind = len(scan.pre) + sum(
             len(rep.crosses) + len(rep.wrong) + len(rep.maps_free)
             + len(_resolve_double_owned(scan, rep.overlap.tolist()))

@@ -6,8 +6,7 @@
 oracle :func:`tests.fsck_reference.validate_extent_map`.  The hand-built planes
 put an invalid map, an out-of-array extent and a PAG-crossing extent side
 by side, so ``extent-map-invalid`` — which no Corruptor fault produces —
-is checked against the serial oracle, at one kernel chunk per worker and
-through repair.
+is checked against the serial oracle, and through repair.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.block.extent import Extent, ExtentMap, extent_columns, invalid_maps
-from repro.errors import ExtentError
-from repro.fs import verify
+from repro.errors import AllocationError, ExtentError
 from repro.fs.dataplane import DataPlane
 from repro.fs.verify import check_dataplane, repair_dataplane, shard_work
 from repro.units import KiB
@@ -124,47 +122,37 @@ def report_key(report) -> tuple:
 
 
 class TestHandBuiltDataplaneDamage:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_kernel_chunk_per_worker(self, jobs):
-        plane = damaged_plane()
-        scan = verify._scan_dataplane(plane)
-        assert len(verify._plane_shard_specs(scan, plane, jobs)) == jobs
-
-    @pytest.mark.parametrize("jobs", [1, 2])
+    # ``checks`` runs the check that many times on one plane: a check is
+    # read-only, so a repeated one must still equal the oracle.
+    @pytest.mark.parametrize("checks", [1, 2])
     @pytest.mark.parametrize("strict", [False, True])
-    def test_check_equals_reference(self, jobs, strict):
+    def test_check_equals_reference(self, checks, strict):
         plane = damaged_plane()
-        report = check_dataplane(plane, strict_accounting=strict, jobs=jobs)
-        assert report.codes >= {
-            "extent-map-invalid", "extent-outside-array", "extent-crosses-pag"
-        }
-        assert report_key(report) == report_key(
+        reports = [
+            check_dataplane(plane, strict_accounting=strict) for _ in range(checks)
+        ]
+        expected = report_key(
             check_dataplane_reference(plane, strict_accounting=strict)
         )
+        for report in reports:
+            assert report.codes >= {
+                "extent-map-invalid", "extent-outside-array", "extent-crosses-pag"
+            }
+            assert report_key(report) == expected
 
-    def test_repair_is_the_same_at_any_job_count(self):
-        fixes = []
-        for jobs in (1, 2):
-            plane = damaged_plane()
-            fix = repair_dataplane(plane, jobs=jobs)
-            assert fix.converged
-            assert report_key(fix.after) == report_key(
-                check_dataplane_reference(plane)
-            )
-            fixes.append([(a.code, a.message) for a in fix.actions])
-        assert fixes[0] == fixes[1]
-        assert {code for code, _ in fixes[0]} >= {
+    def test_repair_equals_reference(self):
+        plane = damaged_plane()
+        fix = repair_dataplane(plane)
+        assert fix.converged
+        assert report_key(fix.after) == report_key(check_dataplane_reference(plane))
+        assert {a.code for a in fix.actions} >= {
             "extent-map-invalid", "extent-outside-array"
         }
 
-    def test_shard_work_counts_rows_per_pag_at_any_job_count(self, monkeypatch):
-        volumes = []
-        for jobs in ("1", "2"):
-            monkeypatch.setenv("REPRO_JOBS", jobs)
-            volumes.append(shard_work(damaged_plane())[0])
-        assert volumes[0] == volumes[1]
+    def test_shard_work_counts_rows_per_pag(self):
+        volumes = shard_work(damaged_plane())[0]
         # The crossing extent is seen by both PAGs it touches.
-        assert len(volumes[0]) >= 2
+        assert len(volumes) >= 2
 
 
 class TestDroppedMapReleasesItsBlocks:
@@ -194,3 +182,21 @@ class TestDroppedMapReleasesItsBlocks:
         assert [a.code for a in fix.actions] == ["extent-map-invalid"]
         assert not plane.fsm.group_of(kept.physical).free.is_free(kept.physical, 2)
         assert plane.fsm.used_blocks == mapped_blocks(plane)
+
+
+class TestRepairAllocatorErrors:
+    """Regression: repair used to swallow any exception while flipping a
+    block, so an allocator fault read as "nothing to re-claim"."""
+
+    def test_allocator_error_propagates(self, monkeypatch):
+        plane = three_file_plane()
+        block = plane.files()[0].maps[0].extents()[0].physical
+        plane.fsm.free(block, 1)
+        assert check_dataplane(plane).has("extent-maps-free")
+
+        def broken(start, count):
+            raise AllocationError(f"cannot claim {start}+{count}")
+
+        monkeypatch.setattr(plane.fsm, "allocate_exact", broken)
+        with pytest.raises(AllocationError, match=f"cannot claim {block}"):
+            repair_dataplane(plane)

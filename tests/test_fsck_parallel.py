@@ -1,10 +1,11 @@
-"""Parallel fsck: sharded checking equals the serial oracle, byte for byte.
+"""fsck: the columnar checkers equal the serial oracle, byte for byte.
 
-The contract under test (docs/FSCK.md): the vectorized, sharded checkers
-in :mod:`repro.fs.verify` render the same ordered findings as the
-single-threaded reference walkers at any worker count, over arbitrary
-seeded corruption; repair converges from a crashed image; and the online
-scrubber drains live corruption while the service workload runs.
+The contract under test (docs/FSCK.md): the vectorized checkers in
+:mod:`repro.fs.verify` render the same ordered findings as the
+single-threaded reference walkers over arbitrary seeded corruption;
+repair converges from a crashed image; the online scrubber drains live
+corruption while the service workload runs; and no fsck path starts a
+worker process.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def populated_mds(layout: str) -> MetadataServer:
 
 
 def wide_mds(layout: str) -> MetadataServer:
-    """More directories than one metadata shard holds, so chunking, the
-    per-shard sort keys and the cross-shard merge are all in play."""
+    """More directories than one modeled metadata shard holds, so findings
+    and the cross-directory merge span that boundary."""
     mds = MetadataServer(small_config(layout=layout))
     for i in range(META_SHARD_DIRS + 6):
         d = mds.mkdir(mds.root, f"d{i:03d}")
@@ -84,10 +85,6 @@ def dirs_of(mds: MetadataServer) -> list:
 
 def file_inode(mds: MetadataServer, d, name: str):
     return mds.layout._inodes[d.entries[name]]
-
-
-def action_key(result) -> list[tuple]:
-    return [(a.code, a.message) for a in result.actions]
 
 
 def report_key(report: FsckReport) -> tuple:
@@ -196,9 +193,8 @@ class TestShardedEqualsReference:
 
 
 class TestAcrossShardBoundary:
-    """The sharded == oracle property where it has something to prove: a
-    tree wider than ``META_SHARD_DIRS``, so findings come from more than one
-    shard and merge across the chunk boundary."""
+    """The checker == oracle property on a tree wider than
+    ``META_SHARD_DIRS``, so findings span more than one modeled shard."""
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), nfaults=st.integers(1, 8))
@@ -208,23 +204,7 @@ class TestAcrossShardBoundary:
         assert len(dirs_of(mds)) > META_SHARD_DIRS
         Corruptor(seed).corrupt_mds(mds, nfaults=nfaults)
         assert report_key(check_mds(mds)) == report_key(check_mds_reference(mds))
-
-    @pytest.mark.parametrize("layout", ["embedded", "normal"])
-    def test_worker_processes_equal_serial(self, layout):
-        serial, workers = wide_mds(layout), wide_mds(layout)
-        for mds in (serial, workers):
-            Corruptor(17).corrupt_mds(mds, nfaults=8)
-            # One fault planted by hand in the last (second) shard.
-            name, ino = next(iter(dirs_of(mds)[-1].entries.items()))
-            del mds.layout._inodes[ino]
-        oracle = check_mds_reference(serial)
-        assert not oracle.clean
-        assert report_key(check_mds(workers, jobs=2)) == report_key(oracle)
-        fix_1 = repair_mds(serial, jobs=1)
-        fix_2 = repair_mds(workers, jobs=2)
-        assert fix_1.converged and fix_2.converged
-        assert action_key(fix_1) == action_key(fix_2)
-        assert report_key(fix_1.before) == report_key(fix_2.before)
+        assert repair_mds(mds).converged
 
 
 class TestHandBuiltMetadataDamage:
@@ -322,41 +302,6 @@ class TestHandBuiltMetadataDamage:
             check_mds_reference(mds)
 
 
-class TestWorkerProcesses:
-    """jobs=2 really runs shards in worker processes and still merges to
-    the identical report."""
-
-    def test_crashed_image_check_identical_across_jobs(self):
-        serial = build_crashed_image(scale=0.3, seed=5)
-        workers = build_crashed_image(scale=0.3, seed=5)
-        rep_1 = check_dataplane(serial.plane, strict_accounting=False).merge(
-            check_mds(serial.mds)
-        )
-        rep_2 = check_dataplane(
-            workers.plane, strict_accounting=False, jobs=2
-        ).merge(check_mds(workers.mds, jobs=2))
-        assert report_key(rep_1) == report_key(rep_2)
-        assert not rep_1.clean
-
-    def test_data_plane_cuts_one_chunk_per_worker(self):
-        img = build_crashed_image(scale=0.3, seed=5)
-        scan = verify._scan_dataplane(img.plane)
-        assert len(verify._plane_shard_specs(scan, img.plane, jobs=1)) == 1
-        assert len(verify._plane_shard_specs(scan, img.plane, jobs=2)) == 2
-
-    def test_crashed_image_repair_identical_across_jobs(self):
-        serial = build_crashed_image(scale=0.3, seed=5)
-        workers = build_crashed_image(scale=0.3, seed=5)
-        fix_1 = repair_dataplane(serial.plane).merge(repair_mds(serial.mds))
-        fix_2 = repair_dataplane(workers.plane, jobs=2).merge(
-            repair_mds(workers.mds, jobs=2)
-        )
-        assert fix_1.converged and fix_2.converged
-        assert [(a.code, a.message) for a in fix_1.actions] == [
-            (a.code, a.message) for a in fix_2.actions
-        ]
-
-
 class TestCrashedImage:
     def test_deterministic(self):
         a = build_crashed_image(scale=0.3, seed=9)
@@ -406,7 +351,7 @@ class TestFigFsckRunner:
 
 
 class TestReportPlumbing:
-    """Reports cross process boundaries and merge deterministically."""
+    """Reports pickle and merge deterministically."""
 
     def test_reports_pickle_roundtrip(self):
         img = build_crashed_image(scale=0.3, seed=2)
@@ -436,6 +381,33 @@ class TestReportPlumbing:
             ScrubSpec(interval_s=0.0)
         with pytest.raises(ConfigError):
             ScrubSpec(nfaults=0)
+
+
+class TestNoWorkerProcess:
+    """Regression: the checkers used to resolve their own worker count from
+    ``REPRO_JOBS``, so a runner told ``jobs=1`` still started process pools
+    from inside its cells.  fsck now always runs in the calling process."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process pool was started")
+
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        monkeypatch.setattr("repro.core.sweep.ProcessPoolExecutor", refuse)
+
+    def test_fig_fsck(self):
+        assert run("fig_fsck", scale=0.05, jobs=1).payload.converged
+
+    def test_faults(self):
+        assert run("faults", scale=0.2, jobs=1).payload
+
+    def test_service_scrub(self):
+        result = run(
+            "service", scale=0.2, seed=0, streams=200,
+            scrub=True, scrub_corrupt=5, jobs=1,
+        )
+        assert result.payload.cells[0].scrub.clean_after
 
 
 class TestOnlineScrub:

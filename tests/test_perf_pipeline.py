@@ -23,7 +23,7 @@ from repro.block.extent import Extent, ExtentFlags, ExtentMap
 from repro.block.freelist import FreeExtentSet
 from repro.config import DiskParams, SchedulerParams
 from repro.core.run import run
-from repro.core.sweep import resolve_jobs, run_cells
+from repro.core.sweep import resolve_jobs, stream_cells
 from repro.core.runners import LISTIO_HEADER_S
 from repro.disk.array import DiskArray
 from repro.disk.model import BlockRequest, ServiceTimeModel
@@ -346,8 +346,8 @@ def _cube(spec, tracer=None):
 class TestRunCellsDeterminism:
     def test_parallel_equals_serial_in_submission_order(self):
         cells = [7, 3, 11, 5, 2]
-        serial = run_cells(cells, _cube, jobs=1)
-        parallel = run_cells(cells, _cube, jobs=2)
+        serial = list(stream_cells(cells, _cube, jobs=1))
+        parallel = list(stream_cells(cells, _cube, jobs=2))
         assert parallel == serial == [(c, c**3) for c in cells]
 
     def test_env_var_supplies_default(self, monkeypatch):
@@ -356,7 +356,7 @@ class TestRunCellsDeterminism:
         assert resolve_jobs(2) == 2  # explicit wins
 
     def test_single_cell_stays_in_process(self):
-        assert run_cells([4], _cube, jobs=8) == [(4, 64)]
+        assert list(stream_cells([4], _cube, jobs=8)) == [(4, 64)]
 
     @staticmethod
     def document(runner: str, jobs: int) -> str:
