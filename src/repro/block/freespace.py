@@ -9,12 +9,11 @@ preallocation policy's job (:mod:`repro.alloc`).
 from __future__ import annotations
 
 from repro.block.group import AllocationGroup
-from repro.errors import AllocationError, NoSpaceError
+from repro.errors import AllocationError
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
 
-#: Trace schemas, ``(layer, op, *attr names)``: one per event shape.
-_GROUP_FALLBACK = ("fsm", "group_fallback", "wanted_group", "used_group", "count", "got")
+#: Trace schema, ``(layer, op, *attr names)``.
 _FREE = ("fsm", "free", "start", "count", "groups")
 
 
@@ -101,17 +100,13 @@ class FreeSpaceManager:
     ) -> tuple[int, int]:
         """Contiguous allocation of up to ``count`` blocks in one PAG.
 
-        Falls back to sibling groups (same disk first, then others) when the
-        preferred group cannot satisfy even ``minimum`` blocks.
+        Never outside it: a PAG that cannot give even ``minimum`` blocks
+        raises :class:`~repro.errors.NoSpaceError`, whatever its siblings
+        hold, because a file's layout names one PAG per stripe slot.
         """
         if not (0 <= group_index < len(self.groups)):
             raise AllocationError(f"group index out of range: {group_index}")
-        try:
-            start, got = self.groups[group_index].allocate(
-                count, hint=hint, minimum=minimum
-            )
-        except NoSpaceError as exc:
-            start, got = self._allocate_fallback(group_index, count, minimum, exc)
+        start, got = self.groups[group_index].allocate(count, hint=hint, minimum=minimum)
         self._free_total -= got
         counters = self._counters
         counters["fsm.allocations"] += 1
@@ -121,36 +116,6 @@ class FreeSpaceManager:
             hist = self._run_hist = self.metrics.histogram_ref("fsm.alloc_run_blocks")
         hist.observe(got)
         return (start, got)
-
-    def _allocate_fallback(
-        self,
-        group_index: int,
-        count: int,
-        minimum: int | None,
-        last_error: NoSpaceError,
-    ) -> tuple[int, int]:
-        """The preferred group is full: try its siblings, unhinted, same
-        disk first, then the other disks."""
-        preferred = self.groups[group_index]
-        same_disk = [
-            g
-            for g in self.groups
-            if g.disk_index == preferred.disk_index and g.index != group_index
-        ]
-        others = [g for g in self.groups if g.disk_index != preferred.disk_index]
-        for group in (*same_disk, *others):
-            try:
-                start, got = group.allocate(count, hint=None, minimum=minimum)
-            except NoSpaceError as exc:
-                last_error = exc
-                continue
-            self._counters["fsm.group_fallbacks"] += 1
-            if self.tracer.enabled:
-                self.tracer.record(
-                    _GROUP_FALLBACK, None, 0.0, None, group_index, group.index, count, got
-                )
-            return (start, got)
-        raise NoSpaceError(f"array full: {last_error}")
 
     def allocate_near(
         self, hint: int, count: int, minimum: int | None = None

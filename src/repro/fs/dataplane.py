@@ -246,7 +246,9 @@ class DataPlane:
         same extents, same allocation decisions, same per-byte metrics —
         but the whole region list feeds one coalescing pass, so physically
         adjacent runs coalesce *across* non-adjacent logical regions and
-        the caller submits a single batch.
+        the caller submits a single batch.  On
+        :class:`~repro.errors.NoSpaceError` it is all or nothing: no
+        region stays mapped and nothing is booked.
         """
         self._check_live(f)
         if not regions:
@@ -290,7 +292,8 @@ class DataPlane:
         Counters and file sizes are booked once, for the ops that took
         effect, also when one of them raises.  An op that runs out of space
         takes back what it had mapped (:meth:`_undo_write`), so it leaves
-        no partial state.
+        no partial state; a ``writev`` is one op in this, and takes back
+        every region and books nothing.
         """
         gather = op == "writev"
         bs = self.block_size
@@ -303,7 +306,7 @@ class DataPlane:
         # Per-file facts, remembered when the run leaves a file for another.
         facts: dict[int, tuple] = {}
         runs: list[tuple[int, int]] = []
-        # What the current op did to the maps, for _undo_write.
+        # What the current op (a writev: all of it) did, for _undo_write.
         made: list[tuple] = []
         done = total = nbuffered = end_max = 0
         strayed = False
@@ -336,7 +339,7 @@ class DataPlane:
                 else:
                     segments = self._segments(f, lb, nb)
                 buffered = 0
-                if made:
+                if made and not gather:
                     made = []
                 for slot, dstart, dcount in segments:
                     smap = maps[slot]
@@ -400,6 +403,8 @@ class DataPlane:
                 emit(runs, out_starts, out_nblocks)
         except NoSpaceError:
             self._undo_write(made)
+            if gather:
+                done = total = nbuffered = end_max = 0
             raise
         finally:
             if f is not None and end_max > f.size_bytes:
@@ -968,13 +973,7 @@ class DataPlane:
         for f in self._files.values():
             for smap in f.maps:
                 for ext in smap:
-                    # An extent a group fallback grew past its PAG's end
-                    # spans two groups; each takes its own part.
-                    start, end = ext.physical, ext.physical_end
-                    while start < end:
-                        part = min(end, self.fsm.group_of(start).end) - start
-                        self.fsm.allocate_exact(start, part)
-                        start += part
+                    self.fsm.allocate_exact(ext.physical, ext.length)
         # The allocator restarts cold: windows, pools and buffers are gone.
         self.policy = make_policy(self.config.alloc, self.fsm, self.metrics, self.tracer)
         reclaimed = self.fsm.free_blocks - free_before

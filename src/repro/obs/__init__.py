@@ -3,7 +3,7 @@
 ``repro.obs`` is the profiling layer every performance PR justifies itself
 with: a :class:`Tracer` collects structured, simulated-time
 :class:`TraceEvent` records from the instrumented layers (allocator window
-transitions, PAG fallbacks, disk seek/transfer, cache hits, journal
+transitions, PAG degradation, disk seek/transfer, cache hits, journal
 commits) — or a :class:`SamplingTracer` collects them for 1-in-N streams
 without pulling the run off the vectorized fast paths — :class:`Histogram`
 sketches latency/size distributions inside

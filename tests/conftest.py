@@ -34,7 +34,8 @@ SMALL_BLOCKS = 16384
 
 def pytest_collection_modifyitems(items) -> None:
     """Under "deep", scale each property test's own ``max_examples`` (a
-    profile only sets the default that ``@settings`` overrides)."""
+    profile only sets the default that ``@settings`` overrides), and each
+    state machine's, whose settings sit on its ``TestCase`` class."""
     if PROFILE != "deep":
         return
     seen = set()
@@ -47,6 +48,11 @@ def pytest_collection_modifyitems(items) -> None:
             test._hypothesis_internal_use_settings = settings(
                 own, max_examples=DEEP_FACTOR * own.max_examples
             )
+        machine = getattr(item, "cls", None)
+        own = vars(machine).get("settings") if machine is not None else None
+        if isinstance(own, settings) and id(machine) not in seen:
+            seen.add(id(machine))
+            machine.settings = settings(own, max_examples=DEEP_FACTOR * own.max_examples)
 
 
 @pytest.fixture

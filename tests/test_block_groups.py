@@ -67,19 +67,26 @@ class TestFreeSpaceManager:
         assert fsm.group_of(start).index == 2
         assert got == 10
 
-    def test_fallback_same_disk_first(self, fsm):
-        # Fill group 0 completely; allocation should fall to group 1
-        # (same disk), not group 2.
-        fsm.groups[0].allocate(500)
-        start, _ = fsm.allocate_in_group(0, 10)
-        assert fsm.group_of(start).index == 1
-        assert fsm.metrics.count("fsm.group_fallbacks") == 1
+    def test_full_pag_spares_its_same_disk_sibling(self, fsm):
+        # A file's layout names one PAG per stripe slot: a full PAG is out
+        # of space, however much its sibling on the same disk holds.
+        fsm.allocate_in_group(0, 500)
+        free = [g.free.runs() for g in fsm.groups]
+        with pytest.raises(NoSpaceError):
+            fsm.allocate_in_group(0, 10)
+        assert [g.free.runs() for g in fsm.groups] == free
+        assert fsm.free_blocks == 1500
 
-    def test_fallback_to_other_disk(self, fsm):
-        fsm.groups[0].allocate(500)
-        fsm.groups[1].allocate(500)
-        start, _ = fsm.allocate_in_group(0, 10)
-        assert fsm.group_of(start).disk_index == 1
+    def test_full_disk_spares_the_other_disk(self, fsm):
+        # With both PAGs of disk 0 full, a request for group 0 does not
+        # cross to disk 1 either.
+        fsm.allocate_in_group(0, 500)
+        fsm.allocate_in_group(1, 500)
+        free = [g.free.runs() for g in fsm.groups]
+        with pytest.raises(NoSpaceError):
+            fsm.allocate_in_group(0, 10)
+        assert [g.free.runs() for g in fsm.groups] == free
+        assert fsm.free_blocks == 1000
 
     def test_array_full(self, fsm):
         for g in fsm.groups:

@@ -6,7 +6,7 @@ Every layer of the column path is held to the per-op code it replaced:
   consumption of the vendored round loop (``tests/phase_reference.py``);
 - a whole ``run_data_phase`` over random mixed programs leaves the plane,
   the disks, the metrics and the trace exactly as that loop does, errors
-  included;
+  (an armed crash point's too) included;
 - ``read_many`` / ``write_many`` / ``physical_runs_many`` equal loops of
   their scalar forms, and every disk submit entry — ``submit_batch``,
   ``submit_columns``, ``submit_one``, fault injector armed or not — equals
@@ -232,9 +232,13 @@ def _end_state(plane, tracer, outcome):
     }
 
 
-def _drive(runner, config, widths, specs, per_stream_files, phase_kw, bad_op):
+def _drive(runner, config, widths, specs, per_stream_files, phase_kw, bad_op, crash_after=None):
     tracer = Tracer(capacity=1 << 16)
     plane = DataPlane(config, tracer=tracer)
+    if crash_after is not None:
+        plane.array.disks[0].attach_injector(
+            FaultInjector(FaultPlan(seed=0, crash_after_requests=crash_after))
+        )
     files = [plane.create_file(f"/f{i}", width=w) for i, w in enumerate(widths)]
     outcomes = []
     for half in (specs[: len(specs) // 2], specs[len(specs) // 2 :]):
@@ -250,8 +254,8 @@ def _drive(runner, config, widths, specs, per_stream_files, phase_kw, bad_op):
     return _end_state(plane, tracer, outcomes)
 
 
-#: A read run mapped ahead across a round end whose submit raises (a request
-#: spanning disks): only the reads up to that round end are booked.
+#: A read run mapped ahead across a round end whose submit raises (an armed
+#: crash point): only the reads up to that round end are booked.
 _ROUND_END_RAISES = dict(
     policy="ondemand",
     widths=[1, 1],
@@ -284,8 +288,9 @@ _ROUND_END_RAISES = dict(
     seed=0,
     buffers=(8, 16),
     bad=None,
-    disk_blocks=16,
+    disk_blocks=48,
     cutoffs=(1, 3),
+    crash_after=1,
 )
 
 
@@ -302,6 +307,7 @@ _ROUND_END_RAISES = dict(
     bad=st.sampled_from([None, None, "range", "length"]),
     disk_blocks=st.sampled_from([16, 48, 192]),
     cutoffs=st.sampled_from([(1, 3), (4, 4096), (32, 4096)]),
+    crash_after=st.sampled_from([None, None, 1, 6]),
 )
 @example(**_ROUND_END_RAISES)
 @settings(max_examples=250, deadline=None)
@@ -312,14 +318,14 @@ def test_phase_matches_round_loop(**kw):
 
 def test_read_run_books_only_the_reads_before_a_raising_round_end():
     new, old = _phase_and_round_loop(**_ROUND_END_RAISES)
-    assert new["outcome"][0] == ("SimulationError", "request [7, 17) spans disks")
+    assert new["outcome"][0] == ("CrashError", "disk0: injected crash after 1 requests")
     assert new["metrics"].counters["fs.reads"] == old["metrics"].counters["fs.reads"] == 1
     assert new == old
 
 
 def _phase_and_round_loop(
     policy, widths, specs, per_stream_files, skip, seed, buffers, bad,
-    disk_blocks, cutoffs,
+    disk_blocks, cutoffs, crash_after,
 ):
     """End states of ``run_data_phase`` and of the vendored round loop."""
     bad_op = {
@@ -332,7 +338,7 @@ def _phase_and_round_loop(
         skip_probability=skip, seed=seed,
     )
     config = _tiny_config(policy, disk_blocks)
-    args = (config, widths, specs, per_stream_files, phase_kw, bad_op)
+    args = (config, widths, specs, per_stream_files, phase_kw, bad_op, crash_after)
     # Small cutoffs send these short programs' read and write runs down the
     # column paths, the reads in more than one mapped piece.
     with (

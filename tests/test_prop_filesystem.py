@@ -1,8 +1,10 @@
 """Stateful model test of the whole file system against a plain dict.
 
 One machine drives a :class:`~repro.fs.redbud.RedbudFileSystem` on a disk
-small enough that ``NoSpaceError`` is common: creates, writes, reads and
-unlinks through the path API, closing every file (which releases every
+small enough that ``NoSpaceError`` is common: creates, writes, list
+writes, reads, list reads and unlinks through the path API, runs of
+:data:`~repro.fs.dataplane.MANY_FROM` writes or reads through the data
+plane's column paths, closing every file (which releases every
 reservation, so the blocks in use are the blocks mapped), and a crash
 (``crash_recover`` on both the data plane and the MDS) at any point of the
 sequence.  The model maps each path to the set of file blocks written to
@@ -10,17 +12,17 @@ it.  After every step:
 
 1. the file system agrees with the model: the same paths in the namespace
    and on the data plane, the same written blocks per file;
-2. ``check_dataplane`` and ``check_mds`` are clean (but for the known
-   defect ``test_group_fallback_is_not_corruption`` pins);
+2. ``check_dataplane`` and ``check_mds`` are clean;
 3. the data-plane allocator books balance: every group's free runs are
    sorted, coalesced and sum to its free count, the array's free count is
    the sum over groups, and no more blocks are mapped than are in use;
 4. no ``Inode`` handle outlives its row: a live file's handle reads its
    own name, a deleted file's handle raises ``MetadataError``.
 
-A failed write or create must leave no partial state, which the same
-checks catch on the step that raised.  Every counterexample the machine
-has shrunk to is kept below as a plain test.
+A failed write, list write or create must leave no partial state, and a
+run of writes that fails keeps exactly the ops before the failing one;
+the same checks catch either on the step that raised.  Every
+counterexample the machine has shrunk to is kept below as a plain test.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import posixpath
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -41,6 +44,7 @@ from hypothesis.stateful import (
 
 from repro.config import DiskParams
 from repro.errors import FileExists, MetadataError, NoSpaceError
+from repro.fs.dataplane import MANY_FROM
 from repro.fs.redbud import RedbudFileSystem
 from repro.fs.verify import check_dataplane, check_mds
 from repro.units import KiB
@@ -53,9 +57,11 @@ BLOCK = 4 * KiB
 DIRS = ("/", "/d")
 NAMES = tuple(f"f{i}" for i in range(5))
 PATHS = tuple(posixpath.join(d, n) for d in DIRS for n in NAMES)
-#: What fsck reports for an extent a group fallback placed (partly) outside
-#: its slot's PAG.
-SPILL_CODES = ("extent-wrong-pag", "extent-crosses-pag")
+#: ``(first block, blocks)`` of one write region.
+REGION = st.tuples(st.integers(0, 511), st.integers(1, 96))
+#: ``(file pick, stream, first block, blocks)`` of one op in a column run.
+RUN_OP = st.tuples(st.integers(0, 9), st.integers(0, 3), st.integers(0, 511), st.integers(1, 16))
+RUN = st.lists(RUN_OP, min_size=MANY_FROM, max_size=MANY_FROM + 8)
 
 
 def tiny_filesystem(policy: str, layout: str) -> RedbudFileSystem:
@@ -65,6 +71,11 @@ def tiny_filesystem(policy: str, layout: str) -> RedbudFileSystem:
 
 def mapped_blocks(fs: RedbudFileSystem) -> int:
     return sum(m.mapped_blocks for f in fs.data.files() for m in f.maps)
+
+
+def expand(starts: np.ndarray, lengths: np.ndarray) -> list[int]:
+    """The physical blocks of ``(start, nblocks)`` requests, in order."""
+    return [b for s, n in zip(starts.tolist(), lengths.tolist()) for b in range(s, s + n)]
 
 
 class FileSystemMachine(RuleBasedStateMachine):
@@ -86,6 +97,15 @@ class FileSystemMachine(RuleBasedStateMachine):
 
     def _pick(self, data) -> str:
         return data.draw(st.sampled_from(sorted(self.model)))
+
+    def _run(self, ops) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """A column run's paths, byte offsets and byte counts."""
+        paths = sorted(self.model)
+        return (
+            [paths[i % len(paths)] for i, _, _, _ in ops],
+            np.array([b * BLOCK for _, _, b, _ in ops], dtype=np.int64),
+            np.array([n * BLOCK for _, _, _, n in ops], dtype=np.int64),
+        )
 
     # -- rules ----------------------------------------------------------------
     @rule(path=st.sampled_from(PATHS), expected=st.sampled_from([None, 64 * KiB, 1024 * KiB]))
@@ -117,6 +137,49 @@ class FileSystemMachine(RuleBasedStateMachine):
         self.model[path] |= set(range(block, block + nblocks))
 
     @precondition(lambda self: self.model)
+    @rule(
+        data=st.data(),
+        stream=st.integers(0, 3),
+        regions=st.lists(REGION, min_size=2, max_size=3),
+    )
+    def writev(self, data, stream: int, regions) -> None:
+        path = self._pick(data)
+        try:
+            self.fs.writev(path, [(b * BLOCK, n * BLOCK) for b, n in regions], stream)
+        except NoSpaceError:
+            return  # all or nothing: the invariants see no region
+        for b, n in regions:
+            self.model[path] |= set(range(b, b + n))
+
+    @precondition(lambda self: self.model)
+    @rule(ops=RUN)
+    def write_many(self, ops) -> None:
+        paths, offsets, nbytes = self._run(ops)
+        starts: list[int] = []
+        nblocks: list[int] = []
+        try:
+            self.fs.data.write_many(
+                [self.fs.file_handle(p) for p in paths], [s for _, s, _, _ in ops],
+                offsets, nbytes, starts, nblocks,
+            )
+            took = len(ops)
+        except NoSpaceError:
+            # The ops before the failing one took effect, that one nothing.
+            written = {f.name: f.written_blocks for f in self.fs.data.files()}
+            model = {p: set(b) for p, b in self.model.items()}
+            for took, (path, (_, _, b, n)) in enumerate(zip(paths, ops)):
+                if all(written[p] == len(model[p]) for p in model):
+                    break
+                model[path] |= set(range(b, b + n))
+            else:
+                raise AssertionError("no prefix of the run matches what was written")
+        for path, (_, _, b, n) in zip(paths[:took], ops[:took]):
+            self.model[path] |= set(range(b, b + n))
+        self.fs.data.array.submit_batch(
+            np.array(starts, dtype=np.int64), np.array(nblocks, dtype=np.int64), True
+        )
+
+    @precondition(lambda self: self.model)
     @rule(data=st.data(), block=st.integers(0, 300), nblocks=st.integers(1, 96))
     def read(self, data, block: int, nblocks: int) -> None:
         path = self._pick(data)
@@ -125,6 +188,36 @@ class FileSystemMachine(RuleBasedStateMachine):
         self.fs.data.array.submit_batch(starts, lengths, False)
         # A read covers exactly the written blocks it asks for.
         assert int(lengths.sum()) == len(self.model[path] & set(range(block, block + nblocks)))
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), regions=st.lists(REGION, min_size=2, max_size=3))
+    def readv(self, data, regions) -> None:
+        path = self._pick(data)
+        f = self.fs.file_handle(path)
+        starts, lengths = self.fs.data.readv(f, [(b * BLOCK, n * BLOCK) for b, n in regions])
+        self.fs.data.array.submit_batch(starts, lengths, False)
+        # The list's blocks are its regions' blocks in region order: each
+        # region reads exactly its written blocks, where a lone read does.
+        blocks = expand(starts, lengths)
+        at = 0
+        for b, n in regions:
+            count = len(self.model[path] & set(range(b, b + n)))
+            assert blocks[at : at + count] == expand(*self.fs.data.read(f, b * BLOCK, n * BLOCK))
+            at += count
+        assert at == len(blocks)
+
+    @precondition(lambda self: self.model)
+    @rule(ops=RUN)
+    def read_many(self, ops) -> None:
+        path = sorted(self.model)[ops[0][0] % len(self.model)]
+        _, offsets, nbytes = self._run(ops)
+        bounds, starts, lengths = self.fs.data.read_many(
+            self.fs.file_handle(path), offsets, nbytes
+        )
+        self.fs.data.array.submit_batch(starts, lengths, False)
+        for i, (_, _, b, n) in enumerate(ops):
+            got = int(lengths[bounds[i] : bounds[i + 1]].sum())
+            assert got == len(self.model[path] & set(range(b, b + n)))
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -161,12 +254,7 @@ class FileSystemMachine(RuleBasedStateMachine):
 
     @invariant()
     def fsck_clean(self) -> None:
-        data = check_dataplane(self.fs.data)
-        if self.fs.metrics.count("fsm.group_fallbacks"):
-            # Known defect, pinned by test_group_fallback_is_not_corruption:
-            # a full PAG spills into a sibling and fsck flags the spill.
-            data.findings = [f for f in data.findings if f.code not in SPILL_CODES]
-        data.raise_if_dirty()
+        check_dataplane(self.fs.data).raise_if_dirty()
         check_mds(self.fs.mds).raise_if_dirty()
 
     @invariant()
@@ -232,11 +320,16 @@ def test_write_out_of_space_takes_back_its_first_stripe_unit():
     assert_agrees(fs, {"/f0": 65, "/f1": 0, "/f2": 0, "/f3": 1})
 
 
-def leave_free(fs: RedbudFileSystem, blocks: int) -> None:
-    """Take all but ``blocks`` of the array's free space, mapped by nobody."""
+def leave_free(fs: RedbudFileSystem, path: str, blocks: int) -> None:
+    """Take all but ``blocks`` of the array's free space, mapped by nobody:
+    every PAG is full but the one ``path``'s first slot writes to, which
+    keeps ``blocks`` free."""
     fsm = fs.data.fsm
-    while fsm.free_blocks > blocks:
-        fsm.allocate_in_group(0, fsm.free_blocks - blocks, minimum=1)
+    home = fs.file_handle(path).layout[0]
+    for group in fsm.groups:
+        keep = blocks if group.index == home else 0
+        while group.free_blocks > keep:
+            fsm.allocate_in_group(group.index, group.free_blocks - keep, minimum=1)
 
 
 def test_write_out_of_space_past_a_preallocation_leaves_it_unwritten():
@@ -244,7 +337,7 @@ def test_write_out_of_space_past_a_preallocation_leaves_it_unwritten():
     the blocks past the preallocation ran out."""
     fs = tiny_filesystem("static", "embedded")
     fs.create("/a", expected_bytes=16 * BLOCK)
-    leave_free(fs, 4)
+    leave_free(fs, "/a", 4)
     with pytest.raises(NoSpaceError):
         fs.write("/a", 0, 32 * BLOCK)
     (preallocated,) = fs.file_handle("/a").maps[0].extents()
@@ -259,7 +352,7 @@ def test_copy_on_write_out_of_space_keeps_the_old_blocks():
     fs.create("/a")
     fs.write("/a", 0, 8 * BLOCK)
     old = fs.file_handle("/a").maps[0].extents()
-    leave_free(fs, 4)
+    leave_free(fs, "/a", 4)
     used = fs.data.fsm.used_blocks
     with pytest.raises(NoSpaceError):
         fs.write("/a", 0, 16 * BLOCK)
@@ -273,7 +366,7 @@ def test_reservation_out_of_space_leaks_no_pool_blocks():
     space used to keep the drained blocks: used, unmapped and in no pool."""
     fs = tiny_filesystem("reservation", "embedded")
     fs.create("/a")
-    leave_free(fs, 10)
+    leave_free(fs, "/a", 10)
     fs.write("/a", 0, BLOCK)  # reserves the last 10 free blocks, maps one
     with pytest.raises(NoSpaceError):
         fs.write("/a", BLOCK, 30 * BLOCK)
@@ -282,34 +375,61 @@ def test_reservation_out_of_space_leaks_no_pool_blocks():
     assert_agrees(fs, {"/a": 1})
 
 
-def test_crash_recovery_reclaims_an_extent_spanning_two_groups():
-    """Once a full PAG spilled into the next one, an extent could run over
-    the boundary, and crash recovery raised re-claiming it."""
+def test_a_write_stops_at_its_full_pag():
+    """A write whose slot's PAG is full raises instead of spilling into the
+    next PAG.  The spill used to grow an extent over the PAG boundary, and
+    crash recovery raised re-claiming it."""
     fs = tiny_filesystem("vanilla", "embedded")
     fs.create("/a")
     fs.create("/b")
-    for block, nblocks in ((0, 64), (128, 192), (321, 192)):
-        fs.write("/b", block * BLOCK, nblocks * BLOCK)
-    assert any(
-        fs.data.fsm.group_of(e.physical).end < e.physical_end
-        for m in fs.file_handle("/b").maps for e in m.extents()
-    )
+    fs.write("/b", 0, 64 * BLOCK)
+    fs.write("/b", 128 * BLOCK, 192 * BLOCK)
+    free = fs.data.fsm.free_blocks
+    with pytest.raises(NoSpaceError):
+        fs.write("/b", 321 * BLOCK, 192 * BLOCK)
+    assert fs.data.fsm.free_blocks == free
+    fsm = fs.data.fsm
+    for slot, m in zip(fs.file_handle("/b").layout, fs.file_handle("/b").maps):
+        for e in m.extents():
+            assert fsm.group_of(e.physical).index == slot
+            assert e.physical_end <= fsm.groups[slot].end
     mapped = mapped_blocks(fs)
     fs.data.crash_recover()
     assert fs.data.fsm.used_blocks == mapped_blocks(fs) == mapped
+    assert_agrees(fs, {"/a": 0, "/b": 256})
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the allocator spills a full PAG into a sibling PAG, and fsck "
-    "reports (and repair unmaps) the spilled extent as extent-wrong-pag "
-    "or extent-crosses-pag",
-)
-def test_group_fallback_is_not_corruption():
+def test_a_create_whose_pag_is_full_leaves_nothing():
+    """A declared size its slots' PAGs cannot hold raises, although sibling
+    PAGs have room: it used to spill there, and fsck reported the spilled
+    extents as extent-wrong-pag (and repair unmapped them)."""
     fs = tiny_filesystem("static", "embedded")
-    for path, declared in (
-        ("/f4", 1024), ("/f0", None), ("/f3", 64), ("/f2", None), ("/f1", 1024),
-    ):
+    for path, declared in (("/f4", 1024), ("/f0", None), ("/f3", 64), ("/f2", None)):
         fs.create(path, expected_bytes=None if declared is None else declared * KiB)
-    assert fs.metrics.count("fsm.group_fallbacks")
-    check_dataplane(fs.data).raise_if_dirty()
+    free = fs.data.fsm.free_blocks
+    with pytest.raises(NoSpaceError):
+        fs.create("/f1", expected_bytes=1024 * KiB)
+    assert not fs.exists("/f1")
+    assert "/f1" not in {f.name for f in fs.data.files()}
+    assert fs.data.fsm.free_blocks == free
+    assert fs.data.fsm.used_blocks == mapped_blocks(fs)
+    assert_agrees(fs, {"/f4": 0, "/f0": 0, "/f3": 0, "/f2": 0})
+
+
+def test_writev_out_of_space_takes_back_every_region():
+    """A list write whose second region ran out of space used to keep the
+    first region mapped, written and booked, with no request returned."""
+    fs = tiny_filesystem("vanilla", "embedded")
+    fs.create("/a")
+    leave_free(fs, "/a", 8)
+    free = fs.data.fsm.free_blocks
+    counters = fs.metrics.snapshot().counters
+    with pytest.raises(NoSpaceError):
+        fs.writev("/a", [(0, 4 * BLOCK), (400 * KiB, 8 * BLOCK)])
+    f = fs.file_handle("/a")
+    assert (f.written_blocks, f.size_bytes) == (0, 0)
+    assert fs.data.fsm.free_blocks == free
+    after = fs.metrics.snapshot().counters
+    for name in ("fs.writes", "fs.bytes_written", "fs.buffered_writes"):
+        assert after.get(name, 0) == counters.get(name, 0)
+    assert_agrees(fs, {"/a": 0})
