@@ -59,7 +59,8 @@ class BlockBitmap:
     def set_range(self, start: int, count: int) -> list[int]:
         """Mark [start, start+count) used; returns dirtied bitmap blocks."""
         self._check(start, count)
-        if self._used[start : start + count].any():
+        used = self._used[start] if count == 1 else self._used[start : start + count].any()
+        if used:
             raise AllocationError(f"double allocation in [{start}, {start + count})")
         self._used[start : start + count] = True
         self._used_count += count
@@ -69,7 +70,8 @@ class BlockBitmap:
     def clear_range(self, start: int, count: int) -> list[int]:
         """Mark [start, start+count) free; returns dirtied bitmap blocks."""
         self._check(start, count)
-        if not self._used[start : start + count].all():
+        used = self._used[start] if count == 1 else self._used[start : start + count].all()
+        if not used:
             raise AllocationError(f"double free in [{start}, {start + count})")
         self._used[start : start + count] = False
         self._used_count -= count

@@ -308,7 +308,7 @@ class DataPlane:
         runs: list[tuple[int, int]] = []
         # What the current op (a writev: all of it) did, for _undo_write.
         made: list[tuple] = []
-        done = total = nbuffered = end_max = 0
+        done = total = nbuffered = end_max = relocated_blocks = 0
         strayed = False
         try:
             for g, stream, offset, n in zip(files, streams, offsets, nbytes):
@@ -338,7 +338,7 @@ class DataPlane:
                     segments = ((stripe % width, (stripe // width) * sb + off, nb),)
                 else:
                     segments = self._segments(f, lb, nb)
-                buffered = 0
+                buffered = relocated = 0
                 if made and not gather:
                     made = []
                 for slot, dstart, dcount in segments:
@@ -356,11 +356,11 @@ class DataPlane:
                                 runs.append((run.physical, run.length))
                         continue
                     if cow:
-                        relocated = smap.remove_range(dstart, dcount)
-                        made.append(("relocated", smap, relocated))
-                        for ext in relocated:
+                        moved = smap.remove_range(dstart, dcount)
+                        made.append(("relocated", smap, moved))
+                        relocated += sum(ext.length for ext in moved)
+                        for ext in moved:
                             self.fsm.free(ext.physical, ext.length)
-                            self.metrics.incr("fs.cow_relocated_blocks", ext.length)
                     holes, has_unwritten, written = smap.scan_write_range(dstart, dcount)
                     if has_unwritten:
                         made.append(("marked", smap, [
@@ -397,6 +397,7 @@ class DataPlane:
                     runs = []
                 done += 1
                 total += n
+                relocated_blocks += relocated
                 if offset + n > end_max:
                     end_max = offset + n
             if gather:
@@ -404,7 +405,7 @@ class DataPlane:
         except NoSpaceError:
             self._undo_write(made)
             if gather:
-                done = total = nbuffered = end_max = 0
+                done = total = nbuffered = end_max = relocated_blocks = 0
             raise
         finally:
             if f is not None and end_max > f.size_bytes:
@@ -415,6 +416,8 @@ class DataPlane:
             if done:
                 counters["fs.writes"] += done
                 counters["fs.bytes_written"] += total
+            if relocated_blocks:  # only ops that completed relocated anything
+                counters["fs.cow_relocated_blocks"] += relocated_blocks
         return strayed
 
     def _undo_write(self, made: list[tuple]) -> None:

@@ -135,6 +135,7 @@ class EmbeddedLayout(DirectoryLayout):
             slot = self._take_slot(parent, dirties)
             row = self._new_inode(parent, name, now, False, slot, dirties)
         parent.file_count += 1
+        plan.stamped = (row, self._inodes.rows[parent.ino])
         return (Inode(self._inodes, row), plan)
 
     # -- mutation -----------------------------------------------------------------
@@ -164,9 +165,11 @@ class EmbeddedLayout(DirectoryLayout):
 
     def utime(self, parent: EmbeddedDir, name: str, now: float) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        home_block = self._inodes.touch(parent.entries[name], now)
+        table, ino = self._inodes, parent.entries[name]
+        home_block = table.touch(ino, now)
         plan.reads.append((home_block, 1))
         plan.dirties.append(home_block)
+        plan.stamped = (table.rows[ino],)
         return plan
 
     def set_extent_records(self, parent: EmbeddedDir, name: str, count: int) -> AccessPlan:

@@ -30,13 +30,18 @@ class AccessPlan:
     in access order.  ``dirties`` are home blocks the operation modifies
     (flushed by checkpoints).  ``cpu_s`` charges in-memory work (entry
     comparisons, hash lookups).  ``journal_records`` scales the sequential
-    journal append.
+    journal append.  ``stamped`` names the inode-table rows whose
+    ``mtime``/``ctime`` a ``create_file`` or ``utime`` plan stamped with
+    its ``now``, so a metadata run can restamp them once its clock is
+    known (:meth:`DirectoryLayout.restamp`); it is bookkeeping, not
+    footprint, and takes no part in ``==``.
     """
 
     reads: list[tuple[int, int]] = field(default_factory=list)
     dirties: list[int] = field(default_factory=list)
     cpu_s: float = 0.0
     journal_records: int = 1
+    stamped: tuple[int, ...] = field(default=(), compare=False)
 
     def merge(self, other: "AccessPlan") -> "AccessPlan":
         """Combine two sub-plans into one operation (aggregated op pairs)."""
@@ -171,6 +176,14 @@ class DirectoryLayout(abc.ABC):
         ...
 
     # -- shared helpers --------------------------------------------------------
+    def restamp(self, plans: list[AccessPlan], times: list[float]) -> None:
+        """Stamp the rows each of ``plans`` stamped with its op's time in
+        ``times``, in op order (a row stamped twice keeps the later)."""
+        mtime, ctime = self._inodes.mtime, self._inodes.ctime
+        for plan, t in zip(plans, times):
+            for row in plan.stamped:
+                mtime[row] = ctime[row] = t
+
     def inode_by_number(self, ino: int) -> Inode:
         try:
             return self._inodes[ino]

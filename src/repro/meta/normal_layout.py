@@ -107,6 +107,7 @@ class NormalLayout(DirectoryLayout):
         table = self._inodes
         row = table.add(ino_index, False, name, parent.ino, home_block, home_slot, now)
         dirties.append(table.touch(parent.ino, now))
+        plan.stamped = (row, table.rows[parent.ino])
         return (Inode(table, row), plan)
 
     # -- mutation ---------------------------------------------------------------
@@ -131,9 +132,11 @@ class NormalLayout(DirectoryLayout):
 
     def utime(self, parent: NormalDir, name: str, now: float) -> AccessPlan:
         plan = self._lookup_plan(parent, name, expect=True)
-        home_block = self._inodes.touch(parent.entries[name], now)
+        table, ino = self._inodes, parent.entries[name]
+        home_block = table.touch(ino, now)
         plan.reads.append((home_block, 1))
         plan.dirties.append(home_block)
+        plan.stamped = (table.rows[ino],)
         return plan
 
     def set_extent_records(self, parent: NormalDir, name: str, count: int) -> AccessPlan:

@@ -34,7 +34,8 @@ PROFILES = {
 
 
 def snapshot(mds: MetadataServer) -> dict:
-    """Every observable the batched path could disturb, exact bits.
+    """Every observable the batched path could disturb, exact bits, down to
+    each live inode's ``mtime`` / ``ctime`` stamps.
 
     The only tolerance: the unrendered ``disk.positioning_s`` /
     ``disk.transfer_s`` accumulators, whose vectorized sums carry last-ulp
@@ -43,6 +44,7 @@ def snapshot(mds: MetadataServer) -> dict:
     else — including elapsed time and busy time — compares bit for bit.
     """
     snap = mds.metrics.snapshot()
+    table = mds.layout._inodes
     hists = {
         name: (h.count, h.percentile(50), h.percentile(90), h.percentile(99))
         for name, h in snap.histograms.items()
@@ -62,6 +64,9 @@ def snapshot(mds: MetadataServer) -> dict:
         "ra": list(mds.cache._ra.items()),
         "journal_head": mds.journal.head_block,
         "replay": [(r.seq, r.block, r.dirties) for r in mds.journal.replay()],
+        "stamps": [
+            (ino, table.mtime[row], table.ctime[row]) for ino, row in sorted(table.rows.items())
+        ],
     }
 
 
