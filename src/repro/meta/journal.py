@@ -155,15 +155,16 @@ class Journal:
         records: list[JournalRecord] = []
         requests: list[tuple[int, int]] = []
         spans: list[tuple[int, int]] = []
+        log_one = self.log_one
         for dirties, nblocks in entries:
-            record = self.log_one(dirties, nblocks)
+            lo = len(requests)
+            record = log_one(dirties, nblocks)
             if record is not None:
-                reqs = [(record.block, nblocks)]
+                requests.append((record.block, nblocks))
             else:
                 record, reqs = self.log(dirties, nblocks)
+                requests += reqs
             records.append(record)
-            lo = len(requests)
-            requests.extend(reqs)
             spans.append((lo, len(requests)))
         return (records, requests, spans)
 
