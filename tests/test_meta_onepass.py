@@ -16,9 +16,11 @@ demand equality at the finest grain each layer exposes:
   against ``log``, ``read_batch`` against a loop of ``read`` — cache order
   included, after every batch.
 
-The last section pins the all-or-nothing creates: a ``NoSpaceError`` part
-way through a create or mkdir leaves no trace (it left an orphan inode,
-or an entry without its directory, at the parent commit).
+The last section pins the all-or-nothing creates and record counts: a
+``NoSpaceError`` part way through a create, mkdir or
+``set_extent_records`` leaves no trace (it left an orphan inode, an entry
+without its directory, or a new count with the mapping blocks taken so
+far).
 """
 
 from __future__ import annotations
@@ -632,3 +634,27 @@ def test_embedded_create_out_of_spill_blocks_is_all_or_nothing(slot):
     twin_d = twin.layout.dir_of(twin.root.entries["d"])
     got, want = mds.create(d, "late"), twin.create(twin_d, "late")
     assert (got.ino, got.home_slot) == (want.ino, want.home_slot)
+
+
+@pytest.mark.parametrize("profile", ["redbud-orig", "redbud-mif"])
+def test_set_extent_records_out_of_mapping_blocks_is_all_or_nothing(profile):
+    """A record count whose mapping blocks run out part-way used to keep
+    the new count and every block taken so far (and, on the embedded
+    layout, the spills booked for them)."""
+    mds = MetadataServer(small_config(profile, 64))
+    mds.create(mds.root, "f")
+    mds.set_extent_records(mds.root, "f", 40)  # one mapping block
+    fill_data_blocks(mds)
+    for group in (1, 2):
+        free_one_block(mds, group)
+    before = (namespace_state(mds), getattr(mds.root, "record_sum", None))
+    counters = mds.metrics.snapshot().counters
+    per_block = mds.layout.records_per_block
+    with pytest.raises(NoSpaceError):
+        mds.set_extent_records(mds.root, "f", 40 + 4 * per_block)
+    assert (namespace_state(mds), getattr(mds.root, "record_sum", None)) == before
+    assert mds.metrics.snapshot().counters == counters
+    assert not check_mds(mds).findings
+    mds.set_extent_records(mds.root, "f", 40 + 2 * per_block)  # what room there is
+    assert mds.stat(mds.root, "f").extent_records == 40 + 2 * per_block
+    assert mds.mfs.free_data_blocks == 0
