@@ -93,13 +93,16 @@ class RedbudFileSystem:
             self._dir_handle(sparent), sname, self._dir_handle(dparent), dname
         )
         if src in self._files:
-            self._files[dst] = self._files.pop(src)
+            f = self._files[dst] = self._files.pop(src)
+            f.name = dst  # the data plane's file goes by its path too
         elif src in self._dirs:
             self._dirs[dst] = self._dirs.pop(src)
             prefix = src + "/"
-            for table in (self._files, self._dirs):
-                for old in [p for p in table if p.startswith(prefix)]:
-                    table[dst + old[len(src):]] = table.pop(old)
+            for old in [p for p in self._dirs if p.startswith(prefix)]:
+                self._dirs[dst + old[len(src):]] = self._dirs.pop(old)
+            for old in [p for p in self._files if p.startswith(prefix)]:
+                f = self._files[dst + old[len(src):]] = self._files.pop(old)
+                f.name = dst + old[len(src):]
         else:
             raise FileNotFound(src)
 

@@ -9,9 +9,14 @@ reservation, so the blocks in use are the blocks mapped), and a crash
 (``crash_recover`` on both the data plane and the MDS) at any point of the
 sequence.  Metadata runs of creates, utimes and deletes in a side
 directory ``/m`` go through ``MetadataServer.run_many`` (its column body),
-beside readdir-stats and checkpoints.  The model
-maps each path to the set of file blocks written to it, and holds the
-names in ``/m``.  After every step:
+beside readdir-stats and checkpoints.  Files are renamed to free paths in
+either directory, and a file's extent count is pushed to its MDS inode
+(``sync_layout_to_mds``, which spills the extent map out of the inode tail
+on the embedded layout).  Seeded ``Corruptor`` damage to both planes is
+followed by ``repair_dataplane`` / ``repair_mds``, which must converge; the
+model then adopts the written blocks the repair left.  The model maps each
+path to the set of file blocks written to it, and holds the names in
+``/m``.  After every step:
 
 1. the file system agrees with the model: the same paths in the namespace
    and on the data plane, the same written blocks per file, the same
@@ -48,9 +53,10 @@ from hypothesis.stateful import (
 
 from repro.config import DiskParams
 from repro.errors import FileExists, MetadataError, NoSpaceError
+from repro.fault.corrupt import Corruptor
 from repro.fs.dataplane import MANY_FROM
 from repro.fs.redbud import RedbudFileSystem
-from repro.fs.verify import check_dataplane, check_mds
+from repro.fs.verify import check_dataplane, check_mds, repair_dataplane, repair_mds
 from repro.units import KiB
 
 from tests.conftest import small_config
@@ -80,6 +86,17 @@ def tiny_filesystem(policy: str, layout: str) -> RedbudFileSystem:
 
 def mapped_blocks(fs: RedbudFileSystem) -> int:
     return sum(m.mapped_blocks for f in fs.data.files() for m in f.maps)
+
+
+def written(f) -> set[int]:
+    """The file blocks ``f``'s extent maps hold written data for."""
+    return {
+        f.to_logical(slot, b)
+        for slot, m in enumerate(f.maps)
+        for e in m
+        if not e.unwritten
+        for b in range(e.logical, e.logical_end)
+    }
 
 
 def expand(starts: np.ndarray, lengths: np.ndarray) -> list[int]:
@@ -238,6 +255,52 @@ class FileSystemMachine(RuleBasedStateMachine):
         self.fs.unlink(path)
         del self.model[path]
         self.stale.append(self.handles.pop(path))
+
+    @precondition(lambda self: self.model and len(self.model) < len(PATHS))
+    @rule(data=st.data())
+    def rename(self, data) -> None:
+        src = self._pick(data)
+        dst = data.draw(st.sampled_from([p for p in PATHS if p not in self.model]))
+        self.fs.rename(src, dst)
+        self.model[dst] = self.model.pop(src)
+        self.handles[dst] = self.handles.pop(src)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def sync_layout(self, data) -> None:
+        """Push a file's extent count to its inode, spilling the extent map
+        to mapping blocks once it outgrows the inode tail."""
+        path = self._pick(data)
+        before = self.fs.stat(path).extent_records
+        try:
+            self.fs.sync_layout_to_mds(path)
+        except NoSpaceError:  # all or nothing: the old count stands
+            assert self.fs.stat(path).extent_records == before
+            return
+        assert self.fs.stat(path).extent_records == self.fs.file_handle(path).extent_count
+
+    @rule(seed=st.integers(0, 2**16), nfaults=st.integers(1, 3))
+    def corrupt_and_repair(self, seed: int, nfaults: int) -> None:
+        """Damage both planes, then repair them; the invariants hold the
+        repaired file system to the model, which adopts what was written."""
+        corruptor = Corruptor(seed)
+        corruptor.corrupt_dataplane(self.fs.data, nfaults)
+        corruptor.corrupt_mds(self.fs.mds, nfaults)
+        assert repair_dataplane(self.fs.data).converged
+        assert repair_mds(self.fs.mds).converged
+        for f in self.fs.data.files():
+            self.model[f.name] = written(f)
+        self.meta_names = set(self.fs.readdir("/m"))
+        # A lost inode's entry is dropped by the repair: the data plane's
+        # file is left without a name (pinned by
+        # test_a_repaired_dangling_inode_leaves_its_file_nameless).  Give
+        # it a fresh inode under its path, as a lost+found pass would.
+        for path in sorted(self.model):
+            d, name = posixpath.split(path)
+            if name not in self.fs.readdir(d):
+                self.fs.mds.create(self.fs.dir_handle(d), name)
+                self.stale.append(self.handles.pop(path))
+                self.handles[path] = self.fs.stat(path)
 
     @rule(data=st.data(), method=st.sampled_from(["create", "utime", "delete"]))
     def meta_run(self, data, method: str) -> None:
@@ -490,3 +553,35 @@ def test_writev_out_of_space_takes_back_every_region():
     for name in ("fs.writes", "fs.bytes_written", "fs.buffered_writes"):
         assert after.get(name, 0) == counters.get(name, 0)
     assert_agrees(fs, {"/a": 0})
+
+
+def test_rename_moves_the_data_plane_file_with_its_path():
+    """A renamed file kept its old path on the data plane, so the data
+    plane's files and the namespace named it differently; a renamed
+    directory left the files under it the same way."""
+    fs = tiny_filesystem("vanilla", "embedded")
+    fs.mkdir("/d")
+    fs.create("/a")
+    fs.write("/a", 0, BLOCK)
+    fs.rename("/a", "/d/b")
+    assert {f.name for f in fs.data.files()} == {"/d/b"}
+    fs.rename("/d", "/e")
+    assert {f.name for f in fs.data.files()} == {"/e/b"}
+    assert fs.file_handle("/e/b").written_blocks == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="repair_mds reaches only the metadata plane: it drops a lost "
+    "inode's entry and leaves the data plane's file under that path",
+)
+def test_a_repaired_dangling_inode_leaves_its_file_nameless():
+    """Repairing a lost inode drops its directory entry; the data plane
+    keeps the file and its blocks under a path the namespace no longer
+    holds.  Reconciling the two needs a repair across both planes."""
+    fs = tiny_filesystem("vanilla", "embedded")
+    fs.create("/a")
+    fs.write("/a", 0, 4 * BLOCK)
+    del fs.mds.layout._inodes[fs.dir_handle("/").entries["a"]]
+    assert repair_mds(fs.mds).converged
+    assert_agrees(fs, {"/a": 4})
