@@ -191,9 +191,9 @@ def test_run_many_is_the_loop_of_public_calls_at_any_run_length(
 
 
 def test_a_run_in_a_fragmented_directory_records_each_spill_at_its_op():
-    """Creates in a fragmented embedded directory record an ``inode_spill``
-    row while their plans are built; the column body holds each until its
-    op starts, where the per-call loop records it."""
+    """Creates in a fragmented embedded directory carry an ``inode_spill``
+    row on their plans; the column body records each when its op starts,
+    where the per-call loop records it."""
     states = []
     for make in (run_many, per_call):
         mds = MetadataServer(PROFILES["redbud-mif"](), tracer=Tracer())
