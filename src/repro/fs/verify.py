@@ -27,8 +27,9 @@ Everything runs in the calling process:
   that walk (the tests keep it as their oracle).  Double-owned blocks are
   resolved by replaying the serial claim order over only the extents the
   kernel flagged as overlapping.
-- **Repair** — :func:`repair_dataplane` / :func:`repair_mds` consume the
-  same finding codes, fix them, and re-check until the report converges.
+- **Repair** — each pass of :func:`repair_dataplane` / :func:`repair_mds`
+  applies what the check before it found (the only detection step), then
+  re-checks, until the report converges.
 - **Online scrub** — :class:`Scrubber` checks and repairs one PAG at a
   time so a live service workload can interleave scrubbing with traffic.
 
@@ -230,7 +231,8 @@ class _PlaneScan:
     ``first[f]:first[f + 1]``) at serial position ``pos[r]``, its slot's
     layout naming PAG ``pag[r]``.  The PAG kernel checks ``rows``
     (valid maps, inside the array); ``pre`` holds the keyed findings of the
-    scan itself (structurally invalid maps, extents outside the array)."""
+    scan itself (structurally invalid maps, extents outside the array) and
+    ``fixes`` the ``(map, row or None for a whole map, action)`` for each."""
 
     files: list
     first: list[int]
@@ -242,6 +244,7 @@ class _PlaneScan:
     pag: np.ndarray
     rows: np.ndarray
     pre: list[tuple]
+    fixes: list[tuple]
     checked_extents: int
     mapped_blocks: int
 
@@ -259,48 +262,9 @@ class _PlaneScan:
         return (*self.slot_of(int(self.owner[row])), self.extent(row))
 
 
-@dataclass(frozen=True)
-class _PlaneShardSpec:
-    """The extents every busy PAG sees, grouped by PAG ``g`` (ascending;
-    ``gindex`` lists them; PAGs are ``gsize`` blocks, the last is
-    ``last``).  A PAG's home rows hold extents whose first block lies in
-    it; its visitor rows hold extents crossing in from lower groups, so
-    double-ownership on shared blocks is caught in at least one PAG.
-    ``free`` holds those PAGs' ``(start, length)`` free runs."""
-
-    gindex: np.ndarray
-    gsize: int
-    last: int
-    g: np.ndarray
-    home: np.ndarray
-    row: np.ndarray
-    phys: np.ndarray
-    length: np.ndarray
-    pag: np.ndarray
-    free: np.ndarray
-
-
-@dataclass(frozen=True)
-class _PlaneShardReport:
-    """Verdict of one PAG: flagged extent rows, ascending."""
-
-    gindex: int
-    crosses: np.ndarray
-    wrong: np.ndarray
-    maps_free: np.ndarray
-    overlap: np.ndarray
-
-
-def _scan_dataplane(
-    plane: DataPlane, repair_actions: list[RepairAction] | None = None
-) -> _PlaneScan:
-    """Gather every extent into columns and give each its serial position.
-
-    Structural problems become keyed ``pre`` findings; in repair mode
-    (``repair_actions`` is a list) they are also fixed inline, in
-    serial order — invalid maps dropped (their blocks freed unless a kept
-    extent maps them), out-of-array extents unmapped — and recorded.
-    """
+def _scan_dataplane(plane: DataPlane) -> _PlaneScan:
+    """Gather every extent into columns and give each its serial position;
+    structural problems become keyed ``pre`` findings and their ``fixes``."""
     files = plane.files()
     map_lists = list(map(_MAPS, files))
     first = list(accumulate(map(len, map_lists), initial=0))
@@ -319,7 +283,7 @@ def _scan_dataplane(
     inside = (phys >= 0) & (phys < plane.fsm.total_blocks)
     rows = np.flatnonzero(valid & inside)
     scan = _PlaneScan(
-        files, first, cols, owner, phys, length, pos, pag[owner], rows, [],
+        files, first, cols, owner, phys, length, pos, pag[owner], rows, [], [],
         int(counts[~invalid].sum()), int(length[valid].sum()),
     )
     faults = [(int(map_pos[m]), m, None, exc) for m, exc in broken] + [
@@ -337,26 +301,21 @@ def _scan_dataplane(
             code, found = "extent-map-invalid", f"invalid extent map: {exc}"
             fixed = f"dropped invalid extent map ({exc})"
         scan.pre.append((p, _RANK_PRE, code, where + found))
-        if repair_actions is None:
-            continue
-        if r is None:
-            f.maps[slot].clear()
-        else:
-            f.maps[slot].remove_range(ext.logical, ext.length)
-        repair_actions.append(RepairAction(code, where + fixed))
-    if repair_actions is not None and broken:
-        # A dropped map's blocks go back to free space unless a kept extent
-        # maps them (cover[k]: the furthest end of the k leftmost kept rows).
-        order = np.argsort(phys[rows], kind="stable")
-        starts = phys[rows][order]
-        cover = np.concatenate(
-            ([_NOWHERE], np.maximum.accumulate(starts + length[rows][order]))
-        )
-        for r in np.flatnonzero(~valid).tolist():
-            blocks = np.arange(phys[r], phys[r] + length[r])
-            kept = blocks < cover[np.searchsorted(starts, blocks, side="right")]
-            _flip(plane, blocks[~kept].tolist(), True)
+        scan.fixes.append((m, r, RepairAction(code, where + fixed)))
     return scan
+
+
+#: Below every block number: the end "covering" points that lie before
+#: every interval.
+_NOWHERE = np.iinfo(np.int64).min
+
+
+def _covered(starts: np.ndarray, lengths: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Which ``points`` some ``[start, start + length)`` interval holds."""
+    order = np.argsort(starts, kind="stable")
+    # cover[k]: the furthest end of the k leftmost intervals.
+    cover = np.concatenate(([_NOWHERE], np.maximum.accumulate((starts + lengths)[order])))
+    return points < cover[np.searchsorted(starts[order], points, side="right")]
 
 
 def _flip(plane: DataPlane, blocks, to_free: bool) -> int:
@@ -371,10 +330,10 @@ def _flip(plane: DataPlane, blocks, to_free: bool) -> int:
     return flipped
 
 
-def _plane_shard_spec(
-    scan: _PlaneScan, plane: DataPlane, only: int | None = None
-) -> _PlaneShardSpec:
-    """The kernel input over every non-empty PAG (or PAG ``only`` alone)."""
+def _pag_rows(scan: _PlaneScan, plane: DataPlane, only: int | None = None) -> tuple:
+    """``(busy, g, home, row)``: the checked rows each non-empty PAG ``g``
+    (ascending, listed in ``busy``; or PAG ``only`` alone) sees.  Its home
+    rows, first, hold extents whose first block lies in it."""
     groups = plane.fsm.groups
     rows = scan.rows
     gsize = groups[0].size
@@ -396,16 +355,13 @@ def _plane_shard_spec(
     if only is not None:
         busy = busy[busy == only]
     sel = slice(bounds[busy[0]], bounds[busy[-1] + 1]) if len(busy) else slice(0, 0)
-    free = [run for i in busy.tolist() for run in groups[i].free.runs()]
-    return _PlaneShardSpec(
-        busy, gsize, len(groups) - 1, g[sel], home[sel], idx[sel],
-        scan.phys[idx[sel]], scan.length[idx[sel]], scan.pag[idx[sel]],
-        np.array(free, dtype=np.int64).reshape(-1, 2),
-    )
+    return busy, g[sel], home[sel], idx[sel]
 
 
-def _plane_shard_check(spec: _PlaneShardSpec) -> tuple[_PlaneShardReport, ...]:
-    """Vectorized invariant sweep over the busy PAGs, reported per PAG.
+def _plane_verdicts(scan: _PlaneScan, plane: DataPlane, only: int | None = None) -> list:
+    """Vectorized invariant sweep over every busy PAG (or PAG ``only``
+    alone): per PAG ``g``, ascending, the flagged extent rows
+    ``(g, crosses, wrong, maps_free, overlap)``, each ascending.
 
     Every test is one numpy pass over all of them.  *crosses /
     wrong-PAG* are masks on the home rows.  *maps-free*: an extent overlaps
@@ -418,14 +374,18 @@ def _plane_shard_check(spec: _PlaneShardSpec) -> tuple[_PlaneShardReport, ...]:
     different PAGs are disjoint, so no cluster spans two.  Every member of a
     multi-extent cluster is reported for the merge to replay in claim order.
     """
-    g = spec.g
-    gend = (g + 1) * spec.gsize
-    end = spec.phys + spec.length
-    free_starts, free_len = spec.free.T
-    lo = np.searchsorted(free_starts + free_len, spec.phys, side="right")
+    groups = plane.fsm.groups
+    gsize = groups[0].size
+    busy, g, home, row = _pag_rows(scan, plane, only)
+    phys = scan.phys[row]
+    end = phys + scan.length[row]
+    gend = (g + 1) * gsize
+    free = [run for i in busy.tolist() for run in groups[i].free.runs()]
+    free_starts, free_len = np.array(free, dtype=np.int64).reshape(-1, 2).T
+    lo = np.searchsorted(free_starts + free_len, phys, side="right")
     hi = np.searchsorted(free_starts, np.minimum(end, gend), side="left")
-    s = np.maximum(spec.phys, g * spec.gsize)
-    e = np.minimum(end, np.where(g == spec.last, 2 ** 62, gend))
+    s = np.maximum(phys, g * gsize)
+    e = np.minimum(end, np.where(g == len(groups) - 1, 2 ** 62, gend))
     order = np.lexsort((e, s))
     fresh = np.ones(len(s), dtype=bool)
     fresh[1:] = s[order][1:] >= np.maximum.accumulate(e[order])[:-1]
@@ -434,15 +394,11 @@ def _plane_shard_check(spec: _PlaneShardSpec) -> tuple[_PlaneShardReport, ...]:
     overlap[order] = np.bincount(cid)[cid] >= 2
 
     def per_pag(mask: np.ndarray) -> list[np.ndarray]:
-        rk = np.lexsort((spec.row[mask], g[mask]))
-        return np.split(spec.row[mask][rk], np.searchsorted(g[mask][rk], spec.gindex[1:]))
+        rk = np.lexsort((row[mask], g[mask]))
+        return np.split(row[mask][rk], np.searchsorted(g[mask][rk], busy[1:]))
 
-    home = spec.home
-    verdicts = (home & (end > gend), home & (spec.pag != g), home & (lo < hi), overlap)
-    return tuple(
-        _PlaneShardReport(gi, *rows)
-        for gi, *rows in zip(spec.gindex.tolist(), *map(per_pag, verdicts))
-    )
+    masks = (home & (end > gend), home & (scan.pag[row] != g), home & (lo < hi), overlap)
+    return list(zip(busy.tolist(), *map(per_pag, masks)))
 
 
 def _resolve_double_owned(scan: _PlaneScan, participants: list[int]) -> list[tuple]:
@@ -473,30 +429,30 @@ def _resolve_double_owned(scan: _PlaneScan, participants: list[int]) -> list[tup
     return findings
 
 
-#: Per-PAG verdicts as findings: report field, rank, code, message tail.
+#: Per-PAG verdicts as findings: rank, code, message tail.
 _PLANE_VERDICTS = (
-    ("crosses", _RANK_CROSSES, "extent-crosses-pag", "crosses its PAG"),
-    ("wrong", _RANK_WRONG, "extent-wrong-pag", "in PAG {g}, layout says {layout}"),
-    ("maps_free", _RANK_FREE, "extent-maps-free", "maps free blocks"),
+    (_RANK_CROSSES, "extent-crosses-pag", "crosses its PAG"),
+    (_RANK_WRONG, "extent-wrong-pag", "in PAG {g}, layout says {layout}"),
+    (_RANK_FREE, "extent-maps-free", "maps free blocks"),
 )
 
 
 def _merge_dataplane(
-    scan: _PlaneScan, reports: list, plane: DataPlane, strict_accounting: bool
+    scan: _PlaneScan, verdicts: list, plane: DataPlane, strict_accounting: bool
 ) -> FsckReport:
     """Deterministic merge: keyed findings sort back into serial order."""
     keyed: list[tuple] = list(scan.pre)
     participants: set[int] = set()
-    for rep in reports:
-        for field_name, rank, code, tail in _PLANE_VERDICTS:
-            for r in getattr(rep, field_name).tolist():
+    for g, crosses, wrong, maps_free, overlap in verdicts:
+        for flagged, (rank, code, tail) in zip((crosses, wrong, maps_free), _PLANE_VERDICTS):
+            for r in flagged.tolist():
                 f, slot, ext = scan.label(r)
-                what = tail.format(g=rep.gindex, layout=f.layout[slot])
+                what = tail.format(g=g, layout=f.layout[slot])
                 keyed.append((
                     int(scan.pos[r]), rank, code,
                     f"{f.name} slot {slot}: extent {ext} {what}",
                 ))
-        participants.update(rep.overlap.tolist())
+        participants.update(overlap.tolist())
     keyed.extend(_resolve_double_owned(scan, sorted(participants)))
     keyed.sort(key=lambda t: (t[0], t[1]))
     report = FsckReport(checked_extents=scan.checked_extents)
@@ -511,6 +467,16 @@ def _merge_dataplane(
     return report
 
 
+def _detect_dataplane(
+    plane: DataPlane, strict_accounting: bool = True, only: int | None = None
+) -> tuple[_PlaneScan, list, FsckReport]:
+    """The only data-plane detection step: the scan, the per-PAG verdicts
+    (of PAG ``only`` alone, if given) and their report."""
+    scan = _scan_dataplane(plane)
+    verdicts = _plane_verdicts(scan, plane, only)
+    return scan, verdicts, _merge_dataplane(scan, verdicts, plane, strict_accounting)
+
+
 # ``jobs`` on the four public entry points is accepted and ignored: the
 # host-time ledger's fsck workload still passes ``jobs=1``.
 
@@ -522,9 +488,7 @@ def check_dataplane(
 
     The report is byte-identical to a serial block-by-block walk.
     """
-    scan = _scan_dataplane(plane)
-    reports = _plane_shard_check(_plane_shard_spec(scan, plane))
-    return _merge_dataplane(scan, reports, plane, strict_accounting)
+    return _detect_dataplane(plane, strict_accounting)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +499,6 @@ def check_dataplane(
 # plain tuple comparison restores the serial emission order: phase 0 walks
 # each directory (content overlaps, table membership, entries), phase 1 is
 # the trailing table-resolution sweep over all directories.
-
-#: Below every block number: the content end "covering" blocks that lie
-#: before a directory's first run.
-_NOWHERE = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -646,14 +606,9 @@ def _embedded_check(specs: list[_EmbeddedDirSpec]) -> FsckReport:
                 f"directory table cannot resolve dir {spec.dir_id}",
             ))
         checked += len(spec.names)
-        runs = np.array(sorted(spec.runs), dtype=np.int64).reshape(-1, 2)
-        starts = runs[:, 0]
-        # cover[k]: the furthest content end among the first k runs.
-        cover = np.concatenate(
-            ([_NOWHERE], np.maximum.accumulate(starts + runs[:, 1]))
-        )
+        runs = np.array(spec.runs, dtype=np.int64).reshape(-1, 2)
         home = spec.home_block
-        own = home < cover[np.searchsorted(starts, home, side="right")]
+        own = _covered(runs[:, 0], runs[:, 1], home)
         stray = spec.exists & ~spec.is_dir & ~own
         renamed = _renamed(spec)
         for idx in np.nonzero(~spec.exists | stray | renamed)[0].tolist():
@@ -777,27 +732,31 @@ def _ordered_report(findings: list[tuple], checked: int) -> FsckReport:
     return report
 
 
+def _detect_mds(mds: MetadataServer) -> tuple[list, FsckReport]:
+    """The only metadata detection step: every directory's columns and
+    their report."""
+    layout = mds.layout
+    dirs = enumerate(layout._dirs.values())
+    if isinstance(layout, EmbeddedLayout):
+        specs = [_embedded_dir_spec(layout, seq, d) for seq, d in dirs]
+        return specs, _embedded_check(specs)
+    if isinstance(layout, NormalLayout):
+        geometry = layout.mfs.itable_geometry()
+        specs = [_normal_dir_spec(layout, geometry, seq, d) for seq, d in dirs]
+        return specs, _normal_check(specs)
+    return [], FsckReport()
+
+
 def check_mds(mds: MetadataServer, jobs: int | None = None) -> FsckReport:
     """Verify metadata-plane invariants; returns the report.
 
     The report is byte-identical to a serial entry-by-entry walk.
     """
-    layout = mds.layout
-    if isinstance(layout, EmbeddedLayout):
-        return _embedded_check([
-            _embedded_dir_spec(layout, seq, d) for seq, d in enumerate(layout._dirs.values())
-        ])
-    if isinstance(layout, NormalLayout):
-        geometry = layout.mfs.itable_geometry()
-        return _normal_check([
-            _normal_dir_spec(layout, geometry, seq, d)
-            for seq, d in enumerate(layout._dirs.values())
-        ])
-    return FsckReport()
+    return _detect_mds(mds)[1]
 
 
 # ---------------------------------------------------------------------------
-# Repair: apply the per-PAG reports, iterating to convergence
+# Repair: each pass applies the check before it, until convergence
 # ---------------------------------------------------------------------------
 
 
@@ -812,39 +771,49 @@ def repair_dataplane(
     claimants of double-owned blocks lose them; extents mapping free blocks
     re-claim them with ``allocate_exact``.
 
-    Each pass applies the per-PAG reports in PAG order, and the
-    surrounding loop re-checks until the report converges, which also
-    settles any cross-PAG interactions a single pass cannot see.
+    Each pass applies the scan and per-PAG verdicts of the check before it;
+    re-checking settles any cross-PAG interactions one pass cannot see.
     """
-    before = check_dataplane(plane)
+    scan, verdicts, before = _detect_dataplane(plane)
     result = RepairResult(before=before, after=before)
     report = before
     while not report.clean and result.passes < max_passes:
         done = len(result.actions)
-        _repair_dataplane_pass(plane, result.actions)
+        _apply_dataplane(plane, scan, verdicts, result.actions)
         result.passes += 1
-        report = check_dataplane(plane)
+        scan, verdicts, report = _detect_dataplane(plane)
         if len(result.actions) == done:
             break
     result.after = report
     return result
 
 
-def _repair_dataplane_pass(
-    plane: DataPlane, actions: list, only: int | None = None
-) -> tuple[_PlaneScan, tuple[_PlaneShardReport, ...]]:
-    """One check-and-fix sweep (of PAG ``only`` alone, if given); returns
-    the scan and the per-PAG reports it fixed."""
-    scan = _scan_dataplane(plane, repair_actions=actions)
+def _apply_dataplane(
+    plane: DataPlane, scan: _PlaneScan, verdicts: list, actions: list
+) -> None:
+    """Apply one check's scan, then its verdicts in PAG order, to the live
+    plane.  A dropped map's blocks are freed unless a kept extent maps them,
+    so no block a verdict names changes before the verdict is applied."""
+    for m, r, action in scan.fixes:
+        if r is None:
+            f, slot = scan.slot_of(m)
+            f.maps[slot].clear()
+        else:
+            f, slot, ext = scan.label(r)
+            f.maps[slot].remove_range(ext.logical, ext.length)
+        actions.append(action)
+    dropped = np.isin(scan.owner, [m for m, r, _ in scan.fixes if r is None])
+    for r in np.flatnonzero(dropped).tolist():
+        blocks = np.arange(scan.phys[r], scan.phys[r] + scan.length[r])
+        kept = _covered(scan.phys[scan.rows], scan.length[scan.rows], blocks)
+        _flip(plane, blocks[~kept].tolist(), True)
     removed: set[int] = set()
-    reports = _plane_shard_check(_plane_shard_spec(scan, plane, only))
-    for rep in reports:
-        _apply_shard_repairs(plane, scan, rep, removed, actions)
-    return scan, reports
+    for verdict in verdicts:
+        _apply_pag_verdict(plane, scan, verdict, removed, actions)
 
 
-def _apply_shard_repairs(
-    plane: DataPlane, scan: _PlaneScan, rep: _PlaneShardReport, removed: set, actions: list
+def _apply_pag_verdict(
+    plane: DataPlane, scan: _PlaneScan, verdict: tuple, removed: set, actions: list
 ) -> None:
     """Apply one PAG's verdicts to the live plane.
 
@@ -853,10 +822,11 @@ def _apply_shard_repairs(
     are unmapped.  ``removed`` is shared across PAGs so an extent flagged
     by several (it crosses PAG boundaries) is unmapped exactly once.
     """
-    misplaced = set(rep.crosses.tolist()) | set(rep.wrong.tolist())
+    _g, crosses, wrong, maps_free, overlap = verdict
+    misplaced = set(crosses.tolist()) | set(wrong.tolist())
     losers: set[int] = set()
     claims = _IntervalOwners()
-    for r in rep.overlap.tolist():
+    for r in overlap.tolist():
         if r in removed or r in misplaced:
             continue
         a = int(scan.phys[r])
@@ -879,7 +849,7 @@ def _apply_shard_repairs(
         ), True)
         code = "double-owned-block" if r in losers else "extent-wrong-pag"
         actions.append(RepairAction(code, f"{f.name} slot {slot}: unmapped {ext}"))
-    for r in rep.maps_free.tolist():
+    for r in maps_free.tolist():
         if r in removed or r in misplaced or r in losers:
             continue
         f, slot, ext = scan.label(r)
@@ -894,20 +864,18 @@ def _apply_shard_repairs(
 def repair_mds(
     mds: MetadataServer, max_passes: int = 4, jobs: int | None = None
 ) -> RepairResult:
-    """Fix metadata-plane findings; iterates check→repair until clean."""
-    before = check_mds(mds)
+    """Fix metadata-plane findings; iterates check→repair until clean.
+    Each pass applies the directory columns of the check before it."""
+    specs, before = _detect_mds(mds)
     result = RepairResult(before=before, after=before)
     report = before
     layout = mds.layout
+    # Any other layout checks clean, so no pass runs on it.
+    apply = _repair_embedded_pass if isinstance(layout, EmbeddedLayout) else _repair_normal_pass
     while not report.clean and result.passes < max_passes:
-        if isinstance(layout, EmbeddedLayout):
-            changed = _repair_embedded_pass(layout, result.actions)
-        elif isinstance(layout, NormalLayout):
-            changed = _repair_normal_pass(layout, result.actions)
-        else:  # pragma: no cover - exhaustive over shipped layouts
-            changed = False
+        changed = apply(layout, specs, result.actions)
         result.passes += 1
-        report = check_mds(mds)
+        specs, report = _detect_mds(mds)
         if not changed:
             break
     result.after = report
@@ -929,7 +897,9 @@ def _embedded_home_of(layout: EmbeddedLayout, d: EmbeddedDir, offset: int) -> in
         return layout._block_of_offset(d, offset)
 
 
-def _repair_embedded_pass(layout: EmbeddedLayout, actions: list[RepairAction]) -> bool:
+def _repair_embedded_pass(
+    layout: EmbeddedLayout, specs: list[_EmbeddedDirSpec], actions: list[RepairAction]
+) -> bool:
     changed = False
     dirs = sorted(layout._dirs.values(), key=lambda d: d.dir_id)
     # 1. Directory-table entries lost: the live directory object is the
@@ -959,12 +929,15 @@ def _repair_embedded_pass(layout: EmbeddedLayout, actions: list[RepairAction]) -
             content_owner.update(range(start, start + count))
             kept.append((start, count))
         d.content_runs = kept
-    # 3. Per-entry inode state.  Each directory's columns are gathered when
-    #    it is reached, so they see what earlier directories' fixes left, and
-    #    a flagged row re-tests the live inode, so an inode two entries share
-    #    is fixed once.
+    # 3. Per-entry inode state, from the check's columns (steps 1 and 2 left
+    #    them true).  A flagged row re-tests the live inode, so an inode two
+    #    entries share is fixed once; an inode whose name an earlier
+    #    directory reset is flagged again in later ones.
+    by_id = {spec.dir_id: spec for spec in specs}
+    table = layout._inodes
+    named: set[int] = set()
     for d in dirs:
-        spec = _embedded_dir_spec(layout, 0, d)
+        spec = by_id[d.dir_id]
         dir_ids, offsets = decode_inos(
             np.fromiter(spec.inos, dtype=np.uint64, count=len(spec.inos))
         )
@@ -981,6 +954,9 @@ def _repair_embedded_pass(layout: EmbeddedLayout, actions: list[RepairAction]) -
         expected = np.append(runs[:, 0], 0)[run] + block_no - upto[run]
         misplaced = native & (beyond | (spec.home_block != expected))
         flagged = ~spec.exists | _renamed(spec) | misplaced
+        if named:
+            flagged |= np.fromiter(map(named.__contains__, spec.inos), bool, len(spec.inos))
+        dropped = False
         for idx in np.nonzero(flagged)[0].tolist():
             name, ino = spec.names[idx], spec.inos[idx]
             if not spec.exists[idx]:
@@ -990,15 +966,16 @@ def _repair_embedded_pass(layout: EmbeddedLayout, actions: list[RepairAction]) -
                     "dangling-inode",
                     f"dir {d.dir_id}: dropped entry {name!r} -> lost inode {ino}",
                 ))
-                changed = True
+                changed = dropped = True
                 continue
-            inode = layout._inodes[ino]
+            inode = table[ino]
             if inode.name != name:
                 actions.append(RepairAction(
                     "inode-name-mismatch",
                     f"inode {ino}: reset name {inode.name!r} -> {name!r}",
                 ))
                 inode.name = name
+                named.add(ino)
                 changed = True
             if not misplaced[idx]:
                 continue
@@ -1015,16 +992,26 @@ def _repair_embedded_pass(layout: EmbeddedLayout, actions: list[RepairAction]) -
                 inode.home_block = home
                 inode.home_slot = offset % layout.slots_per_block
                 changed = True
+        if dropped:
+            # The fragmentation degree (§IV.A) counts the live files left.
+            rows = table.rows_of(d.entries.values())
+            is_dir, records = table.gather(rows, "is_dir", "extent_records")
+            counters = (int((~is_dir).sum()), int(records[~is_dir].sum()))
+            if counters != (d.file_count, d.record_sum):
+                actions.append(RepairAction("dangling-inode", (
+                    f"dir {d.dir_id}: rebuilt (file_count, record_sum) "
+                    f"{(d.file_count, d.record_sum)} -> {counters}"
+                )))
+                d.file_count, d.record_sum = counters
     return changed
 
 
-def _repair_normal_pass(layout: NormalLayout, actions: list[RepairAction]) -> bool:
+def _repair_normal_pass(
+    layout: NormalLayout, specs: list[_NormalDirSpec], actions: list[RepairAction]
+) -> bool:
     changed = False
-    geometry = layout.mfs.itable_geometry()
-    for d in layout._dirs.values():
-        # Gathered per directory and re-tested live per flagged row, as in
-        # the embedded pass.
-        spec = _normal_dir_spec(layout, geometry, 0, d)
+    # The check's columns; a flagged row re-tests the live inode.
+    for d, spec in zip(layout._dirs.values(), specs):
         want_block, want_slot, moved, unknown = _normal_row_faults(spec)
         for idx in np.nonzero(~spec.exists | moved | unknown)[0].tolist():
             name, ino = spec.names[idx], int(spec.inos[idx])
@@ -1088,8 +1075,8 @@ def shard_work(
     from :class:`repro.config.FsckParams`, the modeled parallel check time
     is the longest-processing-time-first makespan over these volumes.
     """
-    spec = _plane_shard_spec(_scan_dataplane(plane), plane)
-    data = np.unique(spec.g, return_counts=True)[1].tolist()
+    g = _pag_rows(_scan_dataplane(plane), plane)[1]
+    data = np.unique(g, return_counts=True)[1].tolist()
     meta: list[int] = []
     if mds is not None:
         # one row per entry plus one per-directory structural pass
@@ -1154,28 +1141,17 @@ class Scrubber:
             self.cycles += 1
         self.shards_checked += 1
         if idx < len(self.plane.fsm.groups):
-            return self._scrub_group(idx)
-        return self._scrub_mds()
-
-    def _scrub_group(self, g: int) -> ScrubStep:
-        actions: list[RepairAction] = []
-        scan, reports = _repair_dataplane_pass(self.plane, actions, only=g)
-        nfind = len(scan.pre) + sum(
-            len(rep.crosses) + len(rep.wrong) + len(rep.maps_free)
-            + len(_resolve_double_owned(scan, rep.overlap.tolist()))
-            for rep in reports
-        )
-        self.findings_found += nfind
+            # The whole plane's structural faults, but only PAG idx's verdicts.
+            actions: list[RepairAction] = []
+            scan, verdicts, report = _detect_dataplane(self.plane, False, only=idx)
+            _apply_dataplane(self.plane, scan, verdicts, actions)
+            shard, findings = f"pag-{idx}", report.findings
+        else:
+            result = repair_mds(self.mds, max_passes=2)
+            shard, findings, actions = "mds", result.before.findings, result.actions
+        self.findings_found += len(findings)
         self.repairs_applied += len(actions)
-        return ScrubStep(shard=f"pag-{g}", findings=nfind, repaired=len(actions))
-
-    def _scrub_mds(self) -> ScrubStep:
-        result = repair_mds(self.mds, max_passes=2)
-        nfind = len(result.before.findings)
-        repaired = len(result.actions)
-        self.findings_found += nfind
-        self.repairs_applied += repaired
-        return ScrubStep(shard="mds", findings=nfind, repaired=repaired)
+        return ScrubStep(shard=shard, findings=len(findings), repaired=len(actions))
 
     def full_check(self) -> FsckReport:
         """Offline-grade report over everything the scrubber covers."""

@@ -69,8 +69,9 @@ class KernelTree:
 
 
 class _AppBase:
-    """Shared timing harness: drives the app's send-based op program
-    (:meth:`program`) against the file system with MDS/data/CPU accounting.
+    """Shared timing harness: drives the send-based op program each app
+    defines (``program(root)``) against the file system with MDS/data/CPU
+    accounting.
 
     Application programs are result-dependent — tar lists a directory
     before reading its files, make compiles what ``readdir`` reports — so
@@ -100,9 +101,6 @@ class _AppBase:
             cpu_s=cpu_s,
             ops=ops,
         )
-
-    def program(self, root: str):
-        raise NotImplementedError
 
 
 class TarApp(_AppBase):

@@ -315,7 +315,6 @@ def schedule_arrivals(
 def run_data_phase(
     plane: DataPlane,
     programs: list[StreamProgram],
-    reset_timelines: bool = True,
     read_buffer_blocks: int = 256,
     write_buffer_blocks: int = 32768,
     skip_probability: float = 0.1,
@@ -370,8 +369,7 @@ def run_data_phase(
     rng: np.random.Generator | None = (
         derive_rng(seed, "phase-jitter") if skip_probability > 0.0 else None
     )
-    if reset_timelines:
-        plane.array.reset_timelines()
+    plane.array.reset_timelines()
     start_elapsed = plane.array.elapsed_s
     submit = plane.array.submit_batch
     counters = plane.metrics.raw_counters()

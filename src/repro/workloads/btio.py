@@ -118,14 +118,3 @@ class BTIOBenchmark:
         """Solution verification: each process reads back its *own* cells
         with the same decomposition it wrote them with (BTIO's -rcheck)."""
         return run_data_phase(plane, self._programs(f, READ))
-
-    def run(self, plane: DataPlane, name: str = "/btio.out") -> ThroughputResult:
-        f = self.create_file(plane, name)
-        w = self.write_phase(plane, f)
-        plane.close_file(f)
-        r = self.read_phase(plane, f)
-        return ThroughputResult(
-            bytes_moved=w.bytes_moved + r.bytes_moved,
-            elapsed=w.elapsed + r.elapsed,
-            ops=w.ops + r.ops,
-        )

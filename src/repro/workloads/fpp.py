@@ -76,11 +76,3 @@ class FilePerProcessBench:
         """Read everything back, each process its own file sequentially."""
         programs = self._sequential_programs(files, READ, self.read_request_bytes, 1000)
         return run_data_phase(plane, programs, seed=self.seed)
-
-    def run(self, plane: DataPlane) -> tuple[ThroughputResult, ThroughputResult]:
-        files = self.create_files(plane)
-        w = self.phase1_write(plane, files)
-        for f in files:
-            plane.close_file(f)
-        r = self.phase2_read(plane, files)
-        return (w, r)

@@ -81,15 +81,3 @@ class IORBenchmark:
 
     def read_phase(self, plane: DataPlane, f: RedbudFile) -> ThroughputResult:
         return run_data_phase(plane, self._programs(f, write=False))
-
-    def run(self, plane: DataPlane, name: str = "/ior.dat") -> ThroughputResult:
-        """Write then read back; returns combined throughput."""
-        f = self.create_file(plane, name)
-        w = self.write_phase(plane, f)
-        plane.close_file(f)
-        r = self.read_phase(plane, f)
-        return ThroughputResult(
-            bytes_moved=w.bytes_moved + r.bytes_moved,
-            elapsed=w.elapsed + r.elapsed,
-            ops=w.ops + r.ops,
-        )

@@ -120,11 +120,3 @@ class SharedFileMicrobench:
     def phase2_read(self, plane: DataPlane, f: RedbudFile) -> ThroughputResult:
         """Segmented sequential read-back (the measured phase)."""
         return run_data_phase(plane, self.read_programs(f))
-
-    def run(self, plane: DataPlane, name: str = "/shared.chk") -> tuple[ThroughputResult, ThroughputResult]:
-        """Both phases; returns (phase-1 write, phase-2 read) results."""
-        f = self.create_shared_file(plane, name)
-        w = self.phase1_write(plane, f)
-        plane.close_file(f)  # release reservations before the read phase
-        r = self.phase2_read(plane, f)
-        return (w, r)

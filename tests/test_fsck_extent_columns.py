@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.block.extent import Extent, ExtentMap, extent_columns, invalid_maps
 from repro.errors import AllocationError, ExtentError
 from repro.fs.dataplane import DataPlane
+from repro.fs import verify
 from repro.fs.verify import check_dataplane, repair_dataplane, shard_work
 from repro.units import KiB
 
@@ -181,6 +182,57 @@ class TestDroppedMapReleasesItsBlocks:
         # Nothing to re-claim: the shared blocks never went back to free space.
         assert [a.code for a in fix.actions] == ["extent-map-invalid"]
         assert not plane.fsm.group_of(kept.physical).free.is_free(kept.physical, 2)
+        assert plane.fsm.used_blocks == mapped_blocks(plane)
+
+
+def three_faults_plane() -> DataPlane:
+    """An invalid map on /f1, a free block under /f0's extent, and two of
+    /f0's blocks also mapped by /f2 (both files live in one PAG)."""
+    plane = three_file_plane()
+    f0, _f1, f2 = plane.files()
+    split_first_extent(plane, "/f1")
+    owned = f0.maps[0].extents()[0].physical
+    plane.fsm.free(owned + 3, 1)
+    f2.maps[0].insert(Extent(1_000, owned + 8, 2))
+    return plane
+
+
+class TestRepairAppliesTheCheck:
+    def test_one_pass_scans_the_plane_twice(self, monkeypatch):
+        scans = []
+        real_scan = verify._scan_dataplane
+
+        def counting_scan(*args, **kwargs):
+            scans.append(1)
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "_scan_dataplane", counting_scan)
+        fix = repair_dataplane(three_faults_plane())
+        assert (fix.passes, fix.converged) == (1, True)
+        # One scan finds the damage, one confirms the repair took.
+        assert len(scans) == 2
+
+    def test_actions_equal_the_recorded_repair(self):
+        plane = three_faults_plane()
+        assert report_key(check_dataplane(plane)) == report_key(
+            check_dataplane_reference(plane)
+        )
+        fix = repair_dataplane(plane)
+        # Recorded before repair stopped scanning again in each pass.
+        invalid = (
+            "unmerged abutting extents: Extent(logical=0, physical=0, length=1, "
+            "flags=0) / Extent(logical=1, physical=1, length=15, flags=0)"
+        )
+        assert [(a.code, a.message) for a in fix.actions] == [
+            ("extent-map-invalid", f"/f1 slot 0: dropped invalid extent map ({invalid})"),
+            ("double-owned-block", "/f2 slot 0: unmapped Extent(logical=1000, "
+             "physical=24584, length=2, flags=0)"),
+            ("extent-maps-free", "/f0 slot 0: re-claimed 1 blocks of Extent(logical=0, "
+             "physical=24576, length=16, flags=0)"),
+        ]
+        assert fix.passes == 1
+        assert fix.after.clean
+        assert report_key(fix.after) == report_key(check_dataplane_reference(plane))
         assert plane.fsm.used_blocks == mapped_blocks(plane)
 
 

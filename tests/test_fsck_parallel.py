@@ -302,6 +302,45 @@ class TestHandBuiltMetadataDamage:
             check_mds_reference(mds)
 
 
+class TestRepairAppliesTheCheck:
+    """A repair pass works from the columns the check before it gathered."""
+
+    def test_inode_shared_across_directories_is_reset_in_each(self):
+        # sub's g003 names work's f005 inode, and that inode carries the name
+        # g003: only work's row is flagged by the first check, yet once work
+        # resets the name, sub's row disagrees within the same pass.
+        mds = populated_mds("embedded")
+        _root, work, sub = dirs_of(mds)
+        ino = work.entries["f005"]
+        sub.entries["g003"] = ino
+        mds.layout._inodes[ino].name = "g003"
+        assert [f.code for f in check_mds(mds).findings] == ["inode-name-mismatch"]
+        fix = repair_mds(mds, max_passes=2)
+        assert [(a.code, a.message) for a in fix.actions] == [
+            ("inode-name-mismatch", f"inode {ino}: reset name 'g003' -> 'f005'"),
+            ("inode-name-mismatch", f"inode {ino}: reset name 'f005' -> 'g003'"),
+        ] * 2
+        assert (fix.passes, fix.converged) == (2, False)
+
+    def test_dropped_entry_rebuilds_the_fragmentation_degree(self):
+        # Regression: dropping a lost inode's entry left its extent records
+        # in the directory's record_sum, so a later create preallocated a
+        # spill block (§IV.A) for a fragmentation no file has.
+        mds = MetadataServer(small_config(layout="embedded"))
+        d = mds.mkdir(mds.root, "d")
+        mds.create(d, "a")
+        mds.create(d, "b")
+        mds.set_extent_records(d, "a", 600)
+        table = mds.layout._inodes
+        del table[d.entries["a"]]
+        fix = repair_mds(mds)
+        assert fix.converged
+        assert [a.code for a in fix.actions] == ["dangling-inode"] * 2
+        assert (d.file_count, d.record_sum) == (1, 0)
+        mds.create(d, "c")
+        assert table.spill_blocks[table.rows[d.entries["c"]]] == []
+
+
 class TestCrashedImage:
     def test_deterministic(self):
         a = build_crashed_image(scale=0.3, seed=9)
@@ -451,14 +490,16 @@ class TestOnlineScrub:
 
     @pytest.mark.parametrize("layout", ["embedded", "normal"])
     def test_mds_step_scans_once_when_clean_twice_when_dirty(self, layout, monkeypatch):
+        # Every metadata check, in check_mds or a repair pass, is one
+        # _detect_mds call: the module's only metadata detection step.
         scans = []
-        real_check = verify.check_mds
+        real_detect = verify._detect_mds
 
-        def counting_check(mds, jobs=None):
+        def counting_detect(mds):
             scans.append(1)
-            return real_check(mds, jobs=jobs)
+            return real_detect(mds)
 
-        monkeypatch.setattr(verify, "check_mds", counting_check)
+        monkeypatch.setattr(verify, "_detect_mds", counting_detect)
         mds = populated_mds(layout)
         plane = DataPlane(small_config())
         scrubber = Scrubber(plane, mds)

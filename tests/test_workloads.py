@@ -127,7 +127,10 @@ class TestSharedFileMicrobench:
     def test_run_returns_both_phases(self):
         plane = make_plane()
         mb = SharedFileMicrobench(nstreams=4, file_bytes=4 * MiB, segments=64)
-        w, r = mb.run(plane)
+        f = mb.create_shared_file(plane)
+        w = mb.phase1_write(plane, f)
+        plane.close_file(f)
+        r = mb.phase2_read(plane, f)
         assert w.bytes_moved == r.bytes_moved == 4 * MiB
 
 
@@ -150,8 +153,12 @@ class TestIOR:
 
     def test_run_combines_phases(self):
         bench = IORBenchmark(nprocs=4, file_bytes=4 * MiB)
-        res = bench.run(make_plane())
-        assert res.bytes_moved == 8 * MiB  # write + read back
+        plane = make_plane()
+        f = bench.create_file(plane)
+        w = bench.write_phase(plane, f)
+        plane.close_file(f)
+        r = bench.read_phase(plane, f)
+        assert w.bytes_moved + r.bytes_moved == 8 * MiB  # write + read back
 
     def test_validation(self):
         with pytest.raises(ConfigError):

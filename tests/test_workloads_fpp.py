@@ -33,7 +33,11 @@ class TestFilePerProcessBench:
     def test_read_back_volume(self):
         plane = DataPlane(small_config())
         bench = FilePerProcessBench(nstreams=4, total_bytes=4 * MiB)
-        w, r = bench.run(plane)
+        files = bench.create_files(plane)
+        w = bench.phase1_write(plane, files)
+        for f in files:
+            plane.close_file(f)
+        r = bench.phase2_read(plane, files)
         assert w.bytes_moved == r.bytes_moved == 4 * MiB
 
     def test_validation(self):
