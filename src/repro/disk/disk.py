@@ -56,6 +56,11 @@ def reduce_request_rows(metrics: Metrics, rows: list) -> None:
     _, _, positioning_s, transfer_s = zip(*rows)
     metrics.add_each("disk.positioning_s", positioning_s)
     metrics.add_each("disk.transfer_s", transfer_s)
+    _book_requests(metrics, n, blocks, positionings, writes, write_blocks)
+
+
+def _book_requests(metrics, n, blocks, positionings, writes, write_blocks) -> None:
+    """The order-free counters of ``n`` serviced requests, however served."""
     metrics.incr("disk.requests", n)
     metrics.incr("disk.blocks", blocks)
     if positionings:
@@ -71,11 +76,11 @@ def reduce_request_rows(metrics: Metrics, rows: list) -> None:
 class SimulatedDisk:
     """One disk: head position, busy-time accounting, attached scheduler.
 
-    One request path.  A batch is columns from the submit call down
-    (:meth:`submit_arrays`; :meth:`submit_batch` turns request objects into
-    columns) and a batch of one takes :meth:`submit_one`'s scalar body.  An
-    attached fault injector sees every arranged batch as columns on that
-    same path (docs/FAULTS.md).
+    One request path per call site: a batch is columns from the submit call
+    down (:meth:`submit_arrays`), a batch of one takes :meth:`submit_one`
+    and a checkpoint's sorted one-block writes :meth:`submit_sorted_writes`,
+    scalar bodies with the same books.  An attached fault injector sees
+    every arranged batch as columns (docs/FAULTS.md).
     """
 
     def __init__(
@@ -281,24 +286,58 @@ class SimulatedDisk:
             metrics.observe_array("disk.request_blocks", nblocks)
             metrics.add("disk.positioning_s", float(positioning.sum()))
             metrics.add("disk.transfer_s", float(transfer.sum()))
-            blocks_total = int(nblocks.sum())
-            metrics.incr("disk.requests", n)
-            metrics.incr("disk.blocks", blocks_total)
-            positionings = int(np.count_nonzero(positioning))
-            if positionings:
-                metrics.incr("disk.positionings", positionings)
             writes = int(np.count_nonzero(is_write))
-            if writes:
-                write_blocks = int(nblocks[is_write].sum())
-                metrics.incr("disk.write_requests", writes)
-                metrics.incr("disk.write_blocks", write_blocks)
-            if writes < n:
-                read_blocks = blocks_total - (write_blocks if writes else 0)
-                metrics.incr("disk.read_requests", n - writes)
-                metrics.incr("disk.read_blocks", read_blocks)
+            _book_requests(
+                metrics, n, int(nblocks.sum()), int(np.count_nonzero(positioning)),
+                writes, int(nblocks[is_write].sum()) if writes else 0,
+            )
         if fault is not None:
             raise fault
         return total
+
+    def submit_sorted_writes(self, blocks: list[int]) -> float:
+        """:meth:`submit_arrays` of one-block writes to the ascending, distinct
+        ``blocks`` (a checkpoint's) in a plain loop: the same runs, times,
+        head, busy time, trace rows and books, without numpy's fixed cost
+        per call.  A batch of one, a disk with an injector attached and a
+        batch past capacity (rejected there) take :meth:`submit_arrays`."""
+        n = len(blocks)
+        if n <= 1 or self.injector is not None or blocks[-1] >= self.capacity_blocks:
+            return self.submit_arrays(
+                np.array(blocks, dtype=np.int64), np.ones(n, dtype=np.int64), True
+            )
+        header = self._charge_header()
+        runs = self.scheduler.arrange_sorted_writes(blocks)
+        metrics = self.metrics
+        metrics.flush()  # logged submit_one rows come first
+        latency = metrics.histogram_ref("disk.request_latency_s").observe
+        size = metrics.histogram_ref("disk.request_blocks").observe
+        busy, head, total, written = self._busy_s, self._head, 0.0, 0
+        positioning, transfer = [], []
+        for start, end in runs:
+            nblocks = end - start
+            p = self.model.positioning_time(head, start)
+            t = nblocks * self._transfer_s_per_block
+            d = p + t
+            if self.tracer.enabled:  # at the fold before it, as _service_arrays
+                self.tracer.record(
+                    _WRITE, busy + total, d, None, self.name, start, nblocks, p, t
+                )
+            total += d
+            latency(d)
+            size(nblocks)
+            positioning.append(p)
+            transfer.append(t)
+            head = end
+            written += nblocks
+        self._head = head
+        self._busy_s = busy + total  # the batch's fold, added once
+        # numpy's pairwise sums, as _service_arrays takes them.
+        metrics.add("disk.positioning_s", float(np.array(positioning).sum()))
+        metrics.add("disk.transfer_s", float(np.array(transfer).sum()))
+        m = len(runs)
+        _book_requests(metrics, m, written, m - positioning.count(0.0), m, written)
+        return total + header
 
     def submit_one(self, start: int, nblocks: int, is_write: bool) -> float:
         """A batch of one: the scheduler's batch counters, the disk metrics,

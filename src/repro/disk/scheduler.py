@@ -24,8 +24,11 @@ from repro.sim.metrics import Metrics
 ARRANGE = ("sched", "arrange", "requests_in", "requests_out")
 
 
-class FifoScheduler:
-    """Dispatch requests in arrival order; merge only back-to-back runs."""
+class _Scheduler:
+    """Parameters, books and the sorted-writes arrangement both share."""
+
+    #: Whether a batch is split into ``batch_limit`` windows in arrival order.
+    windowed = False
 
     def __init__(
         self,
@@ -37,14 +40,38 @@ class FifoScheduler:
         self.metrics = metrics if metrics is not None else Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
+    def _book(self, n_in: int, n_out: int) -> None:
+        """Count one arranged batch and record its ``sched arrange`` row."""
+        metrics = self.metrics
+        metrics.incr("scheduler.batches")
+        metrics.incr("scheduler.requests_in", n_in)
+        metrics.incr("scheduler.requests_out", n_out)
+        if self.tracer.enabled:
+            self.tracer.record(ARRANGE, None, 0.0, None, n_in, n_out)
+
+    def arrange_sorted_writes(self, blocks: list[int]) -> list[list[int]]:
+        """:meth:`arrange_arrays` of one-block writes to the ascending,
+        distinct ``blocks``, as ``[start, end)`` runs: a window of them is
+        already sorted, so arranging it is merging it."""
+        gap = self.params.merge_gap_blocks
+        limit = self.params.batch_limit if self.windowed else len(blocks)
+        runs = []
+        for i, block in enumerate(blocks):
+            if i % limit and block - runs[-1][1] <= gap:
+                runs[-1][1] = block + 1
+            else:
+                runs.append([block, block + 1])
+        self._book(len(blocks), len(runs))
+        return runs
+
+
+class FifoScheduler(_Scheduler):
+    """Dispatch requests in arrival order; merge only back-to-back runs."""
+
     def arrange(self, requests: Sequence[BlockRequest]) -> list[BlockRequest]:
         """Return the dispatch order for one batch of concurrent requests."""
-        self.metrics.incr("scheduler.batches")
-        self.metrics.incr("scheduler.requests_in", len(requests))
         merged = _merge_sorted(requests, self.params.merge_gap_blocks)
-        self.metrics.incr("scheduler.requests_out", len(merged))
-        if self.tracer.enabled:
-            self.tracer.record(ARRANGE, None, 0.0, None, len(requests), len(merged))
+        self._book(len(requests), len(merged))
         return merged
 
     def arrange_arrays(
@@ -56,19 +83,14 @@ class FifoScheduler:
         ``merge_gap_blocks`` merge, exactly as :meth:`arrange` does.  Same
         caller contract as the elevator's ``arrange_arrays``.
         """
-        n = starts.shape[0]
-        self.metrics.incr("scheduler.batches")
-        self.metrics.incr("scheduler.requests_in", n)
         s, b, w = _merge_arrays(
             starts, nblocks, writes, self.params.merge_gap_blocks
         )
-        self.metrics.incr("scheduler.requests_out", int(s.shape[0]))
-        if self.tracer.enabled:
-            self.tracer.record(ARRANGE, None, 0.0, None, n, int(s.shape[0]))
+        self._book(starts.shape[0], s.shape[0])
         return s, b, w
 
 
-class ElevatorScheduler:
+class ElevatorScheduler(_Scheduler):
     """Sort each batch by start block, then merge near-contiguous runs.
 
     Batches larger than ``batch_limit`` are split in arrival order first
@@ -76,20 +98,10 @@ class ElevatorScheduler:
     concurrent burst cannot be globally sorted into one perfect sweep.
     """
 
-    def __init__(
-        self,
-        params: SchedulerParams,
-        metrics: Metrics | None = None,
-        tracer: Tracer | NullTracer | None = None,
-    ) -> None:
-        self.params = params
-        self.metrics = metrics if metrics is not None else Metrics()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+    windowed = True
 
     def arrange(self, requests: Sequence[BlockRequest]) -> list[BlockRequest]:
         """Return the dispatch order for one batch of concurrent requests."""
-        self.metrics.incr("scheduler.batches")
-        self.metrics.incr("scheduler.requests_in", len(requests))
         out: list[BlockRequest] = []
         limit = self.params.batch_limit
         for i in range(0, len(requests), limit):
@@ -97,9 +109,7 @@ class ElevatorScheduler:
                 requests[i : i + limit], key=lambda r: (r.start, r.nblocks)
             )
             out.extend(_merge_sorted(window, self.params.merge_gap_blocks))
-        self.metrics.incr("scheduler.requests_out", len(out))
-        if self.tracer.enabled:
-            self.tracer.record(ARRANGE, None, 0.0, None, len(requests), len(out))
+        self._book(len(requests), len(out))
         return out
 
     def arrange_arrays(
@@ -116,13 +126,9 @@ class ElevatorScheduler:
         matches.
         """
         n = starts.shape[0]
-        self.metrics.incr("scheduler.batches")
-        self.metrics.incr("scheduler.requests_in", n)
         gap = self.params.merge_gap_blocks
         limit = self.params.batch_limit
-        out_s: list[np.ndarray] = []
-        out_n: list[np.ndarray] = []
-        out_w: list[np.ndarray] = []
+        windows = []
         for i in range(0, n, limit):
             s = starts[i : i + limit]
             b = nblocks[i : i + limit]
@@ -130,19 +136,11 @@ class ElevatorScheduler:
             # lexsort is stable, so full (start, nblocks) ties keep arrival
             # order — the same permutation sorted() produces in arrange().
             order = np.lexsort((b, s))
-            s, b, w = _merge_arrays(s[order], b[order], w[order], gap)
-            out_s.append(s)
-            out_n.append(b)
-            out_w.append(w)
-        if len(out_s) == 1:
-            m_s, m_n, m_w = out_s[0], out_n[0], out_w[0]
-        else:
-            m_s = np.concatenate(out_s)
-            m_n = np.concatenate(out_n)
-            m_w = np.concatenate(out_w)
-        self.metrics.incr("scheduler.requests_out", int(m_s.shape[0]))
-        if self.tracer.enabled:
-            self.tracer.record(ARRANGE, None, 0.0, None, n, int(m_s.shape[0]))
+            windows.append(_merge_arrays(s[order], b[order], w[order], gap))
+        m_s, m_n, m_w = (
+            windows[0] if len(windows) == 1 else map(np.concatenate, zip(*windows))
+        )
+        self._book(n, m_s.shape[0])
         return m_s, m_n, m_w
 
 

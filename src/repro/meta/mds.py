@@ -18,8 +18,6 @@ from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from functools import cache
 
-import numpy as np
-
 from repro.config import FSConfig
 from repro.disk.cache import BufferCache
 from repro.disk.disk import SimulatedDisk
@@ -212,16 +210,11 @@ class MetadataServer:
             self._ops_since_ckpt = 0
             self.journal.truncate()  # nothing dirty: no record needs replay
             return 0
-        # The sorted dirty set goes down as one column batch; the scheduler
-        # coalesces adjacent blocks into runs.  Completion bulk-inserts into
-        # the cache.
+        # One batch of one-block writes, which the scheduler coalesces into
+        # runs.  Completion bulk-inserts into the cache.
         blocks = sorted(self._dirty)
         flushed = len(blocks)
-        self.disk.submit_arrays(
-            np.fromiter(blocks, dtype=np.int64, count=flushed),
-            np.ones(flushed, dtype=np.int64),
-            True,
-        )
+        self.disk.submit_sorted_writes(blocks)
         self.cache.insert_blocks(blocks)
         self._dirty.clear()
         self._ops_since_ckpt = 0

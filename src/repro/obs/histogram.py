@@ -137,9 +137,16 @@ class Histogram:
         """Reduce the sample log into the bucket state and empty it."""
         log = self._log
         if log:
-            # ``min``/``max`` keep the first extremal sample, as a
-            # per-sample strict comparison would (its type included).
-            self._reduce(np.array(log), min(log), max(log))
+            # The first extremal samples, type included.  Of Python or 64-bit
+            # numpy samples below 2**53 (not NaN) every one converts to
+            # float64 exactly, so ``argmin`` / ``argmax`` find them there;
+            # otherwise Python's ``min`` / ``max`` do.
+            values = np.fromiter(log, np.float64, len(log))
+            i, j = int(values.argmin()), int(values.argmax())
+            if values[j] < 2.0**53:
+                self._reduce(values, log[i], log[j])
+            else:
+                self._reduce(values, min(log), max(log))
             del log[:]
 
     def _reduce(self, values, mn, mx) -> None:
@@ -154,10 +161,12 @@ class Histogram:
         nonzero = values[values != 0]
         self._zeros += n - int(nonzero.shape[0])
         if nonzero.shape[0]:
-            exps, counts = np.unique(np.frexp(nonzero)[1], return_counts=True)
+            exps = np.frexp(nonzero)[1]
+            low = int(exps.min())
             buckets = self._buckets
-            for e, c in zip(exps.tolist(), counts.tolist()):
-                buckets[e] = buckets.get(e, 0) + c
+            for e, c in enumerate(np.bincount(exps - low).tolist(), low):
+                if c:
+                    buckets[e] = buckets.get(e, 0) + c
 
     def absorb(self, snap: "HistogramSnapshot") -> None:
         """Fold a full-history snapshot into this histogram.

@@ -15,11 +15,12 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.disk.disk as disk_mod
@@ -133,6 +134,43 @@ def test_first_extremal_sample_keeps_its_type():
         h.observe_array(np.array([2.0]))
     same_histogram(got, want)
     assert type(got.snapshot().minimum) is int
+
+
+zeros = st.sampled_from([0, 0.0, -0.0])
+# Ints past 2**53 do not convert to float64 exactly: a mixed log holding
+# one must not take its extrema from the float array (2**53 + 1 and
+# 2.0**53 are equal there, not to Python).
+wide_ints = st.integers(min_value=2**53 - 2, max_value=2**53 + 2)
+wide_floats = st.sampled_from([2.0**53 - 2, 2.0**53, 2.0**53 + 2])
+fold_logs = st.one_of(
+    st.lists(st.one_of(ints, zeros.filter(lambda z: type(z) is int)), min_size=1),
+    st.lists(st.one_of(floats, zeros.filter(lambda z: type(z) is float)), min_size=1),
+    st.lists(st.one_of(ints, floats, zeros), min_size=1),
+    st.lists(st.one_of(wide_ints, wide_floats, floats, zeros), min_size=1),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    pattern=fold_logs,
+    repeats=st.integers(min_value=0, max_value=3 * histogram_mod.LOG_CHUNK),
+    tail=fold_logs,
+)
+@example(pattern=[2**53 + 1, 2.0**53], repeats=1, tail=[2**53 + 1])
+@example(pattern=[0.0, 1, -0.0], repeats=2, tail=[-0.0, 0])
+def test_fold_equals_the_eager_oracle(pattern, repeats, tail):
+    """A log of 1 to 3 x ``LOG_CHUNK`` samples, folded a chunk at a time,
+    equals per-sample updates: ``==``, the extrema's types and the sign of
+    a zero extremum (the first of ``0.0`` / ``-0.0`` is kept)."""
+    log = (pattern * repeats + tail)[: 3 * histogram_mod.LOG_CHUNK]
+    got, want = Histogram(), ReferenceHistogram()
+    for v in log:
+        got.observe(v)
+        want.observe(v)
+    same_histogram(got, want)
+    g, w = got.snapshot(), want.snapshot()
+    for a, b in ((g.minimum, w.minimum), (g.maximum, w.maximum)):
+        assert math.copysign(1, a) == math.copysign(1, b)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1_000_000])
