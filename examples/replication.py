@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.fs.dataplane import DataPlane
-from repro.fs.file import RedbudFile
+from repro.fs.file import RedbudFile, split
 from repro.units import block_span
 
 #: A batch of physical requests as columns — int64 ``starts`` and
@@ -203,7 +203,7 @@ class ReplicationManager:
         lb, nb = block_span(offset, nbytes, self.plane.block_size)
         starts: list[int] = []
         nblocks: list[int] = []
-        for slot, dstart, dcount in f.segments(lb, nb):
+        for slot, dstart, dcount in split(f.stripe_blocks, f.width, lb, nb):
             for dlocal, physical, length in state.slot_runs[slot]:
                 lo = max(dlocal, dstart)
                 hi = min(dlocal + length, dstart + dcount)

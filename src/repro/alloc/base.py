@@ -26,44 +26,31 @@ from repro.sim.metrics import Metrics
 
 
 class AllocTarget:
-    """Where a write segment lands: one PAG in the file's stripe rotation.
+    """Where a write segment lands: one PAG (``group_index``), the rotation
+    slot ``slot`` of the file's stripe layout.
 
-    A plain slots class (the write path builds one per mapped segment);
+    A plain slots class (the plane builds one per slot of each layout);
     value semantics stay dataclass-compatible.
     """
 
-    __slots__ = ("group_index", "slot", "width", "stripe_blocks")
+    __slots__ = ("group_index", "slot")
 
-    def __init__(
-        self, group_index: int, slot: int, width: int, stripe_blocks: int
-    ) -> None:
+    def __init__(self, group_index: int, slot: int) -> None:
         if group_index < 0 or slot < 0:
             raise AllocationError(f"invalid target ids: group={group_index} slot={slot}")
-        if width <= 0 or not (0 <= slot < width):
-            raise AllocationError(f"slot/width mismatch: slot={slot} width={width}")
-        if stripe_blocks <= 0:
-            raise AllocationError(f"stripe_blocks must be positive: {stripe_blocks}")
         self.group_index = group_index
         self.slot = slot
-        self.width = width
-        self.stripe_blocks = stripe_blocks
-
-    def _key(self) -> tuple[int, int, int, int]:
-        return (self.group_index, self.slot, self.width, self.stripe_blocks)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not AllocTarget:
             return NotImplemented
-        return self._key() == other._key()
+        return (self.group_index, self.slot) == (other.group_index, other.slot)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.group_index, self.slot))
 
     def __repr__(self) -> str:
-        return (
-            f"AllocTarget(group_index={self.group_index}, slot={self.slot}, "
-            f"width={self.width}, stripe_blocks={self.stripe_blocks})"
-        )
+        return f"AllocTarget(group_index={self.group_index}, slot={self.slot})"
 
 
 class PhysicalRun:

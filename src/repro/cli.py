@@ -29,7 +29,7 @@ from repro.core import sweep
 from repro.core.run import RUNNERS, RunnerCommand, positive_float, positive_int, runner_names
 from repro.core.run import run as run_experiment
 from repro.core.runners import RUNNER_COMMANDS
-from repro.core.runners.fsck import print_repair
+from repro.core.runners.fsck import print_repair, shard_work
 from repro.fs.profiles import lustre_profile, redbud_mif_profile, redbud_vanilla_profile
 from repro.sim.report import Table
 
@@ -319,7 +319,6 @@ def cmd_fsck(args) -> int:
         check_mds,
         repair_dataplane,
         repair_mds,
-        shard_work,
     )
 
     if args.online:

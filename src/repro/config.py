@@ -248,31 +248,6 @@ class MetaParams:
 
 
 @dataclass(frozen=True)
-class FsckParams:
-    """Modeled costs of the parallel checker (docs/FSCK.md).
-
-    The ``fig_fsck`` benchmark reports *simulated* check/repair times so the
-    rendered document is byte-identical at any ``--jobs`` (real wall clock
-    is the ledger's ``fsck_image`` row).  A shard's modeled check time is
-    ``shard_setup_s`` plus ``check_extent_s`` (or ``check_inode_s``) per item
-    it scans; shards are assigned to ``jobs`` workers longest-processing-time
-    first and the modeled parallel elapsed is the worker makespan.  Repair
-    adds ``repair_action_s`` per applied action.
-    """
-
-    shard_setup_s: float = 2.0e-4
-    check_extent_s: float = 4.0e-6
-    check_inode_s: float = 6.0e-6
-    repair_action_s: float = 5.0e-5
-
-    def __post_init__(self) -> None:
-        for name in ("shard_setup_s", "check_extent_s", "check_inode_s",
-                     "repair_action_s"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0: {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class FSConfig:
     """Complete configuration of a simulated parallel file system."""
 
@@ -285,7 +260,6 @@ class FSConfig:
     cache: CacheParams = field(default_factory=CacheParams)
     alloc: AllocPolicyParams = field(default_factory=AllocPolicyParams)
     meta: MetaParams = field(default_factory=MetaParams)
-    fsck: FsckParams = field(default_factory=FsckParams)
     mds_disk: DiskParams = field(default_factory=DiskParams)
     #: Constant MDS request charge (network + request handling, seconds);
     #: aggregation pays it once per aggregated pair instead of twice.

@@ -4,19 +4,59 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.run import RunnerCommand, RunResult, register
 from repro.core.sweep import CellResult, _Cell, _Run
 from repro.fault import build_crashed_image
+from repro.fs.dataplane import DataPlane
 from repro.fs.verify import (
+    _pag_rows,
+    _scan_dataplane,
     check_dataplane,
     check_mds,
     repair_dataplane,
     repair_mds,
-    shard_work,
 )
+from repro.meta.mds import MetadataServer
 from repro.obs.trace import NullTracer, Tracer
 from repro.sim.metrics import ThroughputResult
 from repro.sim.report import Table
+
+# Modeled costs of the parallel checker (docs/FSCK.md).  ``fig_fsck``
+# reports *simulated* check/repair times, so the rendered document is
+# byte-identical at any ``--jobs`` (real wall clock is the ledger's
+# ``fsck_image`` row).  A shard's modeled check time is SHARD_SETUP_S plus
+# CHECK_EXTENT_S (or CHECK_INODE_S) per item it scans; shards go to the
+# workers longest-processing-time first and the modeled parallel elapsed
+# is the worker makespan.  Repair adds REPAIR_ACTION_S per applied action.
+SHARD_SETUP_S = 2.0e-4
+CHECK_EXTENT_S = 4.0e-6
+CHECK_INODE_S = 6.0e-6
+REPAIR_ACTION_S = 5.0e-5
+#: Directories per metadata shard in the modeled worker pool; the checker
+#: itself walks every directory at once.
+META_SHARD_DIRS = 64
+
+
+def shard_work(
+    plane: DataPlane, mds: MetadataServer | None = None
+) -> tuple[list[int], list[int]]:
+    """Per-shard work volumes: extents seen by each data-plane shard (one
+    per busy PAG) and rows scanned by each metadata shard.  Priced by the
+    per-item costs above, the modeled parallel check time is the
+    longest-processing-time-first makespan over these volumes."""
+    g = _pag_rows(_scan_dataplane(plane), plane)[1]
+    data = np.unique(g, return_counts=True)[1].tolist()
+    meta: list[int] = []
+    if mds is not None:
+        # one row per entry plus one per-directory structural pass
+        rows = [len(d.entries) + 1 for d in mds.layout._dirs.values()]
+        meta = [
+            sum(rows[i:i + META_SHARD_DIRS])
+            for i in range(0, len(rows), META_SHARD_DIRS)
+        ]
+    return data, meta
 
 
 def _lpt_makespan(costs: list[float], workers: int) -> float:
@@ -35,7 +75,7 @@ class FsckRun:
     """One (layout, image scale) crashed image through check + repair.
 
     ``check_s`` maps a worker count to the *modeled* parallel check time
-    (shard costs from :class:`~repro.config.FsckParams` scheduled LPT-first)
+    (shard costs from the module's constants scheduled LPT-first)
     so the rendered document is byte-identical at any ``--jobs``; real
     wall clock is measured by the host-time ledger (docs/PERF.md) instead.
     """
@@ -82,19 +122,15 @@ def _fig_fsck_cell(spec, tracer=None) -> CellResult:
     image_scale, seed, layout, jobs_points, tag = spec
     cell = _Cell(tracer)
     img = build_crashed_image(scale=image_scale, seed=seed, layout=layout)
-    params = img.plane.config.fsck
     data_work, meta_work = shard_work(img.plane, img.mds)
     report = check_dataplane(img.plane, strict_accounting=False).merge(
         check_mds(img.mds)
     )
-    costs = [params.shard_setup_s + n * params.check_extent_s for n in data_work]
-    costs += [params.shard_setup_s + n * params.check_inode_s for n in meta_work]
+    costs = [SHARD_SETUP_S + n * CHECK_EXTENT_S for n in data_work]
+    costs += [SHARD_SETUP_S + n * CHECK_INODE_S for n in meta_work]
     check_s = {j: _lpt_makespan(costs, j) for j in jobs_points}
     rep = repair_dataplane(img.plane).merge(repair_mds(img.mds))
-    repair_s = (
-        rep.passes * params.shard_setup_s
-        + len(rep.actions) * params.repair_action_s
-    )
+    repair_s = rep.passes * SHARD_SETUP_S + len(rep.actions) * REPAIR_ACTION_S
     ops = report.checked_extents + report.checked_inodes
     for j in jobs_points:
         cell.phase(
@@ -140,7 +176,7 @@ def fsck_benchmarks(
     at ``scale`` times one of ``multipliers``, checks it with the sharded
     checker, repairs it to convergence and reports modeled check times for
     every worker count in ``jobs_points``.  The timings are simulated (shard
-    work volumes priced by :class:`~repro.config.FsckParams`), so the
+    work volumes priced by this module's constants), so the
     document is byte-identical at any ``jobs`` — the ordered-merge contract
     the bench gate relies on.
     """

@@ -9,6 +9,8 @@ positioning + transfer time per dispatched request.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import compress
+from operator import add
 
 import numpy as np
 
@@ -33,30 +35,33 @@ def reduce_request_rows(metrics: Metrics, rows: list) -> None:
     ``rows`` are ``(nblocks, is_write, positioning, transfer)`` in
     submission order, from every disk sharing the bag, and each stands for
     one scheduler batch of one request in and out.  Books what per-request
-    updates in row order produce — histogram samples and the two float
-    accumulators are taken strictly in that order, the counters are
-    order-free.  A plain loop rather than numpy columns: the logs this sees
-    hold a few to a few dozen rows, where a handful of array calls costs
-    several times the loop."""
+    updates in row order produce: the two float accumulators are added row
+    by row; histograms and counters come by column (:func:`_book_each`).
+    Plain Python columns rather than numpy: the logs this sees hold a few
+    to a few dozen rows, where a handful of array calls costs several times
+    the loop."""
     n = len(rows)
     for name in ("scheduler.batches", "scheduler.requests_in", "scheduler.requests_out"):
         metrics.incr(name, n)
-    latency = metrics.histogram_ref("disk.request_latency_s").observe
-    size = metrics.histogram_ref("disk.request_blocks").observe
-    blocks = positionings = writes = write_blocks = 0
-    for nblocks, is_write, positioning, transfer in rows:
-        latency(positioning + transfer)
-        size(nblocks)
-        blocks += nblocks
-        if positioning > 0.0:
-            positionings += 1
-        if is_write:
-            writes += 1
-            write_blocks += nblocks
-    _, _, positioning_s, transfer_s = zip(*rows)
-    metrics.add_each("disk.positioning_s", positioning_s)
-    metrics.add_each("disk.transfer_s", transfer_s)
-    _book_requests(metrics, n, blocks, positionings, writes, write_blocks)
+    nblocks, is_write, positioning, transfer = zip(*rows)
+    metrics.add_each("disk.positioning_s", positioning)
+    metrics.add_each("disk.transfer_s", transfer)
+    _book_each(
+        metrics, list(map(add, positioning, transfer)), nblocks, positioning,
+        list(compress(nblocks, is_write)),
+    )
+
+
+def _book_each(metrics, latency, nblocks, positioning, written) -> None:
+    """The histograms and order-free counters of requests serviced in the
+    order of the columns ``latency``, ``nblocks`` and ``positioning``;
+    ``written`` is the ``nblocks`` of the writes among them."""
+    metrics.histogram_ref("disk.request_latency_s").observe_each(latency)
+    metrics.histogram_ref("disk.request_blocks").observe_each(nblocks)
+    n = len(nblocks)
+    _book_requests(
+        metrics, n, sum(nblocks), n - positioning.count(0.0), len(written), sum(written)
+    )
 
 
 def _book_requests(metrics, n, blocks, positionings, writes, write_blocks) -> None:
@@ -308,12 +313,9 @@ class SimulatedDisk:
             )
         header = self._charge_header()
         runs = self.scheduler.arrange_sorted_writes(blocks)
-        metrics = self.metrics
-        metrics.flush()  # logged submit_one rows come first
-        latency = metrics.histogram_ref("disk.request_latency_s").observe
-        size = metrics.histogram_ref("disk.request_blocks").observe
-        busy, head, total, written = self._busy_s, self._head, 0.0, 0
-        positioning, transfer = [], []
+        self.metrics.flush()  # logged submit_one rows come first
+        busy, head, total = self._busy_s, self._head, 0.0
+        latency, size, positioning, transfer = [], [], [], []
         for start, end in runs:
             nblocks = end - start
             p = self.model.positioning_time(head, start)
@@ -324,19 +326,17 @@ class SimulatedDisk:
                     _WRITE, busy + total, d, None, self.name, start, nblocks, p, t
                 )
             total += d
-            latency(d)
-            size(nblocks)
+            latency.append(d)
+            size.append(nblocks)
             positioning.append(p)
             transfer.append(t)
             head = end
-            written += nblocks
         self._head = head
         self._busy_s = busy + total  # the batch's fold, added once
         # numpy's pairwise sums, as _service_arrays takes them.
-        metrics.add("disk.positioning_s", float(np.array(positioning).sum()))
-        metrics.add("disk.transfer_s", float(np.array(transfer).sum()))
-        m = len(runs)
-        _book_requests(metrics, m, written, m - positioning.count(0.0), m, written)
+        self.metrics.add("disk.positioning_s", float(np.array(positioning).sum()))
+        self.metrics.add("disk.transfer_s", float(np.array(transfer).sum()))
+        _book_each(self.metrics, latency, size, positioning, size)
         return total + header
 
     def submit_one(self, start: int, nblocks: int, is_write: bool) -> float:

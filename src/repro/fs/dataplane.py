@@ -23,7 +23,7 @@ from repro.block.freespace import FreeSpaceManager
 from repro.config import FSConfig
 from repro.disk.array import DiskArray
 from repro.errors import ConfigError, NoSpaceError, ReproError
-from repro.fs.file import RedbudFile
+from repro.fs.file import RedbudFile, slot_share, split, split_rows
 from repro.fs.stream import StreamId
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.metrics import Metrics
@@ -79,8 +79,8 @@ class DataPlane:
         )
         self.policy = make_policy(config.alloc, self.fsm, self.metrics, self.tracer)
         self._files: dict[int, RedbudFile] = {}
-        # AllocTargets by (stripe_blocks, *layout): files share a handful
-        # of rotations, so they share their per-slot targets.
+        # AllocTargets by layout: files share a handful of rotations, so
+        # they share their per-slot targets.
         self._targets: dict[tuple[int, ...], list[AllocTarget]] = {}
         self._next_file_id = 1
         # Per-op counter bumps inline on this mapping (see
@@ -144,7 +144,7 @@ class DataPlane:
         self._check_live(f)
         total_blocks = bytes_to_blocks(nbytes, self.block_size)
         for slot in range(f.width):
-            dlocal_blocks = self._slot_share(f, total_blocks, slot)
+            dlocal_blocks = slot_share(f.stripe_blocks, f.width, total_blocks, slot)
             if dlocal_blocks == 0:
                 continue
             runs = self.policy.prepare(f.file_id, self._targets_of(f)[slot], dlocal_blocks)
@@ -332,12 +332,7 @@ class DataPlane:
                 if n <= 0 or offset < 0:
                     self._check_range(offset, n, op)
                 lb = offset // bs
-                nb = (offset + n - 1) // bs - lb + 1
-                stripe, off = divmod(lb, sb)
-                if off + nb <= sb:  # inside one stripe unit, the common case
-                    segments = ((stripe % width, (stripe // width) * sb + off, nb),)
-                else:
-                    segments = self._segments(f, lb, nb)
+                segments = split(sb, width, lb, (offset + n - 1) // bs - lb + 1)
                 buffered = relocated = 0
                 if made and not gather:
                     made = []
@@ -479,10 +474,13 @@ class DataPlane:
             return
 
         widths = np.array([f.width for f in run_files], dtype=np.int64)
-        units, op, group, dstart, dcount = self._write_rows(
+        bs = self.block_size
+        lb = offsets // bs
+        units, op, slot, dstart, dcount = split_rows(
             np.array([f.stripe_blocks for f in run_files], dtype=np.int64)[fidx],
-            widths[fidx], (np.cumsum(widths) - widths)[fidx], offsets, nbytes,
+            widths[fidx], lb, (offsets + nbytes - 1) // bs - lb + 1,
         )
+        group = (np.cumsum(widths) - widths)[fidx][op] + slot
         # A group is one extent map: (file, slot).
         g_maps = [m for f in run_files for m in f.maps]
         g_targets = [t for f in run_files for t in self._targets_of(f)]
@@ -656,34 +654,6 @@ class DataPlane:
                     if size > f.size_bytes:
                         f.size_bytes = size
 
-    def _write_rows(
-        self,
-        sb: np.ndarray,
-        width: np.ndarray,
-        base: np.ndarray,
-        offsets: np.ndarray,
-        nbytes: np.ndarray,
-    ) -> tuple[np.ndarray, ...]:
-        """The allocation segments of a run of writes as rows: per op its
-        row count, and per row (in op, then stripe-unit order) its op, its
-        group ``base + slot``, ``dstart`` and ``dcount`` — ``sb``,
-        ``width`` and ``base`` being each op's file's stripe unit, width
-        and first group."""
-        bs = self.block_size
-        lb = offsets // bs
-        end = (offsets + nbytes - 1) // bs + 1
-        first = lb // sb
-        # One row per op and stripe unit; a width-1 file's units are one
-        # dlocal-contiguous segment (:meth:`_segments`): one row.
-        units = np.where(width == 1, 1, (end - 1) // sb - first + 1)
-        op = np.repeat(np.arange(offsets.shape[0]), units)
-        stripe = np.arange(op.shape[0]) + (first - (np.cumsum(units) - units))[op]
-        sb, width, end = sb[op], width[op], end[op]
-        lo = np.maximum(lb[op], stripe * sb)
-        dcount = np.where(width == 1, end, np.minimum(end, (stripe + 1) * sb)) - lo
-        dstart = (stripe // width) * sb + (lo - stripe * sb)
-        return units, op, base[op] + stripe % width, dstart, dcount
-
     @staticmethod
     def _independent_rows(
         maps: list, group: np.ndarray, dstart: np.ndarray, dcount: np.ndarray
@@ -848,32 +818,16 @@ class DataPlane:
         """Column form of :meth:`_read_ops`' mapping loop."""
         n = offsets.shape[0]
         bs = self.block_size
-        sb = f.stripe_blocks
-        width = f.width
         lb = offsets // bs
-        end = (offsets + nbytes - 1) // bs + 1
-        if width == 1:
-            # _segments groups a width-1 file's stripe units: dlocal == logical.
-            op = np.arange(n)
-            slot = None
-            dstart, dcount = lb, end - lb
-        else:
-            # One row per op and stripe unit it touches.
-            first = lb // sb
-            units = (end - 1) // sb - first + 1
-            op = np.repeat(np.arange(n), units)
-            stripe = np.arange(op.shape[0]) + np.repeat(
-                first - (np.cumsum(units) - units), units
-            )
-            lo = np.maximum(lb[op], stripe * sb)
-            dcount = np.minimum(end[op], (stripe + 1) * sb) - lo
-            slot = stripe % width
-            dstart = (stripe // width) * sb + (lo - stripe * sb)
+        _, op, slot, dstart, dcount = split_rows(
+            np.full(n, f.stripe_blocks), np.full(n, f.width),
+            lb, (offsets + nbytes - 1) // bs - lb + 1,
+        )
         # Each slot's map answers its rows at once; a stable sort by row
-        # puts the per-slot answers back in (op, stripe unit) order.
+        # puts the per-slot answers back in (op, segment) order.
         rows, phys, length = [], [], []
-        for s in range(width):
-            idx = np.arange(n) if slot is None else np.flatnonzero(slot == s)
+        for s in range(f.width):
+            idx = np.flatnonzero(slot == s)
             if idx.shape[0] == 0:
                 continue
             bounds, p, ln = f.maps[s].physical_runs_many(dstart[idx], dcount[idx])
@@ -999,16 +953,11 @@ class DataPlane:
     # -- internals ----------------------------------------------------------
     def _targets_of(self, f: RedbudFile) -> list[AllocTarget]:
         """``f``'s allocation targets, one per slot, built once per layout."""
-        key = (f.stripe_blocks, *f.layout)
+        key = tuple(f.layout)
         targets = self._targets.get(key)
         if targets is None:
             targets = self._targets[key] = [
-                AllocTarget(
-                    group_index=group,
-                    slot=slot,
-                    width=f.width,
-                    stripe_blocks=f.stripe_blocks,
-                )
+                AllocTarget(group_index=group, slot=slot)
                 for slot, group in enumerate(f.layout)
             ]
         return targets
@@ -1016,27 +965,8 @@ class DataPlane:
     def _segments(
         self, f: RedbudFile, lb: int, nb: int
     ) -> list[tuple[int, int, int]]:
-        """Stripe-unit segments of [lb, lb+nb), grouped per slot.
-
-        Consecutive stripe units landing on the same slot (writes wider
-        than one rotation) are dlocal-contiguous and are merged into one
-        segment, so the allocation policy sees one large request per PAG
-        instead of one per stripe unit — PVFS list I/O's "describe many
-        pieces in one request".
-        """
-        sb = f.stripe_blocks
-        stripe, off = divmod(lb, sb)
-        if off + nb <= sb:  # inside one stripe unit: one segment, no loop
-            return [(stripe % f.width, (stripe // f.width) * sb + off, nb)]
-        grouped: list[tuple[int, int, int]] = []
-        for slot, dstart, dcount in f.segments(lb, nb):
-            if grouped:
-                g_slot, g_start, g_count = grouped[-1]
-                if g_slot == slot and g_start + g_count == dstart:
-                    grouped[-1] = (g_slot, g_start, g_count + dcount)
-                    continue
-            grouped.append((slot, dstart, dcount))
-        return grouped
+        """:func:`~repro.fs.file.split` of file blocks ``[lb, lb+nb)``."""
+        return split(f.stripe_blocks, f.width, lb, nb)
 
     def _emit_rows(
         self,
@@ -1096,18 +1026,6 @@ class DataPlane:
             else:
                 insert(Extent(run.dlocal, run.physical, run.length, 0))
         return unwritten
-
-    def _slot_share(self, f: RedbudFile, total_blocks: int, slot: int) -> int:
-        """Blocks of a ``total_blocks``-file landing on rotation slot ``slot``."""
-        sb = f.stripe_blocks
-        full_stripes, tail = divmod(total_blocks, sb)
-        rounds, extra = divmod(full_stripes, f.width)
-        share = rounds * sb
-        if slot < extra:
-            share += sb
-        elif slot == extra:
-            share += tail
-        return share
 
     def _check_live(self, f: RedbudFile) -> None:
         if f.deleted or f.file_id not in self._files:

@@ -6,11 +6,17 @@ PAGs and **each rotation slot keeps its own extent map** in a dense local
 ("dlocal") coordinate space.  A client stream writing sequentially appears
 sequential to every slot, so per-slot extents merge; Table I's segment count
 is the sum of per-slot extent counts.
+
+The stripe geometry — file block to ``(slot, dlocal)`` and back — lives
+here once: :func:`split` over ints, :func:`split_rows` and
+:func:`logical_of` over int64 columns, and :func:`slot_share`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.block.extent import ExtentMap
 from repro.errors import ConfigError
@@ -60,24 +66,8 @@ class RedbudFile:
     def written_blocks(self) -> int:
         return sum(m.written_blocks for m in self.maps)
 
-    # -- striping arithmetic ---------------------------------------------------
-    def slot_of(self, logical_block: int) -> int:
-        """Rotation slot holding file block ``logical_block``."""
-        if logical_block < 0:
-            raise ConfigError(f"negative logical block: {logical_block}")
-        return (logical_block // self.stripe_blocks) % self.width
-
-    def to_dlocal(self, logical_block: int) -> tuple[int, int]:
-        """Translate a file block to ``(slot, dlocal block)``."""
-        if logical_block < 0:
-            raise ConfigError(f"negative logical block: {logical_block}")
-        stripe, offset = divmod(logical_block, self.stripe_blocks)
-        slot = stripe % self.width
-        dlocal = (stripe // self.width) * self.stripe_blocks + offset
-        return (slot, dlocal)
-
     def to_logical(self, slot: int, dlocal: int) -> int:
-        """Inverse of :meth:`to_dlocal`."""
+        """The file block at ``dlocal`` of rotation slot ``slot``."""
         if not (0 <= slot < self.width):
             raise ConfigError(f"slot out of range: {slot}")
         if dlocal < 0:
@@ -86,22 +76,59 @@ class RedbudFile:
         stripe = round_ * self.width + slot
         return stripe * self.stripe_blocks + offset
 
-    def segments(self, logical_block: int, count: int) -> list[tuple[int, int, int]]:
-        """Split a file block range into per-stripe-unit segments.
 
-        Returns ``(slot, dlocal start, length)`` triples in logical order;
-        each segment lies inside one stripe unit, so its dlocal range is
-        contiguous.
-        """
-        if count <= 0:
-            raise ConfigError(f"count must be positive: {count}")
-        out: list[tuple[int, int, int]] = []
-        cursor = logical_block
-        end = logical_block + count
-        while cursor < end:
-            stripe_end = (cursor // self.stripe_blocks + 1) * self.stripe_blocks
-            chunk = min(end, stripe_end) - cursor
-            slot, dlocal = self.to_dlocal(cursor)
-            out.append((slot, dlocal, chunk))
-            cursor += chunk
-        return out
+# -- stripe geometry ---------------------------------------------------------
+# File block ``b`` lies in stripe unit ``s = b // sb``, which lands on slot
+# ``s % width`` at dlocal ``(s // width) * sb + b % sb``.  Consecutive units
+# of a width-1 file are dlocal-contiguous, so a range of one is one segment:
+# the policy sees one request per PAG, not one per stripe unit (PVFS list
+# I/O's "describe many pieces in one request").
+
+
+def split(sb: int, width: int, lb: int, nb: int) -> list[tuple[int, int, int]]:
+    """File blocks ``[lb, lb+nb)`` of a file with stripe unit ``sb`` over
+    ``width`` slots as ``(slot, dlocal start, length)`` segments in logical
+    order, each dlocal-contiguous: one per stripe unit, one in all at
+    width 1."""
+    stripe, off = divmod(lb, sb)
+    if off + nb <= sb:  # inside one stripe unit, the common case
+        return [(stripe % width, (stripe // width) * sb + off, nb)]
+    if width == 1:
+        return [(0, lb, nb)]
+    out = [(stripe % width, (stripe // width) * sb + off, sb - off)]
+    end = lb + nb
+    for stripe in range(stripe + 1, (end - 1) // sb + 1):
+        out.append((stripe % width, (stripe // width) * sb, min(sb, end - stripe * sb)))
+    return out
+
+
+def split_rows(
+    sb: np.ndarray, width: np.ndarray, lb: np.ndarray, nb: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """:func:`split` of many ranges held as int64 columns, ``sb`` and
+    ``width`` being each range's file's.  Per range its segment count
+    ``units``, and per segment (in range, then logical order) the range it
+    belongs to, its slot, dlocal start and length."""
+    end = lb + nb
+    first = lb // sb
+    units = np.where(width == 1, 1, (end - 1) // sb - first + 1)
+    op = np.repeat(np.arange(lb.shape[0]), units)
+    stripe = np.arange(op.shape[0]) + (first - (np.cumsum(units) - units))[op]
+    sb, width, end = sb[op], width[op], end[op]
+    lo = np.maximum(lb[op], stripe * sb)
+    dcount = np.where(width == 1, end, np.minimum(end, (stripe + 1) * sb)) - lo
+    return units, op, stripe % width, (stripe // width) * sb + (lo - stripe * sb), dcount
+
+
+def logical_of(sb: int, width: int, slot: np.ndarray, dlocal: np.ndarray) -> np.ndarray:
+    """The file blocks at ``dlocal`` of slots ``slot`` (columns or ints)."""
+    return ((dlocal // sb) * width + slot) * sb + dlocal % sb
+
+
+def slot_share(sb: int, width: int, total_blocks: int, slot: int) -> int:
+    """Blocks of a ``total_blocks``-file that land on rotation slot ``slot``."""
+    full_stripes, tail = divmod(total_blocks, sb)
+    rounds, extra = divmod(full_stripes, width)
+    if slot < extra:
+        return (rounds + 1) * sb
+    return rounds * sb + (tail if slot == extra else 0)

@@ -35,8 +35,8 @@ Everything runs in the calling process:
 
 Tests and long-running experiments call :func:`check_dataplane` /
 :func:`check_mds` after churn to catch leaks and double allocations early.
-The ``fig_fsck`` runner models a pFSCK-style worker pool from
-:func:`shard_work`'s per-shard volumes; no real worker is started here.
+The ``fig_fsck`` runner (:mod:`repro.core.runners.fsck`) models a
+pFSCK-style worker pool from per-shard volumes; no real worker is started.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ from repro.meta.inumber import decode_inos
 from repro.meta.mds import MetadataServer
 from repro.meta.mfs import ItableGeometry
 from repro.meta.normal_layout import NormalDir, NormalLayout
-
-#: Directories per metadata shard in ``fig_fsck``'s modeled worker pool
-#: (:func:`shard_work`); the checker itself walks every directory at once.
-META_SHARD_DIRS = 64
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -1063,29 +1058,6 @@ def _repair_normal_pass(
             ))
             changed = True
     return changed
-
-
-def shard_work(
-    plane: DataPlane, mds: MetadataServer | None = None
-) -> tuple[list[int], list[int]]:
-    """Per-shard work volumes: extents seen by each data-plane shard and
-    rows scanned by each metadata shard.
-
-    Feeds the ``fig_fsck`` modeled-cost benchmark: with the per-item costs
-    from :class:`repro.config.FsckParams`, the modeled parallel check time
-    is the longest-processing-time-first makespan over these volumes.
-    """
-    g = _pag_rows(_scan_dataplane(plane), plane)[1]
-    data = np.unique(g, return_counts=True)[1].tolist()
-    meta: list[int] = []
-    if mds is not None:
-        # one row per entry plus one per-directory structural pass
-        rows = [len(d.entries) + 1 for d in mds.layout._dirs.values()]
-        meta = [
-            sum(rows[i:i + META_SHARD_DIRS])
-            for i in range(0, len(rows), META_SHARD_DIRS)
-        ]
-    return data, meta
 
 
 # ---------------------------------------------------------------------------

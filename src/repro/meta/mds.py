@@ -100,13 +100,6 @@ class MetadataServer:
     def root(self):
         return self.layout.root
 
-    @property
-    def _redo(self) -> list[list[int]]:
-        """Compatibility view of the journal's committed redo records: home
-        blocks dirtied by each record since the last checkpoint, in commit
-        order (what crash recovery replays)."""
-        return [list(r.dirties) for r in self.journal.replay()]
-
     # -- operations ---------------------------------------------------------
     def mkdir(self, parent, name: str):
         d, plan = self.layout.create_dir(parent, name, self.now())

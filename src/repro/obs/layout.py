@@ -25,7 +25,8 @@ and produces a :class:`LayoutReport` with:
 Everything here is duck-typed against the public surface of
 :class:`~repro.fs.dataplane.DataPlane` / :class:`~repro.meta.mds.
 MetadataServer` so the :mod:`repro.obs` package stays import-free of the
-simulator (type names appear only under ``TYPE_CHECKING``).
+simulator (type names appear only under ``TYPE_CHECKING``; the stripe
+geometry of :mod:`repro.fs.file` is imported where a fragment walk uses it).
 """
 
 from __future__ import annotations
@@ -360,12 +361,14 @@ class LayoutInspector:
         stripe units and again at region boundaries; each resulting piece
         maps one solid (logical, physical) run.
         """
+        from repro.fs.file import logical_of
+
         sb, width = f.stripe_blocks, f.width
         slot = np.repeat(np.arange(width), [len(smap) for smap in f.maps])
         dlocal, physical, length, _ = np.concatenate([smap.columns() for smap in f.maps], axis=1)
         of, start, length = _cut(dlocal, length, sb)
         physical = physical[of] + (start - dlocal[of])
-        logical = ((start // sb) * width + slot[of]) * sb + start % sb
+        logical = logical_of(sb, width, slot[of], start)
         of, start, length = _cut(logical, length, region_blocks)
         physical = physical[of] + (start - logical[of])
         return (

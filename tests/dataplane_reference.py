@@ -69,7 +69,17 @@ class ReferenceDataPlane(DataPlane):
         object_loop_disks(self.array)
 
     def _segments(self, f: RedbudFile, lb: int, nb: int) -> list[tuple[int, int, int]]:
-        return list(f.segments(lb, nb))
+        """One ``(slot, dlocal, length)`` segment per stripe unit, never
+        grouped (was ``RedbudFile.segments``)."""
+        sb, width = f.stripe_blocks, f.width
+        out: list[tuple[int, int, int]] = []
+        end = lb + nb
+        while lb < end:
+            stripe, offset = divmod(lb, sb)
+            chunk = min(end, (stripe + 1) * sb) - lb
+            out.append((stripe % width, (stripe // width) * sb + offset, chunk))
+            lb += chunk
+        return out
 
     def _map_write_legacy(
         self,

@@ -66,6 +66,11 @@ class ReferenceHistogram:
         e = math.frexp(value)[1]
         self._buckets[e] = self._buckets.get(e, 0) + 1
 
+    def observe_each(self, values) -> None:
+        """``Histogram.observe_each`` by its definition: a loop of observe."""
+        for value in values:
+            self.observe(value)
+
     def observe_array(self, values) -> None:
         n = int(values.shape[0])
         if n == 0:

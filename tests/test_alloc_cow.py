@@ -18,7 +18,7 @@ def make_policy() -> CowPolicy:
     return CowPolicy(AllocPolicyParams(policy="cow"), fsm)
 
 
-TARGET = AllocTarget(group_index=0, slot=0, width=1, stripe_blocks=64)
+TARGET = AllocTarget(group_index=0, slot=0)
 
 
 class TestPolicy:

@@ -26,7 +26,7 @@ from repro.sim.metrics import Metrics
 
 NGROUPS = 2
 TARGETS = [
-    AllocTarget(group_index=g, slot=g, width=NGROUPS, stripe_blocks=64)
+    AllocTarget(group_index=g, slot=g)
     for g in range(NGROUPS)
 ]
 #: A policy's handles on the shared books, compared separately.

@@ -16,7 +16,7 @@ def make_policy(**params) -> OnDemandPolicy:
 
 
 def target() -> AllocTarget:
-    return AllocTarget(group_index=0, slot=0, width=1, stripe_blocks=256)
+    return AllocTarget(group_index=0, slot=0)
 
 
 FILE = 1

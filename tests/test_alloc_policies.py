@@ -19,7 +19,7 @@ def make_fsm() -> FreeSpaceManager:
 
 
 def target(group=0) -> AllocTarget:
-    return AllocTarget(group_index=group, slot=0, width=1, stripe_blocks=64)
+    return AllocTarget(group_index=group, slot=0)
 
 
 def covered(runs: list[PhysicalRun]) -> int:

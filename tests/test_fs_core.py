@@ -11,7 +11,7 @@ from repro.config import (
     SchedulerParams,
 )
 from repro.errors import ConfigError
-from repro.fs.file import RedbudFile
+from repro.fs.file import RedbudFile, split
 from repro.fs.profiles import (
     lustre_profile,
     redbud_mif_profile,
@@ -45,36 +45,41 @@ class TestStriping:
             file_id=1, name="/f", layout=[0, 2, 4], stripe_blocks=8
         )
 
+    @staticmethod
+    def at(f: RedbudFile, block: int) -> tuple[int, int]:
+        """``(slot, dlocal)`` of file block ``block``."""
+        slot, dlocal, _ = split(f.stripe_blocks, f.width, block, 1)[0]
+        return slot, dlocal
+
     def test_slot_rotation(self, f):
-        assert [f.slot_of(b) for b in (0, 7, 8, 16, 24)] == [0, 0, 1, 2, 0]
+        assert [self.at(f, b)[0] for b in (0, 7, 8, 16, 24)] == [0, 0, 1, 2, 0]
 
     def test_dlocal_is_dense_per_slot(self, f):
         # Slot 0 owns stripes 0, 3, 6, ...: their dlocal ranges are packed.
-        assert f.to_dlocal(0) == (0, 0)
-        assert f.to_dlocal(24) == (0, 8)
-        assert f.to_dlocal(48) == (0, 16)
-        assert f.to_dlocal(8) == (1, 0)
+        assert self.at(f, 0) == (0, 0)
+        assert self.at(f, 24) == (0, 8)
+        assert self.at(f, 48) == (0, 16)
+        assert self.at(f, 8) == (1, 0)
 
     def test_roundtrip(self, f):
         for logical in range(0, 100):
-            slot, dlocal = f.to_dlocal(logical)
-            assert f.to_logical(slot, dlocal) == logical
+            assert f.to_logical(*self.at(f, logical)) == logical
 
     def test_segments_split_on_stripe_boundaries(self, f):
-        segs = f.segments(6, 12)  # crosses the 8-block stripe boundary twice
+        segs = split(f.stripe_blocks, f.width, 6, 12)  # crosses two stripe boundaries
         assert segs == [(0, 6, 2), (1, 0, 8), (2, 0, 2)]
         assert sum(c for _, _, c in segs) == 12
+        # A width-1 file's stripe units are one dlocal-contiguous segment.
+        assert split(f.stripe_blocks, 1, 6, 12) == [(0, 6, 12)]
 
     def test_segments_within_one_stripe(self, f):
-        assert f.segments(9, 3) == [(1, 1, 3)]
+        assert split(f.stripe_blocks, f.width, 9, 3) == [(1, 1, 3)]
 
     def test_invalid_args(self, f):
         with pytest.raises(ConfigError):
-            f.slot_of(-1)
-        with pytest.raises(ConfigError):
-            f.segments(0, 0)
-        with pytest.raises(ConfigError):
             f.to_logical(5, 0)
+        with pytest.raises(ConfigError):
+            f.to_logical(0, -1)
 
     def test_requires_layout(self):
         with pytest.raises(ConfigError):

@@ -215,8 +215,7 @@ class TestHybridPolicy:
         plane = DataPlane(small_config(policy="hybrid"))
         f = plane.create_file("/unknown")
         plane.write(f, 7, 0, 16 * KiB)
-        slot = f.slot_of(0)
-        st = plane.policy.stream_state(f.file_id, 7, f.layout[slot])
+        st = plane.policy.stream_state(f.file_id, 7, f.layout[0])  # block 0: slot 0
         assert st is not None
         assert st.sequential is not None
 

@@ -16,10 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.block.extent import Extent, ExtentMap, extent_columns, invalid_maps
+from repro.core.runners.fsck import shard_work
 from repro.errors import AllocationError, ExtentError
 from repro.fs.dataplane import DataPlane
 from repro.fs import verify
-from repro.fs.verify import check_dataplane, repair_dataplane, shard_work
+from repro.fs.verify import check_dataplane, repair_dataplane
 from repro.units import KiB
 
 from tests.conftest import small_config

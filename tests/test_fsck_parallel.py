@@ -18,15 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import baseline
-from repro.config import ConfigError, FsckParams
+from repro.config import ConfigError
 from repro.core.run import run
+from repro.core.runners.fsck import META_SHARD_DIRS, shard_work
 from repro.errors import MetadataError
 from repro.fault import Corruptor, build_crashed_image
 from repro.fs.dataplane import DataPlane
 from repro.fs import verify
 from repro.fs.stream import make_stream_id
 from repro.fs.verify import (
-    META_SHARD_DIRS,
     FsckReport,
     Scrubber,
     ScrubStep,
@@ -34,7 +34,6 @@ from repro.fs.verify import (
     check_mds,
     repair_dataplane,
     repair_mds,
-    shard_work,
 )
 from repro.meta.mds import MetadataServer
 from repro.units import KiB
@@ -410,10 +409,6 @@ class TestReportPlumbing:
         ] + [f.code for f in meta.findings]
         assert merged.checked_extents == data.checked_extents
         assert merged.checked_inodes == meta.checked_inodes
-
-    def test_fsck_params_validation(self):
-        with pytest.raises(ConfigError):
-            FsckParams(check_extent_s=-1.0)
 
     def test_scrub_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -285,7 +285,7 @@ def mds_state(mds: MetadataServer) -> dict:
         "elapsed": mds.elapsed_s,
         "cpu": mds.cpu_s,
         "ops": mds.ops,
-        "redo": mds._redo,
+        "redo": [list(r.dirties) for r in mds.journal.replay()],
         "dirty": sorted(mds._dirty),
         "journal": (mds.journal.head_block, mds.journal.records_written),
         "disk": (mds.disk.head, mds.disk.busy_s),
@@ -553,7 +553,7 @@ def namespace_state(mds: MetadataServer) -> dict:
         },
         "used": [b.used_count for b in mfs._block_bitmaps + mfs._inode_bitmaps],
         "dir_rotor": mfs._dir_rotor,
-        "journal": (mds.journal.head_block, len(mds._redo)),
+        "journal": (mds.journal.head_block, len(mds.journal.replay())),
         "ops": mds.ops,
     }
 

@@ -31,7 +31,7 @@ class TestMdsCrashRecovery:
             mds.create(d, f"f{i}")
         mds.crash_recover()
         assert mds._dirty == set()
-        assert mds._redo == []
+        assert mds.journal.replay() == []
         assert mds.metrics.count("mds.crash_recoveries") == 1
 
     def test_namespace_survives(self, mds):
@@ -57,7 +57,7 @@ class TestMdsCrashRecovery:
         mds.flush()
         mds.stat(d, "f")
         mds.readdir_stat(d)
-        assert mds._redo == []
+        assert mds.journal.replay() == []
 
     def test_service_continues_after_recovery(self, mds):
         d = mds.mkdir(mds.root, "work")

@@ -69,7 +69,11 @@ def attempt(call, *args):
 
 
 def state(mds: MetadataServer) -> dict:
-    out = {**snapshot(mds), "redo": mds._redo, "pending": mds.journal.pending_records()}
+    out = {
+        **snapshot(mds),
+        "redo": [list(r.dirties) for r in mds.journal.replay()],
+        "pending": mds.journal.pending_records(),
+    }
     if isinstance(mds.tracer, Tracer):
         buf = io.StringIO()
         to_jsonl(mds.tracer.events(), buf)

@@ -32,7 +32,7 @@ def make_policy(scale=2, threshold=3) -> OnDemandPolicy:
     )
 
 
-TARGET = AllocTarget(group_index=0, slot=0, width=1, stripe_blocks=256)
+TARGET = AllocTarget(group_index=0, slot=0)
 
 
 @st.composite
